@@ -1,6 +1,6 @@
 // Multilevel hypergraph partitioner: the in-repo comparator standing in for
-// Zoltan / Parkway / Mondriaan / hMetis (all unavailable offline; see
-// DESIGN.md substitution 3). Classic three phases per bisection:
+// Zoltan / Parkway / Mondriaan / hMetis (none of them ships with this
+// repository). Classic three phases per bisection:
 //
 //   coarsen   — heavy-edge matching on the clique-net expansion until the
 //               hypergraph is small,

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -107,7 +106,11 @@ void ThreadPool::ParallelFor(
     fn(0, n, 0);
     return;
   }
-  std::atomic<std::size_t> remaining{workers};
+  // The completion state lives on this stack frame, so the last worker must
+  // decrement and notify while holding done_mutex: otherwise the caller can
+  // observe remaining == 0, return and reuse the frame while that worker is
+  // still about to lock the mutex or signal the condition variable.
+  std::size_t remaining = workers;
   std::mutex done_mutex;
   std::condition_variable done_cv;
   const std::size_t chunk = (n + workers - 1) / workers;
@@ -116,14 +119,12 @@ void ThreadPool::ParallelFor(
     const std::size_t end = std::min(n, begin + chunk);
     Submit([&, begin, end, w] {
       if (begin < end) fn(begin, end, w);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
   std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 void ThreadPool::ParallelForEach(std::size_t n,

@@ -1,6 +1,7 @@
 #include "core/move_broker.h"
 
 #include <algorithm>
+#include <ranges>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -9,15 +10,6 @@
 #include "core/proposal_matrix.h"
 
 namespace shp {
-
-namespace {
-
-uint64_t PackPair(BucketId a, BucketId b) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-         static_cast<uint32_t>(b);
-}
-
-}  // namespace
 
 void MoveBroker::CollectNetMoves(const std::vector<VertexId>& moved,
                                  const std::vector<BucketId>& original_bucket,
@@ -31,6 +23,29 @@ void MoveBroker::CollectNetMoves(const std::vector<VertexId>& moved,
     }
   }
   SHP_DCHECK(outcome->moves.size() == outcome->num_moved);
+}
+
+void MoveBroker::ExecuteMoves(const MoveTopology& topo, uint64_t budget,
+                              const std::vector<BucketId>& targets,
+                              const std::vector<double>& gains,
+                              std::vector<VertexId>* movers,
+                              std::vector<BucketId>* original,
+                              Partition* partition, MoveOutcome* outcome) {
+  // Per-round move budget (partition stability): keep only the
+  // highest-gain drawn movers. Applied before execution, so post-repair
+  // executed moves can only be fewer.
+  TrimToBudget(budget, gains, movers);
+  if (original->size() < partition->num_data()) {
+    original->resize(partition->num_data(), -1);
+  }
+  for (const VertexId v : *movers) {
+    (*original)[v] = partition->bucket_of(v);
+    partition->Move(v, targets[v]);
+    ++outcome->num_moved;
+    outcome->gain_moved += gains[v];
+  }
+  RepairBalance(topo, *movers, *original, gains, partition, outcome);
+  CollectNetMoves(*movers, *original, *partition, outcome);
 }
 
 void MoveBroker::TrimToBudget(uint64_t budget,
@@ -197,7 +212,6 @@ MoveOutcome MoveBroker::ApplyPlain(const MoveTopology& topo,
   for (const auto& [i, j] : matrix.SortedPairs()) {
     pair_prob[PackPair(i, j)] = matrix.MoveProbability(i, j);
   }
-  const bool skip_dead = options_.skip_zero_probability_pairs;
   std::vector<uint8_t> decided(n, 0);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
   std::vector<uint64_t> draws_per_worker(num_workers, 0);
@@ -208,7 +222,7 @@ MoveOutcome MoveBroker::ApplyPlain(const MoveTopology& topo,
       const BucketId from =
           partition->bucket_of(static_cast<VertexId>(v));
       const double pair = pair_prob.at(PackPair(from, targets[v]));
-      if (skip_dead && pair <= 0.0) continue;
+      if (pair <= 0.0) continue;
       ++draws;
       const double prob = std::min(pair, options_.max_move_probability) *
                           options_.probability_damping;
@@ -224,19 +238,8 @@ MoveOutcome MoveBroker::ApplyPlain(const MoveTopology& topo,
   for (VertexId v = 0; v < n; ++v) {
     if (decided[v]) moved.push_back(v);
   }
-  // Per-round move budget (partition stability): keep only the
-  // highest-gain drawn movers. Applied before execution, so post-repair
-  // executed moves can only be fewer.
-  TrimToBudget(options_.max_moves_per_round, gains, &moved);
-  std::vector<BucketId> original(n, -1);
-  for (VertexId v : moved) {
-    original[v] = partition->bucket_of(v);
-    partition->Move(v, targets[v]);
-    ++outcome.num_moved;
-    outcome.gain_moved += gains[v];
-  }
-  RepairBalance(topo, moved, original, gains, partition, &outcome);
-  CollectNetMoves(moved, original, *partition, &outcome);
+  ExecuteMoves(topo, options_.max_moves_per_round, targets, gains, &moved,
+               &original_, partition, &outcome);
   return outcome;
 }
 
@@ -259,6 +262,50 @@ std::unordered_set<uint64_t> PairProbabilityTable::LivePairKeys() const {
   }
   return live;
 }
+
+void PairHistograms::Update(Contribution* c, BucketId from, BucketId target,
+                            double gain) {
+  if (c->pair != kNoPair) {
+    const auto it = pairs_.find(c->pair);
+    SHP_DCHECK(it != pairs_.end());
+    SHP_DCHECK(it->second.hist.counts[static_cast<size_t>(c->bin)] > 0);
+    --it->second.hist.counts[static_cast<size_t>(c->bin)];
+    if (--it->second.total == 0) pairs_.erase(it);
+    --num_proposals_;
+    c->pair = kNoPair;
+  }
+  if (target < 0) return;
+  const uint64_t pair = PackPair(from, target);
+  PairState& state = pairs_[pair];
+  if (state.hist.counts.empty()) state.hist.Init(binning_);
+  const int bin = binning_.BinFor(gain);
+  ++state.hist.counts[static_cast<size_t>(bin)];
+  ++state.total;
+  ++num_proposals_;
+  *c = {pair, bin};
+}
+
+void PairHistograms::MergeInto(
+    std::unordered_map<uint64_t, DirectedGainHistogram>* merged) const {
+  for (const auto& [key, state] : pairs_) {
+    DirectedGainHistogram& into = (*merged)[key];
+    if (into.counts.empty()) into.Init(binning_);
+    for (size_t bin = 0; bin < state.hist.counts.size(); ++bin) {
+      into.counts[bin] += state.hist.counts[bin];
+    }
+  }
+}
+
+ProbabilityDraw::ProbabilityDraw(const PairProbabilityTable& table,
+                                 const MoveBrokerOptions& options,
+                                 uint64_t seed, uint64_t iteration)
+    : table_(table),
+      binning_(options.binning),
+      max_move_probability_(options.max_move_probability),
+      probability_damping_(options.probability_damping),
+      seed_(seed),
+      iteration_(iteration),
+      live_pairs_(table.LivePairKeys()) {}
 
 PairProbabilityTable ComputePairProbabilities(
     const MoveTopology& topo, const GainBinning& binning,
@@ -324,33 +371,6 @@ PairProbabilityTable ComputePairProbabilities(
   return table;
 }
 
-void MoveBroker::UpdateHistContribution(VertexId v,
-                                        const std::vector<BucketId>& targets,
-                                        const std::vector<double>& gains,
-                                        const Partition& partition) {
-  const uint64_t old_pair = hist_last_pair_[v];
-  if (old_pair != kNoPair) {
-    const auto it = hist_state_.find(old_pair);
-    SHP_DCHECK(it != hist_state_.end());
-    const size_t bin = static_cast<size_t>(hist_last_bin_[v]);
-    SHP_DCHECK(it->second.hist.counts[bin] > 0);
-    --it->second.hist.counts[bin];  // DirectedGainHistogram has no Remove
-    --it->second.total;
-    --hist_live_proposals_;
-    hist_last_pair_[v] = kNoPair;
-  }
-  if (targets[v] < 0) return;
-  const uint64_t pair = PackPair(partition.bucket_of(v), targets[v]);
-  PairState& state = hist_state_[pair];
-  if (state.hist.counts.empty()) state.hist.Init(options_.binning);
-  const int bin = options_.binning.BinFor(gains[v]);
-  ++state.hist.counts[static_cast<size_t>(bin)];
-  ++state.total;
-  ++hist_live_proposals_;
-  hist_last_pair_[v] = pair;
-  hist_last_bin_[v] = bin;
-}
-
 MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
                                        const std::vector<BucketId>& targets,
                                        const std::vector<double>& gains,
@@ -367,92 +387,42 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
   // Maintained incrementally when the caller hands a changed-proposal list:
   // only the listed vertices' contributions are re-derived — O(|changed|)
   // counter updates instead of the O(n) re-accumulation.
-  const bool incremental = changed != nullptr && hist_state_valid_ &&
-                           hist_last_pair_.size() == static_cast<size_t>(n);
+  const bool incremental = changed != nullptr && hist_valid_ &&
+                           hist_contrib_.size() == static_cast<size_t>(n);
+  const auto update = [&](VertexId v) {
+    hist_.Update(&hist_contrib_[v], partition->bucket_of(v), targets[v],
+                 gains[v]);
+  };
   if (incremental) {
-    for (const VertexId v : *changed) {
-      UpdateHistContribution(v, targets, gains, *partition);
-    }
+    for (const VertexId v : *changed) update(v);
   } else {
-    hist_state_.clear();
-    hist_last_pair_.assign(static_cast<size_t>(n), kNoPair);
-    hist_last_bin_.assign(static_cast<size_t>(n), 0);
-    hist_live_proposals_ = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      UpdateHistContribution(v, targets, gains, *partition);
-    }
-    hist_state_valid_ = true;
+    hist_.Clear();
+    hist_contrib_.assign(static_cast<size_t>(n), {});
+    for (VertexId v = 0; v < n; ++v) update(v);
+    hist_valid_ = true;
   }
-  outcome.num_proposals = hist_live_proposals_;
-
-  // Materialize the pruned live map for the shared master computation (and
-  // drop emptied pairs so stale bucket pairs never accumulate).
-  std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
-  histograms.reserve(hist_state_.size());
-  for (auto it = hist_state_.begin(); it != hist_state_.end();) {
-    if (it->second.total == 0) {
-      it = hist_state_.erase(it);
-      continue;
-    }
-    histograms.emplace(it->first, it->second.hist);
-    ++it;
-  }
-
 #ifndef NDEBUG
-  {
-    // The incrementally patched histograms must equal a from-scratch
-    // accumulation — the changed-proposal-vs-full-histogram equivalence
-    // gate.
-    std::unordered_map<uint64_t, DirectedGainHistogram> ref;
-    uint64_t ref_proposals = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      if (targets[v] < 0) continue;
-      ++ref_proposals;
-      auto& h = ref[PackPair(partition->bucket_of(v), targets[v])];
-      if (h.counts.empty()) h.Init(binning);
-      h.Add(binning, gains[v]);
-    }
-    SHP_CHECK_EQ(ref_proposals, outcome.num_proposals);
-    SHP_CHECK_EQ(ref.size(), histograms.size());
-    for (const auto& [key, h] : ref) {
-      const auto it = histograms.find(key);
-      SHP_CHECK(it != histograms.end() && it->second.counts == h.counts)
-          << "incremental histogram diverged from full accumulation (pair "
-          << (key >> 32) << "->" << (key & 0xffffffffULL) << ")";
-    }
-  }
+  hist_.CheckMatchesRebuild(std::views::iota(VertexId{0}, n), *partition,
+                            targets, gains);
 #endif
+  outcome.num_proposals = hist_.num_proposals();
 
+  std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
+  hist_.MergeInto(&histograms);
   const PairProbabilityTable table = ComputePairProbabilities(
       topo, binning, histograms, *partition, options_.use_capacity_slack);
 
-  // Superstep 4: probabilistic simultaneous moves. Draw floor: a proposal
-  // whose pair row is all zero draws against probability 0 in every bin —
-  // it can never fire, so skipping the hash leaves the trajectory unchanged
-  // while the draw scan shrinks to the pairs the master matched.
-  const std::unordered_set<uint64_t> live_pairs =
-      options_.skip_zero_probability_pairs
-          ? table.LivePairKeys()
-          : std::unordered_set<uint64_t>{};
-  const bool skip_dead = options_.skip_zero_probability_pairs;
+  // Superstep 4: probabilistic simultaneous moves.
+  const ProbabilityDraw draw(table, options_, seed, iteration);
   std::vector<uint8_t> decided(n, 0);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
   std::vector<uint64_t> draws_per_worker(num_workers, 0);
   pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
     uint64_t draws = 0;
-    for (size_t v = begin; v < end; ++v) {
-      if (targets[v] < 0) continue;
-      const BucketId from =
-          partition->bucket_of(static_cast<VertexId>(v));
-      if (skip_dead && live_pairs.count(PackPair(from, targets[v])) == 0) {
-        continue;
-      }
-      ++draws;
-      const double prob =
-          std::min(table.Lookup(binning, from, targets[v], gains[v]),
-                   options_.max_move_probability) *
-          options_.probability_damping;
-      if (HashToUnitDouble(seed ^ 0x5108e77a, iteration, v) < prob) {
+    for (size_t i = begin; i < end; ++i) {
+      const VertexId v = static_cast<VertexId>(i);
+      if (targets[v] >= 0 && draw.Fires(v, partition->bucket_of(v),
+                                        targets[v], gains[v], &draws)) {
         decided[v] = 1;
       }
     }
@@ -464,19 +434,8 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
   for (VertexId v = 0; v < n; ++v) {
     if (decided[v]) moved.push_back(v);
   }
-  // Per-round move budget (partition stability): keep only the
-  // highest-gain drawn movers. Applied before execution, so post-repair
-  // executed moves can only be fewer.
-  TrimToBudget(options_.max_moves_per_round, gains, &moved);
-  std::vector<BucketId> original(n, -1);
-  for (VertexId v : moved) {
-    original[v] = partition->bucket_of(v);
-    partition->Move(v, targets[v]);
-    ++outcome.num_moved;
-    outcome.gain_moved += gains[v];
-  }
-  RepairBalance(topo, moved, original, gains, partition, &outcome);
-  CollectNetMoves(moved, original, *partition, &outcome);
+  ExecuteMoves(topo, options_.max_moves_per_round, targets, gains, &moved,
+               &original_, partition, &outcome);
   return outcome;
 }
 

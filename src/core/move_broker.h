@@ -15,11 +15,14 @@
 // with ε = 0.05 slack absorbing stochastic fluctuations; we enforce it).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/logging.h"
+#include "common/rng.h"
 #include "core/gain_histogram.h"
 #include "core/move_topology.h"
 #include "core/partition.h"
@@ -56,13 +59,6 @@ struct MoveBrokerOptions {
   /// §3.4 "imbalanced swaps": also move unmatched positive-gain vertices
   /// into buckets with spare capacity (histogram strategy only).
   bool use_capacity_slack = true;
-  /// Superstep-4 draw floor: proposals whose (from, target) probability row
-  /// is all zero skip the per-vertex draw — a zero probability can never
-  /// fire, so the move trajectory is identical and the steady-state
-  /// O(#proposals) draw scan shrinks to the pairs the master actually
-  /// matched. false restores the draw-everything reference (the regression
-  /// test compares the two trajectories).
-  bool skip_zero_probability_pairs = true;
   /// Ceiling on executed moves per round; 0 = unlimited. The online
   /// repartitioning stability knob (paper §5(i) alongside damping): when a
   /// round's drawn movers exceed the budget, the highest-gain movers are
@@ -77,8 +73,8 @@ struct MoveOutcome {
   uint64_t num_proposals = 0;  ///< vertices with a valid target
   uint64_t num_moved = 0;      ///< moves that stuck (after repair)
   uint64_t num_reverted = 0;   ///< repair reversions
-  /// Probability draws evaluated (≤ num_proposals once the draw floor
-  /// skips all-zero probability rows; kExactPairing draws nothing).
+  /// Probability draws evaluated (≤ num_proposals: the draw floor skips
+  /// all-zero probability rows; kExactPairing draws nothing).
   uint64_t num_draws = 0;
   double gain_moved = 0.0;     ///< Σ gains of surviving moves
   /// Net executed moves of the round (post balance-repair; a reverted vertex
@@ -89,8 +85,71 @@ struct MoveOutcome {
   std::vector<VertexMove> moves;
 };
 
-/// Master-side state: per directed bucket pair (packed (from << 32) | to),
-/// per-gain-bin move probabilities.
+/// Directed bucket-pair key (from << 32 | to) of the superstep-3 histograms
+/// and the superstep-4 probability tables.
+inline uint64_t PackPair(BucketId from, BucketId to) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
+         static_cast<uint32_t>(to);
+}
+
+/// Incrementally maintained superstep-3 state: one directed gain histogram
+/// per (from, to) bucket pair over a set of proposals. The caller keeps one
+/// Contribution per vertex — where its proposal currently counts — so a
+/// changed proposal costs two counter updates instead of a term in an O(n)
+/// re-accumulation. The threaded MoveBroker holds one instance over all
+/// vertices; the BSP engine holds one per worker over its shard. A pair is
+/// dropped as soon as its last proposal leaves, so only live pairs remain.
+/// Cache-line aligned: BSP workers update their own instances concurrently.
+class alignas(64) PairHistograms {
+ public:
+  static constexpr uint64_t kNoPair = ~0ull;
+  /// Where one vertex's proposal counts; pair == kNoPair when nowhere.
+  struct Contribution {
+    uint64_t pair = kNoPair;
+    int32_t bin = 0;
+  };
+
+  explicit PairHistograms(const GainBinning& binning) : binning_(binning) {}
+
+  /// Drops every histogram. The caller resets its contributions.
+  void Clear() {
+    pairs_.clear();
+    num_proposals_ = 0;
+  }
+
+  /// Re-derives one vertex's contribution: removes the counter *c records,
+  /// then counts the proposal (from → target, gain) unless target < 0.
+  /// Idempotent, so duplicate updates of one vertex are harmless.
+  void Update(Contribution* c, BucketId from, BucketId target, double gain);
+
+  /// Adds every live pair's counts into *merged (the master merge).
+  void MergeInto(
+      std::unordered_map<uint64_t, DirectedGainHistogram>* merged) const;
+
+  uint64_t num_pairs() const { return pairs_.size(); }
+  uint64_t num_proposals() const { return num_proposals_; }
+
+  /// Debug cross-check: the patched histograms must equal a from-scratch
+  /// accumulation of the proposals of `vertices`.
+  template <typename Vertices>
+  void CheckMatchesRebuild(const Vertices& vertices,
+                           const Partition& partition,
+                           const std::vector<BucketId>& targets,
+                           const std::vector<double>& gains) const;
+
+ private:
+  struct PairState {
+    DirectedGainHistogram hist;
+    uint64_t total = 0;  ///< live proposals; the pair is dropped at 0
+  };
+
+  GainBinning binning_;
+  std::unordered_map<uint64_t, PairState> pairs_;
+  uint64_t num_proposals_ = 0;
+};
+
+/// Master-side state: per directed bucket pair (PackPair), per-gain-bin move
+/// probabilities.
 struct PairProbabilityTable {
   std::unordered_map<uint64_t, std::vector<double>> probabilities;
 
@@ -105,6 +164,48 @@ struct PairProbabilityTable {
   std::unordered_set<uint64_t> LivePairKeys() const;
 };
 
+/// Superstep-4 probabilistic draw against a matched probability table,
+/// shared by the threaded histogram broker and the BSP master. The draw for
+/// vertex v is a pure hash of (seed, iteration, v), so the outcome does not
+/// depend on thread scheduling or on which worker owns v.
+class ProbabilityDraw {
+ public:
+  /// `table` must outlive the draw.
+  ProbabilityDraw(const PairProbabilityTable& table,
+                  const MoveBrokerOptions& options, uint64_t seed,
+                  uint64_t iteration);
+
+  /// True iff the proposal (v: from → target, gain) moves this round; every
+  /// evaluated draw increments *draws. Draw floor: a proposal on a pair whose
+  /// probability row is all zero can never fire, so its draw is skipped —
+  /// the trajectory is that of drawing everything, while a converged
+  /// instance stops paying for dead pairs.
+  bool Fires(VertexId v, BucketId from, BucketId target, double gain,
+             uint64_t* draws) const {
+    if (!live_pairs_.contains(PackPair(from, target))) {
+      // HashToUnitDouble lies in [0, 1), so a probability-0 draw never
+      // fires.
+      SHP_DCHECK(table_.Lookup(binning_, from, target, gain) == 0.0)
+          << "draw floor skipped a live proposal of v=" << v;
+      return false;
+    }
+    ++*draws;
+    const double prob = std::min(table_.Lookup(binning_, from, target, gain),
+                                 max_move_probability_) *
+                        probability_damping_;
+    return HashToUnitDouble(seed_ ^ 0x5108e77a, iteration_, v) < prob;
+  }
+
+ private:
+  const PairProbabilityTable& table_;
+  GainBinning binning_;
+  double max_move_probability_;
+  double probability_damping_;
+  uint64_t seed_;
+  uint64_t iteration_;
+  std::unordered_set<uint64_t> live_pairs_;
+};
+
 /// The master computation of supersteps 3-4 under histogram matching:
 /// matches the two directed histograms of every bucket pair and (optionally)
 /// spends spare capacity on unmatched positive bins (§3.4 imbalanced swaps).
@@ -116,7 +217,8 @@ PairProbabilityTable ComputePairProbabilities(
 
 class MoveBroker {
  public:
-  explicit MoveBroker(MoveBrokerOptions options) : options_(options) {}
+  explicit MoveBroker(MoveBrokerOptions options)
+      : options_(options), hist_(options.binning) {}
 
   const MoveBrokerOptions& options() const { return options_; }
 
@@ -147,27 +249,22 @@ class MoveBroker {
                     ThreadPool* pool = nullptr,
                     const std::vector<VertexId>* changed = nullptr);
 
-  /// Reverts lowest-gain surplus moves of over-capacity buckets until every
-  /// bucket fits its capacity (or nothing is left to revert). Public so the
-  /// BSP master can apply the identical repair.
-  static void RepairBalance(const MoveTopology& topo,
-                            const std::vector<VertexId>& moved,
-                            const std::vector<BucketId>& original_bucket,
-                            const std::vector<double>& gains,
-                            Partition* partition, MoveOutcome* outcome);
-
-  /// Emits the net executed moves (vertices whose post-repair bucket differs
-  /// from their pre-round bucket) into outcome->moves, ascending by vertex
-  /// id. Shared with the BSP master, which repairs via RepairBalance above.
-  static void CollectNetMoves(const std::vector<VertexId>& moved,
-                              const std::vector<BucketId>& original_bucket,
-                              const Partition& partition,
-                              MoveOutcome* outcome);
+  /// Superstep-4 execution of the drawn movers (ascending by vertex id),
+  /// shared by the drawing strategies and the BSP master: trims them to the
+  /// per-round `budget` (TrimToBudget), moves each v to targets[v], reverts
+  /// surplus moves of over-capacity buckets, and emits the net executed
+  /// moves into outcome->moves. `original` is per-vertex scratch (grown to
+  /// the vertex count; only mover slots are written).
+  static void ExecuteMoves(const MoveTopology& topo, uint64_t budget,
+                           const std::vector<BucketId>& targets,
+                           const std::vector<double>& gains,
+                           std::vector<VertexId>* movers,
+                           std::vector<BucketId>* original,
+                           Partition* partition, MoveOutcome* outcome);
 
   /// Trims a drawn mover list to `budget` vertices (0 = unlimited): keeps
   /// the highest gains, ties broken on the lower vertex id, and restores
   /// ascending-by-vertex order on return. Deterministic for a fixed input.
-  /// Shared with the BSP master's superstep 4.
   static void TrimToBudget(uint64_t budget, const std::vector<double>& gains,
                            std::vector<VertexId>* movers);
 
@@ -189,34 +286,57 @@ class MoveBroker {
                                 uint64_t seed, uint64_t iteration,
                                 Partition* partition);
 
-  /// Re-derives vertex v's histogram contribution: removes the recorded old
-  /// (pair, bin) counter, adds the current one, and updates the live-proposal
-  /// tally. Idempotent (remove-new-then-add-new under duplicate calls).
-  void UpdateHistContribution(VertexId v, const std::vector<BucketId>& targets,
-                              const std::vector<double>& gains,
-                              const Partition& partition);
+  /// Reverts lowest-gain surplus moves of over-capacity buckets until every
+  /// bucket fits its capacity (or nothing is left to revert).
+  static void RepairBalance(const MoveTopology& topo,
+                            const std::vector<VertexId>& moved,
+                            const std::vector<BucketId>& original_bucket,
+                            const std::vector<double>& gains,
+                            Partition* partition, MoveOutcome* outcome);
+
+  /// Emits the net executed moves (vertices whose post-repair bucket differs
+  /// from their pre-round bucket) into outcome->moves, ascending by vertex
+  /// id.
+  static void CollectNetMoves(const std::vector<VertexId>& moved,
+                              const std::vector<BucketId>& original_bucket,
+                              const Partition& partition,
+                              MoveOutcome* outcome);
 
   MoveBrokerOptions options_;
 
-  /// hist_last_pair_ sentinel: the vertex currently contributes nowhere.
-  static constexpr uint64_t kNoPair = ~0ull;
+  // kHistogramMatching master state kept across rounds (see Apply's
+  // `changed` list), with one contribution per vertex.
+  PairHistograms hist_;
+  std::vector<PairHistograms::Contribution> hist_contrib_;
+  bool hist_valid_ = false;
 
-  /// Persistent per-pair histogram with a live-proposal tally so emptied
-  /// pairs can be pruned (mirrors BspRefiner's superstep-3 state).
-  struct PairState {
-    DirectedGainHistogram hist;
-    uint64_t total = 0;
-  };
-
-  // Incrementally maintained kHistogramMatching master state: per-pair
-  // histograms kept across rounds plus each vertex's last contribution
-  // (pair key / bin), so one changed proposal costs two counter updates
-  // instead of a term in an O(n) rebuild.
-  std::unordered_map<uint64_t, PairState> hist_state_;
-  std::vector<uint64_t> hist_last_pair_;  ///< kNoPair when not contributing
-  std::vector<int32_t> hist_last_bin_;
-  uint64_t hist_live_proposals_ = 0;
-  bool hist_state_valid_ = false;
+  std::vector<BucketId> original_;  ///< ExecuteMoves scratch
 };
+
+template <typename Vertices>
+void PairHistograms::CheckMatchesRebuild(
+    const Vertices& vertices, const Partition& partition,
+    const std::vector<BucketId>& targets,
+    const std::vector<double>& gains) const {
+  std::unordered_map<uint64_t, DirectedGainHistogram> fresh;
+  uint64_t proposals = 0;
+  for (const VertexId v : vertices) {
+    if (targets[v] < 0) continue;
+    ++proposals;
+    DirectedGainHistogram& h =
+        fresh[PackPair(partition.bucket_of(v), targets[v])];
+    if (h.counts.empty()) h.Init(binning_);
+    h.Add(binning_, gains[v]);
+  }
+  SHP_CHECK_EQ(proposals, num_proposals_);
+  SHP_CHECK_EQ(fresh.size(), pairs_.size())
+      << "incremental histogram pair set diverged from full accumulation";
+  for (const auto& [key, h] : fresh) {
+    const auto it = pairs_.find(key);
+    SHP_CHECK(it != pairs_.end() && it->second.hist.counts == h.counts)
+        << "incremental histogram diverged from full accumulation (pair "
+        << (key >> 32) << "->" << (key & 0xffffffffULL) << ")";
+  }
+}
 
 }  // namespace shp

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -17,7 +16,7 @@ Refiner::Refiner(const BipartiteGraph& graph, const RefinerOptions& options)
             options.future_splits),
       broker_(options.broker) {}
 
-Refiner::Proposal Refiner::ComputeProposal(
+GainComputer::BestTarget Refiner::ComputeProposal(
     const MoveTopology& topo, const Partition& partition, VertexId v,
     BucketId explore_target, bool push, const std::vector<BucketId>* anchor,
     double anchor_penalty, Workspace* ws, bool* cacheable) const {
@@ -28,91 +27,35 @@ Refiner::Proposal Refiner::ComputeProposal(
   const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
   if (group < 0) return {};  // bucket not refined at this level
 
-  BucketId best_target = -1;
-  double best_gain = 0.0;
+  GainComputer::BestTarget best;
   if (topo.full_k) {
     if (explore_target >= 0 && explore_target != from) {
       // Exploration proposal: random target with its true gain. Depends on
       // the iteration draw, so it must never be served from the cache.
-      best_target = explore_target;
-      best_gain = push ? gain_.MoveGainPush(sweep_, v, from, explore_target,
-                                            degree)
-                       : gain_.MoveGain(graph_, ndata_, v, from,
-                                        explore_target);
+      best = {explore_target,
+              push ? gain_.MoveGainPush(sweep_, v, from, explore_target, degree)
+                   : gain_.MoveGain(graph_, ndata_, v, from, explore_target)};
       *cacheable = false;
-    }
-    if (best_target < 0) {
-      const auto best =
-          push ? gain_.FindBestTargetPush(sweep_, v, from, 0, topo.k, degree)
-               : gain_.FindBestTarget(graph_, ndata_, v, from, 0, topo.k,
-                                      &ws->affinity, &ws->touched);
-      best_target = best.bucket;
-      best_gain = best.gain;
+    } else {
+      best = push ? gain_.FindBestTargetPush(sweep_, v, from, 0, topo.k, degree)
+                  : gain_.FindBestTarget(graph_, ndata_, v, from, 0, topo.k,
+                                         &ws->affinity, &ws->touched);
     }
   } else {
-    const auto& children = topo.group_children[static_cast<size_t>(group)];
-    if (push) {
-      // Group-restricted push scan: one pass over the accumulator window
-      // spanning the siblings (a re-slice of the same topology-free
-      // accumulators the full-k scan reads — recursion windows never
-      // rebuild them).
-      const auto best = gain_.FindBestTargetPushGrouped(
-          sweep_, v, from, std::span<const BucketId>(children), degree);
-      best_target = best.bucket;
-      best_gain = best.gain;
-    } else {
-      bool first = true;
-      for (BucketId candidate : children) {
-        if (candidate == from) continue;
-        const double g = gain_.MoveGain(graph_, ndata_, v, from, candidate);
-        if (first || g > best_gain) {
-          best_gain = g;
-          best_target = candidate;
-          first = false;
-        }
-      }
-    }
+    // Group-restricted scan over the sibling buckets. Push reads the
+    // accumulator window spanning them — a re-slice of the same
+    // topology-free accumulators the full-k scan reads, so recursion
+    // windows never rebuild them.
+    const std::span<const BucketId> children(
+        topo.group_children[static_cast<size_t>(group)]);
+    best = push ? gain_.FindBestTargetPushGrouped(sweep_, v, from, children,
+                                                  degree)
+                : gain_.FindBestTargetGrouped(
+                      graph_, GainComputer::EntriesOf(ndata_), v, from,
+                      children);
   }
-  if (best_target < 0) return {};
-
-  // Incremental-update penalty (paper §5(i)).
-  if (anchor != nullptr && anchor_penalty != 0.0) {
-    const BucketId home = (*anchor)[v];
-    if (from == home && best_target != home) best_gain -= anchor_penalty;
-    if (from != home && best_target == home) best_gain += anchor_penalty;
-  }
-
-  if (!options_.propose_nonpositive && best_gain <= 0.0) return {};
-  return {best_target, best_gain};
-}
-
-bool Refiner::ContextMatches(const MoveTopology& topo,
-                             const std::vector<BucketId>* anchor,
-                             double anchor_penalty) const {
-  if (!has_cached_topo_) return false;
-  if (cached_topo_.k != topo.k || cached_topo_.full_k != topo.full_k ||
-      cached_topo_.group_of_bucket != topo.group_of_bucket ||
-      cached_topo_.group_children != topo.group_children) {
-    return false;
-  }
-  // Capacity is a broker concern; proposals do not depend on it.
-  const bool has_anchor = anchor != nullptr && anchor_penalty != 0.0;
-  if (has_anchor != cached_has_anchor_) return false;
-  if (has_anchor && (cached_anchor_penalty_ != anchor_penalty ||
-                     cached_anchor_ != *anchor)) {
-    return false;
-  }
-  return true;
-}
-
-void Refiner::SnapshotContext(const MoveTopology& topo,
-                              const std::vector<BucketId>* anchor,
-                              double anchor_penalty) {
-  cached_topo_ = topo;
-  has_cached_topo_ = true;
-  cached_has_anchor_ = anchor != nullptr && anchor_penalty != 0.0;
-  cached_anchor_ = cached_has_anchor_ ? *anchor : std::vector<BucketId>{};
-  cached_anchor_penalty_ = cached_has_anchor_ ? anchor_penalty : 0.0;
+  return FinalizeProposal(best, v, from, anchor, anchor_penalty,
+                          options_.propose_nonpositive);
 }
 
 IterationStats Refiner::RunIteration(const MoveTopology& topo,
@@ -158,21 +101,18 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     ++num_sweep_builds_;
   }
 
-  // Exploration draw. Preselected mode draws ≈ n·prob firing vertices up
-  // front (a compact list, so the steady-state pass never hashes the other
-  // vertices); legacy mode evaluates the Bernoulli hash per vertex inside
-  // the O(n) pass below.
+  // Exploration draw: ≈ n·prob firing vertices drawn up front into a
+  // compact list, so the steady-state pass never hashes the other vertices.
   const bool explore = topo.full_k && options_.exploration_probability > 0.0;
-  const bool preselect = explore && options_.preselect_exploration;
   firing_list_.clear();
-  if (preselect) {
+  if (explore) {
     if (explore_target_.size() < n) explore_target_.assign(n, -1);
     const uint64_t draws = static_cast<uint64_t>(
         static_cast<double>(n) * options_.exploration_probability + 0.5);
     for (uint64_t i = 0; i < draws; ++i) {
       // Sampling with replacement over hashed indices; duplicates collapse,
       // so the firing count is ≤ draws (statistically indistinguishable from
-      // the Bernoulli draw at these rates).
+      // a per-vertex Bernoulli draw at these rates).
       const VertexId v = static_cast<VertexId>(
           HashToBounded(seed ^ 0xe791, iteration * 0x10001 + 1, i, n));
       if (explore_target_[v] != -1) continue;
@@ -182,25 +122,16 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     }
   }
   const auto explore_target_for = [&](VertexId v) -> BucketId {
-    if (!explore) return -1;
-    if (preselect) return explore_target_[v];
-    if (HashToUnitDouble(seed ^ 0xe791, iteration * 0x10001 + 1, v) <
-        options_.exploration_probability) {
-      return static_cast<BucketId>(HashToBounded(
-          seed ^ 0x77aa, iteration, v, static_cast<uint64_t>(topo.k)));
-    }
-    return -1;
+    return explore ? explore_target_[v] : -1;
   };
 
   // Superstep 2: move proposals. A full pass recomputes every vertex; the
   // steady-state pass recomputes only the compact work list — vertices
   // adjacent to a query whose neighbor data changed last round, last
   // round's explorers (their cached proposal is not reusable), and this
-  // round's firing list. The legacy per-vertex exploration draw cannot know
-  // the firing set without hashing all n vertices, so it keeps the O(n)
-  // skip-scan.
+  // round's firing list.
   const bool recompute_all = !options_.incremental || !proposals_valid_ ||
-                             !ContextMatches(topo, anchor, anchor_penalty);
+                             !context_.Matches(topo, anchor, anchor_penalty);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
   if (workspaces_.size() < num_workers) workspaces_.resize(num_workers);
   const auto ensure_workspace = [&](Workspace& ws) {
@@ -213,21 +144,20 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   };
   const auto recompute_vertex = [&](VertexId v, Workspace& ws) {
     bool cacheable = true;
-    const Proposal proposal =
+    const GainComputer::BestTarget proposal =
         ComputeProposal(topo, *partition, v, explore_target_for(v), push,
                         anchor, anchor_penalty, &ws, &cacheable);
-    targets_[v] = proposal.target;
+    targets_[v] = proposal.bucket;
     gains_[v] = proposal.gain;
     cache_valid_[v] = cacheable ? 1 : 0;
   };
 
-  bool compact_pass = false;
   if (recompute_all) {
     targets_.assign(n, -1);
     gains_.assign(n, 0.0);
     cache_valid_.assign(n, 0);
     recompute_.assign(n, 0);
-    SnapshotContext(topo, anchor, anchor_penalty);
+    context_.Snapshot(topo, anchor, anchor_penalty);
     pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
       Workspace& ws = workspaces_[w];
       ensure_workspace(ws);
@@ -236,12 +166,11 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
       }
     });
     stats.num_recomputed = n;
-  } else if (!explore || preselect) {
+  } else {
     // Compact steady-state pass: claim the blast radius of last round's
     // moves through the recompute marks (different queries share data
     // vertices; atomic exchange makes each vertex appear once), then fold
     // in the stale and firing lists.
-    compact_pass = true;
     recompute_list_.clear();
     collect_.resize(std::max(collect_.size(), num_workers));
     if (!dirty_list_.empty()) {
@@ -263,16 +192,12 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
                                collect_[w].end());
       }
     }
-    for (const VertexId v : stale_list_) {
-      if (!recompute_[v]) {
-        recompute_[v] = 1;
-        recompute_list_.push_back(v);
-      }
-    }
-    for (const VertexId v : firing_list_) {
-      if (!recompute_[v]) {
-        recompute_[v] = 1;
-        recompute_list_.push_back(v);
+    for (const std::vector<VertexId>* list : {&stale_list_, &firing_list_}) {
+      for (const VertexId v : *list) {
+        if (!recompute_[v]) {
+          recompute_[v] = 1;
+          recompute_list_.push_back(v);
+        }
       }
     }
     pool->ParallelFor(recompute_list_.size(),
@@ -284,43 +209,13 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
                         }
                       });
     stats.num_recomputed = recompute_list_.size();
-  } else {
-    // Legacy O(n) skip-scan (per-vertex Bernoulli exploration draw): mark
-    // the blast radius, then visit every vertex and skip the clean ones.
-    if (!dirty_list_.empty()) {
-      pool->ParallelForEach(dirty_list_.size(), [&](size_t i) {
-        for (VertexId v : graph_.QueryNeighbors(dirty_list_[i])) {
-          std::atomic_ref<uint8_t>(recompute_[v])
-              .store(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    std::vector<uint64_t> recomputed_per_worker(num_workers, 0);
-    pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-      Workspace& ws = workspaces_[w];
-      ensure_workspace(ws);
-      uint64_t recomputed = 0;
-      for (size_t vi = begin; vi < end; ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        const bool fires =
-            HashToUnitDouble(seed ^ 0xe791, iteration * 0x10001 + 1, v) <
-            options_.exploration_probability;
-        if (!fires && cache_valid_[v] && !recompute_[v]) continue;
-        recompute_vertex(v, ws);
-        ++recomputed;
-      }
-      recomputed_per_worker[w] += recomputed;
-    });
-    for (const uint64_t r : recomputed_per_worker) stats.num_recomputed += r;
   }
 
   // Next round's stale list: this round's explorers hold uncacheable
-  // proposals. (Legacy mode detects them through the O(n) scan instead.)
+  // proposals.
   stale_list_.clear();
-  if (preselect) {
-    for (const VertexId v : firing_list_) {
-      if (!cache_valid_[v]) stale_list_.push_back(v);
-    }
+  for (const VertexId v : firing_list_) {
+    if (!cache_valid_[v]) stale_list_.push_back(v);
   }
 
 #ifndef NDEBUG
@@ -333,20 +228,18 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
       for (size_t vi = begin; vi < end; ++vi) {
         const VertexId v = static_cast<VertexId>(vi);
         bool cacheable = true;
-        const Proposal check =
+        const GainComputer::BestTarget check =
             ComputeProposal(topo, *partition, v, explore_target_for(v), push,
                             anchor, anchor_penalty, &ws, &cacheable);
-        SHP_CHECK(check.target == targets_[v] && check.gain == gains_[v])
+        SHP_CHECK(check.bucket == targets_[v] && check.gain == gains_[v])
             << "stale cached proposal for v=" << v << ": cached ("
             << targets_[v] << ", " << gains_[v] << ") vs fresh ("
-            << check.target << ", " << check.gain << ")";
+            << check.bucket << ", " << check.gain << ")";
       }
     });
   }
   if (push) {
-    // Tolerance-based pull-vs-push equivalence, verified per iteration: the
-    // push proposal must name the same target as a pull recompute, or a
-    // gain-tied one (≤ 1e-9), and its gain must agree within rtol 1e-6.
+    // Tolerance-based pull-vs-push equivalence, verified per iteration.
     std::vector<Workspace> debug_ws(num_workers);
     pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
       Workspace& ws = debug_ws[w];
@@ -356,37 +249,15 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
       for (size_t vi = begin; vi < end; ++vi) {
         const VertexId v = static_cast<VertexId>(vi);
         bool cacheable = true;
-        const Proposal pull = ComputeProposal(
+        const GainComputer::BestTarget pull = ComputeProposal(
             topo, *partition, v, explore_target_for(v), /*push=*/false,
             anchor, anchor_penalty, &ws, &cacheable);
-        const double gtol =
-            1e-9 + 1e-6 * std::max(std::fabs(pull.gain),
-                                   std::fabs(gains_[v]));
-        if (pull.target == targets_[v]) {
-          SHP_CHECK(std::fabs(pull.gain - gains_[v]) <= gtol)
-              << "pull/push gain divergence for v=" << v << ": pull "
-              << pull.gain << " vs push " << gains_[v];
-        } else if (pull.target >= 0 && targets_[v] >= 0) {
-          // Different targets are legal only on a gain tie: evaluate both in
-          // the pull frame and require them equal within the tie tolerance.
-          const BucketId from = partition->bucket_of(v);
-          const double g_pull_choice =
-              gain_.MoveGain(graph_, ndata_, v, from, pull.target);
-          const double g_push_choice =
-              gain_.MoveGain(graph_, ndata_, v, from, targets_[v]);
-          SHP_CHECK(std::fabs(g_pull_choice - g_push_choice) <= 1e-9)
-              << "pull/push target divergence beyond tie tolerance for v="
-              << v << ": pull -> " << pull.target << " (" << g_pull_choice
-              << ") vs push -> " << targets_[v] << " (" << g_push_choice
-              << ")";
-        } else {
-          // One path proposed, the other filtered (propose_nonpositive):
-          // only legal when the surviving gain straddles zero within
-          // tolerance.
-          SHP_CHECK(std::fabs(pull.gain) <= gtol &&
-                    std::fabs(gains_[v]) <= gtol)
-              << "pull/push proposal presence mismatch for v=" << v;
-        }
+        const BucketId from = partition->bucket_of(v);
+        CheckPushMatchesPull(v, pull, {targets_[v], gains_[v]},
+                             [&](BucketId to) {
+                               return gain_.MoveGain(graph_, ndata_, v, from,
+                                                     to);
+                             });
       }
     });
     // The patched accumulators must match a fresh query-major build up to
@@ -399,19 +270,11 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
 #endif
 
   // Clear this round's recompute marks (the compact pass claims exactly the
-  // work list; the legacy pass marks through the dirty list) and the
-  // preselected exploration targets — keeps both arrays all-zero/-1 between
-  // iterations without an O(n) sweep.
-  if (compact_pass && !recompute_list_.empty()) {
+  // work list) and the exploration targets — keeps both arrays all-zero/-1
+  // between iterations without an O(n) sweep.
+  if (!recompute_all && !recompute_list_.empty()) {
     pool->ParallelForEach(recompute_list_.size(), [&](size_t i) {
       recompute_[recompute_list_[i]] = 0;
-    });
-  } else if (!recompute_all && !dirty_list_.empty()) {
-    pool->ParallelForEach(dirty_list_.size(), [&](size_t i) {
-      for (VertexId v : graph_.QueryNeighbors(dirty_list_[i])) {
-        std::atomic_ref<uint8_t>(recompute_[v])
-            .store(0, std::memory_order_relaxed);
-      }
     });
   }
   for (const VertexId v : firing_list_) explore_target_[v] = -1;
@@ -422,11 +285,11 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   // gain) than last round — last round's movers are always inside this
   // round's blast radius (ApplyMoves marks all of a mover's queries
   // touched, and the mover neighbors its own queries), so the list also
-  // covers every bucket_of change. Non-compact rounds (recompute-all,
-  // legacy skip-scan) pass nullptr and re-prime the broker's state.
+  // covers every bucket_of change. A recompute-all round passes nullptr and
+  // re-primes the broker's state.
   const MoveOutcome outcome =
       broker_.Apply(topo, targets_, gains_, seed, iteration, partition, pool,
-                    compact_pass ? &recompute_list_ : nullptr);
+                    recompute_all ? nullptr : &recompute_list_);
 
   const bool high_churn =
       static_cast<double>(outcome.moves.size()) >

@@ -49,6 +49,7 @@
 #include "core/move_broker.h"
 #include "core/move_topology.h"
 #include "core/partition.h"
+#include "core/proposal.h"
 #include "graph/bipartite_graph.h"
 #include "objective/affinity_sweep.h"
 #include "objective/gain.h"
@@ -74,19 +75,11 @@ struct RefinerOptions {
   /// min(S_ij, S_ji) matching when buckets hold few vertices; a small
   /// exploration rate diversifies the proposal matrix. 0 disables
   /// (Algorithm 1 verbatim); the k-way driver defaults to a small value.
+  /// The ≈ n·exploration_probability explorers are drawn up front into a
+  /// compact firing list (sampling with replacement over hashed indices),
+  /// so the steady-state pass iterates only blast radius ∪ last round's
+  /// explorers ∪ this round's firing list, never the clean vertices.
   double exploration_probability = 0.0;
-  /// Draw the ≈ n·exploration_probability exploring vertices up front into a
-  /// compact firing list (sampling with replacement over hashed indices)
-  /// instead of hashing every vertex per round. This lets the steady-state
-  /// pass iterate only the recompute list — blast radius ∪ last round's
-  /// explorers ∪ this round's firing list — never touching clean vertices.
-  /// The drawn set differs from the legacy per-vertex Bernoulli draw
-  /// (statistics match, trajectories don't), so the legacy draw stays
-  /// selectable. (Note: even with the legacy draw, trajectories can differ
-  /// from earlier revisions on exact affinity ties — the best-target scan
-  /// now tie-breaks on the lowest bucket id instead of first encounter, so
-  /// pull and push resolve ties identically.)
-  bool preselect_exploration = true;
   /// Superstep-2 scan direction. kAuto uses push whenever it is available:
   /// a nonzero pow base (p < 1 or future_splits > 1); only the p = 1, t = 1
   /// limit falls back to pull. Grouped recursion windows run push over the
@@ -229,13 +222,6 @@ class Refiner : public RefinerInterface {
   uint64_t num_sweep_builds() const { return num_sweep_builds_; }
 
  private:
-  /// A vertex's move proposal: argmax target and its gain (anchor-adjusted,
-  /// nonpositive-filtered), or target = -1 for "no proposal".
-  struct Proposal {
-    BucketId target = -1;
-    double gain = 0.0;
-  };
-
   /// Reusable per-thread scratch for the k-way pull affinity scan; allocated
   /// once per (pool, k) shape instead of per chunk per iteration.
   struct Workspace {
@@ -243,27 +229,16 @@ class Refiner : public RefinerInterface {
     std::vector<BucketId> touched;
   };
 
-  /// Computes v's proposal from the current neighbor data (pull) or the
-  /// affinity accumulators (push) — the single source of truth shared by
-  /// the full pass, the steady-state pass, and the debug cross-checks.
-  /// `explore_target` ≥ 0 makes this an exploration proposal (random target
-  /// with its true gain); those depend on the iteration draw, so
-  /// *cacheable comes back false.
-  Proposal ComputeProposal(const MoveTopology& topo,
-                           const Partition& partition, VertexId v,
-                           BucketId explore_target, bool push,
-                           const std::vector<BucketId>* anchor,
-                           double anchor_penalty, Workspace* ws,
-                           bool* cacheable) const;
-
-  /// True iff the cached proposals were computed under an identical
-  /// topology / anchor context.
-  bool ContextMatches(const MoveTopology& topo,
-                      const std::vector<BucketId>* anchor,
-                      double anchor_penalty) const;
-  void SnapshotContext(const MoveTopology& topo,
-                       const std::vector<BucketId>* anchor,
-                       double anchor_penalty);
+  /// Computes v's proposal (target -1 = none) from the current neighbor
+  /// data (pull) or the affinity accumulators (push) — the single source of
+  /// truth shared by the full pass, the steady-state pass, and the debug
+  /// cross-checks. `explore_target` ≥ 0 makes this an exploration proposal
+  /// (random target with its true gain); those depend on the iteration
+  /// draw, so *cacheable comes back false.
+  GainComputer::BestTarget ComputeProposal(
+      const MoveTopology& topo, const Partition& partition, VertexId v,
+      BucketId explore_target, bool push, const std::vector<BucketId>* anchor,
+      double anchor_penalty, Workspace* ws, bool* cacheable) const;
 
   const BipartiteGraph& graph_;
   RefinerOptions options_;
@@ -291,12 +266,7 @@ class Refiner : public RefinerInterface {
   std::vector<VertexId> recompute_list_;  ///< compact steady-state work list
   std::vector<std::vector<VertexId>> collect_;  ///< per-worker claim lists
 
-  // Cached proposal context (proposals depend on these beyond the ndata).
-  MoveTopology cached_topo_;
-  bool has_cached_topo_ = false;
-  std::vector<BucketId> cached_anchor_;
-  bool cached_has_anchor_ = false;
-  double cached_anchor_penalty_ = 0.0;
+  ProposalContext context_;  ///< context the cached proposals depend on
 
   std::vector<Workspace> workspaces_;
   uint64_t num_full_rebuilds_ = 0;

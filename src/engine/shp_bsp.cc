@@ -1,14 +1,11 @@
 #include "engine/shp_bsp.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/move_broker.h"
 #include "engine/wire_format.h"
@@ -25,12 +22,6 @@ struct NeighborDataMsg {
   VertexId query;
   std::vector<BucketCount> entries;
 };
-
-/// Directed bucket-pair key for histograms and probability tables.
-uint64_t PackPair(BucketId a, BucketId b) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-         static_cast<uint32_t>(b);
-}
 
 /// Superstep-1 combiner key. Queries are VertexId — unsigned, with the full
 /// 2^32 range legal — so the pack must widen through uint64 directly; the
@@ -49,14 +40,6 @@ VertexId QueryOfKey(uint64_t key) { return static_cast<VertexId>(key >> 32); }
 
 BucketId BucketOfKey(uint64_t key) {
   return static_cast<BucketId>(static_cast<uint32_t>(key));
-}
-
-uint32_t CountFor(const std::vector<BucketCount>& entries, BucketId b) {
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), b,
-      [](const BucketCount& e, BucketId bucket) { return e.bucket < bucket; });
-  if (it != entries.end() && it->bucket == b) return it->count;
-  return 0;
 }
 
 }  // namespace
@@ -85,9 +68,8 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   known_assignment_.assign(graph.num_data(), -1);
   cached_target_.assign(graph.num_data(), -1);
   cached_gain_.assign(graph.num_data(), 0.0);
-  worker_hist_.resize(W);
-  last_pair_.assign(graph.num_data(), kNoPair);
-  last_bin_.assign(graph.num_data(), 0);
+  worker_hist_.assign(W, PairHistograms(options.broker.binning));
+  hist_contrib_.assign(graph.num_data(), {});
   s1_sorted_.resize(W);
   s1_records_.resize(W);
   s2_inbox_.resize(W);
@@ -133,81 +115,6 @@ uint64_t BspRefiner::MaxWorkerStateBytes() const {
     worst = std::max(worst, bytes);
   }
   return worst;
-}
-
-bool BspRefiner::ContextMatches(const MoveTopology& topo,
-                                const std::vector<BucketId>* anchor,
-                                double anchor_penalty, bool push) const {
-  if (!has_cached_topo_ || cached_push_ != push) return false;
-  if (cached_topo_.k != topo.k || cached_topo_.full_k != topo.full_k ||
-      cached_topo_.group_of_bucket != topo.group_of_bucket ||
-      cached_topo_.group_children != topo.group_children) {
-    return false;
-  }
-  // Capacity is a broker concern; proposals do not depend on it.
-  const bool has_anchor = anchor != nullptr && anchor_penalty != 0.0;
-  if (has_anchor != cached_has_anchor_) return false;
-  if (has_anchor && (cached_anchor_penalty_ != anchor_penalty ||
-                     cached_anchor_ != *anchor)) {
-    return false;
-  }
-  return true;
-}
-
-void BspRefiner::SnapshotContext(const MoveTopology& topo,
-                                 const std::vector<BucketId>* anchor,
-                                 double anchor_penalty, bool push) {
-  cached_topo_ = topo;
-  has_cached_topo_ = true;
-  cached_has_anchor_ = anchor != nullptr && anchor_penalty != 0.0;
-  cached_anchor_ = cached_has_anchor_ ? *anchor : std::vector<BucketId>{};
-  cached_anchor_penalty_ = cached_has_anchor_ ? anchor_penalty : 0.0;
-  cached_push_ = push;
-}
-
-GainComputer::BestTarget BspRefiner::PullBestTarget(
-    const MoveTopology& topo, VertexId v, BucketId from,
-    std::vector<double>* affinity_scratch,
-    std::vector<BucketId>* touched_scratch, uint64_t* work) const {
-  std::vector<double>& affinity = *affinity_scratch;
-  std::vector<BucketId>& touched = *touched_scratch;
-  touched.clear();
-  double base = 0.0;
-  double degree = 0.0;
-  for (VertexId q : graph_.DataNeighbors(v)) {
-    degree += 1.0;
-    for (const BucketCount& e : query_ndata_[q]) {
-      ++*work;
-      if (e.bucket == from) {
-        base += gain_.Pow(e.count - 1);
-        continue;
-      }
-      if (affinity[static_cast<size_t>(e.bucket)] == 0.0) {
-        touched.push_back(e.bucket);
-      }
-      affinity[static_cast<size_t>(e.bucket)] += 1.0 - gain_.Pow(e.count);
-    }
-  }
-  // Candidates scan in ascending bucket order so near-ties resolve to the
-  // lower bucket id — the tie-break FindBestTarget/FindBestTargetPush share.
-  std::sort(touched.begin(), touched.end());
-  double best_affinity = 0.0;
-  BucketId best_bucket = -1;
-  for (BucketId b : touched) {
-    if (affinity[static_cast<size_t>(b)] >
-        best_affinity + GainComputer::kAffinityTieEpsilon) {
-      best_affinity = affinity[static_cast<size_t>(b)];
-      best_bucket = b;
-    }
-  }
-  for (BucketId b : touched) affinity[static_cast<size_t>(b)] = 0.0;
-  if (best_bucket == -1) {
-    // Every candidate is as good as empty: shared deterministic fallback —
-    // the lowest non-`from` bucket in the window.
-    best_bucket = from == 0 ? 1 : 0;
-    if (best_bucket >= topo.k) return {-1, 0.0};
-  }
-  return {best_bucket, gain_.p() * (base - (degree - best_affinity))};
 }
 
 IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
@@ -262,6 +169,10 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
       options_.sweep_mode != RefinerOptions::SweepMode::kPull &&
       gain_.SupportsPush();
   stats.push_sweep = push;
+  // Pull scans read each query's neighbor data from its replica.
+  const auto replicas = [this](VertexId q) {
+    return std::span<const BucketCount>(query_ndata_[q]);
+  };
 
   // ---------------------------------------------------------------- S1 ---
   // data -> query: bucket deltas from vertices whose bucket differs from
@@ -448,8 +359,8 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
 #endif
 
   // ---------------------------------------------------------------- S2 ---
-  const bool context_ok = ContextMatches(topo, anchor, anchor_penalty, push);
-  if (!context_ok) SnapshotContext(topo, anchor, anchor_penalty, push);
+  const bool context_ok = context_.Matches(topo, anchor, anchor_penalty);
+  if (!context_ok) context_.Snapshot(topo, anchor, anchor_penalty);
   // Enveloped wire path: under the grouped varint codec every remote delta
   // buffer crosses the fabric as one self-verifying frame through the fault
   // injector, and the receiver consumes the decoded records. The raw
@@ -607,11 +518,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
       // Build each data worker's accumulator replica from the shipment, one
       // query-major pass over its own shard.
       const std::vector<uint64_t> build_work = sweep_.BuildSharded(
-          graph_,
-          [this](VertexId q) {
-            return std::span<const BucketCount>(query_ndata_[q]);
-          },
-          gain_.pow_table(), data_owner_, W, pool);
+          graph_, replicas, gain_.pow_table(), data_owner_, W, pool);
       for (int w = 0; w < W; ++w) {
         s2_patch_work[static_cast<size_t>(w)] =
             build_work[static_cast<size_t>(w)];
@@ -674,100 +581,51 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
                                               pool);
   }
 
-  // Proposal recomputation. Shared finalization: anchor adjustment (paper
-  // §5(i)) and the nonpositive filter — one copy, also used by the Debug
-  // pull-comparison below.
-  const auto finalize_value = [&](VertexId v, BucketId from,
-                                  GainComputer::BestTarget best) {
-    if (best.bucket >= 0 && anchor != nullptr && anchor_penalty != 0.0) {
-      const BucketId home = (*anchor)[v];
-      if (from == home && best.bucket != home) best.gain -= anchor_penalty;
-      if (from != home && best.bucket == home) best.gain += anchor_penalty;
-    }
-    if (best.bucket >= 0 && !options_.propose_nonpositive &&
-        best.gain <= 0.0) {
-      best.bucket = -1;
-    }
-    if (best.bucket < 0) best.gain = 0.0;
-    return best;
-  };
-  const auto finalize = [&](VertexId v, BucketId from,
-                            GainComputer::BestTarget best) {
-    best = finalize_value(v, from, best);
-    cached_target_[v] = best.bucket;
-    cached_gain_[v] = best.gain;
-  };
-  // Grouped pull reference: evaluate each sibling candidate directly
-  // against the query replicas (the recursion counterpart of
-  // PullBestTarget; also the Debug cross-check frame for grouped push).
-  const auto grouped_pull_best = [&](VertexId v, BucketId from, int32_t group,
-                                     uint64_t* work) {
-    const auto& children = topo.group_children[static_cast<size_t>(group)];
-    GainComputer::BestTarget best;
-    bool first = true;
-    for (BucketId candidate : children) {
-      if (candidate == from) continue;
-      double g = 0.0;
-      for (VertexId q : graph_.DataNeighbors(v)) {
-        const uint32_t n_from = CountFor(query_ndata_[q], from);
-        const uint32_t n_to = CountFor(query_ndata_[q], candidate);
-        SHP_DCHECK(n_from >= 1);
-        g += gain_.Pow(n_from - 1) - gain_.Pow(n_to);
-        *work += 2;
-      }
-      g *= gain_.p();
-      if (first || g > best.gain) {
-        best.gain = g;
-        best.bucket = candidate;
-        first = false;
-      }
-    }
-    return best;
-  };
-  const auto recompute_vertex = [&](int w, VertexId v,
-                                    uint64_t* work) {
+  // Proposal of v from the replicas in either scan direction, finalized
+  // (§5(i) anchor, nonpositive filter); adds the scan's work units to *work.
+  // Push work is the accumulator entries scanned, pull work the neighbor
+  // data entries scanned (full-k) or count lookups (grouped).
+  const auto propose = [&](int w, VertexId v, bool use_push,
+                           uint64_t* work) -> GainComputer::BestTarget {
     const BucketId from = partition->bucket_of(v);
     const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
-    if (group < 0 || graph_.DataDegree(v) == 0) {
-      cached_target_[v] = -1;
-      cached_gain_[v] = 0.0;
-      return;
-    }
-    if (push) {
-      if (topo.full_k) {
-        *work += sweep_.Entries(v).size();
-        finalize(v, from,
-                 gain_.FindBestTargetPush(
-                     sweep_, v, from, 0, topo.k,
-                     static_cast<double>(graph_.DataDegree(v))));
-        return;
-      }
+    if (group < 0 || graph_.DataDegree(v) == 0) return {};
+    const double degree = static_cast<double>(graph_.DataDegree(v));
+    const std::span<const BucketId> children(
+        topo.group_children[static_cast<size_t>(group)]);
+    GainComputer::BestTarget best;
+    if (use_push && topo.full_k) {
+      *work += sweep_.Entries(v).size();
+      best = gain_.FindBestTargetPush(sweep_, v, from, 0, topo.k, degree);
+    } else if (use_push) {
       // Group-restricted push: one merge over the sibling candidates and
       // the accumulator window spanning them (a re-slice of the same
       // replicas the full-k scan reads; sliced once, shared by the work
       // accounting and the scan).
-      const auto& children =
-          topo.group_children[static_cast<size_t>(group)];
       const auto [wbegin, wend] = topo.GroupWindow(group);
       const auto window = sweep_.EntriesInWindow(v, wbegin, wend);
       *work += window.size() + children.size();
-      finalize(v, from,
-               gain_.FindBestTargetPushGroupedWindow(
-                   window, from, std::span<const BucketId>(children),
-                   static_cast<double>(graph_.DataDegree(v))));
-      return;
-    }
-    if (topo.full_k) {
+      best = gain_.FindBestTargetPushGroupedWindow(window, from, children,
+                                                   degree);
+    } else if (topo.full_k) {
       std::vector<double>& affinity = pull_affinity_[static_cast<size_t>(w)];
-      std::vector<BucketId>& touched = pull_touched_[static_cast<size_t>(w)];
       if (affinity.size() < static_cast<size_t>(topo.k)) {
         affinity.assign(static_cast<size_t>(topo.k), 0.0);
       }
-      finalize(v, from,
-               PullBestTarget(topo, v, from, &affinity, &touched, work));
-      return;
+      best = gain_.FindBestTarget(graph_, replicas, v, from, 0, topo.k,
+                                  &affinity,
+                                  &pull_touched_[static_cast<size_t>(w)], work);
+    } else {
+      best = gain_.FindBestTargetGrouped(graph_, replicas, v, from, children,
+                                         work);
     }
-    finalize(v, from, grouped_pull_best(v, from, group, work));
+    return FinalizeProposal(best, v, from, anchor, anchor_penalty,
+                            options_.propose_nonpositive);
+  };
+  const auto recompute_vertex = [&](int w, VertexId v, uint64_t* work) {
+    const GainComputer::BestTarget best = propose(w, v, push, work);
+    cached_target_[v] = best.bucket;
+    cached_gain_[v] = best.gain;
   };
 
   std::vector<uint64_t> s2_gain_work;
@@ -856,73 +714,33 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     // The delta-patched accumulator replicas must match a fresh owner-
     // sharded build up to float summation order.
     AffinitySweep fresh(sweep_.deterministic());
-    fresh.BuildSharded(
-        graph_,
-        [this](VertexId q) {
-          return std::span<const BucketCount>(query_ndata_[q]);
-        },
-        gain_.pow_table(), data_owner_, W, pool);
+    fresh.BuildSharded(graph_, replicas, gain_.pow_table(), data_owner_, W,
+                       pool);
     SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
         << "patched BSP accumulator replicas diverged from a fresh build";
   }
-  {
-    // Every cached proposal — recomputed or carried — must equal a fresh
-    // recompute in the active scan direction (cache-staleness guard), and
-    // in push mode must match a pull recompute within the PR 2 tolerance
-    // contract (same target modulo gain ties ≤ 1e-9; gains within
-    // 1e-9 + rtol 1e-6).
-    RunPhase(W, pool, [&](int w) -> uint64_t {
-      std::vector<double> affinity(static_cast<size_t>(topo.k), 0.0);
-      std::vector<BucketId> touched;
-      uint64_t scratch_work = 0;
-      for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-        const BucketId cached_t = cached_target_[v];
-        const double cached_g = cached_gain_[v];
-        recompute_vertex(w, v, &scratch_work);
-        SHP_CHECK(cached_target_[v] == cached_t && cached_gain_[v] == cached_g)
-            << "stale cached BSP proposal for v=" << v;
-        if (!push) continue;
-        const BucketId from = partition->bucket_of(v);
-        const int32_t group =
-            topo.group_of_bucket[static_cast<size_t>(from)];
-        if (group < 0 || graph_.DataDegree(v) == 0) continue;
-        const GainComputer::BestTarget pull_best = finalize_value(
-            v, from,
-            topo.full_k
-                ? PullBestTarget(topo, v, from, &affinity, &touched,
-                                 &scratch_work)
-                : grouped_pull_best(v, from, group, &scratch_work));
-        const BucketId pull_t = pull_best.bucket;
-        const double pull_g = pull_best.gain;
-        const double gtol =
-            1e-9 + 1e-6 * std::max(std::fabs(pull_g), std::fabs(cached_g));
-        if (pull_t == cached_t) {
-          SHP_CHECK(cached_t < 0 || std::fabs(pull_g - cached_g) <= gtol)
-              << "BSP pull/push gain divergence for v=" << v;
-        } else if (pull_t >= 0 && cached_t >= 0) {
-          // Different targets are legal only on a gain tie, evaluated in
-          // the pull frame.
-          const auto pull_gain_to = [&](BucketId to) {
-            double g = 0.0;
-            for (VertexId q : graph_.DataNeighbors(v)) {
-              const uint32_t n_from = CountFor(query_ndata_[q], from);
-              const uint32_t n_to = CountFor(query_ndata_[q], to);
-              g += gain_.Pow(n_from - 1) - gain_.Pow(n_to);
-            }
-            return g * gain_.p();
-          };
-          SHP_CHECK(std::fabs(pull_gain_to(pull_t) - pull_gain_to(cached_t)) <=
-                    1e-9)
-              << "BSP pull/push target divergence beyond tie tolerance for v="
-              << v;
-        } else {
-          SHP_CHECK(std::fabs(pull_g) <= gtol && std::fabs(cached_g) <= gtol)
-              << "BSP pull/push proposal presence mismatch for v=" << v;
-        }
-      }
-      return 0;
-    });
-  }
+  // Every cached proposal — recomputed or carried — must equal a fresh
+  // recompute in the active scan direction (cache-staleness guard), and in
+  // push mode must honor the pull tolerance contract.
+  RunPhase(W, pool, [&](int w) -> uint64_t {
+    uint64_t scratch_work = 0;
+    for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
+      const GainComputer::BestTarget cached{cached_target_[v],
+                                            cached_gain_[v]};
+      const GainComputer::BestTarget fresh = propose(w, v, push,
+                                                     &scratch_work);
+      SHP_CHECK(fresh.bucket == cached.bucket && fresh.gain == cached.gain)
+          << "stale cached BSP proposal for v=" << v;
+      if (!push) continue;
+      const BucketId from = partition->bucket_of(v);
+      CheckPushMatchesPull(
+          v, propose(w, v, /*use_push=*/false, &scratch_work), cached,
+          [&](BucketId to) {
+            return gain_.MoveGain(graph_, replicas, v, from, to);
+          });
+    }
+    return 0;
+  });
 #endif
 
   // ---------------------------------------------------------------- S3 ---
@@ -931,36 +749,19 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // worker still uploads its full live histogram — the master's matching
   // needs every pair's totals — so bytes stay O(active pairs × bins); only
   // the accumulation work shrinks to the blast radius.
-  const GainBinning& binning = options_.broker.binning;
-  const auto hist_remove = [&](int w, VertexId v) {
-    if (last_pair_[v] == kNoPair) return;
-    auto& hist = worker_hist_[static_cast<size_t>(w)];
-    const auto it = hist.find(last_pair_[v]);
-    SHP_DCHECK(it != hist.end());
-    --it->second.hist.counts[static_cast<size_t>(last_bin_[v])];
-    if (--it->second.total == 0) hist.erase(it);
-    last_pair_[v] = kNoPair;
-  };
-  const auto hist_add = [&](int w, VertexId v) {
-    if (cached_target_[v] < 0) return;
-    const uint64_t key =
-        PackPair(partition->bucket_of(v), cached_target_[v]);
-    PairHistogram& ph = worker_hist_[static_cast<size_t>(w)][key];
-    if (ph.hist.counts.empty()) ph.hist.Init(binning);
-    const int bin = binning.BinFor(cached_gain_[v]);
-    ++ph.hist.counts[static_cast<size_t>(bin)];
-    ++ph.total;
-    last_pair_[v] = key;
-    last_bin_[v] = bin;
+  const auto hist_update = [&](int w, VertexId v) {
+    worker_hist_[static_cast<size_t>(w)].Update(
+        &hist_contrib_[v], partition->bucket_of(v), cached_target_[v],
+        cached_gain_[v]);
   };
   std::vector<uint64_t> s3_work;
   if (recompute_all || !hist_valid_) {
     s3_work = RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
-      worker_hist_[static_cast<size_t>(w)].clear();
+      worker_hist_[static_cast<size_t>(w)].Clear();
       for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-        last_pair_[v] = kNoPair;
-        hist_add(w, v);
+        hist_contrib_[v] = {};
+        hist_update(w, v);
         ++work;
       }
       return work;
@@ -970,8 +771,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     s3_work = RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       for (VertexId v : recompute_lists_[static_cast<size_t>(w)]) {
-        hist_remove(w, v);
-        hist_add(w, v);
+        hist_update(w, v);
         work += 2;
       }
       return work;
@@ -979,44 +779,24 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   }
 
 #ifndef NDEBUG
-  {
-    // The incrementally maintained histograms must equal a from-scratch
-    // accumulation over the current proposals.
-    for (int w = 0; w < W; ++w) {
-      std::unordered_map<uint64_t, DirectedGainHistogram> check;
-      for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-        if (cached_target_[v] < 0) continue;
-        auto& h = check[PackPair(partition->bucket_of(v), cached_target_[v])];
-        if (h.counts.empty()) h.Init(binning);
-        h.Add(binning, cached_gain_[v]);
-      }
-      const auto& live = worker_hist_[static_cast<size_t>(w)];
-      SHP_CHECK(live.size() == check.size())
-          << "incremental histogram pair set diverged on worker " << w;
-      for (const auto& [key, h] : check) {
-        const auto it = live.find(key);
-        SHP_CHECK(it != live.end() && it->second.hist.counts == h.counts)
-            << "incremental histogram diverged on worker " << w;
-      }
-    }
+  for (int w = 0; w < W; ++w) {
+    worker_hist_[static_cast<size_t>(w)].CheckMatchesRebuild(
+        data_shards_[static_cast<size_t>(w)], *partition, cached_target_,
+        cached_gain_);
   }
 #endif
 
   // Master merge (the master is a distinct machine; every worker's
   // histogram entries cross the wire).
+  const GainBinning& binning = options_.broker.binning;
   std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
   uint64_t s3_remote_entries = 0;
   uint64_t num_proposals = 0;
-  for (int w = 0; w < W; ++w) {
-    for (const auto& [key, ph] : worker_hist_[static_cast<size_t>(w)]) {
-      s3_remote_entries += ph.hist.counts.size();
-      auto& merged = histograms[key];
-      if (merged.counts.empty()) merged.Init(binning);
-      for (size_t bin = 0; bin < ph.hist.counts.size(); ++bin) {
-        merged.counts[bin] += ph.hist.counts[bin];
-        num_proposals += ph.hist.counts[bin];
-      }
-    }
+  for (const PairHistograms& hist : worker_hist_) {
+    hist.MergeInto(&histograms);
+    s3_remote_entries +=
+        hist.num_pairs() * static_cast<uint64_t>(binning.num_bins());
+    num_proposals += hist.num_proposals();
   }
 
   SuperstepStats s3;
@@ -1029,20 +809,13 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // ---------------------------------------------------------------- S4 ---
   // master -> data: probabilities; vertices draw and move; master repairs.
   // Active proposals draw unless their pair row is all zero (the draw
-  // floor below — skipping a probability-0 draw cannot change the
-  // trajectory), and the drawn movers land in compact per-worker lists, so
-  // execution, repair, and next round's superstep 1 touch O(moved) state.
+  // floor of ProbabilityDraw — skipping a probability-0 draw cannot change
+  // the trajectory), and the drawn movers land in compact per-worker lists,
+  // so execution, repair, and next round's superstep 1 touch O(moved) state.
   const PairProbabilityTable table =
       ComputePairProbabilities(topo, binning, histograms, *partition,
                                options_.broker.use_capacity_slack);
-
-  // Draw floor: proposals whose pair row is all zero can never fire, so
-  // their draws are skipped outright — on a converged instance the draw
-  // count collapses while the trajectory is unchanged (probability-0 draws
-  // never fire anyway).
-  const bool skip_dead = options_.broker.skip_zero_probability_pairs;
-  const std::unordered_set<uint64_t> live_pairs =
-      skip_dead ? table.LivePairKeys() : std::unordered_set<uint64_t>{};
+  const ProbabilityDraw draw(table, options_.broker, seed, iteration);
   std::vector<uint64_t> s4_draws(static_cast<size_t>(W), 0);
   for (int w = 0; w < W; ++w) mover_lists_[static_cast<size_t>(w)].clear();
   std::vector<uint64_t> s4_work = RunPhase(W, pool, [&](int w) -> uint64_t {
@@ -1052,18 +825,8 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
       if (cached_target_[v] < 0) continue;
       ++work;
-      if (skip_dead &&
-          live_pairs.count(
-              PackPair(partition->bucket_of(v), cached_target_[v])) == 0) {
-        continue;
-      }
-      ++draws;
-      const double prob =
-          std::min(table.Lookup(binning, partition->bucket_of(v),
-                                cached_target_[v], cached_gain_[v]),
-                   options_.broker.max_move_probability) *
-          options_.broker.probability_damping;
-      if (HashToUnitDouble(seed ^ 0x5108e77a, iteration, v) < prob) {
+      if (draw.Fires(v, partition->bucket_of(v), cached_target_[v],
+                     cached_gain_[v], &draws)) {
         movers.push_back(v);
       }
     }
@@ -1082,20 +845,9 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
                    mover_lists_[static_cast<size_t>(w)].end());
   }
   std::sort(movers_.begin(), movers_.end());
-  // Per-round move budget (partition stability): identical rule to the
-  // threaded broker — keep the highest-gain drawn movers, execute only
-  // those. Repair below can only shrink the executed set further.
-  MoveBroker::TrimToBudget(options_.broker.max_moves_per_round, cached_gain_,
-                           &movers_);
-  for (VertexId v : movers_) {
-    original_[v] = partition->bucket_of(v);
-    partition->Move(v, cached_target_[v]);
-    ++outcome.num_moved;
-    outcome.gain_moved += cached_gain_[v];
-  }
-  MoveBroker::RepairBalance(topo, movers_, original_, cached_gain_, partition,
-                            &outcome);
-  MoveBroker::CollectNetMoves(movers_, original_, *partition, &outcome);
+  MoveBroker::ExecuteMoves(topo, options_.broker.max_moves_per_round,
+                           cached_target_, cached_gain_, &movers_, &original_,
+                           partition, &outcome);
   pending_announce_ = std::move(outcome.moves);
   last_movers_.clear();
   for (const VertexMove& m : pending_announce_) last_movers_.push_back(m.v);
@@ -1353,7 +1105,8 @@ Status BspRefiner::RestoreLatestCheckpoint(Partition* partition) {
   std::fill(query_dirty_.begin(), query_dirty_.end(), 1);
   pending_announce_.clear();
   last_movers_.clear();
-  std::fill(last_pair_.begin(), last_pair_.end(), kNoPair);
+  std::fill(hist_contrib_.begin(), hist_contrib_.end(),
+            PairHistograms::Contribution{});
   epoch_ = restored_epoch + 1;
   std::fill(link_send_seq_.begin(), link_send_seq_.end(), 0);
   std::fill(link_recv_seq_.begin(), link_recv_seq_.end(), 0);

@@ -71,13 +71,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/checkpoint.h"
 
-#include "core/gain_histogram.h"
+#include "core/move_broker.h"
 #include "core/move_topology.h"
+#include "core/proposal.h"
 #include "core/refiner.h"
 #include "engine/bsp_engine.h"
 #include "engine/message_router.h"
@@ -162,35 +162,6 @@ class BspRefiner : public RefinerInterface {
   Status RestoreLatestCheckpoint(Partition* partition);
 
  private:
-  /// last_pair_ sentinel: the vertex currently contributes to no histogram.
-  static constexpr uint64_t kNoPair = ~0ull;
-
-  /// Per-(bucket-pair) histogram kept alive across iterations on its worker;
-  /// `total` tracks live proposals so emptied pairs can be pruned from the
-  /// superstep-3 upload.
-  struct PairHistogram {
-    DirectedGainHistogram hist;
-    uint64_t total = 0;
-  };
-
-  /// True iff the cached proposals were computed under an identical
-  /// topology / anchor / scan-direction context.
-  bool ContextMatches(const MoveTopology& topo,
-                      const std::vector<BucketId>* anchor,
-                      double anchor_penalty, bool push) const;
-  void SnapshotContext(const MoveTopology& topo,
-                       const std::vector<BucketId>* anchor,
-                       double anchor_penalty, bool push);
-
-  /// Pull-path proposal of v from the query replicas (the reference scan;
-  /// shared tie-break and empty-window fallback with FindBestTargetPush).
-  /// Adds the sparse-affinity scan cost to *work.
-  GainComputer::BestTarget PullBestTarget(const MoveTopology& topo, VertexId v,
-                                          BucketId from,
-                                          std::vector<double>* affinity,
-                                          std::vector<BucketId>* touched,
-                                          uint64_t* work) const;
-
   // ---- fault-tolerant superstep protocol ----
 
   size_t LinkIndex(int src, int dst) const {
@@ -272,20 +243,14 @@ class BspRefiner : public RefinerInterface {
   std::vector<double> cached_gain_;
   bool proposals_valid_ = false;
 
-  // Cached proposal context (proposals depend on these beyond the replicas).
-  MoveTopology cached_topo_;
-  bool has_cached_topo_ = false;
-  std::vector<BucketId> cached_anchor_;
-  bool cached_has_anchor_ = false;
-  double cached_anchor_penalty_ = 0.0;
-  bool cached_push_ = false;
+  // Context the cached proposals depend on beyond the replicas. The scan
+  // direction is fixed at construction, so it is not part of it.
+  ProposalContext context_;
 
-  // Incrementally maintained superstep-3 histograms plus each vertex's last
-  // contribution (pair key / bin), so one changed proposal costs two counter
-  // updates instead of an O(n) rebuild.
-  std::vector<std::unordered_map<uint64_t, PairHistogram>> worker_hist_;
-  std::vector<uint64_t> last_pair_;  ///< kNoPair when not contributing
-  std::vector<int32_t> last_bin_;
+  // Incrementally maintained superstep-3 histograms, one per worker over its
+  // shard, plus each vertex's contribution.
+  std::vector<PairHistograms> worker_hist_;
+  std::vector<PairHistograms::Contribution> hist_contrib_;
   bool hist_valid_ = false;
 
   // Reusable per-iteration scratch (satellite of the delta-exchange work:

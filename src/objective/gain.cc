@@ -29,15 +29,6 @@ inline void ScanSkippingFrom(AffinityScanFn scan, const AffinityEntry* begin,
   }
 }
 
-/// Candidate when no bucket in [begin, end) \ {from} holds any neighbor of
-/// v: every such bucket is as good as empty, so both scan paths pick the
-/// lowest non-`from` bucket in the window — the shared deterministic
-/// fallback. Returns -1 when the window contains no bucket besides `from`.
-BucketId EmptyWindowFallback(BucketId from, BucketId begin, BucketId end) {
-  const BucketId b = begin == from ? begin + 1 : begin;
-  return b < end ? b : -1;
-}
-
 }  // namespace
 
 GainComputer::GainComputer(double p, uint32_t max_query_degree,
@@ -48,94 +39,6 @@ GainComputer::GainComputer(double p, uint32_t max_query_degree,
   SHP_CHECK_GT(p, 0.0);
   SHP_CHECK_LE(p, 1.0);
   SHP_CHECK_GE(future_splits, 1u);
-}
-
-double GainComputer::BaseTerm(const BipartiteGraph& graph,
-                              const QueryNeighborData& ndata, VertexId v,
-                              BucketId from) const {
-  double base = 0.0;
-  for (VertexId q : graph.DataNeighbors(v)) {
-    const uint32_t n_from = ndata.CountFor(q, from);
-    SHP_DCHECK(n_from >= 1);  // v itself is in `from`
-    base += pow_table_.Pow(n_from - 1);
-  }
-  return base;
-}
-
-double GainComputer::MoveGain(const BipartiteGraph& graph,
-                              const QueryNeighborData& ndata, VertexId v,
-                              BucketId from, BucketId to) const {
-  if (from == to) return 0.0;
-  double gain = 0.0;
-  for (VertexId q : graph.DataNeighbors(v)) {
-    const uint32_t n_from = ndata.CountFor(q, from);
-    const uint32_t n_to = ndata.CountFor(q, to);
-    SHP_DCHECK(n_from >= 1);
-    gain += pow_table_.Pow(n_from - 1) - pow_table_.Pow(n_to);
-  }
-  return p_ * gain;
-}
-
-GainComputer::BestTarget GainComputer::FindBestTarget(
-    const BipartiteGraph& graph, const QueryNeighborData& ndata, VertexId v,
-    BucketId from, BucketId bucket_begin, BucketId bucket_end,
-    std::vector<double>* affinity_scratch,
-    std::vector<BucketId>* touched_scratch) const {
-  SHP_DCHECK(bucket_begin < bucket_end);
-  SHP_DCHECK(affinity_scratch->size() >=
-             static_cast<size_t>(bucket_end));
-  std::vector<double>& affinity = *affinity_scratch;
-  std::vector<BucketId>& touched = *touched_scratch;
-  touched.clear();
-
-  // Σ_q B^{n_j(q)} = deg(v) − Σ_{q : n_j(q)>0} (1 − B^{n_j(q)}). We
-  // accumulate the sparse second term ("affinity") per candidate bucket; an
-  // untouched bucket has affinity 0. Larger affinity = better target.
-  double base = 0.0;
-  double degree = 0.0;
-  for (VertexId q : graph.DataNeighbors(v)) {
-    degree += 1.0;
-    for (const BucketCount& entry : ndata.Entries(q)) {
-      if (entry.bucket == from) {
-        base += pow_table_.Pow(entry.count - 1);
-        continue;
-      }
-      if (entry.bucket < bucket_begin || entry.bucket >= bucket_end) continue;
-      if (affinity[entry.bucket] == 0.0) touched.push_back(entry.bucket);
-      affinity[entry.bucket] += 1.0 - pow_table_.Pow(entry.count);
-    }
-    // If v's current bucket holds no other neighbor of q the loop above
-    // added B^0 = 1; when `from` is outside [begin, end) the entry might be
-    // missing entirely — but `from` always contains v, so the entry exists.
-  }
-
-  // Best touched bucket. Ties (within kAffinityTieEpsilon) must resolve to
-  // the lower bucket id on both scan paths, so scan candidates in ascending
-  // bucket order — `touched` is in first-encounter order, which depends on
-  // the adjacency layout, not the bucket ids.
-  std::sort(touched.begin(), touched.end());
-  double best_affinity = 0.0;  // affinity of an empty bucket
-  BucketId best_bucket = -1;
-  for (BucketId b : touched) {
-    if (affinity[b] > best_affinity + kAffinityTieEpsilon) {
-      best_affinity = affinity[b];
-      best_bucket = b;
-    }
-  }
-  if (best_bucket == -1) {
-    // All candidates are as good as an empty bucket; shared deterministic
-    // fallback (its gain is the empty-bucket gain).
-    best_bucket = EmptyWindowFallback(from, bucket_begin, bucket_end);
-    if (best_bucket == -1) {
-      for (BucketId b : touched) affinity[b] = 0.0;
-      return BestTarget{-1, 0.0};
-    }
-  }
-  // Reset scratch.
-  for (BucketId b : touched) affinity[b] = 0.0;
-
-  const double sum_pow_to = degree - best_affinity;
-  return BestTarget{best_bucket, p_ * (base - sum_pow_to)};
 }
 
 GainComputer::BestTarget GainComputer::FindBestTargetPush(

@@ -16,10 +16,12 @@
 // limit p→0 are obtained by setting p accordingly (Lemmas 1-2).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/logging.h"
 #include "graph/bipartite_graph.h"
 #include "objective/affinity_sweep.h"
 #include "objective/neighbor_data.h"
@@ -47,15 +49,27 @@ class GainComputer {
   /// B^n for the configured base.
   double Pow(uint32_t n) const { return pow_table_.Pow(n); }
 
+  // ---- pull scans ----
+  // Each pull scan gathers the neighbor data of v's adjacent queries through
+  // an entries source: a QueryNeighborData (the threaded Refiner), or any
+  // callable mapping a query id to its bucket-sorted
+  // std::span<const BucketCount> (the BSP engine's query replicas). The
+  // source is a template parameter so the hot loops inline it.
+
+  /// Entries source over a QueryNeighborData.
+  static auto EntriesOf(const QueryNeighborData& ndata) {
+    return [&ndata](VertexId q) { return ndata.Entries(q); };
+  }
+
   /// Gain (objective decrease) of moving v from `from` to `to`, given current
   /// neighbor data. O(deg(v) · log fanout). from must be v's current bucket.
   double MoveGain(const BipartiteGraph& graph, const QueryNeighborData& ndata,
+                  VertexId v, BucketId from, BucketId to) const {
+    return MoveGain(graph, EntriesOf(ndata), v, from, to);
+  }
+  template <typename Entries>
+  double MoveGain(const BipartiteGraph& graph, const Entries& entries,
                   VertexId v, BucketId from, BucketId to) const;
-
-  /// Per-vertex "base" term Σ_{q∈N(v)} B^{n_from(q)−1}: gain to any target j
-  /// is p · (base − Σ_q B^{n_j(q)}). Shared across all k targets.
-  double BaseTerm(const BipartiteGraph& graph, const QueryNeighborData& ndata,
-                  VertexId v, BucketId from) const;
 
   /// Result of a best-target search.
   struct BestTarget {
@@ -68,12 +82,38 @@ class GainComputer {
   /// and be zero-filled; it is restored to zero before returning (touched-
   /// list reset), so callers can reuse it across vertices. O(Σ_{q∈N(v)}
   /// fanout(q)) — independent of k, per the sparse neighbor-data design.
+  /// `entries_scanned`, if non-null, is increased by that Σ (the BSP
+  /// engine's superstep-2 work unit).
   BestTarget FindBestTarget(const BipartiteGraph& graph,
                             const QueryNeighborData& ndata, VertexId v,
                             BucketId from, BucketId bucket_begin,
                             BucketId bucket_end,
                             std::vector<double>* affinity_scratch,
-                            std::vector<BucketId>* touched_scratch) const;
+                            std::vector<BucketId>* touched_scratch) const {
+    return FindBestTarget(graph, EntriesOf(ndata), v, from, bucket_begin,
+                          bucket_end, affinity_scratch, touched_scratch);
+  }
+  template <typename Entries>
+  BestTarget FindBestTarget(const BipartiteGraph& graph,
+                            const Entries& entries, VertexId v,
+                            BucketId from, BucketId bucket_begin,
+                            BucketId bucket_end,
+                            std::vector<double>* affinity_scratch,
+                            std::vector<BucketId>* touched_scratch,
+                            uint64_t* entries_scanned = nullptr) const;
+
+  /// Grouped pull scan for recursion windows: evaluates every sibling
+  /// candidate ≠ from directly (MoveGain) and keeps the first maximum over
+  /// the ascending candidates — the pick the grouped push scan's fallback
+  /// reproduces. O(|candidates| · deg(v) · log fanout). `lookups`, if
+  /// non-null, is increased by the two count lookups per adjacent query and
+  /// candidate.
+  template <typename Entries>
+  BestTarget FindBestTargetGrouped(const BipartiteGraph& graph,
+                                   const Entries& entries, VertexId v,
+                                   BucketId from,
+                                   std::span<const BucketId> candidates,
+                                   uint64_t* lookups = nullptr) const;
 
   /// True iff the push-path gain formulas below are available: they divide
   /// by the pow base B to recover Σ B^{n_from−1} from the maintained
@@ -116,8 +156,113 @@ class GainComputer {
                       BucketId to, double degree) const;
 
  private:
+  /// Candidate when no bucket in [begin, end) \ {from} holds any neighbor
+  /// of v: every such bucket is as good as empty, so the pull and push scans
+  /// both pick the lowest non-`from` bucket in the window — the shared
+  /// deterministic fallback. -1 when the window holds no bucket but `from`.
+  static BucketId EmptyWindowFallback(BucketId from, BucketId begin,
+                                      BucketId end) {
+    const BucketId b = begin == from ? begin + 1 : begin;
+    return b < end ? b : -1;
+  }
+
   double p_;
   PowTable pow_table_;
 };
+
+template <typename Entries>
+double GainComputer::MoveGain(const BipartiteGraph& graph,
+                              const Entries& entries, VertexId v,
+                              BucketId from, BucketId to) const {
+  if (from == to) return 0.0;
+  double gain = 0.0;
+  for (VertexId q : graph.DataNeighbors(v)) {
+    const std::span<const BucketCount> list = entries(q);
+    const uint32_t n_from = CountIn(list, from);
+    const uint32_t n_to = CountIn(list, to);
+    SHP_DCHECK(n_from >= 1);
+    gain += pow_table_.Pow(n_from - 1) - pow_table_.Pow(n_to);
+  }
+  return p_ * gain;
+}
+
+template <typename Entries>
+GainComputer::BestTarget GainComputer::FindBestTarget(
+    const BipartiteGraph& graph, const Entries& entries, VertexId v,
+    BucketId from, BucketId bucket_begin, BucketId bucket_end,
+    std::vector<double>* affinity_scratch,
+    std::vector<BucketId>* touched_scratch, uint64_t* entries_scanned) const {
+  SHP_DCHECK(bucket_begin < bucket_end);
+  SHP_DCHECK(affinity_scratch->size() >= static_cast<size_t>(bucket_end));
+  std::vector<double>& affinity = *affinity_scratch;
+  std::vector<BucketId>& touched = *touched_scratch;
+  touched.clear();
+
+  // Σ_q B^{n_j(q)} = deg(v) − Σ_{q : n_j(q)>0} (1 − B^{n_j(q)}). We
+  // accumulate the sparse second term ("affinity") per candidate bucket; an
+  // untouched bucket has affinity 0. Larger affinity = better target.
+  // `from` always contains v, so every adjacent query holds a `from` entry
+  // and the base term Σ_q B^{n_from(q)−1} is complete.
+  double base = 0.0;
+  double degree = 0.0;
+  for (VertexId q : graph.DataNeighbors(v)) {
+    degree += 1.0;
+    const std::span<const BucketCount> list = entries(q);
+    if (entries_scanned != nullptr) *entries_scanned += list.size();
+    for (const BucketCount& entry : list) {
+      if (entry.bucket == from) {
+        base += pow_table_.Pow(entry.count - 1);
+        continue;
+      }
+      if (entry.bucket < bucket_begin || entry.bucket >= bucket_end) continue;
+      const size_t b = static_cast<size_t>(entry.bucket);
+      if (affinity[b] == 0.0) touched.push_back(entry.bucket);
+      affinity[b] += 1.0 - pow_table_.Pow(entry.count);
+    }
+  }
+
+  // Best touched bucket. Ties (within kAffinityTieEpsilon) must resolve to
+  // the lower bucket id on both scan paths, so scan candidates in ascending
+  // bucket order — `touched` is in first-encounter order, which depends on
+  // the adjacency layout, not the bucket ids.
+  std::sort(touched.begin(), touched.end());
+  double best_affinity = 0.0;  // affinity of an empty bucket
+  BucketId best_bucket = -1;
+  for (BucketId b : touched) {
+    if (affinity[static_cast<size_t>(b)] >
+        best_affinity + kAffinityTieEpsilon) {
+      best_affinity = affinity[static_cast<size_t>(b)];
+      best_bucket = b;
+    }
+  }
+  for (BucketId b : touched) affinity[static_cast<size_t>(b)] = 0.0;
+  if (best_bucket == -1) {
+    // All candidates are as good as an empty bucket (the fallback's gain is
+    // the empty-bucket gain).
+    best_bucket = EmptyWindowFallback(from, bucket_begin, bucket_end);
+    if (best_bucket == -1) return BestTarget{-1, 0.0};
+  }
+  const double sum_pow_to = degree - best_affinity;
+  return BestTarget{best_bucket, p_ * (base - sum_pow_to)};
+}
+
+template <typename Entries>
+GainComputer::BestTarget GainComputer::FindBestTargetGrouped(
+    const BipartiteGraph& graph, const Entries& entries, VertexId v,
+    BucketId from, std::span<const BucketId> candidates,
+    uint64_t* lookups) const {
+  BestTarget best;
+  bool first = true;
+  for (BucketId candidate : candidates) {
+    if (candidate == from) continue;
+    const double g = MoveGain(graph, entries, v, from, candidate);
+    if (lookups != nullptr) *lookups += 2 * graph.DataDegree(v);
+    if (first || g > best.gain) {
+      best = {candidate, g};
+      first = false;
+    }
+  }
+  return best;
+}
 
 }  // namespace shp

@@ -124,15 +124,6 @@ void QueryNeighborData::Build(const BipartiteGraph& graph,
   });
 }
 
-uint32_t QueryNeighborData::CountFor(VertexId q, BucketId b) const {
-  auto entries = Entries(q);
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), b,
-      [](const BucketCount& e, BucketId bucket) { return e.bucket < bucket; });
-  if (it != entries.end() && it->bucket == b) return it->count;
-  return 0;
-}
-
 QueryNeighborData::DeltaResult QueryNeighborData::ApplyDeltaInPlace(
     VertexId q, BucketId from, BucketId to, int64_t* live_delta,
     std::vector<NeighborDelta>* emitted) {

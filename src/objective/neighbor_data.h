@@ -16,6 +16,7 @@
 // live volume.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -38,6 +39,14 @@ struct BucketCount {
 
   bool operator==(const BucketCount&) const = default;
 };
+
+/// n_b of a bucket-sorted entry list (0 if b is absent). O(log |entries|).
+inline uint32_t CountIn(std::span<const BucketCount> entries, BucketId b) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), b,
+      [](const BucketCount& e, BucketId bucket) { return e.bucket < bucket; });
+  return it != entries.end() && it->bucket == b ? it->count : 0;
+}
 
 /// One executed move: data vertex v relocated from bucket `from` to `to`.
 /// The move broker reports the net executed moves of a round in this form
@@ -92,7 +101,9 @@ class QueryNeighborData {
   }
 
   /// n_b(q): count of q's neighbors in bucket b (0 if none). O(log fanout).
-  uint32_t CountFor(VertexId q, BucketId b) const;
+  uint32_t CountFor(VertexId q, BucketId b) const {
+    return CountIn(Entries(q), b);
+  }
 
   /// fanout(q) = number of occupied buckets.
   uint32_t Fanout(VertexId q) const { return loc_[q].size; }

@@ -1,4 +1,4 @@
-// Baseline partitioner tests: random/hash/label-prop invariants, clique-net
+// Baseline partitioner tests: random/label-prop invariants, clique-net
 // expansion weights, coarsening conservation, FM refinement, and the
 // multilevel driver including its memory-budget failure mode.
 #include <gtest/gtest.h>
@@ -6,7 +6,6 @@
 #include "baseline/clique_net.h"
 #include "baseline/coarsener.h"
 #include "baseline/fm_refiner.h"
-#include "baseline/hash_partitioner.h"
 #include "baseline/label_propagation.h"
 #include "baseline/multilevel.h"
 #include "baseline/random_partitioner.h"
@@ -33,15 +32,6 @@ TEST(RandomBaseline, BalancedAndInRange) {
   ASSERT_TRUE(result.ok());
   const auto partition = Partition::FromAssignment(result.value(), 10);
   EXPECT_LT(partition.ImbalanceRatio(), 0.2);
-}
-
-TEST(HashBaseline, DeterministicAndBalanced) {
-  const BipartiteGraph g = SmallSocial();
-  auto a = MakeHashPartitioner(1)->Partition(g, 8, nullptr).value();
-  auto b = MakeHashPartitioner(1)->Partition(g, 8, nullptr).value();
-  EXPECT_EQ(a, b);
-  auto c = MakeHashPartitioner(2)->Partition(g, 8, nullptr).value();
-  EXPECT_NE(a, c);
 }
 
 TEST(LabelProp, ImprovesOverRandomAndRespectsCapacity) {

@@ -291,12 +291,12 @@ TEST(MoveBroker, MoveBudgetKeepsHighestGains) {
   EXPECT_EQ(all.size(), 100u);
 }
 
-TEST(MoveBroker, DrawFloorSkipsDeadRowsWithoutChangingMoves) {
+TEST(MoveBroker, DrawFloorSkipsDeadRows) {
   // One-sided negative demand: every (1 -> 0) histogram bin is negative and
   // nothing proposes (0 -> 1), so the matched probability row is all zero
   // (capacity slack only boosts positive bins). The draw floor must skip
-  // every draw — a probability-0 draw can never fire — while the executed
-  // moves are identical to the draw-everything reference.
+  // every draw; Debug builds check inside the draw that each skipped
+  // proposal had probability 0, i.e. could never have fired.
   const VertexId n = 1000;
   std::vector<BucketId> assignment(n);
   for (VertexId v = 0; v < n; ++v) assignment[v] = static_cast<BucketId>(v % 2);
@@ -311,27 +311,19 @@ TEST(MoveBroker, DrawFloorSkipsDeadRowsWithoutChangingMoves) {
       ++proposers;
     }
   }
-  auto run = [&](bool skip) {
-    Partition partition = Partition::FromAssignment(assignment, 2);
-    MoveBrokerOptions options;
-    options.skip_zero_probability_pairs = skip;
-    MoveBroker broker(options);
-    return broker.Apply(topo, targets, gains, 9, 0, &partition);
-  };
-  const MoveOutcome with_floor = run(true);
-  const MoveOutcome reference = run(false);
-  EXPECT_EQ(with_floor.moves, reference.moves);
-  EXPECT_EQ(with_floor.num_moved, 0u);
-  EXPECT_EQ(with_floor.num_proposals, proposers);
-  EXPECT_EQ(with_floor.num_draws, 0u) << "all-zero rows must skip the draw";
-  EXPECT_EQ(reference.num_draws, proposers)
-      << "the reference draws every active proposal";
+  Partition partition = Partition::FromAssignment(assignment, 2);
+  MoveBroker broker(MoveBrokerOptions{});
+  const MoveOutcome outcome =
+      broker.Apply(topo, targets, gains, 9, 0, &partition);
+  EXPECT_TRUE(outcome.moves.empty());
+  EXPECT_EQ(outcome.num_moved, 0u);
+  EXPECT_EQ(outcome.num_proposals, proposers);
+  EXPECT_EQ(outcome.num_draws, 0u) << "all-zero rows must skip the draw";
 }
 
 TEST(MoveBroker, DrawFloorKeepsLiveRowsDrawing) {
   // Reciprocal symmetric demand: the (0,1) rows are matched (live), so the
-  // draw floor must not skip anything and the trajectory stays identical to
-  // the reference for every strategy that draws.
+  // draw floor must not skip anything for any strategy that draws.
   const VertexId n = 200;
   std::vector<BucketId> assignment(n);
   for (VertexId v = 0; v < n; ++v) assignment[v] = v < 100 ? 0 : 1;
@@ -342,20 +334,15 @@ TEST(MoveBroker, DrawFloorKeepsLiveRowsDrawing) {
   for (const auto strategy :
        {MoveBrokerOptions::Strategy::kPlainProbability,
         MoveBrokerOptions::Strategy::kHistogramMatching}) {
-    auto run = [&](bool skip) {
-      Partition partition = Partition::FromAssignment(assignment, 2);
-      MoveBrokerOptions options;
-      options.strategy = strategy;
-      options.skip_zero_probability_pairs = skip;
-      MoveBroker broker(options);
-      return broker.Apply(topo, targets, gains, 9, 0, &partition);
-    };
-    const MoveOutcome with_floor = run(true);
-    const MoveOutcome reference = run(false);
-    EXPECT_EQ(with_floor.moves, reference.moves);
-    EXPECT_EQ(with_floor.num_draws, reference.num_draws)
-        << "live rows draw on both paths";
-    EXPECT_GT(with_floor.num_moved, 0u);
+    Partition partition = Partition::FromAssignment(assignment, 2);
+    MoveBrokerOptions options;
+    options.strategy = strategy;
+    MoveBroker broker(options);
+    const MoveOutcome outcome =
+        broker.Apply(topo, targets, gains, 9, 0, &partition);
+    EXPECT_EQ(outcome.num_draws, static_cast<uint64_t>(n))
+        << "every proposal on a live row draws";
+    EXPECT_GT(outcome.num_moved, 0u);
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "graph/dataset_catalog.h"
-#include "graph/gen_grid.h"
 #include "graph/gen_planted.h"
 #include "graph/gen_powerlaw.h"
 #include "graph/gen_social.h"
@@ -164,28 +163,6 @@ TEST(Planted, ZeroMixingQueriesStayInGroup) {
           << "query " << q << " crosses groups at mixing=0";
     }
   }
-}
-
-TEST(Grid, FivePointStencilShape) {
-  GridConfig config;
-  config.rows = 4;
-  config.cols = 5;
-  const BipartiteGraph g = GenerateGrid(config);
-  EXPECT_EQ(g.num_data(), 20u);
-  EXPECT_EQ(g.num_queries(), 20u);
-  // Interior cell (1,1) = id 6: stencil of 5 cells.
-  EXPECT_EQ(g.QueryNeighbors(6).size(), 5u);
-  // Corner (0,0): itself + 2 neighbors.
-  EXPECT_EQ(g.QueryNeighbors(0).size(), 3u);
-}
-
-TEST(Grid, NinePointStencil) {
-  GridConfig config;
-  config.rows = 3;
-  config.cols = 3;
-  config.stencil = 9;
-  const BipartiteGraph g = GenerateGrid(config);
-  EXPECT_EQ(g.QueryNeighbors(4).size(), 9u);  // center of 3x3
 }
 
 TEST(Catalog, HasAllElevenPaperRows) {

@@ -96,39 +96,25 @@ TEST(Refiner, AnchorPenaltySuppressesMovement) {
   EXPECT_GT(free_moves, 0u);
 }
 
-TEST(Refiner, DrawFloorCutsDrawsOnConvergedInstanceTrajectoryUnchanged) {
+TEST(Refiner, DrawFloorCutsDrawsOnConvergedInstance) {
   // Superstep-4 draw floor regression: on a converged instance most bucket
   // pairs carry one-sided or negative-only demand, so their probability
   // rows are all zero and their draws are skipped — the draw count must
-  // drop strictly below the proposal count while the move trajectory stays
-  // bit-identical to the draw-everything reference (a skipped draw had
-  // probability 0 and could never fire).
+  // drop strictly below the proposal count. The trajectory is unchanged
+  // because a skipped draw had probability 0; Debug builds check that for
+  // every skipped proposal inside the shared draw.
   const BipartiteGraph g = SmallGraph(11);
   const BucketId k = 8;
   const MoveTopology topo = MoveTopology::FullK(k, g.num_data(), 0.05);
-  const uint64_t iterations = 14;
-
-  RefinerOptions floor_options;
-  RefinerOptions reference_options;
-  reference_options.broker.skip_zero_probability_pairs = false;
-  Refiner with_floor(g, floor_options);
-  Refiner reference(g, reference_options);
-  Partition p_floor = Partition::BalancedRandom(g.num_data(), k, 3);
-  Partition p_reference = p_floor;
-
-  IterationStats last_floor;
-  IterationStats last_reference;
-  for (uint64_t iter = 0; iter < iterations; ++iter) {
-    last_floor = with_floor.RunIteration(topo, &p_floor, 5, iter);
-    last_reference = reference.RunIteration(topo, &p_reference, 5, iter);
-    ASSERT_EQ(p_floor.assignment(), p_reference.assignment())
-        << "trajectories must be bit-identical (iteration " << iter << ")";
+  Refiner refiner(g, RefinerOptions{});
+  Partition partition = Partition::BalancedRandom(g.num_data(), k, 3);
+  IterationStats last;
+  for (uint64_t iter = 0; iter < 14; ++iter) {
+    last = refiner.RunIteration(topo, &partition, 5, iter);
   }
-  EXPECT_LT(last_floor.moved_fraction, 0.02) << "instance must converge";
-  EXPECT_GT(last_floor.num_proposals, 0u);
-  EXPECT_EQ(last_reference.num_draws, last_reference.num_proposals)
-      << "the reference draws every active proposal";
-  EXPECT_LT(last_floor.num_draws, last_floor.num_proposals)
+  EXPECT_LT(last.moved_fraction, 0.02) << "instance must converge";
+  EXPECT_GT(last.num_proposals, 0u);
+  EXPECT_LT(last.num_draws, last.num_proposals)
       << "converged dead pairs must stop drawing";
 }
 
