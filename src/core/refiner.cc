@@ -94,8 +94,8 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     stats.full_rebuild = true;
   }
   if (push && !sweep_valid_) {
-    // Full query-major pass: stream the arena once, scattering each query's
-    // per-bucket contributions to all its data neighbors.
+    // Full vertex-major pass: every vertex gathers its adjacent queries'
+    // per-bucket contributions.
     sweep_.Build(graph_, ndata_, gain_.pow_table(), pool);
     sweep_valid_ = true;
     ++num_sweep_builds_;
@@ -260,9 +260,9 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
                              });
       }
     });
-    // The patched accumulators must match a fresh query-major build up to
-    // summation order.
-    AffinitySweep fresh(sweep_.deterministic());
+    // The patched accumulators must match a fresh build up to summation
+    // order.
+    AffinitySweep fresh;
     fresh.Build(graph_, ndata_, gain_.pow_table(), pool);
     SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
         << "patched affinity accumulators diverged from a fresh build";

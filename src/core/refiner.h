@@ -22,11 +22,11 @@
 //  * pull — each recomputed vertex gathers the entry lists of all its
 //    adjacent queries (GainComputer::FindBestTarget). Exact reference path;
 //    bit-identical between the incremental and rebuild-everything variants.
-//  * push — the query-major affinity sweep (objective/affinity_sweep.h):
-//    per-vertex affinity accumulators are built by streaming the arena once
-//    in query order and then patched from the bucket-count delta records
-//    ApplyMoves emits, so a steady-state recompute is one sequential scan
-//    of the vertex's own accumulator instead of a random-access gather.
+//  * push — the affinity sweep (objective/affinity_sweep.h): per-vertex
+//    affinity accumulators are built by one vertex-major gather and then
+//    patched from the bucket-count delta records ApplyMoves emits, so a
+//    steady-state recompute is one sequential scan of the vertex's own
+//    accumulator instead of a random-access gather.
 //    Push changes float summation order, so its proposals match pull only
 //    up to accumulation error: same targets modulo gain ties ≤ ~1e-9,
 //    gains within rtol ~1e-6 (debug builds verify this per iteration; see
@@ -115,7 +115,7 @@ struct IterationStats {
   /// drift). The BSP engine reports its announce-everything superstep-1
   /// scans here (it patches replicas instead of rebuilding).
   bool full_rebuild = false;
-  /// True when superstep 2 ran the query-major push sweep this iteration
+  /// True when superstep 2 ran the push sweep this iteration
   /// (for the BSP engine: delta exchange + accumulator push).
   bool push_sweep = false;
   /// Data vertices whose proposal was recomputed this iteration (equals
@@ -217,7 +217,7 @@ class Refiner : public RefinerInterface {
   /// incremental steady state holds this at 1 per warm start).
   uint64_t num_full_rebuilds() const { return num_full_rebuilds_; }
 
-  /// Full query-major accumulator builds performed so far (push mode; an
+  /// Full accumulator builds performed so far (push mode; an
   /// incremental steady state holds this at 1 per warm start).
   uint64_t num_sweep_builds() const { return num_sweep_builds_; }
 

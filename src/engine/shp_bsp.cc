@@ -713,7 +713,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   if (push) {
     // The delta-patched accumulator replicas must match a fresh owner-
     // sharded build up to float summation order.
-    AffinitySweep fresh(sweep_.deterministic());
+    AffinitySweep fresh;
     fresh.BuildSharded(graph_, replicas, gain_.pow_table(), data_owner_, W,
                        pool);
     SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))

@@ -22,8 +22,10 @@ BipartiteGraph GenerateWebGraph(const WebGraphConfig& config) {
     VertexId begin = 0;
     while (begin < n) {
       const double raw = rng.NextExponential() * config.avg_host_size;
-      const VertexId size = std::max<VertexId>(
-          2, std::min<VertexId>(static_cast<VertexId>(raw) + 1, n - begin));
+      // At least 2 pages, but never past the last page: a final host may
+      // keep a single page (in-host links skip hosts of size < 2).
+      const VertexId size = std::min<VertexId>(
+          std::max<VertexId>(2, static_cast<VertexId>(raw) + 1), n - begin);
       const VertexId host = static_cast<VertexId>(host_range.size());
       for (VertexId p = begin; p < begin + size; ++p) host_of[p] = host;
       host_range.emplace_back(begin, begin + size);

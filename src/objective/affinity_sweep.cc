@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -80,13 +81,127 @@ void ApplyToVec(std::vector<AffinityEntry>* vec, BucketId b, double add,
   ++*live_delta;
 }
 
+/// Per-thread dense k-wide accumulator for one vertex at a time: a slot per
+/// bucket plus the touched-bucket list that resets it in O(touched) (the
+/// QueryNeighborData::Build idiom). Each Add lands on its slot in call
+/// order, so a slot's float is the same sum in the same order as the sparse
+/// sorted-list kernel would produce; a support drop to 0 resets the float to
+/// 0.0 exactly as erasing the sparse entry does.
+class DenseAccumulator {
+ public:
+  /// Grows the slot array to cover bucket b (no-op in the common case).
+  void Reserve(BucketId b) {
+    if (static_cast<size_t>(b) >= slots_.size()) {
+      slots_.resize(static_cast<size_t>(b) + 1, Slot{});
+    }
+  }
+
+  /// Loads an existing bucket-sorted accumulator (slots must cover it).
+  void Load(std::span<const AffinityEntry> entries) {
+    for (const AffinityEntry& e : entries) {
+      slots_[static_cast<size_t>(e.bucket)] = {e.affinity, e.support, 1};
+      touched_.push_back(e.bucket);
+    }
+    sorted_prefix_ = touched_.size();
+    live_ = static_cast<uint32_t>(entries.size());
+  }
+
+  /// Adds one adjacent query's contribution to bucket b (Build).
+  void Add(BucketId b, double add) {
+    Slot& s = slots_[static_cast<size_t>(b)];
+    if (s.support++ == 0) {
+      s.touched = 1;
+      touched_.push_back(b);
+      ++live_;
+    }
+    s.affinity += add;
+  }
+
+  /// Folds the ops from `op` up to `end` that share op->bucket (a stretch
+  /// of one (q, bucket) chain) into its slot; returns the first op past it.
+  /// The chain's adds run in order on a register copy of the slot — the
+  /// same operations as folding each record into the slot in turn, without
+  /// a store-to-load round trip between consecutive adds.
+  template <typename Op>  // AffinitySweep::PatchOp
+  const Op* FoldChain(const Op* op, const Op* end) {
+    const BucketId b = op->bucket;
+    Slot& s = slots_[static_cast<size_t>(b)];
+    if (s.touched == 0) {
+      s.touched = 1;
+      touched_.push_back(b);
+    }
+    double affinity = s.affinity;
+    uint32_t support = s.support;
+    uint32_t live = live_;
+    for (; op != end && op->bucket == b; ++op) {
+      SHP_DCHECK(support > 0 || op->sup == 1)
+          << "accumulator entry absent for a non-insert delta";
+      if (support == 0) ++live;
+      affinity += op->add;
+      support = static_cast<uint32_t>(static_cast<int64_t>(support) + op->sup);
+      if (support == 0) {
+        affinity = 0.0;
+        --live;
+      }
+    }
+    s.affinity = affinity;
+    s.support = support;
+    live_ = live;
+    return op;
+  }
+
+  /// Entries with support > 0 after the adds so far.
+  uint32_t live() const { return live_; }
+
+  /// Writes the live() entries bucket-ascending to `out` and resets the
+  /// scratch. The loaded prefix of the touched list is already sorted; the
+  /// buckets added since Load are either sorted and merged with it or, when
+  /// they fill over a quarter of the slot array (a hub's Build gather),
+  /// collected by one in-order scan of the slots instead of a sort — 20%
+  /// off the k=512 Build (docs/refinement.md).
+  void Drain(AffinityEntry* out) {
+    const auto emit = [&](BucketId bucket) {
+      Slot& s = slots_[static_cast<size_t>(bucket)];
+      if (s.support > 0) *out++ = {bucket, s.support, s.affinity};
+      s = Slot{};
+    };
+    const auto mid = touched_.begin() + static_cast<ptrdiff_t>(sorted_prefix_);
+    if (4 * static_cast<size_t>(touched_.end() - mid) > slots_.size()) {
+      for (size_t b = 0; b < slots_.size(); ++b) {
+        if (slots_[b].touched != 0) emit(static_cast<BucketId>(b));
+      }
+    } else {
+      std::sort(mid, touched_.end());
+      auto a = touched_.begin();
+      auto b = mid;
+      while (a != mid || b != touched_.end()) {
+        emit((b == touched_.end() || (a != mid && *a < *b)) ? *a++ : *b++);
+      }
+    }
+    touched_.clear();
+    sorted_prefix_ = 0;
+    live_ = 0;
+  }
+
+ private:
+  struct Slot {
+    double affinity;
+    uint32_t support;
+    uint32_t touched;
+  };
+
+  std::vector<Slot> slots_;
+  std::vector<BucketId> touched_;
+  size_t sorted_prefix_ = 0;
+  uint32_t live_ = 0;
+};
+
 }  // namespace
 
 void AffinitySweep::Build(const BipartiteGraph& graph,
                           const QueryNeighborData& ndata, const PowTable& pow,
                           ThreadPool* pool) {
   const VertexId n = graph.num_data();
-  const VertexId nq = graph.num_queries();
   if (pool == nullptr) pool = &GlobalThreadPool();
   loc_.assign(n, Loc{});
   garbage_ = 0;
@@ -98,78 +213,71 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
 
   const size_t workers = std::max<size_t>(1, pool->num_threads());
   const size_t shards = std::min<size_t>(workers, n);
-  // Shard boundaries weighted by Σ-degree, not vertex count: a shard's merge
-  // cost is the Σ-degree of its range, and power-law hubs make uniform
-  // ranges straggle.
+  // Shard boundaries weighted by Σ-degree, not vertex count: a vertex's
+  // gather cost is proportional to its degree, and power-law hubs make
+  // uniform ranges straggle.
   FillDegreePrefix(graph, n, &scratch_.deg_prefix);
 
-  // Query-major streaming pass, vertex-sharded: every shard streams the
-  // whole arena sequentially (it is small — Σ fanout entries — and shared
-  // read-only) but accumulates only for the vertices it owns, so no
-  // synchronization is needed and each vertex's contributions arrive in
-  // ascending query order (deterministic for any shard count).
-  std::vector<std::vector<AffinityEntry>> lists(n);
+  // Vertex-major gather: each vertex walks its ascending DataNeighbors(v),
+  // so every (v, bucket) slot sums its contributions in ascending q — the
+  // same order a query-major scatter delivers them in. Entries go to a
+  // shard-local buffer in vertex order (a deque: it grows block by block,
+  // never holding a doubled copy), sizes straight into loc_.
+  std::vector<std::deque<AffinityEntry>> gathered(shards);
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
-    std::vector<std::pair<BucketId, double>> contrib;
+    // Per-worker scratch on the worker's own stack: no false sharing.
+    DenseAccumulator acc;
+    std::vector<AffinityEntry> staged;  // one vertex's drained entries
     for (size_t s = sbegin; s < send; ++s) {
       const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
       const VertexId vend =
           DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
-      if (vbegin == vend) continue;
-      for (VertexId q = 0; q < nq; ++q) {
-        const auto nbrs = graph.QueryNeighbors(q);
-        const auto lo = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
-        if (lo == nbrs.end() || *lo >= vend) continue;
-        const auto hi = std::lower_bound(lo, nbrs.end(), vend);
-        // One contribution per occupied bucket, shared by every owned
-        // neighbor of q (this is the work the pull scan recomputes per
-        // vertex).
-        contrib.clear();
-        for (const BucketCount& e : ndata.Entries(q)) {
-          contrib.emplace_back(e.bucket, 1.0 - pow.Pow(e.count));
-        }
-        for (auto it = lo; it != hi; ++it) {
-          std::vector<AffinityEntry>& list = lists[*it];
-          // Both sides are bucket-ascending: single forward merge.
-          size_t i = 0;
-          for (const auto& [bucket, c] : contrib) {
-            while (i < list.size() && list[i].bucket < bucket) ++i;
-            if (i < list.size() && list[i].bucket == bucket) {
-              list[i].support += 1;
-              list[i].affinity += c;
-            } else {
-              list.insert(list.begin() + i, {bucket, 1, c});
-            }
-            ++i;
+      std::deque<AffinityEntry> out;  // local until done: no false sharing
+      for (VertexId v = vbegin; v < vend; ++v) {
+        for (const VertexId q : graph.DataNeighbors(v)) {
+          const auto entries = ndata.Entries(q);
+          if (entries.empty()) continue;
+          acc.Reserve(entries.back().bucket);
+          for (const BucketCount& e : entries) {
+            acc.Add(e.bucket, 1.0 - pow.Pow(e.count));
           }
         }
+        loc_[v].size = acc.live();
+        staged.resize(acc.live());
+        acc.Drain(staged.data());
+        out.insert(out.end(), staged.begin(), staged.end());
       }
+      gathered[s] = std::move(out);
     }
   });
 
-  LayoutFromLists(lists, pool);
+  LayoutFromSizes();
+  pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
+    for (size_t s = sbegin; s < send; ++s) {
+      auto in = gathered[s].cbegin();
+      const VertexId vend =
+          DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
+      for (VertexId v = DegShardBegin(scratch_.deg_prefix, n, shards, s);
+           v < vend; ++v) {
+        const auto next = in + loc_[v].size;
+        std::copy(in, next,
+                  entries_.begin() + static_cast<ptrdiff_t>(loc_[v].begin));
+        in = next;
+      }
+    }
+  });
 }
 
-void AffinitySweep::LayoutFromLists(
-    const std::vector<std::vector<AffinityEntry>>& lists, ThreadPool* pool) {
-  // Layout with per-vertex slack, then parallel copy into the arena.
-  const VertexId n = static_cast<VertexId>(lists.size());
+void AffinitySweep::LayoutFromSizes() {
+  // Per-vertex slack after every accumulator; the arena is sized once.
   uint64_t cursor = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    Loc& loc = loc_[v];
+  for (Loc& loc : loc_) {
     loc.begin = cursor;
-    loc.size = static_cast<uint32_t>(lists[v].size());
     loc.cap = loc.size + kSlackPad;
     cursor += loc.cap;
     live_entries_ += loc.size;
   }
   entries_.assign(cursor, AffinityEntry{});
-  pool->ParallelFor(n, [&](size_t begin, size_t end, size_t) {
-    for (size_t v = begin; v < end; ++v) {
-      std::copy(lists[v].begin(), lists[v].end(),
-                entries_.begin() + static_cast<ptrdiff_t>(loc_[v].begin));
-    }
-  });
 }
 
 std::vector<uint64_t> AffinitySweep::BuildSharded(
@@ -272,7 +380,16 @@ std::vector<uint64_t> AffinitySweep::BuildSharded(
     work[s] = merged;
   });
 
-  LayoutFromLists(lists, pool);
+  for (VertexId v = 0; v < n; ++v) {
+    loc_[v].size = static_cast<uint32_t>(lists[v].size());
+  }
+  LayoutFromSizes();
+  pool->ParallelFor(n, [&](size_t begin, size_t end, size_t) {
+    for (size_t v = begin; v < end; ++v) {
+      std::copy(lists[v].begin(), lists[v].end(),
+                entries_.begin() + static_cast<ptrdiff_t>(loc_[v].begin));
+    }
+  });
   return work;
 }
 
@@ -285,85 +402,11 @@ double AffinitySweep::AffinityFor(VertexId v, BucketId b) const {
   return 0.0;
 }
 
-void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
-                                std::span<const NeighborDelta> deltas,
-                                const PowTable& pow, ThreadPool* pool) {
-  if (deltas.empty()) return;
-  if (pool == nullptr) pool = &GlobalThreadPool();
-  const VertexId n = num_vertices();
-  if (n == 0) return;
-
-  std::span<const NeighborDelta> recs = deltas;
-  if (deterministic_) {
-    // Canonical application order: ascending (q, bucket), with each
-    // (q, bucket) chain kept in emission order (stable sort) — the per-
-    // vertex float accumulation order then no longer depends on how
-    // ApplyMoves sharded its emission across threads.
-    scratch_.sorted.assign(deltas.begin(), deltas.end());
-    std::stable_sort(scratch_.sorted.begin(), scratch_.sorted.end(),
-                     [](const NeighborDelta& a, const NeighborDelta& b) {
-                       if (a.q != b.q) return a.q < b.q;
-                       return a.bucket < b.bucket;
-                     });
-    recs = scratch_.sorted;
-  }
-
-  const size_t workers = std::max<size_t>(1, pool->num_threads());
-  const size_t shards = std::min<size_t>(workers, n);
-  // Σ-degree-weighted ranges: the patch cost of a range is driven by how
-  // many record-adjacent pins land in it, for which the degree mass is the
-  // stable proxy (uniform ranges straggle on hub-heavy shards).
-  FillDegreePrefix(graph, n, &scratch_.deg_prefix);
-  std::vector<ShardOverflow>& overflow = scratch_.overflow;
-  std::vector<int64_t>& live_delta = scratch_.live_delta;
-  overflow.resize(std::max(overflow.size(), shards));
-  live_delta.assign(std::max(live_delta.size(), shards), 0);
-  for (size_t s = 0; s < shards; ++s) {
-    overflow[s].lists.clear();
-    overflow[s].index.clear();
-  }
-
-  // Every shard scans the (short, steady-state) record list and patches the
-  // accumulators of its own vertices; growth goes to a shard-local overflow
-  // store merged serially below.
-  pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
-    for (size_t s = sbegin; s < send; ++s) {
-      const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
-      const VertexId vend =
-          DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
-      if (vbegin == vend) continue;
-      ShardOverflow& ovf = overflow[s];
-      int64_t delta = 0;
-      for (const NeighborDelta& rec : recs) {
-        const double add = pow.Pow(rec.old_count) - pow.Pow(rec.new_count);
-        const int32_t sup = static_cast<int32_t>(rec.old_count == 0) -
-                            static_cast<int32_t>(rec.new_count == 0);
-        const auto nbrs = graph.QueryNeighbors(rec.q);
-        const auto lo = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
-        if (lo == nbrs.end() || *lo >= vend) continue;
-        const auto hi = std::lower_bound(lo, nbrs.end(), vend);
-        for (auto it = lo; it != hi; ++it) {
-          PatchEntry(*it, rec.bucket, add, sup, &ovf, &delta);
-        }
-      }
-      live_delta[s] = delta;
-    }
-  });
-
-  MergeOverflow(shards);
-}
-
-void AffinitySweep::PatchEntry(VertexId v, BucketId bucket, double add,
-                               int32_t sup, ShardOverflow* ovf,
-                               int64_t* live_delta) {
-  if (!ovf->index.empty()) {
-    const auto oit = ovf->index.find(v);
-    if (oit != ovf->index.end()) {
-      ApplyToVec(&ovf->lists[oit->second].second, bucket, add, sup,
-                 live_delta);
-      return;
-    }
-  }
+// Defined ahead of its callers and inline: it is the per-op kernel of both
+// the sparse threaded patch and the BSP patch.
+inline bool AffinitySweep::PatchInPlace(VertexId v, BucketId bucket,
+                                        double add, int32_t sup,
+                                        int64_t* live_delta) {
   Loc& loc = loc_[v];
   AffinityEntry* base = entries_.data() + loc.begin;
   AffinityEntry* pos = std::lower_bound(
@@ -381,25 +424,191 @@ void AffinitySweep::PatchEntry(VertexId v, BucketId bucket, double add,
       --loc.size;
       --*live_delta;
     }
-    return;
+    return true;
   }
   SHP_DCHECK(sup == 1) << "accumulator entry absent for a non-insert delta";
-  if (loc.size == loc.cap) {
-    // Outgrew the slack: move to overflow with the insert applied.
-    std::vector<AffinityEntry> vec;
-    vec.reserve(loc.size + 2);
-    vec.insert(vec.end(), base, pos);
-    vec.push_back({bucket, 1, add});
-    vec.insert(vec.end(), pos, base + loc.size);
-    ++*live_delta;
-    ovf->index.emplace(v, ovf->lists.size());
-    ovf->lists.emplace_back(v, std::move(vec));
-    return;
-  }
+  if (loc.size == loc.cap) return false;
   std::copy_backward(pos, base + loc.size, base + loc.size + 1);
   *pos = {bucket, 1, add};
   ++loc.size;
   ++*live_delta;
+  return true;
+}
+
+void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
+                                std::span<const NeighborDelta> deltas,
+                                const PowTable& pow, ThreadPool* pool) {
+  if (deltas.empty()) return;
+  if (pool == nullptr) pool = &GlobalThreadPool();
+  const VertexId n = num_vertices();
+  if (n == 0) return;
+
+  // Per-query record index, by a counting scatter: count each query's
+  // records, lay the runs out back to back, and scatter the records into
+  // them in emission order — so each (q, bucket) chain keeps its order.
+  // query_records[q] ends as q's run of patch ops, and dirty_bits flags the
+  // queries that have one (an L1-sized filter for the adjacency walk). The
+  // run layout carries no order: the walk below visits a vertex's queries
+  // in ascending q.
+  const VertexId nq = graph.num_queries();
+  auto& query_records = scratch_.query_records;
+  std::vector<uint64_t>& dirty_bits = scratch_.dirty_bits;
+  std::vector<VertexId>& dirty = scratch_.dirty_queries;
+  if (query_records.size() < nq) query_records.resize(nq, {0, 0});
+  dirty_bits.resize((static_cast<size_t>(nq) + 63) / 64, 0);
+  dirty.clear();
+  for (const NeighborDelta& rec : deltas) {
+    if (query_records[rec.q].second++ == 0) dirty.push_back(rec.q);
+  }
+  uint32_t cursor = 0;
+  for (const VertexId q : dirty) {
+    auto& run = query_records[q];
+    run.first = cursor;
+    cursor += run.second;
+    run.second = run.first;  // fill cursor of the scatter below
+    dirty_bits[q / 64] |= uint64_t{1} << (q % 64);
+  }
+  std::vector<PatchOp>& ops = scratch_.ops;
+  ops.resize(deltas.size());
+  BucketId max_bucket = 0;
+  for (const NeighborDelta& rec : deltas) {
+    ops[query_records[rec.q].second++] = {
+        rec.bucket,
+        static_cast<int32_t>(rec.old_count == 0) -
+            static_cast<int32_t>(rec.new_count == 0),
+        pow.Pow(rec.old_count) - pow.Pow(rec.new_count)};
+    max_bucket = std::max(max_bucket, rec.bucket);
+  }
+
+  const size_t workers = std::max<size_t>(1, pool->num_threads());
+  const size_t shards = std::min<size_t>(workers, n);
+  // Σ-degree-weighted ranges: a range's patch cost is the degree mass of
+  // its blast-radius vertices, for which the range's degree mass is the
+  // stable proxy (uniform ranges straggle on hub-heavy shards).
+  FillDegreePrefix(graph, n, &scratch_.deg_prefix);
+  std::vector<uint8_t>& blast = scratch_.blast;
+  blast.resize(n, 0);
+  std::vector<ShardOverflow>& overflow = scratch_.overflow;
+  std::vector<int64_t>& live_delta = scratch_.live_delta;
+  overflow.resize(std::max(overflow.size(), shards));
+  live_delta.assign(std::max(live_delta.size(), shards), 0);
+  for (size_t s = 0; s < shards; ++s) {
+    overflow[s].lists.clear();
+    overflow[s].index.clear();
+  }
+
+  // Vertex-major patch. Each shard marks the blast radius inside its own
+  // vertex range, then walks the marked vertices in ascending order; a
+  // vertex applies the records of its dirty queries in ascending q (its
+  // DataNeighbors order), each query's in emission order. A (v, bucket)
+  // slot sees only its own bucket's records, so it receives the same adds
+  // in the same order as a record-major pass in canonical (q, bucket)
+  // order, with each chain in emission order — the order is fixed by the
+  // records alone, not by how ApplyMoves sharded its emission across
+  // threads. Growth beyond the slack goes to a shard-local overflow store
+  // merged serially below.
+  pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
+    // Per-worker scratch on the worker's own stack: no false sharing.
+    DenseAccumulator acc;
+    acc.Reserve(max_bucket);
+    std::vector<std::pair<uint32_t, uint32_t>> runs;  // v's dirty-query runs
+    for (size_t s = sbegin; s < send; ++s) {
+      const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
+      const VertexId vend =
+          DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
+      if (vbegin == vend) continue;
+      for (const VertexId q : dirty) {
+        const auto nbrs = graph.QueryNeighbors(q);
+        auto it = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
+        for (; it != nbrs.end() && *it < vend; ++it) blast[*it] = 1;
+      }
+      ShardOverflow& ovf = overflow[s];
+      int64_t delta = 0;
+      for (VertexId v = vbegin; v < vend; ++v) {
+        if (blast[v] == 0) continue;
+        blast[v] = 0;
+        runs.clear();
+        uint32_t m = 0;
+        for (const VertexId q : graph.DataNeighbors(v)) {
+          if (((dirty_bits[q / 64] >> (q % 64)) & 1) == 0) continue;
+          const auto run = query_records[q];
+          runs.push_back(run);
+          m += run.second - run.first;
+        }
+        Loc& loc = loc_[v];
+        if (4 * static_cast<uint64_t>(m) >= loc.size) {
+          // Dense kernel: load, fold, write back in one merge — O(|acc| +
+          // m) instead of a binary search (and splice) per op.
+          const auto entries = Entries(v);
+          if (!entries.empty()) acc.Reserve(entries.back().bucket);
+          acc.Load(entries);
+          for (const auto& [first, last] : runs) {
+            const PatchOp* end = ops.data() + last;
+            for (const PatchOp* op = ops.data() + first; op != end;) {
+              op = acc.FoldChain(op, end);
+            }
+          }
+          delta += static_cast<int64_t>(acc.live()) - loc.size;
+          if (acc.live() <= loc.cap) {
+            loc.size = acc.live();
+            acc.Drain(entries_.data() + loc.begin);
+          } else {
+            std::vector<AffinityEntry> vec(acc.live());
+            acc.Drain(vec.data());
+            ovf.lists.emplace_back(v, std::move(vec));
+          }
+          continue;
+        }
+        // Sparse kernel: few ops against a wide accumulator — binary-search
+        // each op in place, spilling to an owned copy if an insert finds no
+        // slack.
+        std::vector<AffinityEntry> spill;
+        bool spilled = false;
+        for (const auto& [first, last] : runs) {
+          for (uint32_t i = first; i < last; ++i) {
+            const PatchOp& op = ops[i];
+            if (!spilled) {
+              if (PatchInPlace(v, op.bucket, op.add, op.sup, &delta)) continue;
+              const auto entries = Entries(v);
+              spill.assign(entries.begin(), entries.end());
+              spilled = true;
+            }
+            ApplyToVec(&spill, op.bucket, op.add, op.sup, &delta);
+          }
+        }
+        if (spilled) ovf.lists.emplace_back(v, std::move(spill));
+      }
+      live_delta[s] = delta;
+    }
+  });
+
+  for (const VertexId q : dirty) {
+    query_records[q] = {0, 0};
+    dirty_bits[q / 64] = 0;
+  }
+  MergeOverflow(shards);
+}
+
+void AffinitySweep::PatchEntry(VertexId v, BucketId bucket, double add,
+                               int32_t sup, ShardOverflow* ovf,
+                               int64_t* live_delta) {
+  if (!ovf->index.empty()) {
+    const auto oit = ovf->index.find(v);
+    if (oit != ovf->index.end()) {
+      ApplyToVec(&ovf->lists[oit->second].second, bucket, add, sup,
+                 live_delta);
+      return;
+    }
+  }
+  if (PatchInPlace(v, bucket, add, sup, live_delta)) return;
+  // Outgrew the slack: move to overflow with the insert applied.
+  const auto entries = Entries(v);
+  std::vector<AffinityEntry> vec;
+  vec.reserve(entries.size() + 2);
+  vec.assign(entries.begin(), entries.end());
+  ApplyToVec(&vec, bucket, add, sup, live_delta);
+  ovf->index.emplace(v, ovf->lists.size());
+  ovf->lists.emplace_back(v, std::move(vec));
 }
 
 void AffinitySweep::MergeOverflow(size_t count) {

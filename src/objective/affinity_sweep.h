@@ -1,35 +1,41 @@
-// Query-major affinity sweep: per-vertex sparse affinity accumulators for
-// the superstep-2 gain scan, maintained by streaming the neighbor-data arena
-// (full pass) or by folding in ApplyMoves delta records (steady state).
+// Affinity sweep: per-vertex sparse affinity accumulators for the
+// superstep-2 gain scan, maintained by a full vertex-major gather (Build) or
+// by folding in ApplyMoves delta records (steady state).
 //
 // The pull-based gain scan (GainComputer::FindBestTarget) gathers, for every
-// recomputed vertex v, the entry lists of all its adjacent queries — a
-// random-access walk over the arena that dominates steady-state iteration
-// latency. The paper's superstep 2 is naturally query-major: each query q
-// contributes 1 − B^{n_j(q)} to the affinity of bucket j for *every* data
-// neighbor of q. This module inverts the scan accordingly and keeps the
-// result alive across iterations:
+// recomputed vertex v, the entry lists of all its adjacent queries and
+// recomputes each query's per-bucket contribution every iteration. The
+// paper's superstep 2 is naturally query-major: each query q contributes
+// 1 − B^{n_j(q)} to the affinity of bucket j for *every* data neighbor of q.
+// This module keeps the result alive across iterations:
 //
 //   affinity_v[b] = Σ_{q ∈ N(v), n_b(q) > 0} (1 − B^{n_b(q)})
 //   support_v[b]  = #{q ∈ N(v) : n_b(q) > 0}
 //
-// Build streams the neighbor-data arena once in query order (sequential
-// reads; each query's per-bucket contribution is computed once and scattered
-// to all its data neighbors, instead of being recomputed per vertex). In
-// steady state, ApplyDeltas consumes the (q, bucket, old, new) records that
-// QueryNeighborData::ApplyMoves emits and patches only the accumulators of
-// vertices adjacent to a changed query — no rescan of untouched queries.
+// Build gathers each vertex over its ascending DataNeighbors(v) into a
+// per-thread dense k-wide scratch reset through a touched-bucket list (the
+// QueryNeighborData::Build idiom). In steady state, ApplyDeltas consumes the
+// (q, bucket, old, new) records that QueryNeighborData::ApplyMoves emits,
+// indexes them per query, and patches only the vertices adjacent to a
+// changed query (a blast-radius byte mask, scanned once per call) — no
+// rescan of untouched queries' adjacency. Each
+// vertex applies its dirty queries' records in ascending q, either through
+// the dense scratch (when its op count m satisfies 4·m ≥ |acc_v|) or by a
+// binary search per record into the sorted accumulator.
+//
+// Bit-identity: every (v, bucket) slot receives its adds in one fixed order —
+// ascending q, then each (q, bucket) chain in emission order — whichever
+// kernel, shard layout or thread count applies them. Build and ApplyDeltas
+// are therefore pure functions of the neighbor data and the executed move
+// history, and match a serial query-major / record-major reference exactly
+// (tests/affinity_sweep_test.cc). A patched accumulator still differs from a
+// fresh Build by summation order, so the refiner's patched-vs-fresh check is
+// tolerance-based (see docs/refinement.md).
 //
 // The integer support count makes entry lifetime exact: an accumulator entry
 // exists iff some adjacent query occupies the bucket, and dropping the entry
 // at support == 0 resets the float to exactly 0, so cancellation drift never
-// fabricates phantom affinity. Patching changes float summation order
-// relative to a fresh build, so affinities (and the gains derived from them)
-// agree with the pull path only up to accumulation error — the refiner's
-// equivalence story is tolerance-based, not bit-exact (see docs/refinement.md).
-// With deterministic mode on (default), delta records are canonically sorted
-// before application, so accumulator contents are a pure function of the
-// build assignment and the executed move history, independent of thread count.
+// fabricates phantom affinity.
 //
 // Storage mirrors QueryNeighborData: one flat arena of entries plus a packed
 // per-vertex {begin, size, cap} record with slack, tail relocation on growth,
@@ -64,24 +70,24 @@ struct AffinityEntry {
 
 class AffinitySweep {
  public:
-  /// deterministic: sort delta records into canonical (q, bucket, old, new)
-  /// order before applying, making accumulator floats independent of the
-  /// emitting shard layout (thread count). The sort is O(R log R) over the
-  /// steady-state record count R — negligible; off saves only the sort.
-  explicit AffinitySweep(bool deterministic = true)
-      : deterministic_(deterministic) {}
-
-  /// Full query-major pass: streams ndata's arena once in query order and
-  /// scatters each query's per-bucket contributions to all its data
-  /// neighbors. Vertices are range-sharded across workers; each shard
-  /// streams the (cache-resident) arena sequentially and keeps only its own
-  /// vertices' accumulators.
+  /// Full vertex-major pass: each vertex sums 1 − B^{n_b(q)} over its
+  /// ascending DataNeighbors(v) into a per-thread dense k-wide scratch.
+  /// Vertices are split into Σ-degree-weighted contiguous ranges, one per
+  /// worker. O(Σ_q deg(q) · fanout(q)).
   void Build(const BipartiteGraph& graph, const QueryNeighborData& ndata,
              const PowTable& pow, ThreadPool* pool = nullptr);
 
   /// Steady-state patch: folds ApplyMoves delta records into the affected
-  /// accumulators. O(Σ_records deg(q)) — proportional to the move blast
-  /// radius, with no rescan of untouched queries. `pow` must match Build's.
+  /// accumulators. Records are grouped per query, each query's kept in
+  /// emission order; each worker marks the blast radius of its Σ-degree
+  /// vertex range and applies every marked vertex's dirty queries in
+  /// ascending q — per (v, bucket) slot, the canonical (q, bucket) order
+  /// with chains in emission order. Returns at once when there are no
+  /// records. Otherwise a call costs O(n) for the serial degree prefix and
+  /// the blast-mask scans (n/shards bytes per worker), O(R) to group the
+  /// records, O(shards · Σ_dirty q log deg(q)) to mark, and O(Σ_marked v
+  /// deg(v) + ops) to patch: beyond the two byte-cheap O(n) passes, the
+  /// cost follows the move blast radius. `pow` must match Build's.
   void ApplyDeltas(const BipartiteGraph& graph,
                    std::span<const NeighborDelta> deltas, const PowTable& pow,
                    ThreadPool* pool = nullptr);
@@ -165,8 +171,6 @@ class AffinitySweep {
   /// Arena slots including slack and relocation garbage (≥ TotalEntries()).
   uint64_t ArenaSlots() const { return entries_.size(); }
 
-  bool deterministic() const { return deterministic_; }
-
   /// Repacks the arena in vertex order with fresh slack, dropping relocation
   /// garbage. Called automatically when garbage exceeds half the live
   /// volume; public for tests and memory-pressure callers.
@@ -195,23 +199,43 @@ class AffinitySweep {
     std::unordered_map<VertexId, size_t> index;
   };
 
+  /// One delta record as a patch op: (bucket, support delta, affinity add),
+  /// with add = B^old − B^new computed once per record instead of once per
+  /// neighbor of its query.
+  struct PatchOp {
+    BucketId bucket;
+    int32_t sup;
+    double add;
+  };
+
   /// Reusable ApplyDeltas scratch (cleared, not reallocated, per call).
   struct PatchScratch {
-    std::vector<NeighborDelta> sorted;
+    /// [first, last) of q's run of patch ops, in emission order; {0, 0}
+    /// for clean queries between calls.
+    std::vector<std::pair<uint32_t, uint32_t>> query_records;
+    std::vector<uint64_t> dirty_bits;     ///< bit q set iff q has records
+    std::vector<VertexId> dirty_queries;  ///< queries with records
+    std::vector<PatchOp> ops;             ///< records grouped per query
+    std::vector<uint8_t> blast;           ///< per-vertex blast-radius mask
     std::vector<ShardOverflow> overflow;
     std::vector<int64_t> live_delta;
     std::vector<uint64_t> deg_prefix;  ///< Σ-degree shard-bound scratch
   };
 
-  /// Shared Build/BuildSharded tail: lays the per-vertex lists out into the
-  /// arena with fresh slack and parallel-copies them in.
-  void LayoutFromLists(const std::vector<std::vector<AffinityEntry>>& lists,
-                       ThreadPool* pool);
+  /// Shared Build/BuildSharded layout: assigns every vertex's arena offset
+  /// and slack from loc_[v].size and allocates the arena; the caller then
+  /// copies the entries in.
+  void LayoutFromSizes();
 
   /// Folds one (bucket, affinity-add, support-delta) contribution into v's
-  /// accumulator: in place while the slack lasts, else via `ovf` (the shared
-  /// arena cannot grow concurrently). Shared by ApplyDeltas and the
-  /// owner-sharded BSP patch.
+  /// arena accumulator. Returns false, changing nothing, when the delta
+  /// inserts a bucket and the accumulator has no slack left.
+  bool PatchInPlace(VertexId v, BucketId bucket, double add, int32_t sup,
+                    int64_t* live_delta);
+
+  /// PatchInPlace, or via `ovf` once v's accumulator outgrew its slack (the
+  /// shared arena cannot grow concurrently). The owner-sharded BSP patch's
+  /// per-record kernel.
   void PatchEntry(VertexId v, BucketId bucket, double add, int32_t sup,
                   ShardOverflow* ovf, int64_t* live_delta);
 
@@ -226,7 +250,6 @@ class AffinitySweep {
   uint64_t live_entries_ = 0;           ///< Σ_v loc_[v].size
   uint64_t garbage_ = 0;                ///< arena slots abandoned by relocation
   uint64_t last_build_adjacency_reads_ = 0;  ///< see accessor
-  bool deterministic_ = true;
   PatchScratch scratch_;
 };
 

@@ -131,7 +131,7 @@ class QueryNeighborData {
   /// queries whose entries changed are appended (each id once, ascending).
   /// If `deltas` is non-null, every bucket-count transition is appended as a
   /// NeighborDelta record (two per applied move × adjacent query) — the
-  /// steady-state feed of the query-major affinity sweep.
+  /// steady-state feed of the affinity sweep.
   void ApplyMoves(const BipartiteGraph& graph,
                   std::span<const VertexMove> moves, ThreadPool* pool = nullptr,
                   std::vector<VertexId>* touched_queries = nullptr,

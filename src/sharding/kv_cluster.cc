@@ -42,7 +42,7 @@ KvClusterSim::KvClusterSim(const KvClusterConfig& config,
 }
 
 void KvClusterSim::SetRecordServer(VertexId v, BucketId server) {
-  SHP_CHECK(v >= 0 && static_cast<size_t>(v) < assignment_.size())
+  SHP_CHECK(static_cast<size_t>(v) < assignment_.size())
       << "record id out of range";
   SHP_CHECK(server >= -1 && server < static_cast<BucketId>(config_.num_servers))
       << "record rehomed to nonexistent server";

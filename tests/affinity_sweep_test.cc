@@ -1,9 +1,10 @@
-// Query-major affinity sweep tests: NeighborDelta emission from ApplyMoves
-// (record chains vs before/after CountFor diffs), accumulator build/patch
-// equivalence with a fresh query-major pass, deterministic-mode thread-count
-// independence, pull-vs-push best-target consistency (tie-breaks, restricted
-// windows, empty-window fallback), and the refiner-level pull-vs-push
-// tolerance harness across all three MoveBroker strategies.
+// Affinity sweep tests: NeighborDelta emission from ApplyMoves (record
+// chains vs before/after CountFor diffs), accumulator build/patch
+// equivalence with a fresh build, bit-exact agreement of the vertex-major
+// Build/ApplyDeltas with serial query-major / record-major references for
+// every thread count, pull-vs-push best-target consistency (tie-breaks,
+// restricted windows, empty-window fallback), and the refiner-level
+// pull-vs-push tolerance harness across all three MoveBroker strategies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -352,7 +353,7 @@ TEST(AffinitySweep, DeterministicModeIsThreadCountInvariant) {
   QueryNeighborData nd1, nd4;
   nd1.Build(g, a1, &pool1);
   nd4.Build(g, a4, &pool4);
-  AffinitySweep s1(/*deterministic=*/true), s4(/*deterministic=*/true);
+  AffinitySweep s1, s4;
   s1.Build(g, nd1, pow, &pool1);
   s4.Build(g, nd4, pow, &pool4);
 
@@ -369,9 +370,256 @@ TEST(AffinitySweep, DeterministicModeIsThreadCountInvariant) {
       const auto e4 = s4.Entries(v);
       ASSERT_EQ(e1.size(), e4.size()) << "v=" << v;
       for (size_t i = 0; i < e1.size(); ++i) {
-        // Bitwise-equal floats: canonical record order makes the patched
-        // accumulators independent of the emitting/applying thread counts.
+        // Bitwise-equal floats: the fixed per-slot add order makes the
+        // patched accumulators independent of the emitting/applying thread
+        // counts.
         ASSERT_EQ(e1[i], e4[i]) << "v=" << v << " i=" << i;
+      }
+    }
+  }
+}
+
+// ------------------------------------------- bit-exact serial references
+using Accumulators = std::vector<std::vector<AffinityEntry>>;
+
+/// Pow base of the bit-exact tests. Not a power of two: with base 0.5 every
+/// contribution 1 − 0.5^c is a short dyadic fraction, its sums are exact in
+/// any order, and a reordered accumulation would go unnoticed.
+constexpr double kInexactBase = 0.7;
+
+/// Folds one (bucket, add, support-delta) contribution into a bucket-sorted
+/// list: add in place, erase at support 0, insert {b, 1, add} when absent.
+void ReferenceFold(std::vector<AffinityEntry>* list, BucketId b, double add,
+                   int32_t sup) {
+  auto it = std::lower_bound(
+      list->begin(), list->end(), b,
+      [](const AffinityEntry& e, BucketId bucket) { return e.bucket < bucket; });
+  if (it != list->end() && it->bucket == b) {
+    it->affinity += add;
+    it->support = static_cast<uint32_t>(static_cast<int64_t>(it->support) + sup);
+    if (it->support == 0) list->erase(it);
+    return;
+  }
+  ASSERT_EQ(sup, 1) << "absent entry for a non-insert record";
+  list->insert(it, {b, 1, add});
+}
+
+/// Serial query-major build: each query's contributions scattered to its
+/// data neighbors in ascending query order.
+Accumulators ReferenceBuild(const BipartiteGraph& g,
+                            const QueryNeighborData& ndata,
+                            const PowTable& pow) {
+  Accumulators acc(g.num_data());
+  for (VertexId q = 0; q < g.num_queries(); ++q) {
+    for (const BucketCount& e : ndata.Entries(q)) {
+      const double c = 1.0 - pow.Pow(e.count);
+      for (const VertexId v : g.QueryNeighbors(q)) {
+        ReferenceFold(&acc[v], e.bucket, c, 1);
+      }
+    }
+  }
+  return acc;
+}
+
+/// Records in canonical order: ascending (q, bucket), chains kept in
+/// emission order.
+std::vector<NeighborDelta> CanonicalOrder(std::vector<NeighborDelta> recs) {
+  std::stable_sort(recs.begin(), recs.end(),
+                   [](const NeighborDelta& a, const NeighborDelta& b) {
+                     return a.q != b.q ? a.q < b.q : a.bucket < b.bucket;
+                   });
+  return recs;
+}
+
+/// Serial record-major patch in canonical order.
+void ReferencePatch(const BipartiteGraph& g,
+                    const std::vector<NeighborDelta>& deltas,
+                    const PowTable& pow, Accumulators* acc) {
+  for (const NeighborDelta& rec : CanonicalOrder(deltas)) {
+    const double add = pow.Pow(rec.old_count) - pow.Pow(rec.new_count);
+    const int32_t sup = static_cast<int32_t>(rec.old_count == 0) -
+                        static_cast<int32_t>(rec.new_count == 0);
+    for (const VertexId v : g.QueryNeighbors(rec.q)) {
+      ReferenceFold(&(*acc)[v], rec.bucket, add, sup);
+    }
+  }
+}
+
+/// Entry-by-entry operator== (bitwise-equal floats), not ApproxEquals.
+testing::AssertionResult BitIdentical(const AffinitySweep& sweep,
+                                      const Accumulators& ref) {
+  if (sweep.num_vertices() != ref.size()) {
+    return testing::AssertionFailure() << "vertex count differs";
+  }
+  uint64_t total = 0;
+  for (VertexId v = 0; v < sweep.num_vertices(); ++v) {
+    const auto got = sweep.Entries(v);
+    total += ref[v].size();
+    if (!std::equal(got.begin(), got.end(), ref[v].begin(), ref[v].end())) {
+      return testing::AssertionFailure() << "v=" << v;
+    }
+  }
+  if (sweep.TotalEntries() != total) {
+    return testing::AssertionFailure() << "TotalEntries drifted";
+  }
+  return testing::AssertionSuccess();
+}
+
+/// Tallies, per vertex adjacent to a record, which patch kernel the
+/// 4·m ≥ |acc| rule selects (m = records of v's dirty queries).
+void CountKernels(const BipartiteGraph& g,
+                  const std::vector<NeighborDelta>& deltas,
+                  const Accumulators& before, uint64_t* dense,
+                  uint64_t* sparse) {
+  std::unordered_map<VertexId, uint64_t> per_query;
+  for (const NeighborDelta& rec : deltas) ++per_query[rec.q];
+  for (VertexId v = 0; v < g.num_data(); ++v) {
+    uint64_t m = 0;
+    for (const VertexId q : g.DataNeighbors(v)) {
+      const auto it = per_query.find(q);
+      if (it != per_query.end()) m += it->second;
+    }
+    if (m == 0) continue;
+    ++*(4 * m >= before[v].size() ? dense : sparse);
+  }
+}
+
+TEST(AffinitySweepBitExact, BuildMatchesSerialQueryMajorReference) {
+  const BipartiteGraph g = TestGraph(31);
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  for (const BucketId k : {2, 32, 512}) {
+    QueryNeighborData ndata;
+    ndata.Build(g, Partition::Random(g.num_data(), k, 7).assignment());
+    const Accumulators ref = ReferenceBuild(g, ndata, pow);
+    for (const size_t threads : {1, 3, 8}) {
+      ThreadPool pool(threads);
+      AffinitySweep sweep;
+      sweep.Build(g, ndata, pow, &pool);
+      EXPECT_TRUE(BitIdentical(sweep, ref))
+          << "k=" << k << " threads=" << threads;
+    }
+  }
+}
+
+TEST(AffinitySweepBitExact, ApplyDeltasMatchesSerialRecordMajorReference) {
+  // Starts fully concentrated so early rounds keep occupying new buckets:
+  // inserts exhaust the slack and relocate accumulators to the arena tail.
+  // Batch sizes cycle from a single move (few ops against wide
+  // accumulators: the binary-search kernel) to 60 moves (the dense kernel).
+  // A Compact halfway must not change what later patches produce.
+  const BipartiteGraph g = TestGraph(37);
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const size_t batches[] = {60, 1, 25, 2, 8};
+  for (const BucketId k : {2, 32, 512}) {
+    for (const size_t threads : {1, 3, 8}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " threads=" << threads);
+      ThreadPool pool(threads);
+      std::vector<BucketId> assignment(g.num_data(), 0);
+      QueryNeighborData ndata;
+      ndata.Build(g, assignment, &pool);
+      AffinitySweep sweep;
+      sweep.Build(g, ndata, pow, &pool);
+      Accumulators ref = ReferenceBuild(g, ndata, pow);
+      ASSERT_TRUE(BitIdentical(sweep, ref));
+
+      uint64_t dense = 0;
+      uint64_t sparse = 0;
+      bool relocated = false;
+      for (uint64_t round = 0; round < 30; ++round) {
+        const std::vector<VertexMove> moves = RandomBatch(
+            &assignment, k, 43 + static_cast<uint64_t>(k), round,
+            batches[round % std::size(batches)]);
+        std::vector<NeighborDelta> deltas;
+        ndata.ApplyMoves(g, moves, &pool, nullptr, &deltas);
+        CountKernels(g, deltas, ref, &dense, &sparse);
+        const uint64_t slots_before = sweep.ArenaSlots();
+        sweep.ApplyDeltas(g, deltas, pow, &pool);
+        ReferencePatch(g, deltas, pow, &ref);
+        ASSERT_TRUE(BitIdentical(sweep, ref)) << "round " << round;
+        relocated |= sweep.ArenaSlots() > slots_before;
+        if (round == 15) {
+          sweep.Compact();
+          ASSERT_TRUE(BitIdentical(sweep, ref)) << "after Compact";
+          ASSERT_EQ(sweep.ArenaSlots(),
+                    sweep.TotalEntries() + 2 * uint64_t{g.num_data()});
+        }
+      }
+      EXPECT_GT(dense, 0u);
+      if (k > 2) {  // k = 2 accumulators never outgrow their 2-slot slack
+        EXPECT_TRUE(relocated) << "no accumulator outgrew its slack";
+        EXPECT_GT(sparse, 0u);
+      }
+    }
+  }
+}
+
+TEST(AffinitySweepBitExact, HandBuiltChainsCoverBothKernels) {
+  // q0 = {0, 1, 2}; q1..q24 = {2, v} with each v in its own bucket; q25..q27
+  // = {2, a, b} with a and b sharing a bucket. Vertex 2's accumulator is 30
+  // entries wide, so its few ops per round take the binary-search kernel,
+  // while every other vertex (≤ 3 entries) takes the dense one.
+  //  - Round 1: vertex 0 leaves bucket 1 and vertex 1 enters it, so the
+  //    (q0, bucket 1) chain runs 1 → 0 → 1 — every neighbor of q0 drops its
+  //    bucket-1 entry and regains it with a fresh float in one ApplyDeltas.
+  //  - Round 2: each `a` moves to a new bucket, so vertex 2 inserts three
+  //    buckets with two slack slots: the third insert spills and relocates.
+  GraphBuilder builder;
+  builder.AddHyperedge(0, {0, 1, 2});
+  std::vector<BucketId> assignment = {1, 3, 2};
+  for (VertexId i = 0; i < 24; ++i) {
+    builder.AddHyperedge(1 + i, {2, 3 + i});
+    assignment.push_back(4 + static_cast<BucketId>(i));
+  }
+  for (VertexId j = 0; j < 3; ++j) {
+    builder.AddHyperedge(25 + j, {2, 27 + 2 * j, 28 + 2 * j});
+    assignment.insert(assignment.end(), 2, 28 + static_cast<BucketId>(j));
+  }
+  const BipartiteGraph g = builder.Build();
+  ASSERT_EQ(g.num_data(), assignment.size());
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const std::vector<VertexMove> rounds[] = {
+      {{0, 1, 0}, {1, 3, 1}},
+      {{27, 28, 40}, {29, 29, 41}, {31, 30, 42}}};
+  const uint64_t expected_dense[] = {2, 6};
+  for (const size_t threads : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    QueryNeighborData ndata;
+    ndata.Build(g, assignment, &pool);
+    AffinitySweep sweep;
+    sweep.Build(g, ndata, pow, &pool);
+    Accumulators ref = ReferenceBuild(g, ndata, pow);
+    ASSERT_EQ(sweep.Entries(2).size(), 30u);
+
+    for (size_t r = 0; r < std::size(rounds); ++r) {
+      std::vector<NeighborDelta> deltas;
+      ndata.ApplyMoves(g, rounds[r], &pool, nullptr, &deltas);
+      uint64_t dense = 0;
+      uint64_t sparse = 0;
+      CountKernels(g, deltas, ref, &dense, &sparse);
+      EXPECT_EQ(dense, expected_dense[r]) << "round " << r;
+      EXPECT_EQ(sparse, 1u) << "round " << r;
+      const uint64_t slots_before = sweep.ArenaSlots();
+      sweep.ApplyDeltas(g, deltas, pow, &pool);
+      ReferencePatch(g, deltas, pow, &ref);
+      ASSERT_TRUE(BitIdentical(sweep, ref)) << "round " << r;
+      if (r == 0) {
+        const auto chain = CanonicalOrder(deltas);
+        const auto b1 = std::find_if(
+            chain.begin(), chain.end(),
+            [](const NeighborDelta& rec) { return rec.bucket == 1; });
+        ASSERT_NE(b1, chain.end());
+        ASSERT_EQ(b1->old_count, 1u);
+        ASSERT_EQ(std::next(b1)->old_count, 0u);
+        for (const VertexId v : {0u, 1u, 2u}) {
+          const auto e = sweep.EntriesInWindow(v, 1, 2);
+          ASSERT_EQ(e.size(), 1u) << "v=" << v;
+          EXPECT_EQ(e[0].support, 1u);
+          EXPECT_EQ(e[0].affinity, 1.0 - pow.Pow(1)) << "float not reset";
+        }
+      } else {
+        EXPECT_EQ(sweep.Entries(2).size(), 33u);
+        EXPECT_GT(sweep.ArenaSlots(), slots_before) << "no relocation";
       }
     }
   }
