@@ -36,6 +36,7 @@
 #include "core/refiner.h"
 #include "core/shp_k.h"
 #include "engine/shp_bsp.h"
+#include "engine/wire_format.h"
 #include "graph/gen_powerlaw.h"
 #include "objective/gain.h"
 #include "objective/objective.h"
@@ -59,8 +60,14 @@ struct PathTiming {
 struct BspTiming {
   std::vector<double> iteration_ms;
   std::vector<uint64_t> s2_remote_bytes;
+  /// The same superstep-2 bytes with every delta-exchange superstep sized as
+  /// fixed-width NeighborDelta records (remote_messages ×
+  /// wire::kRawDeltaBytes): the yardstick the varint codec is gated
+  /// against, reported as the bsp_push / bsp_push_grouped byte series.
+  std::vector<uint64_t> fixed_width_s2_bytes;
   double mean_ms = 0.0;
   uint64_t steady_s2_bytes = 0;
+  uint64_t steady_fixed_width_s2_bytes = 0;
   /// Envelope framing overhead (header varints + CRC32C) of the steady
   /// superstep-2 exchanges — tracked as its own series, never mixed into
   /// the payload byte series, and gated at <= 4% of the varint payload.
@@ -70,6 +77,15 @@ struct BspTiming {
   /// the pull path, which never builds the affinity sweep).
   uint64_t bootstrap_adjacency_reads = 0;
 };
+
+/// A run's byte fields as fixed-width records would have put them on the
+/// wire — without the envelope, which only the varint stream carries.
+BspTiming FixedWidthView(BspTiming timing) {
+  timing.s2_remote_bytes = timing.fixed_width_s2_bytes;
+  timing.steady_s2_bytes = timing.steady_fixed_width_s2_bytes;
+  timing.steady_envelope_bytes = 0;
+  return timing;
+}
 
 }  // namespace
 
@@ -163,12 +179,11 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("bsp_workers", 4));
   auto run_bsp = [&](RefinerOptions::SweepMode mode, const MoveTopology& t,
                      const std::vector<BucketId>& start,
-                     uint64_t iteration_offset, bool varint_wire) {
+                     uint64_t iteration_offset) {
     RefinerOptions options = base_options;
     options.sweep_mode = mode;
     BspConfig config;
     config.num_workers = bsp_workers;
-    config.varint_wire = varint_wire;
     std::vector<SuperstepStats> log;
     BspRefiner refiner(graph, options, config, &log);
     Partition partition = Partition::FromAssignment(start, k);
@@ -179,11 +194,18 @@ int main(int argc, char** argv) {
           t, &partition, seed, iteration_offset + 1 + i);
       timing.iteration_ms.push_back(timer.ElapsedMillis());
       timing.delta_records += stats.num_delta_records;
-      const uint64_t s2 = log[i * 4 + 1].traffic.remote_bytes;
+      const SuperstepStats& step = log[i * 4 + 1];
+      const uint64_t s2 = step.traffic.remote_bytes;
+      const uint64_t fixed_width =
+          step.label == "2:ship-deltas+gains"
+              ? step.traffic.remote_messages * wire::kRawDeltaBytes
+              : s2;
       timing.s2_remote_bytes.push_back(s2);
+      timing.fixed_width_s2_bytes.push_back(fixed_width);
       if (i > 0) {
         timing.steady_s2_bytes += s2;
-        timing.steady_envelope_bytes += log[i * 4 + 1].envelope_bytes;
+        timing.steady_fixed_width_s2_bytes += fixed_width;
+        timing.steady_envelope_bytes += step.envelope_bytes;
       }
     }
     timing.mean_ms = std::accumulate(timing.iteration_ms.begin(),
@@ -193,18 +215,15 @@ int main(int argc, char** argv) {
         refiner.sweep().last_build_adjacency_reads();
     return std::make_pair(timing, partition.assignment());
   };
-  // The legacy bsp_pull/bsp_push series keep the raw fixed-width accounting
-  // so their steady_s2_remote_bytes trend stays comparable across history;
-  // the *_varint series gate the grouped varint codec against them.
-  const auto [bsp_pull, bsp_pull_assignment] =
-      run_bsp(RefinerOptions::SweepMode::kPull, topo, steady_start,
-              warm_iterations, /*varint_wire=*/false);
-  const auto [bsp_push, bsp_push_assignment] =
-      run_bsp(RefinerOptions::SweepMode::kPush, topo, steady_start,
-              warm_iterations, /*varint_wire=*/false);
-  const auto [bsp_push_varint, bsp_push_varint_assignment] =
-      run_bsp(RefinerOptions::SweepMode::kPush, topo, steady_start,
-              warm_iterations, /*varint_wire=*/true);
+  // The delta exchange has one wire path, the grouped varint codec: the
+  // *_varint series report its bytes, and the legacy bsp_push /
+  // bsp_push_grouped series the same run sized as fixed-width records, so
+  // their steady_s2_remote_bytes trend stays comparable across history.
+  const auto [bsp_pull, bsp_pull_assignment] = run_bsp(
+      RefinerOptions::SweepMode::kPull, topo, steady_start, warm_iterations);
+  const auto [bsp_push_varint, bsp_push_assignment] = run_bsp(
+      RefinerOptions::SweepMode::kPush, topo, steady_start, warm_iterations);
+  const BspTiming bsp_push = FixedWidthView(bsp_push_varint);
 
   // Grouped series: a final-level SHP-2 window over the same graph —
   // sibling pairs {2i, 2i+1}. Warm into the grouped steady state from the
@@ -229,13 +248,11 @@ int main(int argc, char** argv) {
   const std::vector<BucketId> grouped_start = grouped_warmup.assignment();
   const auto [bsp_pull_grouped, bsp_pull_grouped_assignment] =
       run_bsp(RefinerOptions::SweepMode::kPull, grouped_topo, grouped_start,
-              grouped_warm_iterations, /*varint_wire=*/false);
-  const auto [bsp_push_grouped, bsp_push_grouped_assignment] =
+              grouped_warm_iterations);
+  const auto [bsp_push_grouped_varint, bsp_push_grouped_assignment] =
       run_bsp(RefinerOptions::SweepMode::kPush, grouped_topo, grouped_start,
-              grouped_warm_iterations, /*varint_wire=*/false);
-  const auto [bsp_push_grouped_varint, bsp_push_grouped_varint_assignment] =
-      run_bsp(RefinerOptions::SweepMode::kPush, grouped_topo, grouped_start,
-              grouped_warm_iterations, /*varint_wire=*/true);
+              grouped_warm_iterations);
+  const BspTiming bsp_push_grouped = FixedWidthView(bsp_push_grouped_varint);
 
   if (full_assignment != incremental_assignment) {
     std::fprintf(stderr,
@@ -312,27 +329,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Varint wire format: the codec is accounting-only, so the varint run must
-  // walk the bit-identical trajectory of its raw twin, and its steady-state
-  // superstep-2 bytes must undercut the raw 16-byte records by >= 25% (the
-  // acceptance criterion; the codec lands near 3 bytes/record).
+  // Varint wire format: the steady-state superstep-2 bytes must undercut
+  // the same records sized at a fixed 16 bytes by >= 25% (the acceptance
+  // criterion; the codec lands near 3 bytes/record).
   auto gate_varint = [](const char* what, const BspTiming& raw,
-                        const BspTiming& varint,
-                        const std::vector<BucketId>& raw_assignment,
-                        const std::vector<BucketId>& varint_assignment) {
-    if (varint_assignment != raw_assignment) {
-      std::fprintf(stderr,
-                   "FAIL: %s varint wire run diverged from the raw run (the "
-                   "codec must never change the trajectory)\n",
-                   what);
-      return false;
-    }
+                        const BspTiming& varint) {
     if (raw.steady_s2_bytes > 0 &&
         varint.steady_s2_bytes >
             raw.steady_s2_bytes - raw.steady_s2_bytes / 4) {
       std::fprintf(stderr,
                    "FAIL: %s varint superstep-2 bytes %llu not >=25%% below "
-                   "raw %llu\n",
+                   "fixed-width %llu\n",
                    what,
                    static_cast<unsigned long long>(varint.steady_s2_bytes),
                    static_cast<unsigned long long>(raw.steady_s2_bytes));
@@ -340,18 +347,15 @@ int main(int argc, char** argv) {
     }
     return true;
   };
-  if (!gate_varint("full-k", bsp_push, bsp_push_varint, bsp_push_assignment,
-                   bsp_push_varint_assignment) ||
-      !gate_varint("grouped", bsp_push_grouped, bsp_push_grouped_varint,
-                   bsp_push_grouped_assignment,
-                   bsp_push_grouped_varint_assignment)) {
+  if (!gate_varint("full-k", bsp_push, bsp_push_varint) ||
+      !gate_varint("grouped", bsp_push_grouped, bsp_push_grouped_varint)) {
     return 2;
   }
 
   // Self-verifying envelope: the integrity framing must stay a rounding
-  // error — <= 4% of the steady varint payload it protects (the ISSUE
-  // budget). The raw-wire series bypass the envelope entirely, so any
-  // overhead there is a protocol leak.
+  // error — <= 4% of the steady varint payload it protects. The pull series
+  // never touch the enveloped link protocol, so any overhead there is a
+  // protocol leak.
   auto gate_envelope = [](const char* what, const BspTiming& varint) {
     if (varint.steady_s2_bytes > 0 &&
         varint.steady_envelope_bytes * 25 > varint.steady_s2_bytes) {
@@ -372,33 +376,29 @@ int main(int argc, char** argv) {
   }
   for (const auto& [name, t] :
        {std::make_pair("bsp_pull", &bsp_pull),
-        std::make_pair("bsp_push", &bsp_push),
-        std::make_pair("bsp_pull_grouped", &bsp_pull_grouped),
-        std::make_pair("bsp_push_grouped", &bsp_push_grouped)}) {
+        std::make_pair("bsp_pull_grouped", &bsp_pull_grouped)}) {
     if (t->steady_envelope_bytes != 0) {
       std::fprintf(stderr,
-                   "FAIL: raw-wire series %s reported %llu envelope bytes "
-                   "(the reference switch must bypass the envelope)\n",
+                   "FAIL: pull series %s reported %llu envelope bytes (the "
+                   "full reship must bypass the link protocol)\n",
                    name,
                    static_cast<unsigned long long>(t->steady_envelope_bytes));
       return 2;
     }
   }
 
-  // One-pass sharded bootstrap: the push-mode engines build the affinity
+  // One-pass sharded bootstrap: the push-mode engine builds the affinity
   // sweep once at iteration 0; the binned bootstrap reads each adjacency pin
   // exactly once regardless of the worker count (the old layout read W×|E|).
-  for (const BspTiming* t : {&bsp_push, &bsp_push_varint}) {
-    if (t->bootstrap_adjacency_reads != graph.num_edges()) {
-      std::fprintf(stderr,
-                   "FAIL: sharded bootstrap read %llu adjacency pins, "
-                   "expected exactly |E| = %llu (W=%d)\n",
-                   static_cast<unsigned long long>(
-                       t->bootstrap_adjacency_reads),
-                   static_cast<unsigned long long>(graph.num_edges()),
-                   bsp_workers);
-      return 2;
-    }
+  if (bsp_push.bootstrap_adjacency_reads != graph.num_edges()) {
+    std::fprintf(stderr,
+                 "FAIL: sharded bootstrap read %llu adjacency pins, expected "
+                 "exactly |E| = %llu (W=%d)\n",
+                 static_cast<unsigned long long>(
+                     bsp_push.bootstrap_adjacency_reads),
+                 static_cast<unsigned long long>(graph.num_edges()),
+                 bsp_workers);
+    return 2;
   }
   const double bootstrap_passes =
       static_cast<double>(bsp_push.bootstrap_adjacency_reads) /
@@ -487,7 +487,7 @@ int main(int argc, char** argv) {
       static_cast<double>(
           std::max<uint64_t>(1, bsp_push_varint.steady_s2_bytes));
   std::printf("bsp varint   : %.3f ms/iteration (steady S2 %llu remote bytes "
-              "— %.2fx below raw delta records)\n",
+              "— %.2fx below fixed-width records)\n",
               bsp_push_varint.mean_ms,
               static_cast<unsigned long long>(bsp_push_varint.steady_s2_bytes),
               varint_reduction);
@@ -540,7 +540,7 @@ int main(int argc, char** argv) {
       static_cast<double>(
           std::max<uint64_t>(1, bsp_push_grouped_varint.steady_s2_bytes));
   std::printf("bsp grouped varint: %.3f ms/iteration (steady S2 %llu remote "
-              "bytes — %.2fx below raw)\n",
+              "bytes — %.2fx below fixed-width)\n",
               bsp_push_grouped_varint.mean_ms,
               static_cast<unsigned long long>(
                   bsp_push_grouped_varint.steady_s2_bytes),

@@ -11,9 +11,9 @@
 // (free in Giraph: "replaced with a read from the local memory") from remote
 // ones, which is exactly the quantity the paper's communication-complexity
 // analysis bounds. Payloads are caller-defined; the steady-state refinement
-// supersteps route fixed-width delta records (superstep 1 bucket deltas,
-// superstep 2 NeighborDelta records) rather than variable-length state, so
-// wire volume is O(moved pins) per §3.3.
+// supersteps route delta records (superstep 1 bucket deltas, superstep 2
+// NeighborDelta records) rather than variable-length state, so wire volume
+// is O(moved pins) per §3.3.
 #pragma once
 
 #include <cstdint>
@@ -144,62 +144,27 @@ class MessageRouter {
   /// Tallies traffic (counting `bytes_per_message` for remote ones), then
   /// clears all buffers. Call once per superstep after consumption.
   RouteStats CollectAndClear(size_t bytes_per_message) {
-    return CollectAndClearSized(
-        [bytes_per_message](const Message&) { return bytes_per_message; });
+    return CollectAndClearPerLink(
+        [bytes_per_message](int, int, const std::vector<Message>& buffer) {
+          return buffer.size() * bytes_per_message;
+        });
   }
 
   /// Variable-size variant: `size_of(msg)` gives each message's wire bytes.
   template <typename SizeFn>
   RouteStats CollectAndClearSized(const SizeFn& size_of) {
-    RouteStats stats;
-    for (int src = 0; src < num_workers_; ++src) {
-      for (int dst = 0; dst < num_workers_; ++dst) {
-        const auto& buffer = buffers_[Index(src, dst)];
-        if (src == dst) {
-          stats.local_messages += buffer.size();
-          continue;
-        }
-        stats.remote_messages += buffer.size();
-        uint64_t bytes = 0;
-        for (const Message& m : buffer) bytes += size_of(m);
-        stats.remote_bytes += bytes;
-        out_bytes_[static_cast<size_t>(src)] += bytes;
-        in_bytes_[static_cast<size_t>(dst)] += bytes;
-      }
-    }
-    for (auto& buffer : buffers_) buffer.clear();
-    return stats;
-  }
-
-  /// Whole-buffer variant: `bytes_of(buffer)` gives the wire bytes of one
-  /// remote (src, dst) buffer as a unit — for codecs with cross-message
-  /// framing (the grouped delta format shares group headers and delta chains
-  /// across records, so per-message sizing cannot express it).
-  template <typename BufferSizeFn>
-  RouteStats CollectAndClearBuffered(const BufferSizeFn& bytes_of) {
-    RouteStats stats;
-    for (int src = 0; src < num_workers_; ++src) {
-      for (int dst = 0; dst < num_workers_; ++dst) {
-        const auto& buffer = buffers_[Index(src, dst)];
-        if (src == dst) {
-          stats.local_messages += buffer.size();
-          continue;
-        }
-        stats.remote_messages += buffer.size();
-        const uint64_t bytes = bytes_of(buffer);
-        stats.remote_bytes += bytes;
-        out_bytes_[static_cast<size_t>(src)] += bytes;
-        in_bytes_[static_cast<size_t>(dst)] += bytes;
-      }
-    }
-    for (auto& buffer : buffers_) buffer.clear();
-    return stats;
+    return CollectAndClearPerLink(
+        [&size_of](int, int, const std::vector<Message>& buffer) {
+          uint64_t bytes = 0;
+          for (const Message& m : buffer) bytes += size_of(m);
+          return bytes;
+        });
   }
 
   /// Per-link variant: `bytes_of(src, dst, buffer)` gives the wire bytes of
-  /// one remote buffer. Used when the bytes were already determined during
-  /// the (enveloped) transfer — the accounting then replays the recorded
-  /// per-link sizes instead of re-encoding every buffer.
+  /// one remote buffer as a unit — for codecs whose framing spans messages
+  /// (the grouped delta format shares group headers and delta chains across
+  /// records), or when the transfer already measured each link.
   template <typename LinkSizeFn>
   RouteStats CollectAndClearPerLink(const LinkSizeFn& bytes_of) {
     RouteStats stats;

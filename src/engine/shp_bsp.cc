@@ -1,6 +1,7 @@
 #include "engine/shp_bsp.h"
 
 #include <algorithm>
+#include <numeric>
 #include <span>
 #include <type_traits>
 #include <unordered_map>
@@ -40,6 +41,11 @@ VertexId QueryOfKey(uint64_t key) { return static_cast<VertexId>(key >> 32); }
 
 BucketId BucketOfKey(uint64_t key) {
   return static_cast<BucketId>(static_cast<uint32_t>(key));
+}
+
+/// Adds one phase's per-worker work units into a superstep's tally.
+void AddWork(const std::vector<uint64_t>& work, SuperstepStats* superstep) {
+  for (size_t w = 0; w < work.size(); ++w) superstep->work_units[w] += work[w];
 }
 
 }  // namespace
@@ -125,145 +131,157 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   SHP_CHECK_EQ(partition->num_data(), graph_.num_data());
   if (pool == nullptr) pool = &GlobalThreadPool();
   const int W = config_.num_workers;
-  const uint64_t base_superstep =
-      log_ == nullptr ? 0 : static_cast<uint64_t>(log_->size());
-  IterationStats stats;
-
+  RoundState round;
   // Protocol epoch: the engine's own monotonic counter. The caller's
   // `iteration` parameter restarts under recursion drivers, so it cannot key
   // the wire protocol or the fault schedule.
-  const uint64_t epoch = epoch_++;
-
-  // Worker kill at the superstep boundary: the worker's query replicas are
-  // rebuilt from the authoritative partition state its queries last saw, and
-  // every derived structure (accumulator replicas, cached proposals,
-  // histograms) is re-bootstrapped below. Before the first iteration there
-  // is no state to lose — a kill at epoch 0 is a no-op.
-  std::vector<uint64_t> recovery_work(static_cast<size_t>(W), 0);
-  if (!injector_.empty() && state_valid_) {
-    for (int w = 0; w < W; ++w) {
-      if (!injector_.KillsWorker(epoch, w)) continue;
-      recovery_work[static_cast<size_t>(w)] = RecoverKilledWorker(w);
-      sweep_valid_ = false;
-      proposals_valid_ = false;
-      hist_valid_ = false;
-      ++stats.workers_recovered;
-      ++counters_.workers_recovered;
-    }
-  }
-
-  // Links still in backoff at this epoch force degraded (full-reship) mode.
-  uint64_t backoff_links = 0;
-  for (const uint64_t until : link_backoff_until_) {
-    if (until > epoch) ++backoff_links;
-  }
-  stats.degraded_links = backoff_links;
-
+  round.epoch = epoch_++;
   // Superstep-2 exchange mode: delta exchange + push sweep needs only a
   // nonzero pow base (same support condition as the threaded Refiner) —
   // grouped recursion windows run the same record exchange and scan the
   // group-restricted accumulator view, so SHP-2/r levels also ship O(moved
   // pins). The mode is constant per engine instance (options and pow base
   // are fixed at construction).
-  const bool push =
-      options_.sweep_mode != RefinerOptions::SweepMode::kPull &&
-      gain_.SupportsPush();
-  stats.push_sweep = push;
-  // Pull scans read each query's neighbor data from its replica.
-  const auto replicas = [this](VertexId q) {
-    return std::span<const BucketCount>(query_ndata_[q]);
-  };
+  round.push = options_.sweep_mode != RefinerOptions::SweepMode::kPull &&
+               gain_.SupportsPush();
+  round.stats.push_sweep = round.push;
+  const uint64_t base_superstep =
+      log_ == nullptr ? 0 : static_cast<uint64_t>(log_->size());
+  SuperstepStats* const supersteps[] = {&round.s1, &round.s2, &round.s3,
+                                        &round.s4};
+  for (uint64_t i = 0; i < 4; ++i) {
+    supersteps[i]->superstep = base_superstep + i;
+    supersteps[i]->work_units.assign(static_cast<size_t>(W), 0);
+  }
 
-  // ---------------------------------------------------------------- S1 ---
+  // Worker kill at the superstep boundary: the worker's query replicas are
+  // rebuilt from the authoritative partition state its queries last saw
+  // (charged to its superstep-1 work), and every derived structure
+  // (accumulator replicas, cached proposals, histograms) is re-bootstrapped
+  // below. Before the first iteration there is no state to lose — a kill at
+  // epoch 0 is a no-op.
+  if (!injector_.empty() && state_valid_) {
+    for (int w = 0; w < W; ++w) {
+      if (!injector_.KillsWorker(round.epoch, w)) continue;
+      round.s1.work_units[static_cast<size_t>(w)] += RecoverKilledWorker(w);
+      sweep_valid_ = false;
+      proposals_valid_ = false;
+      hist_valid_ = false;
+      ++round.stats.workers_recovered;
+      ++counters_.workers_recovered;
+    }
+  }
+  // Links still in backoff at this epoch force degraded (full-reship) mode.
+  for (const uint64_t until : link_backoff_until_) {
+    if (until > round.epoch) ++round.stats.degraded_links;
+  }
+
+  AnnounceAndFold(*partition, pool, &round);
+  // Cached proposals also depend on the topology and the anchor.
+  if (!context_.Matches(topo, anchor, anchor_penalty)) {
+    context_.Snapshot(topo, anchor, anchor_penalty);
+    proposals_valid_ = false;
+  }
+  ExchangeNeighborData(topo, round.stats.degraded_links > 0, pool, &round);
+  ProposeMoves(topo, *partition, anchor, anchor_penalty, pool, &round);
+  const auto histograms = UploadHistograms(*partition, pool, &round);
+  DrawAndExecute(topo, histograms, seed, iteration, partition, pool, &round);
+
+  if (log_ != nullptr) {
+    for (SuperstepStats* s : supersteps) log_->push_back(std::move(*s));
+  }
+  MaybeCheckpoint(round.epoch, round.stats, *partition);
+  // Epoch boundary: everything of this iteration — moves, repair,
+  // checkpoint — is committed; external observers (the serving loop's
+  // migration bookkeeping) hook in here.
+  if (config_.on_epoch_end) {
+    config_.on_epoch_end(round.epoch, round.stats.num_moved);
+  }
+  return round.stats;
+}
+
+bool BspRefiner::Announce(int w, VertexId v, BucketId now, uint64_t* work) {
+  const BucketId before = known_assignment_[v];
+  if (now == before) return false;
+  for (VertexId q : graph_.DataNeighbors(v)) {
+    const int dst = sharding_.QueryWorker(q);
+    if (before >= 0) {
+      --s1_combiner_.Slot(w, dst, PackQueryBucket(q, before));
+    }
+    ++s1_combiner_.Slot(w, dst, PackQueryBucket(q, now));
+    *work += 2;
+  }
+  known_assignment_[v] = now;
+  return true;
+}
+
+void BspRefiner::AnnounceAndFold(const Partition& partition, ThreadPool* pool,
+                                 RoundState* round) {
+  const int W = config_.num_workers;
+  SuperstepStats& s1 = round->s1;
+  s1.label = "1:collect-neighbor-data";
+  MessageRouter<BucketDeltaMsg> router(W);
+  s1_combiner_.Reset(W);
+  for (auto& records : s1_records_) records.clear();
+
   // data -> query: bucket deltas from vertices whose bucket differs from
   // what their queries last saw. Steady state announces only last round's
   // net movers (the compact pending list); the O(n) per-vertex diff scan
   // runs only on the first iteration or when the partition was mutated
   // behind our back (detected below, never assumed — the diff scan then
   // self-heals the replicas).
-  MessageRouter<BucketDeltaMsg> router1(W);
-  s1_combiner_.Reset(W);
-  for (int w = 0; w < W; ++w) s1_records_[static_cast<size_t>(w)].clear();
-
-  bool full_scan = !state_valid_;
-  std::vector<uint64_t> s1_send_work(static_cast<size_t>(W), 0);
-  if (!full_scan) {
-    s1_send_work = RunPhase(W, pool, [&](int w) -> uint64_t {
+  round->full_scan = !state_valid_;
+  if (!round->full_scan) {
+    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       for (const VertexMove& m : pending_announce_) {
         if (data_owner_[m.v] != w) continue;
-        const BucketId before = known_assignment_[m.v];
-        const BucketId now = partition->bucket_of(m.v);
-        if (now == before) continue;
-        for (VertexId q : graph_.DataNeighbors(m.v)) {
-          const int dst = sharding_.QueryWorker(q);
-          if (before >= 0) {
-            --s1_combiner_.Slot(w, dst, PackQueryBucket(q, before));
-          }
-          ++s1_combiner_.Slot(w, dst, PackQueryBucket(q, now));
-          work += 2;
-        }
-        known_assignment_[m.v] = now;
+        Announce(w, m.v, partition.bucket_of(m.v), &work);
       }
       return work;
-    });
+    }), &s1);
     // Driver-level replica guard (int compare, not simulated work): after
     // folding the pending moves, anything still differing means the caller
     // mutated the partition externally.
-    if (known_assignment_ != partition->assignment()) full_scan = true;
+    if (known_assignment_ != partition.assignment()) round->full_scan = true;
   }
-  if (full_scan) {
-    std::vector<uint64_t> diff_changed(static_cast<size_t>(W), 0);
-    const std::vector<uint64_t> diff_work =
-        RunPhase(W, pool, [&](int w) -> uint64_t {
-          uint64_t work = 0;
-          uint64_t changed = 0;
-          for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-            const BucketId now = partition->bucket_of(v);
-            const BucketId before = known_assignment_[v];
-            if (now == before) continue;
-            ++changed;
-            for (VertexId q : graph_.DataNeighbors(v)) {
-              const int dst = sharding_.QueryWorker(q);
-              if (before >= 0) {
-                --s1_combiner_.Slot(w, dst, PackQueryBucket(q, before));
-              }
-              ++s1_combiner_.Slot(w, dst, PackQueryBucket(q, now));
-              work += 2;
-            }
-            known_assignment_[v] = now;
-          }
-          diff_changed[static_cast<size_t>(w)] = changed;
-          return work;
-        });
-    uint64_t total_changed = 0;
-    for (int w = 0; w < W; ++w) {
-      s1_send_work[static_cast<size_t>(w)] +=
-          diff_work[static_cast<size_t>(w)];
-      total_changed += diff_changed[static_cast<size_t>(w)];
-    }
+  if (round->full_scan) {
+    std::vector<uint64_t> changed(static_cast<size_t>(W), 0);
+    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
+      uint64_t work = 0;
+      for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
+        if (Announce(w, v, partition.bucket_of(v), &work)) {
+          ++changed[static_cast<size_t>(w)];
+        }
+      }
+      return work;
+    }), &s1);
+    const uint64_t total_changed =
+        std::accumulate(changed.begin(), changed.end(), uint64_t{0});
     if (sweep_valid_ &&
         static_cast<double>(total_changed) >
             options_.incremental_rebuild_fraction *
                 static_cast<double>(graph_.num_data())) {
       // External-mutation churn guard (same cost rule as the post-move
-      // fallback below): with this many externally changed vertices the
-      // diff records outweigh a full reship, so drop the replicas now —
-      // the fold then skips emission and superstep 2 re-bootstraps.
+      // fallback in superstep 4): with this many externally changed
+      // vertices the diff records outweigh a full reship, so drop the
+      // replicas now — the fold then skips emission and superstep 2
+      // re-bootstraps.
       sweep_valid_ = false;
     }
     proposals_valid_ = false;
     hist_valid_ = false;
   }
   pending_announce_.clear();
+  round->stats.full_rebuild = round->full_scan;
 
   // Flush each source row of the combiner onto the wire.
   RunPhase(W, pool, [&](int w) -> uint64_t {
     for (int dst = 0; dst < W; ++dst) {
       for (const auto& [key, delta] : s1_combiner_.Cell(w, dst)) {
         if (delta == 0) continue;
-        router1.Send(w, dst,
-                     BucketDeltaMsg{QueryOfKey(key), BucketOfKey(key), delta});
+        router.Send(w, dst,
+                    BucketDeltaMsg{QueryOfKey(key), BucketOfKey(key), delta});
       }
     }
     return 0;
@@ -275,80 +293,70 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // (query, bucket) first, so each query's records come out contiguous (for
   // the grouped send) and the fold order does not depend on the message
   // arrival interleaving.
-  std::vector<uint64_t> s1_recv_work =
-      RunPhase(W, pool, [&](int w) -> uint64_t {
-        uint64_t work = 0;
-        std::vector<BucketDeltaMsg>& sorted =
-            s1_sorted_[static_cast<size_t>(w)];
-        sorted.clear();
-        for (int src = 0; src < W; ++src) {
-          const auto& in = router1.Incoming(src, w);
-          sorted.insert(sorted.end(), in.begin(), in.end());
-        }
-        std::stable_sort(sorted.begin(), sorted.end(),
-                         [](const BucketDeltaMsg& a, const BucketDeltaMsg& b) {
-                           if (a.query != b.query) return a.query < b.query;
-                           return a.bucket < b.bucket;
-                         });
-        // Records are only worth emitting when valid accumulator replicas
-        // will consume them; after a high-churn round the replicas were
-        // dropped and superstep 2 re-bootstraps instead.
-        std::vector<NeighborDelta>* emit =
-            push && sweep_valid_ ? &s1_records_[static_cast<size_t>(w)]
-                                 : nullptr;
-        for (const BucketDeltaMsg& m : sorted) {
-          auto& entries = query_ndata_[m.query];
-          auto it = std::lower_bound(
-              entries.begin(), entries.end(), m.bucket,
-              [](const BucketCount& e, BucketId b) { return e.bucket < b; });
-          const uint32_t old_count =
-              it != entries.end() && it->bucket == m.bucket ? it->count : 0;
-          const int64_t next = static_cast<int64_t>(old_count) + m.delta;
-          SHP_DCHECK(next >= 0);
-          const uint32_t new_count = static_cast<uint32_t>(next);
-          if (old_count != 0 && new_count == 0) {
-            entries.erase(it);
-          } else if (old_count != 0) {
-            it->count = new_count;
-          } else {
-            SHP_DCHECK(m.delta > 0);
-            entries.insert(it, {m.bucket, new_count});
-          }
-          if (emit != nullptr) {
-            emit->push_back({m.query, m.bucket, old_count, new_count});
-          }
-          query_dirty_[m.query] = 1;
-          ++work;
-        }
-        return work;
-      });
+  AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
+    uint64_t work = 0;
+    std::vector<BucketDeltaMsg>& sorted = s1_sorted_[static_cast<size_t>(w)];
+    sorted.clear();
+    for (int src = 0; src < W; ++src) {
+      const auto& in = router.Incoming(src, w);
+      sorted.insert(sorted.end(), in.begin(), in.end());
+    }
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const BucketDeltaMsg& a, const BucketDeltaMsg& b) {
+                       if (a.query != b.query) return a.query < b.query;
+                       return a.bucket < b.bucket;
+                     });
+    // Records are only worth emitting when valid accumulator replicas
+    // will consume them; after a high-churn round the replicas were
+    // dropped and superstep 2 re-bootstraps instead.
+    std::vector<NeighborDelta>* emit =
+        round->push && sweep_valid_ ? &s1_records_[static_cast<size_t>(w)]
+                                    : nullptr;
+    for (const BucketDeltaMsg& m : sorted) {
+      auto& entries = query_ndata_[m.query];
+      auto it = std::lower_bound(
+          entries.begin(), entries.end(), m.bucket,
+          [](const BucketCount& e, BucketId b) { return e.bucket < b; });
+      const uint32_t old_count =
+          it != entries.end() && it->bucket == m.bucket ? it->count : 0;
+      const int64_t next = static_cast<int64_t>(old_count) + m.delta;
+      SHP_DCHECK(next >= 0);
+      const uint32_t new_count = static_cast<uint32_t>(next);
+      if (old_count != 0 && new_count == 0) {
+        entries.erase(it);
+      } else if (old_count != 0) {
+        it->count = new_count;
+      } else {
+        SHP_DCHECK(m.delta > 0);
+        entries.insert(it, {m.bucket, new_count});
+      }
+      if (emit != nullptr) {
+        emit->push_back({m.query, m.bucket, old_count, new_count});
+      }
+      query_dirty_[m.query] = 1;
+      ++work;
+    }
+    return work;
+  }), &s1);
+  s1.traffic = router.CollectAndClear(sizeof(BucketDeltaMsg));
+  for (const auto& records : s1_records_) {
+    round->stats.num_delta_records += records.size();
+  }
 
   // Records are emitted exactly when push && sweep_valid_ — superstep 2
   // then patches the accumulator replicas with them. The exchange mode is
-  // constant per instance and grouped rounds now emit too, so a fold can
-  // no longer change query replicas behind valid accumulators: sweep_valid_
-  // implies push, and an invalid sweep re-bootstraps below. (A pull-mode
+  // constant per instance and grouped rounds emit too, so a fold can never
+  // change query replicas behind valid accumulators: sweep_valid_ implies
+  // push, and an invalid sweep re-bootstraps in superstep 2. (A pull-mode
   // instance never builds replicas in the first place.)
-  SHP_DCHECK(!sweep_valid_ || push);
-
-  SuperstepStats s1;
-  s1.label = "1:collect-neighbor-data";
-  s1.superstep = base_superstep;
-  s1.traffic = router1.CollectAndClear(sizeof(BucketDeltaMsg));
-  s1.work_units.resize(static_cast<size_t>(W));
-  for (int w = 0; w < W; ++w) {
-    s1.work_units[static_cast<size_t>(w)] =
-        s1_send_work[static_cast<size_t>(w)] +
-        s1_recv_work[static_cast<size_t>(w)] +
-        recovery_work[static_cast<size_t>(w)];
-  }
+  SHP_DCHECK(!sweep_valid_ || round->push);
 
 #ifndef NDEBUG
   {
     // The delta-patched query replicas must be bit-identical to a rebuild
     // from the current assignment.
     QueryNeighborData fresh;
-    fresh.Build(graph_, partition->assignment(), pool);
+    fresh.Build(graph_, partition.assignment(), pool);
     for (VertexId q = 0; q < graph_.num_queries(); ++q) {
       const auto span = fresh.Entries(q);
       SHP_CHECK(span.size() == query_ndata_[q].size() &&
@@ -357,42 +365,45 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     }
   }
 #endif
+}
 
-  // ---------------------------------------------------------------- S2 ---
-  const bool context_ok = context_.Matches(topo, anchor, anchor_penalty);
-  if (!context_ok) context_.Snapshot(topo, anchor, anchor_penalty);
-  // Enveloped wire path: under the grouped varint codec every remote delta
-  // buffer crosses the fabric as one self-verifying frame through the fault
-  // injector, and the receiver consumes the decoded records. The raw
-  // reference switch (varint_wire = false) keeps the in-memory exchange.
-  const bool enveloped = push && config_.varint_wire;
+void BspRefiner::MarkDestinations(VertexId q,
+                                  std::vector<uint8_t>* mask) const {
+  std::fill(mask->begin(), mask->end(), 0);
+  for (VertexId v : graph_.QueryNeighbors(q)) {
+    (*mask)[static_cast<size_t>(data_owner_[v])] = 1;
+  }
+}
+
+uint64_t BspRefiner::MarkForRecompute(int w,
+                                      std::span<const VertexId> vertices) {
+  uint64_t marked = 0;
+  for (VertexId v : vertices) {
+    if (data_owner_[v] != w || recompute_[v]) continue;
+    recompute_[v] = 1;
+    recompute_lists_[static_cast<size_t>(w)].push_back(v);
+    ++marked;
+  }
+  return marked;
+}
+
+void BspRefiner::ExchangeNeighborData(const MoveTopology& topo, bool degraded,
+                                      ThreadPool* pool, RoundState* round) {
+  const int W = config_.num_workers;
+  SuperstepStats& s2 = round->s2;
   // Degraded mode: while any link is in backoff the delta exchange stays
   // suspended — full-reship bootstraps (which bypass the link protocol)
   // until the backoff expires.
-  const bool degraded = enveloped && backoff_links > 0;
-  bool bootstrap = push && (!sweep_valid_ || degraded);
+  round->bootstrap = round->push && (!sweep_valid_ || degraded);
 
-  stats.full_rebuild = full_scan;
-  for (int w = 0; w < W; ++w) {
-    stats.num_delta_records += s1_records_[static_cast<size_t>(w)].size();
-  }
-
-  // Routers for both exchange flavors (only one carries traffic per mode).
-  MessageRouter<NeighborDataMsg> router2(W);
-  MessageRouter<NeighborDelta> router2d(W);
-  std::vector<uint64_t> s2_send_work(static_cast<size_t>(W), 0);
-  std::vector<uint64_t> s2_recv_work(static_cast<size_t>(W), 0);
-  std::vector<uint64_t> s2_patch_work(static_cast<size_t>(W), 0);
-  SuperstepStats s2;
-
-  bool transfer_ran = false;
-  if (push && !bootstrap) {
+  if (round->push && !round->bootstrap) {
     // Delta-exchange send: each dirty query's owner ships the sparse
     // NeighborDelta records produced while folding superstep 1 — O(delta
     // records × touched workers) on the wire, not O(Σ deg(dirty q) ×
     // touched workers). Records are grouped by query (the fold sorted
     // them), so the destination mask is computed once per query.
-    s2_send_work = RunPhase(W, pool, [&](int w) -> uint64_t {
+    MessageRouter<NeighborDelta> router(W);
+    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       std::vector<uint8_t> dst_mask(static_cast<size_t>(W));
       const std::vector<NeighborDelta>& records =
@@ -401,59 +412,60 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
       while (i < records.size()) {
         size_t j = i;
         while (j < records.size() && records[j].q == records[i].q) ++j;
-        const VertexId q = records[i].q;
-        std::fill(dst_mask.begin(), dst_mask.end(), 0);
-        for (VertexId v : graph_.QueryNeighbors(q)) {
-          dst_mask[static_cast<size_t>(data_owner_[v])] = 1;
-        }
+        MarkDestinations(records[i].q, &dst_mask);
         for (int dst = 0; dst < W; ++dst) {
           if (!dst_mask[static_cast<size_t>(dst)]) continue;
-          for (size_t r = i; r < j; ++r) router2d.Send(w, dst, records[r]);
+          for (size_t r = i; r < j; ++r) router.Send(w, dst, records[r]);
           work += j - i;
         }
         i = j;
       }
       return work;
-    });
-    if (enveloped) {
-      // Enveloped transfer: encode, frame, deliver (through the injector,
-      // with bounded same-sequence retransmission), verify, decode into
-      // s2_inbox_. A link that exhausts its retries is unrecoverable this
-      // epoch — the recovery action is the same replica invalidation +
-      // full-reship the churn guard uses, taken in this same iteration.
-      transfer_ran = true;
-      if (!TransferEnveloped(epoch, router2d, &s2, &stats)) {
-        sweep_valid_ = false;
-        bootstrap = true;
-        ++stats.reship_recoveries;
-        ++counters_.reship_recoveries;
-      }
+    }), &s2);
+    // Enveloped transfer: encode, frame, deliver (through the injector,
+    // with bounded same-sequence retransmission), verify, decode into
+    // s2_inbox_. A link that exhausts its retries is unrecoverable this
+    // epoch — the recovery action is the same replica invalidation +
+    // full-reship the churn guard uses, taken in this same iteration.
+    if (!TransferEnveloped(round->epoch, router, &s2, &round->stats)) {
+      sweep_valid_ = false;
+      round->bootstrap = true;
+      ++round->stats.reship_recoveries;
+      ++counters_.reship_recoveries;
     }
+    // The payload byte series counts exactly the grouped varint stream of
+    // each (src, dst) buffer, which the transfer recorded per link; the
+    // envelope framing is tracked separately in s2.envelope_bytes so the
+    // series stays comparable across the protocol change.
+    s2.traffic += router.CollectAndClearPerLink(
+        [this](int src, int dst, const std::vector<NeighborDelta>&) {
+          return link_payload_bytes_[LinkIndex(src, dst)];
+        });
   }
 
-  if (bootstrap) ++num_bootstraps_;
-  const bool recompute_all =
-      full_scan || !proposals_valid_ || !context_ok || bootstrap;
-  for (int w = 0; w < W; ++w) recompute_lists_[static_cast<size_t>(w)].clear();
-  if (!push && recompute_all) {
+  if (round->bootstrap) ++num_bootstraps_;
+  round->recompute_all =
+      round->full_scan || !proposals_valid_ || round->bootstrap;
+  for (auto& list : recompute_lists_) list.clear();
+  if (!round->push && round->recompute_all) {
     // The pull path's data-side caches hold topology-restricted lists; a
     // context change may activate buckets they never received, so charge a
     // full reship (on iteration 0 every query is dirty anyway).
     std::fill(query_dirty_.begin(), query_dirty_.end(), 1);
   }
 
-  if (!push || bootstrap) {
+  if (!round->push || round->bootstrap) {
     // Full-reship send: dirty queries ship their topology-relevant neighbor
     // data, one combined message per destination worker. The delta-exchange
     // bootstrap charges the same volume — the accumulator replicas are built
-    // from exactly this shipment. (Accumulated, not assigned: a failed
-    // enveloped exchange earlier this iteration already charged its send.)
-    const std::vector<uint64_t> reship_send_work =
-        RunPhase(W, pool, [&](int w) -> uint64_t {
+    // from exactly this shipment. (Added to, not replacing, a failed
+    // enveloped exchange's send charge earlier this iteration.)
+    MessageRouter<NeighborDataMsg> router(W);
+    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       std::vector<uint8_t> dst_mask(static_cast<size_t>(W));
       for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
-        if (!query_dirty_[q] && !bootstrap) continue;
+        if (!query_dirty_[q] && !round->bootstrap) continue;
         // Pull mode restricts to buckets active in this topology (recursion
         // sends "at most r values" per §3.3). A delta-exchange bootstrap
         // ships the *full* lists instead: the accumulator replicas it seeds
@@ -462,67 +474,45 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
         std::vector<BucketCount> restricted;
         restricted.reserve(query_ndata_[q].size());
         for (const BucketCount& e : query_ndata_[q]) {
-          if (bootstrap ||
+          if (round->bootstrap ||
               topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0) {
             restricted.push_back(e);
           }
         }
         if (restricted.empty()) continue;
-        std::fill(dst_mask.begin(), dst_mask.end(), 0);
-        for (VertexId v : graph_.QueryNeighbors(q)) {
-          dst_mask[static_cast<size_t>(data_owner_[v])] = 1;
-        }
+        MarkDestinations(q, &dst_mask);
         for (int dst = 0; dst < W; ++dst) {
           if (!dst_mask[static_cast<size_t>(dst)]) continue;
-          router2.Send(w, dst, NeighborDataMsg{q, restricted});
+          router.Send(w, dst, NeighborDataMsg{q, restricted});
           work += restricted.size();
         }
       }
       return work;
-    });
-    for (int w = 0; w < W; ++w) {
-      s2_send_work[static_cast<size_t>(w)] +=
-          reship_send_work[static_cast<size_t>(w)];
-    }
-    // Receive: mark data vertices adjacent to dirty queries — plus last
-    // round's movers, whose own `from` changed even if every adjacent count
-    // delta cancelled — for proposal recomputation (unused on a
-    // recompute-all pass).
-    s2_recv_work = RunPhase(W, pool, [&](int w) -> uint64_t {
+    }), &s2);
+    // Receive: mark data vertices adjacent to dirty queries for proposal
+    // recomputation (unused on a recompute-all pass). The marks are not
+    // charged here: the message's entries already are.
+    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       for (int src = 0; src < W; ++src) {
-        for (const NeighborDataMsg& m : router2.Incoming(src, w)) {
-          if (!recompute_all) {
-            for (VertexId v : graph_.QueryNeighbors(m.query)) {
-              if (data_owner_[v] == w && !recompute_[v]) {
-                recompute_[v] = 1;
-                recompute_lists_[static_cast<size_t>(w)].push_back(v);
-              }
-            }
+        for (const NeighborDataMsg& m : router.Incoming(src, w)) {
+          if (!round->recompute_all) {
+            MarkForRecompute(w, graph_.QueryNeighbors(m.query));
           }
           work += m.entries.size();
         }
       }
-      if (!recompute_all) {
-        for (VertexId v : last_movers_) {
-          if (data_owner_[v] == w && !recompute_[v]) {
-            recompute_[v] = 1;
-            recompute_lists_[static_cast<size_t>(w)].push_back(v);
-            ++work;
-          }
-        }
-      }
       return work;
+    }), &s2);
+    s2.traffic += router.CollectAndClearSized([](const NeighborDataMsg& m) {
+      return sizeof(VertexId) + m.entries.size() * sizeof(BucketCount);
     });
-    if (bootstrap) {
+    if (round->bootstrap) {
       // Build each data worker's accumulator replica from the shipment, one
       // query-major pass over its own shard.
-      const std::vector<uint64_t> build_work = sweep_.BuildSharded(
-          graph_, replicas, gain_.pow_table(), data_owner_, W, pool);
-      for (int w = 0; w < W; ++w) {
-        s2_patch_work[static_cast<size_t>(w)] =
-            build_work[static_cast<size_t>(w)];
-      }
+      AddWork(sweep_.BuildSharded(graph_, QueryReplicas(), gain_.pow_table(),
+                                  data_owner_, W, pool),
+              &s2);
       sweep_valid_ = true;
       // The reship bypasses the enveloped link protocol, so it doubles as
       // the protocol resync point: receive sequences jump to the send
@@ -530,64 +520,74 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
       ResyncLinks();
     }
   } else {
-    // Receive: each worker consumes its inbox (src order keeps every
-    // per-(q, bucket) chain intact — a query's records come from its single
-    // owner), marks the blast radius, and patches the accumulator replicas.
-    // On the enveloped wire path the inbox was already filled by the
-    // verified transfer above — the records here are the *decoded* frames;
-    // the raw reference switch drains the router buffers directly.
-    s2_recv_work = RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      std::vector<NeighborDelta>& inbox = s2_inbox_[static_cast<size_t>(w)];
-      if (!transfer_ran) {
-        inbox.clear();
-        for (int src = 0; src < W; ++src) {
-          const auto& in = router2d.Incoming(src, w);
-          inbox.insert(inbox.end(), in.begin(), in.end());
-        }
-      }
-      if (!recompute_all) {
+    // Receive: each worker consumes its inbox — the records the verified
+    // transfer decoded, src order keeping every per-(q, bucket) chain
+    // intact (a query's records come from its single owner) — marks the
+    // blast radius, and patches the accumulator replicas.
+    if (!round->recompute_all) {
+      AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
+        uint64_t work = 0;
         VertexId last_q = static_cast<VertexId>(-1);
-        for (const NeighborDelta& rec : inbox) {
+        for (const NeighborDelta& rec : s2_inbox_[static_cast<size_t>(w)]) {
           if (rec.q == last_q) continue;
           last_q = rec.q;
-          for (VertexId v : graph_.QueryNeighbors(rec.q)) {
-            if (data_owner_[v] == w && !recompute_[v]) {
-              recompute_[v] = 1;
-              recompute_lists_[static_cast<size_t>(w)].push_back(v);
-              ++work;
-            }
-          }
+          work += MarkForRecompute(w, graph_.QueryNeighbors(rec.q));
         }
-        // Movers recompute unconditionally (their `from` changed even when
-        // offsetting moves cancelled every adjacent count delta).
-        for (VertexId v : last_movers_) {
-          if (data_owner_[v] == w && !recompute_[v]) {
-            recompute_[v] = 1;
-            recompute_lists_[static_cast<size_t>(w)].push_back(v);
-            ++work;
-          }
-        }
-      }
-      return work;
-    });
-    std::vector<std::span<const NeighborDelta>> inboxes;
-    inboxes.reserve(static_cast<size_t>(W));
-    for (int w = 0; w < W; ++w) {
-      inboxes.emplace_back(s2_inbox_[static_cast<size_t>(w)]);
+        return work;
+      }), &s2);
     }
-    s2_patch_work = sweep_.ApplyDeltasSharded(graph_, inboxes,
-                                              gain_.pow_table(), data_owner_,
-                                              pool);
+    std::vector<std::span<const NeighborDelta>> inboxes(s2_inbox_.begin(),
+                                                        s2_inbox_.end());
+    AddWork(sweep_.ApplyDeltasSharded(graph_, inboxes, gain_.pow_table(),
+                                      data_owner_, pool),
+            &s2);
+  }
+  if (!round->recompute_all) {
+    // Last round's movers recompute unconditionally: a mover's `from`
+    // changed even when offsetting moves cancelled every adjacent count
+    // delta, in which case no dirty query or record reaches it.
+    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
+      return MarkForRecompute(w, last_movers_);
+    }), &s2);
   }
 
+  // Queries consumed their dirty flag by sending.
+  RunPhase(W, pool, [&](int w) -> uint64_t {
+    for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
+      query_dirty_[q] = 0;
+    }
+    return 0;
+  });
+  s2.label = round->push && !round->bootstrap ? "2:ship-deltas+gains"
+                                              : "2:ship-neighbor-data+gains";
+
+#ifndef NDEBUG
+  if (round->push) {
+    // The delta-patched accumulator replicas must match a fresh owner-
+    // sharded build up to float summation order.
+    AffinitySweep fresh;
+    fresh.BuildSharded(graph_, QueryReplicas(), gain_.pow_table(),
+                       data_owner_, W, pool);
+    SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
+        << "patched BSP accumulator replicas diverged from a fresh build";
+  }
+#endif
+}
+
+void BspRefiner::ProposeMoves(const MoveTopology& topo,
+                              const Partition& partition,
+                              const std::vector<BucketId>* anchor,
+                              double anchor_penalty, ThreadPool* pool,
+                              RoundState* round) {
+  const int W = config_.num_workers;
+  const auto replicas = QueryReplicas();
   // Proposal of v from the replicas in either scan direction, finalized
   // (§5(i) anchor, nonpositive filter); adds the scan's work units to *work.
   // Push work is the accumulator entries scanned, pull work the neighbor
   // data entries scanned (full-k) or count lookups (grouped).
   const auto propose = [&](int w, VertexId v, bool use_push,
                            uint64_t* work) -> GainComputer::BestTarget {
-    const BucketId from = partition->bucket_of(v);
+    const BucketId from = partition.bucket_of(v);
     const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
     if (group < 0 || graph_.DataDegree(v) == 0) return {};
     const double degree = static_cast<double>(graph_.DataDegree(v));
@@ -622,103 +622,37 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     return FinalizeProposal(best, v, from, anchor, anchor_penalty,
                             options_.propose_nonpositive);
   };
-  const auto recompute_vertex = [&](int w, VertexId v, uint64_t* work) {
-    const GainComputer::BestTarget best = propose(w, v, push, work);
-    cached_target_[v] = best.bucket;
-    cached_gain_[v] = best.gain;
-  };
 
-  std::vector<uint64_t> s2_gain_work;
-  if (recompute_all) {
-    s2_gain_work = RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-        recompute_vertex(w, v, &work);
-      }
-      return work;
-    });
-    stats.num_recomputed = graph_.num_data();
-  } else {
-    s2_gain_work = RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      for (VertexId v : recompute_lists_[static_cast<size_t>(w)]) {
-        recompute_vertex(w, v, &work);
-      }
-      return work;
-    });
-    for (int w = 0; w < W; ++w) {
-      stats.num_recomputed += recompute_lists_[static_cast<size_t>(w)].size();
+  // A recompute-all round re-proposes every shard vertex, otherwise only
+  // the marked blast radius.
+  const std::vector<std::vector<VertexId>>& lists =
+      round->recompute_all ? data_shards_ : recompute_lists_;
+  AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
+    uint64_t work = 0;
+    for (VertexId v : lists[static_cast<size_t>(w)]) {
+      const GainComputer::BestTarget best = propose(w, v, round->push, &work);
+      cached_target_[v] = best.bucket;
+      cached_gain_[v] = best.gain;
     }
-  }
+    return work;
+  }), &round->s2);
+  for (const auto& list : lists) round->stats.num_recomputed += list.size();
   proposals_valid_ = true;
 
-  // Queries consumed their dirty flag by sending.
-  RunPhase(W, pool, [&](int w) -> uint64_t {
-    for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
-      query_dirty_[q] = 0;
-    }
-    return 0;
-  });
-
-  s2.label = push && !bootstrap ? "2:ship-deltas+gains"
-                                : "2:ship-neighbor-data+gains";
-  s2.superstep = base_superstep + 1;
-  s2.traffic = router2.CollectAndClearSized([](const NeighborDataMsg& m) {
-    return sizeof(VertexId) + m.entries.size() * sizeof(BucketCount);
-  });
-  // Delta records go on the wire under the grouped varint codec; the payload
-  // byte series counts exactly the grouped stream, with the envelope framing
-  // tracked separately in s2.envelope_bytes so the series stays comparable
-  // across the protocol change. When the enveloped transfer ran, the
-  // accounting replays the per-link payload sizes it recorded instead of
-  // re-encoding every buffer. Each (src, dst) buffer is one encode unit —
-  // per-query group headers and same-bucket delta chains span records, so
-  // sizing is per buffer, not per message.
-  if (transfer_ran) {
-    s2.traffic += router2d.CollectAndClearPerLink(
-        [this](int src, int dst, const std::vector<NeighborDelta>&) {
-          return link_payload_bytes_[LinkIndex(src, dst)];
-        });
-  } else if (config_.varint_wire) {
-    s2.traffic +=
-        router2d.CollectAndClearBuffered([](const std::vector<NeighborDelta>&
-                                                buffer) {
-          return wire::GroupedWireBytes(buffer);
-        });
-  } else {
-    s2.traffic += router2d.CollectAndClear(wire::kRawDeltaBytes);
-  }
-  s2.work_units.resize(static_cast<size_t>(W));
-  for (int w = 0; w < W; ++w) {
-    s2.work_units[static_cast<size_t>(w)] =
-        s2_send_work[static_cast<size_t>(w)] +
-        s2_recv_work[static_cast<size_t>(w)] +
-        s2_patch_work[static_cast<size_t>(w)] +
-        s2_gain_work[static_cast<size_t>(w)];
-  }
   // Worker stall: a straggler's extra work units gate the simulated epoch
   // time (slowest worker holds the barrier) without touching any exchanged
   // data — the trajectory is unchanged by construction.
   if (!injector_.empty()) {
     for (int w = 0; w < W; ++w) {
-      const uint64_t stall = injector_.StallWorkUnits(epoch, w);
+      const uint64_t stall = injector_.StallWorkUnits(round->epoch, w);
       if (stall == 0) continue;
-      s2.work_units[static_cast<size_t>(w)] += stall;
-      ++stats.stalled_workers;
+      round->s2.work_units[static_cast<size_t>(w)] += stall;
+      ++round->stats.stalled_workers;
       ++counters_.stalled_workers;
     }
   }
 
 #ifndef NDEBUG
-  if (push) {
-    // The delta-patched accumulator replicas must match a fresh owner-
-    // sharded build up to float summation order.
-    AffinitySweep fresh;
-    fresh.BuildSharded(graph_, replicas, gain_.pow_table(), data_owner_, W,
-                       pool);
-    SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
-        << "patched BSP accumulator replicas diverged from a fresh build";
-  }
   // Every cached proposal — recomputed or carried — must equal a fresh
   // recompute in the active scan direction (cache-staleness guard), and in
   // push mode must honor the pull tolerance contract.
@@ -727,12 +661,12 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
       const GainComputer::BestTarget cached{cached_target_[v],
                                             cached_gain_[v]};
-      const GainComputer::BestTarget fresh = propose(w, v, push,
-                                                     &scratch_work);
+      const GainComputer::BestTarget fresh =
+          propose(w, v, round->push, &scratch_work);
       SHP_CHECK(fresh.bucket == cached.bucket && fresh.gain == cached.gain)
           << "stale cached BSP proposal for v=" << v;
-      if (!push) continue;
-      const BucketId from = partition->bucket_of(v);
+      if (!round->push) continue;
+      const BucketId from = partition.bucket_of(v);
       CheckPushMatchesPull(
           v, propose(w, v, /*use_push=*/false, &scratch_work), cached,
           [&](BucketId to) {
@@ -742,8 +676,12 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     return 0;
   });
 #endif
+}
 
-  // ---------------------------------------------------------------- S3 ---
+std::unordered_map<uint64_t, DirectedGainHistogram>
+BspRefiner::UploadHistograms(const Partition& partition, ThreadPool* pool,
+                             RoundState* round) {
+  const int W = config_.num_workers;
   // data -> master: per-worker (bucket-pair, gain-bin) histograms,
   // maintained incrementally from the compact changed-proposal list. Each
   // worker still uploads its full live histogram — the master's matching
@@ -751,12 +689,11 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // the accumulation work shrinks to the blast radius.
   const auto hist_update = [&](int w, VertexId v) {
     worker_hist_[static_cast<size_t>(w)].Update(
-        &hist_contrib_[v], partition->bucket_of(v), cached_target_[v],
+        &hist_contrib_[v], partition.bucket_of(v), cached_target_[v],
         cached_gain_[v]);
   };
-  std::vector<uint64_t> s3_work;
-  if (recompute_all || !hist_valid_) {
-    s3_work = RunPhase(W, pool, [&](int w) -> uint64_t {
+  if (round->recompute_all || !hist_valid_) {
+    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       worker_hist_[static_cast<size_t>(w)].Clear();
       for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
@@ -765,84 +702,86 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
         ++work;
       }
       return work;
-    });
+    }), &round->s3);
     hist_valid_ = true;
   } else {
-    s3_work = RunPhase(W, pool, [&](int w) -> uint64_t {
+    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       for (VertexId v : recompute_lists_[static_cast<size_t>(w)]) {
         hist_update(w, v);
         work += 2;
       }
       return work;
-    });
+    }), &round->s3);
+  }
+  // The histograms were this round's last consumer of the recompute marks:
+  // clear them through the compact lists — the mark array stays all-zero
+  // between iterations without an O(n) sweep.
+  for (const auto& list : recompute_lists_) {
+    for (VertexId v : list) recompute_[v] = 0;
   }
 
 #ifndef NDEBUG
   for (int w = 0; w < W; ++w) {
     worker_hist_[static_cast<size_t>(w)].CheckMatchesRebuild(
-        data_shards_[static_cast<size_t>(w)], *partition, cached_target_,
+        data_shards_[static_cast<size_t>(w)], partition, cached_target_,
         cached_gain_);
   }
 #endif
 
   // Master merge (the master is a distinct machine; every worker's
   // histogram entries cross the wire).
-  const GainBinning& binning = options_.broker.binning;
   std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
-  uint64_t s3_remote_entries = 0;
-  uint64_t num_proposals = 0;
+  uint64_t remote_entries = 0;
   for (const PairHistograms& hist : worker_hist_) {
     hist.MergeInto(&histograms);
-    s3_remote_entries +=
-        hist.num_pairs() * static_cast<uint64_t>(binning.num_bins());
-    num_proposals += hist.num_proposals();
+    remote_entries += hist.num_pairs() *
+                      static_cast<uint64_t>(options_.broker.binning.num_bins());
+    round->stats.num_proposals += hist.num_proposals();
   }
+  round->s3.label = "3:propose-to-master";
+  round->s3.traffic.remote_messages = remote_entries;
+  round->s3.traffic.remote_bytes = remote_entries * sizeof(uint64_t);
+  return histograms;
+}
 
-  SuperstepStats s3;
-  s3.label = "3:propose-to-master";
-  s3.superstep = base_superstep + 2;
-  s3.traffic.remote_messages = s3_remote_entries;
-  s3.traffic.remote_bytes = s3_remote_entries * sizeof(uint64_t);
-  s3.work_units = s3_work;
-
-  // ---------------------------------------------------------------- S4 ---
+void BspRefiner::DrawAndExecute(
+    const MoveTopology& topo,
+    const std::unordered_map<uint64_t, DirectedGainHistogram>& histograms,
+    uint64_t seed, uint64_t iteration, Partition* partition, ThreadPool* pool,
+    RoundState* round) {
+  const int W = config_.num_workers;
   // master -> data: probabilities; vertices draw and move; master repairs.
   // Active proposals draw unless their pair row is all zero (the draw
   // floor of ProbabilityDraw — skipping a probability-0 draw cannot change
   // the trajectory), and the drawn movers land in compact per-worker lists,
   // so execution, repair, and next round's superstep 1 touch O(moved) state.
-  const PairProbabilityTable table =
-      ComputePairProbabilities(topo, binning, histograms, *partition,
-                               options_.broker.use_capacity_slack);
+  const PairProbabilityTable table = ComputePairProbabilities(
+      topo, options_.broker.binning, histograms, *partition,
+      options_.broker.use_capacity_slack);
   const ProbabilityDraw draw(table, options_.broker, seed, iteration);
-  std::vector<uint64_t> s4_draws(static_cast<size_t>(W), 0);
-  for (int w = 0; w < W; ++w) mover_lists_[static_cast<size_t>(w)].clear();
-  std::vector<uint64_t> s4_work = RunPhase(W, pool, [&](int w) -> uint64_t {
+  std::vector<uint64_t> draws(static_cast<size_t>(W), 0);
+  for (auto& movers : mover_lists_) movers.clear();
+  AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
     uint64_t work = 0;
-    uint64_t draws = 0;
     std::vector<VertexId>& movers = mover_lists_[static_cast<size_t>(w)];
     for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
       if (cached_target_[v] < 0) continue;
       ++work;
       if (draw.Fires(v, partition->bucket_of(v), cached_target_[v],
-                     cached_gain_[v], &draws)) {
+                     cached_gain_[v], &draws[static_cast<size_t>(w)])) {
         movers.push_back(v);
       }
     }
-    s4_draws[static_cast<size_t>(w)] = draws;
     return work;
-  });
-  for (int w = 0; w < W; ++w) {
-    stats.num_draws += s4_draws[static_cast<size_t>(w)];
-  }
+  }), &round->s4);
+  IterationStats& stats = round->stats;
+  stats.num_draws = std::accumulate(draws.begin(), draws.end(), uint64_t{0});
 
   MoveOutcome outcome;
-  outcome.num_proposals = num_proposals;
   movers_.clear();
-  for (int w = 0; w < W; ++w) {
-    movers_.insert(movers_.end(), mover_lists_[static_cast<size_t>(w)].begin(),
-                   mover_lists_[static_cast<size_t>(w)].end());
+  for (const auto& movers : mover_lists_) {
+    movers_.insert(movers_.end(), movers.begin(), movers.end());
   }
   std::sort(movers_.begin(), movers_.end());
   MoveBroker::ExecuteMoves(topo, options_.broker.max_moves_per_round,
@@ -852,7 +791,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   last_movers_.clear();
   for (const VertexMove& m : pending_announce_) last_movers_.push_back(m.v);
   state_valid_ = true;
-  if (push &&
+  if (round->push &&
       static_cast<double>(pending_announce_.size()) >
           options_.incremental_rebuild_fraction *
               static_cast<double>(graph_.num_data())) {
@@ -863,35 +802,16 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     sweep_valid_ = false;
   }
 
-  // Clear this round's recompute marks through the compact lists — the mark
-  // array stays all-zero between iterations without an O(n) sweep.
-  for (int w = 0; w < W; ++w) {
-    for (VertexId v : recompute_lists_[static_cast<size_t>(w)]) {
-      recompute_[v] = 0;
-    }
-  }
-
-  SuperstepStats s4;
-  s4.label = "4:probabilities+moves";
-  s4.superstep = base_superstep + 3;
   // Broadcast: the probability table goes to every worker.
+  round->s4.label = "4:probabilities+moves";
   uint64_t table_bytes = 0;
   for (const auto& [key, probs] : table.probabilities) {
     table_bytes += sizeof(uint64_t) + probs.size() * sizeof(float);
   }
-  s4.traffic.remote_messages = table.probabilities.size() *
-                               static_cast<uint64_t>(W);
-  s4.traffic.remote_bytes = table_bytes * static_cast<uint64_t>(W);
-  s4.work_units = s4_work;
+  round->s4.traffic.remote_messages =
+      table.probabilities.size() * static_cast<uint64_t>(W);
+  round->s4.traffic.remote_bytes = table_bytes * static_cast<uint64_t>(W);
 
-  if (log_ != nullptr) {
-    log_->push_back(std::move(s1));
-    log_->push_back(std::move(s2));
-    log_->push_back(std::move(s3));
-    log_->push_back(std::move(s4));
-  }
-
-  stats.num_proposals = outcome.num_proposals;
   stats.num_moved = outcome.num_moved;
   stats.num_reverted = outcome.num_reverted;
   stats.gain_moved = outcome.gain_moved;
@@ -900,33 +820,30 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
           ? 0.0
           : static_cast<double>(outcome.num_moved) /
                 static_cast<double>(graph_.num_data());
+}
 
+void BspRefiner::MaybeCheckpoint(uint64_t epoch, const IterationStats& stats,
+                                 const Partition& partition) {
   // Epoch checkpoint: the full partition assignment plus the stats subset
   // the caller's convergence loop consumes, written after the moves so a
-  // restore replays from the next epoch. A write failure degrades durability
-  // (older checkpoints remain), never the run.
-  if (checkpoints_ != nullptr && config_.checkpoint_interval > 0 &&
-      epoch % static_cast<uint64_t>(config_.checkpoint_interval) == 0) {
-    CheckpointData ckpt;
-    ckpt.epoch = epoch;
-    ckpt.num_moved = stats.num_moved;
-    ckpt.gain_moved = stats.gain_moved;
-    ckpt.moved_fraction = stats.moved_fraction;
-    ckpt.k = static_cast<uint32_t>(partition->k());
-    ckpt.assignment = partition->assignment();
-    const Status ckpt_status = checkpoints_->Write(ckpt);
-    if (ckpt_status.ok()) {
-      ++counters_.checkpoints_written;
-    } else {
-      SHP_LOG(Warning) << "checkpoint write failed: "
-                       << ckpt_status.ToString();
-    }
+  // restore replays from the next epoch.
+  if (checkpoints_ == nullptr || config_.checkpoint_interval <= 0 ||
+      epoch % static_cast<uint64_t>(config_.checkpoint_interval) != 0) {
+    return;
   }
-  // Epoch boundary: everything of this iteration — moves, repair,
-  // checkpoint — is committed; external observers (the serving loop's
-  // migration bookkeeping) hook in here.
-  if (config_.on_epoch_end) config_.on_epoch_end(epoch, stats.num_moved);
-  return stats;
+  CheckpointData ckpt;
+  ckpt.epoch = epoch;
+  ckpt.num_moved = stats.num_moved;
+  ckpt.gain_moved = stats.gain_moved;
+  ckpt.moved_fraction = stats.moved_fraction;
+  ckpt.k = static_cast<uint32_t>(partition.k());
+  ckpt.assignment = partition.assignment();
+  const Status ckpt_status = checkpoints_->Write(ckpt);
+  if (ckpt_status.ok()) {
+    ++counters_.checkpoints_written;
+  } else {
+    SHP_LOG(Warning) << "checkpoint write failed: " << ckpt_status.ToString();
+  }
 }
 
 uint64_t BspRefiner::RecoverKilledWorker(int worker) {

@@ -1,11 +1,14 @@
 // SHP as a vertex-centric BSP program — the faithful counterpart of the
 // paper's Giraph implementation (§3.2, Fig. 3). One refinement iteration is
-// four supersteps with synchronization barriers:
+// four supersteps with synchronization barriers; RunIteration calls one
+// private method per superstep in order (docs/distributed.md maps each
+// method to its Fig. 3 superstep):
 //
-//   1. data → query : current bucket (delta messages; a vertex that did not
-//      move "does not send messages on superstep 1 for the next iteration").
-//      Queries fold the deltas into their sparse neighbor data.
-//   2. query → data : two exchange modes, selected by
+//   1. data → query (AnnounceAndFold): current bucket (delta messages; a
+//      vertex that did not move "does not send messages on superstep 1 for
+//      the next iteration"). Queries fold the deltas into their sparse
+//      neighbor data.
+//   2. query → data: two exchange modes, selected by
 //      RefinerOptions::sweep_mode (the same switch that picks the threaded
 //      Refiner's scan direction):
 //        * pull (kPull, and the fallback whenever push is unsupported) —
@@ -17,31 +20,34 @@
 //          base, full-k AND grouped recursion topologies) — dirty queries
 //          ship only the sparse (q, bucket, old, new) NeighborDelta records
 //          produced while folding superstep 1, O(moved pins) on the wire
-//          instead of O(Σ deg(dirty q) × touched workers). Each data worker
-//          keeps an AffinitySweep accumulator replica over its own shard:
-//          built query-major once (bootstrap iteration, charged as a full
-//          unrestricted reship — the replicas are topology-free), patched
-//          from incoming deltas thereafter, and proposals are one
-//          sequential scan of the vertex's own accumulator
-//          (GainComputer::FindBestTargetPush, or its group-restricted
-//          window variant FindBestTargetPushGrouped under SHP-2/r recursion
-//          — shared tie-break and fallback with the pull scan). A recursion
-//          level advance re-slices each group's scan window and patches the
-//          replicas from the diff-scan records; it does not reship.
-//      In either mode, clean vertices keep their cached proposal — their
-//      gains cannot have changed.
-//   3. data → master: per-worker (bucket-pair, gain-bin) histograms. The
-//      histograms are maintained *incrementally* from the compact
-//      changed-proposal list (this round's recomputed vertices), so the
-//      accumulation work is O(blast radius), not O(n); each worker still
-//      ships its full live histogram (that is what the master's matching
-//      needs) — bytes are O(active pairs × bins), independent of n.
-//   4. master → data: per-pair-and-bin move probabilities; vertices draw and
-//      move (proposals whose probability row is all zero skip the draw —
-//      the trajectory-preserving draw floor); the drawn movers are
-//      collected into compact per-worker lists, so move execution, balance
-//      repair, and the next superstep 1 all touch O(moved) state instead of
-//      rescanning n-sized arrays.
+//          instead of O(Σ deg(dirty q) × touched workers), encoded with the
+//          grouped varint codec inside a self-verifying envelope
+//          (engine/wire_format.h). Each data worker keeps an AffinitySweep
+//          accumulator replica over its own shard: built query-major once
+//          (bootstrap iteration, charged as a full unrestricted reship —
+//          the replicas are topology-free), patched from incoming deltas
+//          thereafter, and proposals are one sequential scan of the
+//          vertex's own accumulator (GainComputer::FindBestTargetPush, or
+//          its group-restricted window variant FindBestTargetPushGrouped
+//          under SHP-2/r recursion — shared tie-break and fallback with the
+//          pull scan). A recursion level advance re-slices each group's
+//          scan window and patches the replicas from the diff-scan records;
+//          it does not reship.
+//      ExchangeNeighborData moves the data and marks the recompute set;
+//      ProposeMoves re-proposes it. In either mode, clean vertices keep
+//      their cached proposal — their gains cannot have changed.
+//   3. data → master (UploadHistograms): per-worker (bucket-pair, gain-bin)
+//      histograms. The histograms are maintained *incrementally* from the
+//      compact changed-proposal list (this round's recomputed vertices), so
+//      the accumulation work is O(blast radius), not O(n); each worker
+//      still ships its full live histogram (that is what the master's
+//      matching needs) — bytes are O(active pairs × bins), independent of n.
+//   4. master → data (DrawAndExecute): per-pair-and-bin move probabilities;
+//      vertices draw and move (proposals whose probability row is all zero
+//      skip the draw — the trajectory-preserving draw floor); the drawn
+//      movers are collected into compact per-worker lists, so move
+//      execution, balance repair, and the next superstep 1 all touch
+//      O(moved) state instead of rescanning n-sized arrays.
 //
 // The implementation plugs into the SHP drivers through RefinerInterface, so
 // SHP-k and SHP-2/r run unmodified on top of it. All message and byte counts
@@ -71,6 +77,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/checkpoint.h"
@@ -162,6 +170,88 @@ class BspRefiner : public RefinerInterface {
   Status RestoreLatestCheckpoint(Partition* partition);
 
  private:
+  /// Per-iteration flags and superstep accounting, handed from superstep to
+  /// superstep in Fig. 3 order.
+  struct RoundState {
+    uint64_t epoch = 0;  ///< protocol epoch (see epoch_)
+    /// Superstep 2 runs delta exchange + push sweep (constant per instance).
+    bool push = false;
+    /// Superstep 1 announced through the O(n) diff scan (cold start, or
+    /// the partition was mutated behind the engine's back).
+    bool full_scan = false;
+    /// Superstep 2 ships full neighbor-data lists and rebuilds the
+    /// accumulator replicas from them (push mode only).
+    bool bootstrap = false;
+    /// Every data vertex re-proposes and the histograms rebuild.
+    bool recompute_all = false;
+    SuperstepStats s1, s2, s3, s4;
+    IterationStats stats;
+  };
+
+  // ---- the four supersteps (Fig. 3), one method each ----
+
+  /// Superstep 1: each data worker announces its vertices' bucket changes
+  /// (last round's pending movers, or a diff scan of its whole shard) to
+  /// the query owners, which fold them into their neighbor-data replicas
+  /// and, when valid accumulator replicas will consume them, emit the
+  /// NeighborDelta records into s1_records_.
+  void AnnounceAndFold(const Partition& partition, ThreadPool* pool,
+                       RoundState* round);
+
+  /// Superstep 2, exchange: ships the delta records through the enveloped
+  /// transfer (falling into a bootstrap reship when a link fails) or the
+  /// full neighbor-data lists, marks the vertices to re-propose into
+  /// recompute_lists_, and patches or rebuilds the accumulator replicas.
+  /// `degraded`: some link is in backoff, so push mode must reship.
+  void ExchangeNeighborData(const MoveTopology& topo, bool degraded,
+                            ThreadPool* pool, RoundState* round);
+
+  /// Superstep 2, proposals: recomputes the cached proposal of every marked
+  /// vertex (every shard vertex on a recompute-all round).
+  void ProposeMoves(const MoveTopology& topo, const Partition& partition,
+                    const std::vector<BucketId>* anchor, double anchor_penalty,
+                    ThreadPool* pool, RoundState* round);
+
+  /// Superstep 3: updates each worker's pair histograms from its changed
+  /// proposals and returns the master's merge of all of them.
+  std::unordered_map<uint64_t, DirectedGainHistogram> UploadHistograms(
+      const Partition& partition, ThreadPool* pool, RoundState* round);
+
+  /// Superstep 4: the master's probabilities go out, proposals draw, and
+  /// the drawn movers execute with balance repair.
+  void DrawAndExecute(
+      const MoveTopology& topo,
+      const std::unordered_map<uint64_t, DirectedGainHistogram>& histograms,
+      uint64_t seed, uint64_t iteration, Partition* partition,
+      ThreadPool* pool, RoundState* round);
+
+  // ---- bodies shared by several superstep paths ----
+
+  /// Announces v's move to `now` from worker w (no-op when its queries
+  /// already saw `now`); charges 2 work units per adjacent query. Returns
+  /// whether v moved.
+  bool Announce(int w, VertexId v, BucketId now, uint64_t* work);
+
+  /// Sets (*mask)[dst] for every worker owning a data neighbor of q.
+  void MarkDestinations(VertexId q, std::vector<uint8_t>* mask) const;
+
+  /// Marks worker w's not-yet-marked vertices among `vertices` for
+  /// re-proposal; returns how many it marked.
+  uint64_t MarkForRecompute(int w, std::span<const VertexId> vertices);
+
+  /// Pull scans and bootstrap builds read each query's neighbor data from
+  /// its replica.
+  auto QueryReplicas() const {
+    return [this](VertexId q) {
+      return std::span<const BucketCount>(query_ndata_[q]);
+    };
+  }
+
+  /// Writes the epoch checkpoint when one is due; a write failure degrades
+  /// durability (older checkpoints remain), never the run.
+  void MaybeCheckpoint(uint64_t epoch, const IterationStats& stats,
+                       const Partition& partition);
+
   // ---- fault-tolerant superstep protocol ----
 
   size_t LinkIndex(int src, int dst) const {
@@ -173,7 +263,7 @@ class BspRefiner : public RefinerInterface {
   /// recovery work units charged to that worker.
   uint64_t RecoverKilledWorker(int worker);
 
-  /// Delivers every remote router2d buffer as an enveloped frame through the
+  /// Delivers every remote `router` buffer as an enveloped frame through the
   /// fault injector with bounded same-sequence retransmission, filling
   /// s2_inbox_ (src-ascending per destination, locals copied verbatim) and
   /// link_payload_bytes_. Returns true when every link delivered; false when

@@ -140,24 +140,6 @@ bool DecodeGroupedDeltas(std::span<const uint8_t> bytes,
   return true;
 }
 
-size_t GroupedWireBytes(std::span<const NeighborDelta> records) {
-  thread_local std::vector<uint8_t> scratch;
-  scratch.clear();
-  EncodeGroupedDeltas(records, &scratch);
-#ifndef NDEBUG
-  thread_local std::vector<NeighborDelta> decoded;
-  decoded.clear();
-  SHP_CHECK(DecodeGroupedDeltas(scratch, &decoded))
-      << "grouped wire stream failed to decode its own encoding";
-  SHP_CHECK_EQ(decoded.size(), records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    SHP_CHECK(decoded[i] == records[i])
-        << "grouped wire codec round-trip mismatch at record " << i;
-  }
-#endif
-  return scratch.size();
-}
-
 const char* WireVerdictName(WireVerdict verdict) {
   switch (verdict) {
     case WireVerdict::kOk:

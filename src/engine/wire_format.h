@@ -23,16 +23,15 @@
 // decoding additionally tolerates zero-count groups (skipped, but they still
 // advance the qid chain) and full-width 5-byte varints, so hand-built streams
 // round-trip too. The codec is lossless: DecodeGroupedDeltas reproduces the
-// input records bit-identically, and GroupedWireBytes proves it per buffer in
-// Debug builds.
+// input records bit-identically.
 //
-// Since the fault-tolerant superstep protocol landed, every remote (src,
-// dst) superstep-2 buffer actually flows through this codec: the sender
-// encodes its records, wraps them in the self-verifying envelope below, and
-// the receiver decodes the wire image — the structs the accumulator replicas
-// patch from are the *decoded* ones, so the wire format is load-bearing, not
-// accounting-only. The raw 16-byte sizing remains available as a reference
-// switch (BspConfig::varint_wire = false; accounting only).
+// Every remote (src, dst) superstep-2 buffer flows through this codec: the
+// sender encodes its records, wraps them in the self-verifying envelope
+// below, and the receiver decodes the wire image — the structs the
+// accumulator replicas patch from are the *decoded* ones, and Debug builds
+// CHECK each accepted frame against the sender's records. There is no raw
+// wire path; kRawDeltaBytes only sizes the fixed-width records the codec is
+// measured against (16 × records).
 //
 // Envelope grammar (docs/distributed.md "Failure model & recovery"):
 //
@@ -56,7 +55,8 @@
 
 namespace shp::wire {
 
-/// Bytes per record of the raw (reference) wire format.
+/// Bytes per record of the fixed-width NeighborDelta layout — the yardstick
+/// the codec's compression is measured against.
 inline constexpr size_t kRawDeltaBytes = sizeof(NeighborDelta);
 
 /// Appends the LEB128 varint encoding of `value` (7 bits per byte, high bit
@@ -77,12 +77,6 @@ void EncodeGroupedDeltas(std::span<const NeighborDelta> records,
 /// range, negative reconstructed counts, or trailing garbage.
 bool DecodeGroupedDeltas(std::span<const uint8_t> bytes,
                          std::vector<NeighborDelta>* out);
-
-/// Wire size of one router buffer under the grouped codec: encodes into a
-/// thread-local scratch buffer and returns its length. In Debug builds also
-/// decodes the scratch and CHECKs the records round-trip bit-identically —
-/// the exact decode-equivalence gate on every simulated exchange.
-size_t GroupedWireBytes(std::span<const NeighborDelta> records);
 
 // ------------------------------------------------------------- envelope ---
 

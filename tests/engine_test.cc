@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/recursive.h"
 #include "core/shp_k.h"
 #include "engine/bsp_engine.h"
@@ -16,6 +17,7 @@
 #include "engine/distributed_shp.h"
 #include "engine/message_router.h"
 #include "engine/shp_bsp.h"
+#include "engine/wire_format.h"
 #include "graph/gen_powerlaw.h"
 #include "graph/gen_social.h"
 #include "objective/objective.h"
@@ -281,10 +283,12 @@ TEST(BspRefiner, DeltaExchangeShrinksSteadyStateSuperstep2Traffic) {
   // O(delta records), not O(Σ deg(dirty q) × touched workers). High-churn
   // early rounds re-bootstrap (full reship — the records would outweigh the
   // lists there); once movement decays, the delta supersteps must undercut
-  // the full reship, and every delta-superstep remote byte must be a
-  // fixed-width NeighborDelta record. The win scales with query fanout, so
-  // measure on a power-law workload (hub queries with near-k fanout — the
-  // paper's regime) rather than the low-degree social graph.
+  // the full reship, and the grouped varint stream of every delta superstep
+  // must come in >= 25% below the fixed-width NeighborDelta records it
+  // encodes (steady state the codec sits near 3 bytes/record). The win
+  // scales with query fanout, so measure on a power-law workload (hub
+  // queries with near-k fanout — the paper's regime) rather than the
+  // low-degree social graph.
   PowerLawConfig pcfg;
   pcfg.num_queries = 4000;
   pcfg.num_data = 3000;
@@ -295,9 +299,6 @@ TEST(BspRefiner, DeltaExchangeShrinksSteadyStateSuperstep2Traffic) {
   const MoveTopology topo = MoveTopology::FullK(k, g.num_data(), 0.05);
   BspConfig config;
   config.num_workers = 4;
-  // Raw reference wire: this test pins the fixed-width record accounting
-  // (VarintWire* below covers the grouped codec).
-  config.varint_wire = false;
   const uint64_t iterations = 14;
 
   auto run = [&](RefinerOptions::SweepMode mode) {
@@ -326,9 +327,9 @@ TEST(BspRefiner, DeltaExchangeShrinksSteadyStateSuperstep2Traffic) {
     push_s2 += s2.traffic.remote_bytes;
     if (s2.label == "2:ship-deltas+gains") {
       ++delta_supersteps;
-      EXPECT_EQ(s2.traffic.remote_bytes,
-                s2.traffic.remote_messages * sizeof(NeighborDelta))
-          << "delta-mode superstep 2 ships fixed-width records";
+      EXPECT_LE(4 * s2.traffic.remote_bytes,
+                3 * s2.traffic.remote_messages * wire::kRawDeltaBytes)
+          << "varint delta records must be >= 25% below fixed-width ones";
     }
   }
   EXPECT_GT(delta_supersteps, 0u)
@@ -359,7 +360,6 @@ TEST(BspRefiner, GroupedDeltaExchangeShrinksSteadyStateSuperstep2Traffic) {
       MoveTopology::Grouped(k, g.num_data(), 0.05, std::move(pairs));
   BspConfig config;
   config.num_workers = 4;
-  config.varint_wire = false;  // raw reference wire (see the full-k variant)
   const uint64_t iterations = 14;
 
   auto run = [&](RefinerOptions::SweepMode mode) {
@@ -386,9 +386,9 @@ TEST(BspRefiner, GroupedDeltaExchangeShrinksSteadyStateSuperstep2Traffic) {
     push_s2 += s2.traffic.remote_bytes;
     if (s2.label == "2:ship-deltas+gains") {
       ++delta_supersteps;
-      EXPECT_EQ(s2.traffic.remote_bytes,
-                s2.traffic.remote_messages * sizeof(NeighborDelta))
-          << "delta-mode superstep 2 ships fixed-width records";
+      EXPECT_LE(4 * s2.traffic.remote_bytes,
+                3 * s2.traffic.remote_messages * wire::kRawDeltaBytes)
+          << "varint delta records must be >= 25% below fixed-width ones";
     }
   }
   EXPECT_GT(delta_supersteps, 0u)
@@ -398,12 +398,11 @@ TEST(BspRefiner, GroupedDeltaExchangeShrinksSteadyStateSuperstep2Traffic) {
       << "grouped delta exchange must undercut the grouped full reship";
 }
 
-TEST(BspRefiner, VarintWireUndercutsRawSteadyStateSuperstep2Bytes) {
-  // The grouped varint codec is byte accounting only: the raw and varint
-  // runs must produce the identical partition trajectory, and once movement
-  // decays into the delta-exchange regime the varint steady-state superstep-2
-  // bytes must come in well under the raw 16-byte records (the ISSUE floor is
-  // a 25% reduction; steady state the codec sits near 3 bytes/record).
+TEST(BspRefiner, ResultsDoNotDependOnHostPoolSize) {
+  // The simulated workers, not the host threads, own the work: the pool
+  // that runs the superstep phases must change neither the trajectory nor
+  // any superstep's traffic or per-worker work units — in both exchange
+  // modes, on the full-k and the grouped topology.
   PowerLawConfig pcfg;
   pcfg.num_queries = 4000;
   pcfg.num_data = 3000;
@@ -411,52 +410,51 @@ TEST(BspRefiner, VarintWireUndercutsRawSteadyStateSuperstep2Bytes) {
   pcfg.seed = 7;
   const BipartiteGraph g = GeneratePowerLaw(pcfg);
   const BucketId k = 32;
-  const MoveTopology topo = MoveTopology::FullK(k, g.num_data(), 0.05);
-  const uint64_t iterations = 14;
+  std::vector<std::vector<BucketId>> pairs;
+  for (BucketId b = 0; b < k; b += 2) pairs.push_back({b, b + 1});
+  const MoveTopology full_k = MoveTopology::FullK(k, g.num_data(), 0.05);
+  const MoveTopology grouped =
+      MoveTopology::Grouped(k, g.num_data(), 0.05, std::move(pairs));
 
-  auto run = [&](bool varint, Partition* out) {
-    BspConfig config;
-    config.num_workers = 4;
-    config.varint_wire = varint;
-    RefinerOptions options;
-    options.sweep_mode = RefinerOptions::SweepMode::kPush;
-    std::vector<SuperstepStats> log;
-    BspRefiner refiner(g, options, config, &log);
-    Partition partition = Partition::BalancedRandom(g.num_data(), k, 2);
-    for (uint64_t iter = 0; iter < iterations; ++iter) {
-      refiner.RunIteration(topo, &partition, 9, iter);
+  for (const MoveTopology* topo : {&full_k, &grouped}) {
+    for (const auto mode : {RefinerOptions::SweepMode::kPull,
+                            RefinerOptions::SweepMode::kPush}) {
+      auto run = [&](size_t threads, std::vector<SuperstepStats>* log) {
+        ThreadPool pool(threads);
+        RefinerOptions options;
+        options.sweep_mode = mode;
+        BspConfig config;
+        config.num_workers = 3;
+        BspRefiner refiner(g, options, config, log);
+        Partition partition = Partition::BalancedRandom(g.num_data(), k, 2);
+        for (uint64_t iter = 0; iter < 14; ++iter) {
+          refiner.RunIteration(*topo, &partition, 9, iter, &pool);
+        }
+        return partition.assignment();
+      };
+      SCOPED_TRACE(testing::Message()
+                   << (topo->full_k ? "full-k" : "grouped") << ", "
+                   << (mode == RefinerOptions::SweepMode::kPush ? "push"
+                                                                : "pull"));
+      std::vector<SuperstepStats> serial_log;
+      std::vector<SuperstepStats> pooled_log;
+      EXPECT_EQ(run(1, &serial_log), run(4, &pooled_log));
+      ASSERT_EQ(serial_log.size(), pooled_log.size());
+      for (size_t i = 0; i < serial_log.size(); ++i) {
+        const SuperstepStats& a = serial_log[i];
+        const SuperstepStats& b = pooled_log[i];
+        EXPECT_EQ(a.label, b.label) << "superstep " << i;
+        EXPECT_EQ(a.traffic.remote_messages, b.traffic.remote_messages)
+            << "superstep " << i;
+        EXPECT_EQ(a.traffic.local_messages, b.traffic.local_messages)
+            << "superstep " << i;
+        EXPECT_EQ(a.traffic.remote_bytes, b.traffic.remote_bytes)
+            << "superstep " << i;
+        EXPECT_EQ(a.envelope_bytes, b.envelope_bytes) << "superstep " << i;
+        EXPECT_EQ(a.work_units, b.work_units) << "superstep " << i;
+      }
     }
-    *out = std::move(partition);
-    return log;
-  };
-  Partition raw_part;
-  Partition varint_part;
-  const auto raw_log = run(false, &raw_part);
-  const auto varint_log = run(true, &varint_part);
-  ASSERT_EQ(raw_log.size(), varint_log.size());
-  for (VertexId v = 0; v < g.num_data(); ++v) {
-    ASSERT_EQ(raw_part.bucket_of(v), varint_part.bucket_of(v))
-        << "wire accounting must never steer the refinement trajectory";
   }
-
-  uint64_t raw_s2 = 0;
-  uint64_t varint_s2 = 0;
-  uint64_t delta_supersteps = 0;
-  for (size_t iter = iterations / 2; iter < iterations; ++iter) {
-    const SuperstepStats& raw_s2_step = raw_log[iter * 4 + 1];
-    const SuperstepStats& varint_s2_step = varint_log[iter * 4 + 1];
-    ASSERT_EQ(raw_s2_step.label, varint_s2_step.label);
-    if (raw_s2_step.label != "2:ship-deltas+gains") continue;
-    ++delta_supersteps;
-    ASSERT_EQ(raw_s2_step.traffic.remote_messages,
-              varint_s2_step.traffic.remote_messages);
-    raw_s2 += raw_s2_step.traffic.remote_bytes;
-    varint_s2 += varint_s2_step.traffic.remote_bytes;
-  }
-  ASSERT_GT(delta_supersteps, 0u)
-      << "movement must decay into the delta-exchange regime";
-  EXPECT_LT(varint_s2, raw_s2 - raw_s2 / 4)
-      << "varint steady-state superstep-2 bytes must be >= 25% below raw";
 }
 
 TEST(BspRefiner, GroupedRoundsKeepDeltaExchangeAndReplicas) {

@@ -22,8 +22,14 @@ using wire::DecodeGroupedDeltas;
 using wire::EncodeEnveloped;
 using wire::EncodeGroupedDeltas;
 using wire::EnvelopeHeader;
-using wire::GroupedWireBytes;
 using wire::WireVerdict;
+
+/// Wire size of `records` under the grouped codec.
+size_t EncodedBytes(const std::vector<NeighborDelta>& records) {
+  std::vector<uint8_t> bytes;
+  EncodeGroupedDeltas(records, &bytes);
+  return bytes.size();
+}
 
 std::vector<NeighborDelta> Roundtrip(
     const std::vector<NeighborDelta>& records) {
@@ -36,7 +42,7 @@ std::vector<NeighborDelta> Roundtrip(
 
 TEST(WireFormat, EmptyStream) {
   EXPECT_TRUE(Roundtrip({}).empty());
-  EXPECT_EQ(GroupedWireBytes({}), 0u);
+  EXPECT_EQ(EncodedBytes({}), 0u);
 }
 
 TEST(WireFormat, SingleRecord) {
@@ -80,11 +86,6 @@ TEST(WireFormat, RandomizedRoundtripIsBitIdentical) {
       }
     }
     EXPECT_EQ(Roundtrip(records), records) << "trial " << trial;
-    // GroupedWireBytes must agree with an explicit encode (and, in Debug,
-    // internally re-verify the decode).
-    std::vector<uint8_t> bytes;
-    EncodeGroupedDeltas(records, &bytes);
-    EXPECT_EQ(GroupedWireBytes(records), bytes.size());
   }
 }
 
@@ -191,7 +192,7 @@ TEST(Envelope, RoundTripPreservesHeaderAndPayload) {
   const auto records = SampleRecords();
   size_t overhead = 0;
   const auto frame = EncodeFrame(records, /*epoch=*/42, /*seq=*/7, &overhead);
-  EXPECT_EQ(overhead + GroupedWireBytes(records), frame.size());
+  EXPECT_EQ(overhead + EncodedBytes(records), frame.size());
 
   EnvelopeHeader got;
   std::vector<NeighborDelta> decoded;
@@ -327,7 +328,7 @@ TEST(WireFormat, SteadyStateStreamBeatsRawFormat) {
       bucket += 1 + static_cast<BucketId>(rng() % 4);
     }
   }
-  const size_t grouped = GroupedWireBytes(records);
+  const size_t grouped = EncodedBytes(records);
   const size_t raw = records.size() * wire::kRawDeltaBytes;
   EXPECT_LT(grouped, raw - raw / 4)
       << "grouped " << grouped << " bytes vs raw " << raw;
