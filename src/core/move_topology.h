@@ -38,9 +38,10 @@ struct MoveTopology {
 
   /// Half-open bucket-id window [begin, end) spanning group g's members —
   /// the slice of a sorted sparse accumulator that the group-restricted
-  /// push scan reads. Re-slicing this window is all a recursion-level
-  /// change costs the accumulator replicas; they are never rebuilt for a
-  /// topology change (the entries themselves are topology-free).
+  /// push scan reads. The threaded Refiner stores only this window per
+  /// vertex (a windowed AffinitySweep, rebuilt for a new group structure).
+  /// The BSP engine's accumulator replicas are topology-free: a
+  /// recursion-level change re-slices this window, never rebuilds them.
   std::pair<BucketId, BucketId> GroupWindow(int32_t g) const {
     const std::vector<BucketId>& members =
         group_children[static_cast<size_t>(g)];

@@ -10,16 +10,17 @@ namespace shp {
 bool ProposalContext::Matches(const MoveTopology& topo,
                               const std::vector<BucketId>* anchor,
                               double anchor_penalty) const {
-  if (!has_topo_) return false;
-  if (topo_.k != topo.k || topo_.full_k != topo.full_k ||
-      topo_.group_of_bucket != topo.group_of_bucket ||
-      topo_.group_children != topo.group_children) {
-    return false;
-  }
+  if (!MatchesTopology(topo)) return false;
   const bool has_anchor = anchor != nullptr && anchor_penalty != 0.0;
   if (has_anchor != has_anchor_) return false;
   return !has_anchor ||
          (anchor_penalty_ == anchor_penalty && anchor_ == *anchor);
+}
+
+bool ProposalContext::MatchesTopology(const MoveTopology& topo) const {
+  return has_topo_ && topo_.k == topo.k && topo_.full_k == topo.full_k &&
+         topo_.group_of_bucket == topo.group_of_bucket &&
+         topo_.group_children == topo.group_children;
 }
 
 void ProposalContext::Snapshot(const MoveTopology& topo,

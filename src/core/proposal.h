@@ -22,6 +22,8 @@ class ProposalContext {
   /// under (topo, anchor, anchor_penalty).
   bool Matches(const MoveTopology& topo, const std::vector<BucketId>* anchor,
                double anchor_penalty) const;
+  /// True iff the last Snapshot saw the same group structure as `topo`.
+  bool MatchesTopology(const MoveTopology& topo) const;
   void Snapshot(const MoveTopology& topo, const std::vector<BucketId>* anchor,
                 double anchor_penalty);
 

@@ -9,6 +9,25 @@
 
 namespace shp {
 
+namespace {
+
+/// Per-vertex accumulator windows of a grouped topology: the bucket window
+/// of v's group (MoveTopology::GroupWindow), empty when v's bucket is not
+/// being refined. Stable while the topology holds — a vertex only ever moves
+/// within its group.
+std::vector<BucketWindow> GroupWindows(const MoveTopology& topo,
+                                       const Partition& partition) {
+  std::vector<BucketWindow> windows(partition.num_data(), BucketWindow{0, 0});
+  for (VertexId v = 0; v < partition.num_data(); ++v) {
+    const int32_t group =
+        topo.group_of_bucket[static_cast<size_t>(partition.bucket_of(v))];
+    if (group >= 0) windows[v] = topo.GroupWindow(group);
+  }
+  return windows;
+}
+
+}  // namespace
+
 Refiner::Refiner(const BipartiteGraph& graph, const RefinerOptions& options)
     : graph_(graph),
       options_(options),
@@ -42,10 +61,8 @@ GainComputer::BestTarget Refiner::ComputeProposal(
                                          &ws->affinity, &ws->touched);
     }
   } else {
-    // Group-restricted scan over the sibling buckets. Push reads the
-    // accumulator window spanning them — a re-slice of the same
-    // topology-free accumulators the full-k scan reads, so recursion
-    // windows never rebuild them.
+    // Group-restricted scan over the sibling buckets. Push reads v's
+    // windowed accumulator, which holds exactly the window spanning them.
     const std::span<const BucketId> children(
         topo.group_children[static_cast<size_t>(group)]);
     best = push ? gain_.FindBestTargetPushGrouped(sweep_, v, from, children,
@@ -72,11 +89,11 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   // base (the accumulator-derived base term divides by B); kAuto prefers
   // push whenever available, and an explicit kPush request degrades to pull
   // in the p = 1, t = 1 limit. Grouped recursion windows run the same push
-  // scan over the group-restricted accumulator view — the accumulators are
-  // topology-free, so a recursion-level change re-slices, never rebuilds.
+  // scan over a windowed sweep: each vertex keeps only its group's window.
   const bool push =
       options_.sweep_mode != RefinerOptions::SweepMode::kPull &&
       gain_.SupportsPush();
+  const bool windowed = push && !topo.full_k;
   stats.push_sweep = push;
 
   // Superstep 1: collect neighbor data — reused across iterations whenever
@@ -93,10 +110,18 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     ++num_full_rebuilds_;
     stats.full_rebuild = true;
   }
+  if (push && sweep_valid_ && !context_.MatchesTopology(topo)) {
+    // The windows follow the group structure, so a new one needs a new
+    // sweep. (Every sweep build forces a recompute-all round, which
+    // snapshots the topology it was built under into context_.)
+    sweep_valid_ = false;
+  }
   if (push && !sweep_valid_) {
     // Full vertex-major pass: every vertex gathers its adjacent queries'
-    // per-bucket contributions.
-    sweep_.Build(graph_, ndata_, gain_.pow_table(), pool);
+    // per-bucket contributions, in its group's window when grouped.
+    sweep_.Build(graph_, ndata_, gain_.pow_table(), pool,
+                 windowed ? GroupWindows(topo, *partition)
+                          : std::vector<BucketWindow>{});
     sweep_valid_ = true;
     ++num_sweep_builds_;
   }
@@ -127,9 +152,10 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
 
   // Superstep 2: move proposals. A full pass recomputes every vertex; the
   // steady-state pass recomputes only the compact work list — vertices
-  // adjacent to a query whose neighbor data changed last round, last
-  // round's explorers (their cached proposal is not reusable), and this
-  // round's firing list.
+  // adjacent to a query whose neighbor data changed last round (windowed:
+  // only those that received an in-window record, plus last round's
+  // movers), last round's explorers (their cached proposal is not
+  // reusable), and this round's firing list.
   const bool recompute_all = !options_.incremental || !proposals_valid_ ||
                              !context_.Matches(topo, anchor, anchor_penalty);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
@@ -170,7 +196,12 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     // Compact steady-state pass: claim the blast radius of last round's
     // moves through the recompute marks (different queries share data
     // vertices; atomic exchange makes each vertex appear once), then fold
-    // in the stale and firing lists.
+    // in the stale and firing lists. A windowed push proposal reads only
+    // v's window and bucket, so it can change only if v received an
+    // in-window record or moved: those two lists replace the blast radius
+    // (dirty_list_ stays empty). A mover also receives its own move's
+    // records; it is listed anyway, so the broker's changed list covers
+    // every bucket_of change without relying on how records are emitted.
     recompute_list_.clear();
     collect_.resize(std::max(collect_.size(), num_workers));
     if (!dirty_list_.empty()) {
@@ -192,7 +223,8 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
                                collect_[w].end());
       }
     }
-    for (const std::vector<VertexId>* list : {&stale_list_, &firing_list_}) {
+    for (const std::vector<VertexId>* list :
+         {&patched_, &movers_, &stale_list_, &firing_list_}) {
       for (const VertexId v : *list) {
         if (!recompute_[v]) {
           recompute_[v] = 1;
@@ -260,10 +292,17 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
                              });
       }
     });
-    // The patched accumulators must match a fresh build up to summation
-    // order.
+    // The patched accumulators must match a fresh build over the same
+    // windows up to summation order — and those windows must still be the
+    // ones the current partition derives.
+    std::vector<BucketWindow> windows;
+    if (windowed) {
+      windows = GroupWindows(topo, *partition);
+      SHP_CHECK(windows == sweep_.windows())
+          << "a vertex left the accumulator window of its group";
+    }
     AffinitySweep fresh;
-    fresh.Build(graph_, ndata_, gain_.pow_table(), pool);
+    fresh.Build(graph_, ndata_, gain_.pow_table(), pool, std::move(windows));
     SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
         << "patched affinity accumulators diverged from a fresh build";
   }
@@ -282,11 +321,11 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   // Supersteps 3-4: master aggregation, probabilistic moves, repair. A
   // compact pass hands the broker its work list as the changed-proposal
   // list: only recomputed vertices can hold a different (bucket, target,
-  // gain) than last round — last round's movers are always inside this
-  // round's blast radius (ApplyMoves marks all of a mover's queries
-  // touched, and the mover neighbors its own queries), so the list also
-  // covers every bucket_of change. A recompute-all round passes nullptr and
-  // re-primes the broker's state.
+  // gain) than last round — last round's movers are always on the list
+  // (in the blast radius: ApplyMoves marks all of a mover's queries
+  // touched, and the mover neighbors its own queries; windowed, listed
+  // explicitly), so it also covers every bucket_of change. A recompute-all
+  // round passes nullptr and re-primes the broker's state.
   const MoveOutcome outcome =
       broker_.Apply(topo, targets_, gains_, seed, iteration, partition, pool,
                     recompute_all ? nullptr : &recompute_list_);
@@ -301,16 +340,21 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     // the affinity accumulators — no rescan of untouched queries.
     dirty_list_.clear();
     deltas_.clear();
-    ndata_.ApplyMoves(graph_, outcome.moves, pool, &dirty_list_,
+    ndata_.ApplyMoves(graph_, outcome.moves, pool,
+                      windowed ? nullptr : &dirty_list_,
                       push ? &deltas_ : nullptr);
+    patched_.clear();
+    movers_.clear();
     if (push) {
       stats.num_delta_records = deltas_.size();
-      sweep_.ApplyDeltas(graph_, deltas_, gain_.pow_table(), pool);
+      sweep_.ApplyDeltas(graph_, deltas_, gain_.pow_table(), pool,
+                         windowed ? &patched_ : nullptr);
     } else {
       sweep_valid_ = false;
     }
     for (const VertexMove& m : outcome.moves) {
       shadow_assignment_[m.v] = m.to;
+      if (windowed) movers_.push_back(m.v);
     }
     proposals_valid_ = true;
 #ifndef NDEBUG

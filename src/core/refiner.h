@@ -35,10 +35,12 @@
 // Gains honor the MoveTopology constraint: direct k-way search uses the
 // sparse-affinity best-target scan (k-independent per-vertex cost); grouped
 // recursion either evaluates each sibling candidate directly against the
-// neighbor data (pull, O(r · deg(v))) or scans the group-restricted window
-// of the same push accumulators (GainComputer::FindBestTargetPushGrouped) —
-// the accumulators are topology-free, so recursion levels re-slice the
-// active window instead of rebuilding state.
+// neighbor data (pull, O(r · deg(v))) or scans a windowed sweep
+// (GainComputer::FindBestTargetPushGrouped) whose accumulators hold only
+// each vertex's group window. A new group structure rebuilds that sweep; a
+// recursion level advance redistributes vertices and rebuilds the neighbor
+// data anyway. Only the BSP engine keeps topology-free accumulator replicas
+// that re-slice the active window (engine/shp_bsp.h).
 #pragma once
 
 #include <cstdint>
@@ -82,8 +84,9 @@ struct RefinerOptions {
   double exploration_probability = 0.0;
   /// Superstep-2 scan direction. kAuto uses push whenever it is available:
   /// a nonzero pow base (p < 1 or future_splits > 1); only the p = 1, t = 1
-  /// limit falls back to pull. Grouped recursion windows run push over the
-  /// group-restricted accumulator view (move_topology.h GroupWindow).
+  /// limit falls back to pull. Grouped recursion windows run push over a
+  /// windowed sweep: each vertex keeps only its group's accumulator window
+  /// (move_topology.h GroupWindow).
   /// The BSP engine (engine/shp_bsp.h) keys its superstep-2 *exchange* off
   /// the same switch: kPull reships dirty queries' full neighbor data (the
   /// reference), kPush/kAuto ship sparse NeighborDelta records and run the
@@ -204,8 +207,9 @@ class Refiner : public RefinerInterface {
   /// Neighbor data from the most recent iteration (for diagnostics/tests).
   const QueryNeighborData& neighbor_data() const { return ndata_; }
 
-  /// Affinity accumulators from the most recent push iteration
-  /// (diagnostics/tests; content is stale while running in pull mode).
+  /// Affinity accumulators from the most recent push iteration, windowed
+  /// under a grouped topology (diagnostics/tests; content is stale while
+  /// running in pull mode).
   const AffinitySweep& affinity_sweep() const { return sweep_; }
 
   /// Most recent proposals, indexed by vertex (targets()[v] = -1 for "no
@@ -256,6 +260,10 @@ class Refiner : public RefinerInterface {
   std::vector<uint8_t> cache_valid_;  ///< 0: must recompute (e.g. exploration)
   bool proposals_valid_ = false;
   std::vector<VertexId> dirty_list_;  ///< queries changed by last ApplyMoves
+  /// Windowed push only: vertices that received an in-window delta record
+  /// in the last ApplyDeltas, and last round's movers.
+  std::vector<VertexId> patched_;
+  std::vector<VertexId> movers_;
   std::vector<NeighborDelta> deltas_;  ///< delta records of last ApplyMoves
   std::vector<uint8_t> recompute_;    ///< per-vertex recompute mark
   std::vector<VertexId> stale_list_;  ///< last round's explorers (cache inv.)

@@ -59,6 +59,17 @@ VertexId DegShardBegin(const std::vector<uint64_t>& prefix, VertexId n,
   return lo;
 }
 
+/// The stretch of a bucket-sorted list with bucket in `window` (two binary
+/// searches).
+template <typename Entry>  // BucketCount or AffinitySweep::PatchOp
+std::span<const Entry> InWindow(std::span<const Entry> list,
+                                BucketWindow window) {
+  const auto cmp = [](const Entry& e, BucketId b) { return e.bucket < b; };
+  const auto lo = std::lower_bound(list.begin(), list.end(), window.first, cmp);
+  const auto hi = std::lower_bound(lo, list.end(), window.second, cmp);
+  return {lo, hi};
+}
+
 /// Folds (support += sup, affinity += add, drop at support 0) into an owned
 /// (overflowed) accumulator vector.
 void ApplyToVec(std::vector<AffinityEntry>* vec, BucketId b, double add,
@@ -200,9 +211,13 @@ class DenseAccumulator {
 
 void AffinitySweep::Build(const BipartiteGraph& graph,
                           const QueryNeighborData& ndata, const PowTable& pow,
-                          ThreadPool* pool) {
+                          ThreadPool* pool,
+                          std::vector<BucketWindow> windows) {
   const VertexId n = graph.num_data();
   if (pool == nullptr) pool = &GlobalThreadPool();
+  SHP_CHECK(windows.empty() || windows.size() == n);
+  windows_ = std::move(windows);
+  const bool windowed = !windows_.empty();
   loc_.assign(n, Loc{});
   garbage_ = 0;
   live_entries_ = 0;
@@ -222,7 +237,9 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
   // so every (v, bucket) slot sums its contributions in ascending q — the
   // same order a query-major scatter delivers them in. Entries go to a
   // shard-local buffer in vertex order (a deque: it grows block by block,
-  // never holding a doubled copy), sizes straight into loc_.
+  // never holding a doubled copy), sizes straight into loc_. A windowed
+  // vertex reads only the in-window stretch of each query's bucket-sorted
+  // list, so its slots see the same adds in the same order as unwindowed.
   std::vector<std::deque<AffinityEntry>> gathered(shards);
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
     // Per-worker scratch on the worker's own stack: no false sharing.
@@ -234,8 +251,11 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
           DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
       std::deque<AffinityEntry> out;  // local until done: no false sharing
       for (VertexId v = vbegin; v < vend; ++v) {
+        if (windowed && windows_[v].first >= windows_[v].second) continue;
         for (const VertexId q : graph.DataNeighbors(v)) {
-          const auto entries = ndata.Entries(q);
+          const auto entries = windowed
+                                   ? InWindow(ndata.Entries(q), windows_[v])
+                                   : ndata.Entries(q);
           if (entries.empty()) continue;
           acc.Reserve(entries.back().bucket);
           for (const BucketCount& e : entries) {
@@ -289,6 +309,7 @@ std::vector<uint64_t> AffinitySweep::BuildSharded(
   if (pool == nullptr) pool = &GlobalThreadPool();
   SHP_CHECK_GT(num_shards, 0);
   SHP_CHECK_EQ(owner_of.size(), static_cast<size_t>(n));
+  windows_.clear();
   loc_.assign(n, Loc{});
   garbage_ = 0;
   live_entries_ = 0;
@@ -437,11 +458,14 @@ inline bool AffinitySweep::PatchInPlace(VertexId v, BucketId bucket,
 
 void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
                                 std::span<const NeighborDelta> deltas,
-                                const PowTable& pow, ThreadPool* pool) {
+                                const PowTable& pow, ThreadPool* pool,
+                                std::vector<VertexId>* patched) {
+  if (patched != nullptr) patched->clear();
   if (deltas.empty()) return;
   if (pool == nullptr) pool = &GlobalThreadPool();
   const VertexId n = num_vertices();
   if (n == 0) return;
+  const bool windowed = !windows_.empty();
 
   // Per-query record index, by a counting scatter: count each query's
   // records, lay the runs out back to back, and scatter the records into
@@ -479,6 +503,17 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
         pow.Pow(rec.old_count) - pow.Pow(rec.new_count)};
     max_bucket = std::max(max_bucket, rec.bucket);
   }
+  if (windowed) {
+    // Bucket-sort each query's run, stably: each (q, bucket) chain keeps its
+    // emission order, and a vertex's window becomes a contiguous stretch.
+    for (const VertexId q : dirty) {
+      const auto [first, last] = query_records[q];
+      std::stable_sort(ops.begin() + first, ops.begin() + last,
+                       [](const PatchOp& a, const PatchOp& b) {
+                         return a.bucket < b.bucket;
+                       });
+    }
+  }
 
   const size_t workers = std::max<size_t>(1, pool->num_threads());
   const size_t shards = std::min<size_t>(workers, n);
@@ -490,11 +525,14 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
   blast.resize(n, 0);
   std::vector<ShardOverflow>& overflow = scratch_.overflow;
   std::vector<int64_t>& live_delta = scratch_.live_delta;
+  std::vector<std::vector<VertexId>>& shard_patched = scratch_.patched;
   overflow.resize(std::max(overflow.size(), shards));
   live_delta.assign(std::max(live_delta.size(), shards), 0);
+  shard_patched.resize(std::max(shard_patched.size(), shards));
   for (size_t s = 0; s < shards; ++s) {
     overflow[s].lists.clear();
     overflow[s].index.clear();
+    shard_patched[s].clear();
   }
 
   // Vertex-major patch. Each shard marks the blast radius inside its own
@@ -527,14 +565,26 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
       for (VertexId v = vbegin; v < vend; ++v) {
         if (blast[v] == 0) continue;
         blast[v] = 0;
+        if (windowed && windows_[v].first >= windows_[v].second) continue;
         runs.clear();
         uint32_t m = 0;
         for (const VertexId q : graph.DataNeighbors(v)) {
           if (((dirty_bits[q / 64] >> (q % 64)) & 1) == 0) continue;
-          const auto run = query_records[q];
+          auto run = query_records[q];
+          if (windowed) {
+            const auto in = InWindow(
+                std::span<const PatchOp>(ops.data() + run.first,
+                                         ops.data() + run.second),
+                windows_[v]);
+            if (in.empty()) continue;
+            run = {static_cast<uint32_t>(in.data() - ops.data()),
+                   static_cast<uint32_t>(in.data() + in.size() - ops.data())};
+          }
           runs.push_back(run);
           m += run.second - run.first;
         }
+        if (m == 0) continue;  // every record fell outside v's window
+        if (patched != nullptr) shard_patched[s].push_back(v);
         Loc& loc = loc_[v];
         if (4 * static_cast<uint64_t>(m) >= loc.size) {
           // Dense kernel: load, fold, write back in one merge — O(|acc| +
@@ -585,6 +635,12 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
   for (const VertexId q : dirty) {
     query_records[q] = {0, 0};
     dirty_bits[q / 64] = 0;
+  }
+  if (patched != nullptr) {
+    for (size_t s = 0; s < shards; ++s) {
+      patched->insert(patched->end(), shard_patched[s].begin(),
+                      shard_patched[s].end());
+    }
   }
   MergeOverflow(shards);
 }

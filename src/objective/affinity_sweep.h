@@ -32,6 +32,17 @@
 // fresh Build by summation order, so the refiner's patched-vs-fresh check is
 // tolerance-based (see docs/refinement.md).
 //
+// Per-level windows (SHP-2/r recursion, docs/refinement.md): Build may take
+// one bucket window per vertex — the sibling buckets of its subtree node, the
+// only buckets its recursion level ever reads. A windowed sweep gathers only
+// the in-window part of each query's bucket-sorted entry list, and
+// ApplyDeltas folds a record into v only when its bucket lies in v's window,
+// so a recursion level stores O(r) entries per vertex instead of one per
+// occupied bucket. The surviving slots receive exactly the adds they would
+// unwindowed, in the same order, so they hold the same floats. Without
+// windows (direct k-way, and the BSP engine's topology-free replicas) every
+// occupied bucket is kept.
+//
 // The integer support count makes entry lifetime exact: an accumulator entry
 // exists iff some adjacent query occupies the bucket, and dropping the entry
 // at support == 0 resets the float to exactly 0, so cancellation drift never
@@ -68,14 +79,24 @@ struct AffinityEntry {
   bool operator==(const AffinityEntry&) const = default;
 };
 
+/// Half-open bucket range [first, second) whose accumulator slots a vertex
+/// keeps in a windowed sweep; first == second keeps none.
+using BucketWindow = std::pair<BucketId, BucketId>;
+
 class AffinitySweep {
  public:
   /// Full vertex-major pass: each vertex sums 1 − B^{n_b(q)} over its
   /// ascending DataNeighbors(v) into a per-thread dense k-wide scratch.
   /// Vertices are split into Σ-degree-weighted contiguous ranges, one per
-  /// worker. O(Σ_q deg(q) · fanout(q)).
+  /// worker. O(Σ_q deg(q) · fanout(q)); windowed, O(Σ_v Σ_{q ∈ N(v)}
+  /// (log fanout(q) + in-window entries)).
+  ///
+  /// `windows`, if non-empty, holds one window per vertex: v keeps only the
+  /// buckets in windows[v], and the sweep stores the windows for
+  /// ApplyDeltas. Empty keeps every occupied bucket.
   void Build(const BipartiteGraph& graph, const QueryNeighborData& ndata,
-             const PowTable& pow, ThreadPool* pool = nullptr);
+             const PowTable& pow, ThreadPool* pool = nullptr,
+             std::vector<BucketWindow> windows = {});
 
   /// Steady-state patch: folds ApplyMoves delta records into the affected
   /// accumulators. Records are grouped per query, each query's kept in
@@ -88,9 +109,16 @@ class AffinitySweep {
   /// records, O(shards · Σ_dirty q log deg(q)) to mark, and O(Σ_marked v
   /// deg(v) + ops) to patch: beyond the two byte-cheap O(n) passes, the
   /// cost follows the move blast radius. `pow` must match Build's.
+  ///
+  /// A windowed sweep folds a record into v only when the record's bucket
+  /// lies in v's window (each query's records are stably sorted by bucket
+  /// first, so a window is a binary-searched stretch of the run). If
+  /// `patched` is non-null it receives, ascending, the vertices that
+  /// received at least one record — in-window ones, for a windowed sweep.
   void ApplyDeltas(const BipartiteGraph& graph,
                    std::span<const NeighborDelta> deltas, const PowTable& pow,
-                   ThreadPool* pool = nullptr);
+                   ThreadPool* pool = nullptr,
+                   std::vector<VertexId>* patched = nullptr);
 
   /// Source of one query's replica neighbor data for the sharded build —
   /// lets the BSP engine (per-worker replica lists, not a QueryNeighborData
@@ -108,7 +136,8 @@ class AffinitySweep {
   /// to the former every-shard-streams-everything layout — into its own
   /// vertices' lists. Returns per-shard simulated work units (accumulator
   /// merge operations; the binning pass is host bookkeeping and is not
-  /// charged, matching the old uncharged per-shard rescan).
+  /// charged, matching the old uncharged per-shard rescan). The result is
+  /// topology-free (no windows).
   std::vector<uint64_t> BuildSharded(const BipartiteGraph& graph,
                                      const EntriesFn& entries_of,
                                      const PowTable& pow,
@@ -139,8 +168,9 @@ class AffinitySweep {
 
   /// Entries of v with bucket in [begin, end) — the group-restricted view
   /// used by the recursion push scan. A pure re-slice of the arena (two
-  /// binary searches over v's sorted entries); changing the active window
-  /// never rebuilds or copies accumulator state. O(log entries).
+  /// binary searches over v's sorted entries): the BSP engine's
+  /// topology-free replicas change the active window without rebuilding or
+  /// copying accumulator state. O(log entries).
   std::span<const AffinityEntry> EntriesInWindow(VertexId v, BucketId begin,
                                                  BucketId end) const {
     const auto all = Entries(v);
@@ -157,8 +187,12 @@ class AffinitySweep {
 
   VertexId num_vertices() const { return static_cast<VertexId>(loc_.size()); }
 
-  /// Total live accumulator entries Σ_v |occupied buckets of N(v)|.
+  /// Total live accumulator entries Σ_v |occupied buckets of N(v)| (in
+  /// v's window, for a windowed sweep).
   uint64_t TotalEntries() const { return live_entries_; }
+
+  /// The per-vertex windows of the last Build (empty when not windowed).
+  const std::vector<BucketWindow>& windows() const { return windows_; }
 
   /// Adjacency neighbor reads performed by the most recent BuildSharded.
   /// The one-pass bootstrap reads each (query, data-neighbor) pin exactly
@@ -220,6 +254,7 @@ class AffinitySweep {
     std::vector<ShardOverflow> overflow;
     std::vector<int64_t> live_delta;
     std::vector<uint64_t> deg_prefix;  ///< Σ-degree shard-bound scratch
+    std::vector<std::vector<VertexId>> patched;  ///< per-shard patched list
   };
 
   /// Shared Build/BuildSharded layout: assigns every vertex's arena offset
@@ -247,6 +282,7 @@ class AffinitySweep {
 
   std::vector<AffinityEntry> entries_;  ///< flat arena (accumulators + slack)
   std::vector<Loc> loc_;                ///< per-vertex accumulator location
+  std::vector<BucketWindow> windows_;   ///< per-vertex window, or empty
   uint64_t live_entries_ = 0;           ///< Σ_v loc_[v].size
   uint64_t garbage_ = 0;                ///< arena slots abandoned by relocation
   uint64_t last_build_adjacency_reads_ = 0;  ///< see accessor

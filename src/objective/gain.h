@@ -133,7 +133,8 @@ class GainComputer {
   /// Group-restricted push scan for recursion windows: candidates are the
   /// sibling buckets of v's group (ascending, containing `from`), and the
   /// scan reads only the accumulator window spanning them
-  /// (AffinitySweep::EntriesInWindow — a re-slice, never a rebuild). Same
+  /// (AffinitySweep::EntriesInWindow; on a sweep windowed to v's group that
+  /// slice is all of v's entries). Same
   /// tie-break as the full-k scan; the empty-window fallback is the lowest
   /// sibling ≠ from, matching the grouped pull path's first-candidate-wins
   /// argmax. O(|candidates| + window entries). Requires SupportsPush().

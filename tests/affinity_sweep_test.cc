@@ -2,7 +2,8 @@
 // chains vs before/after CountFor diffs), accumulator build/patch
 // equivalence with a fresh build, bit-exact agreement of the vertex-major
 // Build/ApplyDeltas with serial query-major / record-major references for
-// every thread count, pull-vs-push best-target consistency (tie-breaks,
+// every thread count (windowed sweeps against the references restricted
+// to each vertex's window), pull-vs-push best-target consistency (tie-breaks,
 // restricted windows, empty-window fallback), and the refiner-level
 // pull-vs-push tolerance harness across all three MoveBroker strategies.
 #include <gtest/gtest.h>
@@ -622,6 +623,131 @@ TEST(AffinitySweepBitExact, HandBuiltChainsCoverBothKernels) {
         EXPECT_GT(sweep.ArenaSlots(), slots_before) << "no relocation";
       }
     }
+  }
+}
+
+// Windows of a recursion level with sibling groups of four buckets over
+// k = 32: v keeps its group's four buckets, except that vertices of the last
+// group (buckets 28..31, "not refined") get an empty window.
+std::vector<BucketWindow> GroupOfFourWindows(
+    const std::vector<BucketId>& assignment) {
+  std::vector<BucketWindow> windows;
+  for (const BucketId b : assignment) {
+    const BucketId lo = b / 4 * 4;
+    windows.push_back(lo == 28 ? BucketWindow{0, 0} : BucketWindow{lo, lo + 4});
+  }
+  return windows;
+}
+
+/// `acc` with every vertex's entries outside its window removed. Filtering a
+/// serial reference keeps each surviving slot's adds and their order.
+Accumulators RestrictToWindows(Accumulators acc,
+                               const std::vector<BucketWindow>& windows) {
+  for (size_t v = 0; v < acc.size(); ++v) {
+    std::erase_if(acc[v], [&](const AffinityEntry& e) {
+      return e.bucket < windows[v].first || e.bucket >= windows[v].second;
+    });
+  }
+  return acc;
+}
+
+/// Serial record-major patch in canonical order that folds a record into v
+/// only when its bucket lies in v's window; returns the vertices that
+/// received a record, ascending.
+std::vector<VertexId> ReferencePatchWindowed(
+    const BipartiteGraph& g, const std::vector<NeighborDelta>& deltas,
+    const PowTable& pow, const std::vector<BucketWindow>& windows,
+    Accumulators* acc) {
+  std::vector<uint8_t> received(g.num_data(), 0);
+  for (const NeighborDelta& rec : CanonicalOrder(deltas)) {
+    const double add = pow.Pow(rec.old_count) - pow.Pow(rec.new_count);
+    const int32_t sup = static_cast<int32_t>(rec.old_count == 0) -
+                        static_cast<int32_t>(rec.new_count == 0);
+    for (const VertexId v : g.QueryNeighbors(rec.q)) {
+      if (rec.bucket < windows[v].first || rec.bucket >= windows[v].second) {
+        continue;
+      }
+      ReferenceFold(&(*acc)[v], rec.bucket, add, sup);
+      received[v] = 1;
+    }
+  }
+  std::vector<VertexId> patched;
+  for (VertexId v = 0; v < g.num_data(); ++v) {
+    if (received[v]) patched.push_back(v);
+  }
+  return patched;
+}
+
+TEST(AffinitySweepBitExact, WindowedBuildMatchesRestrictedSerialReference) {
+  const BipartiteGraph g = TestGraph(41);
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const std::vector<BucketId> assignment =
+      Partition::Random(g.num_data(), 32, 5).assignment();
+  const std::vector<BucketWindow> windows = GroupOfFourWindows(assignment);
+  QueryNeighborData ndata;
+  ndata.Build(g, assignment);
+  const Accumulators ref =
+      RestrictToWindows(ReferenceBuild(g, ndata, pow), windows);
+  for (const size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    AffinitySweep sweep;
+    sweep.Build(g, ndata, pow, &pool, windows);
+    EXPECT_EQ(sweep.windows(), windows);
+    EXPECT_TRUE(BitIdentical(sweep, ref)) << "threads=" << threads;
+    for (VertexId v = 0; v < g.num_data(); ++v) {
+      if (windows[v].first == windows[v].second) {
+        EXPECT_TRUE(sweep.Entries(v).empty()) << "empty window, v=" << v;
+      }
+    }
+  }
+}
+
+TEST(AffinitySweepBitExact, WindowedApplyDeltasMatchesRestrictedReference) {
+  // Moves go to any of the 32 buckets, so most records fall outside the
+  // receiving vertex's four-bucket window (or its empty one) and must be
+  // skipped, while in-window records fold in their canonical order. The
+  // sweep's windows stay those of its Build.
+  const BipartiteGraph g = TestGraph(43);
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const size_t batches[] = {60, 1, 25, 2, 8};
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    std::vector<BucketId> assignment =
+        Partition::Random(g.num_data(), 32, 9).assignment();
+    const std::vector<BucketWindow> windows = GroupOfFourWindows(assignment);
+    QueryNeighborData ndata;
+    ndata.Build(g, assignment, &pool);
+    AffinitySweep sweep;
+    sweep.Build(g, ndata, pow, &pool, windows);
+    Accumulators ref = RestrictToWindows(ReferenceBuild(g, ndata, pow), windows);
+    ASSERT_TRUE(BitIdentical(sweep, ref));
+
+    uint64_t outside = 0;
+    for (uint64_t round = 0; round < 12; ++round) {
+      const std::vector<VertexMove> moves = RandomBatch(
+          &assignment, 32, 47, round, batches[round % std::size(batches)]);
+      std::vector<NeighborDelta> deltas;
+      ndata.ApplyMoves(g, moves, &pool, nullptr, &deltas);
+      for (const NeighborDelta& rec : deltas) {
+        for (const VertexId v : g.QueryNeighbors(rec.q)) {
+          outside += rec.bucket < windows[v].first ||
+                     rec.bucket >= windows[v].second;
+        }
+      }
+      std::vector<VertexId> patched = {7};  // must be overwritten
+      sweep.ApplyDeltas(g, deltas, pow, &pool, &patched);
+      const std::vector<VertexId> expected =
+          ReferencePatchWindowed(g, deltas, pow, windows, &ref);
+      ASSERT_TRUE(BitIdentical(sweep, ref)) << "round " << round;
+      EXPECT_EQ(patched, expected) << "round " << round;
+    }
+    EXPECT_GT(outside, 0u) << "no record fell outside a window";
+    // A fresh windowed Build reads the same in-window counts: equal support
+    // everywhere, floats equal up to summation order.
+    AffinitySweep fresh;
+    fresh.Build(g, ndata, pow, &pool, windows);
+    EXPECT_TRUE(sweep.ApproxEquals(fresh, 1e-12, 1e-12));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "common/rng.h"
 #include "graph/dataset_catalog.h"
@@ -185,6 +186,25 @@ TEST(Catalog, SynthesizeDeterministicPerSeed) {
   const DatasetSpec spec = FindDataset("soc-Pokec").value();
   EXPECT_EQ(Synthesize(spec, 0.02, 9).query_adj(),
             Synthesize(spec, 0.02, 9).query_adj());
+}
+
+// The default bench scale (table2_quality --scale=0.15) must give every row
+// its own instance: scaled vertex counts below the generator floor clamp to
+// it, so two rows with close scaled sizes could collapse into one graph.
+TEST(Catalog, RowsAreDistinctAtBenchScale) {
+  const auto& catalog = DatasetCatalog();
+  std::vector<std::tuple<uint64_t, uint64_t, uint64_t>> sizes;
+  for (const DatasetSpec& spec : catalog) {
+    const BipartiteGraph g = Synthesize(spec, 0.15);
+    sizes.emplace_back(g.num_queries(), g.num_data(), g.num_edges());
+  }
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    for (size_t j = i + 1; j < sizes.size(); ++j) {
+      EXPECT_NE(sizes[i], sizes[j])
+          << catalog[i].name << " and " << catalog[j].name
+          << " synthesize the same (queries, data, pins)";
+    }
+  }
 }
 
 // Property sweep: every family × several seeds produces a valid graph with

@@ -1,12 +1,16 @@
-// Refiner-level tests: grouped vs full-k equivalence, anchor penalties,
-// exploration determinism, and iteration accounting.
+// Refiner-level tests: grouped vs full-k equivalence, windowed accumulators
+// under grouped topologies, anchor penalties, exploration determinism, and
+// iteration accounting.
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "core/partition.h"
 #include "core/refiner.h"
 #include "graph/gen_planted.h"
 #include "graph/gen_social.h"
 #include "graph/io_partition.h"
+#include "objective/objective.h"
 
 namespace shp {
 namespace {
@@ -45,6 +49,76 @@ TEST(Refiner, GroupedBisectionMatchesFullK) {
   }
   EXPECT_EQ(full.assignment(), grouped.assignment())
       << "identical candidate sets and seeds must give identical moves";
+}
+
+// Brute-force Σ_v |{buckets occupied by N(N(v))} ∩ window(v)|, where v's
+// window is its group's GroupWindow (none when v's bucket is not refined).
+uint64_t InWindowOccupiedBuckets(const BipartiteGraph& g,
+                                 const MoveTopology& topo,
+                                 const Partition& partition) {
+  uint64_t total = 0;
+  for (VertexId v = 0; v < g.num_data(); ++v) {
+    const int32_t group = topo.group_of_bucket[partition.bucket_of(v)];
+    if (group < 0) continue;
+    const auto [lo, hi] = topo.GroupWindow(group);
+    std::set<BucketId> occupied;
+    for (const VertexId q : g.DataNeighbors(v)) {
+      for (const VertexId u : g.QueryNeighbors(q)) {
+        const BucketId b = partition.bucket_of(u);
+        if (b >= lo && b < hi) occupied.insert(b);
+      }
+    }
+    total += occupied.size();
+  }
+  return total;
+}
+
+// A grouped (recursion-level) topology runs push over a windowed sweep:
+// every vertex keeps exactly its group's occupied buckets, grouped push
+// tracks grouped pull, and a new group structure rebuilds the sweep.
+TEST(Refiner, GroupedPushKeepsOnlyWindowEntries) {
+  const BipartiteGraph g = SmallGraph(6);
+  const BucketId k = 8;
+  // Buckets 6 and 7 are not refined: their vertices keep no entries.
+  const MoveTopology topo =
+      MoveTopology::Grouped(k, g.num_data(), 0.05, {{0, 1}, {2, 3}, {4, 5}});
+  RefinerOptions pull_options;
+  pull_options.incremental_rebuild_fraction = 1.0;  // always patch
+  pull_options.sweep_mode = RefinerOptions::SweepMode::kPull;
+  RefinerOptions push_options = pull_options;
+  push_options.sweep_mode = RefinerOptions::SweepMode::kPush;
+
+  Partition p_pull = Partition::BalancedRandom(g.num_data(), k, 4);
+  Partition p_push = p_pull;
+  Refiner pull(g, pull_options);
+  Refiner push(g, push_options);
+  for (uint64_t iter = 0; iter < 8; ++iter) {
+    pull.RunIteration(topo, &p_pull, 3, iter);
+    EXPECT_TRUE(push.RunIteration(topo, &p_push, 3, iter).push_sweep);
+    EXPECT_EQ(push.affinity_sweep().TotalEntries(),
+              InWindowOccupiedBuckets(g, topo, p_push))
+        << "iteration " << iter;
+  }
+  EXPECT_FALSE(push.affinity_sweep().windows().empty());
+  EXPECT_EQ(push.num_sweep_builds(), 1u) << "one level, one sweep build";
+  const double f_pull = AverageFanout(g, p_pull.assignment());
+  const double f_push = AverageFanout(g, p_push.assignment());
+  EXPECT_NEAR(f_pull, f_push, 1e-4 * f_pull);
+
+  // Same partition, new group structure: the neighbor data carries over,
+  // the windowed sweep is rebuilt, and the proposals equal a fresh
+  // refiner's on the same input.
+  const MoveTopology regrouped =
+      MoveTopology::Grouped(k, g.num_data(), 0.05, {{0, 1, 2, 3}, {4, 5}});
+  Partition p_fresh = p_push;
+  Refiner fresh(g, push_options);
+  push.RunIteration(regrouped, &p_push, 3, 8);
+  fresh.RunIteration(regrouped, &p_fresh, 3, 8);
+  EXPECT_EQ(push.num_sweep_builds(), 2u);
+  EXPECT_EQ(push.num_full_rebuilds(), 1u);
+  EXPECT_EQ(push.targets(), fresh.targets());
+  EXPECT_EQ(push.gains(), fresh.gains());
+  EXPECT_EQ(p_push.assignment(), p_fresh.assignment());
 }
 
 TEST(Refiner, InactiveBucketsAreFrozen) {
