@@ -121,8 +121,8 @@ BENCHMARK(BM_NeighborDataApplyMoves)->Arg(64)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BestTargetPushGroupedScan(benchmark::State& state) {
-  // Group-restricted push scan (SHP-2/r recursion): one merge over the
-  // sibling candidates and the accumulator window spanning them.
+  // Group-restricted push scan (SHP-2/r recursion): one scan over the
+  // sibling candidates and the accumulator, windowed to the span of them.
   const BucketId k = static_cast<BucketId>(state.range(0));
   const BipartiteGraph graph = MakeGraph(20000, 16);
   const auto partition = Partition::Random(graph.num_data(), k, 1);
@@ -130,18 +130,21 @@ void BM_BestTargetPushGroupedScan(benchmark::State& state) {
   ndata.Build(graph, partition.assignment());
   const GainComputer gain(0.5,
                           static_cast<uint32_t>(graph.MaxQueryDegree()));
-  AffinitySweep sweep;
-  sweep.Build(graph, ndata, gain.pow_table());
   // Sibling pairs {2i, 2i+1} — the final recursion level.
   std::vector<std::vector<BucketId>> pairs;
   for (BucketId b = 0; b + 1 < k; b += 2) pairs.push_back({b, b + 1});
+  const MoveTopology topo =
+      MoveTopology::Grouped(k, graph.num_data(), 0.05, pairs);
+  AffinitySweep sweep;
+  sweep.Build(graph, ndata, gain.pow_table(), nullptr,
+              topo.GroupWindows(partition));
   uint64_t v = 0;
   for (auto _ : state) {
     const VertexId vertex = static_cast<VertexId>(v++ % graph.num_data());
     const BucketId from = partition.bucket_of(vertex);
     const auto& siblings = pairs[static_cast<size_t>(from / 2)];
     benchmark::DoNotOptimize(gain.FindBestTargetPushGrouped(
-        sweep, vertex, from, std::span<const BucketId>(siblings),
+        sweep.Entries(vertex), from, std::span<const BucketId>(siblings),
         static_cast<double>(graph.DataDegree(vertex))));
   }
 }

@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
                                      timing.iteration_ms.end(), 0.0) /
                      static_cast<double>(timing.iteration_ms.size());
     timing.bootstrap_adjacency_reads =
-        refiner.sweep().last_build_adjacency_reads();
+        refiner.last_bootstrap_adjacency_reads();
     return std::make_pair(timing, partition.assignment());
   };
   // The delta exchange has one wire path, the grouped varint codec: the

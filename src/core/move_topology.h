@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/partition.h"
 #include "objective/neighbor_data.h"
 
 namespace shp {
@@ -38,14 +39,40 @@ struct MoveTopology {
 
   /// Half-open bucket-id window [begin, end) spanning group g's members —
   /// the slice of a sorted sparse accumulator that the group-restricted
-  /// push scan reads. The threaded Refiner stores only this window per
-  /// vertex (a windowed AffinitySweep, rebuilt for a new group structure).
-  /// The BSP engine's accumulator replicas are topology-free: a
-  /// recursion-level change re-slices this window, never rebuilds them.
+  /// push scan reads. Both engines store only this window per vertex (a
+  /// windowed AffinitySweep, rebuilt for a new group structure).
   std::pair<BucketId, BucketId> GroupWindow(int32_t g) const {
     const std::vector<BucketId>& members =
         group_children[static_cast<size_t>(g)];
     return {members.front(), static_cast<BucketId>(members.back() + 1)};
+  }
+
+  /// Accumulator window of a vertex in bucket b: [0, k) under full_k, else
+  /// the window of b's group, or empty when b is not being refined.
+  std::pair<BucketId, BucketId> WindowOf(BucketId b) const {
+    if (full_k) return {0, k};
+    const int32_t g = group_of_bucket[static_cast<size_t>(b)];
+    return g >= 0 ? GroupWindow(g) : std::pair<BucketId, BucketId>{0, 0};
+  }
+
+  /// Per-vertex windows of a windowed AffinitySweep: WindowOf(v's bucket)
+  /// for every vertex in `vertices` (all vertices when null), empty for the
+  /// rest — a BSP data worker passes its own shard. Stable while the
+  /// topology holds: a vertex only ever moves within its group.
+  std::vector<std::pair<BucketId, BucketId>> GroupWindows(
+      const Partition& partition,
+      const std::vector<VertexId>* vertices = nullptr) const {
+    std::vector<std::pair<BucketId, BucketId>> windows(partition.num_data());
+    if (vertices == nullptr) {
+      for (VertexId v = 0; v < partition.num_data(); ++v) {
+        windows[v] = WindowOf(partition.bucket_of(v));
+      }
+    } else {
+      for (const VertexId v : *vertices) {
+        windows[v] = WindowOf(partition.bucket_of(v));
+      }
+    }
+    return windows;
   }
 
   /// Topology for direct k-way partitioning of n vertices.

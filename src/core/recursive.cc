@@ -74,17 +74,6 @@ RecursiveResult RecursivePartitioner::Run(const BipartiteGraph& graph,
   RefinerOptions refiner_options = options_.refiner;
   refiner_options.p = options_.p;
 
-  // One refiner reused across levels whenever the gain base allows: within
-  // a level it keeps the neighbor data (and, for the BSP engine, the
-  // accumulator replicas) alive across iterations, and across a level
-  // advance the engines self-heal from the redistribution diff — the BSP
-  // delta exchange re-restricts its replicas to the new group windows
-  // instead of re-bootstrapping. Only a future_splits change forces a new
-  // refiner (the pow base B = 1 − p/t differs, invalidating every cached
-  // float).
-  std::unique_ptr<RefinerInterface> refiner;
-  uint32_t refiner_future_splits = 0;
-
   for (uint32_t level = 1; !active.empty(); ++level) {
     // 1. Split every active node; compute the new node set and topology.
     std::vector<Node> next_active;
@@ -175,18 +164,18 @@ RecursiveResult RecursivePartitioner::Run(const BipartiteGraph& graph,
     }
 
     // 3. Refine this level: all sibling groups concurrently, one Refiner
-    // pass per iteration, per-vertex moves constrained to siblings.
+    // pass per iteration, per-vertex moves constrained to siblings. One
+    // refiner per level: its incremental state (neighbor data, accumulators
+    // windowed to this level's sibling groups, cached proposals) lives
+    // exactly as long as the level's group structure.
     refiner_options.future_splits =
         options_.future_split_objective
             ? static_cast<uint32_t>(max_child_leaves)
             : 1;
-    if (refiner == nullptr ||
-        refiner_options.future_splits != refiner_future_splits) {
-      refiner = options_.refiner_factory
-                    ? options_.refiner_factory(graph, refiner_options)
-                    : std::make_unique<Refiner>(graph, refiner_options);
-      refiner_future_splits = refiner_options.future_splits;
-    }
+    const std::unique_ptr<RefinerInterface> refiner =
+        options_.refiner_factory
+            ? options_.refiner_factory(graph, refiner_options)
+            : std::make_unique<Refiner>(graph, refiner_options);
 
     RecursiveLevelRecord record;
     record.level = level;

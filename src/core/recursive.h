@@ -41,7 +41,8 @@ struct RecursiveOptions {
   bool scale_epsilon_by_depth = true;   ///< §3.4
   bool future_split_objective = true;   ///< §3.4
   RefinerOptions refiner;  ///< p/future_splits overwritten internally
-  /// Swaps the iteration engine (default: threaded in-memory Refiner).
+  /// Swaps the iteration engine (default: threaded in-memory Refiner). Run
+  /// calls it once per recursion level.
   RefinerFactory refiner_factory;
 };
 

@@ -9,25 +9,6 @@
 
 namespace shp {
 
-namespace {
-
-/// Per-vertex accumulator windows of a grouped topology: the bucket window
-/// of v's group (MoveTopology::GroupWindow), empty when v's bucket is not
-/// being refined. Stable while the topology holds — a vertex only ever moves
-/// within its group.
-std::vector<BucketWindow> GroupWindows(const MoveTopology& topo,
-                                       const Partition& partition) {
-  std::vector<BucketWindow> windows(partition.num_data(), BucketWindow{0, 0});
-  for (VertexId v = 0; v < partition.num_data(); ++v) {
-    const int32_t group =
-        topo.group_of_bucket[static_cast<size_t>(partition.bucket_of(v))];
-    if (group >= 0) windows[v] = topo.GroupWindow(group);
-  }
-  return windows;
-}
-
-}  // namespace
-
 Refiner::Refiner(const BipartiteGraph& graph, const RefinerOptions& options)
     : graph_(graph),
       options_(options),
@@ -65,8 +46,8 @@ GainComputer::BestTarget Refiner::ComputeProposal(
     // windowed accumulator, which holds exactly the window spanning them.
     const std::span<const BucketId> children(
         topo.group_children[static_cast<size_t>(group)]);
-    best = push ? gain_.FindBestTargetPushGrouped(sweep_, v, from, children,
-                                                  degree)
+    best = push ? gain_.FindBestTargetPushGrouped(sweep_.Entries(v), from,
+                                                  children, degree)
                 : gain_.FindBestTargetGrouped(
                       graph_, GainComputer::EntriesOf(ndata_), v, from,
                       children);
@@ -120,7 +101,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     // Full vertex-major pass: every vertex gathers its adjacent queries'
     // per-bucket contributions, in its group's window when grouped.
     sweep_.Build(graph_, ndata_, gain_.pow_table(), pool,
-                 windowed ? GroupWindows(topo, *partition)
+                 windowed ? topo.GroupWindows(*partition)
                           : std::vector<BucketWindow>{});
     sweep_valid_ = true;
     ++num_sweep_builds_;
@@ -297,7 +278,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     // ones the current partition derives.
     std::vector<BucketWindow> windows;
     if (windowed) {
-      windows = GroupWindows(topo, *partition);
+      windows = topo.GroupWindows(*partition);
       SHP_CHECK(windows == sweep_.windows())
           << "a vertex left the accumulator window of its group";
     }

@@ -37,10 +37,9 @@
 // recursion either evaluates each sibling candidate directly against the
 // neighbor data (pull, O(r · deg(v))) or scans a windowed sweep
 // (GainComputer::FindBestTargetPushGrouped) whose accumulators hold only
-// each vertex's group window. A new group structure rebuilds that sweep; a
-// recursion level advance redistributes vertices and rebuilds the neighbor
-// data anyway. Only the BSP engine keeps topology-free accumulator replicas
-// that re-slice the active window (engine/shp_bsp.h).
+// each vertex's group window. A new group structure rebuilds that sweep; the
+// recursion drivers build one refiner per level anyway. The BSP engine keeps
+// the same windowed sweep, one per simulated data worker (engine/shp_bsp.h).
 #pragma once
 
 #include <cstdint>

@@ -32,7 +32,8 @@ struct DistributedShpReport {
   SimulatedTime simulated;
   /// Host wall time of the simulation itself (not a cluster estimate).
   double host_wall_seconds = 0.0;
-  /// Peak estimated distributed state on the busiest worker.
+  /// Peak estimated distributed state on the busiest worker
+  /// (BspRefiner::MaxWorkerStateBytes, sampled after every iteration).
   uint64_t max_worker_state_bytes = 0;
   /// Per-superstep log (Fig. 5 scaling analysis drills into this).
   std::vector<SuperstepStats> supersteps;

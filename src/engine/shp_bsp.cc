@@ -79,6 +79,8 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   s1_sorted_.resize(W);
   s1_records_.resize(W);
   s2_inbox_.resize(W);
+  sweeps_.resize(W);
+  patched_lists_.resize(W);
   recompute_.assign(graph.num_data(), 0);
   recompute_lists_.resize(W);
   mover_lists_.resize(W);
@@ -105,14 +107,12 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
 uint64_t BspRefiner::MaxWorkerStateBytes() const {
   uint64_t worst = 0;
   for (int w = 0; w < config_.num_workers; ++w) {
-    uint64_t bytes = 0;
+    // The delta-exchange replica: the worker's own accumulator entries
+    // (none in pull mode, which never builds one).
+    uint64_t bytes = sweeps_[static_cast<size_t>(w)].TotalEntries() *
+                     sizeof(AffinityEntry);
     for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
       bytes += graph_.DataDegree(v) * sizeof(VertexId) + 16;
-      if (sweep_valid_) {
-        // Delta-exchange replica: the vertex's accumulator entries replace
-        // the pull path's cached neighbor-data lists.
-        bytes += sweep_.Entries(v).size() * sizeof(AffinityEntry);
-      }
     }
     for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
       bytes += graph_.QueryDegree(q) * sizeof(VertexId) +
@@ -121,6 +121,14 @@ uint64_t BspRefiner::MaxWorkerStateBytes() const {
     worst = std::max(worst, bytes);
   }
   return worst;
+}
+
+uint64_t BspRefiner::last_bootstrap_adjacency_reads() const {
+  uint64_t reads = 0;
+  for (const AffinitySweep& sweep : sweeps_) {
+    reads += sweep.last_build_adjacency_reads();
+  }
+  return reads;
 }
 
 IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
@@ -176,13 +184,18 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     if (until > round.epoch) ++round.stats.degraded_links;
   }
 
-  AnnounceAndFold(*partition, pool, &round);
+  // The replicas' windows follow the group structure, so a new one needs new
+  // replicas. Drop them before superstep 1: the fold would otherwise emit
+  // records for replicas superstep 2 is about to rebuild.
+  if (sweep_valid_ && !context_.MatchesTopology(topo)) sweep_valid_ = false;
+  AnnounceAndFold(topo, *partition, pool, &round);
   // Cached proposals also depend on the topology and the anchor.
   if (!context_.Matches(topo, anchor, anchor_penalty)) {
     context_.Snapshot(topo, anchor, anchor_penalty);
     proposals_valid_ = false;
   }
-  ExchangeNeighborData(topo, round.stats.degraded_links > 0, pool, &round);
+  ExchangeNeighborData(topo, *partition, round.stats.degraded_links > 0, pool,
+                       &round);
   ProposeMoves(topo, *partition, anchor, anchor_penalty, pool, &round);
   const auto histograms = UploadHistograms(*partition, pool, &round);
   DrawAndExecute(topo, histograms, seed, iteration, partition, pool, &round);
@@ -215,7 +228,8 @@ bool BspRefiner::Announce(int w, VertexId v, BucketId now, uint64_t* work) {
   return true;
 }
 
-void BspRefiner::AnnounceAndFold(const Partition& partition, ThreadPool* pool,
+void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
+                                 const Partition& partition, ThreadPool* pool,
                                  RoundState* round) {
   const int W = config_.num_workers;
   SuperstepStats& s1 = round->s1;
@@ -259,14 +273,16 @@ void BspRefiner::AnnounceAndFold(const Partition& partition, ThreadPool* pool,
     const uint64_t total_changed =
         std::accumulate(changed.begin(), changed.end(), uint64_t{0});
     if (sweep_valid_ &&
-        static_cast<double>(total_changed) >
-            options_.incremental_rebuild_fraction *
-                static_cast<double>(graph_.num_data())) {
-      // External-mutation churn guard (same cost rule as the post-move
-      // fallback in superstep 4): with this many externally changed
-      // vertices the diff records outweigh a full reship, so drop the
-      // replicas now — the fold then skips emission and superstep 2
-      // re-bootstraps.
+        (!topo.full_k || static_cast<double>(total_changed) >
+                             options_.incremental_rebuild_fraction *
+                                 static_cast<double>(graph_.num_data()))) {
+      // External-mutation guard: drop the replicas now — the fold then
+      // skips emission and superstep 2 re-bootstraps. Under a grouped
+      // topology a moved vertex may have left its group, and with it its
+      // stored window. Under direct k-way the windows cannot go stale, and
+      // only churn matters (same cost rule as the post-move fallback in
+      // superstep 4): with this many externally changed vertices the diff
+      // records outweigh a full reship.
       sweep_valid_ = false;
     }
     proposals_valid_ = false;
@@ -387,8 +403,10 @@ uint64_t BspRefiner::MarkForRecompute(int w,
   return marked;
 }
 
-void BspRefiner::ExchangeNeighborData(const MoveTopology& topo, bool degraded,
-                                      ThreadPool* pool, RoundState* round) {
+void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
+                                      const Partition& partition,
+                                      bool degraded, ThreadPool* pool,
+                                      RoundState* round) {
   const int W = config_.num_workers;
   SuperstepStats& s2 = round->s2;
   // Degraded mode: while any link is in backoff the delta exchange stays
@@ -456,26 +474,23 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo, bool degraded,
 
   if (!round->push || round->bootstrap) {
     // Full-reship send: dirty queries ship their topology-relevant neighbor
-    // data, one combined message per destination worker. The delta-exchange
-    // bootstrap charges the same volume — the accumulator replicas are built
-    // from exactly this shipment. (Added to, not replacing, a failed
-    // enveloped exchange's send charge earlier this iteration.)
+    // data, one combined message per destination worker. A delta-exchange
+    // bootstrap ships every query the same way — the accumulator replicas
+    // are built from exactly this shipment. (Added to, not replacing, a
+    // failed enveloped exchange's send charge earlier this iteration.)
     MessageRouter<NeighborDataMsg> router(W);
     AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       std::vector<uint8_t> dst_mask(static_cast<size_t>(W));
       for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
         if (!query_dirty_[q] && !round->bootstrap) continue;
-        // Pull mode restricts to buckets active in this topology (recursion
-        // sends "at most r values" per §3.3). A delta-exchange bootstrap
-        // ships the *full* lists instead: the accumulator replicas it seeds
-        // are topology-free, which is what lets later recursion levels
-        // re-slice the active window instead of reshipping.
+        // Restricted to buckets active in this topology (recursion sends
+        // "at most r values" per §3.3): the replicas a bootstrap seeds keep
+        // only their vertices' group windows.
         std::vector<BucketCount> restricted;
         restricted.reserve(query_ndata_[q].size());
         for (const BucketCount& e : query_ndata_[q]) {
-          if (round->bootstrap ||
-              topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0) {
+          if (topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0) {
             restricted.push_back(e);
           }
         }
@@ -508,11 +523,17 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo, bool degraded,
       return sizeof(VertexId) + m.entries.size() * sizeof(BucketCount);
     });
     if (round->bootstrap) {
-      // Build each data worker's accumulator replica from the shipment, one
-      // query-major pass over its own shard.
-      AddWork(sweep_.BuildSharded(graph_, QueryReplicas(), gain_.pow_table(),
-                                  data_owner_, W, pool),
-              &s2);
+      // Each data worker builds its accumulator replica from the shipment:
+      // the vertex-major gather over its own vertices' windows, charged one
+      // work unit per accumulator add. The workers build one after another,
+      // each on the whole host pool.
+      for (int w = 0; w < W; ++w) {
+        s2.work_units[static_cast<size_t>(w)] +=
+            sweeps_[static_cast<size_t>(w)].Build(
+                graph_, query_ndata_, gain_.pow_table(), pool,
+                topo.GroupWindows(partition,
+                                  &data_shards_[static_cast<size_t>(w)]));
+      }
       sweep_valid_ = true;
       // The reship bypasses the enveloped link protocol, so it doubles as
       // the protocol resync point: receive sequences jump to the send
@@ -520,34 +541,32 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo, bool degraded,
       ResyncLinks();
     }
   } else {
-    // Receive: each worker consumes its inbox — the records the verified
-    // transfer decoded, src order keeping every per-(q, bucket) chain
-    // intact (a query's records come from its single owner) — marks the
-    // blast radius, and patches the accumulator replicas.
-    if (!round->recompute_all) {
-      AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
-        uint64_t work = 0;
-        VertexId last_q = static_cast<VertexId>(-1);
-        for (const NeighborDelta& rec : s2_inbox_[static_cast<size_t>(w)]) {
-          if (rec.q == last_q) continue;
-          last_q = rec.q;
-          work += MarkForRecompute(w, graph_.QueryNeighbors(rec.q));
-        }
-        return work;
-      }), &s2);
+    // Receive: each worker patches its replica from its inbox — the records
+    // the verified transfer decoded, src order keeping every per-(q,
+    // bucket) chain intact (a query's records come from its single owner) —
+    // charged one work unit per record scanned and per record folded into
+    // an accumulator. The workers patch one after another, each on the
+    // whole host pool.
+    for (int w = 0; w < W; ++w) {
+      const std::vector<NeighborDelta>& inbox =
+          s2_inbox_[static_cast<size_t>(w)];
+      s2.work_units[static_cast<size_t>(w)] +=
+          inbox.size() +
+          sweeps_[static_cast<size_t>(w)].ApplyDeltas(
+              graph_, inbox, gain_.pow_table(), pool,
+              &patched_lists_[static_cast<size_t>(w)]);
     }
-    std::vector<std::span<const NeighborDelta>> inboxes(s2_inbox_.begin(),
-                                                        s2_inbox_.end());
-    AddWork(sweep_.ApplyDeltasSharded(graph_, inboxes, gain_.pow_table(),
-                                      data_owner_, pool),
-            &s2);
   }
   if (!round->recompute_all) {
-    // Last round's movers recompute unconditionally: a mover's `from`
-    // changed even when offsetting moves cancelled every adjacent count
-    // delta, in which case no dirty query or record reaches it.
+    // A push proposal reads only v's window and bucket, so it can change
+    // only if v received an in-window record (pull mode never patches, so
+    // its patched lists stay empty) or moved. Last round's movers recompute
+    // unconditionally: a mover's `from` changed even when offsetting moves
+    // cancelled every adjacent count delta, in which case no dirty query or
+    // record reaches it.
     AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
-      return MarkForRecompute(w, last_movers_);
+      return MarkForRecompute(w, patched_lists_[static_cast<size_t>(w)]) +
+             MarkForRecompute(w, last_movers_);
     }), &s2);
   }
 
@@ -563,13 +582,23 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo, bool degraded,
 
 #ifndef NDEBUG
   if (round->push) {
-    // The delta-patched accumulator replicas must match a fresh owner-
-    // sharded build up to float summation order.
-    AffinitySweep fresh;
-    fresh.BuildSharded(graph_, QueryReplicas(), gain_.pow_table(),
-                       data_owner_, W, pool);
-    SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
-        << "patched BSP accumulator replicas diverged from a fresh build";
+    // Each worker's delta-patched replica must match a fresh build over the
+    // same windows up to float summation order — and those windows must
+    // still be the ones the current partition derives.
+    for (int w = 0; w < W; ++w) {
+      const AffinitySweep& sweep = sweeps_[static_cast<size_t>(w)];
+      std::vector<BucketWindow> windows =
+          topo.GroupWindows(partition, &data_shards_[static_cast<size_t>(w)]);
+      SHP_CHECK(windows == sweep.windows())
+          << "a vertex left the accumulator window of its group (worker " << w
+          << ")";
+      AffinitySweep fresh;
+      fresh.Build(graph_, query_ndata_, gain_.pow_table(), pool,
+                  std::move(windows));
+      SHP_CHECK(sweep.ApproxEquals(fresh, 1e-9, 1e-9))
+          << "patched BSP accumulator replica of worker " << w
+          << " diverged from a fresh build";
+    }
   }
 #endif
 }
@@ -594,19 +623,16 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
     const std::span<const BucketId> children(
         topo.group_children[static_cast<size_t>(group)]);
     GainComputer::BestTarget best;
+    const AffinitySweep& sweep = sweeps_[static_cast<size_t>(w)];
     if (use_push && topo.full_k) {
-      *work += sweep_.Entries(v).size();
-      best = gain_.FindBestTargetPush(sweep_, v, from, 0, topo.k, degree);
+      *work += sweep.Entries(v).size();
+      best = gain_.FindBestTargetPush(sweep, v, from, 0, topo.k, degree);
     } else if (use_push) {
-      // Group-restricted push: one merge over the sibling candidates and
-      // the accumulator window spanning them (a re-slice of the same
-      // replicas the full-k scan reads; sliced once, shared by the work
-      // accounting and the scan).
-      const auto [wbegin, wend] = topo.GroupWindow(group);
-      const auto window = sweep_.EntriesInWindow(v, wbegin, wend);
-      *work += window.size() + children.size();
-      best = gain_.FindBestTargetPushGroupedWindow(window, from, children,
-                                                   degree);
+      // Group-restricted push: one scan over the sibling candidates and v's
+      // accumulator, which holds exactly the window spanning them.
+      const auto entries = sweep.Entries(v);
+      *work += entries.size() + children.size();
+      best = gain_.FindBestTargetPushGrouped(entries, from, children, degree);
     } else if (topo.full_k) {
       std::vector<double>& affinity = pull_affinity_[static_cast<size_t>(w)];
       if (affinity.size() < static_cast<size_t>(topo.k)) {

@@ -22,17 +22,20 @@
 //          produced while folding superstep 1, O(moved pins) on the wire
 //          instead of O(Σ deg(dirty q) × touched workers), encoded with the
 //          grouped varint codec inside a self-verifying envelope
-//          (engine/wire_format.h). Each data worker keeps an AffinitySweep
-//          accumulator replica over its own shard: built query-major once
-//          (bootstrap iteration, charged as a full unrestricted reship —
-//          the replicas are topology-free), patched from incoming deltas
-//          thereafter, and proposals are one sequential scan of the
-//          vertex's own accumulator (GainComputer::FindBestTargetPush, or
-//          its group-restricted window variant FindBestTargetPushGrouped
+//          (engine/wire_format.h). Each data worker keeps its own
+//          AffinitySweep accumulator replica, built and patched by the same
+//          vertex-major Build / ApplyDeltas as the threaded Refiner's: an
+//          owned vertex keeps its group's window ([0, k) under direct
+//          k-way), every other vertex an empty one, so the windows are the
+//          ownership filter. A bootstrap (first round, or a new group
+//          structure) ships what the pull path ships and builds the
+//          replicas from it; later rounds patch them from the incoming
+//          records, and the vertices that received an in-window record,
+//          plus last round's movers, re-propose. Proposals are one
+//          sequential scan of the vertex's own accumulator
+//          (GainComputer::FindBestTargetPush, or FindBestTargetPushGrouped
 //          under SHP-2/r recursion — shared tie-break and fallback with the
-//          pull scan). A recursion level advance re-slices each group's
-//          scan window and patches the replicas from the diff-scan records;
-//          it does not reship.
+//          pull scan).
 //      ExchangeNeighborData moves the data and marks the recompute set;
 //      ProposeMoves re-proposes it. In either mode, clean vertices keep
 //      their cached proposal — their gains cannot have changed.
@@ -128,25 +131,26 @@ class BspRefiner : public RefinerInterface {
     options_.broker.max_moves_per_round = max_moves;
   }
 
-  /// Estimated peak bytes of distributed state on the most loaded worker
-  /// (adjacency shard + neighbor-data or accumulator replicas + proposal
-  /// vectors).
+  /// Estimated bytes of distributed state on the most loaded worker right
+  /// now: its adjacency shard, its query replicas' neighbor data, and its
+  /// accumulator replica (entries of its own sweep).
   uint64_t MaxWorkerStateBytes() const;
 
   /// Accumulator-replica bootstrap reships performed so far (delta-exchange
-  /// mode). With the externally changed fraction inside
-  /// RefinerOptions::incremental_rebuild_fraction, a recursion run holds
-  /// this at 1: level advances re-restrict the replicas through the
-  /// diff-scan records instead of reshipping (the test hook for that
-  /// invariant). Above the fraction — e.g. an SHP-2 redistribution moving
-  /// ~half the vertices under the default 0.15 — the churn guard drops the
-  /// replicas instead, because the records would outweigh the reship.
+  /// mode): one per group structure the instance runs under, plus one per
+  /// recovery or high-churn drop of the replicas.
   uint64_t num_bootstrap_reships() const { return num_bootstraps_; }
 
-  /// The data-worker accumulator replicas (delta-exchange mode). Exposes the
-  /// sweep's bootstrap-cost counters (last_build_adjacency_reads) to benches
-  /// and tests.
-  const AffinitySweep& sweep() const { return sweep_; }
+  /// Data worker w's accumulator replica (delta-exchange mode): its own
+  /// vertices' group windows, empty windows everywhere else.
+  const AffinitySweep& sweep(int worker) const {
+    return sweeps_[static_cast<size_t>(worker)];
+  }
+
+  /// Adjacency reads of the most recent bootstrap, summed over the workers'
+  /// builds: each pin is read once (graph.num_edges() when every vertex is
+  /// refined), whatever the worker count.
+  uint64_t last_bootstrap_adjacency_reads() const;
 
   /// Cumulative fault/recovery counters since construction (per-iteration
   /// values are in IterationStats).
@@ -179,8 +183,8 @@ class BspRefiner : public RefinerInterface {
     /// Superstep 1 announced through the O(n) diff scan (cold start, or
     /// the partition was mutated behind the engine's back).
     bool full_scan = false;
-    /// Superstep 2 ships full neighbor-data lists and rebuilds the
-    /// accumulator replicas from them (push mode only).
+    /// Superstep 2 ships every query's restricted neighbor data and
+    /// rebuilds the accumulator replicas from it (push mode only).
     bool bootstrap = false;
     /// Every data vertex re-proposes and the histograms rebuild.
     bool recompute_all = false;
@@ -194,16 +198,18 @@ class BspRefiner : public RefinerInterface {
   /// (last round's pending movers, or a diff scan of its whole shard) to
   /// the query owners, which fold them into their neighbor-data replicas
   /// and, when valid accumulator replicas will consume them, emit the
-  /// NeighborDelta records into s1_records_.
-  void AnnounceAndFold(const Partition& partition, ThreadPool* pool,
-                       RoundState* round);
+  /// NeighborDelta records into s1_records_. A diff scan under a grouped
+  /// topology drops the replicas (their windows may be stale).
+  void AnnounceAndFold(const MoveTopology& topo, const Partition& partition,
+                       ThreadPool* pool, RoundState* round);
 
   /// Superstep 2, exchange: ships the delta records through the enveloped
   /// transfer (falling into a bootstrap reship when a link fails) or the
-  /// full neighbor-data lists, marks the vertices to re-propose into
-  /// recompute_lists_, and patches or rebuilds the accumulator replicas.
+  /// restricted neighbor-data lists, patches or rebuilds the accumulator
+  /// replicas, and marks the vertices to re-propose into recompute_lists_.
   /// `degraded`: some link is in backoff, so push mode must reship.
-  void ExchangeNeighborData(const MoveTopology& topo, bool degraded,
+  void ExchangeNeighborData(const MoveTopology& topo,
+                            const Partition& partition, bool degraded,
                             ThreadPool* pool, RoundState* round);
 
   /// Superstep 2, proposals: recomputes the cached proposal of every marked
@@ -239,8 +245,7 @@ class BspRefiner : public RefinerInterface {
   /// re-proposal; returns how many it marked.
   uint64_t MarkForRecompute(int w, std::span<const VertexId> vertices);
 
-  /// Pull scans and bootstrap builds read each query's neighbor data from
-  /// its replica.
+  /// Pull scans read each query's neighbor data from its replica.
   auto QueryReplicas() const {
     return [this](VertexId q) {
       return std::span<const BucketCount>(query_ndata_[q]);
@@ -304,9 +309,11 @@ class BspRefiner : public RefinerInterface {
   std::vector<VertexId> last_movers_;
   bool state_valid_ = false;  ///< known_assignment_/query_ndata_ live
 
-  // Data-worker accumulator replicas (delta-exchange mode): per-vertex
-  // sparse (bucket, support, affinity) lists over each worker's own shard.
-  AffinitySweep sweep_;
+  // Data-worker accumulator replicas (delta-exchange mode), one windowed
+  // sweep per worker, and each worker's vertices patched by the last
+  // ApplyDeltas.
+  std::vector<AffinitySweep> sweeps_;
+  std::vector<std::vector<VertexId>> patched_lists_;
   bool sweep_valid_ = false;
   uint64_t num_bootstraps_ = 0;  ///< bootstrap reships (diagnostics/tests)
 

@@ -209,10 +209,32 @@ class DenseAccumulator {
 
 }  // namespace
 
-void AffinitySweep::Build(const BipartiteGraph& graph,
-                          const QueryNeighborData& ndata, const PowTable& pow,
-                          ThreadPool* pool,
-                          std::vector<BucketWindow> windows) {
+uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
+                              const QueryNeighborData& ndata,
+                              const PowTable& pow, ThreadPool* pool,
+                              std::vector<BucketWindow> windows) {
+  return Gather(
+      graph, [&ndata](VertexId q) { return ndata.Entries(q); }, pow, pool,
+      std::move(windows));
+}
+
+uint64_t AffinitySweep::Build(
+    const BipartiteGraph& graph,
+    const std::vector<std::vector<BucketCount>>& query_lists,
+    const PowTable& pow, ThreadPool* pool, std::vector<BucketWindow> windows) {
+  return Gather(
+      graph,
+      [&query_lists](VertexId q) {
+        return std::span<const BucketCount>(query_lists[q]);
+      },
+      pow, pool, std::move(windows));
+}
+
+template <typename EntriesOf>
+uint64_t AffinitySweep::Gather(const BipartiteGraph& graph,
+                               const EntriesOf& entries_of,
+                               const PowTable& pow, ThreadPool* pool,
+                               std::vector<BucketWindow> windows) {
   const VertexId n = graph.num_data();
   if (pool == nullptr) pool = &GlobalThreadPool();
   SHP_CHECK(windows.empty() || windows.size() == n);
@@ -221,9 +243,10 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
   loc_.assign(n, Loc{});
   garbage_ = 0;
   live_entries_ = 0;
+  last_build_adjacency_reads_ = 0;
   if (n == 0) {
     entries_.clear();
-    return;
+    return 0;
   }
 
   const size_t workers = std::max<size_t>(1, pool->num_threads());
@@ -241,6 +264,8 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
   // vertex reads only the in-window stretch of each query's bucket-sorted
   // list, so its slots see the same adds in the same order as unwindowed.
   std::vector<std::deque<AffinityEntry>> gathered(shards);
+  std::vector<uint64_t> adds(shards, 0);
+  std::vector<uint64_t> reads(shards, 0);
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
     // Per-worker scratch on the worker's own stack: no false sharing.
     DenseAccumulator acc;
@@ -250,17 +275,20 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
       const VertexId vend =
           DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
       std::deque<AffinityEntry> out;  // local until done: no false sharing
+      uint64_t shard_adds = 0;
+      uint64_t shard_reads = 0;
       for (VertexId v = vbegin; v < vend; ++v) {
         if (windowed && windows_[v].first >= windows_[v].second) continue;
+        shard_reads += graph.DataDegree(v);
         for (const VertexId q : graph.DataNeighbors(v)) {
-          const auto entries = windowed
-                                   ? InWindow(ndata.Entries(q), windows_[v])
-                                   : ndata.Entries(q);
+          const std::span<const BucketCount> entries =
+              windowed ? InWindow(entries_of(q), windows_[v]) : entries_of(q);
           if (entries.empty()) continue;
           acc.Reserve(entries.back().bucket);
           for (const BucketCount& e : entries) {
             acc.Add(e.bucket, 1.0 - pow.Pow(e.count));
           }
+          shard_adds += entries.size();
         }
         loc_[v].size = acc.live();
         staged.resize(acc.live());
@@ -268,6 +296,8 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
         out.insert(out.end(), staged.begin(), staged.end());
       }
       gathered[s] = std::move(out);
+      adds[s] = shard_adds;
+      reads[s] = shard_reads;
     }
   });
 
@@ -286,132 +316,30 @@ void AffinitySweep::Build(const BipartiteGraph& graph,
       }
     }
   });
+  uint64_t total_adds = 0;
+  for (size_t s = 0; s < shards; ++s) {
+    total_adds += adds[s];
+    last_build_adjacency_reads_ += reads[s];
+  }
+  return total_adds;
+}
+
+uint32_t AffinitySweep::SlackOf(VertexId v) const {
+  return windows_.empty() || windows_[v].first < windows_[v].second ? kSlackPad
+                                                                    : 0;
 }
 
 void AffinitySweep::LayoutFromSizes() {
   // Per-vertex slack after every accumulator; the arena is sized once.
   uint64_t cursor = 0;
-  for (Loc& loc : loc_) {
+  for (VertexId v = 0; v < num_vertices(); ++v) {
+    Loc& loc = loc_[v];
     loc.begin = cursor;
-    loc.cap = loc.size + kSlackPad;
+    loc.cap = loc.size + SlackOf(v);
     cursor += loc.cap;
     live_entries_ += loc.size;
   }
   entries_.assign(cursor, AffinityEntry{});
-}
-
-std::vector<uint64_t> AffinitySweep::BuildSharded(
-    const BipartiteGraph& graph, const EntriesFn& entries_of,
-    const PowTable& pow, const std::vector<int32_t>& owner_of, int num_shards,
-    ThreadPool* pool) {
-  const VertexId n = graph.num_data();
-  const VertexId nq = graph.num_queries();
-  if (pool == nullptr) pool = &GlobalThreadPool();
-  SHP_CHECK_GT(num_shards, 0);
-  SHP_CHECK_EQ(owner_of.size(), static_cast<size_t>(n));
-  windows_.clear();
-  loc_.assign(n, Loc{});
-  garbage_ = 0;
-  live_entries_ = 0;
-  std::vector<uint64_t> work(static_cast<size_t>(num_shards), 0);
-  if (n == 0) {
-    entries_.clear();
-    return work;
-  }
-
-  // One-pass bootstrap. Pass 1 bins the adjacency by owner shard: host
-  // workers take contiguous ascending query ranges and append, per
-  // (host range, shard) bin, a (q, neighbor count) head plus the owned
-  // neighbors themselves. Every (query, pin) is read exactly once — the old
-  // layout streamed the full adjacency once PER shard (W × |E| reads per
-  // re-bootstrap).
-  const size_t host = std::max<size_t>(1, pool->num_threads());
-  const size_t ranges = std::min<size_t>(host, std::max<VertexId>(nq, 1));
-  struct OwnerBin {
-    std::vector<std::pair<VertexId, uint32_t>> heads;  ///< (q, #owned nbrs)
-    std::vector<VertexId> verts;  ///< owned neighbors, grouped per head
-  };
-  std::vector<OwnerBin> bins(ranges * static_cast<size_t>(num_shards));
-  std::vector<uint64_t> reads(ranges, 0);
-  pool->ParallelFor(ranges, [&](size_t hbegin, size_t hend, size_t) {
-    for (size_t h = hbegin; h < hend; ++h) {
-      const VertexId qbegin =
-          ShardBegin(nq, ranges, h);  // query ranges ascend with h
-      const VertexId qend = ShardBegin(nq, ranges, h + 1);
-      OwnerBin* row = bins.data() + h * static_cast<size_t>(num_shards);
-      uint64_t scanned = 0;
-      for (VertexId q = qbegin; q < qend; ++q) {
-        for (VertexId v : graph.QueryNeighbors(q)) {
-          ++scanned;
-          SHP_DCHECK(owner_of[v] >= 0 && owner_of[v] < num_shards);
-          OwnerBin& bin = row[static_cast<size_t>(owner_of[v])];
-          if (bin.heads.empty() || bin.heads.back().first != q) {
-            bin.heads.emplace_back(q, 0);
-          }
-          ++bin.heads.back().second;
-          bin.verts.push_back(v);
-        }
-      }
-      reads[h] = scanned;
-    }
-  });
-  last_build_adjacency_reads_ = 0;
-  for (const uint64_t r : reads) last_build_adjacency_reads_ += r;
-
-  // Pass 2: each shard walks its bins in host-range order — query ids ascend
-  // globally across ranges, so every vertex's contributions still arrive in
-  // ascending query order and the accumulator floats are identical to the
-  // old layout for any shard count. Single-writer per vertex (disjoint
-  // ownership). Only the merges are charged as work, matching the old
-  // accounting (the binning pass, like the old redundant per-shard rescan,
-  // is a shared-memory-simulation artifact a real worker never pays).
-  std::vector<std::vector<AffinityEntry>> lists(n);
-  pool->ParallelForEach(static_cast<size_t>(num_shards), [&](size_t s) {
-    std::vector<std::pair<BucketId, double>> contrib;
-    uint64_t merged = 0;
-    for (size_t h = 0; h < ranges; ++h) {
-      const OwnerBin& bin = bins[h * static_cast<size_t>(num_shards) + s];
-      size_t vi = 0;
-      for (const auto& [q, count] : bin.heads) {
-        // One contribution per occupied bucket, computed once per query and
-        // shared by every owned neighbor.
-        contrib.clear();
-        for (const BucketCount& e : entries_of(q)) {
-          contrib.emplace_back(e.bucket, 1.0 - pow.Pow(e.count));
-        }
-        for (uint32_t c = 0; c < count; ++c, ++vi) {
-          std::vector<AffinityEntry>& list = lists[bin.verts[vi]];
-          // Both sides are bucket-ascending: single forward merge.
-          size_t i = 0;
-          for (const auto& [bucket, add] : contrib) {
-            while (i < list.size() && list[i].bucket < bucket) ++i;
-            if (i < list.size() && list[i].bucket == bucket) {
-              list[i].support += 1;
-              list[i].affinity += add;
-            } else {
-              list.insert(list.begin() + i, {bucket, 1, add});
-            }
-            ++i;
-          }
-          merged += contrib.size();
-        }
-      }
-      SHP_DCHECK(vi == bin.verts.size());
-    }
-    work[s] = merged;
-  });
-
-  for (VertexId v = 0; v < n; ++v) {
-    loc_[v].size = static_cast<uint32_t>(lists[v].size());
-  }
-  LayoutFromSizes();
-  pool->ParallelFor(n, [&](size_t begin, size_t end, size_t) {
-    for (size_t v = begin; v < end; ++v) {
-      std::copy(lists[v].begin(), lists[v].end(),
-                entries_.begin() + static_cast<ptrdiff_t>(loc_[v].begin));
-    }
-  });
-  return work;
 }
 
 double AffinitySweep::AffinityFor(VertexId v, BucketId b) const {
@@ -423,8 +351,8 @@ double AffinitySweep::AffinityFor(VertexId v, BucketId b) const {
   return 0.0;
 }
 
-// Defined ahead of its callers and inline: it is the per-op kernel of both
-// the sparse threaded patch and the BSP patch.
+// Defined ahead of its caller and inline: it is the sparse patch kernel's
+// per-op step.
 inline bool AffinitySweep::PatchInPlace(VertexId v, BucketId bucket,
                                         double add, int32_t sup,
                                         int64_t* live_delta) {
@@ -456,15 +384,15 @@ inline bool AffinitySweep::PatchInPlace(VertexId v, BucketId bucket,
   return true;
 }
 
-void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
-                                std::span<const NeighborDelta> deltas,
-                                const PowTable& pow, ThreadPool* pool,
-                                std::vector<VertexId>* patched) {
+uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
+                                    std::span<const NeighborDelta> deltas,
+                                    const PowTable& pow, ThreadPool* pool,
+                                    std::vector<VertexId>* patched) {
   if (patched != nullptr) patched->clear();
-  if (deltas.empty()) return;
+  if (deltas.empty()) return 0;
   if (pool == nullptr) pool = &GlobalThreadPool();
   const VertexId n = num_vertices();
-  if (n == 0) return;
+  if (n == 0) return 0;
   const bool windowed = !windows_.empty();
 
   // Per-query record index, by a counting scatter: count each query's
@@ -530,10 +458,10 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
   live_delta.assign(std::max(live_delta.size(), shards), 0);
   shard_patched.resize(std::max(shard_patched.size(), shards));
   for (size_t s = 0; s < shards; ++s) {
-    overflow[s].lists.clear();
-    overflow[s].index.clear();
+    overflow[s].clear();
     shard_patched[s].clear();
   }
+  std::vector<uint64_t> folded(shards, 0);
 
   // Vertex-major patch. Each shard marks the blast radius inside its own
   // vertex range, then walks the marked vertices in ascending order; a
@@ -562,6 +490,7 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
       }
       ShardOverflow& ovf = overflow[s];
       int64_t delta = 0;
+      uint64_t shard_folded = 0;
       for (VertexId v = vbegin; v < vend; ++v) {
         if (blast[v] == 0) continue;
         blast[v] = 0;
@@ -584,6 +513,7 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
           m += run.second - run.first;
         }
         if (m == 0) continue;  // every record fell outside v's window
+        shard_folded += m;
         if (patched != nullptr) shard_patched[s].push_back(v);
         Loc& loc = loc_[v];
         if (4 * static_cast<uint64_t>(m) >= loc.size) {
@@ -605,7 +535,7 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
           } else {
             std::vector<AffinityEntry> vec(acc.live());
             acc.Drain(vec.data());
-            ovf.lists.emplace_back(v, std::move(vec));
+            ovf.emplace_back(v, std::move(vec));
           }
           continue;
         }
@@ -626,9 +556,10 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
             ApplyToVec(&spill, op.bucket, op.add, op.sup, &delta);
           }
         }
-        if (spilled) ovf.lists.emplace_back(v, std::move(spill));
+        if (spilled) ovf.emplace_back(v, std::move(spill));
       }
       live_delta[s] = delta;
+      folded[s] = shard_folded;
     }
   });
 
@@ -636,44 +567,18 @@ void AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
     query_records[q] = {0, 0};
     dirty_bits[q / 64] = 0;
   }
-  if (patched != nullptr) {
-    for (size_t s = 0; s < shards; ++s) {
+  // Serial merge: relocate overflowed accumulators to the arena tail (the
+  // arena may reallocate) and fold the per-shard accounting.
+  int64_t total_delta = 0;
+  uint64_t total_folded = 0;
+  for (size_t s = 0; s < shards; ++s) {
+    if (patched != nullptr) {
       patched->insert(patched->end(), shard_patched[s].begin(),
                       shard_patched[s].end());
     }
-  }
-  MergeOverflow(shards);
-}
-
-void AffinitySweep::PatchEntry(VertexId v, BucketId bucket, double add,
-                               int32_t sup, ShardOverflow* ovf,
-                               int64_t* live_delta) {
-  if (!ovf->index.empty()) {
-    const auto oit = ovf->index.find(v);
-    if (oit != ovf->index.end()) {
-      ApplyToVec(&ovf->lists[oit->second].second, bucket, add, sup,
-                 live_delta);
-      return;
-    }
-  }
-  if (PatchInPlace(v, bucket, add, sup, live_delta)) return;
-  // Outgrew the slack: move to overflow with the insert applied.
-  const auto entries = Entries(v);
-  std::vector<AffinityEntry> vec;
-  vec.reserve(entries.size() + 2);
-  vec.assign(entries.begin(), entries.end());
-  ApplyToVec(&vec, bucket, add, sup, live_delta);
-  ovf->index.emplace(v, ovf->lists.size());
-  ovf->lists.emplace_back(v, std::move(vec));
-}
-
-void AffinitySweep::MergeOverflow(size_t count) {
-  // Relocate overflowed accumulators to the arena tail (serial — the arena
-  // may reallocate) and fold the per-shard accounting.
-  int64_t total_delta = 0;
-  for (size_t s = 0; s < count; ++s) {
-    total_delta += scratch_.live_delta[s];
-    for (auto& [v, vec] : scratch_.overflow[s].lists) {
+    total_delta += live_delta[s];
+    total_folded += folded[s];
+    for (auto& [v, vec] : overflow[s]) {
       const uint32_t sz = static_cast<uint32_t>(vec.size());
       const uint32_t new_cap = sz + std::max(kSlackPad, sz / 2);
       const uint64_t new_begin = entries_.size();
@@ -690,101 +595,7 @@ void AffinitySweep::MergeOverflow(size_t count) {
   live_entries_ = static_cast<uint64_t>(
       static_cast<int64_t>(live_entries_) + total_delta);
   MaybeCompact();
-}
-
-std::vector<uint64_t> AffinitySweep::ApplyDeltasSharded(
-    const BipartiteGraph& graph,
-    const std::vector<std::span<const NeighborDelta>>& records,
-    const PowTable& pow, const std::vector<int32_t>& owner_of,
-    ThreadPool* pool) {
-  std::vector<uint64_t> work(records.size(), 0);
-  const VertexId n = num_vertices();
-  if (n == 0 || records.empty()) return work;
-  if (pool == nullptr) pool = &GlobalThreadPool();
-  SHP_CHECK_EQ(owner_of.size(), static_cast<size_t>(n));
-
-  // Host sub-sharding weights: Σ deg(q) over each worker's records is that
-  // inbox's patch cost, so a hub-query-heavy inbox gets proportionally more
-  // vertex-range subtasks instead of serializing the phase on one thread.
-  // Per-record scan cost is charged once per worker (the sub-task rescans
-  // are host parallelization, not simulated work).
-  std::vector<uint64_t> weight(records.size(), 0);
-  uint64_t total_weight = 0;
-  for (size_t s = 0; s < records.size(); ++s) {
-    for (const NeighborDelta& rec : records[s]) {
-      weight[s] += graph.QueryDegree(rec.q);
-    }
-    total_weight += weight[s];
-    work[s] = records[s].size();
-  }
-  if (total_weight == 0) return work;
-
-  struct Task {
-    int32_t shard;
-    VertexId vbegin;
-    VertexId vend;
-  };
-  const uint64_t host = std::max<uint64_t>(1, pool->num_threads());
-  // Sub-task vertex ranges are Σ-degree-weighted like the threaded patch
-  // shards: one prefix pass serves every split count.
-  FillDegreePrefix(graph, n, &scratch_.deg_prefix);
-  std::vector<Task> tasks;
-  for (size_t s = 0; s < records.size(); ++s) {
-    if (weight[s] == 0) continue;
-    const uint64_t splits = std::min<uint64_t>(
-        host, 1 + weight[s] * host / total_weight);
-    for (uint64_t t = 0; t < splits; ++t) {
-      tasks.push_back({static_cast<int32_t>(s),
-                       DegShardBegin(scratch_.deg_prefix, n,
-                                     static_cast<size_t>(splits),
-                                     static_cast<size_t>(t)),
-                       DegShardBegin(scratch_.deg_prefix, n,
-                                     static_cast<size_t>(splits),
-                                     static_cast<size_t>(t) + 1)});
-    }
-  }
-
-  std::vector<ShardOverflow>& overflow = scratch_.overflow;
-  std::vector<int64_t>& live_delta = scratch_.live_delta;
-  overflow.resize(std::max(overflow.size(), tasks.size()));
-  live_delta.assign(std::max(live_delta.size(), tasks.size()), 0);
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    overflow[t].lists.clear();
-    overflow[t].index.clear();
-  }
-  std::vector<uint64_t> patched(tasks.size(), 0);
-
-  // (worker shard, vertex range) tasks: a vertex belongs to one shard and
-  // one range, so the arena stays single-writer per accumulator.
-  pool->ParallelForEach(tasks.size(), [&](size_t t) {
-    const Task& task = tasks[t];
-    if (task.vbegin == task.vend) return;
-    ShardOverflow& ovf = overflow[t];
-    int64_t delta = 0;
-    uint64_t ops = 0;
-    for (const NeighborDelta& rec : records[static_cast<size_t>(task.shard)]) {
-      const double add = pow.Pow(rec.old_count) - pow.Pow(rec.new_count);
-      const int32_t sup = static_cast<int32_t>(rec.old_count == 0) -
-                          static_cast<int32_t>(rec.new_count == 0);
-      const auto nbrs = graph.QueryNeighbors(rec.q);
-      const auto lo = std::lower_bound(nbrs.begin(), nbrs.end(), task.vbegin);
-      if (lo == nbrs.end() || *lo >= task.vend) continue;
-      const auto hi = std::lower_bound(lo, nbrs.end(), task.vend);
-      for (auto it = lo; it != hi; ++it) {
-        if (owner_of[*it] != task.shard) continue;
-        PatchEntry(*it, rec.bucket, add, sup, &ovf, &delta);
-        ++ops;
-      }
-    }
-    live_delta[t] = delta;
-    patched[t] = ops;
-  });
-
-  MergeOverflow(tasks.size());
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    work[static_cast<size_t>(tasks[t].shard)] += patched[t];
-  }
-  return work;
+  return total_folded;
 }
 
 void AffinitySweep::Compact() {
@@ -796,8 +607,8 @@ void AffinitySweep::Compact() {
     Loc& loc = loc_[v];
     loc.begin = fresh.size();
     fresh.insert(fresh.end(), span.begin(), span.end());
-    loc.cap = loc.size + kSlackPad;
-    fresh.resize(fresh.size() + kSlackPad);
+    loc.cap = loc.size + SlackOf(v);
+    fresh.resize(fresh.size() + SlackOf(v));
   }
   entries_ = std::move(fresh);
   garbage_ = 0;

@@ -40,8 +40,15 @@
 // so a recursion level stores O(r) entries per vertex instead of one per
 // occupied bucket. The surviving slots receive exactly the adds they would
 // unwindowed, in the same order, so they hold the same floats. Without
-// windows (direct k-way, and the BSP engine's topology-free replicas) every
-// occupied bucket is kept.
+// windows (the threaded engine's direct k-way refinement) every occupied
+// bucket is kept.
+//
+// The BSP engine (engine/shp_bsp.h) gives each simulated data worker its own
+// windowed sweep over the same vertex ids: an owned vertex keeps its group's
+// window ([0, k) under direct k-way), every other vertex an empty one. An
+// empty window stores nothing and gets no arena slack, so the windows double
+// as the ownership filter and W replicas hold one copy of the in-window
+// state between them.
 //
 // The integer support count makes entry lifetime exact: an accumulator entry
 // exists iff some adjacent query occupies the bucket, and dropping the entry
@@ -55,9 +62,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -94,9 +99,19 @@ class AffinitySweep {
   /// `windows`, if non-empty, holds one window per vertex: v keeps only the
   /// buckets in windows[v], and the sweep stores the windows for
   /// ApplyDeltas. Empty keeps every occupied bucket.
-  void Build(const BipartiteGraph& graph, const QueryNeighborData& ndata,
-             const PowTable& pow, ThreadPool* pool = nullptr,
-             std::vector<BucketWindow> windows = {});
+  ///
+  /// Each query's bucket-sorted neighbor data comes from a QueryNeighborData
+  /// arena (the threaded Refiner) or from per-query lists (the BSP engine's
+  /// query replicas); both overloads run the same gather. Returns the
+  /// accumulator adds performed — one per in-window (query, bucket) entry
+  /// gathered into a vertex, the BSP engine's simulated work unit.
+  uint64_t Build(const BipartiteGraph& graph, const QueryNeighborData& ndata,
+                 const PowTable& pow, ThreadPool* pool = nullptr,
+                 std::vector<BucketWindow> windows = {});
+  uint64_t Build(const BipartiteGraph& graph,
+                 const std::vector<std::vector<BucketCount>>& query_lists,
+                 const PowTable& pow, ThreadPool* pool = nullptr,
+                 std::vector<BucketWindow> windows = {});
 
   /// Steady-state patch: folds ApplyMoves delta records into the affected
   /// accumulators. Records are grouped per query, each query's kept in
@@ -115,71 +130,18 @@ class AffinitySweep {
   /// first, so a window is a binary-searched stretch of the run). If
   /// `patched` is non-null it receives, ascending, the vertices that
   /// received at least one record — in-window ones, for a windowed sweep.
-  void ApplyDeltas(const BipartiteGraph& graph,
+  /// Returns the records folded into accumulators, counted once per
+  /// receiving vertex.
+  uint64_t ApplyDeltas(const BipartiteGraph& graph,
                    std::span<const NeighborDelta> deltas, const PowTable& pow,
                    ThreadPool* pool = nullptr,
                    std::vector<VertexId>* patched = nullptr);
-
-  /// Source of one query's replica neighbor data for the sharded build —
-  /// lets the BSP engine (per-worker replica lists, not a QueryNeighborData
-  /// arena) reuse the accumulator machinery.
-  using EntriesFn = std::function<std::span<const BucketCount>(VertexId)>;
-
-  /// Owner-sharded build for the BSP engine: data vertices are distributed
-  /// over `num_shards` simulated workers by `owner_of` (hash placement, not
-  /// contiguous ranges), and shard s keeps accumulators only for its own
-  /// vertices — vertices it does not own stay empty. The bootstrap is ONE
-  /// pass over the adjacency regardless of shard count: a first parallel
-  /// sweep bins each query's neighbors by owner shard (contiguous ascending
-  /// query ranges per host worker), and a second merges each shard's binned
-  /// queries — in ascending query order, so accumulator floats are identical
-  /// to the former every-shard-streams-everything layout — into its own
-  /// vertices' lists. Returns per-shard simulated work units (accumulator
-  /// merge operations; the binning pass is host bookkeeping and is not
-  /// charged, matching the old uncharged per-shard rescan). The result is
-  /// topology-free (no windows).
-  std::vector<uint64_t> BuildSharded(const BipartiteGraph& graph,
-                                     const EntriesFn& entries_of,
-                                     const PowTable& pow,
-                                     const std::vector<int32_t>& owner_of,
-                                     int num_shards,
-                                     ThreadPool* pool = nullptr);
-
-  /// Owner-sharded patch for the BSP engine: shard s applies `records[s]` —
-  /// the worker's incoming superstep-2 wire records, each (q, bucket) chain
-  /// in emission order — to the accumulators of its own vertices. Shards are
-  /// single-writer (disjoint ownership); on the host, each shard's patch is
-  /// sub-split into vertex ranges sized by Σ deg(q) of its records, so one
-  /// hub-query-heavy inbox spreads over threads instead of serializing the
-  /// phase. Returns per-shard simulated work units (records scanned + patch
-  /// operations).
-  std::vector<uint64_t> ApplyDeltasSharded(
-      const BipartiteGraph& graph,
-      const std::vector<std::span<const NeighborDelta>>& records,
-      const PowTable& pow, const std::vector<int32_t>& owner_of,
-      ThreadPool* pool = nullptr);
 
   /// Accumulator entries of vertex v, sorted by bucket id ascending.
   std::span<const AffinityEntry> Entries(VertexId v) const {
     const Loc& loc = loc_[v];
     return {entries_.data() + loc.begin,
             entries_.data() + loc.begin + loc.size};
-  }
-
-  /// Entries of v with bucket in [begin, end) — the group-restricted view
-  /// used by the recursion push scan. A pure re-slice of the arena (two
-  /// binary searches over v's sorted entries): the BSP engine's
-  /// topology-free replicas change the active window without rebuilding or
-  /// copying accumulator state. O(log entries).
-  std::span<const AffinityEntry> EntriesInWindow(VertexId v, BucketId begin,
-                                                 BucketId end) const {
-    const auto all = Entries(v);
-    const auto cmp = [](const AffinityEntry& e, BucketId b) {
-      return e.bucket < b;
-    };
-    const auto lo = std::lower_bound(all.begin(), all.end(), begin, cmp);
-    const auto hi = std::lower_bound(lo, all.end(), end, cmp);
-    return {lo, hi};
   }
 
   /// affinity_v[b] (0 if no adjacent query occupies b). O(log entries).
@@ -194,10 +156,11 @@ class AffinitySweep {
   /// The per-vertex windows of the last Build (empty when not windowed).
   const std::vector<BucketWindow>& windows() const { return windows_; }
 
-  /// Adjacency neighbor reads performed by the most recent BuildSharded.
-  /// The one-pass bootstrap reads each (query, data-neighbor) pin exactly
-  /// once, so this equals graph.num_edges() for every shard count — the
-  /// counter the bootstrap-cost test and bench assert on.
+  /// Adjacency neighbor reads performed by the most recent Build: Σ deg(v)
+  /// over the vertices it gathered (those with a non-empty window). Summed
+  /// over the BSP engine's per-worker sweeps this is graph.num_edges() when
+  /// every vertex is refined — each pin is read once, whatever the worker
+  /// count (the bootstrap-cost gate of bench/refine_iteration.cc).
   uint64_t last_build_adjacency_reads() const {
     return last_build_adjacency_reads_;
   }
@@ -228,10 +191,8 @@ class AffinitySweep {
 
   /// Shard-local store for accumulators that outgrew their slack during a
   /// parallel ApplyDeltas (the shared arena cannot be grown concurrently).
-  struct ShardOverflow {
-    std::vector<std::pair<VertexId, std::vector<AffinityEntry>>> lists;
-    std::unordered_map<VertexId, size_t> index;
-  };
+  using ShardOverflow =
+      std::vector<std::pair<VertexId, std::vector<AffinityEntry>>>;
 
   /// One delta record as a patch op: (bucket, support delta, affinity add),
   /// with add = B^old − B^new computed once per record instead of once per
@@ -257,9 +218,20 @@ class AffinitySweep {
     std::vector<std::vector<VertexId>> patched;  ///< per-shard patched list
   };
 
-  /// Shared Build/BuildSharded layout: assigns every vertex's arena offset
-  /// and slack from loc_[v].size and allocates the arena; the caller then
-  /// copies the entries in.
+  /// The gather behind both Build overloads; `entries_of(q)` returns q's
+  /// bucket-sorted std::span<const BucketCount>.
+  template <typename EntriesOf>
+  uint64_t Gather(const BipartiteGraph& graph, const EntriesOf& entries_of,
+                  const PowTable& pow, ThreadPool* pool,
+                  std::vector<BucketWindow> windows);
+
+  /// Arena slack of v: kSlackPad, or none when v's window is empty (no
+  /// record ever lands there).
+  uint32_t SlackOf(VertexId v) const;
+
+  /// Build's layout: assigns every vertex's arena offset and slack from
+  /// loc_[v].size and allocates the arena; the caller then copies the
+  /// entries in.
   void LayoutFromSizes();
 
   /// Folds one (bucket, affinity-add, support-delta) contribution into v's
@@ -267,16 +239,6 @@ class AffinitySweep {
   /// inserts a bucket and the accumulator has no slack left.
   bool PatchInPlace(VertexId v, BucketId bucket, double add, int32_t sup,
                     int64_t* live_delta);
-
-  /// PatchInPlace, or via `ovf` once v's accumulator outgrew its slack (the
-  /// shared arena cannot grow concurrently). The owner-sharded BSP patch's
-  /// per-record kernel.
-  void PatchEntry(VertexId v, BucketId bucket, double add, int32_t sup,
-                  ShardOverflow* ovf, int64_t* live_delta);
-
-  /// Serial post-patch merge: relocates overflowed accumulators of
-  /// overflow[0..count) to the arena tail and folds live_delta[0..count).
-  void MergeOverflow(size_t count);
 
   void MaybeCompact();
 

@@ -92,16 +92,6 @@ GainComputer::BestTarget GainComputer::FindBestTargetPush(
 }
 
 GainComputer::BestTarget GainComputer::FindBestTargetPushGrouped(
-    const AffinitySweep& sweep, VertexId v, BucketId from,
-    std::span<const BucketId> candidates, double degree) const {
-  SHP_DCHECK(!candidates.empty());
-  return FindBestTargetPushGroupedWindow(
-      sweep.EntriesInWindow(v, candidates.front(),
-                            static_cast<BucketId>(candidates.back() + 1)),
-      from, candidates, degree);
-}
-
-GainComputer::BestTarget GainComputer::FindBestTargetPushGroupedWindow(
     std::span<const AffinityEntry> window, BucketId from,
     std::span<const BucketId> candidates, double degree) const {
   SHP_DCHECK(!candidates.empty());
@@ -112,11 +102,12 @@ GainComputer::BestTarget GainComputer::FindBestTargetPushGroupedWindow(
 
   // The candidate list (sibling buckets, ascending, containing `from`) and
   // the accumulator window spanning it are both bucket-sorted. The common
-  // case — recursion groups are contiguous bucket ranges and the caller
-  // sliced the window to exactly that range — means every window entry IS a
+  // case — recursion groups are contiguous bucket ranges and the sweep is
+  // windowed to exactly that range — means every window entry IS a
   // sibling, so the scan collapses to the kernel argmax with the `from`
-  // entry excised. Sparse candidate sets or wider hand-built windows fall
-  // back to the forward merge, which stays exact for arbitrary groups.
+  // entry excised. Sparse candidate sets or wider lists (an unwindowed
+  // sweep) fall back to the forward merge, which stays exact for arbitrary
+  // groups.
   double from_affinity = -1.0;
   double best_affinity = 0.0;  // affinity of an empty sibling
   BucketId best_bucket = -1;

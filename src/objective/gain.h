@@ -131,25 +131,18 @@ class GainComputer {
                                 BucketId bucket_end, double degree) const;
 
   /// Group-restricted push scan for recursion windows: candidates are the
-  /// sibling buckets of v's group (ascending, containing `from`), and the
-  /// scan reads only the accumulator window spanning them
-  /// (AffinitySweep::EntriesInWindow; on a sweep windowed to v's group that
-  /// slice is all of v's entries). Same
-  /// tie-break as the full-k scan; the empty-window fallback is the lowest
-  /// sibling ≠ from, matching the grouped pull path's first-candidate-wins
-  /// argmax. O(|candidates| + window entries). Requires SupportsPush().
-  BestTarget FindBestTargetPushGrouped(const AffinitySweep& sweep, VertexId v,
+  /// sibling buckets of v's group (ascending, containing `from`), and
+  /// `window` is v's accumulator — on a sweep windowed to v's group
+  /// (move_topology.h GroupWindow), exactly the window spanning them, so
+  /// the scan is one kernel argmax; wider lists are merged against the
+  /// candidates. Same tie-break as the full-k scan; the empty-window
+  /// fallback is the lowest sibling ≠ from, matching the grouped pull
+  /// path's first-candidate-wins argmax. O(|candidates| + window).
+  /// Requires SupportsPush().
+  BestTarget FindBestTargetPushGrouped(std::span<const AffinityEntry> window,
                                        BucketId from,
                                        std::span<const BucketId> candidates,
                                        double degree) const;
-
-  /// Same scan over a pre-sliced accumulator window — for callers that
-  /// already hold AffinitySweep::EntriesInWindow(v, window) (the BSP engine
-  /// slices once for work accounting; re-slicing per call would double the
-  /// binary searches in the recompute hot loop).
-  BestTarget FindBestTargetPushGroupedWindow(
-      std::span<const AffinityEntry> window, BucketId from,
-      std::span<const BucketId> candidates, double degree) const;
 
   /// Push-path gain of moving v from `from` to a specific `to` (exploration
   /// proposals). O(log entries). Requires SupportsPush().

@@ -212,133 +212,132 @@ TEST(AffinitySweep, ApplyDeltasMatchesFreshBuild) {
   EXPECT_EQ(sweep.ArenaSlots(), fresh.ArenaSlots());
 }
 
-TEST(AffinitySweepSharded, BuildShardedMatchesUnshardedBuild) {
-  // The owner-sharded build (BSP hash placement) merges each vertex's
-  // contributions in the same ascending query order as the contiguous-range
-  // Build, so the accumulators are bit-identical — only the ownership
-  // filter differs.
+/// Per-worker windows of a BSP data worker under direct k-way: [0, k) for
+/// the vertices hashed to `worker`, empty for the rest.
+std::vector<BucketWindow> OwnedWindows(VertexId n, BucketId k, int workers,
+                                       int worker) {
+  std::vector<BucketWindow> windows(n, BucketWindow{0, 0});
+  for (VertexId v = 0; v < n; ++v) {
+    if (static_cast<int>(HashToBounded(55, v, 3, workers)) == worker) {
+      windows[v] = {0, k};
+    }
+  }
+  return windows;
+}
+
+TEST(AffinitySweep, QueryListBuildMatchesArenaBuild) {
+  // The BSP engine feeds Build its per-query replica lists instead of a
+  // QueryNeighborData arena: the same gather must produce the same floats.
   const BipartiteGraph g = TestGraph(17);
   const BucketId k = 8;
-  const double p = 0.5;
-  const PowTable pow(1.0 - p, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
-  const std::vector<BucketId> assignment =
-      Partition::Random(g.num_data(), k, 3).assignment();
+  const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
   QueryNeighborData ndata;
-  ndata.Build(g, assignment);
-
-  AffinitySweep base;
-  base.Build(g, ndata, pow);
-  const int num_shards = 3;
-  std::vector<int32_t> owner(g.num_data());
-  for (VertexId v = 0; v < g.num_data(); ++v) {
-    owner[v] = static_cast<int32_t>(HashToBounded(77, v, 1, num_shards));
+  ndata.Build(g, Partition::Random(g.num_data(), k, 3).assignment());
+  std::vector<std::vector<BucketCount>> lists(g.num_queries());
+  for (VertexId q = 0; q < g.num_queries(); ++q) {
+    lists[q].assign(ndata.Entries(q).begin(), ndata.Entries(q).end());
   }
-  AffinitySweep sharded;
-  const std::vector<uint64_t> work = sharded.BuildSharded(
-      g, [&](VertexId q) { return ndata.Entries(q); }, pow, owner, num_shards);
-  ASSERT_EQ(work.size(), static_cast<size_t>(num_shards));
-  EXPECT_GT(work[0] + work[1] + work[2], 0u);
-  EXPECT_EQ(sharded.TotalEntries(), base.TotalEntries());
+  AffinitySweep arena;
+  AffinitySweep replica;
+  const uint64_t arena_adds = arena.Build(g, ndata, pow);
+  EXPECT_EQ(replica.Build(g, lists, pow), arena_adds);
+  EXPECT_GT(arena_adds, 0u);
+  ASSERT_EQ(replica.TotalEntries(), arena.TotalEntries());
   for (VertexId v = 0; v < g.num_data(); ++v) {
-    const auto a = base.Entries(v);
-    const auto b = sharded.Entries(v);
-    ASSERT_EQ(a.size(), b.size()) << "v=" << v;
-    for (size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]) << "v=" << v << " i=" << i;
-    }
+    const auto a = arena.Entries(v);
+    const auto b = replica.Entries(v);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "v=" << v;
   }
 }
 
-TEST(AffinitySweepSharded, BootstrapReadsAdjacencyExactlyOnceForAnyShardCount) {
-  // The one-pass bootstrap bins pins by owner shard and merges per shard —
-  // each (query, data-neighbor) pin is read exactly once, so the adjacency
-  // read counter must equal num_edges() for every worker count W (the old
-  // layout streamed the full adjacency once PER shard: W × |E|). Accumulator
-  // content must stay identical across W.
+TEST(AffinitySweep, OwnedWindowsSplitEntriesAndAdjacencyReadsAcrossWorkers) {
+  // W per-worker sweeps whose windows are the ownership filter: together
+  // they hold exactly the unwindowed accumulators, each vertex on its owner
+  // with bit-identical floats, and their builds read each pin once.
   const BipartiteGraph g = TestGraph(23);
   const BucketId k = 8;
-  const double p = 0.5;
-  const PowTable pow(1.0 - p, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
-  const std::vector<BucketId> assignment =
-      Partition::Random(g.num_data(), k, 5).assignment();
+  const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
   QueryNeighborData ndata;
-  ndata.Build(g, assignment);
-  const auto entries_of = [&](VertexId q) { return ndata.Entries(q); };
-
-  AffinitySweep reference;
-  bool have_reference = false;
-  for (const int num_shards : {1, 3, 8}) {
-    std::vector<int32_t> owner(g.num_data());
-    for (VertexId v = 0; v < g.num_data(); ++v) {
-      owner[v] = static_cast<int32_t>(HashToBounded(55, v, 3, num_shards));
+  ndata.Build(g, Partition::Random(g.num_data(), k, 5).assignment());
+  AffinitySweep whole;
+  const uint64_t whole_adds = whole.Build(g, ndata, pow);
+  EXPECT_EQ(whole.last_build_adjacency_reads(), g.num_edges());
+  ThreadPool pool(4);
+  for (const int workers : {1, 3, 8}) {
+    std::vector<AffinitySweep> sweeps(static_cast<size_t>(workers));
+    uint64_t entries = 0;
+    uint64_t reads = 0;
+    uint64_t adds = 0;
+    for (int w = 0; w < workers; ++w) {
+      adds += sweeps[static_cast<size_t>(w)].Build(
+          g, ndata, pow, &pool, OwnedWindows(g.num_data(), k, workers, w));
+      entries += sweeps[static_cast<size_t>(w)].TotalEntries();
+      reads += sweeps[static_cast<size_t>(w)].last_build_adjacency_reads();
     }
-    AffinitySweep sweep;
-    sweep.BuildSharded(g, entries_of, pow, owner, num_shards);
-    EXPECT_EQ(sweep.last_build_adjacency_reads(), g.num_edges())
-        << "W=" << num_shards;
-    if (!have_reference) {
-      reference.BuildSharded(g, entries_of, pow, owner, 1);
-      have_reference = true;
-    }
-    ASSERT_EQ(sweep.TotalEntries(), reference.TotalEntries())
-        << "W=" << num_shards;
+    EXPECT_EQ(entries, whole.TotalEntries()) << "W=" << workers;
+    EXPECT_EQ(reads, g.num_edges()) << "W=" << workers;
+    EXPECT_EQ(adds, whole_adds) << "W=" << workers;
     for (VertexId v = 0; v < g.num_data(); ++v) {
-      const auto a = reference.Entries(v);
-      const auto b = sweep.Entries(v);
-      ASSERT_EQ(a.size(), b.size()) << "W=" << num_shards << " v=" << v;
-      for (size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i], b[i]) << "W=" << num_shards << " v=" << v;
+      const auto a = whole.Entries(v);
+      for (int w = 0; w < workers; ++w) {
+        const auto b = sweeps[static_cast<size_t>(w)].Entries(v);
+        if (static_cast<int>(HashToBounded(55, v, 3, workers)) == w) {
+          ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+              << "W=" << workers << " v=" << v;
+        } else {
+          ASSERT_TRUE(b.empty()) << "W=" << workers << " v=" << v;
+        }
       }
     }
   }
-  // The threaded variant keeps the single-pass guarantee.
-  ThreadPool pool(4);
-  std::vector<int32_t> owner(g.num_data());
-  for (VertexId v = 0; v < g.num_data(); ++v) {
-    owner[v] = static_cast<int32_t>(HashToBounded(55, v, 3, 4));
-  }
-  AffinitySweep threaded;
-  threaded.BuildSharded(g, entries_of, pow, owner, 4, &pool);
-  EXPECT_EQ(threaded.last_build_adjacency_reads(), g.num_edges());
 }
 
-TEST(AffinitySweepSharded, ApplyDeltasShardedMatchesFreshBuild) {
-  // BSP wiring: every worker receives the records of queries with neighbors
-  // in its shard and patches only owned vertices. Broadcasting the full
-  // record list to every shard must therefore be equivalent to a fresh
-  // owner-sharded build (the ownership filter discards the rest).
+TEST(AffinitySweep, EmptyWindowsGetNoArenaSlackAndPatchesRoundTrip) {
+  // A vertex with an empty window never receives a record, so it gets no
+  // slack: a sweep whose every window is empty holds no arena slots at all,
+  // before and after patches and compaction. Next to it, per-worker sweeps
+  // that each receive every record keep matching fresh builds.
   const BipartiteGraph g = TestGraph(29);
   const BucketId k = 16;
-  const double p = 0.5;
-  const PowTable pow(1.0 - p, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
   std::vector<BucketId> assignment(g.num_data(), 0);
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
-  const int num_shards = 4;
-  std::vector<int32_t> owner(g.num_data());
-  for (VertexId v = 0; v < g.num_data(); ++v) {
-    owner[v] = static_cast<int32_t>(HashToBounded(13, v, 2, num_shards));
-  }
-  const auto entries_of = [&](VertexId q) { return ndata.Entries(q); };
+  const int workers = 4;
 
-  AffinitySweep sweep;
-  sweep.BuildSharded(g, entries_of, pow, owner, num_shards);
+  AffinitySweep none;
+  none.Build(g, ndata, pow, nullptr,
+             std::vector<BucketWindow>(g.num_data(), BucketWindow{0, 0}));
+  EXPECT_EQ(none.ArenaSlots(), 0u);
+  std::vector<AffinitySweep> sweeps(workers);
+  for (int w = 0; w < workers; ++w) {
+    sweeps[w].Build(g, ndata, pow, nullptr,
+                    OwnedWindows(g.num_data(), k, workers, w));
+  }
   for (uint64_t round = 0; round < 30; ++round) {
     const std::vector<VertexMove> moves =
         RandomBatch(&assignment, k, 41, round, 25);
     std::vector<NeighborDelta> deltas;
     ndata.ApplyMoves(g, moves, nullptr, nullptr, &deltas);
-    const std::vector<std::span<const NeighborDelta>> inboxes(
-        num_shards, std::span<const NeighborDelta>(deltas));
-    const std::vector<uint64_t> work =
-        sweep.ApplyDeltasSharded(g, inboxes, pow, owner);
-    ASSERT_EQ(work.size(), static_cast<size_t>(num_shards));
-
-    AffinitySweep fresh;
-    fresh.BuildSharded(g, entries_of, pow, owner, num_shards);
-    ASSERT_TRUE(sweep.ApproxEquals(fresh, 1e-9, 1e-9)) << "round " << round;
-    ASSERT_EQ(sweep.TotalEntries(), fresh.TotalEntries()) << "round " << round;
+    std::vector<VertexId> patched;
+    EXPECT_EQ(none.ApplyDeltas(g, deltas, pow, nullptr, &patched), 0u);
+    EXPECT_TRUE(patched.empty());
+    EXPECT_EQ(none.TotalEntries(), 0u);
+    EXPECT_EQ(none.ArenaSlots(), 0u) << "round " << round;
+    for (int w = 0; w < workers; ++w) {
+      sweeps[w].ApplyDeltas(g, deltas, pow, nullptr, &patched);
+      for (const VertexId v : patched) {
+        ASSERT_EQ(static_cast<int>(HashToBounded(55, v, 3, workers)), w);
+      }
+      AffinitySweep fresh;
+      fresh.Build(g, ndata, pow, nullptr, sweeps[w].windows());
+      ASSERT_TRUE(sweeps[w].ApproxEquals(fresh, 1e-9, 1e-9))
+          << "round " << round << " worker " << w;
+    }
   }
+  none.Compact();
+  EXPECT_EQ(none.ArenaSlots(), 0u);
 }
 
 TEST(AffinitySweep, DeterministicModeIsThreadCountInvariant) {
@@ -613,10 +612,13 @@ TEST(AffinitySweepBitExact, HandBuiltChainsCoverBothKernels) {
         ASSERT_EQ(b1->old_count, 1u);
         ASSERT_EQ(std::next(b1)->old_count, 0u);
         for (const VertexId v : {0u, 1u, 2u}) {
-          const auto e = sweep.EntriesInWindow(v, 1, 2);
-          ASSERT_EQ(e.size(), 1u) << "v=" << v;
-          EXPECT_EQ(e[0].support, 1u);
-          EXPECT_EQ(e[0].affinity, 1.0 - pow.Pow(1)) << "float not reset";
+          const auto entries = sweep.Entries(v);
+          const auto e = std::find_if(
+              entries.begin(), entries.end(),
+              [](const AffinityEntry& entry) { return entry.bucket == 1; });
+          ASSERT_NE(e, entries.end()) << "v=" << v;
+          EXPECT_EQ(e->support, 1u);
+          EXPECT_EQ(e->affinity, 1.0 - pow.Pow(1)) << "float not reset";
         }
       } else {
         EXPECT_EQ(sweep.Entries(2).size(), 33u);
@@ -875,42 +877,10 @@ TEST(PullPushTargets, EmptyWindowFallbackIsSharedAndChecksFrom) {
 }
 
 // ----------------------------------------------- group-restricted push scan
-TEST(AffinitySweep, EntriesInWindowIsAPureSliceOfEntries) {
-  const BipartiteGraph g = TestGraph(13);
-  const BucketId k = 16;
-  const auto assignment = Partition::Random(g.num_data(), k, 4).assignment();
-  QueryNeighborData ndata;
-  ndata.Build(g, assignment);
-  const GainComputer gain(0.5, static_cast<uint32_t>(g.MaxQueryDegree()));
-  AffinitySweep sweep;
-  sweep.Build(g, ndata, gain.pow_table());
-
-  for (VertexId v = 0; v < g.num_data(); ++v) {
-    const auto all = sweep.Entries(v);
-    const std::pair<BucketId, BucketId> windows[] = {
-        {0, k}, {3, 9}, {9, 9}, {k, k + 4}};
-    for (const auto& [wb, we] : windows) {
-      const auto window = sweep.EntriesInWindow(v, wb, we);
-      // Exactly the contiguous run of entries with bucket in [wb, we) — a
-      // view into the same arena storage, no copy.
-      size_t expected = 0;
-      const AffinityEntry* first = nullptr;
-      for (const AffinityEntry& e : all) {
-        if (e.bucket >= wb && e.bucket < we) {
-          if (first == nullptr) first = &e;
-          ++expected;
-        }
-      }
-      ASSERT_EQ(window.size(), expected) << "v=" << v << " [" << wb << ","
-                                         << we << ")";
-      if (expected > 0) EXPECT_EQ(window.data(), first);
-    }
-  }
-}
-
 TEST(PullPushTargets, GroupedScanMatchesDirectSiblingEvaluation) {
   // The recursion scan: sparse sibling candidate sets (non-contiguous
-  // bucket ids) against the same topology-free accumulators. Reference =
+  // bucket ids) against one unwindowed sweep, so every scan takes the
+  // candidate-merge path. Reference =
   // direct per-sibling MoveGain argmax with first-candidate-wins ties —
   // exactly the grouped pull path of both engines.
   for (const double p : {0.1, 0.5, 0.9}) {
@@ -945,7 +915,7 @@ TEST(PullPushTargets, GroupedScanMatchesDirectSiblingEvaluation) {
           }
         }
         const auto push = gain.FindBestTargetPushGrouped(
-            sweep, v, from, std::span<const BucketId>(siblings),
+            sweep.Entries(v), from, std::span<const BucketId>(siblings),
             static_cast<double>(g.DataDegree(v)));
         ASSERT_EQ(ref.bucket == -1, push.bucket == -1)
             << "p=" << p << " v=" << v;
@@ -981,13 +951,13 @@ TEST(PullPushTargets, GroupedFallbackPicksLowestSiblingNotFrom) {
   // fallback; the gain is the empty-bucket gain.
   const std::vector<BucketId> siblings = {0, 4, 6};
   const auto push = gain.FindBestTargetPushGrouped(
-      sweep, 0, 0, std::span<const BucketId>(siblings), 2.0);
+      sweep.Entries(0), 0, std::span<const BucketId>(siblings), 2.0);
   EXPECT_EQ(push.bucket, 4);
   EXPECT_NEAR(push.gain, gain.MoveGain(g, ndata, 0, 0, 4), 1e-12);
   // A one-member "group" (from only) has no target.
   const std::vector<BucketId> lone = {0};
   EXPECT_EQ(gain.FindBestTargetPushGrouped(
-                sweep, 0, 0, std::span<const BucketId>(lone), 2.0)
+                sweep.Entries(0), 0, std::span<const BucketId>(lone), 2.0)
                 .bucket,
             -1);
 }

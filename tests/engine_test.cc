@@ -460,10 +460,11 @@ TEST(BspRefiner, ResultsDoNotDependOnHostPoolSize) {
 TEST(BspRefiner, GroupedRoundsKeepDeltaExchangeAndReplicas) {
   // kAuto on one refiner instance alternating full-k and grouped recursion
   // windows: every round runs the delta exchange + push sweep (the full-k
-  // gate is gone — grouped rounds scan the group-restricted accumulator
-  // view), and the replicas survive the topology switches: one bootstrap
-  // reship total, topology changes only re-slice the scan window. Debug
-  // builds assert replica + proposal equivalence inside RunIteration.
+  // gate is gone — grouped rounds scan the group-windowed accumulators),
+  // and the replicas are rebuilt once per topology run: a switch changes
+  // every vertex's window, so it bootstraps, and rounds under an unchanged
+  // topology patch. Debug builds assert replica + proposal equivalence
+  // inside RunIteration.
   const BipartiteGraph g = TestGraph();
   const BucketId k = 8;
   const MoveTopology full = MoveTopology::FullK(k, g.num_data(), 0.05);
@@ -478,16 +479,24 @@ TEST(BspRefiner, GroupedRoundsKeepDeltaExchangeAndReplicas) {
   config.num_workers = 3;
   BspRefiner refiner(g, options, config);
   Partition partition = Partition::BalancedRandom(g.num_data(), k, 6);
+  uint64_t topology_runs = 0;
+  uint64_t delta_records = 0;
+  const MoveTopology* last = nullptr;
   for (uint64_t iter = 0; iter < 8; ++iter) {
-    const bool full_k_round = iter % 4 < 2;
-    const IterationStats stats = refiner.RunIteration(
-        full_k_round ? full : grouped, &partition, 9, iter);
+    const MoveTopology* topo = iter % 4 < 2 ? &full : &grouped;
+    if (topo != last) ++topology_runs;
+    last = topo;
+    const IterationStats stats =
+        refiner.RunIteration(*topo, &partition, 9, iter);
     EXPECT_TRUE(stats.push_sweep)
         << "grouped rounds must stay on the delta exchange (iter " << iter
         << ")";
+    delta_records += stats.num_delta_records;
   }
-  EXPECT_EQ(refiner.num_bootstrap_reships(), 1u)
-      << "topology switches must re-slice, not reship";
+  EXPECT_EQ(topology_runs, 4u);
+  EXPECT_EQ(refiner.num_bootstrap_reships(), topology_runs)
+      << "one bootstrap per topology run, patches within a run";
+  EXPECT_GT(delta_records, 0u) << "rounds within a run must patch";
   EXPECT_TRUE(Partition::FromAssignment(partition.assignment(), k)
                   .IsBalanced(0.051));
 }
@@ -496,11 +505,11 @@ TEST(BspRefiner, ZeroMoveGroupedRoundKeepsReplicasFresh) {
   // A grouped round that folds the previous round's moves but itself moves
   // nothing (prohibitive anchor penalty): the fold's delta records must
   // patch the accumulator replicas — grouped rounds emit like full-k ones —
-  // so the following full-k round carries on without a bootstrap reship.
+  // so the following round carries on without a bootstrap reship. (An
+  // anchor change invalidates the cached proposals, not the replicas.)
   // Debug builds assert replica equality inside RunIteration.
   const BipartiteGraph g = TestGraph();
   const BucketId k = 8;
-  const MoveTopology full = MoveTopology::FullK(k, g.num_data(), 0.05);
   const MoveTopology grouped = MoveTopology::Grouped(
       k, g.num_data(), 0.05, {{0, 1, 2, 3}, {4, 5, 6, 7}});
   RefinerOptions options;
@@ -513,7 +522,7 @@ TEST(BspRefiner, ZeroMoveGroupedRoundKeepsReplicasFresh) {
   uint64_t iter = 0;
   IterationStats stats;
   do {
-    stats = refiner.RunIteration(full, &partition, 9, iter++);
+    stats = refiner.RunIteration(grouped, &partition, 9, iter++);
   } while (iter < 40 && stats.num_moved == 0);
   ASSERT_GT(stats.num_moved, 0u) << "need moves pending for the grouped fold";
   const uint64_t bootstraps = refiner.num_bootstrap_reships();
@@ -525,7 +534,7 @@ TEST(BspRefiner, ZeroMoveGroupedRoundKeepsReplicasFresh) {
   EXPECT_EQ(stats.num_moved, 0u) << "the repro needs a zero-move fold round";
   EXPECT_GT(stats.num_delta_records, 0u)
       << "the grouped fold must emit the patch records";
-  stats = refiner.RunIteration(full, &partition, 9, iter++);
+  stats = refiner.RunIteration(grouped, &partition, 9, iter++);
   EXPECT_TRUE(stats.push_sweep);
   EXPECT_EQ(refiner.num_bootstrap_reships(), bootstraps)
       << "no re-bootstrap across the grouped fold";
@@ -620,8 +629,8 @@ TEST_P(BspGroupedDeltaExchange, TrajectoryMatchesPullAcrossRecursionLevels) {
 
   EXPECT_GT(push_delta_records, 0u)
       << "grouped steady-state iterations must flow delta records";
-  EXPECT_EQ(push.num_bootstrap_reships(), 1u)
-      << "the level advance must re-restrict the replicas, not reship them";
+  EXPECT_EQ(push.num_bootstrap_reships(), 2u)
+      << "one bootstrap per recursion level's topology";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -632,11 +641,11 @@ INSTANTIATE_TEST_SUITE_P(
                         MoveBrokerOptions::Strategy::kExactPairing),
         testing::Values(1, 3, 8)));
 
-TEST(BspRefiner, RecursionLevelAdvanceReRestrictsWithoutBootstrapReship) {
-  // The real SHP-2/r driver with one BSP refiner reused across levels
-  // (constant gain base: future-split objective off): the whole recursion
-  // performs exactly one bootstrap reship — every later level advance
-  // re-restricts the accumulator replicas through the diff-scan records.
+TEST(BspRefiner, RecursionDriverBuildsOneRefinerPerLevel) {
+  // The SHP-2/r driver asks its factory for a fresh refiner at every level,
+  // also when the gain base stays constant (future-split objective off), so
+  // every level's replicas are windowed to that level's sibling groups. The
+  // BSP result equals the threaded engine's.
   const BipartiteGraph g = TestGraph();
   RecursiveOptions options;
   options.k = 8;
@@ -644,22 +653,8 @@ TEST(BspRefiner, RecursionLevelAdvanceReRestrictsWithoutBootstrapReship) {
   options.iterations_per_level = 4;
   options.future_split_objective = false;
   options.refiner.sweep_mode = RefinerOptions::SweepMode::kPush;
-  options.refiner.incremental_rebuild_fraction = 1.0;
-  // The driver owns (and destroys) the refiner it gets from the factory, so
-  // hand it a forwarding proxy and keep the real engine alive in the test to
-  // read its counters after Run returns.
-  struct Proxy : RefinerInterface {
-    std::shared_ptr<BspRefiner> impl;
-    IterationStats RunIteration(const MoveTopology& topo,
-                                Partition* partition, uint64_t seed,
-                                uint64_t iteration, ThreadPool* pool,
-                                const std::vector<BucketId>* anchor,
-                                double anchor_penalty) override {
-      return impl->RunIteration(topo, partition, seed, iteration, pool,
-                                anchor, anchor_penalty);
-    }
-  };
-  std::shared_ptr<BspRefiner> refiner;
+  const RecursiveResult threaded = RecursivePartitioner(options).Run(g);
+
   int factory_calls = 0;
   options.refiner_factory = [&](const BipartiteGraph& graph,
                                 const RefinerOptions& ropts)
@@ -667,20 +662,93 @@ TEST(BspRefiner, RecursionLevelAdvanceReRestrictsWithoutBootstrapReship) {
     ++factory_calls;
     BspConfig config;
     config.num_workers = 4;
-    refiner = std::make_shared<BspRefiner>(graph, ropts, config);
-    auto proxy = std::make_unique<Proxy>();
-    proxy->impl = refiner;
-    return proxy;
+    return std::make_unique<BspRefiner>(graph, ropts, config);
   };
-  const RecursiveResult result = RecursivePartitioner(options).Run(g);
-  EXPECT_EQ(result.levels_run, 3u);
-  EXPECT_EQ(factory_calls, 1)
-      << "a constant gain base must reuse one refiner across levels";
-  ASSERT_NE(refiner, nullptr);
-  EXPECT_EQ(refiner->num_bootstrap_reships(), 1u)
-      << "level advances must patch the replicas, never reship";
-  EXPECT_TRUE(Partition::FromAssignment(result.assignment, 8)
-                  .IsBalanced(0.051));
+  const RecursiveResult bsp = RecursivePartitioner(options).Run(g);
+  EXPECT_EQ(bsp.levels_run, 3u);
+  EXPECT_EQ(factory_calls, static_cast<int>(bsp.levels_run))
+      << "one refiner per recursion level";
+  EXPECT_EQ(bsp.assignment, threaded.assignment);
+  EXPECT_TRUE(Partition::FromAssignment(bsp.assignment, 8).IsBalanced(0.051));
+}
+
+TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
+  // Each data worker's replica holds, for each vertex it owns, exactly the
+  // occupied buckets of the vertex's group window ([0, k) under direct
+  // k-way) and nothing for any other vertex — so the W replicas together
+  // hold one in-window copy, whatever W. The trajectory equals the threaded
+  // Refiner's (same gather, same windows).
+  const BipartiteGraph g = TestGraph();
+  const BucketId k = 8;
+  const MoveTopology full = MoveTopology::FullK(k, g.num_data(), 0.05);
+  const MoveTopology grouped = MoveTopology::Grouped(
+      k, g.num_data(), 0.05, {{0, 1}, {2, 3}, {4, 5}, {6, 7}});
+  // Occupied buckets of N(v) inside v's window, by brute force.
+  const auto in_window = [&](const MoveTopology& topo,
+                             const std::vector<BucketId>& assignment,
+                             VertexId v) {
+    const auto [begin, end] = topo.WindowOf(assignment[v]);
+    std::vector<BucketId> buckets;
+    for (const VertexId q : g.DataNeighbors(v)) {
+      for (const VertexId u : g.QueryNeighbors(q)) {
+        if (assignment[u] >= begin && assignment[u] < end) {
+          buckets.push_back(assignment[u]);
+        }
+      }
+    }
+    std::sort(buckets.begin(), buckets.end());
+    return static_cast<uint64_t>(
+        std::unique(buckets.begin(), buckets.end()) - buckets.begin());
+  };
+  RefinerOptions options;
+  options.sweep_mode = RefinerOptions::SweepMode::kPush;
+  const uint64_t iterations = 4;
+  for (const MoveTopology* topo : {&full, &grouped}) {
+    // The threaded trajectory, and each iteration's brute-force per-vertex
+    // count over the assignment superstep 2 saw (the one before the round's
+    // moves), shared by every W.
+    std::vector<std::vector<BucketId>> trajectory;
+    std::vector<std::vector<uint64_t>> counts;
+    Refiner threaded(g, options);
+    Partition p_threaded = Partition::BalancedRandom(g.num_data(), k, 6);
+    for (uint64_t iter = 0; iter < iterations; ++iter) {
+      std::vector<uint64_t>& count = counts.emplace_back(g.num_data());
+      for (VertexId v = 0; v < g.num_data(); ++v) {
+        count[v] = in_window(*topo, p_threaded.assignment(), v);
+      }
+      threaded.RunIteration(*topo, &p_threaded, 9, iter);
+      trajectory.push_back(p_threaded.assignment());
+    }
+    for (const int workers : {1, 3, 8}) {
+      SCOPED_TRACE(testing::Message() << (topo->full_k ? "full-k" : "grouped")
+                                      << ", W=" << workers);
+      BspConfig config;
+      config.num_workers = workers;
+      BspRefiner bsp(g, options, config);
+      const VertexSharding sharding(workers, config.shard_seed);
+      Partition p_bsp = Partition::BalancedRandom(g.num_data(), k, 6);
+      for (uint64_t iter = 0; iter < iterations; ++iter) {
+        bsp.RunIteration(*topo, &p_bsp, 9, iter);
+        ASSERT_EQ(p_bsp.assignment(), trajectory[iter]) << "iteration " << iter;
+        std::vector<uint64_t> expected(static_cast<size_t>(workers), 0);
+        for (VertexId v = 0; v < g.num_data(); ++v) {
+          const int owner = sharding.DataWorker(v);
+          expected[static_cast<size_t>(owner)] += counts[iter][v];
+          for (int w = 0; w < workers; ++w) {
+            if (w != owner) {
+              ASSERT_TRUE(bsp.sweep(w).Entries(v).empty())
+                  << "worker " << w << " holds entries of v=" << v;
+            }
+          }
+        }
+        for (int w = 0; w < workers; ++w) {
+          EXPECT_EQ(bsp.sweep(w).TotalEntries(),
+                    expected[static_cast<size_t>(w)])
+              << "worker " << w << ", iteration " << iter;
+        }
+      }
+    }
+  }
 }
 
 TEST(BspRefiner, ExternalPartitionMutationSelfHeals) {
@@ -699,8 +767,8 @@ TEST(BspRefiner, ExternalPartitionMutationSelfHeals) {
   Partition partition = Partition::BalancedRandom(g.num_data(), k, 5);
   refiner.RunIteration(topo, &partition, 9, 0);
   refiner.RunIteration(topo, &partition, 9, 1);
-  // Mutate behind the refiner's back (the recursive driver does this when
-  // redistributing between levels).
+  // Mutate behind the refiner's back (a caller editing the partition
+  // between iterations).
   for (VertexId v = 0; v < 50; ++v) {
     partition.Move(v, (partition.bucket_of(v) + 1) % k);
   }
@@ -766,6 +834,21 @@ TEST(DistributedShp, ReportIsConsistent) {
                    report.simulated.seconds * 4);
   EXPECT_TRUE(Partition::FromAssignment(report.assignment, 8)
                   .IsBalanced(0.05));
+}
+
+TEST(DistributedShp, WorkerStateCountsReplicas) {
+  // The report's worker-state figure is sampled while the refiners run, so
+  // in push mode it includes the query and accumulator replicas that a
+  // freshly constructed refiner does not hold yet.
+  const BipartiteGraph g = TestGraph();
+  DistributedShpOptions options;
+  options.bsp.num_workers = 4;
+  options.recursive = true;
+  options.recursive_options.refiner.sweep_mode =
+      RefinerOptions::SweepMode::kPush;
+  const DistributedShpReport report = DistributedShp(options).Run(g, 8);
+  const BspRefiner fresh(g, options.recursive_options.refiner, options.bsp);
+  EXPECT_GT(report.max_worker_state_bytes, fresh.MaxWorkerStateBytes());
 }
 
 TEST(DistributedShp, MoreWorkersMoreCommunication) {

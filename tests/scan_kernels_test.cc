@@ -161,11 +161,11 @@ TEST(ScanKernels, EmptyScanWindowFallsBackToLowestSibling) {
   ASSERT_TRUE(gc.SupportsPush());
   const std::vector<AffinityEntry> window = {{5, 2, 0.75}};
   const std::vector<BucketId> siblings = {4, 5, 6};
-  const auto best = gc.FindBestTargetPushGroupedWindow(
+  const auto best = gc.FindBestTargetPushGrouped(
       window, /*from=*/5, siblings, /*degree=*/3.0);
   EXPECT_EQ(best.bucket, 4);
   const std::vector<BucketId> only_from = {5};
-  const auto none = gc.FindBestTargetPushGroupedWindow(
+  const auto none = gc.FindBestTargetPushGrouped(
       window, /*from=*/5, only_from, /*degree=*/3.0);
   EXPECT_EQ(none.bucket, -1);
   EXPECT_EQ(none.gain, 0.0);
