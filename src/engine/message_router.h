@@ -17,7 +17,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -211,34 +212,55 @@ class MessageRouter {
 /// Giraph-style message combiner: during a superstep's send phase each source
 /// worker folds same-destination, same-key messages into one value before
 /// anything reaches the wire ("machine-pair message combining", paper §3.3).
-/// Layout mirrors MessageRouter: one map per (src, dst) cell, single-writer
-/// per src row. The maps are *cleared, not destroyed*, between supersteps —
-/// a W×W grid of fresh unordered_maps per iteration was measurable
-/// allocation churn in the BSP hot loop, and clear() keeps each map's bucket
-/// array for the next round.
+/// Layout mirrors MessageRouter: one flat (key, value) vector per (src, dst)
+/// cell, single-writer per src row. Add appends; Drain sorts a cell by key
+/// and sums equal keys in place. Reset keeps every cell's capacity, so it
+/// costs O(W²) whatever the previous superstep sent.
 template <typename Value>
 class MessageCombiner {
  public:
-  /// (Re)shapes to num_workers² cells and clears every map, keeping their
-  /// allocated bucket arrays. Call once per superstep before combining.
+  struct Entry {
+    uint64_t key;
+    Value value;
+  };
+
+  /// (Re)shapes to num_workers² cells and empties every cell. Call once per
+  /// superstep before combining.
   void Reset(int num_workers) {
     SHP_CHECK_GT(num_workers, 0);
     num_workers_ = num_workers;
     const size_t cells =
         static_cast<size_t>(num_workers) * static_cast<size_t>(num_workers);
-    if (maps_.size() < cells) maps_.resize(cells);
-    for (auto& m : maps_) m.clear();
+    if (cells_.size() < cells) cells_.resize(cells);
+    for (auto& cell : cells_) cell.clear();
+    if (scratch_.size() < static_cast<size_t>(num_workers)) {
+      scratch_.resize(static_cast<size_t>(num_workers));
+    }
   }
 
-  /// Accumulation slot for `key` on the (src, dst) wire; value-initialized
-  /// (0 for arithmetic types) on first touch. Called by worker `src` only.
-  Value& Slot(int src, int dst, uint64_t key) {
-    return maps_[Index(src, dst)][key];
+  /// Queues `value` for `key` on the (src, dst) wire. Called by worker `src`
+  /// only.
+  void Add(int src, int dst, uint64_t key, Value value) {
+    cells_[Index(src, dst)].push_back({key, value});
   }
 
-  /// Combined (key, value) pairs queued from src to dst, ready to route.
-  const std::unordered_map<uint64_t, Value>& Cell(int src, int dst) const {
-    return maps_[Index(src, dst)];
+  /// Combines the (src, dst) cell in place and returns it: one entry per
+  /// key, keys strictly ascending, values summed, zero sums dropped. Called
+  /// by worker `src` only, after its last Add of the superstep; the span
+  /// stays valid until the next Add or Reset.
+  std::span<const Entry> Drain(int src, int dst) {
+    std::vector<Entry>& cell = cells_[Index(src, dst)];
+    SortByKey(&cell, &scratch_[static_cast<size_t>(src)]);
+    size_t out = 0;
+    for (size_t i = 0; i < cell.size();) {
+      Entry combined = cell[i];
+      for (++i; i < cell.size() && cell[i].key == combined.key; ++i) {
+        combined.value += cell[i].value;
+      }
+      if (combined.value != Value{}) cell[out++] = combined;
+    }
+    cell.resize(out);
+    return cell;
   }
 
  private:
@@ -248,8 +270,37 @@ class MessageCombiner {
     return static_cast<size_t>(src) * num_workers_ + dst;
   }
 
+  /// Sorts `cell` by key: LSD radix sort over the key's bytes, skipping
+  /// every byte that is equal across the cell (query ids and bucket ids use
+  /// only a few of the eight). `scratch` is the ping-pong buffer and may
+  /// trade places with `cell`.
+  static void SortByKey(std::vector<Entry>* cell,
+                        std::vector<Entry>* scratch) {
+    if (cell->size() < 2) return;
+    uint64_t any = 0;
+    uint64_t all = ~uint64_t{0};
+    for (const Entry& e : *cell) {
+      any |= e.key;
+      all &= e.key;
+    }
+    const uint64_t varying = any ^ all;
+    scratch->resize(cell->size());
+    for (int shift = 0; shift < 64; shift += 8) {
+      if (((varying >> shift) & 0xff) == 0) continue;
+      size_t offset[256] = {};
+      for (const Entry& e : *cell) ++offset[(e.key >> shift) & 0xff];
+      size_t sum = 0;
+      for (size_t& o : offset) sum += std::exchange(o, sum);
+      for (const Entry& e : *cell) {
+        (*scratch)[offset[(e.key >> shift) & 0xff]++] = e;
+      }
+      cell->swap(*scratch);
+    }
+  }
+
   int num_workers_ = 0;
-  std::vector<std::unordered_map<uint64_t, Value>> maps_;
+  std::vector<std::vector<Entry>> cells_;
+  std::vector<std::vector<Entry>> scratch_;  ///< radix buffer per src row
 };
 
 }  // namespace shp

@@ -16,12 +16,15 @@ namespace shp {
 namespace {
 
 /// Superstep-2 payload of the pull (full-reship) path: one query's
-/// (restricted) neighbor data, shipped once per destination worker and
-/// fanned out locally. The delta-exchange path ships NeighborDelta records
-/// instead (see shp_bsp.h / docs/distributed.md).
+/// neighbor data restricted to the topology's active buckets, shipped once
+/// per destination worker and fanned out locally. The simulation carries
+/// only the entry count — receivers read the owner's replica — and charges
+/// bytes and work as if the list were shipped. The delta-exchange path
+/// ships NeighborDelta records instead (see shp_bsp.h /
+/// docs/distributed.md).
 struct NeighborDataMsg {
   VertexId query;
-  std::vector<BucketCount> entries;
+  uint32_t num_entries;
 };
 
 /// Superstep-1 combiner key. Queries are VertexId — unsigned, with the full
@@ -76,7 +79,6 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   cached_gain_.assign(graph.num_data(), 0.0);
   worker_hist_.assign(W, PairHistograms(options.broker.binning));
   hist_contrib_.assign(graph.num_data(), {});
-  s1_sorted_.resize(W);
   s1_records_.resize(W);
   s2_inbox_.resize(W);
   sweeps_.resize(W);
@@ -218,10 +220,8 @@ bool BspRefiner::Announce(int w, VertexId v, BucketId now, uint64_t* work) {
   if (now == before) return false;
   for (VertexId q : graph_.DataNeighbors(v)) {
     const int dst = sharding_.QueryWorker(q);
-    if (before >= 0) {
-      --s1_combiner_.Slot(w, dst, PackQueryBucket(q, before));
-    }
-    ++s1_combiner_.Slot(w, dst, PackQueryBucket(q, now));
+    if (before >= 0) s1_combiner_.Add(w, dst, PackQueryBucket(q, before), -1);
+    s1_combiner_.Add(w, dst, PackQueryBucket(q, now), 1);
     *work += 2;
   }
   known_assignment_[v] = now;
@@ -291,11 +291,11 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
   pending_announce_.clear();
   round->stats.full_rebuild = round->full_scan;
 
-  // Flush each source row of the combiner onto the wire.
+  // Flush each source row of the combiner onto the wire: one message per
+  // nonzero (query, bucket) sum, in ascending (query, bucket) order.
   RunPhase(W, pool, [&](int w) -> uint64_t {
     for (int dst = 0; dst < W; ++dst) {
-      for (const auto& [key, delta] : s1_combiner_.Cell(w, dst)) {
-        if (delta == 0) continue;
+      for (const auto& [key, delta] : s1_combiner_.Drain(w, dst)) {
         router.Send(w, dst,
                     BucketDeltaMsg{QueryOfKey(key), BucketOfKey(key), delta});
       }
@@ -305,30 +305,49 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
 
   // Receive: owner workers fold deltas into their queries' neighbor data,
   // emitting the (q, bucket, old, new) NeighborDelta records superstep 2
-  // ships in delta-exchange mode. Incoming deltas are stably sorted by
-  // (query, bucket) first, so each query's records come out contiguous (for
-  // the grouped send) and the fold order does not depend on the message
-  // arrival interleaving.
+  // ships in delta-exchange mode. Each source's run arrives strictly
+  // ascending by (query, bucket); the owner merges the W runs, ties in
+  // ascending source order, so each query's records come out contiguous
+  // (for the grouped send) and the fold order does not depend on the
+  // message arrival interleaving.
   AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
     uint64_t work = 0;
-    std::vector<BucketDeltaMsg>& sorted = s1_sorted_[static_cast<size_t>(w)];
-    sorted.clear();
-    for (int src = 0; src < W; ++src) {
-      const auto& in = router.Incoming(src, w);
-      sorted.insert(sorted.end(), in.begin(), in.end());
-    }
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const BucketDeltaMsg& a, const BucketDeltaMsg& b) {
-                       if (a.query != b.query) return a.query < b.query;
-                       return a.bucket < b.bucket;
-                     });
     // Records are only worth emitting when valid accumulator replicas
     // will consume them; after a high-churn round the replicas were
     // dropped and superstep 2 re-bootstraps instead.
     std::vector<NeighborDelta>* emit =
         round->push && sweep_valid_ ? &s1_records_[static_cast<size_t>(w)]
                                     : nullptr;
-    for (const BucketDeltaMsg& m : sorted) {
+    const auto key_of = [](const BucketDeltaMsg& m) {
+      return PackQueryBucket(m.query, m.bucket);
+    };
+    // Each source's read position and head key; an exhausted run's head
+    // is the largest key, so the scan below never picks it.
+    constexpr uint64_t kExhausted = ~uint64_t{0};
+    std::vector<size_t> pos(static_cast<size_t>(W), 0);
+    std::vector<uint64_t> head(static_cast<size_t>(W), kExhausted);
+    size_t remaining = 0;
+    for (int src = 0; src < W; ++src) {
+      const std::vector<BucketDeltaMsg>& run = router.Incoming(src, w);
+      SHP_DCHECK(std::adjacent_find(run.begin(), run.end(),
+                                    [&](const BucketDeltaMsg& a,
+                                        const BucketDeltaMsg& b) {
+                                      return key_of(a) >= key_of(b);
+                                    }) == run.end())
+          << "superstep-1 run from worker " << src << " is not ascending";
+      if (!run.empty()) head[static_cast<size_t>(src)] = key_of(run.front());
+      remaining += run.size();
+    }
+    for (; remaining > 0; --remaining) {
+      // Smallest head key; strict < keeps the lowest source on ties.
+      size_t src = 0;
+      for (size_t s = 1; s < head.size(); ++s) {
+        if (head[s] < head[src]) src = s;
+      }
+      const std::vector<BucketDeltaMsg>& run =
+          router.Incoming(static_cast<int>(src), w);
+      const BucketDeltaMsg& m = run[pos[src]++];
+      head[src] = pos[src] < run.size() ? key_of(run[pos[src]]) : kExhausted;
       auto& entries = query_ndata_[m.query];
       auto it = std::lower_bound(
           entries.begin(), entries.end(), m.bucket,
@@ -466,9 +485,9 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
       round->full_scan || !proposals_valid_ || round->bootstrap;
   for (auto& list : recompute_lists_) list.clear();
   if (!round->push && round->recompute_all) {
-    // The pull path's data-side caches hold topology-restricted lists; a
-    // context change may activate buckets they never received, so charge a
-    // full reship (on iteration 0 every query is dirty anyway).
+    // The pull path ships topology-restricted lists; a context change may
+    // activate buckets the last shipment left out, so charge a full reship
+    // (on iteration 0 every query is dirty anyway).
     std::fill(query_dirty_.begin(), query_dirty_.end(), 1);
   }
 
@@ -487,19 +506,17 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
         // Restricted to buckets active in this topology (recursion sends
         // "at most r values" per §3.3): the replicas a bootstrap seeds keep
         // only their vertices' group windows.
-        std::vector<BucketCount> restricted;
-        restricted.reserve(query_ndata_[q].size());
-        for (const BucketCount& e : query_ndata_[q]) {
-          if (topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0) {
-            restricted.push_back(e);
-          }
-        }
-        if (restricted.empty()) continue;
+        const auto restricted = static_cast<uint32_t>(std::count_if(
+            query_ndata_[q].begin(), query_ndata_[q].end(),
+            [&topo](const BucketCount& e) {
+              return topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0;
+            }));
+        if (restricted == 0) continue;
         MarkDestinations(q, &dst_mask);
         for (int dst = 0; dst < W; ++dst) {
           if (!dst_mask[static_cast<size_t>(dst)]) continue;
           router.Send(w, dst, NeighborDataMsg{q, restricted});
-          work += restricted.size();
+          work += restricted;
         }
       }
       return work;
@@ -514,13 +531,13 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
           if (!round->recompute_all) {
             MarkForRecompute(w, graph_.QueryNeighbors(m.query));
           }
-          work += m.entries.size();
+          work += m.num_entries;
         }
       }
       return work;
     }), &s2);
     s2.traffic += router.CollectAndClearSized([](const NeighborDataMsg& m) {
-      return sizeof(VertexId) + m.entries.size() * sizeof(BucketCount);
+      return sizeof(VertexId) + m.num_entries * sizeof(BucketCount);
     });
     if (round->bootstrap) {
       // Each data worker builds its accumulator replica from the shipment:

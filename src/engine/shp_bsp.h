@@ -350,11 +350,13 @@ class BspRefiner : public RefinerInterface {
   std::vector<PairHistograms::Contribution> hist_contrib_;
   bool hist_valid_ = false;
 
-  // Reusable per-iteration scratch (satellite of the delta-exchange work:
-  // none of these are reallocated per call).
+  // Reusable per-iteration scratch: each keeps its capacity across
+  // iterations, so steady-state supersteps allocate nothing here.
+  /// Superstep-1 combiner: flat (key, delta) cells, sorted at the flush.
   MessageCombiner<int32_t> s1_combiner_;
-  std::vector<std::vector<BucketDeltaMsg>> s1_sorted_;  ///< per query owner
-  std::vector<std::vector<NeighborDelta>> s1_records_;  ///< per query owner
+  /// NeighborDelta records the superstep-1 fold emits, per query owner, in
+  /// the merged (query, bucket) order superstep 2 ships them in.
+  std::vector<std::vector<NeighborDelta>> s1_records_;
   std::vector<std::vector<NeighborDelta>> s2_inbox_;    ///< per data worker
   std::vector<uint8_t> recompute_;  ///< per-vertex mark, zeroed after use
   std::vector<std::vector<VertexId>> recompute_lists_;  ///< per data worker

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -95,18 +98,35 @@ TEST(MessageRouter, ByteCountersAccumulateAcrossSupersteps) {
 }
 
 TEST(MessageCombiner, CombinesPerDestinationAndSurvivesReset) {
+  using Entry = MessageCombiner<int32_t>::Entry;
+  const auto drained = [](MessageCombiner<int32_t>& combiner, int src,
+                          int dst) {
+    const std::span<const Entry> cell = combiner.Drain(src, dst);
+    std::vector<std::pair<uint64_t, int32_t>> out;
+    for (const Entry& e : cell) out.emplace_back(e.key, e.value);
+    return out;
+  };
+  using Pairs = std::vector<std::pair<uint64_t, int32_t>>;
   MessageCombiner<int32_t> combiner;
   combiner.Reset(2);
-  ++combiner.Slot(0, 1, 7);
-  ++combiner.Slot(0, 1, 7);
-  --combiner.Slot(0, 1, 9);
-  ++combiner.Slot(1, 1, 7);  // different source row: independent
-  EXPECT_EQ(combiner.Cell(0, 1).at(7), 2);
-  EXPECT_EQ(combiner.Cell(0, 1).at(9), -1);
-  EXPECT_EQ(combiner.Cell(1, 1).at(7), 1);
-  EXPECT_TRUE(combiner.Cell(0, 0).empty());
+  const uint64_t high = uint64_t{3} << 32;  // differs in an upper byte
+  combiner.Add(0, 1, high + 1, 1);
+  combiner.Add(0, 1, 9, -1);
+  combiner.Add(0, 1, 7, 1);
+  combiner.Add(0, 1, 5, 1);
+  combiner.Add(0, 1, 7, 1);
+  combiner.Add(0, 1, 5, -1);  // sums to zero: dropped
+  combiner.Add(0, 1, high, -2);
+  combiner.Add(1, 1, 7, 1);   // different source row: independent
+  EXPECT_EQ(drained(combiner, 0, 1),
+            (Pairs{{7, 2}, {9, -1}, {high, -2}, {high + 1, 1}}))
+      << "keys strictly ascending, equal keys summed, zero sums dropped";
+  EXPECT_EQ(drained(combiner, 1, 1), (Pairs{{7, 1}}));
+  EXPECT_TRUE(drained(combiner, 0, 0).empty());
   combiner.Reset(2);
-  EXPECT_TRUE(combiner.Cell(0, 1).empty()) << "Reset clears combined state";
+  EXPECT_TRUE(drained(combiner, 0, 1).empty()) << "Reset clears combined state";
+  combiner.Add(0, 1, 3, 4);
+  EXPECT_EQ(drained(combiner, 0, 1), (Pairs{{3, 4}}));
 }
 
 TEST(Sharding, CoversAllVerticesExactlyOnce) {
@@ -746,6 +766,99 @@ TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
                     expected[static_cast<size_t>(w)])
               << "worker " << w << ", iteration " << iter;
         }
+      }
+    }
+  }
+}
+
+TEST(BspRefiner, SuperstepOneMessagesMatchBruteForceCombine) {
+  // Superstep 1 sends one message per (source worker, destination worker,
+  // query, bucket) whose combined delta is nonzero: a vertex that moved
+  // b → b' sends −1 at b and +1 at b' to each adjacent query's owner. The
+  // brute force recomputes those net deltas from the assignments the
+  // queries last saw and now see. An external swap of two same-worker
+  // vertices sharing a query makes some keys sum to zero, which must send
+  // nothing.
+  const BipartiteGraph g = TestGraph();
+  const BucketId k = 8;
+  const MoveTopology full = MoveTopology::FullK(k, g.num_data(), 0.05);
+  const MoveTopology grouped = MoveTopology::Grouped(
+      k, g.num_data(), 0.05, {{0, 1}, {2, 3}, {4, 5}, {6, 7}});
+  RefinerOptions options;
+  options.sweep_mode = RefinerOptions::SweepMode::kPush;
+  const uint64_t iterations = 4;
+  const uint64_t mutate_before = 2;
+  for (const MoveTopology* topo : {&full, &grouped}) {
+    for (const int workers : {1, 3, 8}) {
+      SCOPED_TRACE(testing::Message() << (topo->full_k ? "full-k" : "grouped")
+                                      << ", W=" << workers);
+      BspConfig config;
+      config.num_workers = workers;
+      std::vector<SuperstepStats> log;
+      BspRefiner bsp(g, options, config, &log);
+      const VertexSharding sharding(workers, config.shard_seed);
+      Partition partition = Partition::BalancedRandom(g.num_data(), k, 6);
+      // What the queries saw at the previous superstep 1 (nothing yet).
+      std::vector<BucketId> seen(g.num_data(), -1);
+      for (uint64_t iter = 0; iter < iterations; ++iter) {
+        if (iter == mutate_before) {
+          // Swap the buckets of the first two vertices of one query that
+          // share an owner worker, differ in bucket and did not move last
+          // round.
+          bool swapped = false;
+          for (VertexId q = 0; q < g.num_queries() && !swapped; ++q) {
+            const auto pins = g.QueryNeighbors(q);
+            for (size_t i = 0; i < pins.size() && !swapped; ++i) {
+              for (size_t j = i + 1; j < pins.size() && !swapped; ++j) {
+                const VertexId u = pins[i];
+                const VertexId v = pins[j];
+                const BucketId bu = partition.bucket_of(u);
+                const BucketId bv = partition.bucket_of(v);
+                if (bu == bv || seen[u] != bu || seen[v] != bv ||
+                    sharding.DataWorker(u) != sharding.DataWorker(v)) {
+                  continue;
+                }
+                partition.Move(u, bv);
+                partition.Move(v, bu);
+                swapped = true;
+              }
+            }
+          }
+          ASSERT_TRUE(swapped);
+        }
+        // Net delta per (src, dst, q, bucket), by brute force.
+        std::map<std::tuple<int, int, VertexId, BucketId>, int64_t> net;
+        for (VertexId v = 0; v < g.num_data(); ++v) {
+          const BucketId before = seen[v];
+          const BucketId now = partition.bucket_of(v);
+          if (before == now) continue;
+          const int src = sharding.DataWorker(v);
+          for (const VertexId q : g.DataNeighbors(v)) {
+            const int dst = sharding.QueryWorker(q);
+            if (before >= 0) --net[{src, dst, q, before}];
+            ++net[{src, dst, q, now}];
+          }
+        }
+        uint64_t local = 0;
+        uint64_t remote = 0;
+        uint64_t cancelled = 0;
+        for (const auto& [key, delta] : net) {
+          if (delta == 0) {
+            ++cancelled;
+            continue;
+          }
+          (std::get<0>(key) == std::get<1>(key) ? local : remote) += 1;
+        }
+        if (iter == mutate_before) {
+          EXPECT_GT(cancelled, 0u) << "the swap must cancel some keys";
+        }
+        seen = partition.assignment();
+        bsp.RunIteration(*topo, &partition, 9, iter);
+        ASSERT_EQ(log.size(), 4 * (iter + 1));
+        const RouteStats& traffic = log[4 * iter].traffic;
+        EXPECT_EQ(traffic.local_messages, local) << "iteration " << iter;
+        EXPECT_EQ(traffic.remote_messages, remote) << "iteration " << iter;
+        EXPECT_EQ(traffic.remote_bytes, 12 * remote) << "iteration " << iter;
       }
     }
   }
