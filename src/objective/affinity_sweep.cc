@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
+#include <iterator>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -240,14 +240,13 @@ uint64_t AffinitySweep::Gather(const BipartiteGraph& graph,
   SHP_CHECK(windows.empty() || windows.size() == n);
   windows_ = std::move(windows);
   const bool windowed = !windows_.empty();
+  // The previous accumulators go before the new ones are gathered.
+  arena_ = BlockArena();
   loc_.assign(n, Loc{});
   garbage_ = 0;
   live_entries_ = 0;
   last_build_adjacency_reads_ = 0;
-  if (n == 0) {
-    entries_.clear();
-    return 0;
-  }
+  if (n == 0) return 0;
 
   const size_t workers = std::max<size_t>(1, pool->num_threads());
   const size_t shards = std::min<size_t>(workers, n);
@@ -258,25 +257,26 @@ uint64_t AffinitySweep::Gather(const BipartiteGraph& graph,
 
   // Vertex-major gather: each vertex walks its ascending DataNeighbors(v),
   // so every (v, bucket) slot sums its contributions in ascending q — the
-  // same order a query-major scatter delivers them in. Entries go to a
-  // shard-local buffer in vertex order (a deque: it grows block by block,
-  // never holding a doubled copy), sizes straight into loc_. A windowed
+  // same order a query-major scatter delivers them in. Each shard drains its
+  // vertices straight into slots carved from its own blocks, and the sweep
+  // then takes the blocks over, so no entry is staged or copied. A windowed
   // vertex reads only the in-window stretch of each query's bucket-sorted
   // list, so its slots see the same adds in the same order as unwindowed.
-  std::vector<std::deque<AffinityEntry>> gathered(shards);
+  std::vector<BlockArena> shard_arenas(shards);
   std::vector<uint64_t> adds(shards, 0);
   std::vector<uint64_t> reads(shards, 0);
+  std::vector<uint64_t> live(shards, 0);
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
     // Per-worker scratch on the worker's own stack: no false sharing.
     DenseAccumulator acc;
-    std::vector<AffinityEntry> staged;  // one vertex's drained entries
     for (size_t s = sbegin; s < send; ++s) {
       const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
       const VertexId vend =
           DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
-      std::deque<AffinityEntry> out;  // local until done: no false sharing
+      BlockArena arena;  // local until done: no false sharing
       uint64_t shard_adds = 0;
       uint64_t shard_reads = 0;
+      uint64_t shard_live = 0;
       for (VertexId v = vbegin; v < vend; ++v) {
         if (windowed && windows_[v].first >= windows_[v].second) continue;
         shard_reads += graph.DataDegree(v);
@@ -290,36 +290,26 @@ uint64_t AffinitySweep::Gather(const BipartiteGraph& graph,
           }
           shard_adds += entries.size();
         }
-        loc_[v].size = acc.live();
-        staged.resize(acc.live());
-        acc.Drain(staged.data());
-        out.insert(out.end(), staged.begin(), staged.end());
+        const uint32_t size = acc.live();
+        const uint32_t cap = size + SlackOf(v);
+        AffinityEntry* data = arena.Carve(cap);
+        acc.Drain(data);
+        loc_[v] = {data, size, cap};
+        shard_live += size;
       }
-      gathered[s] = std::move(out);
+      shard_arenas[s] = std::move(arena);
       adds[s] = shard_adds;
       reads[s] = shard_reads;
+      live[s] = shard_live;
     }
   });
 
-  LayoutFromSizes();
-  pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
-    for (size_t s = sbegin; s < send; ++s) {
-      auto in = gathered[s].cbegin();
-      const VertexId vend =
-          DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
-      for (VertexId v = DegShardBegin(scratch_.deg_prefix, n, shards, s);
-           v < vend; ++v) {
-        const auto next = in + loc_[v].size;
-        std::copy(in, next,
-                  entries_.begin() + static_cast<ptrdiff_t>(loc_[v].begin));
-        in = next;
-      }
-    }
-  });
   uint64_t total_adds = 0;
   for (size_t s = 0; s < shards; ++s) {
+    arena_.Append(std::move(shard_arenas[s]));
     total_adds += adds[s];
     last_build_adjacency_reads_ += reads[s];
+    live_entries_ += live[s];
   }
   return total_adds;
 }
@@ -329,17 +319,34 @@ uint32_t AffinitySweep::SlackOf(VertexId v) const {
                                                                     : 0;
 }
 
-void AffinitySweep::LayoutFromSizes() {
-  // Per-vertex slack after every accumulator; the arena is sized once.
-  uint64_t cursor = 0;
-  for (VertexId v = 0; v < num_vertices(); ++v) {
-    Loc& loc = loc_[v];
-    loc.begin = cursor;
-    loc.cap = loc.size + SlackOf(v);
-    cursor += loc.cap;
-    live_entries_ += loc.size;
+AffinityEntry* AffinitySweep::BlockArena::Carve(uint32_t n) {
+  if (n == 0) return nullptr;
+  slots_ += n;
+  if (n > kBlockEntries) {
+    blocks_.push_back(std::make_unique_for_overwrite<AffinityEntry[]>(n));
+    return blocks_.back().get();
   }
-  entries_.assign(cursor, AffinityEntry{});
+  if (n > tail_free_) {
+    blocks_.push_back(
+        std::make_unique_for_overwrite<AffinityEntry[]>(kBlockEntries));
+    tail_ = blocks_.back().get();
+    tail_free_ = kBlockEntries;
+  }
+  AffinityEntry* out = tail_;
+  tail_ += n;
+  tail_free_ -= n;
+  return out;
+}
+
+void AffinitySweep::BlockArena::Append(BlockArena&& other) {
+  blocks_.insert(blocks_.end(), std::make_move_iterator(other.blocks_.begin()),
+                 std::make_move_iterator(other.blocks_.end()));
+  slots_ += other.slots_;
+  if (other.tail_ != nullptr) {
+    tail_ = other.tail_;
+    tail_free_ = other.tail_free_;
+  }
+  other = BlockArena();
 }
 
 double AffinitySweep::AffinityFor(VertexId v, BucketId b) const {
@@ -357,7 +364,7 @@ inline bool AffinitySweep::PatchInPlace(VertexId v, BucketId bucket,
                                         double add, int32_t sup,
                                         int64_t* live_delta) {
   Loc& loc = loc_[v];
-  AffinityEntry* base = entries_.data() + loc.begin;
+  AffinityEntry* base = loc.data;
   AffinityEntry* pos = std::lower_bound(
       base, base + loc.size, bucket,
       [](const AffinityEntry& e, BucketId b) { return e.bucket < b; });
@@ -531,7 +538,7 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
           delta += static_cast<int64_t>(acc.live()) - loc.size;
           if (acc.live() <= loc.cap) {
             loc.size = acc.live();
-            acc.Drain(entries_.data() + loc.begin);
+            acc.Drain(loc.data);
           } else {
             std::vector<AffinityEntry> vec(acc.live());
             acc.Drain(vec.data());
@@ -567,8 +574,9 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
     query_records[q] = {0, 0};
     dirty_bits[q / 64] = 0;
   }
-  // Serial merge: relocate overflowed accumulators to the arena tail (the
-  // arena may reallocate) and fold the per-shard accounting.
+  // Serial merge: relocate overflowed accumulators to fresh slots in the
+  // tail block (no other accumulator moves) and fold the per-shard
+  // accounting.
   int64_t total_delta = 0;
   uint64_t total_folded = 0;
   for (size_t s = 0; s < shards; ++s) {
@@ -581,15 +589,11 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
     for (auto& [v, vec] : overflow[s]) {
       const uint32_t sz = static_cast<uint32_t>(vec.size());
       const uint32_t new_cap = sz + std::max(kSlackPad, sz / 2);
-      const uint64_t new_begin = entries_.size();
-      entries_.resize(new_begin + new_cap);
-      std::copy(vec.begin(), vec.end(),
-                entries_.begin() + static_cast<ptrdiff_t>(new_begin));
+      AffinityEntry* data = arena_.Carve(new_cap);
+      std::copy(vec.begin(), vec.end(), data);
       Loc& loc = loc_[v];
       garbage_ += loc.cap;
-      loc.begin = new_begin;
-      loc.cap = new_cap;
-      loc.size = sz;
+      loc = {data, sz, new_cap};
     }
   }
   live_entries_ = static_cast<uint64_t>(
@@ -599,18 +603,16 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
 }
 
 void AffinitySweep::Compact() {
-  const VertexId n = num_vertices();
-  std::vector<AffinityEntry> fresh;
-  fresh.reserve(live_entries_ + static_cast<uint64_t>(kSlackPad) * n);
-  for (VertexId v = 0; v < n; ++v) {
-    const auto span = Entries(v);
+  BlockArena fresh;
+  for (VertexId v = 0; v < num_vertices(); ++v) {
     Loc& loc = loc_[v];
-    loc.begin = fresh.size();
-    fresh.insert(fresh.end(), span.begin(), span.end());
-    loc.cap = loc.size + SlackOf(v);
-    fresh.resize(fresh.size() + SlackOf(v));
+    const uint32_t cap = loc.size + SlackOf(v);
+    AffinityEntry* data = fresh.Carve(cap);
+    std::copy(loc.data, loc.data + loc.size, data);
+    loc.data = data;
+    loc.cap = cap;
   }
-  entries_ = std::move(fresh);
+  arena_ = std::move(fresh);
   garbage_ = 0;
 }
 

@@ -55,13 +55,22 @@
 // at support == 0 resets the float to exactly 0, so cancellation drift never
 // fabricates phantom affinity.
 //
-// Storage mirrors QueryNeighborData: one flat arena of entries plus a packed
-// per-vertex {begin, size, cap} record with slack, tail relocation on growth,
-// and epoch compaction.
+// Storage is a block arena. Each vertex's accumulator, with its slack, is a
+// run of slots carved from a fixed-size block; one wider than a block gets a
+// block of its own size. Blocks are never resized or reallocated, so placing
+// an accumulator never moves another one. Build drains every vertex straight
+// into its gather shard's own blocks, and the sweep then takes those blocks
+// over: nothing is staged or copied. An accumulator that outgrows its slack
+// is relocated to fresh slots in the tail block, leaving its old ones as
+// garbage, and epoch compaction repacks the live accumulators into fresh
+// blocks. Neither Build nor a relocation therefore holds a second copy of the
+// accumulators. (QueryNeighborData keeps one flat arena with tail regrowth;
+// its lists are a few MB even at k=512.)
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -88,8 +97,15 @@ struct AffinityEntry {
 /// keeps in a windowed sweep; first == second keeps none.
 using BucketWindow = std::pair<BucketId, BucketId>;
 
+/// Move-only: the accumulators live in blocks the sweep owns, and a move
+/// hands the blocks over, so every entry keeps its address.
 class AffinitySweep {
  public:
+  /// Entries per arena block (64 KB). A fixed size, not an option: every
+  /// gather shard leaves part of its last block unused, and with larger
+  /// blocks that adds up over the BSP engine's per-worker sweeps.
+  static constexpr uint32_t kBlockEntries = 4096;
+
   /// Full vertex-major pass: each vertex sums 1 − B^{n_b(q)} over its
   /// ascending DataNeighbors(v) into a per-thread dense k-wide scratch.
   /// Vertices are split into Σ-degree-weighted contiguous ranges, one per
@@ -139,9 +155,7 @@ class AffinitySweep {
 
   /// Accumulator entries of vertex v, sorted by bucket id ascending.
   std::span<const AffinityEntry> Entries(VertexId v) const {
-    const Loc& loc = loc_[v];
-    return {entries_.data() + loc.begin,
-            entries_.data() + loc.begin + loc.size};
+    return {loc_[v].data, loc_[v].size};
   }
 
   /// affinity_v[b] (0 if no adjacent query occupies b). O(log entries).
@@ -165,12 +179,14 @@ class AffinitySweep {
     return last_build_adjacency_reads_;
   }
 
-  /// Arena slots including slack and relocation garbage (≥ TotalEntries()).
-  uint64_t ArenaSlots() const { return entries_.size(); }
+  /// Arena slots handed out to accumulators: live entries, slack and
+  /// relocation garbage (≥ TotalEntries()).
+  uint64_t ArenaSlots() const { return arena_.slots(); }
 
-  /// Repacks the arena in vertex order with fresh slack, dropping relocation
-  /// garbage. Called automatically when garbage exceeds half the live
-  /// volume; public for tests and memory-pressure callers.
+  /// Repacks the accumulators in vertex order into fresh blocks with fresh
+  /// slack, then frees the old blocks, dropping relocation garbage. Called
+  /// automatically when garbage exceeds half the live volume; public for
+  /// tests and memory-pressure callers.
   void Compact();
 
   /// Tolerance comparison against another sweep (typically a fresh Build):
@@ -182,15 +198,45 @@ class AffinitySweep {
 
  private:
   /// Per-vertex accumulator location (same packing rationale as
-  /// QueryNeighborData::Loc: one record per random access).
+  /// QueryNeighborData::Loc: one record per random access). data is null
+  /// when cap is 0.
   struct Loc {
-    uint64_t begin;
+    AffinityEntry* data;
     uint32_t size;
     uint32_t cap;
   };
+  static_assert(sizeof(Loc) == 16);
+
+  /// Accumulator storage: uninitialized slots carved from blocks that are
+  /// never resized, so a carve never moves a slot already handed out.
+  class BlockArena {
+   public:
+    // Move-only (std::vector alone would still claim to be copyable).
+    BlockArena() = default;
+    BlockArena(BlockArena&&) = default;
+    BlockArena& operator=(BlockArena&&) = default;
+
+    /// n contiguous slots within one block (null for n = 0): the rest of
+    /// the tail block, a fresh tail block, or, for n > kBlockEntries, a
+    /// block of exactly n that leaves the tail block as it is.
+    AffinityEntry* Carve(uint32_t n);
+
+    /// Takes over other's blocks; later carves continue in its tail block.
+    void Append(BlockArena&& other);
+
+    /// Slots handed out by Carve.
+    uint64_t slots() const { return slots_; }
+
+   private:
+    std::vector<std::unique_ptr<AffinityEntry[]>> blocks_;
+    AffinityEntry* tail_ = nullptr;  ///< next free slot of the tail block
+    uint32_t tail_free_ = 0;         ///< free slots left in the tail block
+    uint64_t slots_ = 0;
+  };
 
   /// Shard-local store for accumulators that outgrew their slack during a
-  /// parallel ApplyDeltas (the shared arena cannot be grown concurrently).
+  /// parallel ApplyDeltas (relocation carves from the shared tail block, so
+  /// it runs serially afterwards).
   using ShardOverflow =
       std::vector<std::pair<VertexId, std::vector<AffinityEntry>>>;
 
@@ -229,11 +275,6 @@ class AffinitySweep {
   /// record ever lands there).
   uint32_t SlackOf(VertexId v) const;
 
-  /// Build's layout: assigns every vertex's arena offset and slack from
-  /// loc_[v].size and allocates the arena; the caller then copies the
-  /// entries in.
-  void LayoutFromSizes();
-
   /// Folds one (bucket, affinity-add, support-delta) contribution into v's
   /// arena accumulator. Returns false, changing nothing, when the delta
   /// inserts a bucket and the accumulator has no slack left.
@@ -242,7 +283,7 @@ class AffinitySweep {
 
   void MaybeCompact();
 
-  std::vector<AffinityEntry> entries_;  ///< flat arena (accumulators + slack)
+  BlockArena arena_;                    ///< accumulators + slack + garbage
   std::vector<Loc> loc_;                ///< per-vertex accumulator location
   std::vector<BucketWindow> windows_;   ///< per-vertex window, or empty
   uint64_t live_entries_ = 0;           ///< Σ_v loc_[v].size

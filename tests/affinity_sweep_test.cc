@@ -1,9 +1,11 @@
 // Affinity sweep tests: NeighborDelta emission from ApplyMoves (record
 // chains vs before/after CountFor diffs), accumulator build/patch
-// equivalence with a fresh build, bit-exact agreement of the vertex-major
-// Build/ApplyDeltas with serial query-major / record-major references for
-// every thread count (windowed sweeps against the references restricted
-// to each vertex's window), pull-vs-push best-target consistency (tie-breaks,
+// equivalence with a fresh build, block-arena placement (only relocated
+// accumulators move; a moved sweep keeps its entries), bit-exact agreement
+// of the vertex-major Build/ApplyDeltas with serial query-major /
+// record-major references for every thread count (windowed sweeps against
+// the references restricted to each vertex's window; a hub wider than an
+// arena block), pull-vs-push best-target consistency (tie-breaks,
 // restricted windows, empty-window fallback), and the refiner-level
 // pull-vs-push tolerance harness across all three MoveBroker strategies.
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -62,6 +65,9 @@ std::vector<VertexMove> RandomBatch(std::vector<BucketId>* assignment,
   }
   return moves;
 }
+
+/// Per-vertex accumulator lists, one bucket-sorted list per data vertex.
+using Accumulators = std::vector<std::vector<AffinityEntry>>;
 
 uint64_t PackQB(VertexId q, BucketId b) {
   return (static_cast<uint64_t>(q) << 32) | static_cast<uint32_t>(b);
@@ -210,6 +216,90 @@ TEST(AffinitySweep, ApplyDeltasMatchesFreshBuild) {
   EXPECT_TRUE(sweep.ApproxEquals(fresh, 1e-9, 1e-9));
   EXPECT_LE(sweep.ArenaSlots(), before);
   EXPECT_EQ(sweep.ArenaSlots(), fresh.ArenaSlots());
+}
+
+TEST(AffinitySweep, RelocationLeavesOtherAccumulatorsInPlace) {
+  // Insert-heavy batches from a concentrated start until some accumulator
+  // outgrows its slack. Only relocated accumulators may change address, and
+  // a relocated one must have received records: every other accumulator
+  // stays where Build put it.
+  const BipartiteGraph g = TestGraph(13);
+  const BucketId k = 64;
+  const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  std::vector<BucketId> assignment(g.num_data(), 0);
+  QueryNeighborData ndata;
+  ndata.Build(g, assignment);
+  AffinitySweep sweep;
+  sweep.Build(g, ndata, pow);
+
+  uint64_t moved = 0;
+  for (uint64_t round = 0; round < 40 && moved == 0; ++round) {
+    std::vector<const AffinityEntry*> before;
+    for (VertexId v = 0; v < g.num_data(); ++v) {
+      before.push_back(sweep.Entries(v).data());
+    }
+    const std::vector<VertexMove> moves =
+        RandomBatch(&assignment, k, 59, round, 10);
+    std::vector<NeighborDelta> deltas;
+    ndata.ApplyMoves(g, moves, nullptr, nullptr, &deltas);
+    std::vector<VertexId> patched;
+    sweep.ApplyDeltas(g, deltas, pow, nullptr, &patched);
+    for (VertexId v = 0; v < g.num_data(); ++v) {
+      if (sweep.Entries(v).data() == before[v]) continue;
+      ++moved;
+      ASSERT_TRUE(std::binary_search(patched.begin(), patched.end(), v))
+          << "round " << round << ": unpatched v=" << v << " moved";
+    }
+    AffinitySweep fresh;
+    fresh.Build(g, ndata, pow);
+    ASSERT_TRUE(sweep.ApproxEquals(fresh, 1e-9, 1e-9)) << "round " << round;
+  }
+  EXPECT_GT(moved, 0u) << "no accumulator outgrew its slack";
+}
+
+TEST(AffinitySweep, MovedSweepKeepsEntries) {
+  // The accumulators live in blocks the sweep owns: moving the sweep (here
+  // by regrowing the vector that holds it, as the BSP engine's replica
+  // vector does) hands the blocks over, so every entry keeps its address.
+  static_assert(!std::is_copy_constructible_v<AffinitySweep>);
+  const BipartiteGraph g = TestGraph(17);
+  const BucketId k = 16;
+  const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  std::vector<BucketId> assignment =
+      Partition::Random(g.num_data(), k, 3).assignment();
+  QueryNeighborData ndata;
+  ndata.Build(g, assignment);
+
+  std::vector<AffinitySweep> sweeps(1);
+  sweeps[0].Build(g, ndata, pow);
+  std::vector<std::span<const AffinityEntry>> views;
+  Accumulators copies;
+  for (VertexId v = 0; v < g.num_data(); ++v) {
+    views.push_back(sweeps[0].Entries(v));
+    copies.emplace_back(views.back().begin(), views.back().end());
+  }
+  const size_t capacity = sweeps.capacity();
+  sweeps.resize(capacity + 1);
+  ASSERT_GT(sweeps.capacity(), capacity) << "the vector did not regrow";
+  for (VertexId v = 0; v < g.num_data(); ++v) {
+    const auto entries = sweeps[0].Entries(v);
+    ASSERT_EQ(entries.data(), views[v].data()) << "v=" << v;
+    ASSERT_TRUE(std::equal(entries.begin(), entries.end(), copies[v].begin(),
+                           copies[v].end()))
+        << "v=" << v;
+  }
+
+  for (uint64_t round = 0; round < 10; ++round) {
+    const std::vector<VertexMove> moves =
+        RandomBatch(&assignment, k, 61, round, 20);
+    std::vector<NeighborDelta> deltas;
+    ndata.ApplyMoves(g, moves, nullptr, nullptr, &deltas);
+    sweeps[0].ApplyDeltas(g, deltas, pow);
+    AffinitySweep fresh;
+    fresh.Build(g, ndata, pow);
+    ASSERT_TRUE(sweeps[0].ApproxEquals(fresh, 1e-9, 1e-9))
+        << "round " << round;
+  }
 }
 
 /// Per-worker windows of a BSP data worker under direct k-way: [0, k) for
@@ -380,8 +470,6 @@ TEST(AffinitySweep, DeterministicModeIsThreadCountInvariant) {
 }
 
 // ------------------------------------------- bit-exact serial references
-using Accumulators = std::vector<std::vector<AffinityEntry>>;
-
 /// Pow base of the bit-exact tests. Not a power of two: with base 0.5 every
 /// contribution 1 − 0.5^c is a short dyadic fraction, its sums are exact in
 /// any order, and a reordered accumulation would go unnoticed.
@@ -625,6 +713,104 @@ TEST(AffinitySweepBitExact, HandBuiltChainsCoverBothKernels) {
         EXPECT_GT(sweep.ArenaSlots(), slots_before) << "no relocation";
       }
     }
+  }
+}
+
+TEST(AffinitySweepBitExact, BlockEdgeCasesHubRelocationsAndCompact) {
+  // Hub vertex 0 shares one query with every other data vertex. 4500
+  // leaves sit in buckets 0..4499 of k = 8192, so the hub's accumulator is
+  // wider than an arena block at Build. 3000 small vertices start in bucket
+  // 0 and share degree-3 queries among themselves: as moves spread them
+  // over buckets 4500..8191, the hub gains buckets and relocates into a wider block of its own,
+  // while the small vertices keep outgrowing their slack and relocate
+  // through block-sized tail blocks, more slots in total than one block
+  // holds. Compact afterwards, then patch once more.
+  const VertexId leaves = 4500;
+  const VertexId small = 3000;
+  const VertexId n = 1 + leaves + small;
+  const BucketId k = 8192;
+  GraphBuilder builder;
+  for (VertexId v = 1; v < n; ++v) builder.AddHyperedge(v - 1, {0, v});
+  for (VertexId j = 0; j < small; ++j) {
+    std::vector<VertexId> pins;
+    for (uint64_t slot = 0; pins.size() < 3; ++slot) {
+      const VertexId v =
+          1 + leaves + static_cast<VertexId>(HashToBounded(71, j, slot, small));
+      if (std::find(pins.begin(), pins.end(), v) == pins.end()) {
+        pins.push_back(v);
+      }
+    }
+    std::sort(pins.begin(), pins.end());
+    builder.AddHyperedge(n - 1 + j, pins);
+  }
+  const BipartiteGraph g = builder.Build();
+  ASSERT_EQ(g.num_data(), n);
+  std::vector<BucketId> start(n, 0);
+  for (VertexId v = 1; v <= leaves; ++v) start[v] = v - 1;
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+
+  for (const size_t threads : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    std::vector<BucketId> assignment = start;
+    QueryNeighborData ndata;
+    ndata.Build(g, assignment, &pool);
+    AffinitySweep sweep;
+    sweep.Build(g, ndata, pow, &pool);
+    Accumulators ref = ReferenceBuild(g, ndata, pow);
+    ASSERT_TRUE(BitIdentical(sweep, ref));
+    ASSERT_GT(sweep.Entries(0).size(), AffinitySweep::kBlockEntries);
+
+    // Each round moves 200 small vertices to buckets the leaves leave free.
+    const auto patch = [&](uint64_t round) {
+      std::vector<VertexMove> moves;
+      for (uint64_t i = 0; i < 200; ++i) {
+        const VertexId v =
+            1 + leaves + static_cast<VertexId>(HashToBounded(73, round, i, small));
+        const BucketId to =
+            leaves + static_cast<BucketId>(HashToBounded(79, round, i, k - leaves));
+        bool duplicate = false;
+        for (const VertexMove& m : moves) duplicate |= m.v == v;
+        if (duplicate || to == assignment[v]) continue;
+        moves.push_back({v, assignment[v], to});
+        assignment[v] = to;
+      }
+      std::vector<NeighborDelta> deltas;
+      ndata.ApplyMoves(g, moves, &pool, nullptr, &deltas);
+      sweep.ApplyDeltas(g, deltas, pow, &pool);
+      ReferencePatch(g, deltas, pow, &ref);
+    };
+    // Lower bound of the slots the small vertices' relocations took (a
+    // relocated accumulator of size s gets at least s + 2). Above
+    // kBlockEntries, some relocation had to start a new tail block.
+    uint64_t small_relocated_slots = 0;
+    uint64_t hub_relocations = 0;
+    for (uint64_t round = 0; round < 12; ++round) {
+      std::vector<const AffinityEntry*> before;
+      for (VertexId v = 0; v < g.num_data(); ++v) {
+        before.push_back(sweep.Entries(v).data());
+      }
+      const uint64_t slots_before = sweep.ArenaSlots();
+      patch(round);
+      ASSERT_TRUE(BitIdentical(sweep, ref)) << "round " << round;
+      ASSERT_GT(sweep.ArenaSlots(), slots_before)
+          << "round " << round << ": compacted or nothing relocated";
+      hub_relocations += sweep.Entries(0).data() != before[0];
+      for (VertexId v = 1 + leaves; v < n; ++v) {
+        if (sweep.Entries(v).data() != before[v]) {
+          small_relocated_slots += sweep.Entries(v).size() + 2;
+        }
+      }
+    }
+    EXPECT_GT(hub_relocations, 0u);
+    EXPECT_GT(small_relocated_slots, uint64_t{AffinitySweep::kBlockEntries});
+
+    sweep.Compact();
+    ASSERT_TRUE(BitIdentical(sweep, ref)) << "after Compact";
+    ASSERT_EQ(sweep.ArenaSlots(),
+              sweep.TotalEntries() + 2 * uint64_t{g.num_data()});
+    patch(12);
+    ASSERT_TRUE(BitIdentical(sweep, ref)) << "after Compact + patch";
   }
 }
 
