@@ -48,6 +48,19 @@ GainComputer::BestTarget FinalizeProposal(GainComputer::BestTarget best,
   return best;
 }
 
+GainComputer::BestTarget PushScan(const GainComputer& gain,
+                                  const MoveTopology& topo, BucketId from,
+                                  std::span<const AffinityEntry> entries,
+                                  double degree) {
+  if (topo.full_k) {
+    return gain.FindBestTargetPush(entries, from, 0, topo.k, degree);
+  }
+  const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
+  SHP_DCHECK(group >= 0) << "push scan in unrefined bucket " << from;
+  return gain.FindBestTargetPushGrouped(
+      entries, from, topo.group_children[static_cast<size_t>(group)], degree);
+}
+
 void CheckPushMatchesPull(
     VertexId v, GainComputer::BestTarget pull, GainComputer::BestTarget push,
     const std::function<double(BucketId)>& pull_gain_to) {

@@ -1,11 +1,13 @@
 // Superstep-2 pieces shared by both refinement engines — the threaded
 // Refiner (core/refiner.h) and the BSP engine's BspRefiner
 // (engine/shp_bsp.h): the context a cached proposal depends on beyond the
-// neighbor data, the finalization of a best-target scan into a proposal,
-// and the Debug check of the push-vs-pull tolerance contract.
+// neighbor data, the push scan and the finalization of a best-target scan
+// into a proposal, and the Debug check of the push-vs-pull tolerance
+// contract.
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/move_topology.h"
@@ -44,6 +46,15 @@ GainComputer::BestTarget FinalizeProposal(GainComputer::BestTarget best,
                                           const std::vector<BucketId>* anchor,
                                           double anchor_penalty,
                                           bool propose_nonpositive);
+
+/// The push scan both engines run over a vertex's accumulator `entries`
+/// (its full-k accumulator or its group window) in refined bucket `from`:
+/// the [0, k) argmax under direct k-way, else the scan over from's sibling
+/// buckets. Returns the raw best target, before FinalizeProposal.
+GainComputer::BestTarget PushScan(const GainComputer& gain,
+                                  const MoveTopology& topo, BucketId from,
+                                  std::span<const AffinityEntry> entries,
+                                  double degree);
 
 /// Debug check that v's push proposal honors the tolerance contract against
 /// its pull recompute (docs/refinement.md): the same target, or a target

@@ -28,29 +28,24 @@ GainComputer::BestTarget Refiner::ComputeProposal(
   if (group < 0) return {};  // bucket not refined at this level
 
   GainComputer::BestTarget best;
-  if (topo.full_k) {
-    if (explore_target >= 0 && explore_target != from) {
-      // Exploration proposal: random target with its true gain. Depends on
-      // the iteration draw, so it must never be served from the cache.
-      best = {explore_target,
-              push ? gain_.MoveGainPush(sweep_, v, from, explore_target, degree)
-                   : gain_.MoveGain(graph_, ndata_, v, from, explore_target)};
-      *cacheable = false;
-    } else {
-      best = push ? gain_.FindBestTargetPush(sweep_, v, from, 0, topo.k, degree)
-                  : gain_.FindBestTarget(graph_, ndata_, v, from, 0, topo.k,
-                                         &ws->affinity, &ws->touched);
-    }
+  if (topo.full_k && explore_target >= 0 && explore_target != from) {
+    // Exploration proposal: random target with its true gain. Depends on
+    // the iteration draw, so it must never be served from the cache.
+    best = {explore_target,
+            push ? gain_.MoveGainPush(sweep_, v, from, explore_target, degree)
+                 : gain_.MoveGain(graph_, ndata_, v, from, explore_target)};
+    *cacheable = false;
+  } else if (push) {
+    // One scan of v's accumulator — windowed to its group under recursion,
+    // where it holds exactly the window spanning the sibling buckets.
+    best = PushScan(gain_, topo, from, sweep_.Entries(v), degree);
+  } else if (topo.full_k) {
+    best = gain_.FindBestTarget(graph_, ndata_, v, from, 0, topo.k,
+                                &ws->affinity, &ws->touched);
   } else {
-    // Group-restricted scan over the sibling buckets. Push reads v's
-    // windowed accumulator, which holds exactly the window spanning them.
-    const std::span<const BucketId> children(
+    best = gain_.FindBestTargetGrouped(
+        graph_, GainComputer::EntriesOf(ndata_), v, from,
         topo.group_children[static_cast<size_t>(group)]);
-    best = push ? gain_.FindBestTargetPushGrouped(sweep_.Entries(v), from,
-                                                  children, degree)
-                : gain_.FindBestTargetGrouped(
-                      graph_, GainComputer::EntriesOf(ndata_), v, from,
-                      children);
   }
   return FinalizeProposal(best, v, from, anchor, anchor_penalty,
                           options_.propose_nonpositive);
@@ -132,11 +127,12 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   };
 
   // Superstep 2: move proposals. A full pass recomputes every vertex; the
-  // steady-state pass recomputes only the compact work list — vertices
-  // adjacent to a query whose neighbor data changed last round (windowed:
-  // only those that received an in-window record, plus last round's
-  // movers), last round's explorers (their cached proposal is not
-  // reusable), and this round's firing list.
+  // steady-state pass recomputes only the compact work list. Push: the
+  // vertices that received a delta record last round (their proposals were
+  // computed inside ApplyDeltas and are already current), last round's
+  // movers, last round's explorers (their cached proposal is not reusable),
+  // and this round's firing list. Pull: the vertices adjacent to a query
+  // whose neighbor data changed last round, plus the last two lists.
   const bool recompute_all = !options_.incremental || !proposals_valid_ ||
                              !context_.Matches(topo, anchor, anchor_penalty);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
@@ -174,16 +170,24 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     });
     stats.num_recomputed = n;
   } else {
-    // Compact steady-state pass: claim the blast radius of last round's
-    // moves through the recompute marks (different queries share data
-    // vertices; atomic exchange makes each vertex appear once), then fold
-    // in the stale and firing lists. A windowed push proposal reads only
-    // v's window and bucket, so it can change only if v received an
-    // in-window record or moved: those two lists replace the blast radius
-    // (dirty_list_ stays empty). A mover also receives its own move's
-    // records; it is listed anyway, so the broker's changed list covers
-    // every bucket_of change without relying on how records are emitted.
+    // Compact steady-state pass. A push proposal reads only v's
+    // accumulator and bucket, so it can change only if v was patched or
+    // moved: the patched vertices lead the list — ApplyDeltas already
+    // stored their proposals, except for those this round's exploration
+    // draw fires — and the movers follow. (A mover also receives its own
+    // move's records; it is listed anyway, so the broker's changed list
+    // covers every bucket_of change without relying on how records are
+    // emitted.) Pull claims the blast radius of last round's moves through
+    // the recompute marks instead (different queries share data vertices;
+    // atomic exchange makes each vertex appear once). Both then fold in the
+    // stale and firing lists.
     recompute_list_.clear();
+    for (const VertexId v : patched_) {
+      if (explore_target_for(v) >= 0) continue;
+      recompute_[v] = 1;
+      recompute_list_.push_back(v);
+    }
+    const size_t prescanned = recompute_list_.size();
     collect_.resize(std::max(collect_.size(), num_workers));
     if (!dirty_list_.empty()) {
       for (size_t w = 0; w < num_workers; ++w) collect_[w].clear();
@@ -205,7 +209,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
       }
     }
     for (const std::vector<VertexId>* list :
-         {&patched_, &movers_, &stale_list_, &firing_list_}) {
+         {&movers_, &stale_list_, &firing_list_}) {
       for (const VertexId v : *list) {
         if (!recompute_[v]) {
           recompute_[v] = 1;
@@ -213,12 +217,13 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
         }
       }
     }
-    pool->ParallelFor(recompute_list_.size(),
+    pool->ParallelFor(recompute_list_.size() - prescanned,
                       [&](size_t begin, size_t end, size_t w) {
                         Workspace& ws = workspaces_[w];
                         ensure_workspace(ws);
                         for (size_t i = begin; i < end; ++i) {
-                          recompute_vertex(recompute_list_[i], ws);
+                          recompute_vertex(recompute_list_[prescanned + i],
+                                           ws);
                         }
                       });
     stats.num_recomputed = recompute_list_.size();
@@ -301,10 +306,10 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
 
   // Supersteps 3-4: master aggregation, probabilistic moves, repair. A
   // compact pass hands the broker its work list as the changed-proposal
-  // list: only recomputed vertices can hold a different (bucket, target,
-  // gain) than last round — last round's movers are always on the list
-  // (in the blast radius: ApplyMoves marks all of a mover's queries
-  // touched, and the mover neighbors its own queries; windowed, listed
+  // list: only listed vertices can hold a different (bucket, target, gain)
+  // than last round — last round's movers are always on the list (pull: in
+  // the blast radius, since ApplyMoves marks all of a mover's queries
+  // touched and the mover neighbors its own queries; push: listed
   // explicitly), so it also covers every bucket_of change. A recompute-all
   // round passes nullptr and re-primes the broker's state.
   const MoveOutcome outcome =
@@ -318,24 +323,42 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     // Fold the executed moves into the carried state (superstep 1 of the
     // *next* iteration, amortized to the blast radius of this round). Push
     // mode additionally consumes the bucket-count delta records to patch
-    // the affinity accumulators — no rescan of untouched queries.
+    // the affinity accumulators — no rescan of untouched queries — and
+    // computes each patched vertex's next-round proposal right after its
+    // patch, while the accumulator is cache-hot. It evaluates v against
+    // the partition as the broker left it and the context snapshot the
+    // next compact round must match (anything else forces a recompute-all
+    // round, which overwrites the cache), so it is the scan that round's
+    // ComputeProposal would run, over the same floats.
     dirty_list_.clear();
     deltas_.clear();
     ndata_.ApplyMoves(graph_, outcome.moves, pool,
-                      windowed ? nullptr : &dirty_list_,
+                      push ? nullptr : &dirty_list_,
                       push ? &deltas_ : nullptr);
     patched_.clear();
     movers_.clear();
     if (push) {
       stats.num_delta_records = deltas_.size();
-      sweep_.ApplyDeltas(graph_, deltas_, gain_.pow_table(), pool,
-                         windowed ? &patched_ : nullptr);
+      const auto propose = [&](VertexId v,
+                               std::span<const AffinityEntry> entries) {
+        const BucketId from = partition->bucket_of(v);
+        if (topo.group_of_bucket[static_cast<size_t>(from)] < 0) return;
+        const double degree = static_cast<double>(graph_.DataDegree(v));
+        const GainComputer::BestTarget proposal = FinalizeProposal(
+            PushScan(gain_, topo, from, entries, degree), v, from, anchor,
+            anchor_penalty, options_.propose_nonpositive);
+        targets_[v] = proposal.bucket;
+        gains_[v] = proposal.gain;
+        cache_valid_[v] = 1;
+      };
+      sweep_.ApplyDeltas(graph_, deltas_, gain_.pow_table(), pool, &patched_,
+                         propose);
     } else {
       sweep_valid_ = false;
     }
     for (const VertexMove& m : outcome.moves) {
       shadow_assignment_[m.v] = m.to;
-      if (windowed) movers_.push_back(m.v);
+      if (push) movers_.push_back(m.v);
     }
     proposals_valid_ = true;
 #ifndef NDEBUG

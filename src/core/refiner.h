@@ -10,8 +10,10 @@
 // implementation amortizes this state the same way): the neighbor data is
 // built once and then patched with each round's executed move list, and a
 // vertex's proposal is recomputed only when the neighbor data of one of its
-// queries changed (or its exploration draw fires). In steady state — moved
-// fraction of a few percent — per-iteration work is proportional to the
+// queries changed (push: its accumulator was patched — and then inside the
+// patch kernel, while the accumulator is cache-hot), it moved, or its
+// exploration draw fires. In steady state — moved fraction of a few
+// percent — per-iteration work is proportional to the
 // blast radius of the moves, not to |E|. A full rebuild happens only when
 // the caller hands in an assignment, topology, or anchor the refiner has not
 // seen (detected, never assumed), and debug builds cross-check the
@@ -211,8 +213,14 @@ class Refiner : public RefinerInterface {
   /// running in pull mode).
   const AffinitySweep& affinity_sweep() const { return sweep_; }
 
-  /// Most recent proposals, indexed by vertex (targets()[v] = -1 for "no
+  /// Cached proposals, indexed by vertex (targets()[v] = -1 for "no
   /// proposal"). For diagnostics and the pull-vs-push equivalence harness.
+  /// After a push RunIteration that patched the accumulators, every vertex
+  /// the patch reached already holds its next-round proposal (computed
+  /// inside ApplyDeltas against the post-move partition), so the cache is
+  /// current for every vertex outside that iteration's exploration draw.
+  /// In pull mode, and after a high-churn round, it holds the proposals
+  /// the broker saw.
   const std::vector<BucketId>& targets() const { return targets_; }
   const std::vector<double>& gains() const { return gains_; }
 
@@ -258,9 +266,10 @@ class Refiner : public RefinerInterface {
   std::vector<double> gains_;       ///< cached proposal gains
   std::vector<uint8_t> cache_valid_;  ///< 0: must recompute (e.g. exploration)
   bool proposals_valid_ = false;
-  std::vector<VertexId> dirty_list_;  ///< queries changed by last ApplyMoves
-  /// Windowed push only: vertices that received an in-window delta record
-  /// in the last ApplyDeltas, and last round's movers.
+  std::vector<VertexId> dirty_list_;  ///< pull: queries changed last round
+  /// Push only: vertices that received an (in-window) delta record in the
+  /// last ApplyDeltas — their proposals were recomputed there — and last
+  /// round's movers.
   std::vector<VertexId> patched_;
   std::vector<VertexId> movers_;
   std::vector<NeighborDelta> deltas_;  ///< delta records of last ApplyMoves

@@ -85,6 +85,7 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   patched_lists_.resize(W);
   recompute_.assign(graph.num_data(), 0);
   recompute_lists_.resize(W);
+  prescanned_.assign(W, 0);
   mover_lists_.resize(W);
   original_.assign(graph.num_data(), -1);
   pull_affinity_.resize(W);
@@ -196,8 +197,8 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     context_.Snapshot(topo, anchor, anchor_penalty);
     proposals_valid_ = false;
   }
-  ExchangeNeighborData(topo, *partition, round.stats.degraded_links > 0, pool,
-                       &round);
+  ExchangeNeighborData(topo, *partition, anchor, anchor_penalty,
+                       round.stats.degraded_links > 0, pool, &round);
   ProposeMoves(topo, *partition, anchor, anchor_penalty, pool, &round);
   const auto histograms = UploadHistograms(*partition, pool, &round);
   DrawAndExecute(topo, histograms, seed, iteration, partition, pool, &round);
@@ -424,8 +425,9 @@ uint64_t BspRefiner::MarkForRecompute(int w,
 
 void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
                                       const Partition& partition,
-                                      bool degraded, ThreadPool* pool,
-                                      RoundState* round) {
+                                      const std::vector<BucketId>* anchor,
+                                      double anchor_penalty, bool degraded,
+                                      ThreadPool* pool, RoundState* round) {
   const int W = config_.num_workers;
   SuperstepStats& s2 = round->s2;
   // Degraded mode: while any link is in backoff the delta exchange stays
@@ -484,6 +486,7 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
   round->recompute_all =
       round->full_scan || !proposals_valid_ || round->bootstrap;
   for (auto& list : recompute_lists_) list.clear();
+  std::fill(prescanned_.begin(), prescanned_.end(), 0);
   if (!round->push && round->recompute_all) {
     // The pull path ships topology-restricted lists; a context change may
     // activate buckets the last shipment left out, so charge a full reship
@@ -563,7 +566,22 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
     // bucket) chain intact (a query's records come from its single owner) —
     // charged one work unit per record scanned and per record folded into
     // an accumulator. The workers patch one after another, each on the
-    // whole host pool.
+    // whole host pool. Each patched vertex's proposal is computed right
+    // after its patch, while its accumulator is cache-hot, and stored in
+    // the proposal cache; ProposeMoves then scans only the rest (and
+    // charges these scans as its own). A recompute-all round overwrites
+    // them.
+    const auto propose = [&](VertexId v,
+                             std::span<const AffinityEntry> entries) {
+      const BucketId from = partition.bucket_of(v);
+      if (topo.group_of_bucket[static_cast<size_t>(from)] < 0) return;
+      const GainComputer::BestTarget best = FinalizeProposal(
+          PushScan(gain_, topo, from, entries,
+                   static_cast<double>(graph_.DataDegree(v))),
+          v, from, anchor, anchor_penalty, options_.propose_nonpositive);
+      cached_target_[v] = best.bucket;
+      cached_gain_[v] = best.gain;
+    };
     for (int w = 0; w < W; ++w) {
       const std::vector<NeighborDelta>& inbox =
           s2_inbox_[static_cast<size_t>(w)];
@@ -571,19 +589,22 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
           inbox.size() +
           sweeps_[static_cast<size_t>(w)].ApplyDeltas(
               graph_, inbox, gain_.pow_table(), pool,
-              &patched_lists_[static_cast<size_t>(w)]);
+              &patched_lists_[static_cast<size_t>(w)], propose);
     }
   }
   if (!round->recompute_all) {
     // A push proposal reads only v's window and bucket, so it can change
     // only if v received an in-window record (pull mode never patches, so
-    // its patched lists stay empty) or moved. Last round's movers recompute
-    // unconditionally: a mover's `from` changed even when offsetting moves
-    // cancelled every adjacent count delta, in which case no dirty query or
-    // record reaches it.
+    // its patched lists stay empty) or moved. The patched vertices lead
+    // each list: ApplyDeltas already proposed for them. Last round's movers
+    // recompute unconditionally: a mover's `from` changed even when
+    // offsetting moves cancelled every adjacent count delta, in which case
+    // no dirty query or record reaches it.
     AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
-      return MarkForRecompute(w, patched_lists_[static_cast<size_t>(w)]) +
-             MarkForRecompute(w, last_movers_);
+      const uint64_t patched =
+          MarkForRecompute(w, patched_lists_[static_cast<size_t>(w)]);
+      prescanned_[static_cast<size_t>(w)] = patched;
+      return patched + MarkForRecompute(w, last_movers_);
     }), &s2);
   }
 
@@ -627,29 +648,31 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
                               RoundState* round) {
   const int W = config_.num_workers;
   const auto replicas = QueryReplicas();
+  // Work units of a push scan of v (in a refined bucket): the accumulator
+  // entries scanned, plus the sibling candidates under a grouped topology.
+  const auto push_work = [&](int w, VertexId v) -> uint64_t {
+    const uint64_t entries = sweeps_[static_cast<size_t>(w)].Entries(v).size();
+    if (topo.full_k) return entries;
+    const int32_t group =
+        topo.group_of_bucket[static_cast<size_t>(partition.bucket_of(v))];
+    return entries + topo.group_children[static_cast<size_t>(group)].size();
+  };
   // Proposal of v from the replicas in either scan direction, finalized
   // (§5(i) anchor, nonpositive filter); adds the scan's work units to *work.
-  // Push work is the accumulator entries scanned, pull work the neighbor
-  // data entries scanned (full-k) or count lookups (grouped).
+  // Push work is push_work, pull work the neighbor data entries scanned
+  // (full-k) or count lookups (grouped).
   const auto propose = [&](int w, VertexId v, bool use_push,
                            uint64_t* work) -> GainComputer::BestTarget {
     const BucketId from = partition.bucket_of(v);
     const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
     if (group < 0 || graph_.DataDegree(v) == 0) return {};
     const double degree = static_cast<double>(graph_.DataDegree(v));
-    const std::span<const BucketId> children(
-        topo.group_children[static_cast<size_t>(group)]);
     GainComputer::BestTarget best;
-    const AffinitySweep& sweep = sweeps_[static_cast<size_t>(w)];
-    if (use_push && topo.full_k) {
-      *work += sweep.Entries(v).size();
-      best = gain_.FindBestTargetPush(sweep, v, from, 0, topo.k, degree);
-    } else if (use_push) {
-      // Group-restricted push: one scan over the sibling candidates and v's
-      // accumulator, which holds exactly the window spanning them.
-      const auto entries = sweep.Entries(v);
-      *work += entries.size() + children.size();
-      best = gain_.FindBestTargetPushGrouped(entries, from, children, degree);
+    if (use_push) {
+      // One scan of v's accumulator, which holds its group's window.
+      *work += push_work(w, v);
+      best = PushScan(gain_, topo, from,
+                      sweeps_[static_cast<size_t>(w)].Entries(v), degree);
     } else if (topo.full_k) {
       std::vector<double>& affinity = pull_affinity_[static_cast<size_t>(w)];
       if (affinity.size() < static_cast<size_t>(topo.k)) {
@@ -659,20 +682,26 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
                                   &affinity,
                                   &pull_touched_[static_cast<size_t>(w)], work);
     } else {
-      best = gain_.FindBestTargetGrouped(graph_, replicas, v, from, children,
-                                         work);
+      best = gain_.FindBestTargetGrouped(
+          graph_, replicas, v, from,
+          topo.group_children[static_cast<size_t>(group)], work);
     }
     return FinalizeProposal(best, v, from, anchor, anchor_penalty,
                             options_.propose_nonpositive);
   };
 
   // A recompute-all round re-proposes every shard vertex, otherwise only
-  // the marked blast radius.
+  // the marked blast radius. Its patched prefix was proposed inside
+  // ApplyDeltas; those scans are charged here, as if they ran here.
   const std::vector<std::vector<VertexId>>& lists =
       round->recompute_all ? data_shards_ : recompute_lists_;
   AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
     uint64_t work = 0;
-    for (VertexId v : lists[static_cast<size_t>(w)]) {
+    const std::vector<VertexId>& list = lists[static_cast<size_t>(w)];
+    const size_t prescanned = prescanned_[static_cast<size_t>(w)];
+    for (size_t i = 0; i < prescanned; ++i) work += push_work(w, list[i]);
+    for (size_t i = prescanned; i < list.size(); ++i) {
+      const VertexId v = list[i];
       const GainComputer::BestTarget best = propose(w, v, round->push, &work);
       cached_target_[v] = best.bucket;
       cached_gain_[v] = best.gain;

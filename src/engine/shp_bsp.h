@@ -30,8 +30,9 @@
 //          ownership filter. A bootstrap (first round, or a new group
 //          structure) ships what the pull path ships and builds the
 //          replicas from it; later rounds patch them from the incoming
-//          records, and the vertices that received an in-window record,
-//          plus last round's movers, re-propose. Proposals are one
+//          records, and the vertices that received an in-window record
+//          (inside ApplyDeltas, right after their patch), plus last
+//          round's movers, re-propose. Proposals are one
 //          sequential scan of the vertex's own accumulator
 //          (GainComputer::FindBestTargetPush, or FindBestTargetPushGrouped
 //          under SHP-2/r recursion — shared tie-break and fallback with the
@@ -207,13 +208,19 @@ class BspRefiner : public RefinerInterface {
   /// transfer (falling into a bootstrap reship when a link fails) or the
   /// restricted neighbor-data lists, patches or rebuilds the accumulator
   /// replicas, and marks the vertices to re-propose into recompute_lists_.
-  /// `degraded`: some link is in backoff, so push mode must reship.
+  /// A patch also proposes for each patched vertex (under `anchor` /
+  /// `anchor_penalty`) inside ApplyDeltas; those lead their worker's list,
+  /// prescanned_ counting them. `degraded`: some link is in backoff, so
+  /// push mode must reship.
   void ExchangeNeighborData(const MoveTopology& topo,
-                            const Partition& partition, bool degraded,
+                            const Partition& partition,
+                            const std::vector<BucketId>* anchor,
+                            double anchor_penalty, bool degraded,
                             ThreadPool* pool, RoundState* round);
 
   /// Superstep 2, proposals: recomputes the cached proposal of every marked
-  /// vertex (every shard vertex on a recompute-all round).
+  /// vertex past the prescanned prefix (every shard vertex on a
+  /// recompute-all round).
   void ProposeMoves(const MoveTopology& topo, const Partition& partition,
                     const std::vector<BucketId>* anchor, double anchor_penalty,
                     ThreadPool* pool, RoundState* round);
@@ -360,6 +367,9 @@ class BspRefiner : public RefinerInterface {
   std::vector<std::vector<NeighborDelta>> s2_inbox_;    ///< per data worker
   std::vector<uint8_t> recompute_;  ///< per-vertex mark, zeroed after use
   std::vector<std::vector<VertexId>> recompute_lists_;  ///< per data worker
+  /// Per data worker: leading recompute_lists_ entries already proposed
+  /// inside ApplyDeltas this round (0 on a recompute-all round).
+  std::vector<size_t> prescanned_;
   std::vector<std::vector<VertexId>> mover_lists_;      ///< per data worker
   std::vector<VertexId> movers_;       ///< merged, ascending
   std::vector<BucketId> original_;     ///< pre-move bucket (mover slots only)

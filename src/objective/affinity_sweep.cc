@@ -394,7 +394,8 @@ inline bool AffinitySweep::PatchInPlace(VertexId v, BucketId bucket,
 uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
                                     std::span<const NeighborDelta> deltas,
                                     const PowTable& pow, ThreadPool* pool,
-                                    std::vector<VertexId>* patched) {
+                                    std::vector<VertexId>* patched,
+                                    PatchVisitor on_patched) {
   if (patched != nullptr) patched->clear();
   if (deltas.empty()) return 0;
   if (pool == nullptr) pool = &GlobalThreadPool();
@@ -479,7 +480,8 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
   // order, with each chain in emission order — the order is fixed by the
   // records alone, not by how ApplyMoves sharded its emission across
   // threads. Growth beyond the slack goes to a shard-local overflow store
-  // merged serially below.
+  // merged serially below. `on_patched` sees each vertex's final entries
+  // right after its patch, in place or in the overflow copy.
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
     // Per-worker scratch on the worker's own stack: no false sharing.
     DenseAccumulator acc;
@@ -539,9 +541,11 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
           if (acc.live() <= loc.cap) {
             loc.size = acc.live();
             acc.Drain(loc.data);
+            if (on_patched) on_patched(v, Entries(v));
           } else {
             std::vector<AffinityEntry> vec(acc.live());
             acc.Drain(vec.data());
+            if (on_patched) on_patched(v, vec);
             ovf.emplace_back(v, std::move(vec));
           }
           continue;
@@ -562,6 +566,10 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
             }
             ApplyToVec(&spill, op.bucket, op.add, op.sup, &delta);
           }
+        }
+        if (on_patched) {
+          on_patched(v, spilled ? std::span<const AffinityEntry>(spill)
+                                : Entries(v));
         }
         if (spilled) ovf.emplace_back(v, std::move(spill));
       }

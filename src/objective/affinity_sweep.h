@@ -21,7 +21,10 @@
 // rescan of untouched queries' adjacency. Each
 // vertex applies its dirty queries' records in ascending q, either through
 // the dense scratch (when its op count m satisfies 4·m ≥ |acc_v|) or by a
-// binary search per record into the sorted accumulator.
+// binary search per record into the sorted accumulator. An optional
+// PatchVisitor sees each patched vertex's final entries right after its
+// patch, while they are cache-hot: both refinement engines compute the
+// vertex's push proposal there instead of rescanning it later.
 //
 // Bit-identity: every (v, bucket) slot receives its adds in one fixed order —
 // ascending q, then each (q, bucket) chain in emission order — whichever
@@ -69,6 +72,7 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -96,6 +100,35 @@ struct AffinityEntry {
 /// Half-open bucket range [first, second) whose accumulator slots a vertex
 /// keeps in a windowed sweep; first == second keeps none.
 using BucketWindow = std::pair<BucketId, BucketId>;
+
+/// Non-owning reference to a callable `f(VertexId v, std::span<const
+/// AffinityEntry> entries)` that ApplyDeltas runs once per patched vertex.
+/// Copying it copies the reference; the callable must outlive the call it is
+/// passed to (a lambda argument does).
+class PatchVisitor {
+ public:
+  PatchVisitor() = default;
+  template <typename F>
+    requires std::invocable<const F&, VertexId,
+                            std::span<const AffinityEntry>> &&
+             (!std::same_as<F, PatchVisitor>)
+  PatchVisitor(const F& f)  // NOLINT(runtime/explicit)
+      : callable_(&f),
+        invoke_([](const void* callable, VertexId v,
+                   std::span<const AffinityEntry> entries) {
+          (*static_cast<const F*>(callable))(v, entries);
+        }) {}
+
+  explicit operator bool() const { return invoke_ != nullptr; }
+  void operator()(VertexId v, std::span<const AffinityEntry> entries) const {
+    invoke_(callable_, v, entries);
+  }
+
+ private:
+  const void* callable_ = nullptr;
+  void (*invoke_)(const void*, VertexId, std::span<const AffinityEntry>) =
+      nullptr;
+};
 
 /// Move-only: the accumulators live in blocks the sweep owns, and a move
 /// hands the blocks over, so every entry keeps its address.
@@ -148,10 +181,21 @@ class AffinitySweep {
   /// received at least one record — in-window ones, for a windowed sweep.
   /// Returns the records folded into accumulators, counted once per
   /// receiving vertex.
+  ///
+  /// `on_patched`, if set, runs exactly once for each vertex in that patched
+  /// set (and never for an empty delta batch), right after its accumulator
+  /// is patched and while it is still cache-hot: the engines compute the
+  /// vertex's push proposal there instead of rescanning the accumulator
+  /// later. It receives v's final entries — in place, or the shard-local
+  /// copy of an accumulator that outgrew its slack, before the serial
+  /// relocation, so they equal Entries(v) after the call. Calls for
+  /// distinct vertices run concurrently on the pool's workers; the callable
+  /// must not read another vertex's sweep state and should not allocate.
   uint64_t ApplyDeltas(const BipartiteGraph& graph,
                    std::span<const NeighborDelta> deltas, const PowTable& pow,
                    ThreadPool* pool = nullptr,
-                   std::vector<VertexId>* patched = nullptr);
+                   std::vector<VertexId>* patched = nullptr,
+                   PatchVisitor on_patched = {});
 
   /// Accumulator entries of vertex v, sorted by bucket id ascending.
   std::span<const AffinityEntry> Entries(VertexId v) const {

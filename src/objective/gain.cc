@@ -42,7 +42,7 @@ GainComputer::GainComputer(double p, uint32_t max_query_degree,
 }
 
 GainComputer::BestTarget GainComputer::FindBestTargetPush(
-    const AffinitySweep& sweep, VertexId v, BucketId from,
+    std::span<const AffinityEntry> entries, BucketId from,
     BucketId bucket_begin, BucketId bucket_end, double degree) const {
   SHP_DCHECK(bucket_begin < bucket_end);
   SHP_DCHECK(SupportsPush());
@@ -57,13 +57,12 @@ GainComputer::BestTarget GainComputer::FindBestTargetPush(
   // located by binary search and the scan itself runs through the dispatched
   // kernel (note `from` may lie outside [bucket_begin, bucket_end) — its
   // lookup is over the full list, not the window).
-  const auto all = sweep.Entries(v);
-  const AffinityEntry* adata = all.data();
-  const AffinityEntry* aend = adata + all.size();
+  const AffinityEntry* adata = entries.data();
+  const AffinityEntry* aend = adata + entries.size();
   const AffinityEntry* from_it =
       std::lower_bound(adata, aend, from, kBucketLess);
   SHP_DCHECK(from_it != aend && from_it->bucket == from)
-      << "from-bucket accumulator entry missing for v=" << v;
+      << "from-bucket accumulator entry missing (from=" << from << ")";
   const double from_affinity = from_it->affinity;
   const AffinityEntry* lo =
       std::lower_bound(adata, aend, bucket_begin, kBucketLess);
@@ -76,7 +75,7 @@ GainComputer::BestTarget GainComputer::FindBestTargetPush(
     AffinityScanBest ref;
     ScanSkippingFrom(&ScanAffinityRunScalar, lo, hi, from_it, &ref);
     SHP_DCHECK(ref.affinity == best.affinity && ref.bucket == best.bucket)
-        << "SIMD push scan diverged from scalar for v=" << v;
+        << "SIMD push scan diverged from scalar (from=" << from << ")";
   }
 #endif
   double best_affinity = best.affinity;

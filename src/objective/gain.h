@@ -122,11 +122,13 @@ class GainComputer {
   bool SupportsPush() const { return pow_table_.base() > 0.0; }
 
   /// Push-path best-target scan: one sequential pass over v's maintained
-  /// accumulator (O(|occupied buckets of N(v)|), no arena gather). Same
-  /// candidate window, tie-break, and empty-bucket fallback semantics as
-  /// FindBestTarget; gains agree with the pull path up to float summation
-  /// order. Requires SupportsPush(); `degree` = graph.DataDegree(v).
-  BestTarget FindBestTargetPush(const AffinitySweep& sweep, VertexId v,
+  /// accumulator `entries` (AffinitySweep::Entries(v), or the copy an
+  /// ApplyDeltas visitor receives; O(|occupied buckets of N(v)|), no arena
+  /// gather). Same candidate window, tie-break, and empty-bucket fallback
+  /// semantics as FindBestTarget; gains agree with the pull path up to float
+  /// summation order. Requires SupportsPush(); `degree` =
+  /// graph.DataDegree(v).
+  BestTarget FindBestTargetPush(std::span<const AffinityEntry> entries,
                                 BucketId from, BucketId bucket_begin,
                                 BucketId bucket_end, double degree) const;
 

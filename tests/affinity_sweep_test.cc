@@ -5,12 +5,14 @@
 // of the vertex-major Build/ApplyDeltas with serial query-major /
 // record-major references for every thread count (windowed sweeps against
 // the references restricted to each vertex's window; a hub wider than an
-// arena block), pull-vs-push best-target consistency (tie-breaks,
-// restricted windows, empty-window fallback), and the refiner-level
-// pull-vs-push tolerance harness across all three MoveBroker strategies.
+// arena block), the ApplyDeltas patch-visitor contract, pull-vs-push
+// best-target consistency (tie-breaks, restricted windows, empty-window
+// fallback), and the refiner-level pull-vs-push tolerance harness across
+// all three MoveBroker strategies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <span>
 #include <type_traits>
@@ -939,6 +941,109 @@ TEST(AffinitySweepBitExact, WindowedApplyDeltasMatchesRestrictedReference) {
   }
 }
 
+TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
+  // The ApplyDeltas visitor contract the engines' patch-time proposals rely
+  // on: one call per patched vertex (exactly the `patched` list), none for
+  // an empty batch or an empty-window vertex, and the entries it sees equal
+  // Entries(v) after the call — in place, or the overflow copy of an
+  // accumulator relocated past its slack. The unwindowed sweep starts fully
+  // concentrated at k = 512, so inserts relocate accumulators, and the
+  // batch sizes cycle through both patch kernels; the windowed one has
+  // four-bucket windows, empty for the vertices of buckets 28..31.
+  const BipartiteGraph g = TestGraph(53);
+  const VertexId n = g.num_data();
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const size_t batches[] = {60, 1, 25, 2, 8};
+  for (const bool windowed : {false, true}) {
+    for (const size_t threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << (windowed ? "windowed" : "k=512")
+                                      << " threads=" << threads);
+      ThreadPool pool(threads);
+      const BucketId k = windowed ? 32 : 512;
+      std::vector<BucketId> assignment =
+          windowed ? Partition::Random(n, k, 9).assignment()
+                   : std::vector<BucketId>(n, 0);
+      const std::vector<BucketWindow> windows =
+          windowed ? GroupOfFourWindows(assignment)
+                   : std::vector<BucketWindow>{};
+      QueryNeighborData ndata;
+      ndata.Build(g, assignment, &pool);
+      AffinitySweep sweep;
+      sweep.Build(g, ndata, pow, &pool, windows);
+
+      std::vector<std::atomic<uint32_t>> calls(n);
+      std::vector<std::vector<AffinityEntry>> seen(n);
+      const auto visitor = [&](VertexId v,
+                               std::span<const AffinityEntry> entries) {
+        calls[v].fetch_add(1, std::memory_order_relaxed);
+        seen[v].assign(entries.begin(), entries.end());
+      };
+      std::vector<VertexId> patched = {3};  // must be overwritten
+      EXPECT_EQ(sweep.ApplyDeltas(g, {}, pow, &pool, &patched, visitor), 0u);
+      EXPECT_TRUE(patched.empty());
+      for (VertexId v = 0; v < n; ++v) ASSERT_EQ(calls[v].load(), 0u);
+
+      uint64_t dense = 0;
+      uint64_t sparse = 0;
+      uint64_t relocated_seen = 0;
+      uint64_t empty_window_in_blast = 0;
+      for (uint64_t round = 0; round < 20; ++round) {
+        const std::vector<VertexMove> moves = RandomBatch(
+            &assignment, k, 59, round, batches[round % std::size(batches)]);
+        std::vector<NeighborDelta> deltas;
+        ndata.ApplyMoves(g, moves, &pool, nullptr, &deltas);
+        // Patch kernel of each unwindowed vertex by the 4·m ≥ |acc| rule;
+        // blast-radius vertices with an empty window.
+        std::unordered_map<VertexId, uint64_t> per_query;
+        for (const NeighborDelta& rec : deltas) ++per_query[rec.q];
+        std::vector<const AffinityEntry*> before(n);
+        for (VertexId v = 0; v < n; ++v) {
+          before[v] = sweep.Entries(v).data();
+          uint64_t m = 0;
+          for (const VertexId q : g.DataNeighbors(v)) {
+            const auto it = per_query.find(q);
+            if (it != per_query.end()) m += it->second;
+          }
+          if (m == 0) continue;
+          if (windowed) {
+            empty_window_in_blast += windows[v].first == windows[v].second;
+          } else {
+            ++*(4 * m >= sweep.Entries(v).size() ? &dense : &sparse);
+          }
+        }
+        for (VertexId v = 0; v < n; ++v) {
+          calls[v].store(0, std::memory_order_relaxed);
+          seen[v].clear();
+        }
+        const uint64_t slots_before = sweep.ArenaSlots();
+        sweep.ApplyDeltas(g, deltas, pow, &pool, &patched, visitor);
+        const bool grew = sweep.ArenaSlots() > slots_before;
+        for (VertexId v = 0; v < n; ++v) {
+          const bool listed =
+              std::binary_search(patched.begin(), patched.end(), v);
+          ASSERT_EQ(calls[v].load(), listed ? 1u : 0u)
+              << "round " << round << ", v=" << v;
+          if (!listed) continue;
+          ASSERT_FALSE(windowed && windows[v].first == windows[v].second)
+              << "empty-window vertex " << v << " was visited";
+          const auto entries = sweep.Entries(v);
+          ASSERT_TRUE(std::equal(seen[v].begin(), seen[v].end(),
+                                 entries.begin(), entries.end()))
+              << "round " << round << ", v=" << v;
+          relocated_seen += grew && entries.data() != before[v];
+        }
+      }
+      if (windowed) {
+        EXPECT_GT(empty_window_in_blast, 0u);
+      } else {
+        EXPECT_GT(dense, 0u);
+        EXPECT_GT(sparse, 0u);
+        EXPECT_GT(relocated_seen, 0u) << "no visited accumulator relocated";
+      }
+    }
+  }
+}
+
 // ----------------------------------------- pull vs push target consistency
 TEST(PullPushTargets, AgreeOnRandomGraphsAndRestrictedWindows) {
   for (const double p : {0.1, 0.5, 0.9}) {
@@ -961,7 +1066,7 @@ TEST(PullPushTargets, AgreeOnRandomGraphsAndRestrictedWindows) {
         const auto pull =
             gain.FindBestTarget(g, ndata, v, from, wb, we, &affinity, &touched);
         const auto push = gain.FindBestTargetPush(
-            sweep, v, from, wb, we, static_cast<double>(g.DataDegree(v)));
+            sweep.Entries(v), from, wb, we, static_cast<double>(g.DataDegree(v)));
         ASSERT_EQ(pull.bucket == -1, push.bucket == -1)
             << "p=" << p << " v=" << v << " window [" << wb << "," << we << ")";
         if (pull.bucket == -1) continue;
@@ -1008,7 +1113,7 @@ TEST(PullPushTargets, ExactTieBreaksToLowerBucketOnBothPaths) {
   // lower bucket id.
   const auto pull =
       gain.FindBestTarget(g, ndata, 0, 0, 0, k, &affinity, &touched);
-  const auto push = gain.FindBestTargetPush(sweep, 0, 0, 0, k, 2.0);
+  const auto push = gain.FindBestTargetPush(sweep.Entries(0), 0, 0, k, 2.0);
   EXPECT_EQ(pull.bucket, 1);
   EXPECT_EQ(push.bucket, 1);
   EXPECT_NEAR(pull.gain, push.gain, 1e-12);
@@ -1031,7 +1136,7 @@ TEST(PullPushTargets, EmptyWindowFallbackIsSharedAndChecksFrom) {
   {
     const auto pull =
         gain.FindBestTarget(g, ndata, 0, 0, 4, 8, &affinity, &touched);
-    const auto push = gain.FindBestTargetPush(sweep, 0, 0, 4, 8, 2.0);
+    const auto push = gain.FindBestTargetPush(sweep.Entries(0), 0, 4, 8, 2.0);
     EXPECT_EQ(pull.bucket, 4);
     EXPECT_EQ(push.bucket, 4);
     EXPECT_NEAR(pull.gain, push.gain, 1e-12);
@@ -1042,7 +1147,7 @@ TEST(PullPushTargets, EmptyWindowFallbackIsSharedAndChecksFrom) {
   {
     const auto pull =
         gain.FindBestTarget(g, ndata, 0, 0, 0, 1, &affinity, &touched);
-    const auto push = gain.FindBestTargetPush(sweep, 0, 0, 0, 1, 2.0);
+    const auto push = gain.FindBestTargetPush(sweep.Entries(0), 0, 0, 1, 2.0);
     EXPECT_EQ(pull.bucket, -1);
     EXPECT_EQ(push.bucket, -1);
   }
@@ -1056,7 +1161,7 @@ TEST(PullPushTargets, EmptyWindowFallbackIsSharedAndChecksFrom) {
     sw2.Build(g, nd2, gain.pow_table());
     const auto pull =
         gain.FindBestTarget(g, nd2, 0, 3, 3, 8, &affinity, &touched);
-    const auto push = gain.FindBestTargetPush(sw2, 0, 3, 3, 8, 2.0);
+    const auto push = gain.FindBestTargetPush(sw2.Entries(0), 3, 3, 8, 2.0);
     EXPECT_EQ(pull.bucket, 4);
     EXPECT_EQ(push.bucket, 4);
   }

@@ -771,6 +771,47 @@ TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
   }
 }
 
+TEST(BspRefiner, PrescannedProposalsKeepTheThreadedTrajectoryUnderAnAnchor) {
+  // Superstep 2 proposes for each patched vertex inside ApplyDeltas and
+  // scans only the rest in ProposeMoves. Under direct k-way push with an
+  // anchor penalty (so FinalizeProposal shifts gains), the assignment must
+  // equal the threaded Refiner's after every iteration, whatever W; Debug
+  // builds also check every cached proposal against a fresh scan.
+  const BipartiteGraph g = TestGraph(5);
+  const BucketId k = 8;
+  const MoveTopology full = MoveTopology::FullK(k, g.num_data(), 0.05);
+  RefinerOptions options;
+  options.sweep_mode = RefinerOptions::SweepMode::kPush;
+  const double penalty = 0.05;
+  const uint64_t iterations = 6;
+  const Partition start = Partition::BalancedRandom(g.num_data(), k, 12);
+  const std::vector<BucketId> anchor = start.assignment();
+
+  std::vector<std::vector<BucketId>> trajectory;
+  Refiner threaded(g, options);
+  Partition p_threaded = start;
+  uint64_t steady_rounds = 0;
+  for (uint64_t iter = 0; iter < iterations; ++iter) {
+    const IterationStats stats = threaded.RunIteration(
+        full, &p_threaded, 7, iter, nullptr, &anchor, penalty);
+    steady_rounds += stats.num_recomputed < g.num_data();
+    trajectory.push_back(p_threaded.assignment());
+  }
+  ASSERT_GT(steady_rounds, 0u) << "no compact round ran";
+  ASSERT_NE(trajectory.back(), anchor) << "the penalty froze every move";
+  for (const int workers : {1, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << "W=" << workers);
+    BspConfig config;
+    config.num_workers = workers;
+    BspRefiner bsp(g, options, config);
+    Partition p_bsp = start;
+    for (uint64_t iter = 0; iter < iterations; ++iter) {
+      bsp.RunIteration(full, &p_bsp, 7, iter, nullptr, &anchor, penalty);
+      ASSERT_EQ(p_bsp.assignment(), trajectory[iter]) << "iteration " << iter;
+    }
+  }
+}
+
 TEST(BspRefiner, SuperstepOneMessagesMatchBruteForceCombine) {
   // Superstep 1 sends one message per (source worker, destination worker,
   // query, bucket) whose combined delta is nonzero: a vertex that moved

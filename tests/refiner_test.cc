@@ -1,14 +1,18 @@
 // Refiner-level tests: grouped vs full-k equivalence, windowed accumulators
-// under grouped topologies, anchor penalties, exploration determinism, and
-// iteration accounting.
+// under grouped topologies, the proposal cache after each iteration,
+// anchor penalties, exploration determinism, and iteration accounting.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "core/partition.h"
+#include "core/proposal.h"
 #include "core/refiner.h"
 #include "graph/gen_planted.h"
 #include "graph/gen_social.h"
+#include "graph/graph_builder.h"
 #include "graph/io_partition.h"
 #include "objective/objective.h"
 
@@ -119,6 +123,94 @@ TEST(Refiner, GroupedPushKeepsOnlyWindowEntries) {
   EXPECT_EQ(push.targets(), fresh.targets());
   EXPECT_EQ(push.gains(), fresh.gains());
   EXPECT_EQ(p_push.assignment(), p_fresh.assignment());
+}
+
+// `base` plus `isolated` trailing degree-0 data vertices.
+BipartiteGraph WithIsolated(const BipartiteGraph& base, VertexId isolated) {
+  GraphBuilder builder(base.num_queries(), base.num_data() + isolated);
+  for (VertexId q = 0; q < base.num_queries(); ++q) {
+    const auto nbrs = base.QueryNeighbors(q);
+    builder.AddHyperedge(q, std::vector<VertexId>(nbrs.begin(), nbrs.end()));
+  }
+  return builder.Build();
+}
+
+// After every push RunIteration the proposal cache must be current: each
+// vertex's cached (target, gain) equals a fresh push scan of its
+// accumulator against its current bucket, finalized under the iteration's
+// anchor — patched vertices included, whose proposals the refiner computes
+// inside ApplyDeltas for the next round. Degree-0 vertices and vertices in
+// unrefined buckets hold -1/0. The move budget keeps every round below the
+// high-churn threshold, so the accumulators are patched, not dropped; at
+// k = 128 some of them (a hub's among them) outgrow their slack and
+// relocate, so the visitor also sees overflow copies. The exploration draw
+// is off (an explorer's cached proposal is its draw), and the pool size is
+// fixed so the trajectory does not depend on the host.
+TEST(Refiner, ProposalCacheIsCurrentAfterEveryIteration) {
+  const BipartiteGraph g = WithIsolated(SmallGraph(13), 5);
+  const VertexId n = g.num_data();
+  const BucketId k = 128;
+  const uint64_t budget = n / 8;
+  const MoveTopology full = MoveTopology::FullK(k, n, 0.3);
+  // Sibling groups of four; buckets 120..127 are not refined.
+  std::vector<std::vector<BucketId>> groups;
+  for (BucketId b = 0; b < 120; b += 4) {
+    groups.push_back({b, b + 1, b + 2, b + 3});
+  }
+  const MoveTopology grouped = MoveTopology::Grouped(k, n, 0.3, groups);
+  RefinerOptions options;
+  options.exploration_probability = 0.0;
+  options.sweep_mode = RefinerOptions::SweepMode::kPush;
+  const GainComputer gain(options.p,
+                          static_cast<uint32_t>(g.MaxQueryDegree()));
+  const double penalty = 0.01;
+  ThreadPool pool(3);
+
+  for (const MoveTopology* topo : {&full, &grouped}) {
+    SCOPED_TRACE(topo->full_k ? "full-k" : "grouped");
+    Partition partition = Partition::BalancedRandom(n, k, 8);
+    const std::vector<BucketId> anchor = partition.assignment();
+    Refiner refiner(g, options);
+    refiner.SetMoveBudget(budget);
+    uint64_t moved = 0;
+    uint64_t steady_rounds = 0;
+    uint64_t relocated = 0;
+    std::vector<const AffinityEntry*> before(n, nullptr);
+    for (uint64_t iter = 0; iter < 12; ++iter) {
+      const IterationStats stats = refiner.RunIteration(
+          *topo, &partition, 4, iter, &pool, &anchor, penalty);
+      ASSERT_TRUE(stats.push_sweep);
+      ASSERT_LE(stats.num_moved, budget);
+      moved += stats.num_moved;
+      steady_rounds += stats.num_recomputed < n;
+      const AffinitySweep& sweep = refiner.affinity_sweep();
+      for (VertexId v = 0; v < n; ++v) {
+        // The sweep is built once, so a new address is a relocation (or a
+        // compaction).
+        relocated += iter > 0 && sweep.Entries(v).data() != before[v];
+        before[v] = sweep.Entries(v).data();
+        const BucketId from = partition.bucket_of(v);
+        GainComputer::BestTarget expected;
+        if (g.DataDegree(v) > 0 &&
+            topo->group_of_bucket[static_cast<size_t>(from)] >= 0) {
+          expected = FinalizeProposal(
+              PushScan(gain, *topo, from, sweep.Entries(v),
+                       static_cast<double>(g.DataDegree(v))),
+              v, from, &anchor, penalty, options.propose_nonpositive);
+        }
+        ASSERT_EQ(refiner.targets()[v], expected.bucket)
+            << "iteration " << iter << ", v=" << v;
+        ASSERT_EQ(refiner.gains()[v], expected.gain)
+            << "iteration " << iter << ", v=" << v;
+      }
+    }
+    EXPECT_GT(moved, 0u);
+    EXPECT_GT(steady_rounds, 0u) << "no compact round ran";
+    EXPECT_EQ(refiner.num_sweep_builds(), 1u);
+    if (topo->full_k) {
+      EXPECT_GT(relocated, 0u) << "no accumulator relocated";
+    }
+  }
 }
 
 TEST(Refiner, InactiveBucketsAreFrozen) {
