@@ -1,12 +1,16 @@
 // google-benchmark microbenches for the hot kernels: neighbor-data build,
-// move-gain computation, one refinement iteration, generator throughput,
-// and the FM pass of the multilevel baseline.
+// move-gain computation, one refinement iteration, the superstep-3/4 move
+// broker layer (histogram update, match, draw), generator throughput, and
+// the FM pass of the multilevel baseline.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <span>
 #include <vector>
 
 #include "baseline/fm_refiner.h"
+#include "core/move_broker.h"
+#include "core/move_topology.h"
 #include "core/partition.h"
 #include "core/refiner.h"
 #include "graph/gen_social.h"
@@ -230,6 +234,113 @@ void BM_RefinerIterationIncremental(benchmark::State& state) {
   RefinerIterationBench(state, /*incremental=*/true);
 }
 BENCHMARK(BM_RefinerIterationIncremental)->Unit(benchmark::kMillisecond);
+
+/// Synthetic k = 512 broker input: 40k vertices, each proposing one of 64
+/// buckets above its own (~32k live pairs), with gains of both signs over
+/// most of the binning, plus an alternative proposal for every tenth vertex
+/// (the changed list an update round re-derives).
+struct BrokerInput {
+  static constexpr BucketId kK = 512;
+  static constexpr VertexId kN = 40000;
+  MoveBrokerOptions options;
+  MoveTopology topo = MoveTopology::FullK(kK, kN, 0.05);
+  Partition partition = Partition::BalancedRandom(kN, kK, 7);
+  std::vector<BucketId> targets[2];
+  std::vector<double> gains[2];
+  std::vector<VertexId> changed;
+
+  BrokerInput() {
+    for (int set = 0; set < 2; ++set) {
+      targets[set].resize(kN);
+      gains[set].resize(kN);
+      for (VertexId v = 0; v < kN; ++v) {
+        const bool alternative = set == 1 && v % 10 == 0;
+        const uint64_t pick = HashCombine(alternative ? 12 : 11, v, 0);
+        targets[set][v] = static_cast<BucketId>(
+            (partition.bucket_of(v) + 1 + pick % 64) % kK);
+        const double magnitude =
+            std::ldexp(1.0, -static_cast<int>((pick >> 8) % 40));
+        gains[set][v] = (pick >> 16) % 3 == 0 ? -magnitude : magnitude;
+      }
+    }
+    for (VertexId v = 0; v < kN; v += 10) changed.push_back(v);
+  }
+
+  /// Histograms over proposal set 0.
+  void Fill(PairHistograms* hist,
+            std::vector<PairHistograms::Contribution>* contrib) const {
+    contrib->assign(kN, {});
+    for (VertexId v = 0; v < kN; ++v) {
+      hist->Update(&(*contrib)[v], partition.bucket_of(v), targets[0][v],
+                   gains[0][v]);
+    }
+  }
+};
+
+const BrokerInput& SharedBrokerInput() {
+  static const BrokerInput* input = new BrokerInput();
+  return *input;
+}
+
+void BM_BrokerHistogramUpdate(benchmark::State& state) {
+  const BrokerInput& in = SharedBrokerInput();
+  PairHistograms hist(in.options.binning);
+  std::vector<PairHistograms::Contribution> contrib;
+  in.Fill(&hist, &contrib);
+  int set = 0;
+  for (auto _ : state) {
+    set ^= 1;  // alternate the changed vertices between their two proposals
+    for (const VertexId v : in.changed) {
+      hist.Update(&contrib[v], in.partition.bucket_of(v), in.targets[set][v],
+                  in.gains[set][v]);
+    }
+    benchmark::DoNotOptimize(hist.num_pairs());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(in.changed.size()));
+}
+BENCHMARK(BM_BrokerHistogramUpdate);
+
+void BM_BrokerMatch(benchmark::State& state) {
+  const BrokerInput& in = SharedBrokerInput();
+  PairHistograms hist(in.options.binning);
+  std::vector<PairHistograms::Contribution> contrib;
+  in.Fill(&hist, &contrib);
+  PairProbabilityTable table;
+  for (auto _ : state) {
+    ComputePairProbabilities(in.topo, hist, in.partition,
+                             in.options.use_capacity_slack, &table);
+    benchmark::DoNotOptimize(table.num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(hist.num_pairs()));
+}
+BENCHMARK(BM_BrokerMatch)->Unit(benchmark::kMicrosecond);
+
+void BM_BrokerDraw(benchmark::State& state) {
+  const BrokerInput& in = SharedBrokerInput();
+  PairHistograms hist(in.options.binning);
+  std::vector<PairHistograms::Contribution> contrib;
+  in.Fill(&hist, &contrib);
+  PairProbabilityTable table;
+  ComputePairProbabilities(in.topo, hist, in.partition,
+                           in.options.use_capacity_slack, &table);
+  uint64_t iteration = 0;
+  std::vector<VertexId> movers;
+  for (auto _ : state) {
+    const ProbabilityDraw draw(table, in.options, 3, iteration++);
+    uint64_t draws = 0;
+    movers.clear();
+    for (VertexId v = 0; v < BrokerInput::kN; ++v) {
+      if (draw.Fires(v, contrib[v].slot, contrib[v].bin, &draws)) {
+        movers.push_back(v);
+      }
+    }
+    benchmark::DoNotOptimize(movers.size() + draws);
+  }
+  state.SetItemsProcessed(state.iterations() * BrokerInput::kN);
+}
+BENCHMARK(BM_BrokerDraw)->Unit(benchmark::kMicrosecond);
 
 void BM_SocialGenerator(benchmark::State& state) {
   for (auto _ : state) {

@@ -34,40 +34,33 @@ class GainBinning {
   int BinFor(double gain) const;
 
   /// Representative (geometric-midpoint) gain of a bin; 0 for the zero bin.
-  double Representative(int bin) const;
+  /// A lookup: the table is built once at construction, so the matching
+  /// loop calls no std::pow.
+  double Representative(int bin) const {
+    return representative_[static_cast<size_t>(bin)];
+  }
 
  private:
   double min_gain_;
   double log_growth_;
-  double growth_;
   int num_levels_;
+  std::vector<double> representative_;
 };
 
-/// Histogram of proposal gains for one direction (bucket i -> bucket j).
-struct DirectedGainHistogram {
-  std::vector<uint64_t> counts;  // size = binning.num_bins()
-
-  void Init(const GainBinning& binning) {
-    counts.assign(static_cast<size_t>(binning.num_bins()), 0);
-  }
-  void Add(const GainBinning& binning, double gain) {
-    ++counts[static_cast<size_t>(binning.BinFor(gain))];
-  }
-  uint64_t Total() const {
-    uint64_t t = 0;
-    for (uint64_t c : counts) t += c;
-    return t;
-  }
+/// One directed gain histogram (bucket i -> bucket j) in flat storage:
+/// per-bin counts plus a bitmask with bit b set iff counts[b] > 0, so a scan
+/// costs the occupied bins rather than num_bins. A null `occupied` is an
+/// empty histogram.
+struct GainRow {
+  const uint32_t* counts = nullptr;
+  const uint64_t* occupied = nullptr;
 };
 
-/// Per-bin move probabilities for both directions of one bucket pair,
-/// computed by MatchHistograms. probability[bin] ∈ [0, 1].
-struct PairMoveProbabilities {
-  std::vector<double> forward;   // direction i -> j
-  std::vector<double> backward;  // direction j -> i
-  /// Expected number of swapped pairs (diagnostic).
-  double expected_swaps = 0.0;
-};
+/// 64-bit words of an occupied-bin bitmask over `bins` bins.
+inline int OccupiedWords(int bins) { return (bins + 63) / 64; }
+
+/// Highest set bit of `occupied` at or below `bin`, or -1 (also for bin < 0).
+int PrevOccupiedBin(const uint64_t* occupied, int bin);
 
 /// Matches the two directed histograms of a bucket pair top-down. Bins are
 /// matched while the representative gain sum is positive; fully matched bins
@@ -75,8 +68,13 @@ struct PairMoveProbabilities {
 /// probability, everything else 0. This focuses movement on the highest
 /// gains first (the paper's motivation) while keeping expected flow
 /// symmetric, preserving balance in expectation.
-PairMoveProbabilities MatchHistograms(const GainBinning& binning,
-                                      const DirectedGainHistogram& forward,
-                                      const DirectedGainHistogram& backward);
+///
+/// Writes the probability of every occupied bin of `forward` into
+/// forward_probs[bin] and of `backward` into backward_probs[bin]; the other
+/// entries are left untouched (their probability is 0), and an empty side's
+/// array is not written at all. Returns the expected number of swapped pairs.
+double MatchHistograms(const GainBinning& binning, GainRow forward,
+                       GainRow backward, double* forward_probs,
+                       double* backward_probs);
 
 }  // namespace shp

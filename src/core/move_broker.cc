@@ -11,6 +11,38 @@
 
 namespace shp {
 
+namespace {
+
+/// Superstep-4 draw over vertices [0, n): `fires(v, &draws)` decides v.
+/// Each pool worker draws one contiguous chunk into its own list, and the
+/// lists concatenate in worker order, so *movers ends ascending by vertex
+/// id — no n-sized decision array and no serial scan of one.
+template <typename Fires>
+void DrawMovers(ThreadPool* pool, VertexId n, const Fires& fires,
+                std::vector<std::vector<VertexId>>* lists,
+                std::vector<VertexId>* movers, uint64_t* num_draws) {
+  const size_t num_workers = std::max<size_t>(1, pool->num_threads());
+  lists->resize(std::max(lists->size(), num_workers));
+  std::vector<uint64_t> draws_per_worker(num_workers, 0);
+  for (auto& list : *lists) list.clear();
+  pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
+    std::vector<VertexId>& list = (*lists)[w];
+    uint64_t draws = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const VertexId v = static_cast<VertexId>(i);
+      if (fires(v, &draws)) list.push_back(v);
+    }
+    draws_per_worker[w] = draws;
+  });
+  movers->clear();
+  for (size_t w = 0; w < num_workers; ++w) {
+    movers->insert(movers->end(), (*lists)[w].begin(), (*lists)[w].end());
+    *num_draws += draws_per_worker[w];
+  }
+}
+
+}  // namespace
+
 void MoveBroker::CollectNetMoves(const std::vector<VertexId>& moved,
                                  const std::vector<BucketId>& original_bucket,
                                  const Partition& partition,
@@ -212,87 +244,191 @@ MoveOutcome MoveBroker::ApplyPlain(const MoveTopology& topo,
   for (const auto& [i, j] : matrix.SortedPairs()) {
     pair_prob[PackPair(i, j)] = matrix.MoveProbability(i, j);
   }
-  std::vector<uint8_t> decided(n, 0);
-  const size_t num_workers = std::max<size_t>(1, pool->num_threads());
-  std::vector<uint64_t> draws_per_worker(num_workers, 0);
-  pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-    uint64_t draws = 0;
-    for (size_t v = begin; v < end; ++v) {
-      if (targets[v] < 0 || gains[v] <= 0.0) continue;
-      const BucketId from =
-          partition->bucket_of(static_cast<VertexId>(v));
-      const double pair = pair_prob.at(PackPair(from, targets[v]));
-      if (pair <= 0.0) continue;
-      ++draws;
-      const double prob = std::min(pair, options_.max_move_probability) *
-                          options_.probability_damping;
-      if (HashToUnitDouble(seed ^ 0xabcdef12, iteration, v) < prob) {
-        decided[v] = 1;
-      }
-    }
-    draws_per_worker[w] += draws;
-  });
-  for (const uint64_t d : draws_per_worker) outcome.num_draws += d;
-
+  const auto fires = [&](VertexId v, uint64_t* draws) {
+    if (targets[v] < 0 || gains[v] <= 0.0) return false;
+    const double pair =
+        pair_prob.at(PackPair(partition->bucket_of(v), targets[v]));
+    if (pair <= 0.0) return false;
+    ++*draws;
+    const double prob = std::min(pair, options_.max_move_probability) *
+                        options_.probability_damping;
+    return HashToUnitDouble(seed ^ 0xabcdef12, iteration, v) < prob;
+  };
   std::vector<VertexId> moved;
-  for (VertexId v = 0; v < n; ++v) {
-    if (decided[v]) moved.push_back(v);
-  }
+  DrawMovers(pool, n, fires, &mover_lists_, &moved, &outcome.num_draws);
   ExecuteMoves(topo, options_.max_moves_per_round, targets, gains, &moved,
                &original_, partition, &outcome);
   return outcome;
 }
 
-double PairProbabilityTable::Lookup(const GainBinning& binning, BucketId from,
-                                    BucketId to, double gain) const {
-  const auto it = probabilities.find(PackPair(from, to));
-  if (it == probabilities.end()) return 0.0;
-  return it->second[static_cast<size_t>(binning.BinFor(gain))];
+PairHistograms::PairHistograms(const GainBinning& binning)
+    : binning_(binning),
+      bins_(binning.num_bins()),
+      words_(OccupiedWords(binning.num_bins())),
+      shift_(64 - 4),
+      index_(16) {}
+
+void PairHistograms::Clear() {
+  std::fill(index_.begin(), index_.end(), IndexCell{});
+  slot_key_.clear();
+  totals_.clear();
+  counts_.clear();
+  occupied_.clear();
+  free_slots_.clear();
+  num_pairs_ = 0;
+  num_proposals_ = 0;
 }
 
-std::unordered_set<uint64_t> PairProbabilityTable::LivePairKeys() const {
-  std::unordered_set<uint64_t> live;
-  for (const auto& [key, probs] : probabilities) {
-    for (const double p : probs) {
-      if (p > 0.0) {
-        live.insert(key);
-        break;
-      }
+uint32_t PairHistograms::Find(uint64_t key) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t i = Home(key);; i = (i + 1) & mask) {
+    if (index_[i].key == key) return index_[i].slot;
+    if (index_[i].key == kNoPair) return kNoSlot;
+  }
+}
+
+uint32_t PairHistograms::Acquire(uint64_t key) {
+  size_t mask = index_.size() - 1;
+  size_t i = Home(key);
+  for (; index_[i].key != kNoPair; i = (i + 1) & mask) {
+    if (index_[i].key == key) return index_[i].slot;
+  }
+  if (2 * (num_pairs_ + 1) > index_.size()) {
+    GrowIndex();
+    mask = index_.size() - 1;
+    for (i = Home(key); index_[i].key != kNoPair; i = (i + 1) & mask) {
     }
   }
-  return live;
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = num_slots();
+    slot_key_.push_back(kNoPair);
+    totals_.push_back(0);
+    counts_.resize(counts_.size() + static_cast<size_t>(bins_), 0);
+    occupied_.resize(occupied_.size() + static_cast<size_t>(words_), 0);
+  }
+  slot_key_[slot] = key;
+  index_[i] = {key, slot};
+  ++num_pairs_;
+  return slot;
+}
+
+void PairHistograms::Release(uint32_t slot) {
+  const size_t mask = index_.size() - 1;
+  size_t hole = Home(slot_key_[slot]);
+  while (index_[hole].key != slot_key_[slot]) hole = (hole + 1) & mask;
+  // Backward-shift delete: pull later cells of the probe run into the hole
+  // unless their home lies cyclically in (hole, cell] — no tombstones, so
+  // probe runs stay as short as the live load makes them.
+  for (size_t i = (hole + 1) & mask; index_[i].key != kNoPair;
+       i = (i + 1) & mask) {
+    const size_t home = Home(index_[i].key);
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
+  }
+  index_[hole] = IndexCell{};
+  slot_key_[slot] = kNoPair;
+  free_slots_.push_back(slot);
+  --num_pairs_;
+}
+
+void PairHistograms::GrowIndex() {
+  index_.assign(2 * index_.size(), IndexCell{});
+  --shift_;
+  const size_t mask = index_.size() - 1;
+  for (uint32_t slot = 0; slot < num_slots(); ++slot) {
+    const uint64_t key = slot_key_[slot];
+    if (key == kNoPair) continue;
+    size_t i = Home(key);
+    while (index_[i].key != kNoPair) i = (i + 1) & mask;
+    index_[i] = {key, slot};
+  }
+}
+
+void PairHistograms::AddCount(uint32_t slot, int bin, uint32_t n) {
+  uint32_t& count = counts_[static_cast<size_t>(slot) * bins_ +
+                            static_cast<size_t>(bin)];
+  if (count == 0) {
+    occupied_[static_cast<size_t>(slot) * words_ +
+              static_cast<size_t>(bin / 64)] |= uint64_t{1} << (bin % 64);
+  }
+  count += n;
 }
 
 void PairHistograms::Update(Contribution* c, BucketId from, BucketId target,
                             double gain) {
-  if (c->pair != kNoPair) {
-    const auto it = pairs_.find(c->pair);
-    SHP_DCHECK(it != pairs_.end());
-    SHP_DCHECK(it->second.hist.counts[static_cast<size_t>(c->bin)] > 0);
-    --it->second.hist.counts[static_cast<size_t>(c->bin)];
-    if (--it->second.total == 0) pairs_.erase(it);
+  const uint64_t key = target < 0 ? kNoPair : PackPair(from, target);
+  uint32_t slot = kNoSlot;
+  if (c->slot != kNoSlot) {
+    const size_t at = static_cast<size_t>(c->slot) * bins_ +
+                      static_cast<size_t>(c->bin);
+    SHP_DCHECK(counts_[at] > 0);
+    if (--counts_[at] == 0) {
+      occupied_[static_cast<size_t>(c->slot) * words_ +
+                static_cast<size_t>(c->bin / 64)] &=
+          ~(uint64_t{1} << (c->bin % 64));
+    }
     --num_proposals_;
-    c->pair = kNoPair;
+    --totals_[c->slot];
+    if (slot_key_[c->slot] == key) {
+      slot = c->slot;  // same pair: keep the slot even if it just emptied
+    } else if (totals_[c->slot] == 0) {
+      Release(c->slot);
+    }
+    c->slot = kNoSlot;
   }
-  if (target < 0) return;
-  const uint64_t pair = PackPair(from, target);
-  PairState& state = pairs_[pair];
-  if (state.hist.counts.empty()) state.hist.Init(binning_);
+  if (key == kNoPair) return;
+  if (slot == kNoSlot) slot = Acquire(key);
   const int bin = binning_.BinFor(gain);
-  ++state.hist.counts[static_cast<size_t>(bin)];
-  ++state.total;
+  AddCount(slot, bin, 1);
+  ++totals_[slot];
   ++num_proposals_;
-  *c = {pair, bin};
+  *c = {slot, bin};
 }
 
-void PairHistograms::MergeInto(
-    std::unordered_map<uint64_t, DirectedGainHistogram>* merged) const {
-  for (const auto& [key, state] : pairs_) {
-    DirectedGainHistogram& into = (*merged)[key];
-    if (into.counts.empty()) into.Init(binning_);
-    for (size_t bin = 0; bin < state.hist.counts.size(); ++bin) {
-      into.counts[bin] += state.hist.counts[bin];
+void PairHistograms::AssignSum(
+    std::span<const PairHistograms> parts,
+    std::vector<std::vector<uint32_t>>* slot_maps) {
+  // Zero the rows but keep the pairs: most of last round's pairs are live
+  // again, so they are found where they were instead of re-inserted.
+  for (uint32_t slot = 0; slot < num_slots(); ++slot) {
+    if (slot_key_[slot] == kNoPair) continue;
+    uint64_t* occupied = &occupied_[static_cast<size_t>(slot) * words_];
+    uint32_t* counts = &counts_[static_cast<size_t>(slot) * bins_];
+    for (int bin = PrevOccupiedBin(occupied, bins_ - 1); bin >= 0;
+         bin = PrevOccupiedBin(occupied, bin - 1)) {
+      counts[bin] = 0;
     }
+    std::fill(occupied, occupied + words_, 0);
+    totals_[slot] = 0;
+  }
+  num_proposals_ = 0;
+  slot_maps->resize(parts.size());
+  for (size_t w = 0; w < parts.size(); ++w) {
+    const PairHistograms& part = parts[w];
+    SHP_DCHECK(part.bins_ == bins_);
+    std::vector<uint32_t>& map = (*slot_maps)[w];
+    map.assign(part.num_slots(), kNoSlot);
+    for (uint32_t from = 0; from < part.num_slots(); ++from) {
+      if (part.slot_key_[from] == kNoPair) continue;
+      const uint32_t slot = Acquire(part.slot_key_[from]);
+      map[from] = slot;
+      const GainRow row = part.row(from);
+      for (int bin = PrevOccupiedBin(row.occupied, bins_ - 1); bin >= 0;
+           bin = PrevOccupiedBin(row.occupied, bin - 1)) {
+        AddCount(slot, bin, row.counts[bin]);
+      }
+      totals_[slot] += part.totals_[from];
+      num_proposals_ += part.totals_[from];
+    }
+  }
+  for (uint32_t slot = 0; slot < num_slots(); ++slot) {
+    if (slot_key_[slot] != kNoPair && totals_[slot] == 0) Release(slot);
   }
 }
 
@@ -300,75 +436,97 @@ ProbabilityDraw::ProbabilityDraw(const PairProbabilityTable& table,
                                  const MoveBrokerOptions& options,
                                  uint64_t seed, uint64_t iteration)
     : table_(table),
-      binning_(options.binning),
       max_move_probability_(options.max_move_probability),
       probability_damping_(options.probability_damping),
       seed_(seed),
-      iteration_(iteration),
-      live_pairs_(table.LivePairKeys()) {}
+      iteration_(iteration) {}
 
-PairProbabilityTable ComputePairProbabilities(
-    const MoveTopology& topo, const GainBinning& binning,
-    const std::unordered_map<uint64_t, DirectedGainHistogram>& histograms,
-    const Partition& partition, bool use_capacity_slack) {
-  // Match each unordered pair once, in deterministic key order.
-  std::vector<uint64_t> keys;
-  keys.reserve(histograms.size());
-  for (const auto& [key, h] : histograms) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
+void ComputePairProbabilities(const MoveTopology& topo,
+                              const PairHistograms& histograms,
+                              const Partition& partition,
+                              bool use_capacity_slack,
+                              PairProbabilityTable* table) {
+  const GainBinning& binning = histograms.binning();
+  const int bins = binning.num_bins();
+  const uint32_t slots = histograms.num_slots();
+  table->hist_ = &histograms;
+  table->bins_ = static_cast<size_t>(bins);
+  // Rows are written on occupied bins only (Probability masks the rest), so
+  // growing the storage is the only time it is touched wholesale.
+  if (table->probs_.size() < static_cast<size_t>(slots) * table->bins_) {
+    table->probs_.resize(static_cast<size_t>(slots) * table->bins_);
+  }
+  table->live_.assign(slots, 0);
+  table->num_rows_ = 0;
 
-  PairProbabilityTable table;
-  for (uint64_t key : keys) {
+  // Deterministic ascending key order (the capacity-slack pass below
+  // depends on it).
+  auto& order = table->order_;
+  order.clear();
+  for (uint32_t slot = 0; slot < slots; ++slot) {
+    const uint64_t key = histograms.key(slot);
+    if (key != PairHistograms::kNoPair) order.emplace_back(key, slot);
+  }
+  std::sort(order.begin(), order.end());
+
+  // Match each unordered pair once.
+  for (const auto& [key, slot] : order) {
     const BucketId i = static_cast<BucketId>(key >> 32);
     const BucketId j = static_cast<BucketId>(key & 0xffffffffULL);
-    if (i > j && histograms.count(PackPair(j, i)) > 0) {
+    const uint32_t back = i == j ? slot : histograms.Find(PackPair(j, i));
+    if (i > j && back != PairHistograms::kNoSlot) {
       continue;  // handled from the (j, i) side
     }
-    const auto it_fwd = histograms.find(PackPair(i, j));
-    const auto it_bwd = histograms.find(PackPair(j, i));
-    DirectedGainHistogram fwd;
-    DirectedGainHistogram bwd;
-    if (it_fwd != histograms.end()) fwd = it_fwd->second;
-    if (it_bwd != histograms.end()) bwd = it_bwd->second;
-    if (fwd.counts.empty()) fwd.Init(binning);
-    if (bwd.counts.empty()) bwd.Init(binning);
-    PairMoveProbabilities match = MatchHistograms(binning, fwd, bwd);
-    table.probabilities[PackPair(i, j)] = std::move(match.forward);
-    table.probabilities[PackPair(j, i)] = std::move(match.backward);
+    table->num_rows_ += i == j ? 1 : 2;
+    const bool two_sided = back != PairHistograms::kNoSlot;
+    MatchHistograms(binning, histograms.row(slot),
+                    two_sided ? histograms.row(back) : GainRow{},
+                    table->row(slot), two_sided ? table->row(back) : nullptr);
   }
 
   // §3.4 imbalanced swaps: spend spare capacity on unmatched positive bins,
   // highest gain first. Expected inflow is tracked so slack is not
-  // oversubscribed in expectation.
+  // oversubscribed in expectation. Bins without proposals have nothing
+  // unmatched, so only occupied bins are visited.
   if (use_capacity_slack) {
-    std::vector<double> slack(static_cast<size_t>(topo.k), 0.0);
+    std::vector<double>& slack = table->slack_;
+    slack.assign(static_cast<size_t>(topo.k), 0.0);
     for (BucketId b = 0; b < topo.k; ++b) {
       slack[static_cast<size_t>(b)] =
           static_cast<double>(topo.capacity[static_cast<size_t>(b)]) -
           static_cast<double>(partition.bucket_size(b));
     }
-    for (uint64_t key : keys) {
+    for (const auto& [key, slot] : order) {
       const BucketId to = static_cast<BucketId>(key & 0xffffffffULL);
-      auto& probs = table.probabilities[key];
-      const auto& counts = histograms.at(key).counts;
+      const GainRow counts = histograms.row(slot);
+      double* probs = table->row(slot);
       double& budget = slack[static_cast<size_t>(to)];
-      for (int bin = binning.num_bins() - 1; bin > binning.zero_bin();
-           --bin) {
+      for (int bin = PrevOccupiedBin(counts.occupied, bins - 1);
+           bin > binning.zero_bin();
+           bin = PrevOccupiedBin(counts.occupied, bin - 1)) {
         if (budget <= 0.0) break;
-        const double unmatched =
-            static_cast<double>(counts[static_cast<size_t>(bin)]) *
-            (1.0 - probs[static_cast<size_t>(bin)]);
+        const double count = static_cast<double>(counts.counts[bin]);
+        const double unmatched = count * (1.0 - probs[bin]);
         if (unmatched <= 0.0) continue;
         const double extra = std::min(unmatched, budget);
-        probs[static_cast<size_t>(bin)] +=
-            extra / static_cast<double>(counts[static_cast<size_t>(bin)]);
-        probs[static_cast<size_t>(bin)] =
-            std::min(1.0, probs[static_cast<size_t>(bin)]);
+        probs[bin] += extra / count;
+        probs[bin] = std::min(1.0, probs[bin]);
         budget -= extra;
       }
     }
   }
-  return table;
+
+  for (const auto& [key, slot] : order) {
+    const GainRow counts = histograms.row(slot);
+    const double* probs = table->row(slot);
+    for (int bin = PrevOccupiedBin(counts.occupied, bins - 1); bin >= 0;
+         bin = PrevOccupiedBin(counts.occupied, bin - 1)) {
+      if (probs[bin] > 0.0) {
+        table->live_[slot] = 1;
+        break;
+      }
+    }
+  }
 }
 
 MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
@@ -380,7 +538,6 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
   const VertexId n = partition->num_data();
   SHP_CHECK_EQ(targets.size(), n);
   MoveOutcome outcome;
-  const GainBinning& binning = options_.binning;
 
   // Directed gain histograms per ordered bucket pair (the master state;
   // O(#occupied pairs × bins) memory, k²·bins worst case as in the paper).
@@ -403,37 +560,22 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
   }
 #ifndef NDEBUG
   hist_.CheckMatchesRebuild(std::views::iota(VertexId{0}, n), *partition,
-                            targets, gains);
+                            targets, gains, &hist_contrib_);
 #endif
   outcome.num_proposals = hist_.num_proposals();
+  ComputePairProbabilities(topo, hist_, *partition,
+                           options_.use_capacity_slack, &table_);
 
-  std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
-  hist_.MergeInto(&histograms);
-  const PairProbabilityTable table = ComputePairProbabilities(
-      topo, binning, histograms, *partition, options_.use_capacity_slack);
-
-  // Superstep 4: probabilistic simultaneous moves.
-  const ProbabilityDraw draw(table, options_, seed, iteration);
-  std::vector<uint8_t> decided(n, 0);
-  const size_t num_workers = std::max<size_t>(1, pool->num_threads());
-  std::vector<uint64_t> draws_per_worker(num_workers, 0);
-  pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-    uint64_t draws = 0;
-    for (size_t i = begin; i < end; ++i) {
-      const VertexId v = static_cast<VertexId>(i);
-      if (targets[v] >= 0 && draw.Fires(v, partition->bucket_of(v),
-                                        targets[v], gains[v], &draws)) {
-        decided[v] = 1;
-      }
-    }
-    draws_per_worker[w] += draws;
-  });
-  for (const uint64_t d : draws_per_worker) outcome.num_draws += d;
-
+  // Superstep 4: probabilistic simultaneous moves. A vertex's contribution
+  // names its proposal's row and bin, so the draw needs no lookup.
+  const ProbabilityDraw draw(table_, options_, seed, iteration);
+  const auto fires = [&](VertexId v, uint64_t* draws) {
+    const PairHistograms::Contribution c = hist_contrib_[v];
+    return c.slot != PairHistograms::kNoSlot &&
+           draw.Fires(v, c.slot, c.bin, draws);
+  };
   std::vector<VertexId> moved;
-  for (VertexId v = 0; v < n; ++v) {
-    if (decided[v]) moved.push_back(v);
-  }
+  DrawMovers(pool, n, fires, &mover_lists_, &moved, &outcome.num_draws);
   ExecuteMoves(topo, options_.max_moves_per_round, targets, gains, &moved,
                &original_, partition, &outcome);
   return outcome;
@@ -445,46 +587,50 @@ void MoveBroker::RepairBalance(const MoveTopology& topo,
                                const std::vector<double>& gains,
                                Partition* partition, MoveOutcome* outcome) {
   // Group this round's inbound moves per destination bucket, lowest gain
-  // first (ties broken by vertex id) so reversions sacrifice the least.
-  std::unordered_map<BucketId, std::vector<VertexId>> inbound;
-  for (VertexId v : moved) inbound[partition->bucket_of(v)].push_back(v);
-  for (auto& [b, candidates] : inbound) {
-    std::sort(candidates.begin(), candidates.end(),
-              [&gains](VertexId a, VertexId c) {
-                if (gains[a] != gains[c]) return gains[a] < gains[c];
-                return a < c;
-              });
+  // first (ties broken by vertex id) so reversions sacrifice the least: one
+  // array sorted by (bucket, gain, id), with a cursor range per bucket.
+  struct Group {
+    BucketId bucket;
+    size_t next;  ///< first arrival not reverted yet
+    size_t end;
+  };
+  std::vector<VertexId> inbound(moved.begin(), moved.end());
+  std::sort(inbound.begin(), inbound.end(), [&](VertexId a, VertexId c) {
+    const BucketId ba = partition->bucket_of(a);
+    const BucketId bc = partition->bucket_of(c);
+    if (ba != bc) return ba < bc;
+    if (gains[a] != gains[c]) return gains[a] < gains[c];
+    return a < c;
+  });
+  std::vector<Group> groups;
+  for (size_t i = 0; i < inbound.size(); ++i) {
+    const BucketId b = partition->bucket_of(inbound[i]);
+    if (groups.empty() || groups.back().bucket != b) {
+      groups.push_back({b, i, i});
+    }
+    groups.back().end = i + 1;
   }
 
-  // Iterate to a fixpoint: a reversion returns a vertex to its original
-  // bucket, which may push *that* bucket over capacity, whose own arrivals
-  // are then revertible. Reverting every arrival restores the pre-round
-  // state, which satisfied all capacities, so the loop terminates with all
-  // buckets within capacity (or with nothing left to revert, if the caller
-  // handed us an infeasible pre-round state).
+  // Iterate to a fixpoint, bucket-ascending in each pass: a reversion
+  // returns a vertex to its original bucket, which may push *that* bucket
+  // over capacity, whose own arrivals are then revertible. Reverting every
+  // arrival restores the pre-round state, which satisfied all capacities,
+  // so the loop terminates with all buckets within capacity (or with
+  // nothing left to revert, if the caller handed us an infeasible pre-round
+  // state).
   bool changed = true;
   while (changed) {
     changed = false;
-    std::vector<BucketId> buckets;
-    buckets.reserve(inbound.size());
-    for (const auto& [b, vs] : inbound) {
-      if (!vs.empty()) buckets.push_back(b);
-    }
-    std::sort(buckets.begin(), buckets.end());
-    for (BucketId b : buckets) {
-      const uint64_t cap = topo.capacity[static_cast<size_t>(b)];
-      auto& candidates = inbound[b];
-      size_t next = 0;
-      while (partition->bucket_size(b) > cap && next < candidates.size()) {
-        const VertexId v = candidates[next++];
+    for (Group& g : groups) {
+      const uint64_t cap = topo.capacity[static_cast<size_t>(g.bucket)];
+      while (partition->bucket_size(g.bucket) > cap && g.next < g.end) {
+        const VertexId v = inbound[g.next++];
         partition->Move(v, original_bucket[v]);
         ++outcome->num_reverted;
         --outcome->num_moved;
         outcome->gain_moved -= gains[v];
         changed = true;
       }
-      candidates.erase(candidates.begin(),
-                       candidates.begin() + static_cast<int64_t>(next));
     }
   }
 }

@@ -17,8 +17,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -97,71 +97,160 @@ inline uint64_t PackPair(BucketId from, BucketId to) {
 /// Contribution per vertex — where its proposal currently counts — so a
 /// changed proposal costs two counter updates instead of a term in an O(n)
 /// re-accumulation. The threaded MoveBroker holds one instance over all
-/// vertices; the BSP engine holds one per worker over its shard. A pair is
-/// dropped as soon as its last proposal leaves, so only live pairs remain.
-/// Cache-line aligned: BSP workers update their own instances concurrently.
+/// vertices; the BSP engine holds one per worker over its shard, and its
+/// master one more, the sum of those.
+///
+/// Flat storage, reused across rounds: each live pair owns a slot — a row
+/// of per-bin counts, an occupied-bin bitmask and a live total — found
+/// through an open-addressing key→slot index (linear probing, Fibonacci
+/// hashing of the whole PackPair key, backward-shift deletes). A pair is
+/// dropped as soon as its last proposal leaves, and its slot goes to a free
+/// list for the next new pair, so only live pairs are indexed and a steady
+/// state allocates nothing. The superstep-4 probability table keeps one row
+/// per slot. Cache-line aligned: BSP workers update their own instances
+/// concurrently.
 class alignas(64) PairHistograms {
  public:
   static constexpr uint64_t kNoPair = ~0ull;
-  /// Where one vertex's proposal counts; pair == kNoPair when nowhere.
+  static constexpr uint32_t kNoSlot = ~0u;
+  /// Where one vertex's proposal counts: its pair's slot and its gain bin;
+  /// slot == kNoSlot when nowhere.
   struct Contribution {
-    uint64_t pair = kNoPair;
+    uint32_t slot = kNoSlot;
     int32_t bin = 0;
   };
 
-  explicit PairHistograms(const GainBinning& binning) : binning_(binning) {}
+  explicit PairHistograms(const GainBinning& binning);
+
+  const GainBinning& binning() const { return binning_; }
 
   /// Drops every histogram. The caller resets its contributions.
-  void Clear() {
-    pairs_.clear();
-    num_proposals_ = 0;
-  }
+  void Clear();
 
   /// Re-derives one vertex's contribution: removes the counter *c records,
   /// then counts the proposal (from → target, gain) unless target < 0.
   /// Idempotent, so duplicate updates of one vertex are harmless.
   void Update(Contribution* c, BucketId from, BucketId target, double gain);
 
-  /// Adds every live pair's counts into *merged (the master merge).
-  void MergeInto(
-      std::unordered_map<uint64_t, DirectedGainHistogram>* merged) const;
+  /// Makes this instance the sum of `parts` (the BSP master merge). Pairs
+  /// this instance already holds keep their slots; (*slot_maps)[w][s] is
+  /// the slot here of parts[w]'s slot s (kNoSlot for a free one).
+  void AssignSum(std::span<const PairHistograms> parts,
+                 std::vector<std::vector<uint32_t>>* slot_maps);
 
-  uint64_t num_pairs() const { return pairs_.size(); }
+  /// Slot of the pair `key` (PackPair), or kNoSlot when it is not live.
+  uint32_t Find(uint64_t key) const;
+
+  /// Slots handed out so far, live or free; slot ids lie below it.
+  uint32_t num_slots() const { return static_cast<uint32_t>(slot_key_.size()); }
+  /// PackPair key of a slot's pair; kNoPair for a free slot.
+  uint64_t key(uint32_t slot) const { return slot_key_[slot]; }
+  GainRow row(uint32_t slot) const {
+    return {&counts_[static_cast<size_t>(slot) * bins_],
+            &occupied_[static_cast<size_t>(slot) * words_]};
+  }
+  uint32_t count(uint32_t slot, int bin) const {
+    return counts_[static_cast<size_t>(slot) * bins_ +
+                   static_cast<size_t>(bin)];
+  }
+
+  uint64_t num_pairs() const { return num_pairs_; }
   uint64_t num_proposals() const { return num_proposals_; }
 
   /// Debug cross-check: the patched histograms must equal a from-scratch
-  /// accumulation of the proposals of `vertices`.
+  /// accumulation of the proposals of `vertices`, and, if `contrib` is
+  /// given, each such vertex's contribution must name its proposal's pair
+  /// slot and gain bin.
   template <typename Vertices>
   void CheckMatchesRebuild(const Vertices& vertices,
                            const Partition& partition,
                            const std::vector<BucketId>& targets,
-                           const std::vector<double>& gains) const;
+                           const std::vector<double>& gains,
+                           const std::vector<Contribution>* contrib) const;
 
  private:
-  struct PairState {
-    DirectedGainHistogram hist;
-    uint64_t total = 0;  ///< live proposals; the pair is dropped at 0
+  struct IndexCell {
+    uint64_t key = kNoPair;  ///< kNoPair: empty
+    uint32_t slot = kNoSlot;
   };
 
+  size_t Home(uint64_t key) const {
+    // The top bits of the product depend on both halves of the key; the low
+    // bits would ignore `from` (key >> 32) entirely.
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+  /// Slot of `key`, allocating one (index entry + zeroed row) if absent.
+  uint32_t Acquire(uint64_t key);
+  /// Drops the pair of a slot whose total reached 0 (its row is all zero).
+  void Release(uint32_t slot);
+  /// Doubles the index and re-inserts every live pair.
+  void GrowIndex();
+  /// Adds n to the count of `bin` in `slot`, keeping the bitmask.
+  void AddCount(uint32_t slot, int bin, uint32_t n);
+
   GainBinning binning_;
-  std::unordered_map<uint64_t, PairState> pairs_;
+  int bins_;
+  int words_;
+  int shift_;  ///< 64 − log2(index_.size())
+  std::vector<IndexCell> index_;
+  std::vector<uint64_t> slot_key_;   ///< per slot
+  std::vector<uint32_t> totals_;     ///< per slot: live proposals
+  std::vector<uint32_t> counts_;     ///< slot × bins
+  std::vector<uint64_t> occupied_;   ///< slot × words
+  std::vector<uint32_t> free_slots_;
+  uint64_t num_pairs_ = 0;
   uint64_t num_proposals_ = 0;
 };
 
-/// Master-side state: per directed bucket pair (PackPair), per-gain-bin move
-/// probabilities.
-struct PairProbabilityTable {
-  std::unordered_map<uint64_t, std::vector<double>> probabilities;
+/// Superstep-4 probabilities, one row per slot of the PairHistograms they
+/// were computed from (ComputePairProbabilities): per-gain-bin move
+/// probabilities for that directed pair, and whether any is positive. A row
+/// is meaningful on its pair's occupied bins only — every other bin has
+/// probability 0 (no proposal to move), whatever the storage holds — so a
+/// round writes O(occupied bins), not pairs × num_bins. Reused across
+/// rounds: a steady state allocates nothing.
+class PairProbabilityTable {
+ public:
+  /// Probability of gain bin `bin` on the pair in histogram slot `slot`.
+  double Probability(uint32_t slot, int bin) const {
+    return hist_->count(slot, bin) == 0 ? 0.0 : ProbabilityAt(slot, bin);
+  }
 
-  /// Probability for a proposal (from, to, gain); 0 if the pair is unknown.
-  double Lookup(const GainBinning& binning, BucketId from, BucketId to,
-                double gain) const;
+  /// Whether slot's row holds any positive entry — the superstep-4 draw
+  /// floor's support set. A proposal on any other pair draws against
+  /// probability 0 in every bin, so its draw can never fire and is skipped
+  /// without changing the move trajectory.
+  bool live(uint32_t slot) const { return live_[slot] != 0; }
 
-  /// Keys of pairs whose probability row holds any positive entry — the
-  /// superstep-4 draw floor's support set. A proposal on any other pair
-  /// draws against probability 0 in every bin, so its draw can never fire
-  /// and is skipped without changing the move trajectory.
-  std::unordered_set<uint64_t> LivePairKeys() const;
+  /// Rows of the broadcast table: two per unordered bucket pair with a live
+  /// direction (the missing direction's row is all zero), one for a pair
+  /// from a bucket to itself.
+  uint64_t num_rows() const { return num_rows_; }
+
+ private:
+  friend class ProbabilityDraw;
+  friend void ComputePairProbabilities(const MoveTopology& topo,
+                                       const PairHistograms& histograms,
+                                       const Partition& partition,
+                                       bool use_capacity_slack,
+                                       PairProbabilityTable* table);
+
+  double ProbabilityAt(uint32_t slot, int bin) const {
+    return probs_[static_cast<size_t>(slot) * bins_ + static_cast<size_t>(bin)];
+  }
+  double* row(uint32_t slot) {
+    return &probs_[static_cast<size_t>(slot) * bins_];
+  }
+
+  const PairHistograms* hist_ = nullptr;
+  size_t bins_ = 0;
+  std::vector<double> probs_;  ///< slot × bins
+  std::vector<uint8_t> live_;  ///< per slot
+  uint64_t num_rows_ = 0;
+  /// ComputePairProbabilities scratch: (key, slot) of the live pairs in
+  /// ascending key order, and per-bucket capacity slack.
+  std::vector<std::pair<uint64_t, uint32_t>> order_;
+  std::vector<double> slack_;
 };
 
 /// Superstep-4 probabilistic draw against a matched probability table,
@@ -175,45 +264,47 @@ class ProbabilityDraw {
                   const MoveBrokerOptions& options, uint64_t seed,
                   uint64_t iteration);
 
-  /// True iff the proposal (v: from → target, gain) moves this round; every
-  /// evaluated draw increments *draws. Draw floor: a proposal on a pair whose
-  /// probability row is all zero can never fire, so its draw is skipped —
-  /// the trajectory is that of drawing everything, while a converged
-  /// instance stops paying for dead pairs.
-  bool Fires(VertexId v, BucketId from, BucketId target, double gain,
-             uint64_t* draws) const {
-    if (!live_pairs_.contains(PackPair(from, target))) {
+  /// True iff v's proposal moves this round; `slot` and `bin` say where it
+  /// counts in the table's histograms (its Contribution, mapped into the
+  /// master instance on the BSP engine). Every evaluated draw increments
+  /// *draws. Draw floor: a proposal on a pair whose probability row is all
+  /// zero can never fire, so its draw is skipped — the trajectory is that
+  /// of drawing everything, while a converged instance stops paying for
+  /// dead pairs.
+  bool Fires(VertexId v, uint32_t slot, int bin, uint64_t* draws) const {
+    if (!table_.live(slot)) {
       // HashToUnitDouble lies in [0, 1), so a probability-0 draw never
       // fires.
-      SHP_DCHECK(table_.Lookup(binning_, from, target, gain) == 0.0)
+      SHP_DCHECK(table_.Probability(slot, bin) == 0.0)
           << "draw floor skipped a live proposal of v=" << v;
       return false;
     }
     ++*draws;
-    const double prob = std::min(table_.Lookup(binning_, from, target, gain),
-                                 max_move_probability_) *
-                        probability_damping_;
+    const double prob =
+        std::min(table_.ProbabilityAt(slot, bin), max_move_probability_) *
+        probability_damping_;
     return HashToUnitDouble(seed_ ^ 0x5108e77a, iteration_, v) < prob;
   }
 
  private:
   const PairProbabilityTable& table_;
-  GainBinning binning_;
   double max_move_probability_;
   double probability_damping_;
   uint64_t seed_;
   uint64_t iteration_;
-  std::unordered_set<uint64_t> live_pairs_;
 };
 
 /// The master computation of supersteps 3-4 under histogram matching:
 /// matches the two directed histograms of every bucket pair and (optionally)
-/// spends spare capacity on unmatched positive bins (§3.4 imbalanced swaps).
-/// Shared between the threaded MoveBroker and the BSP master.
-PairProbabilityTable ComputePairProbabilities(
-    const MoveTopology& topo, const GainBinning& binning,
-    const std::unordered_map<uint64_t, DirectedGainHistogram>& histograms,
-    const Partition& partition, bool use_capacity_slack);
+/// spends spare capacity on unmatched positive bins (§3.4 imbalanced swaps),
+/// in ascending pair-key order. Reads `histograms` in place and writes
+/// *table's rows aligned with its slots; `histograms` must outlive the
+/// table's use. Shared between the threaded MoveBroker and the BSP master.
+void ComputePairProbabilities(const MoveTopology& topo,
+                              const PairHistograms& histograms,
+                              const Partition& partition,
+                              bool use_capacity_slack,
+                              PairProbabilityTable* table);
 
 class MoveBroker {
  public:
@@ -305,38 +396,65 @@ class MoveBroker {
   MoveBrokerOptions options_;
 
   // kHistogramMatching master state kept across rounds (see Apply's
-  // `changed` list), with one contribution per vertex.
+  // `changed` list), with one contribution per vertex, and the probability
+  // table reused from round to round.
   PairHistograms hist_;
   std::vector<PairHistograms::Contribution> hist_contrib_;
   bool hist_valid_ = false;
+  PairProbabilityTable table_;
 
+  std::vector<std::vector<VertexId>> mover_lists_;  ///< per pool worker
   std::vector<BucketId> original_;  ///< ExecuteMoves scratch
 };
 
 template <typename Vertices>
 void PairHistograms::CheckMatchesRebuild(
     const Vertices& vertices, const Partition& partition,
-    const std::vector<BucketId>& targets,
-    const std::vector<double>& gains) const {
-  std::unordered_map<uint64_t, DirectedGainHistogram> fresh;
+    const std::vector<BucketId>& targets, const std::vector<double>& gains,
+    const std::vector<Contribution>* contrib) const {
+  // The fresh accumulation is laid out on this instance's slots: a proposal
+  // on a pair without a slot is itself the divergence.
+  std::vector<uint32_t> fresh(counts_.size(), 0);
   uint64_t proposals = 0;
   for (const VertexId v : vertices) {
+    const BucketId from = partition.bucket_of(v);
+    const uint32_t slot =
+        targets[v] < 0 ? kNoSlot : Find(PackPair(from, targets[v]));
+    const int bin = binning_.BinFor(gains[v]);
+    if (contrib != nullptr) {
+      const Contribution& c = (*contrib)[v];
+      SHP_CHECK(c.slot == slot && (slot == kNoSlot || c.bin == bin))
+          << "contribution of v=" << v << " does not name its proposal";
+    }
     if (targets[v] < 0) continue;
     ++proposals;
-    DirectedGainHistogram& h =
-        fresh[PackPair(partition.bucket_of(v), targets[v])];
-    if (h.counts.empty()) h.Init(binning_);
-    h.Add(binning_, gains[v]);
+    SHP_CHECK(slot != kNoSlot)
+        << "incremental histograms lost pair " << from << "->" << targets[v];
+    ++fresh[static_cast<size_t>(slot) * bins_ + static_cast<size_t>(bin)];
   }
   SHP_CHECK_EQ(proposals, num_proposals_);
-  SHP_CHECK_EQ(fresh.size(), pairs_.size())
-      << "incremental histogram pair set diverged from full accumulation";
-  for (const auto& [key, h] : fresh) {
-    const auto it = pairs_.find(key);
-    SHP_CHECK(it != pairs_.end() && it->second.hist.counts == h.counts)
-        << "incremental histogram diverged from full accumulation (pair "
-        << (key >> 32) << "->" << (key & 0xffffffffULL) << ")";
+  uint64_t live = 0;
+  for (uint32_t slot = 0; slot < num_slots(); ++slot) {
+    const size_t base = static_cast<size_t>(slot) * bins_;
+    uint64_t total = 0;
+    for (int bin = 0; bin < bins_; ++bin) {
+      const uint32_t c = counts_[base + static_cast<size_t>(bin)];
+      const bool bit = (occupied_[static_cast<size_t>(slot) * words_ +
+                                  static_cast<size_t>(bin / 64)] >>
+                        (bin % 64)) & 1;
+      SHP_CHECK(c == fresh[base + static_cast<size_t>(bin)] &&
+                bit == (c > 0))
+          << "incremental histogram diverged from full accumulation (pair "
+          << (slot_key_[slot] >> 32) << "->"
+          << (slot_key_[slot] & 0xffffffffULL) << ")";
+      total += c;
+    }
+    SHP_CHECK_EQ(total, totals_[slot]);
+    SHP_CHECK((total > 0) == (slot_key_[slot] != kNoPair))
+        << "slot " << slot << " is live without proposals, or the reverse";
+    live += total > 0;
   }
+  SHP_CHECK_EQ(live, num_pairs_);
 }
 
 }  // namespace shp

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ranges>
 #include <span>
 #include <type_traits>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -62,6 +62,7 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
       gain_(options.p, static_cast<uint32_t>(graph.MaxQueryDegree()),
             options.future_splits),
       sharding_(config.num_workers, config.shard_seed),
+      master_hist_(options.broker.binning),
       log_(log) {
   SHP_CHECK_GT(config.num_workers, 0);
   const size_t W = static_cast<size_t>(config.num_workers);
@@ -200,8 +201,8 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   ExchangeNeighborData(topo, *partition, anchor, anchor_penalty,
                        round.stats.degraded_links > 0, pool, &round);
   ProposeMoves(topo, *partition, anchor, anchor_penalty, pool, &round);
-  const auto histograms = UploadHistograms(*partition, pool, &round);
-  DrawAndExecute(topo, histograms, seed, iteration, partition, pool, &round);
+  UploadHistograms(*partition, pool, &round);
+  DrawAndExecute(topo, seed, iteration, partition, pool, &round);
 
   if (log_ != nullptr) {
     for (SuperstepStats* s : supersteps) log_->push_back(std::move(*s));
@@ -750,9 +751,8 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
 #endif
 }
 
-std::unordered_map<uint64_t, DirectedGainHistogram>
-BspRefiner::UploadHistograms(const Partition& partition, ThreadPool* pool,
-                             RoundState* round) {
+void BspRefiner::UploadHistograms(const Partition& partition,
+                                  ThreadPool* pool, RoundState* round) {
   const int W = config_.num_workers;
   // data -> master: per-worker (bucket-pair, gain-bin) histograms,
   // maintained incrementally from the compact changed-proposal list. Each
@@ -797,51 +797,58 @@ BspRefiner::UploadHistograms(const Partition& partition, ThreadPool* pool,
   for (int w = 0; w < W; ++w) {
     worker_hist_[static_cast<size_t>(w)].CheckMatchesRebuild(
         data_shards_[static_cast<size_t>(w)], partition, cached_target_,
-        cached_gain_);
+        cached_gain_, &hist_contrib_);
   }
 #endif
 
   // Master merge (the master is a distinct machine; every worker's
-  // histogram entries cross the wire).
-  std::unordered_map<uint64_t, DirectedGainHistogram> histograms;
+  // histogram entries cross the wire) into its reused flat instance.
   uint64_t remote_entries = 0;
   for (const PairHistograms& hist : worker_hist_) {
-    hist.MergeInto(&histograms);
     remote_entries += hist.num_pairs() *
                       static_cast<uint64_t>(options_.broker.binning.num_bins());
     round->stats.num_proposals += hist.num_proposals();
   }
+  master_hist_.AssignSum(worker_hist_, &master_slots_);
+#ifndef NDEBUG
+  master_hist_.CheckMatchesRebuild(
+      std::views::iota(VertexId{0}, graph_.num_data()), partition,
+      cached_target_, cached_gain_, nullptr);
+#endif
   round->s3.label = "3:propose-to-master";
   round->s3.traffic.remote_messages = remote_entries;
   round->s3.traffic.remote_bytes = remote_entries * sizeof(uint64_t);
-  return histograms;
 }
 
-void BspRefiner::DrawAndExecute(
-    const MoveTopology& topo,
-    const std::unordered_map<uint64_t, DirectedGainHistogram>& histograms,
-    uint64_t seed, uint64_t iteration, Partition* partition, ThreadPool* pool,
-    RoundState* round) {
+void BspRefiner::DrawAndExecute(const MoveTopology& topo, uint64_t seed,
+                                uint64_t iteration, Partition* partition,
+                                ThreadPool* pool, RoundState* round) {
   const int W = config_.num_workers;
   // master -> data: probabilities; vertices draw and move; master repairs.
   // Active proposals draw unless their pair row is all zero (the draw
   // floor of ProbabilityDraw — skipping a probability-0 draw cannot change
   // the trajectory), and the drawn movers land in compact per-worker lists,
   // so execution, repair, and next round's superstep 1 touch O(moved) state.
-  const PairProbabilityTable table = ComputePairProbabilities(
-      topo, options_.broker.binning, histograms, *partition,
-      options_.broker.use_capacity_slack);
-  const ProbabilityDraw draw(table, options_.broker, seed, iteration);
+  // A vertex's contribution, mapped into the master instance, names its
+  // proposal's probability row and bin, so the draw needs no lookup.
+  ComputePairProbabilities(topo, master_hist_, *partition,
+                           options_.broker.use_capacity_slack, &table_);
+  const ProbabilityDraw draw(table_, options_.broker, seed, iteration);
   std::vector<uint64_t> draws(static_cast<size_t>(W), 0);
   for (auto& movers : mover_lists_) movers.clear();
   AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
     uint64_t work = 0;
     std::vector<VertexId>& movers = mover_lists_[static_cast<size_t>(w)];
+    const std::vector<uint32_t>& to_master =
+        master_slots_[static_cast<size_t>(w)];
     for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-      if (cached_target_[v] < 0) continue;
+      const PairHistograms::Contribution c = hist_contrib_[v];
+      if (c.slot == PairHistograms::kNoSlot) continue;
       ++work;
-      if (draw.Fires(v, partition->bucket_of(v), cached_target_[v],
-                     cached_gain_[v], &draws[static_cast<size_t>(w)])) {
+      const uint32_t slot = to_master[c.slot];
+      SHP_DCHECK(master_hist_.key(slot) ==
+                 PackPair(partition->bucket_of(v), cached_target_[v]));
+      if (draw.Fires(v, slot, c.bin, &draws[static_cast<size_t>(w)])) {
         movers.push_back(v);
       }
     }
@@ -874,15 +881,16 @@ void BspRefiner::DrawAndExecute(
     sweep_valid_ = false;
   }
 
-  // Broadcast: the probability table goes to every worker.
+  // Broadcast: the probability table goes to every worker, one row (key +
+  // a float per bin) per message.
   round->s4.label = "4:probabilities+moves";
-  uint64_t table_bytes = 0;
-  for (const auto& [key, probs] : table.probabilities) {
-    table_bytes += sizeof(uint64_t) + probs.size() * sizeof(float);
-  }
+  const uint64_t row_bytes =
+      sizeof(uint64_t) +
+      static_cast<uint64_t>(options_.broker.binning.num_bins()) * sizeof(float);
   round->s4.traffic.remote_messages =
-      table.probabilities.size() * static_cast<uint64_t>(W);
-  round->s4.traffic.remote_bytes = table_bytes * static_cast<uint64_t>(W);
+      table_.num_rows() * static_cast<uint64_t>(W);
+  round->s4.traffic.remote_bytes =
+      table_.num_rows() * row_bytes * static_cast<uint64_t>(W);
 
   stats.num_moved = outcome.num_moved;
   stats.num_reverted = outcome.num_reverted;

@@ -82,7 +82,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/checkpoint.h"
@@ -226,17 +225,15 @@ class BspRefiner : public RefinerInterface {
                     ThreadPool* pool, RoundState* round);
 
   /// Superstep 3: updates each worker's pair histograms from its changed
-  /// proposals and returns the master's merge of all of them.
-  std::unordered_map<uint64_t, DirectedGainHistogram> UploadHistograms(
-      const Partition& partition, ThreadPool* pool, RoundState* round);
+  /// proposals and merges all of them into the master's (master_hist_).
+  void UploadHistograms(const Partition& partition, ThreadPool* pool,
+                        RoundState* round);
 
   /// Superstep 4: the master's probabilities go out, proposals draw, and
   /// the drawn movers execute with balance repair.
-  void DrawAndExecute(
-      const MoveTopology& topo,
-      const std::unordered_map<uint64_t, DirectedGainHistogram>& histograms,
-      uint64_t seed, uint64_t iteration, Partition* partition,
-      ThreadPool* pool, RoundState* round);
+  void DrawAndExecute(const MoveTopology& topo, uint64_t seed,
+                      uint64_t iteration, Partition* partition,
+                      ThreadPool* pool, RoundState* round);
 
   // ---- bodies shared by several superstep paths ----
 
@@ -356,6 +353,12 @@ class BspRefiner : public RefinerInterface {
   std::vector<PairHistograms> worker_hist_;
   std::vector<PairHistograms::Contribution> hist_contrib_;
   bool hist_valid_ = false;
+  // The master's merge of the worker histograms, reused across rounds;
+  // master_slots_[w][s] is the master slot of worker w's slot s, so a
+  // vertex's contribution names its row of the master's probability table.
+  PairHistograms master_hist_;
+  std::vector<std::vector<uint32_t>> master_slots_;
+  PairProbabilityTable table_;
 
   // Reusable per-iteration scratch: each keeps its capacity across
   // iterations, so steady-state supersteps allocate nothing here.

@@ -70,28 +70,6 @@ std::span<const Entry> InWindow(std::span<const Entry> list,
   return {lo, hi};
 }
 
-/// Folds (support += sup, affinity += add, drop at support 0) into an owned
-/// (overflowed) accumulator vector.
-void ApplyToVec(std::vector<AffinityEntry>* vec, BucketId b, double add,
-                int32_t sup, int64_t* live_delta) {
-  auto it = std::lower_bound(
-      vec->begin(), vec->end(), b,
-      [](const AffinityEntry& e, BucketId bucket) { return e.bucket < bucket; });
-  if (it != vec->end() && it->bucket == b) {
-    it->affinity += add;
-    SHP_DCHECK(sup >= 0 || it->support > 0);
-    it->support = static_cast<uint32_t>(static_cast<int64_t>(it->support) + sup);
-    if (it->support == 0) {
-      vec->erase(it);
-      --*live_delta;
-    }
-    return;
-  }
-  SHP_DCHECK(sup == 1) << "accumulator entry absent for a non-insert delta";
-  vec->insert(it, {b, 1, add});
-  ++*live_delta;
-}
-
 /// Per-thread dense k-wide accumulator for one vertex at a time: a slot per
 /// bucket plus the touched-bucket list that resets it in O(touched) (the
 /// QueryNeighborData::Build idiom). Each Add lands on its slot in call
@@ -206,6 +184,125 @@ class DenseAccumulator {
   size_t sorted_prefix_ = 0;
   uint32_t live_ = 0;
 };
+
+/// Per-thread scratch of the sparse patch kernel (few ops against a wide
+/// accumulator). A vertex's ops are put in bucket order — within a bucket,
+/// the canonical order they were added in (ascending q, each chain in
+/// emission order) — by one O(m log m) sort of (bucket, arrival) keys, and
+/// then merged into the bucket-sorted accumulator in one linear pass with
+/// DenseAccumulator::FoldChain's semantics.
+template <typename Op>  // AffinitySweep::PatchOp
+class SparseMerge {
+ public:
+  /// Starts a vertex.
+  void Clear() {
+    keys_.clear();
+    ops_.clear();
+  }
+
+  /// Appends the vertex's next op in canonical order.
+  void Add(const Op* op) {
+    keys_.push_back((static_cast<uint64_t>(op->bucket) << 32) | ops_.size());
+    ops_.push_back(op);
+  }
+
+  /// Merges the ops into the bucket-sorted accumulator data[0, size). Up
+  /// to the first op that inserts or drops an entry, the ops fold in place:
+  /// no entry moves and only the written lines are dirtied. From there on,
+  /// the merged rest lands in tail()[0, tail_size()) and replaces
+  /// data[begin(), size). Returns the change in entry count.
+  int64_t Merge(AffinityEntry* data, uint32_t size) {
+    // Keys are distinct, so the sort is deterministic and keeps each
+    // bucket's ops in arrival order.
+    std::sort(keys_.begin(), keys_.end());
+    AffinityEntry* in = data;
+    AffinityEntry* const in_end = data + size;
+    size_t i = 0;
+    while (i < keys_.size()) {
+      const BucketId b = BucketOf(keys_[i]);
+      in = std::lower_bound(in, in_end, b,
+                            [](const AffinityEntry& e, BucketId bucket) {
+                              return e.bucket < bucket;
+                            });
+      if (in == in_end || in->bucket != b) break;  // inserts b
+      double affinity = in->affinity;
+      uint32_t support = in->support;
+      const size_t next = Fold(i, &affinity, &support);
+      if (support == 0) break;  // drops b
+      in->affinity = affinity;
+      in->support = support;
+      ++in;
+      i = next;
+    }
+    begin_ = static_cast<uint32_t>(in - data);
+    tail_size_ = 0;
+    if (i == keys_.size()) return 0;
+
+    const size_t need = static_cast<size_t>(in_end - in) + keys_.size() - i;
+    if (need > capacity_) {
+      capacity_ = std::max(need, 2 * capacity_);
+      tail_ = std::make_unique_for_overwrite<AffinityEntry[]>(capacity_);
+    }
+    AffinityEntry* out = tail_.get();
+    while (i < keys_.size()) {
+      const BucketId b = BucketOf(keys_[i]);
+      while (in != in_end && in->bucket < b) *out++ = *in++;
+      double affinity = 0.0;
+      uint32_t support = 0;
+      if (in != in_end && in->bucket == b) {
+        affinity = in->affinity;
+        support = in->support;
+        ++in;
+      }
+      i = Fold(i, &affinity, &support);
+      if (support > 0) *out++ = {b, support, affinity};
+    }
+    out = std::copy(in, in_end, out);
+    tail_size_ = static_cast<uint32_t>(out - tail_.get());
+    return static_cast<int64_t>(begin_) + tail_size_ -
+           static_cast<int64_t>(size);
+  }
+
+  uint32_t begin() const { return begin_; }
+  const AffinityEntry* tail() const { return tail_.get(); }
+  uint32_t tail_size() const { return tail_size_; }
+
+ private:
+  static BucketId BucketOf(uint64_t key) {
+    return static_cast<BucketId>(key >> 32);
+  }
+
+  /// Folds the ops of keys_[i]'s bucket into (affinity, support); returns
+  /// the index past them.
+  size_t Fold(size_t i, double* affinity, uint32_t* support) const {
+    const BucketId b = BucketOf(keys_[i]);
+    for (; i < keys_.size() && BucketOf(keys_[i]) == b; ++i) {
+      const Op& op = *ops_[static_cast<size_t>(keys_[i] & 0xffffffffULL)];
+      SHP_DCHECK(*support > 0 || op.sup == 1)
+          << "accumulator entry absent for a non-insert delta";
+      *affinity += op.add;
+      *support = static_cast<uint32_t>(static_cast<int64_t>(*support) + op.sup);
+      // Dropping the entry resets the float to an exact 0 — no cancellation
+      // drift survives an emptied bucket.
+      if (*support == 0) *affinity = 0.0;
+    }
+    return i;
+  }
+
+  std::vector<uint64_t> keys_;  ///< bucket << 32 | arrival index
+  std::vector<const Op*> ops_;  ///< by arrival index
+  std::unique_ptr<AffinityEntry[]> tail_;
+  size_t capacity_ = 0;
+  uint32_t begin_ = 0;
+  uint32_t tail_size_ = 0;
+};
+
+/// Starts pulling an accumulator into cache, one prefetch per cache line.
+inline void PrefetchEntries(const AffinityEntry* data, uint32_t size) {
+  const char* p = reinterpret_cast<const char*>(data);
+  const char* const end = p + static_cast<size_t>(size) * sizeof(AffinityEntry);
+  for (; p < end; p += 64) __builtin_prefetch(p);
+}
 
 }  // namespace
 
@@ -358,39 +455,6 @@ double AffinitySweep::AffinityFor(VertexId v, BucketId b) const {
   return 0.0;
 }
 
-// Defined ahead of its caller and inline: it is the sparse patch kernel's
-// per-op step.
-inline bool AffinitySweep::PatchInPlace(VertexId v, BucketId bucket,
-                                        double add, int32_t sup,
-                                        int64_t* live_delta) {
-  Loc& loc = loc_[v];
-  AffinityEntry* base = loc.data;
-  AffinityEntry* pos = std::lower_bound(
-      base, base + loc.size, bucket,
-      [](const AffinityEntry& e, BucketId b) { return e.bucket < b; });
-  if (pos != base + loc.size && pos->bucket == bucket) {
-    pos->affinity += add;
-    SHP_DCHECK(sup >= 0 || pos->support > 0);
-    pos->support =
-        static_cast<uint32_t>(static_cast<int64_t>(pos->support) + sup);
-    if (pos->support == 0) {
-      // Dropping the entry resets the float to an exact 0 — no cancellation
-      // drift survives an emptied bucket.
-      std::copy(pos + 1, base + loc.size, pos);
-      --loc.size;
-      --*live_delta;
-    }
-    return true;
-  }
-  SHP_DCHECK(sup == 1) << "accumulator entry absent for a non-insert delta";
-  if (loc.size == loc.cap) return false;
-  std::copy_backward(pos, base + loc.size, base + loc.size + 1);
-  *pos = {bucket, 1, add};
-  ++loc.size;
-  ++*live_delta;
-  return true;
-}
-
 uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
                                     std::span<const NeighborDelta> deltas,
                                     const PowTable& pow, ThreadPool* pool,
@@ -486,6 +550,7 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
     // Per-worker scratch on the worker's own stack: no false sharing.
     DenseAccumulator acc;
     acc.Reserve(max_bucket);
+    SparseMerge<PatchOp> merge;
     std::vector<std::pair<uint32_t, uint32_t>> runs;  // v's dirty-query runs
     for (size_t s = sbegin; s < send; ++s) {
       const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
@@ -500,10 +565,22 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
       ShardOverflow& ovf = overflow[s];
       int64_t delta = 0;
       uint64_t shard_folded = 0;
-      for (VertexId v = vbegin; v < vend; ++v) {
-        if (blast[v] == 0) continue;
+      // The next marked vertex at or after v with a non-empty window; the
+      // marks of empty-window vertices passed on the way are cleared.
+      const auto next_marked = [&](VertexId v) {
+        for (; v < vend; ++v) {
+          if (blast[v] == 0) continue;
+          if (!windowed || windows_[v].first < windows_[v].second) break;
+          blast[v] = 0;
+        }
+        return v;
+      };
+      for (VertexId v = next_marked(vbegin), next; v < vend; v = next) {
         blast[v] = 0;
-        if (windowed && windows_[v].first >= windows_[v].second) continue;
+        // Lookahead: the next vertex's accumulator streams in from memory
+        // while this one is patched.
+        next = next_marked(v + 1);
+        if (next < vend) PrefetchEntries(loc_[next].data, loc_[next].size);
         runs.clear();
         uint32_t m = 0;
         for (const VertexId q : graph.DataNeighbors(v)) {
@@ -527,7 +604,7 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
         Loc& loc = loc_[v];
         if (4 * static_cast<uint64_t>(m) >= loc.size) {
           // Dense kernel: load, fold, write back in one merge — O(|acc| +
-          // m) instead of a binary search (and splice) per op.
+          // m), no sort of the ops.
           const auto entries = Entries(v);
           if (!entries.empty()) acc.Reserve(entries.back().bucket);
           acc.Load(entries);
@@ -550,28 +627,30 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
           }
           continue;
         }
-        // Sparse kernel: few ops against a wide accumulator — binary-search
-        // each op in place, spilling to an owned copy if an insert finds no
-        // slack.
-        std::vector<AffinityEntry> spill;
-        bool spilled = false;
+        // Sparse kernel: few ops against a wide accumulator — one streaming
+        // merge: ops fold in place up to the first insert or drop, and the
+        // merged rest is written back in place, or to an owned copy when
+        // the result outgrows the slack.
+        merge.Clear();
         for (const auto& [first, last] : runs) {
-          for (uint32_t i = first; i < last; ++i) {
-            const PatchOp& op = ops[i];
-            if (!spilled) {
-              if (PatchInPlace(v, op.bucket, op.add, op.sup, &delta)) continue;
-              const auto entries = Entries(v);
-              spill.assign(entries.begin(), entries.end());
-              spilled = true;
-            }
-            ApplyToVec(&spill, op.bucket, op.add, op.sup, &delta);
-          }
+          for (uint32_t i = first; i < last; ++i) merge.Add(&ops[i]);
         }
-        if (on_patched) {
-          on_patched(v, spilled ? std::span<const AffinityEntry>(spill)
-                                : Entries(v));
+        const int64_t grow = merge.Merge(loc.data, loc.size);
+        delta += grow;
+        const uint32_t size = static_cast<uint32_t>(loc.size + grow);
+        if (size <= loc.cap) {
+          std::copy(merge.tail(), merge.tail() + merge.tail_size(),
+                    loc.data + merge.begin());
+          loc.size = size;
+          if (on_patched) on_patched(v, Entries(v));
+        } else {
+          std::vector<AffinityEntry> vec(size);
+          std::copy(loc.data, loc.data + merge.begin(), vec.data());
+          std::copy(merge.tail(), merge.tail() + merge.tail_size(),
+                    vec.data() + merge.begin());
+          if (on_patched) on_patched(v, vec);
+          ovf.emplace_back(v, std::move(vec));
         }
-        if (spilled) ovf.emplace_back(v, std::move(spill));
       }
       live_delta[s] = delta;
       folded[s] = shard_folded;

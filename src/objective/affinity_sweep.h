@@ -18,10 +18,11 @@
 // (q, bucket, old, new) records that QueryNeighborData::ApplyMoves emits,
 // indexes them per query, and patches only the vertices adjacent to a
 // changed query (a blast-radius byte mask, scanned once per call) — no
-// rescan of untouched queries' adjacency. Each
-// vertex applies its dirty queries' records in ascending q, either through
-// the dense scratch (when its op count m satisfies 4·m ≥ |acc_v|) or by a
-// binary search per record into the sorted accumulator. An optional
+// rescan of untouched queries' adjacency. Each vertex applies its dirty
+// queries' records in ascending q, either through the dense scratch (when
+// its op count m satisfies 4·m ≥ |acc_v|) or by one streaming merge of its
+// bucket-ordered ops into the sorted accumulator, while the next marked
+// vertex's accumulator is prefetched. An optional
 // PatchVisitor sees each patched vertex's final entries right after its
 // patch, while they are cache-hot: both refinement engines compute the
 // vertex's push proposal there instead of rescanning it later.
@@ -171,8 +172,13 @@ class AffinitySweep {
   /// records. Otherwise a call costs O(n) for the serial degree prefix and
   /// the blast-mask scans (n/shards bytes per worker), O(R) to group the
   /// records, O(shards · Σ_dirty q log deg(q)) to mark, and O(Σ_marked v
-  /// deg(v) + ops) to patch: beyond the two byte-cheap O(n) passes, the
-  /// cost follows the move blast radius. `pow` must match Build's.
+  /// (deg(v) + |acc_v| + m_v log m_v)) to patch: a vertex with m_v ops is
+  /// folded through the dense scratch (4·m_v ≥ |acc_v|) or by one streaming
+  /// merge of its bucket-sorted ops into the accumulator, while the next
+  /// marked vertex's accumulator is prefetched — a patch streams each
+  /// accumulator once, the way the engines' visitor reads it anyway.
+  /// Beyond the two byte-cheap O(n) passes, the cost follows the move blast
+  /// radius. `pow` must match Build's.
   ///
   /// A windowed sweep folds a record into v only when the record's bucket
   /// lies in v's window (each query's records are stably sorted by bucket
@@ -318,12 +324,6 @@ class AffinitySweep {
   /// Arena slack of v: kSlackPad, or none when v's window is empty (no
   /// record ever lands there).
   uint32_t SlackOf(VertexId v) const;
-
-  /// Folds one (bucket, affinity-add, support-delta) contribution into v's
-  /// arena accumulator. Returns false, changing nothing, when the delta
-  /// inserts a bucket and the accumulator has no slack left.
-  bool PatchInPlace(VertexId v, BucketId bucket, double add, int32_t sup,
-                    int64_t* live_delta);
 
   void MaybeCompact();
 

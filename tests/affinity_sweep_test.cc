@@ -595,7 +595,7 @@ TEST(AffinitySweepBitExact, ApplyDeltasMatchesSerialRecordMajorReference) {
   // Starts fully concentrated so early rounds keep occupying new buckets:
   // inserts exhaust the slack and relocate accumulators to the arena tail.
   // Batch sizes cycle from a single move (few ops against wide
-  // accumulators: the binary-search kernel) to 60 moves (the dense kernel).
+  // accumulators: the streaming merge kernel) to 60 moves (the dense kernel).
   // A Compact halfway must not change what later patches produce.
   const BipartiteGraph g = TestGraph(37);
   const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
@@ -646,13 +646,13 @@ TEST(AffinitySweepBitExact, ApplyDeltasMatchesSerialRecordMajorReference) {
 TEST(AffinitySweepBitExact, HandBuiltChainsCoverBothKernels) {
   // q0 = {0, 1, 2}; q1..q24 = {2, v} with each v in its own bucket; q25..q27
   // = {2, a, b} with a and b sharing a bucket. Vertex 2's accumulator is 30
-  // entries wide, so its few ops per round take the binary-search kernel,
+  // entries wide, so its few ops per round take the streaming merge kernel,
   // while every other vertex (≤ 3 entries) takes the dense one.
   //  - Round 1: vertex 0 leaves bucket 1 and vertex 1 enters it, so the
   //    (q0, bucket 1) chain runs 1 → 0 → 1 — every neighbor of q0 drops its
   //    bucket-1 entry and regains it with a fresh float in one ApplyDeltas.
   //  - Round 2: each `a` moves to a new bucket, so vertex 2 inserts three
-  //    buckets with two slack slots: the third insert spills and relocates.
+  //    buckets with two slack slots: the merge overflows and relocates.
   GraphBuilder builder;
   builder.AddHyperedge(0, {0, 1, 2});
   std::vector<BucketId> assignment = {1, 3, 2};
@@ -713,6 +713,134 @@ TEST(AffinitySweepBitExact, HandBuiltChainsCoverBothKernels) {
       } else {
         EXPECT_EQ(sweep.Entries(2).size(), 33u);
         EXPECT_GT(sweep.ArenaSlots(), slots_before) << "no relocation";
+      }
+    }
+  }
+}
+
+TEST(AffinitySweepBitExact, StreamingMergeKernelCases) {
+  // Hub vertex 0 shares query 0 with a (vertex 1, bucket 1) and b (vertex 2,
+  // bucket 2), and one query each with 5000 leaves that sit two to a bucket
+  // (100 + i/2), so its accumulator is ~2500 entries wide and every round
+  // below folds into it through the streaming merge (4·m < |acc|).
+  //  - Round 0: a moves 1 → 3 and b moves 2 → 1, so the hub's (q0, 1)
+  //    chain runs 1 → 0 → 1, bucket 2 is deleted and bucket 3 inserted in
+  //    the same call. Three leaves move to fresh buckets 5..7 and two more
+  //    to bucket 4, which is hit from two dirty queries. Net +4 entries
+  //    against 2 slack slots: the merge goes to the overflow copy, which
+  //    the visitor sees, and the hub relocates.
+  //  - Round 1: no entry appears or goes, so the whole merge folds in
+  //    place. Buckets 20..29 each take three different adds, from three
+  //    dirty queries of the hub whose counts there were picked so that the
+  //    three adds give another float when summed in another order.
+  //  - Round 2: 250 leaves move, m = 500 ops ≈ |acc|/5 in one merge: both
+  //    leaves of 25 pairs (their bucket is deleted; they land on one fresh
+  //    bucket) and one leaf of 200 others. An O(m²) op ordering shows here.
+  //    The relocated hub has room for the net +200 entries: the merge is
+  //    written back in place.
+  const VertexId leaves = 5000;
+  const VertexId first_leaf = 3;
+  GraphBuilder builder;
+  builder.AddHyperedge(0, {0, 1, 2});
+  std::vector<BucketId> assignment = {0, 1, 2};
+  for (VertexId i = 0; i < leaves; ++i) {
+    builder.AddHyperedge(1 + i, {0, first_leaf + i});
+    assignment.push_back(100 + static_cast<BucketId>(i / 2));
+  }
+  // Round 1's queries: three per bucket 20 + t, each the hub, a mover in
+  // bucket 9 (kept alive by one more query {hub, d}) and counts[t][j]
+  // vertices already in bucket 20 + t.
+  const BucketId counts[10][3] = {{0, 0, 6}, {0, 4, 5}, {1, 3, 3}, {2, 6, 3},
+                                  {3, 3, 1}, {4, 1, 5}, {1, 4, 4}, {0, 5, 5},
+                                  {2, 2, 6}, {5, 0, 6}};
+  std::vector<VertexMove> in_place;
+  VertexId next_query = 1 + leaves;
+  const auto add_vertex = [&](BucketId bucket) {
+    assignment.push_back(bucket);
+    return static_cast<VertexId>(assignment.size() - 1);
+  };
+  builder.AddHyperedge(next_query++, {0, add_vertex(9)});
+  for (BucketId t = 0; t < 10; ++t) {
+    const BucketId target = 20 + t;
+    for (const BucketId count : counts[t]) {
+      const VertexId mover = add_vertex(9);
+      std::vector<VertexId> pins = {0, mover};
+      for (BucketId i = 0; i < count; ++i) pins.push_back(add_vertex(target));
+      builder.AddHyperedge(next_query++, pins);
+      in_place.push_back({mover, 9, target});
+    }
+  }
+  const BipartiteGraph g = builder.Build();
+  ASSERT_EQ(g.num_data(), assignment.size());
+  const PowTable pow(kInexactBase,
+                     static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const auto leaf = [&](VertexId i) { return first_leaf + i; };
+  std::vector<std::vector<VertexMove>> rounds(3);
+  rounds[0] = {{1, 1, 3},
+               {2, 2, 1},
+               {leaf(0), 100, 5},
+               {leaf(2), 101, 6},
+               {leaf(4), 102, 7},
+               {leaf(6), 103, 4},
+               {leaf(8), 104, 4}};
+  rounds[1] = in_place;
+  for (VertexId j = 200; j < 225; ++j) {
+    for (const VertexId i : {2 * j, 2 * j + 1}) {
+      rounds[2].push_back({leaf(i), 100 + static_cast<BucketId>(j),
+                           4000 + static_cast<BucketId>(j)});
+    }
+  }
+  for (VertexId j = 300; j < 500; ++j) {
+    rounds[2].push_back({leaf(2 * j), 100 + static_cast<BucketId>(j),
+                         4000 + static_cast<BucketId>(j)});
+  }
+  for (const size_t threads : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    QueryNeighborData ndata;
+    ndata.Build(g, assignment, &pool);
+    AffinitySweep sweep;
+    sweep.Build(g, ndata, pow, &pool);
+    Accumulators ref = ReferenceBuild(g, ndata, pow);
+    ASSERT_TRUE(BitIdentical(sweep, ref));
+    for (size_t r = 0; r < rounds.size(); ++r) {
+      SCOPED_TRACE(testing::Message() << "round " << r);
+      std::vector<NeighborDelta> deltas;
+      ndata.ApplyMoves(g, rounds[r], &pool, nullptr, &deltas);
+      const uint64_t m = deltas.size();  // every query holds the hub
+      const size_t width = sweep.Entries(0).size();
+      ASSERT_LT(4 * m, width) << "the hub must take the streaming merge";
+      if (r == 2) EXPECT_GE(5 * m, width * 4 / 5);
+      const AffinityEntry* before = sweep.Entries(0).data();
+      std::vector<AffinityEntry> seen;
+      const auto visitor = [&](VertexId v,
+                               std::span<const AffinityEntry> entries) {
+        if (v == 0) seen.assign(entries.begin(), entries.end());
+      };
+      sweep.ApplyDeltas(g, deltas, pow, &pool, nullptr, visitor);
+      ReferencePatch(g, deltas, pow, &ref);
+      ASSERT_TRUE(BitIdentical(sweep, ref));
+      const auto hub = sweep.Entries(0);
+      EXPECT_TRUE(std::equal(seen.begin(), seen.end(), hub.begin(), hub.end()))
+          << "the visitor saw other entries than the patch left";
+      if (r == 1) {
+        EXPECT_EQ(hub.data(), before);
+        EXPECT_EQ(hub.size(), width);
+      }
+      if (r == 0) {
+        EXPECT_NE(hub.data(), before) << "the hub did not outgrow its slack";
+        ASSERT_EQ(hub.size(), width + 4);
+        const auto find = [&](BucketId b) {
+          return std::find_if(hub.begin(), hub.end(),
+                              [b](const AffinityEntry& e) {
+                                return e.bucket == b;
+                              });
+        };
+        ASSERT_NE(find(1), hub.end());
+        EXPECT_EQ(find(1)->affinity, 1.0 - pow.Pow(1)) << "float not reset";
+        EXPECT_EQ(find(2), hub.end()) << "emptied bucket kept";
+        ASSERT_NE(find(4), hub.end());
+        EXPECT_EQ(find(4)->support, 2u);
       }
     }
   }

@@ -3,7 +3,11 @@
 // escape that motivates probabilistic fanout.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <random>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "core/gain_histogram.h"
 #include "core/move_broker.h"
@@ -98,16 +102,50 @@ TEST(GainBinning, RepresentativeSignsAndMonotonicity) {
   }
 }
 
+/// Test-side directed gain histogram in the flat GainRow layout.
+struct TestHistogram {
+  std::vector<uint32_t> counts;
+  std::vector<uint64_t> occupied;
+
+  void Init(const GainBinning& binning) {
+    counts.assign(static_cast<size_t>(binning.num_bins()), 0);
+    occupied.assign(static_cast<size_t>(OccupiedWords(binning.num_bins())), 0);
+  }
+  void Add(const GainBinning& binning, double gain) {
+    const int bin = binning.BinFor(gain);
+    ++counts[static_cast<size_t>(bin)];
+    occupied[static_cast<size_t>(bin / 64)] |= uint64_t{1} << (bin % 64);
+  }
+  GainRow row() const { return {counts.data(), occupied.data()}; }
+};
+
+struct TestMatch {
+  std::vector<double> forward;
+  std::vector<double> backward;
+  double expected_swaps;
+};
+
+/// MatchHistograms over full zero-initialized probability rows.
+TestMatch Match(const GainBinning& binning, const TestHistogram& fwd,
+                const TestHistogram& bwd) {
+  const size_t bins = static_cast<size_t>(binning.num_bins());
+  TestMatch m{std::vector<double>(bins, 0.0), std::vector<double>(bins, 0.0),
+              0.0};
+  m.expected_swaps = MatchHistograms(binning, fwd.row(), bwd.row(),
+                                     m.forward.data(), m.backward.data());
+  return m;
+}
+
 TEST(MatchHistograms, SymmetricDemandFullyMatches) {
   const GainBinning binning;
-  DirectedGainHistogram fwd, bwd;
+  TestHistogram fwd, bwd;
   fwd.Init(binning);
   bwd.Init(binning);
   for (int i = 0; i < 10; ++i) {
     fwd.Add(binning, 1.0);
     bwd.Add(binning, 1.0);
   }
-  const auto match = MatchHistograms(binning, fwd, bwd);
+  const auto match = Match(binning, fwd, bwd);
   EXPECT_DOUBLE_EQ(match.forward[static_cast<size_t>(binning.BinFor(1.0))],
                    1.0);
   EXPECT_DOUBLE_EQ(match.backward[static_cast<size_t>(binning.BinFor(1.0))],
@@ -117,12 +155,12 @@ TEST(MatchHistograms, SymmetricDemandFullyMatches) {
 
 TEST(MatchHistograms, AsymmetricDemandPartiallyMatches) {
   const GainBinning binning;
-  DirectedGainHistogram fwd, bwd;
+  TestHistogram fwd, bwd;
   fwd.Init(binning);
   bwd.Init(binning);
   for (int i = 0; i < 20; ++i) fwd.Add(binning, 2.0);
   for (int i = 0; i < 5; ++i) bwd.Add(binning, 2.0);
-  const auto match = MatchHistograms(binning, fwd, bwd);
+  const auto match = Match(binning, fwd, bwd);
   const int bin = binning.BinFor(2.0);
   EXPECT_NEAR(match.forward[static_cast<size_t>(bin)], 0.25, 1e-12);
   EXPECT_DOUBLE_EQ(match.backward[static_cast<size_t>(bin)], 1.0);
@@ -132,12 +170,12 @@ TEST(MatchHistograms, NegativePairsWithLargerPositive) {
   // §3.4: "A pair of positive and negative histogram bins can swap if the
   // sum of the gains is expected to be positive."
   const GainBinning binning;
-  DirectedGainHistogram fwd, bwd;
+  TestHistogram fwd, bwd;
   fwd.Init(binning);
   bwd.Init(binning);
   fwd.Add(binning, 8.0);    // strong positive one way
   bwd.Add(binning, -1.0);   // mild negative the other way
-  const auto match = MatchHistograms(binning, fwd, bwd);
+  const auto match = Match(binning, fwd, bwd);
   EXPECT_GT(match.expected_swaps, 0.0);
   EXPECT_DOUBLE_EQ(
       match.backward[static_cast<size_t>(binning.BinFor(-1.0))], 1.0);
@@ -145,22 +183,22 @@ TEST(MatchHistograms, NegativePairsWithLargerPositive) {
 
 TEST(MatchHistograms, NegativePairsRejectedWhenSumNegative) {
   const GainBinning binning;
-  DirectedGainHistogram fwd, bwd;
+  TestHistogram fwd, bwd;
   fwd.Init(binning);
   bwd.Init(binning);
   fwd.Add(binning, 1.0);
   bwd.Add(binning, -8.0);
-  const auto match = MatchHistograms(binning, fwd, bwd);
+  const auto match = Match(binning, fwd, bwd);
   EXPECT_DOUBLE_EQ(match.expected_swaps, 0.0);
 }
 
 TEST(MatchHistograms, OneSidedDemandDoesNotMove) {
   const GainBinning binning;
-  DirectedGainHistogram fwd, bwd;
+  TestHistogram fwd, bwd;
   fwd.Init(binning);
   bwd.Init(binning);
   for (int i = 0; i < 50; ++i) fwd.Add(binning, 3.0);
-  const auto match = MatchHistograms(binning, fwd, bwd);
+  const auto match = Match(binning, fwd, bwd);
   EXPECT_DOUBLE_EQ(match.expected_swaps, 0.0)
       << "without opposing demand (and without slack) nothing may move";
 }
@@ -402,6 +440,300 @@ TEST(MoveBroker, ChangedListIncrementalMatchesFullRebuild) {
       gains[m.v] = 0.0;
       changed.push_back(m.v);
     }
+  }
+}
+
+// The broker's superstep-3/4 state as it was before flat storage: per-pair
+// histograms in a hash map, matched by a floating-point two-pointer pass
+// over std::pow representatives, and drawn against the set of live pair
+// keys. The flat broker must reproduce it bit for bit.
+class MapBrokerReference {
+ public:
+  using Histograms = std::unordered_map<uint64_t, std::vector<uint64_t>>;
+  using Table = std::unordered_map<uint64_t, std::vector<double>>;
+
+  MapBrokerReference(double min_gain, double growth, int levels)
+      : min_gain_(min_gain),
+        growth_(growth),
+        binning_(min_gain, growth, levels),
+        bins_(static_cast<size_t>(binning_.num_bins())) {}
+
+  Histograms Accumulate(const Partition& partition,
+                        const std::vector<BucketId>& targets,
+                        const std::vector<double>& gains) const {
+    Histograms h;
+    for (VertexId v = 0; v < targets.size(); ++v) {
+      if (targets[v] < 0) continue;
+      auto& counts = h[PackPair(partition.bucket_of(v), targets[v])];
+      if (counts.empty()) counts.assign(bins_, 0);
+      ++counts[static_cast<size_t>(binning_.BinFor(gains[v]))];
+    }
+    return h;
+  }
+
+  Table Compute(const MoveTopology& topo, const Histograms& histograms,
+                const Partition& partition) const {
+    std::vector<uint64_t> keys;
+    for (const auto& [key, counts] : histograms) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    const std::vector<uint64_t> none(bins_, 0);
+    Table table;
+    for (const uint64_t key : keys) {
+      const BucketId i = static_cast<BucketId>(key >> 32);
+      const BucketId j = static_cast<BucketId>(key & 0xffffffffULL);
+      if (i > j && histograms.count(PackPair(j, i)) > 0) continue;
+      const auto bwd = histograms.find(PackPair(j, i));
+      auto [fwd_probs, bwd_probs] =
+          Match(histograms.at(key),
+                bwd == histograms.end() ? none : bwd->second);
+      table[PackPair(i, j)] = std::move(fwd_probs);
+      table[PackPair(j, i)] = std::move(bwd_probs);
+    }
+    std::vector<double> slack(static_cast<size_t>(topo.k));
+    for (BucketId b = 0; b < topo.k; ++b) {
+      slack[static_cast<size_t>(b)] =
+          static_cast<double>(topo.capacity[static_cast<size_t>(b)]) -
+          static_cast<double>(partition.bucket_size(b));
+    }
+    for (const uint64_t key : keys) {
+      auto& probs = table[key];
+      const auto& counts = histograms.at(key);
+      double& budget = slack[key & 0xffffffffULL];
+      for (int bin = binning_.num_bins() - 1; bin > binning_.zero_bin();
+           --bin) {
+        if (budget <= 0.0) break;
+        const size_t b = static_cast<size_t>(bin);
+        const double unmatched =
+            static_cast<double>(counts[b]) * (1.0 - probs[b]);
+        if (unmatched <= 0.0) continue;
+        const double extra = std::min(unmatched, budget);
+        probs[b] += extra / static_cast<double>(counts[b]);
+        probs[b] = std::min(1.0, probs[b]);
+        budget -= extra;
+      }
+    }
+    return table;
+  }
+
+  /// One histogram-matching round from scratch; *table receives the
+  /// matched table.
+  MoveOutcome Apply(const MoveTopology& topo, const MoveBrokerOptions& options,
+                    const std::vector<BucketId>& targets,
+                    const std::vector<double>& gains, uint64_t seed,
+                    uint64_t iteration, Partition* partition,
+                    Table* table) const {
+    MoveOutcome outcome;
+    *table = Compute(topo, Accumulate(*partition, targets, gains), *partition);
+    std::unordered_set<uint64_t> live;
+    for (const auto& [key, probs] : *table) {
+      if (std::any_of(probs.begin(), probs.end(),
+                      [](double p) { return p > 0.0; })) {
+        live.insert(key);
+      }
+    }
+    std::vector<VertexId> movers;
+    for (VertexId v = 0; v < targets.size(); ++v) {
+      if (targets[v] < 0) continue;
+      ++outcome.num_proposals;
+      const uint64_t key = PackPair(partition->bucket_of(v), targets[v]);
+      if (!live.contains(key)) continue;
+      ++outcome.num_draws;
+      const double prob =
+          std::min(table->at(key)[static_cast<size_t>(
+                       binning_.BinFor(gains[v]))],
+                   options.max_move_probability) *
+          options.probability_damping;
+      if (HashToUnitDouble(seed ^ 0x5108e77a, iteration, v) < prob) {
+        movers.push_back(v);
+      }
+    }
+    std::vector<BucketId> original;
+    MoveBroker::ExecuteMoves(topo, options.max_moves_per_round, targets,
+                             gains, &movers, &original, partition, &outcome);
+    return outcome;
+  }
+
+ private:
+  double Representative(int bin) const {
+    if (bin == binning_.zero_bin()) return 0.0;
+    const int level = std::abs(bin - binning_.zero_bin());
+    const double mid = min_gain_ * std::pow(growth_, level - 0.5);
+    return bin > binning_.zero_bin() ? mid : -mid;
+  }
+
+  std::pair<std::vector<double>, std::vector<double>> Match(
+      const std::vector<uint64_t>& fwd,
+      const std::vector<uint64_t>& bwd) const {
+    std::vector<double> out_fwd(bins_, 0.0);
+    std::vector<double> out_bwd(bins_, 0.0);
+    std::vector<double> rem_fwd(fwd.begin(), fwd.end());
+    std::vector<double> rem_bwd(bwd.begin(), bwd.end());
+    int a = static_cast<int>(bins_) - 1;
+    int b = a;
+    const auto skip_empty = [](const std::vector<double>& rem, int* cursor) {
+      while (*cursor >= 0 && rem[static_cast<size_t>(*cursor)] <= 0.0) {
+        --*cursor;
+      }
+    };
+    for (;;) {
+      skip_empty(rem_fwd, &a);
+      skip_empty(rem_bwd, &b);
+      if (a < 0 || b < 0) break;
+      if (Representative(a) + Representative(b) <= 0.0) break;
+      const size_t ia = static_cast<size_t>(a);
+      const size_t ib = static_cast<size_t>(b);
+      const double matched = std::min(rem_fwd[ia], rem_bwd[ib]);
+      rem_fwd[ia] -= matched;
+      rem_bwd[ib] -= matched;
+      out_fwd[ia] += matched;
+      out_bwd[ib] += matched;
+    }
+    for (size_t bin = 0; bin < bins_; ++bin) {
+      out_fwd[bin] = fwd[bin] == 0 ? 0.0
+                                   : std::min(1.0, out_fwd[bin] /
+                                                       static_cast<double>(
+                                                           fwd[bin]));
+      out_bwd[bin] = bwd[bin] == 0 ? 0.0
+                                   : std::min(1.0, out_bwd[bin] /
+                                                       static_cast<double>(
+                                                           bwd[bin]));
+    }
+    return {std::move(out_fwd), std::move(out_bwd)};
+  }
+
+  double min_gain_;
+  double growth_;
+  GainBinning binning_;
+  size_t bins_;
+};
+
+TEST(MoveBroker, FlatBrokerMatchesMapReference) {
+  // Rounds of changed-proposal lists, one nullptr re-prime, a round where
+  // every pair dies and one where they are all reborn on recycled slots.
+  // Half of all proposals target bucket 0, so many pair keys differ only in
+  // their `from` half (a hash of the low key bits would pile them onto one
+  // probe run), and k = 4096 grows the pair index far past its initial
+  // size. Both the probability rows and the round outcomes must match the
+  // map-based reference exactly.
+  const double min_gain = 1e-8;
+  const double growth = 2.0;
+  const int levels = 40;
+  const MapBrokerReference reference(min_gain, growth, levels);
+  MoveBrokerOptions options;
+  options.binning = GainBinning(min_gain, growth, levels);
+  for (const BucketId k : {2, 32, 512, 4096}) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    const VertexId n = std::max<VertexId>(6000, 3 * static_cast<VertexId>(k));
+    const MoveTopology topo = MoveTopology::FullK(k, n, 0.5);
+    Partition partition = Partition::BalancedRandom(n, k, 3);
+    Partition ref_partition = partition;
+    MoveBroker broker(options);
+    PairHistograms hist(options.binning);
+    std::vector<PairHistograms::Contribution> contrib(n);
+    PairProbabilityTable table;
+    std::vector<BucketId> targets(n, -1);
+    std::vector<double> gains(n, 0.0);
+    std::vector<VertexId> changed;
+    std::mt19937_64 rng(static_cast<uint64_t>(k));
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    const auto propose = [&](VertexId v) {
+      const BucketId from = partition.bucket_of(v);
+      BucketId to = rng() % 2 == 0 ? 0 : static_cast<BucketId>(rng() % k);
+      if (to == from) to = (from + 1) % k;
+      targets[v] = to;
+      // Both signs over most bins of the binning, and some exact zeros.
+      const double magnitude = std::pow(10.0, -9.0 + 11.0 * unit(rng));
+      gains[v] = rng() % 8 == 0   ? 0.0
+                 : rng() % 3 == 0 ? -magnitude
+                                  : magnitude;
+      changed.push_back(v);
+    };
+    for (VertexId v = 0; v < n; ++v) propose(v);
+    uint64_t moved = 0;
+    for (uint64_t round = 0; round < 8; ++round) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      if (round == 2) {
+        for (VertexId v = 0; v < n; ++v) {
+          targets[v] = -1;
+          changed.push_back(v);
+        }
+      } else if (round == 3) {
+        for (VertexId v = 0; v < n; ++v) propose(v);
+      } else if (round > 0) {
+        for (VertexId i = 0; i < n / 7; ++i) {
+          const VertexId v = static_cast<VertexId>(rng() % n);
+          if (rng() % 4 == 0) {
+            targets[v] = -1;
+            changed.push_back(v);
+          } else {
+            propose(v);
+          }
+        }
+      }
+      const bool reprime = round == 5;
+
+      // The rows ComputePairProbabilities writes, against the reference
+      // table (which also holds the all-zero rows of directions nobody
+      // proposes).
+      if (reprime) {
+        hist.Clear();
+        contrib.assign(n, {});
+        for (VertexId v = 0; v < n; ++v) {
+          hist.Update(&contrib[v], partition.bucket_of(v), targets[v],
+                      gains[v]);
+        }
+      } else {
+        for (const VertexId v : changed) {
+          hist.Update(&contrib[v], partition.bucket_of(v), targets[v],
+                      gains[v]);
+        }
+      }
+      ComputePairProbabilities(topo, hist, partition, true, &table);
+      const MapBrokerReference::Table want_table = reference.Compute(
+          topo, reference.Accumulate(partition, targets, gains), partition);
+      EXPECT_EQ(table.num_rows(), want_table.size());
+      for (const auto& [key, probs] : want_table) {
+        const uint32_t slot = hist.Find(key);
+        bool live = false;
+        for (int bin = 0; bin < options.binning.num_bins(); ++bin) {
+          const double got = slot == PairHistograms::kNoSlot
+                                 ? 0.0
+                                 : table.Probability(slot, bin);
+          ASSERT_EQ(std::bit_cast<uint64_t>(got),
+                    std::bit_cast<uint64_t>(probs[static_cast<size_t>(bin)]))
+              << "pair " << (key >> 32) << "->" << (key & 0xffffffffULL)
+              << " bin " << bin;
+          live |= probs[static_cast<size_t>(bin)] > 0.0;
+        }
+        if (slot != PairHistograms::kNoSlot) {
+          EXPECT_EQ(table.live(slot), live);
+        } else {
+          EXPECT_FALSE(live);
+        }
+      }
+
+      const MoveOutcome got =
+          broker.Apply(topo, targets, gains, 9, round, &partition, nullptr,
+                       reprime ? nullptr : &changed);
+      MapBrokerReference::Table unused;
+      const MoveOutcome want =
+          reference.Apply(topo, options, targets, gains, 9, round,
+                          &ref_partition, &unused);
+      ASSERT_EQ(got.moves, want.moves);
+      EXPECT_EQ(got.num_draws, want.num_draws);
+      EXPECT_EQ(got.num_proposals, want.num_proposals);
+      EXPECT_EQ(got.num_reverted, want.num_reverted);
+      EXPECT_EQ(got.num_moved, want.num_moved);
+      moved += got.num_moved;
+
+      // Movers spent their proposals and changed bucket: list them.
+      changed.clear();
+      for (const VertexMove& m : got.moves) {
+        targets[m.v] = -1;
+        changed.push_back(m.v);
+      }
+    }
+    EXPECT_GT(moved, 0u);
   }
 }
 

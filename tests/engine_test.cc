@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -13,6 +14,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/proposal.h"
 #include "core/recursive.h"
 #include "core/shp_k.h"
 #include "engine/bsp_engine.h"
@@ -23,6 +25,8 @@
 #include "engine/wire_format.h"
 #include "graph/gen_powerlaw.h"
 #include "graph/gen_social.h"
+#include "objective/gain.h"
+#include "objective/neighbor_data.h"
 #include "objective/objective.h"
 
 namespace shp {
@@ -901,6 +905,67 @@ TEST(BspRefiner, SuperstepOneMessagesMatchBruteForceCombine) {
         EXPECT_EQ(traffic.remote_messages, remote) << "iteration " << iter;
         EXPECT_EQ(traffic.remote_bytes, 12 * remote) << "iteration " << iter;
       }
+    }
+  }
+}
+
+TEST(BspRefiner, BrokerSuperstepBytesFollowLiveProposalPairs) {
+  // Superstep 3 ships every worker's live (from, to) histograms, one 8 B
+  // count per bin; superstep 4 broadcasts to each worker two probability
+  // rows (8 B key + a 4 B float per bin) per unordered bucket pair with a
+  // live direction. The proposals behind those counts are derived here
+  // independently: under the pull exchange, each vertex's proposal is the
+  // finalized pull scan of the pre-iteration partition.
+  const BipartiteGraph g = TestGraph();
+  const BucketId k = 8;
+  const MoveTopology topo = MoveTopology::FullK(k, g.num_data(), 0.05);
+  RefinerOptions options;
+  options.sweep_mode = RefinerOptions::SweepMode::kPull;
+  const uint64_t bins =
+      static_cast<uint64_t>(options.broker.binning.num_bins());
+  const GainComputer gain(options.p,
+                          static_cast<uint32_t>(g.MaxQueryDegree()),
+                          options.future_splits);
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "W=" << workers);
+    BspConfig config;
+    config.num_workers = workers;
+    std::vector<SuperstepStats> log;
+    BspRefiner bsp(g, options, config, &log);
+    const VertexSharding sharding(workers, config.shard_seed);
+    Partition partition = Partition::BalancedRandom(g.num_data(), k, 6);
+    for (uint64_t iter = 0; iter < 6; ++iter) {
+      QueryNeighborData ndata;
+      ndata.Build(g, partition.assignment());
+      std::set<std::pair<int, uint64_t>> worker_pairs;
+      std::set<std::pair<BucketId, BucketId>> unordered_pairs;
+      std::vector<double> affinity(static_cast<size_t>(k), 0.0);
+      std::vector<BucketId> touched;
+      for (VertexId v = 0; v < g.num_data(); ++v) {
+        const BucketId from = partition.bucket_of(v);
+        if (g.DataDegree(v) == 0) continue;
+        const GainComputer::BestTarget best = FinalizeProposal(
+            gain.FindBestTarget(g, ndata, v, from, 0, k, &affinity, &touched),
+            v, from, nullptr, 0.0, options.propose_nonpositive);
+        if (best.bucket < 0) continue;
+        worker_pairs.emplace(sharding.DataWorker(v),
+                             PackPair(from, best.bucket));
+        unordered_pairs.emplace(std::min(from, best.bucket),
+                                std::max(from, best.bucket));
+      }
+      bsp.RunIteration(topo, &partition, 9, iter);
+      ASSERT_EQ(log.size(), 4 * (iter + 1));
+      const RouteStats& s3 = log[4 * iter + 2].traffic;
+      const RouteStats& s4 = log[4 * iter + 3].traffic;
+      const uint64_t rows = 2 * unordered_pairs.size();
+      const uint64_t W = static_cast<uint64_t>(workers);
+      EXPECT_EQ(s3.remote_messages, worker_pairs.size() * bins)
+          << "iteration " << iter;
+      EXPECT_EQ(s3.remote_bytes, worker_pairs.size() * bins * 8)
+          << "iteration " << iter;
+      EXPECT_EQ(s4.remote_messages, rows * W) << "iteration " << iter;
+      EXPECT_EQ(s4.remote_bytes, rows * (8 + 4 * bins) * W)
+          << "iteration " << iter;
     }
   }
 }
