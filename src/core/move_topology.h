@@ -55,22 +55,15 @@ struct MoveTopology {
     return g >= 0 ? GroupWindow(g) : std::pair<BucketId, BucketId>{0, 0};
   }
 
-  /// Per-vertex windows of a windowed AffinitySweep: WindowOf(v's bucket)
-  /// for every vertex in `vertices` (all vertices when null), empty for the
-  /// rest — a BSP data worker passes its own shard. Stable while the
-  /// topology holds: a vertex only ever moves within its group.
+  /// Per-vertex windows of both engines' AffinitySweep: none (unwindowed)
+  /// under full_k, else WindowOf(v's bucket) for every vertex. Stable while
+  /// the topology holds: a vertex only ever moves within its group.
   std::vector<std::pair<BucketId, BucketId>> GroupWindows(
-      const Partition& partition,
-      const std::vector<VertexId>* vertices = nullptr) const {
+      const Partition& partition) const {
+    if (full_k) return {};
     std::vector<std::pair<BucketId, BucketId>> windows(partition.num_data());
-    if (vertices == nullptr) {
-      for (VertexId v = 0; v < partition.num_data(); ++v) {
-        windows[v] = WindowOf(partition.bucket_of(v));
-      }
-    } else {
-      for (const VertexId v : *vertices) {
-        windows[v] = WindowOf(partition.bucket_of(v));
-      }
+    for (VertexId v = 0; v < partition.num_data(); ++v) {
+      windows[v] = WindowOf(partition.bucket_of(v));
     }
     return windows;
   }

@@ -61,6 +61,18 @@ GainComputer::BestTarget PushScan(const GainComputer& gain,
       entries, from, topo.group_children[static_cast<size_t>(group)], degree);
 }
 
+GainComputer::BestTarget PatchedProposal(
+    const GainComputer& gain, const MoveTopology& topo,
+    const Partition& partition, VertexId v,
+    std::span<const AffinityEntry> entries, double degree,
+    const std::vector<BucketId>* anchor, double anchor_penalty,
+    bool propose_nonpositive) {
+  const BucketId from = partition.bucket_of(v);
+  if (topo.group_of_bucket[static_cast<size_t>(from)] < 0) return {};
+  return FinalizeProposal(PushScan(gain, topo, from, entries, degree), v, from,
+                          anchor, anchor_penalty, propose_nonpositive);
+}
+
 void CheckPushMatchesPull(
     VertexId v, GainComputer::BestTarget pull, GainComputer::BestTarget push,
     const std::function<double(BucketId)>& pull_gain_to) {

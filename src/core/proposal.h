@@ -2,8 +2,8 @@
 // Refiner (core/refiner.h) and the BSP engine's BspRefiner
 // (engine/shp_bsp.h): the context a cached proposal depends on beyond the
 // neighbor data, the push scan and the finalization of a best-target scan
-// into a proposal, and the Debug check of the push-vs-pull tolerance
-// contract.
+// into a proposal, the patch-time proposal built from both, and the Debug
+// check of the push-vs-pull tolerance contract.
 #pragma once
 
 #include <functional>
@@ -55,6 +55,17 @@ GainComputer::BestTarget PushScan(const GainComputer& gain,
                                   const MoveTopology& topo, BucketId from,
                                   std::span<const AffinityEntry> entries,
                                   double degree);
+
+/// The proposal both engines compute for v right after ApplyDeltas patched
+/// its accumulator (their PatchVisitor body): none when v's bucket is not
+/// being refined, else FinalizeProposal(PushScan(...)) over the patched
+/// `entries`.
+GainComputer::BestTarget PatchedProposal(
+    const GainComputer& gain, const MoveTopology& topo,
+    const Partition& partition, VertexId v,
+    std::span<const AffinityEntry> entries, double degree,
+    const std::vector<BucketId>* anchor, double anchor_penalty,
+    bool propose_nonpositive);
 
 /// Debug check that v's push proposal honors the tolerance contract against
 /// its pull recompute (docs/refinement.md): the same target, or a target

@@ -62,14 +62,13 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
   IterationStats stats;
 
   // Superstep-2 scan direction for this iteration: push needs a nonzero pow
-  // base (the accumulator-derived base term divides by B); kAuto prefers
-  // push whenever available, and an explicit kPush request degrades to pull
-  // in the p = 1, t = 1 limit. Grouped recursion windows run the same push
-  // scan over a windowed sweep: each vertex keeps only its group's window.
+  // base (the accumulator-derived base term divides by B), so kPush falls
+  // back to pull in the p = 1, t = 1 limit. Grouped recursion windows run
+  // the same push scan over a windowed sweep: each vertex keeps only its
+  // group's window.
   const bool push =
       options_.sweep_mode != RefinerOptions::SweepMode::kPull &&
       gain_.SupportsPush();
-  const bool windowed = push && !topo.full_k;
   stats.push_sweep = push;
 
   // Superstep 1: collect neighbor data — reused across iterations whenever
@@ -96,8 +95,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     // Full vertex-major pass: every vertex gathers its adjacent queries'
     // per-bucket contributions, in its group's window when grouped.
     sweep_.Build(graph_, ndata_, gain_.pow_table(), pool,
-                 windowed ? topo.GroupWindows(*partition)
-                          : std::vector<BucketWindow>{});
+                 topo.GroupWindows(*partition));
     sweep_valid_ = true;
     ++num_sweep_builds_;
   }
@@ -281,12 +279,9 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     // The patched accumulators must match a fresh build over the same
     // windows up to summation order — and those windows must still be the
     // ones the current partition derives.
-    std::vector<BucketWindow> windows;
-    if (windowed) {
-      windows = topo.GroupWindows(*partition);
-      SHP_CHECK(windows == sweep_.windows())
-          << "a vertex left the accumulator window of its group";
-    }
+    std::vector<BucketWindow> windows = topo.GroupWindows(*partition);
+    SHP_CHECK(windows == sweep_.windows())
+        << "a vertex left the accumulator window of its group";
     AffinitySweep fresh;
     fresh.Build(graph_, ndata_, gain_.pow_table(), pool, std::move(windows));
     SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
@@ -340,13 +335,12 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     if (push) {
       stats.num_delta_records = deltas_.size();
       const auto propose = [&](VertexId v,
-                               std::span<const AffinityEntry> entries) {
-        const BucketId from = partition->bucket_of(v);
-        if (topo.group_of_bucket[static_cast<size_t>(from)] < 0) return;
-        const double degree = static_cast<double>(graph_.DataDegree(v));
-        const GainComputer::BestTarget proposal = FinalizeProposal(
-            PushScan(gain_, topo, from, entries, degree), v, from, anchor,
-            anchor_penalty, options_.propose_nonpositive);
+                               std::span<const AffinityEntry> entries,
+                               uint32_t /*records*/) {
+        const GainComputer::BestTarget proposal = PatchedProposal(
+            gain_, topo, *partition, v, entries,
+            static_cast<double>(graph_.DataDegree(v)), anchor, anchor_penalty,
+            options_.propose_nonpositive);
         targets_[v] = proposal.bucket;
         gains_[v] = proposal.gain;
         cache_valid_[v] = 1;

@@ -41,7 +41,7 @@
 // (GainComputer::FindBestTargetPushGrouped) whose accumulators hold only
 // each vertex's group window. A new group structure rebuilds that sweep; the
 // recursion drivers build one refiner per level anyway. The BSP engine keeps
-// the same windowed sweep, one per simulated data worker (engine/shp_bsp.h).
+// the same sweep, partitioned by vertex owner (engine/shp_bsp.h).
 #pragma once
 
 #include <cstdint>
@@ -83,17 +83,17 @@ struct RefinerOptions {
   /// so the steady-state pass iterates only blast radius ∪ last round's
   /// explorers ∪ this round's firing list, never the clean vertices.
   double exploration_probability = 0.0;
-  /// Superstep-2 scan direction. kAuto uses push whenever it is available:
-  /// a nonzero pow base (p < 1 or future_splits > 1); only the p = 1, t = 1
-  /// limit falls back to pull. Grouped recursion windows run push over a
+  /// Superstep-2 scan direction. kPush (the default) runs push whenever the
+  /// pow base is nonzero (p < 1 or future_splits > 1) and falls back to pull
+  /// in the p = 1, t = 1 limit. Grouped recursion windows run push over a
   /// windowed sweep: each vertex keeps only its group's accumulator window
-  /// (move_topology.h GroupWindow).
+  /// (move_topology.h GroupWindow). kPull forces the pull reference.
   /// The BSP engine (engine/shp_bsp.h) keys its superstep-2 *exchange* off
   /// the same switch: kPull reships dirty queries' full neighbor data (the
-  /// reference), kPush/kAuto ship sparse NeighborDelta records and run the
+  /// reference), kPush ships sparse NeighborDelta records and runs the
   /// accumulator push sweep on the data workers (docs/distributed.md).
-  enum class SweepMode { kPull, kPush, kAuto };
-  SweepMode sweep_mode = SweepMode::kAuto;
+  enum class SweepMode { kPull, kPush };
+  SweepMode sweep_mode = SweepMode::kPush;
   /// Maintain neighbor data and proposals incrementally across iterations
   /// (see the file comment). false forces the rebuild-everything path — the
   /// quality/latency reference the benchmarks compare against.

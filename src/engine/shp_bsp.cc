@@ -81,9 +81,8 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   worker_hist_.assign(W, PairHistograms(options.broker.binning));
   hist_contrib_.assign(graph.num_data(), {});
   s1_records_.resize(W);
-  s2_inbox_.resize(W);
-  sweeps_.resize(W);
-  patched_lists_.resize(W);
+  s2_received_.assign(W, 0);
+  folded_.assign(graph.num_data(), 0);
   recompute_.assign(graph.num_data(), 0);
   recompute_lists_.resize(W);
   prescanned_.assign(W, 0);
@@ -109,14 +108,15 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
 }
 
 uint64_t BspRefiner::MaxWorkerStateBytes() const {
+  // Pull mode never builds the accumulators, so there are none to count.
+  const bool has_sweep = sweep_.num_vertices() > 0;
   uint64_t worst = 0;
   for (int w = 0; w < config_.num_workers; ++w) {
-    // The delta-exchange replica: the worker's own accumulator entries
-    // (none in pull mode, which never builds one).
-    uint64_t bytes = sweeps_[static_cast<size_t>(w)].TotalEntries() *
-                     sizeof(AffinityEntry);
+    uint64_t bytes = 0;
     for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
       bytes += graph_.DataDegree(v) * sizeof(VertexId) + 16;
+      // The delta-exchange state: the accumulator entries of owned vertices.
+      if (has_sweep) bytes += sweep_.Entries(v).size() * sizeof(AffinityEntry);
     }
     for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
       bytes += graph_.QueryDegree(q) * sizeof(VertexId) +
@@ -125,14 +125,6 @@ uint64_t BspRefiner::MaxWorkerStateBytes() const {
     worst = std::max(worst, bytes);
   }
   return worst;
-}
-
-uint64_t BspRefiner::last_bootstrap_adjacency_reads() const {
-  uint64_t reads = 0;
-  for (const AffinitySweep& sweep : sweeps_) {
-    reads += sweep.last_build_adjacency_reads();
-  }
-  return reads;
 }
 
 IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
@@ -169,7 +161,7 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   // Worker kill at the superstep boundary: the worker's query replicas are
   // rebuilt from the authoritative partition state its queries last saw
   // (charged to its superstep-1 work), and every derived structure
-  // (accumulator replicas, cached proposals, histograms) is re-bootstrapped
+  // (accumulators, cached proposals, histograms) is re-bootstrapped
   // below. Before the first iteration there is no state to lose — a kill at
   // epoch 0 is a no-op.
   if (!injector_.empty() && state_valid_) {
@@ -188,9 +180,9 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     if (until > round.epoch) ++round.stats.degraded_links;
   }
 
-  // The replicas' windows follow the group structure, so a new one needs new
-  // replicas. Drop them before superstep 1: the fold would otherwise emit
-  // records for replicas superstep 2 is about to rebuild.
+  // The accumulator windows follow the group structure, so a new one needs
+  // a new sweep. Drop it before superstep 1: the fold would otherwise emit
+  // records for a sweep superstep 2 is about to rebuild.
   if (sweep_valid_ && !context_.MatchesTopology(topo)) sweep_valid_ = false;
   AnnounceAndFold(topo, *partition, pool, &round);
   // Cached proposals also depend on the topology and the anchor.
@@ -278,7 +270,7 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
         (!topo.full_k || static_cast<double>(total_changed) >
                              options_.incremental_rebuild_fraction *
                                  static_cast<double>(graph_.num_data()))) {
-      // External-mutation guard: drop the replicas now — the fold then
+      // External-mutation guard: drop the accumulators now — the fold then
       // skips emission and superstep 2 re-bootstraps. Under a grouped
       // topology a moved vertex may have left its group, and with it its
       // stored window. Under direct k-way the windows cannot go stale, and
@@ -314,8 +306,8 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
   // message arrival interleaving.
   AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
     uint64_t work = 0;
-    // Records are only worth emitting when valid accumulator replicas
-    // will consume them; after a high-churn round the replicas were
+    // Records are only worth emitting when valid accumulators will
+    // consume them; after a high-churn round the accumulators were
     // dropped and superstep 2 re-bootstraps instead.
     std::vector<NeighborDelta>* emit =
         round->push && sweep_valid_ ? &s1_records_[static_cast<size_t>(w)]
@@ -381,11 +373,11 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
   }
 
   // Records are emitted exactly when push && sweep_valid_ — superstep 2
-  // then patches the accumulator replicas with them. The exchange mode is
+  // then patches the accumulators with them. The exchange mode is
   // constant per instance and grouped rounds emit too, so a fold can never
   // change query replicas behind valid accumulators: sweep_valid_ implies
   // push, and an invalid sweep re-bootstraps in superstep 2. (A pull-mode
-  // instance never builds replicas in the first place.)
+  // instance never builds accumulators in the first place.)
   SHP_DCHECK(!sweep_valid_ || round->push);
 
 #ifndef NDEBUG
@@ -463,10 +455,11 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
       return work;
     }), &s2);
     // Enveloped transfer: encode, frame, deliver (through the injector,
-    // with bounded same-sequence retransmission), verify, decode into
-    // s2_inbox_. A link that exhausts its retries is unrecoverable this
-    // epoch — the recovery action is the same replica invalidation +
-    // full-reship the churn guard uses, taken in this same iteration.
+    // with bounded same-sequence retransmission), verify, decode, and count
+    // each worker's received records into s2_received_. A link that
+    // exhausts its retries is unrecoverable this epoch — the recovery action
+    // is the same accumulator invalidation + full-reship the churn guard
+    // uses, taken in this same iteration.
     if (!TransferEnveloped(round->epoch, router, &s2, &round->stats)) {
       sweep_valid_ = false;
       round->bootstrap = true;
@@ -498,8 +491,8 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
   if (!round->push || round->bootstrap) {
     // Full-reship send: dirty queries ship their topology-relevant neighbor
     // data, one combined message per destination worker. A delta-exchange
-    // bootstrap ships every query the same way — the accumulator replicas
-    // are built from exactly this shipment. (Added to, not replacing, a
+    // bootstrap ships every query the same way — the accumulators are built
+    // from exactly this shipment. (Added to, not replacing, a
     // failed enveloped exchange's send charge earlier this iteration.)
     MessageRouter<NeighborDataMsg> router(W);
     AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
@@ -508,8 +501,8 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
       for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
         if (!query_dirty_[q] && !round->bootstrap) continue;
         // Restricted to buckets active in this topology (recursion sends
-        // "at most r values" per §3.3): the replicas a bootstrap seeds keep
-        // only their vertices' group windows.
+        // "at most r values" per §3.3): the accumulators a bootstrap seeds
+        // keep only their vertices' group windows.
         const auto restricted = static_cast<uint32_t>(std::count_if(
             query_ndata_[q].begin(), query_ndata_[q].end(),
             [&topo](const BucketCount& e) {
@@ -544,17 +537,18 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
       return sizeof(VertexId) + m.num_entries * sizeof(BucketCount);
     });
     if (round->bootstrap) {
-      // Each data worker builds its accumulator replica from the shipment:
-      // the vertex-major gather over its own vertices' windows, charged one
-      // work unit per accumulator add. The workers build one after another,
-      // each on the whole host pool.
-      for (int w = 0; w < W; ++w) {
-        s2.work_units[static_cast<size_t>(w)] +=
-            sweeps_[static_cast<size_t>(w)].Build(
-                graph_, query_ndata_, gain_.pow_table(), pool,
-                topo.GroupWindows(partition,
-                                  &data_shards_[static_cast<size_t>(w)]));
-      }
+      // One gather builds every worker's accumulators from the shipment, as
+      // the threaded Refiner builds its sweep. Each worker is charged one
+      // unit per add into its own vertices: each add raised one support.
+      sweep_.Build(graph_, query_ndata_, gain_.pow_table(), pool,
+                   topo.GroupWindows(partition));
+      AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
+        uint64_t adds = 0;
+        for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
+          for (const AffinityEntry& e : sweep_.Entries(v)) adds += e.support;
+        }
+        return adds;
+      }), &s2);
       sweep_valid_ = true;
       // The reship bypasses the enveloped link protocol, so it doubles as
       // the protocol resync point: receive sequences jump to the send
@@ -562,48 +556,46 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
       ResyncLinks();
     }
   } else {
-    // Receive: each worker patches its replica from its inbox — the records
-    // the verified transfer decoded, src order keeping every per-(q,
-    // bucket) chain intact (a query's records come from its single owner) —
-    // charged one work unit per record scanned and per record folded into
-    // an accumulator. The workers patch one after another, each on the
-    // whole host pool. Each patched vertex's proposal is computed right
-    // after its patch, while its accumulator is cache-hot, and stored in
-    // the proposal cache; ProposeMoves then scans only the rest (and
-    // charges these scans as its own). A recompute-all round overwrites
-    // them.
+    // Receive: every link delivered its verified records, so one patch over
+    // the owners' records in owner order folds, per vertex, exactly its
+    // worker's inbox in the same order (a query's records are contiguous).
+    // Each worker is charged its received records plus the records folded
+    // into its vertices. Each patched vertex proposes right after its patch,
+    // while cache-hot; ProposeMoves scans only the rest (and charges these
+    // scans as its own). A recompute-all round overwrites them.
+    patch_records_.clear();
+    for (const std::vector<NeighborDelta>& records : s1_records_) {
+      patch_records_.insert(patch_records_.end(), records.begin(),
+                            records.end());
+    }
     const auto propose = [&](VertexId v,
-                             std::span<const AffinityEntry> entries) {
-      const BucketId from = partition.bucket_of(v);
-      if (topo.group_of_bucket[static_cast<size_t>(from)] < 0) return;
-      const GainComputer::BestTarget best = FinalizeProposal(
-          PushScan(gain_, topo, from, entries,
-                   static_cast<double>(graph_.DataDegree(v))),
-          v, from, anchor, anchor_penalty, options_.propose_nonpositive);
+                             std::span<const AffinityEntry> entries,
+                             uint32_t records) {
+      const GainComputer::BestTarget best = PatchedProposal(
+          gain_, topo, partition, v, entries,
+          static_cast<double>(graph_.DataDegree(v)), anchor, anchor_penalty,
+          options_.propose_nonpositive);
       cached_target_[v] = best.bucket;
       cached_gain_[v] = best.gain;
+      folded_[v] = records;
     };
-    for (int w = 0; w < W; ++w) {
-      const std::vector<NeighborDelta>& inbox =
-          s2_inbox_[static_cast<size_t>(w)];
-      s2.work_units[static_cast<size_t>(w)] +=
-          inbox.size() +
-          sweeps_[static_cast<size_t>(w)].ApplyDeltas(
-              graph_, inbox, gain_.pow_table(), pool,
-              &patched_lists_[static_cast<size_t>(w)], propose);
+    sweep_.ApplyDeltas(graph_, patch_records_, gain_.pow_table(), pool,
+                       &patched_, propose);
+    AddWork(s2_received_, &s2);
+    for (VertexId v : patched_) {
+      s2.work_units[static_cast<size_t>(data_owner_[v])] += folded_[v];
     }
   }
   if (!round->recompute_all) {
     // A push proposal reads only v's window and bucket, so it can change
     // only if v received an in-window record (pull mode never patches, so
-    // its patched lists stay empty) or moved. The patched vertices lead
-    // each list: ApplyDeltas already proposed for them. Last round's movers
-    // recompute unconditionally: a mover's `from` changed even when
-    // offsetting moves cancelled every adjacent count delta, in which case
-    // no dirty query or record reaches it.
+    // its patched list stays empty) or moved. Each worker's patched
+    // vertices lead its list: ApplyDeltas already proposed for them. Last
+    // round's movers recompute unconditionally: a mover's `from` changed
+    // even when offsetting moves cancelled every adjacent count delta, in
+    // which case no dirty query or record reaches it.
     AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
-      const uint64_t patched =
-          MarkForRecompute(w, patched_lists_[static_cast<size_t>(w)]);
+      const uint64_t patched = MarkForRecompute(w, patched_);
       prescanned_[static_cast<size_t>(w)] = patched;
       return patched + MarkForRecompute(w, last_movers_);
     }), &s2);
@@ -621,23 +613,17 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
 
 #ifndef NDEBUG
   if (round->push) {
-    // Each worker's delta-patched replica must match a fresh build over the
-    // same windows up to float summation order — and those windows must
-    // still be the ones the current partition derives.
-    for (int w = 0; w < W; ++w) {
-      const AffinitySweep& sweep = sweeps_[static_cast<size_t>(w)];
-      std::vector<BucketWindow> windows =
-          topo.GroupWindows(partition, &data_shards_[static_cast<size_t>(w)]);
-      SHP_CHECK(windows == sweep.windows())
-          << "a vertex left the accumulator window of its group (worker " << w
-          << ")";
-      AffinitySweep fresh;
-      fresh.Build(graph_, query_ndata_, gain_.pow_table(), pool,
-                  std::move(windows));
-      SHP_CHECK(sweep.ApproxEquals(fresh, 1e-9, 1e-9))
-          << "patched BSP accumulator replica of worker " << w
-          << " diverged from a fresh build";
-    }
+    // The patched accumulators must match a fresh build over the same
+    // windows up to float summation order — and those windows must still be
+    // the ones the current partition derives.
+    std::vector<BucketWindow> windows = topo.GroupWindows(partition);
+    SHP_CHECK(windows == sweep_.windows())
+        << "a vertex left the accumulator window of its group";
+    AffinitySweep fresh;
+    fresh.Build(graph_, query_ndata_, gain_.pow_table(), pool,
+                std::move(windows));
+    SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
+        << "patched BSP accumulators diverged from a fresh build";
   }
 #endif
 }
@@ -651,8 +637,8 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
   const auto replicas = QueryReplicas();
   // Work units of a push scan of v (in a refined bucket): the accumulator
   // entries scanned, plus the sibling candidates under a grouped topology.
-  const auto push_work = [&](int w, VertexId v) -> uint64_t {
-    const uint64_t entries = sweeps_[static_cast<size_t>(w)].Entries(v).size();
+  const auto push_work = [&](VertexId v) -> uint64_t {
+    const uint64_t entries = sweep_.Entries(v).size();
     if (topo.full_k) return entries;
     const int32_t group =
         topo.group_of_bucket[static_cast<size_t>(partition.bucket_of(v))];
@@ -671,9 +657,8 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
     GainComputer::BestTarget best;
     if (use_push) {
       // One scan of v's accumulator, which holds its group's window.
-      *work += push_work(w, v);
-      best = PushScan(gain_, topo, from,
-                      sweeps_[static_cast<size_t>(w)].Entries(v), degree);
+      *work += push_work(v);
+      best = PushScan(gain_, topo, from, sweep_.Entries(v), degree);
     } else if (topo.full_k) {
       std::vector<double>& affinity = pull_affinity_[static_cast<size_t>(w)];
       if (affinity.size() < static_cast<size_t>(topo.k)) {
@@ -700,7 +685,7 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
     uint64_t work = 0;
     const std::vector<VertexId>& list = lists[static_cast<size_t>(w)];
     const size_t prescanned = prescanned_[static_cast<size_t>(w)];
-    for (size_t i = 0; i < prescanned; ++i) work += push_work(w, list[i]);
+    for (size_t i = 0; i < prescanned; ++i) work += push_work(list[i]);
     for (size_t i = prescanned; i < list.size(); ++i) {
       const VertexId v = list[i];
       const GainComputer::BestTarget best = propose(w, v, round->push, &work);
@@ -876,8 +861,8 @@ void BspRefiner::DrawAndExecute(const MoveTopology& topo, uint64_t seed,
               static_cast<double>(graph_.num_data())) {
     // High-churn fallback (mirrors the threaded refiner): with this many
     // moved pins, the delta records outweigh the full restricted lists and
-    // patching costs more than rebuilding — drop the accumulator replicas
-    // and re-bootstrap next iteration.
+    // patching costs more than rebuilding — drop the accumulators and
+    // re-bootstrap next iteration.
     sweep_valid_ = false;
   }
 
@@ -965,13 +950,13 @@ bool BspRefiner::TransferEnveloped(uint64_t epoch,
   std::vector<uint8_t> delivered;
   std::vector<NeighborDelta> decoded;
   for (int dst = 0; dst < W; ++dst) {
-    std::vector<NeighborDelta>& inbox = s2_inbox_[static_cast<size_t>(dst)];
-    inbox.clear();
+    uint64_t& received = s2_received_[static_cast<size_t>(dst)];
+    received = 0;
     for (int src = 0; src < W; ++src) {
       const std::vector<NeighborDelta>& buffer = router.Incoming(src, dst);
       if (src == dst) {
         // Worker-local delivery is a memory read: no wire, no envelope.
-        inbox.insert(inbox.end(), buffer.begin(), buffer.end());
+        received += buffer.size();
         continue;
       }
       const size_t link = LinkIndex(src, dst);
@@ -1041,7 +1026,7 @@ bool BspRefiner::TransferEnveloped(uint64_t epoch,
 #endif
         link_recv_seq_[link] = got.sequence;
         link_last_wire_[link] = frame;
-        inbox.insert(inbox.end(), decoded.begin(), decoded.end());
+        received += decoded.size();
         accepted = true;
       }
       if (accepted) {

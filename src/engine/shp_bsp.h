@@ -16,24 +16,21 @@
 //          active in the current move topology, ONE combined message per
 //          destination worker (Giraph's machine-pair message combining);
 //          receiving data vertices re-gather move gains. The reference path.
-//        * delta exchange + push sweep (kPush/kAuto with a nonzero pow
-//          base, full-k AND grouped recursion topologies) — dirty queries
-//          ship only the sparse (q, bucket, old, new) NeighborDelta records
+//        * delta exchange + push sweep (kPush with a nonzero pow base,
+//          full-k AND grouped recursion topologies) — dirty queries ship
+//          only the sparse (q, bucket, old, new) NeighborDelta records
 //          produced while folding superstep 1, O(moved pins) on the wire
 //          instead of O(Σ deg(dirty q) × touched workers), encoded with the
 //          grouped varint codec inside a self-verifying envelope
-//          (engine/wire_format.h). Each data worker keeps its own
-//          AffinitySweep accumulator replica, built and patched by the same
-//          vertex-major Build / ApplyDeltas as the threaded Refiner's: an
-//          owned vertex keeps its group's window ([0, k) under direct
-//          k-way), every other vertex an empty one, so the windows are the
-//          ownership filter. A bootstrap (first round, or a new group
-//          structure) ships what the pull path ships and builds the
-//          replicas from it; later rounds patch them from the incoming
-//          records, and the vertices that received an in-window record
-//          (inside ApplyDeltas, right after their patch), plus last
-//          round's movers, re-propose. Proposals are one
-//          sequential scan of the vertex's own accumulator
+//          (engine/wire_format.h). The data workers' accumulators are one
+//          AffinitySweep partitioned by vertex owner, built (one Build per
+//          bootstrap: first round, or a new group structure, from what the
+//          pull path ships) and patched (one ApplyDeltas per round over the
+//          query owners' records) exactly as the threaded Refiner's. The
+//          vertices that received an in-window record (proposed inside
+//          ApplyDeltas) plus last round's movers re-propose. Each worker is
+//          charged the work of its own vertices and inbox. Proposals are
+//          one sequential scan of the vertex's own accumulator
 //          (GainComputer::FindBestTargetPush, or FindBestTargetPushGrouped
 //          under SHP-2/r recursion — shared tie-break and fallback with the
 //          pull scan).
@@ -66,13 +63,13 @@
 // sequence number — delivered through the deterministic FaultInjector. A
 // detected anomaly (corruption, truncation, stale epoch, gap, duplicate)
 // triggers a bounded same-sequence retransmission; an unrecoverably failed
-// link invalidates the accumulator replicas and falls into the bootstrap
+// link invalidates the accumulators and falls into the bootstrap
 // reship path within the same iteration, which doubles as the protocol
 // resync point (receive sequences jump to the send sequences). Repeatedly
 // failing links degrade to backoff: while any link is backing off the engine
 // runs full-reship bootstraps instead of delta exchange. A worker killed at
 // an iteration boundary has its query replicas rebuilt from the
-// authoritative partition state and the accumulator replicas re-bootstrapped.
+// authoritative partition state and the accumulators re-bootstrapped.
 // Optional per-epoch checkpoints (engine/checkpoint.h) enable rollback-and-
 // replay via RestoreLatestCheckpoint. Every recovery path re-converges to
 // the fault-free trajectory — the replica and proposal cross-checks below
@@ -133,24 +130,24 @@ class BspRefiner : public RefinerInterface {
 
   /// Estimated bytes of distributed state on the most loaded worker right
   /// now: its adjacency shard, its query replicas' neighbor data, and its
-  /// accumulator replica (entries of its own sweep).
+  /// vertices' accumulator entries.
   uint64_t MaxWorkerStateBytes() const;
 
-  /// Accumulator-replica bootstrap reships performed so far (delta-exchange
-  /// mode): one per group structure the instance runs under, plus one per
-  /// recovery or high-churn drop of the replicas.
+  /// Accumulator bootstrap reships performed so far (delta-exchange mode):
+  /// one per group structure the instance runs under, plus one per recovery
+  /// or high-churn drop of the accumulators.
   uint64_t num_bootstrap_reships() const { return num_bootstraps_; }
 
-  /// Data worker w's accumulator replica (delta-exchange mode): its own
-  /// vertices' group windows, empty windows everywhere else.
-  const AffinitySweep& sweep(int worker) const {
-    return sweeps_[static_cast<size_t>(worker)];
-  }
+  /// The data workers' accumulators (delta-exchange mode); vertex v's
+  /// entries belong to the worker that owns v.
+  const AffinitySweep& sweep() const { return sweep_; }
 
-  /// Adjacency reads of the most recent bootstrap, summed over the workers'
-  /// builds: each pin is read once (graph.num_edges() when every vertex is
-  /// refined), whatever the worker count.
-  uint64_t last_bootstrap_adjacency_reads() const;
+  /// Adjacency reads of the most recent bootstrap: each pin is read once
+  /// (graph.num_edges() when every vertex is refined), whatever the worker
+  /// count.
+  uint64_t last_bootstrap_adjacency_reads() const {
+    return sweep_.last_build_adjacency_reads();
+  }
 
   /// Cumulative fault/recovery counters since construction (per-iteration
   /// values are in IterationStats).
@@ -184,7 +181,7 @@ class BspRefiner : public RefinerInterface {
     /// the partition was mutated behind the engine's back).
     bool full_scan = false;
     /// Superstep 2 ships every query's restricted neighbor data and
-    /// rebuilds the accumulator replicas from it (push mode only).
+    /// rebuilds the accumulators from it (push mode only).
     bool bootstrap = false;
     /// Every data vertex re-proposes and the histograms rebuild.
     bool recompute_all = false;
@@ -197,16 +194,16 @@ class BspRefiner : public RefinerInterface {
   /// Superstep 1: each data worker announces its vertices' bucket changes
   /// (last round's pending movers, or a diff scan of its whole shard) to
   /// the query owners, which fold them into their neighbor-data replicas
-  /// and, when valid accumulator replicas will consume them, emit the
-  /// NeighborDelta records into s1_records_. A diff scan under a grouped
-  /// topology drops the replicas (their windows may be stale).
+  /// and, when valid accumulators will consume them, emit the NeighborDelta
+  /// records into s1_records_. A diff scan under a grouped topology drops
+  /// the accumulators (their windows may be stale).
   void AnnounceAndFold(const MoveTopology& topo, const Partition& partition,
                        ThreadPool* pool, RoundState* round);
 
   /// Superstep 2, exchange: ships the delta records through the enveloped
   /// transfer (falling into a bootstrap reship when a link fails) or the
-  /// restricted neighbor-data lists, patches or rebuilds the accumulator
-  /// replicas, and marks the vertices to re-propose into recompute_lists_.
+  /// restricted neighbor-data lists, patches or rebuilds the accumulators,
+  /// and marks the vertices to re-propose into recompute_lists_.
   /// A patch also proposes for each patched vertex (under `anchor` /
   /// `anchor_penalty`) inside ApplyDeltas; those lead their worker's list,
   /// prescanned_ counting them. `degraded`: some link is in backoff, so
@@ -274,9 +271,9 @@ class BspRefiner : public RefinerInterface {
 
   /// Delivers every remote `router` buffer as an enveloped frame through the
   /// fault injector with bounded same-sequence retransmission, filling
-  /// s2_inbox_ (src-ascending per destination, locals copied verbatim) and
-  /// link_payload_bytes_. Returns true when every link delivered; false when
-  /// some link exhausted its retries (the caller then falls into the
+  /// s2_received_ (each destination's verified records, locals included)
+  /// and link_payload_bytes_. Returns true when every link delivered; false
+  /// when some link exhausted its retries (the caller then falls into the
   /// bootstrap reship path).
   bool TransferEnveloped(uint64_t epoch,
                          const MessageRouter<NeighborDelta>& router,
@@ -313,11 +310,10 @@ class BspRefiner : public RefinerInterface {
   std::vector<VertexId> last_movers_;
   bool state_valid_ = false;  ///< known_assignment_/query_ndata_ live
 
-  // Data-worker accumulator replicas (delta-exchange mode), one windowed
-  // sweep per worker, and each worker's vertices patched by the last
-  // ApplyDeltas.
-  std::vector<AffinitySweep> sweeps_;
-  std::vector<std::vector<VertexId>> patched_lists_;
+  // Data-worker accumulators (delta-exchange mode), each vertex's the state
+  // of its owner, and the vertices patched by the last ApplyDeltas.
+  AffinitySweep sweep_;
+  std::vector<VertexId> patched_;
   bool sweep_valid_ = false;
   uint64_t num_bootstraps_ = 0;  ///< bootstrap reships (diagnostics/tests)
 
@@ -367,7 +363,9 @@ class BspRefiner : public RefinerInterface {
   /// NeighborDelta records the superstep-1 fold emits, per query owner, in
   /// the merged (query, bucket) order superstep 2 ships them in.
   std::vector<std::vector<NeighborDelta>> s1_records_;
-  std::vector<std::vector<NeighborDelta>> s2_inbox_;    ///< per data worker
+  std::vector<NeighborDelta> patch_records_;  ///< s1_records_, concatenated
+  std::vector<uint64_t> s2_received_;  ///< per data worker: records received
+  std::vector<uint32_t> folded_;  ///< per patched_ vertex: records folded
   std::vector<uint8_t> recompute_;  ///< per-vertex mark, zeroed after use
   std::vector<std::vector<VertexId>> recompute_lists_;  ///< per data worker
   /// Per data worker: leading recompute_lists_ entries already proposed

@@ -618,11 +618,11 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
           if (acc.live() <= loc.cap) {
             loc.size = acc.live();
             acc.Drain(loc.data);
-            if (on_patched) on_patched(v, Entries(v));
+            if (on_patched) on_patched(v, Entries(v), m);
           } else {
             std::vector<AffinityEntry> vec(acc.live());
             acc.Drain(vec.data());
-            if (on_patched) on_patched(v, vec);
+            if (on_patched) on_patched(v, vec, m);
             ovf.emplace_back(v, std::move(vec));
           }
           continue;
@@ -642,13 +642,13 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
           std::copy(merge.tail(), merge.tail() + merge.tail_size(),
                     loc.data + merge.begin());
           loc.size = size;
-          if (on_patched) on_patched(v, Entries(v));
+          if (on_patched) on_patched(v, Entries(v), m);
         } else {
           std::vector<AffinityEntry> vec(size);
           std::copy(loc.data, loc.data + merge.begin(), vec.data());
           std::copy(merge.tail(), merge.tail() + merge.tail_size(),
                     vec.data() + merge.begin());
-          if (on_patched) on_patched(v, vec);
+          if (on_patched) on_patched(v, vec, m);
           ovf.emplace_back(v, std::move(vec));
         }
       }

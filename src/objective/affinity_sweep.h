@@ -47,12 +47,11 @@
 // windows (the threaded engine's direct k-way refinement) every occupied
 // bucket is kept.
 //
-// The BSP engine (engine/shp_bsp.h) gives each simulated data worker its own
-// windowed sweep over the same vertex ids: an owned vertex keeps its group's
-// window ([0, k) under direct k-way), every other vertex an empty one. An
-// empty window stores nothing and gets no arena slack, so the windows double
-// as the ownership filter and W replicas hold one copy of the in-window
-// state between them.
+// The BSP engine (engine/shp_bsp.h) keeps one sweep for all its simulated
+// data workers, each vertex's accumulator the state of its owner, and charges
+// each worker the adds (entry supports) and folded records (the visitor's
+// count) of its own vertices. A vertex in a bucket its recursion level does
+// not refine gets an empty window: no entries, no arena slack.
 //
 // The integer support count makes entry lifetime exact: an accumulator entry
 // exists iff some adjacent query occupies the bucket, and dropping the entry
@@ -103,7 +102,8 @@ struct AffinityEntry {
 using BucketWindow = std::pair<BucketId, BucketId>;
 
 /// Non-owning reference to a callable `f(VertexId v, std::span<const
-/// AffinityEntry> entries)` that ApplyDeltas runs once per patched vertex.
+/// AffinityEntry> entries, uint32_t records)` that ApplyDeltas runs once per
+/// patched vertex; `records` is the number of records folded into v.
 /// Copying it copies the reference; the callable must outlive the call it is
 /// passed to (a lambda argument does).
 class PatchVisitor {
@@ -111,24 +111,25 @@ class PatchVisitor {
   PatchVisitor() = default;
   template <typename F>
     requires std::invocable<const F&, VertexId,
-                            std::span<const AffinityEntry>> &&
+                            std::span<const AffinityEntry>, uint32_t> &&
              (!std::same_as<F, PatchVisitor>)
   PatchVisitor(const F& f)  // NOLINT(runtime/explicit)
       : callable_(&f),
         invoke_([](const void* callable, VertexId v,
-                   std::span<const AffinityEntry> entries) {
-          (*static_cast<const F*>(callable))(v, entries);
+                   std::span<const AffinityEntry> entries, uint32_t records) {
+          (*static_cast<const F*>(callable))(v, entries, records);
         }) {}
 
   explicit operator bool() const { return invoke_ != nullptr; }
-  void operator()(VertexId v, std::span<const AffinityEntry> entries) const {
-    invoke_(callable_, v, entries);
+  void operator()(VertexId v, std::span<const AffinityEntry> entries,
+                  uint32_t records) const {
+    invoke_(callable_, v, entries, records);
   }
 
  private:
   const void* callable_ = nullptr;
-  void (*invoke_)(const void*, VertexId, std::span<const AffinityEntry>) =
-      nullptr;
+  void (*invoke_)(const void*, VertexId, std::span<const AffinityEntry>,
+                  uint32_t) = nullptr;
 };
 
 /// Move-only: the accumulators live in blocks the sweep owns, and a move
@@ -136,8 +137,8 @@ class PatchVisitor {
 class AffinitySweep {
  public:
   /// Entries per arena block (64 KB). A fixed size, not an option: every
-  /// gather shard leaves part of its last block unused, and with larger
-  /// blocks that adds up over the BSP engine's per-worker sweeps.
+  /// gather shard leaves part of its last block unused, and larger blocks
+  /// would waste more per shard.
   static constexpr uint32_t kBlockEntries = 4096;
 
   /// Full vertex-major pass: each vertex sums 1 − B^{n_b(q)} over its
@@ -154,7 +155,8 @@ class AffinitySweep {
   /// arena (the threaded Refiner) or from per-query lists (the BSP engine's
   /// query replicas); both overloads run the same gather. Returns the
   /// accumulator adds performed — one per in-window (query, bucket) entry
-  /// gathered into a vertex, the BSP engine's simulated work unit.
+  /// gathered into a vertex. Each add raises one entry's support by 1, so
+  /// this equals Σ_v Σ_e support over the built entries.
   uint64_t Build(const BipartiteGraph& graph, const QueryNeighborData& ndata,
                  const PowTable& pow, ThreadPool* pool = nullptr,
                  std::vector<BucketWindow> windows = {});
@@ -194,7 +196,8 @@ class AffinitySweep {
   /// vertex's push proposal there instead of rescanning the accumulator
   /// later. It receives v's final entries — in place, or the shard-local
   /// copy of an accumulator that outgrew its slack, before the serial
-  /// relocation, so they equal Entries(v) after the call. Calls for
+  /// relocation, so they equal Entries(v) after the call — and the records
+  /// folded into v, which sum over the calls to the return value. Calls for
   /// distinct vertices run concurrently on the pool's workers; the callable
   /// must not read another vertex's sweep state and should not allocate.
   uint64_t ApplyDeltas(const BipartiteGraph& graph,
@@ -221,10 +224,9 @@ class AffinitySweep {
   const std::vector<BucketWindow>& windows() const { return windows_; }
 
   /// Adjacency neighbor reads performed by the most recent Build: Σ deg(v)
-  /// over the vertices it gathered (those with a non-empty window). Summed
-  /// over the BSP engine's per-worker sweeps this is graph.num_edges() when
-  /// every vertex is refined — each pin is read once, whatever the worker
-  /// count (the bootstrap-cost gate of bench/refine_iteration.cc).
+  /// over the vertices it gathered (those with a non-empty window), so
+  /// graph.num_edges() when every vertex is refined — each pin is read once
+  /// (the BSP bootstrap-cost gate of bench/refine_iteration.cc).
   uint64_t last_build_adjacency_reads() const {
     return last_build_adjacency_reads_;
   }

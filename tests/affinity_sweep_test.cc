@@ -304,8 +304,8 @@ TEST(AffinitySweep, MovedSweepKeepsEntries) {
   }
 }
 
-/// Per-worker windows of a BSP data worker under direct k-way: [0, k) for
-/// the vertices hashed to `worker`, empty for the rest.
+/// Windows that keep [0, k) for the vertices hashed to `worker` of
+/// `workers` and nothing for the rest: most vertices get an empty window.
 std::vector<BucketWindow> OwnedWindows(VertexId n, BucketId k, int workers,
                                        int worker) {
   std::vector<BucketWindow> windows(n, BucketWindow{0, 0});
@@ -343,46 +343,57 @@ TEST(AffinitySweep, QueryListBuildMatchesArenaBuild) {
   }
 }
 
-TEST(AffinitySweep, OwnedWindowsSplitEntriesAndAdjacencyReadsAcrossWorkers) {
-  // W per-worker sweeps whose windows are the ownership filter: together
-  // they hold exactly the unwindowed accumulators, each vertex on its owner
-  // with bit-identical floats, and their builds read each pin once.
+TEST(AffinitySweep, BuildReturnsTheSumOfEntrySupports) {
+  // Each accumulator add raises one entry's support by 1, so Build's return
+  // (the adds) is Σ_v Σ_e support — the identity the BSP engine's per-worker
+  // bootstrap work units rest on — unwindowed, windowed, and with every
+  // window empty. Every vertex with a non-empty window reads its adjacency
+  // once.
   const BipartiteGraph g = TestGraph(23);
   const BucketId k = 8;
   const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const std::vector<BucketId> assignment =
+      Partition::Random(g.num_data(), k, 5).assignment();
   QueryNeighborData ndata;
-  ndata.Build(g, Partition::Random(g.num_data(), k, 5).assignment());
-  AffinitySweep whole;
-  const uint64_t whole_adds = whole.Build(g, ndata, pow);
-  EXPECT_EQ(whole.last_build_adjacency_reads(), g.num_edges());
+  ndata.Build(g, assignment);
   ThreadPool pool(4);
-  for (const int workers : {1, 3, 8}) {
-    std::vector<AffinitySweep> sweeps(static_cast<size_t>(workers));
-    uint64_t entries = 0;
-    uint64_t reads = 0;
-    uint64_t adds = 0;
-    for (int w = 0; w < workers; ++w) {
-      adds += sweeps[static_cast<size_t>(w)].Build(
-          g, ndata, pow, &pool, OwnedWindows(g.num_data(), k, workers, w));
-      entries += sweeps[static_cast<size_t>(w)].TotalEntries();
-      reads += sweeps[static_cast<size_t>(w)].last_build_adjacency_reads();
-    }
-    EXPECT_EQ(entries, whole.TotalEntries()) << "W=" << workers;
-    EXPECT_EQ(reads, g.num_edges()) << "W=" << workers;
-    EXPECT_EQ(adds, whole_adds) << "W=" << workers;
+  const auto supports = [&](const AffinitySweep& sweep) {
+    uint64_t sum = 0;
     for (VertexId v = 0; v < g.num_data(); ++v) {
-      const auto a = whole.Entries(v);
-      for (int w = 0; w < workers; ++w) {
-        const auto b = sweeps[static_cast<size_t>(w)].Entries(v);
-        if (static_cast<int>(HashToBounded(55, v, 3, workers)) == w) {
-          ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-              << "W=" << workers << " v=" << v;
-        } else {
-          ASSERT_TRUE(b.empty()) << "W=" << workers << " v=" << v;
-        }
-      }
+      for (const AffinityEntry& e : sweep.Entries(v)) sum += e.support;
     }
+    return sum;
+  };
+
+  AffinitySweep whole;
+  const uint64_t whole_adds = whole.Build(g, ndata, pow, &pool);
+  EXPECT_GT(whole_adds, 0u);
+  EXPECT_EQ(whole_adds, supports(whole));
+  EXPECT_EQ(whole.last_build_adjacency_reads(), g.num_edges());
+
+  // Four-bucket windows, empty for the vertices of buckets 6 and 7.
+  std::vector<BucketWindow> windows(g.num_data());
+  uint64_t windowed_reads = 0;
+  for (VertexId v = 0; v < g.num_data(); ++v) {
+    if (assignment[v] >= 6) continue;
+    const BucketId first = assignment[v] / 4 * 4;
+    windows[v] = {first, first + 4};
+    windowed_reads += g.DataDegree(v);
   }
+  AffinitySweep windowed;
+  const uint64_t windowed_adds = windowed.Build(g, ndata, pow, &pool, windows);
+  EXPECT_GT(windowed_adds, 0u);
+  EXPECT_LT(windowed_adds, whole_adds);
+  EXPECT_EQ(windowed_adds, supports(windowed));
+  EXPECT_EQ(windowed.last_build_adjacency_reads(), windowed_reads);
+
+  AffinitySweep none;
+  EXPECT_EQ(none.Build(g, ndata, pow, &pool,
+                       std::vector<BucketWindow>(g.num_data(),
+                                                 BucketWindow{0, 0})),
+            0u);
+  EXPECT_EQ(supports(none), 0u);
+  EXPECT_EQ(none.last_build_adjacency_reads(), 0u);
 }
 
 TEST(AffinitySweep, EmptyWindowsGetNoArenaSlackAndPatchesRoundTrip) {
@@ -814,7 +825,8 @@ TEST(AffinitySweepBitExact, StreamingMergeKernelCases) {
       const AffinityEntry* before = sweep.Entries(0).data();
       std::vector<AffinityEntry> seen;
       const auto visitor = [&](VertexId v,
-                               std::span<const AffinityEntry> entries) {
+                               std::span<const AffinityEntry> entries,
+                               uint32_t) {
         if (v == 0) seen.assign(entries.begin(), entries.end());
       };
       sweep.ApplyDeltas(g, deltas, pow, &pool, nullptr, visitor);
@@ -1074,7 +1086,9 @@ TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
   // on: one call per patched vertex (exactly the `patched` list), none for
   // an empty batch or an empty-window vertex, and the entries it sees equal
   // Entries(v) after the call — in place, or the overflow copy of an
-  // accumulator relocated past its slack. The unwindowed sweep starts fully
+  // accumulator relocated past its slack — and the record count it gets is
+  // v's (in-window) records, summing to ApplyDeltas's return. The
+  // unwindowed sweep starts fully
   // concentrated at k = 512, so inserts relocate accumulators, and the
   // batch sizes cycle through both patch kernels; the windowed one has
   // four-bucket windows, empty for the vertices of buckets 28..31.
@@ -1101,10 +1115,13 @@ TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
 
       std::vector<std::atomic<uint32_t>> calls(n);
       std::vector<std::vector<AffinityEntry>> seen(n);
+      std::vector<uint32_t> records(n, 0);
       const auto visitor = [&](VertexId v,
-                               std::span<const AffinityEntry> entries) {
+                               std::span<const AffinityEntry> entries,
+                               uint32_t folded) {
         calls[v].fetch_add(1, std::memory_order_relaxed);
         seen[v].assign(entries.begin(), entries.end());
+        records[v] = folded;
       };
       std::vector<VertexId> patched = {3};  // must be overwritten
       EXPECT_EQ(sweep.ApplyDeltas(g, {}, pow, &pool, &patched, visitor), 0u);
@@ -1121,16 +1138,25 @@ TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
         std::vector<NeighborDelta> deltas;
         ndata.ApplyMoves(g, moves, &pool, nullptr, &deltas);
         // Patch kernel of each unwindowed vertex by the 4·m ≥ |acc| rule;
-        // blast-radius vertices with an empty window.
-        std::unordered_map<VertexId, uint64_t> per_query;
-        for (const NeighborDelta& rec : deltas) ++per_query[rec.q];
+        // blast-radius vertices with an empty window; the records each
+        // vertex must fold (in its window, for the windowed sweep).
+        std::unordered_map<VertexId, std::vector<BucketId>> per_query;
+        for (const NeighborDelta& rec : deltas) {
+          per_query[rec.q].push_back(rec.bucket);
+        }
         std::vector<const AffinityEntry*> before(n);
+        std::vector<uint32_t> expected_records(n, 0);
         for (VertexId v = 0; v < n; ++v) {
           before[v] = sweep.Entries(v).data();
           uint64_t m = 0;
           for (const VertexId q : g.DataNeighbors(v)) {
             const auto it = per_query.find(q);
-            if (it != per_query.end()) m += it->second;
+            if (it == per_query.end()) continue;
+            m += it->second.size();
+            for (const BucketId b : it->second) {
+              expected_records[v] +=
+                  !windowed || (b >= windows[v].first && b < windows[v].second);
+            }
           }
           if (m == 0) continue;
           if (windowed) {
@@ -1144,14 +1170,19 @@ TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
           seen[v].clear();
         }
         const uint64_t slots_before = sweep.ArenaSlots();
-        sweep.ApplyDeltas(g, deltas, pow, &pool, &patched, visitor);
+        const uint64_t folded =
+            sweep.ApplyDeltas(g, deltas, pow, &pool, &patched, visitor);
         const bool grew = sweep.ArenaSlots() > slots_before;
+        uint64_t visited_records = 0;
         for (VertexId v = 0; v < n; ++v) {
           const bool listed =
               std::binary_search(patched.begin(), patched.end(), v);
           ASSERT_EQ(calls[v].load(), listed ? 1u : 0u)
               << "round " << round << ", v=" << v;
+          ASSERT_EQ(listed ? records[v] : 0u, expected_records[v])
+              << "round " << round << ", v=" << v;
           if (!listed) continue;
+          visited_records += records[v];
           ASSERT_FALSE(windowed && windows[v].first == windows[v].second)
               << "empty-window vertex " << v << " was visited";
           const auto entries = sweep.Entries(v);
@@ -1160,6 +1191,7 @@ TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
               << "round " << round << ", v=" << v;
           relocated_seen += grew && entries.data() != before[v];
         }
+        EXPECT_EQ(visited_records, folded) << "round " << round;
       }
       if (windowed) {
         EXPECT_GT(empty_window_in_blast, 0u);
@@ -1440,13 +1472,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PullPushTrajectory, FanoutLimitFallsBackToPull) {
   // p = 1, future_splits = 1 ⇒ pow base 0: the push gain formulas are
-  // unavailable (they divide by B), so kAuto must run the pull path.
+  // unavailable (they divide by B), so kPush must fall back to pull.
   const BipartiteGraph g = RefinerGraph();
   const BucketId k = 4;
   const MoveTopology topo = MoveTopology::FullK(k, g.num_data(), 0.05);
   RefinerOptions options;
   options.p = 1.0;
-  options.sweep_mode = RefinerOptions::SweepMode::kAuto;
+  options.sweep_mode = RefinerOptions::SweepMode::kPush;
   Partition partition = Partition::BalancedRandom(g.num_data(), k, 3);
   Refiner refiner(g, options);
   const IterationStats stats = refiner.RunIteration(topo, &partition, 1, 0);

@@ -482,7 +482,7 @@ TEST(BspRefiner, ResultsDoNotDependOnHostPoolSize) {
 }
 
 TEST(BspRefiner, GroupedRoundsKeepDeltaExchangeAndReplicas) {
-  // kAuto on one refiner instance alternating full-k and grouped recursion
+  // kPush on one refiner instance alternating full-k and grouped recursion
   // windows: every round runs the delta exchange + push sweep (the full-k
   // gate is gone — grouped rounds scan the group-windowed accumulators),
   // and the replicas are rebuilt once per topology run: a switch changes
@@ -495,7 +495,7 @@ TEST(BspRefiner, GroupedRoundsKeepDeltaExchangeAndReplicas) {
   const MoveTopology grouped = MoveTopology::Grouped(
       k, g.num_data(), 0.05, {{0, 1, 2, 3}, {4, 5, 6, 7}});
   RefinerOptions options;
-  options.sweep_mode = RefinerOptions::SweepMode::kAuto;
+  options.sweep_mode = RefinerOptions::SweepMode::kPush;
   // Always patch: this test pins the replica lifecycle, not the churn
   // heuristic.
   options.incremental_rebuild_fraction = 1.0;
@@ -537,7 +537,7 @@ TEST(BspRefiner, ZeroMoveGroupedRoundKeepsReplicasFresh) {
   const MoveTopology grouped = MoveTopology::Grouped(
       k, g.num_data(), 0.05, {{0, 1, 2, 3}, {4, 5, 6, 7}});
   RefinerOptions options;
-  options.sweep_mode = RefinerOptions::SweepMode::kAuto;
+  options.sweep_mode = RefinerOptions::SweepMode::kPush;
   options.incremental_rebuild_fraction = 1.0;
   BspConfig config;
   config.num_workers = 3;
@@ -697,17 +697,18 @@ TEST(BspRefiner, RecursionDriverBuildsOneRefinerPerLevel) {
 }
 
 TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
-  // Each data worker's replica holds, for each vertex it owns, exactly the
-  // occupied buckets of the vertex's group window ([0, k) under direct
-  // k-way) and nothing for any other vertex — so the W replicas together
-  // hold one in-window copy, whatever W. The trajectory equals the threaded
-  // Refiner's (same gather, same windows).
+  // The data workers' accumulators are one sweep partitioned by owner: each
+  // vertex holds exactly the occupied buckets of its group window ([0, k)
+  // under direct k-way), so each worker's share — the entries of the
+  // vertices it owns — is its owned vertices' in-window state, whatever W.
+  // The trajectory equals the threaded Refiner's (same gather, same
+  // windows).
   const BipartiteGraph g = TestGraph();
   const BucketId k = 8;
   const MoveTopology full = MoveTopology::FullK(k, g.num_data(), 0.05);
   const MoveTopology grouped = MoveTopology::Grouped(
       k, g.num_data(), 0.05, {{0, 1}, {2, 3}, {4, 5}, {6, 7}});
-  // Occupied buckets of N(v) inside v's window, by brute force.
+  // Occupied buckets of N(v) inside v's window, ascending, by brute force.
   const auto in_window = [&](const MoveTopology& topo,
                              const std::vector<BucketId>& assignment,
                              VertexId v) {
@@ -721,24 +722,24 @@ TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
       }
     }
     std::sort(buckets.begin(), buckets.end());
-    return static_cast<uint64_t>(
-        std::unique(buckets.begin(), buckets.end()) - buckets.begin());
+    buckets.erase(std::unique(buckets.begin(), buckets.end()), buckets.end());
+    return buckets;
   };
   RefinerOptions options;
   options.sweep_mode = RefinerOptions::SweepMode::kPush;
   const uint64_t iterations = 4;
   for (const MoveTopology* topo : {&full, &grouped}) {
     // The threaded trajectory, and each iteration's brute-force per-vertex
-    // count over the assignment superstep 2 saw (the one before the round's
-    // moves), shared by every W.
+    // buckets over the assignment superstep 2 saw (the one before the
+    // round's moves), shared by every W.
     std::vector<std::vector<BucketId>> trajectory;
-    std::vector<std::vector<uint64_t>> counts;
+    std::vector<std::vector<std::vector<BucketId>>> buckets;
     Refiner threaded(g, options);
     Partition p_threaded = Partition::BalancedRandom(g.num_data(), k, 6);
     for (uint64_t iter = 0; iter < iterations; ++iter) {
-      std::vector<uint64_t>& count = counts.emplace_back(g.num_data());
+      auto& per_vertex = buckets.emplace_back(g.num_data());
       for (VertexId v = 0; v < g.num_data(); ++v) {
-        count[v] = in_window(*topo, p_threaded.assignment(), v);
+        per_vertex[v] = in_window(*topo, p_threaded.assignment(), v);
       }
       threaded.RunIteration(*topo, &p_threaded, 9, iter);
       trajectory.push_back(p_threaded.assignment());
@@ -754,22 +755,21 @@ TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
       for (uint64_t iter = 0; iter < iterations; ++iter) {
         bsp.RunIteration(*topo, &p_bsp, 9, iter);
         ASSERT_EQ(p_bsp.assignment(), trajectory[iter]) << "iteration " << iter;
+        const AffinitySweep& sweep = bsp.sweep();
         std::vector<uint64_t> expected(static_cast<size_t>(workers), 0);
+        std::vector<uint64_t> share(static_cast<size_t>(workers), 0);
         for (VertexId v = 0; v < g.num_data(); ++v) {
-          const int owner = sharding.DataWorker(v);
-          expected[static_cast<size_t>(owner)] += counts[iter][v];
-          for (int w = 0; w < workers; ++w) {
-            if (w != owner) {
-              ASSERT_TRUE(bsp.sweep(w).Entries(v).empty())
-                  << "worker " << w << " holds entries of v=" << v;
-            }
-          }
+          const std::vector<BucketId>& want = buckets[iter][v];
+          const auto entries = sweep.Entries(v);
+          ASSERT_TRUE(std::equal(
+              entries.begin(), entries.end(), want.begin(), want.end(),
+              [](const AffinityEntry& e, BucketId b) { return e.bucket == b; }))
+              << "v=" << v << ", iteration " << iter;
+          const auto owner = static_cast<size_t>(sharding.DataWorker(v));
+          expected[owner] += want.size();
+          share[owner] += entries.size();
         }
-        for (int w = 0; w < workers; ++w) {
-          EXPECT_EQ(bsp.sweep(w).TotalEntries(),
-                    expected[static_cast<size_t>(w)])
-              << "worker " << w << ", iteration " << iter;
-        }
+        EXPECT_EQ(share, expected) << "iteration " << iter;
       }
     }
   }
