@@ -94,6 +94,9 @@ class Rng {
   }
   uint64_t operator()() { return Next(); }
 
+  /// Same state, so the same stream of every draw kind from here on.
+  bool operator==(const Rng&) const = default;
+
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -7,7 +7,15 @@
 // concentrating a query's records on few servers both lowers fanout and
 // grows the largest request — the trade-off §5 discusses.
 //
-// The cluster also supports the serving loop's live-migration view
+// Replay has two paths. While no copy is in flight the assignment is fixed,
+// so each query's records-per-server profile is fixed too (the
+// pin-count-per-block Φ(e, V_i) Mt-KaHyPar keeps per hyperedge): a
+// ServerProfile holds it for every query, built once per assignment version,
+// and IssueSettled serves a request from it without touching the adjacency.
+// IssueQueryDual gathers and sorts the query's locations per request; the
+// serving loop takes it only while copies are in flight.
+//
+// The dual path supports the serving loop's live-migration view
 // (sharding/serving_loop.h): a record may have a secondary location while
 // its copy is in flight (dual-read — both locations are contacted until the
 // cutover), the primary may be transiently unassigned after a server kill
@@ -16,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -41,19 +50,21 @@ struct QueryTrace {
   uint32_t dual_records = 0;
 };
 
-/// Reusable per-caller (or per-thread) workspace for IssueQuery. The replay
-/// hot path issues millions of queries; without this every query
-/// heap-allocated two vectors. Prepare() reserves for the worst case up
-/// front, after which steady-state replay performs zero per-query
-/// allocations — grow_events counts any capacity growth past Prepare (the
-/// regression tests pin it at 0).
+/// Reusable per-caller (or per-thread) workspace for IssueQueryDual, plus the
+/// counters both replay paths keep. Prepare() reserves for the worst case up
+/// front, after which the dual path performs zero per-query allocations —
+/// grow_events counts any capacity growth past Prepare (the regression
+/// tests pin it at 0). IssueSettled touches only serveability_checks.
 struct MultiGetScratch {
   std::vector<BucketId> servers;        ///< one entry per record location
   std::vector<BucketId> distinct;       ///< deduplicated contacted servers
   std::vector<uint32_t> records;        ///< records per contacted server
   std::vector<double> surcharges;       ///< per contacted server (dual path)
   uint64_t grow_events = 0;             ///< capacity growths since Prepare
-  uint64_t serveability_checks = 0;     ///< dual-read neither-location checks
+  /// Records checked for a serving location: per record per request on the
+  /// dual path; on the settled path the profile build checked every primary
+  /// and each request adds its query's degree.
+  uint64_t serveability_checks = 0;
 
   /// Reserves for the worst query of `graph`: a dual-read can contact two
   /// locations per record, so capacity is 2 × max query degree.
@@ -73,6 +84,37 @@ struct DualReadView {
   double interference = 0.0;
 };
 
+class KvClusterSim;
+
+/// Settled per-query server profile of one graph under one assignment
+/// version: a CSR over queries holding each query's record count per
+/// contacted server, in ascending server order. Sized exactly — one pass
+/// counts the distinct servers per query, a second fills the counts.
+class ServerProfile {
+ public:
+  /// Rebuilds from `cluster`'s assignment unless already built at its
+  /// current version; returns whether it rebuilt. Checked invariant
+  /// (SHP_CHECK): every record of `graph` has a primary — a settled
+  /// assignment serves every record from one location.
+  bool Refresh(const BipartiteGraph& graph, const KvClusterSim& cluster);
+
+  /// Assignment version built at (0 = never built).
+  uint64_t version() const { return version_; }
+  VertexId num_queries() const {
+    return offsets_.empty() ? 0 : static_cast<VertexId>(offsets_.size() - 1);
+  }
+  /// Records per contacted server of query q, ascending server order; its
+  /// size is q's fanout.
+  std::span<const uint32_t> records(VertexId q) const {
+    return {counts_.data() + offsets_[q], counts_.data() + offsets_[q + 1]};
+  }
+
+ private:
+  std::vector<EdgeIndex> offsets_;  ///< num_queries + 1
+  std::vector<uint32_t> counts_;
+  uint64_t version_ = 0;
+};
+
 class KvClusterSim {
  public:
   /// `assignment` maps each data record (data vertex) to a server; values
@@ -80,13 +122,15 @@ class KvClusterSim {
   KvClusterSim(const KvClusterConfig& config,
                std::vector<BucketId> assignment);
 
-  /// Replays query q of `graph`: one request per distinct server holding
-  /// q's records. The scratch overload is the hot path (no allocations
-  /// once prepared); the two-vector convenience overload allocates.
-  QueryTrace IssueQuery(const BipartiteGraph& graph, VertexId q, Rng* rng,
-                        MultiGetScratch* scratch) const;
-  QueryTrace IssueQuery(const BipartiteGraph& graph, VertexId q,
-                        Rng* rng) const;
+  /// Settled replay of query q from `profile` (the replay hot path): one
+  /// request per distinct server holding q's records, drawn in ascending
+  /// server order. Gives the QueryTrace and Rng stream of IssueQueryDual
+  /// under an empty view bit for bit — Debug re-issues every request
+  /// through it on a copy of the Rng and checks. The profile must be built
+  /// for `graph` at this cluster's current version (SHP_DCHECK).
+  QueryTrace IssueSettled(const BipartiteGraph& graph,
+                          const ServerProfile& profile, VertexId q, Rng* rng,
+                          MultiGetScratch* scratch) const;
 
   /// Dual-read replay under live migration: each record is served from its
   /// primary (this cluster's assignment) and/or its secondary (the view) —
@@ -98,7 +142,8 @@ class KvClusterSim {
                             const DualReadView& view,
                             MultiGetScratch* scratch) const;
 
-  /// Re-homes one record (the serving loop's cutover / kill-purge edit).
+  /// Re-homes one record (the serving loop's cutover / kill-purge edit) and
+  /// bumps the assignment version, so every ServerProfile goes stale.
   /// -1 marks the primary unassigned — legal only while a DualReadView
   /// supplies a valid secondary for the record.
   void SetRecordServer(VertexId v, BucketId server);
@@ -106,11 +151,15 @@ class KvClusterSim {
 
   const KvClusterConfig& config() const { return config_; }
   const std::vector<BucketId>& assignment() const { return assignment_; }
+  /// Identifies the current assignment: unique across all clusters of the
+  /// process, renewed by every SetRecordServer.
+  uint64_t version() const { return version_; }
 
  private:
   KvClusterConfig config_;
   std::vector<BucketId> assignment_;
   LatencyModel model_;
+  uint64_t version_;
 };
 
 }  // namespace shp

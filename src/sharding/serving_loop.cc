@@ -1,10 +1,10 @@
 #include "sharding/serving_loop.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 #include "common/stats.h"
+#include "sharding/traffic_replay.h"
 
 namespace shp {
 
@@ -28,6 +28,7 @@ ServingLoop::ServingLoop(const BipartiteGraph& graph,
   active_streams_.assign(config_.cluster.num_servers, 0);
   dead_.assign(config_.cluster.num_servers, 0);
   scratch_.Prepare(graph_);
+  latencies_.reserve(config_.requests_per_phase);
   refine_seed_ = config_.seed * 0x9e3779b97f4a7c15ULL + 1;
   RebuildTopology();
 }
@@ -222,10 +223,7 @@ void ServingLoop::ApplyKills(uint64_t epoch, EpochReport* report) {
 VertexId ServingLoop::SampleQuery(uint64_t epoch) {
   const uint64_t nq = static_cast<uint64_t>(graph_.num_queries());
   auto powerlaw = [&]() {
-    // Skewed query popularity: u^(1+skew) concentrates mass near 0.
-    const double u = rng_.NextDouble();
-    const double skewed = std::pow(u, 1.0 + config_.popularity_skew);
-    return std::min<uint64_t>(nq - 1, static_cast<uint64_t>(skewed * nq));
+    return SamplePopularQuery(&rng_, nq, config_.popularity_skew);
   };
   switch (config_.scenario) {
     case TrafficScenario::kPowerLaw:
@@ -271,8 +269,16 @@ PhaseStats ServingLoop::ReplayPhase(uint64_t min_requests, bool advance_copier,
   for (uint64_t r = 0;
        r < min_requests || (advance_copier && pending_migrations_ > 0); ++r) {
     const VertexId q = SampleQuery(epoch);
-    const QueryTrace trace =
-        cluster_.IssueQueryDual(graph_, q, &rng_, view, &scratch_);
+    QueryTrace trace;
+    if (pending_migrations_ == 0) {
+      // Settled: no record has a secondary and no server streams, so the
+      // view is empty and the profile serves. It is rebuilt only after the
+      // assignment changed (about once per epoch, when the copier drains).
+      profile_.Refresh(graph_, cluster_);
+      trace = cluster_.IssueSettled(graph_, profile_, q, &rng_, &scratch_);
+    } else {
+      trace = cluster_.IssueQueryDual(graph_, q, &rng_, view, &scratch_);
+    }
     if (trace.fanout == 0) {
       ++stats.empty;
     } else {

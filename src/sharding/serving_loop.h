@@ -23,6 +23,13 @@
 //      migration queue is empty, so an epoch always ends settled.
 //   4. `after` phase — replay against the settled new assignment.
 //
+// Replay hot path: a request that arrives while no copy is in flight is
+// served from a per-query server profile (KvClusterSim::IssueSettled),
+// rebuilt only when the serving assignment changed since it was built —
+// about once per epoch, after the copier drains, and after kills. Only
+// requests that arrive while copies are in flight take the gather+sort
+// dual-read path. Both give the same draws and latencies bit for bit.
+//
 // Traffic scenarios: power-law skew (the Fig. 4b replay), hot-key (a small
 // hot set absorbing a fixed mass), and diurnal shift (the popularity center
 // rotates across epochs — the §5 case where yesterday's partition degrades
@@ -35,7 +42,8 @@
 //
 // Checked invariants, enforced every query / epoch:
 //   * a record is always serveable from at least one assignment
-//     (KvClusterSim::IssueQueryDual aborts otherwise),
+//     (KvClusterSim::IssueQueryDual per in-flight request and
+//     ServerProfile::Refresh per settled assignment abort otherwise),
 //   * executed moves per epoch never exceed the configured budget,
 //   * the serving assignment equals the target partition at epoch end.
 #pragma once
@@ -139,8 +147,9 @@ struct ServingReport {
   uint64_t total_migration_bytes = 0;
   uint64_t total_recovered_records = 0;
   uint64_t total_dual_read_queries = 0;
-  /// Dual-read serveability checks performed (every record of every query
-  /// in every phase) — all passed, or the run would have aborted.
+  /// Serveability checks performed (every record of every query in every
+  /// phase; see MultiGetScratch) — all passed, or the run would have
+  /// aborted.
   uint64_t serveability_checks = 0;
   /// Scratch growths across all replay phases (0 = the zero-allocation
   /// steady-state guarantee held).
@@ -207,6 +216,7 @@ class ServingLoop {
   std::vector<uint8_t> dead_;            ///< killed servers
   std::vector<uint64_t> load_;           ///< rehoming scratch (ApplyKills)
   MultiGetScratch scratch_;
+  ServerProfile profile_;                ///< settled replay (no copy in flight)
   std::vector<double> latencies_;        ///< per-phase sample buffer
   uint64_t refine_seed_ = 0;
   uint64_t iteration_counter_ = 0;

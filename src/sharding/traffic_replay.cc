@@ -1,7 +1,6 @@
 #include "sharding/traffic_replay.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/stats.h"
 
@@ -19,20 +18,16 @@ ReplayReport ReplayTraffic(const BipartiteGraph& graph,
   double fanout_sum = 0.0;
   double latency_sum = 0.0;
 
-  // One scratch workspace for the whole replay: after Prepare, the hot loop
-  // below performs zero per-query heap allocations (grow_events pins it).
+  // The assignment is fixed for the whole replay: one profile serves it.
+  ServerProfile profile;
+  profile.Refresh(graph, cluster);
   MultiGetScratch scratch;
-  scratch.Prepare(graph);
 
   for (uint64_t r = 0; r < config.num_requests; ++r) {
-    // Skewed query popularity: u^(1+skew) concentrates mass near 0.
-    const double u = rng.NextDouble();
-    const double skewed = std::pow(u, 1.0 + config.popularity_skew);
-    const VertexId q = static_cast<VertexId>(
-        std::min<uint64_t>(graph.num_queries() - 1,
-                           static_cast<uint64_t>(
-                               skewed * graph.num_queries())));
-    const QueryTrace trace = cluster.IssueQuery(graph, q, &rng, &scratch);
+    const VertexId q = static_cast<VertexId>(SamplePopularQuery(
+        &rng, graph.num_queries(), config.popularity_skew));
+    const QueryTrace trace =
+        cluster.IssueSettled(graph, profile, q, &rng, &scratch);
     if (trace.fanout == 0) {
       // Zero-fanout queries (no records) get counted, not silently dropped:
       // they are real issued traffic but contribute no latency sample.

@@ -4,12 +4,22 @@
 // same set of queries, while measuring fanout and latency of each query").
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "sharding/kv_cluster.h"
 
 namespace shp {
+
+/// Skewed query popularity, one draw from `rng`: u^(1+skew) concentrates
+/// mass near id 0 (skew 0 = uniform over [0, nq)). nq must be > 0. The
+/// Fig. 4b replay and the serving loop's traffic scenarios share it.
+inline uint64_t SamplePopularQuery(Rng* rng, uint64_t nq, double skew) {
+  const double skewed = std::pow(rng->NextDouble(), 1.0 + skew);
+  return std::min<uint64_t>(nq - 1, static_cast<uint64_t>(skewed * nq));
+}
 
 struct ReplayConfig {
   /// Number of query issues (queries are sampled with replacement,
@@ -30,13 +40,16 @@ struct ReplayReport {
   /// average_fanout / average_latency is served queries only, i.e.
   /// Σ count_by_fanout == num_requests − empty_queries.
   uint64_t empty_queries = 0;
-  /// Scratch-capacity growths observed during the replay. 0 in steady state;
-  /// nonzero means the per-query zero-allocation guarantee regressed.
+  /// Scratch-capacity growths observed during the replay. 0: every request
+  /// is served from the settled server profile, which allocates nothing.
   uint64_t scratch_grow_events = 0;
   double average_fanout = 0.0;
   double average_latency = 0.0;
 };
 
+/// Replays `config.num_requests` sampled queries against the cluster's
+/// fixed assignment, each from the settled server profile
+/// (KvClusterSim::IssueSettled).
 ReplayReport ReplayTraffic(const BipartiteGraph& graph,
                            const KvClusterSim& cluster,
                            const ReplayConfig& config);

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "core/recursive.h"
 #include "core/shp.h"
+#include "graph/gen_powerlaw.h"
 #include "graph/gen_social.h"
 #include "graph/graph_builder.h"
 #include "sharding/kv_cluster.h"
@@ -92,10 +95,17 @@ TEST(KvCluster, FanoutEqualsDistinctServers) {
   KvClusterConfig config;
   config.num_servers = 3;
   const KvClusterSim cluster(config, {0, 0, 1, 2});
+  ServerProfile profile;
+  profile.Refresh(g, cluster);
+  MultiGetScratch scratch;
   Rng rng(5);
-  const QueryTrace trace = cluster.IssueQuery(g, 0, &rng);
+  const QueryTrace trace = cluster.IssueSettled(g, profile, 0, &rng, &scratch);
   EXPECT_EQ(trace.fanout, 3u);
   EXPECT_GT(trace.latency, 0.0);
+  // Records per contacted server, ascending server order.
+  const std::span<const uint32_t> records = profile.records(0);
+  EXPECT_EQ(std::vector<uint32_t>(records.begin(), records.end()),
+            (std::vector<uint32_t>{2, 1, 1}));
 }
 
 TEST(KvCluster, FanoutBoundedByDegreeAndServerCount) {
@@ -108,36 +118,134 @@ TEST(KvCluster, FanoutBoundedByDegreeAndServerCount) {
   const KvClusterSim cluster(
       config, Partition::Random(g.num_data(), 4, 7).assignment());
   Rng rng(6);
+  ServerProfile profile;
+  profile.Refresh(g, cluster);
   MultiGetScratch scratch;
-  scratch.Prepare(g);
   for (VertexId q = 0; q < g.num_queries(); ++q) {
-    const QueryTrace trace = cluster.IssueQuery(g, q, &rng, &scratch);
+    const QueryTrace trace =
+        cluster.IssueSettled(g, profile, q, &rng, &scratch);
     EXPECT_LE(trace.fanout,
               std::min<uint32_t>(g.QueryDegree(q), config.num_servers));
     EXPECT_GE(trace.fanout, g.QueryDegree(q) > 0 ? 1u : 0u);
   }
 }
 
-TEST(KvCluster, ScratchAndConvenienceOverloadsAgree) {
+// Power-law queries plus zero-degree queries and one hub query holding every
+// record (so it spans every server), for the settled-vs-dual comparison.
+BipartiteGraph ProfileTestGraph() {
+  PowerLawConfig power;
+  power.num_queries = 1500;
+  power.num_data = 1200;
+  power.target_edges = 12000;
+  power.seed = 5;
+  const BipartiteGraph base = GeneratePowerLaw(power);
+  const VertexId nq = base.num_queries();
+  const VertexId nd = base.num_data();
+  GraphBuilder b(nq + 3, nd);
+  for (VertexId q = 0; q < nq; ++q) {
+    const std::span<const VertexId> pins = base.QueryNeighbors(q);
+    b.AddHyperedge(q, std::vector<VertexId>(pins.begin(), pins.end()));
+  }
+  // Queries nq and nq + 2 stay empty; nq + 1 is the hub.
+  std::vector<VertexId> all(nd);
+  for (VertexId v = 0; v < nd; ++v) all[v] = v;
+  b.AddHyperedge(nq + 1, all);
+  GraphBuilder::Options keep_all;
+  keep_all.drop_trivial_queries = false;
+  keep_all.compact_queries = false;
+  return b.Build(keep_all);
+}
+
+// Every query through both paths on one continuing pair of streams: the
+// traces must match bit for bit and the Rngs stay in the same state. Neither
+// path grows its scratch (the dual path's is prepared).
+void ExpectSettledMatchesDual(const BipartiteGraph& g,
+                              const KvClusterSim& cluster,
+                              const ServerProfile& profile, uint64_t seed) {
+  Rng settled_rng(seed), dual_rng(seed);
+  MultiGetScratch settled_scratch, dual_scratch;
+  dual_scratch.Prepare(g);
+  for (VertexId q = 0; q < g.num_queries(); ++q) {
+    const QueryTrace settled =
+        cluster.IssueSettled(g, profile, q, &settled_rng, &settled_scratch);
+    const QueryTrace dual =
+        cluster.IssueQueryDual(g, q, &dual_rng, DualReadView{}, &dual_scratch);
+    ASSERT_EQ(settled.fanout, dual.fanout) << "query " << q;
+    ASSERT_EQ(settled.latency, dual.latency) << "query " << q;
+    ASSERT_EQ(settled.dual_records, dual.dual_records) << "query " << q;
+    ASSERT_TRUE(settled_rng == dual_rng) << "query " << q;
+  }
+  EXPECT_EQ(settled_scratch.serveability_checks,
+            dual_scratch.serveability_checks);
+  EXPECT_EQ(settled_scratch.serveability_checks, g.num_edges());
+  EXPECT_EQ(settled_scratch.grow_events, 0u);
+  EXPECT_EQ(dual_scratch.grow_events, 0u);
+}
+
+TEST(KvCluster, SettledProfileMatchesDualRead) {
+  const BipartiteGraph g = ProfileTestGraph();
+  const VertexId hub = g.num_queries() - 2;
+  ASSERT_EQ(g.QueryDegree(hub), g.num_data());
+  ASSERT_EQ(g.QueryDegree(hub - 1), 0u);
+  ASSERT_EQ(g.QueryDegree(hub + 1), 0u);
+  for (uint32_t servers : {2u, 24u, 64u}) {
+    SCOPED_TRACE(servers);
+    KvClusterConfig config;
+    config.num_servers = servers;
+    KvClusterSim cluster(
+        config, Partition::BalancedRandom(g.num_data(),
+                                          static_cast<BucketId>(servers), 17)
+                    .assignment());
+    ServerProfile profile;
+    EXPECT_EQ(profile.version(), 0u);
+    EXPECT_TRUE(profile.Refresh(g, cluster));
+    EXPECT_FALSE(profile.Refresh(g, cluster));  // same version: kept
+    EXPECT_EQ(profile.version(), cluster.version());
+    EXPECT_EQ(profile.records(hub).size(), servers);
+    EXPECT_TRUE(profile.records(hub - 1).empty());
+    ExpectSettledMatchesDual(g, cluster, profile, 900 + servers);
+
+    // Re-homing one record makes the profile stale; the rebuild moves one
+    // record of the hub from its old server to the new one.
+    const VertexId v = 0;
+    const BucketId from = cluster.record_server(v);
+    const BucketId to = (from + 1) % static_cast<BucketId>(servers);
+    const uint32_t from_before = profile.records(hub)[from];
+    const uint32_t to_before = profile.records(hub)[to];
+    const uint64_t old_version = profile.version();
+    cluster.SetRecordServer(v, to);
+    EXPECT_NE(cluster.version(), old_version);
+    EXPECT_TRUE(profile.Refresh(g, cluster));
+    EXPECT_EQ(profile.version(), cluster.version());
+    ASSERT_EQ(profile.records(hub).size(), servers);
+    EXPECT_EQ(profile.records(hub)[from], from_before - 1);
+    EXPECT_EQ(profile.records(hub)[to], to_before + 1);
+    ExpectSettledMatchesDual(g, cluster, profile, 1900 + servers);
+  }
+}
+
+TEST(KvCluster, StaleProfileFailsDebugCheck) {
   GraphBuilder b;
   b.AddHyperedge(0, {0, 1, 2, 3});
-  b.AddHyperedge(1, {1, 3});
   const BipartiteGraph g = b.Build();
   KvClusterConfig config;
   config.num_servers = 3;
-  const KvClusterSim cluster(config, {0, 0, 1, 2});
+  KvClusterSim cluster(config, {0, 0, 1, 2});
+  ServerProfile profile;
+  profile.Refresh(g, cluster);
+  cluster.SetRecordServer(3, 1);
+  // A profile built from another cluster at the same assignment is stale
+  // too: versions are unique across clusters.
+  const KvClusterSim twin(config, {0, 0, 1, 2});
+  ServerProfile twin_profile;
+  twin_profile.Refresh(g, twin);
   MultiGetScratch scratch;
-  scratch.Prepare(g);
-  for (VertexId q = 0; q < g.num_queries(); ++q) {
-    // Same seed → same draws: the scratch overload must not change the RNG
-    // consumption pattern of the convenience overload.
-    Rng rng_a(40 + q), rng_b(40 + q);
-    const QueryTrace a = cluster.IssueQuery(g, q, &rng_a);
-    const QueryTrace b2 = cluster.IssueQuery(g, q, &rng_b, &scratch);
-    EXPECT_EQ(a.fanout, b2.fanout);
-    EXPECT_DOUBLE_EQ(a.latency, b2.latency);
-  }
-  EXPECT_EQ(scratch.grow_events, 0u);
+  Rng rng(9);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEBUG_DEATH(cluster.IssueSettled(g, profile, 0, &rng, &scratch),
+                     "server profile built at assignment version");
+  EXPECT_DEBUG_DEATH(cluster.IssueSettled(g, twin_profile, 0, &rng, &scratch),
+                     "server profile built at assignment version");
 }
 
 TEST(KvCluster, DualReadContactsBothLocations) {
