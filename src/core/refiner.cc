@@ -44,7 +44,7 @@ GainComputer::BestTarget Refiner::ComputeProposal(
                                 &ws->affinity, &ws->touched);
   } else {
     best = gain_.FindBestTargetGrouped(
-        graph_, GainComputer::EntriesOf(ndata_), v, from,
+        graph_, ndata_, v, from,
         topo.group_children[static_cast<size_t>(group)]);
   }
   return FinalizeProposal(best, v, from, anchor, anchor_penalty,

@@ -73,14 +73,14 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   for (VertexId v = 0; v < graph.num_data(); ++v) {
     data_owner_[v] = sharding_.DataWorker(v);
   }
-  query_ndata_.resize(graph.num_queries());
   query_dirty_.assign(graph.num_queries(), 1);
   known_assignment_.assign(graph.num_data(), -1);
   cached_target_.assign(graph.num_data(), -1);
   cached_gain_.assign(graph.num_data(), 0.0);
   worker_hist_.assign(W, PairHistograms(options.broker.binning));
   hist_contrib_.assign(graph.num_data(), {});
-  s1_records_.resize(W);
+  s1_stream_.resize(W);
+  s1_record_begin_.assign(W + 1, 0);
   s2_received_.assign(W, 0);
   folded_.assign(graph.num_data(), 0);
   recompute_.assign(graph.num_data(), 0);
@@ -108,8 +108,10 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
 }
 
 uint64_t BspRefiner::MaxWorkerStateBytes() const {
-  // Pull mode never builds the accumulators, so there are none to count.
+  // Pull mode never builds the accumulators, so there are none to count;
+  // before the first round there is no neighbor data either.
   const bool has_sweep = sweep_.num_vertices() > 0;
+  const bool has_ndata = ndata_.num_queries() > 0;
   uint64_t worst = 0;
   for (int w = 0; w < config_.num_workers; ++w) {
     uint64_t bytes = 0;
@@ -119,8 +121,8 @@ uint64_t BspRefiner::MaxWorkerStateBytes() const {
       if (has_sweep) bytes += sweep_.Entries(v).size() * sizeof(AffinityEntry);
     }
     for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
-      bytes += graph_.QueryDegree(q) * sizeof(VertexId) +
-               query_ndata_[q].size() * sizeof(BucketCount) + 16;
+      bytes += graph_.QueryDegree(q) * sizeof(VertexId) + 16;
+      if (has_ndata) bytes += ndata_.Fanout(q) * sizeof(BucketCount);
     }
     worst = std::max(worst, bytes);
   }
@@ -167,7 +169,8 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   if (!injector_.empty() && state_valid_) {
     for (int w = 0; w < W; ++w) {
       if (!injector_.KillsWorker(round.epoch, w)) continue;
-      round.s1.work_units[static_cast<size_t>(w)] += RecoverKilledWorker(w);
+      round.s1.work_units[static_cast<size_t>(w)] +=
+          RecoverKilledWorker(w, pool);
       sweep_valid_ = false;
       proposals_valid_ = false;
       hist_valid_ = false;
@@ -228,9 +231,14 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
   const int W = config_.num_workers;
   SuperstepStats& s1 = round->s1;
   s1.label = "1:collect-neighbor-data";
-  MessageRouter<BucketDeltaMsg> router(W);
+  // Superstep-1 wire record: one CountDelta of one query's neighbor data,
+  // combined per (source worker, query, bucket) before the wire (Giraph's
+  // combiner). Folding these at the query owner is what produces the
+  // NeighborDelta records superstep 2 ships in delta-exchange mode.
+  MessageRouter<CountDelta> router(W);
   s1_combiner_.Reset(W);
-  for (auto& records : s1_records_) records.clear();
+  s1_records_.clear();
+  std::fill(s1_record_begin_.begin(), s1_record_begin_.end(), 0);
 
   // data -> query: bucket deltas from vertices whose bucket differs from
   // what their queries last saw. Steady state announces only last round's
@@ -291,29 +299,31 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
     for (int dst = 0; dst < W; ++dst) {
       for (const auto& [key, delta] : s1_combiner_.Drain(w, dst)) {
         router.Send(w, dst,
-                    BucketDeltaMsg{QueryOfKey(key), BucketOfKey(key), delta});
+                    CountDelta{QueryOfKey(key), BucketOfKey(key), delta});
       }
     }
     return 0;
   });
 
-  // Receive: owner workers fold deltas into their queries' neighbor data,
-  // emitting the (q, bucket, old, new) NeighborDelta records superstep 2
-  // ships in delta-exchange mode. Each source's run arrives strictly
-  // ascending by (query, bucket); the owner merges the W runs, ties in
-  // ascending source order, so each query's records come out contiguous
-  // (for the grouped send) and the fold order does not depend on the
-  // message arrival interleaving.
+  // Receive: owner workers fold their inbound runs into their queries'
+  // neighbor data, each owner's one shard of ApplyCountDeltas. Records are
+  // only worth emitting when valid accumulators will consume them; after a
+  // high-churn round the accumulators were dropped and superstep 2
+  // re-bootstraps instead. Only the records need a canonical fold order:
+  // each source's run arrives strictly ascending by (query, bucket), and an
+  // emitting owner merges its W runs into one stream, ties in ascending
+  // source order, so each query's records come out contiguous (for the
+  // grouped send) and do not depend on the message arrival interleaving.
+  // The counts alone do not depend on the order — a count includes every
+  // vertex leaving its bucket, so no partial sum drops below zero — and a
+  // non-emitting owner's shard is its W runs as they arrived. A cold round
+  // (first, or after a restore) would fold every pin into empty lists,
+  // which is exactly a Build from the current assignment.
+  const bool cold = !state_valid_;
+  const bool emit = round->push && sweep_valid_;
   AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
-    uint64_t work = 0;
-    // Records are only worth emitting when valid accumulators will
-    // consume them; after a high-churn round the accumulators were
-    // dropped and superstep 2 re-bootstraps instead.
-    std::vector<NeighborDelta>* emit =
-        round->push && sweep_valid_ ? &s1_records_[static_cast<size_t>(w)]
-                                    : nullptr;
-    const auto key_of = [](const BucketDeltaMsg& m) {
-      return PackQueryBucket(m.query, m.bucket);
+    const auto key_of = [](const CountDelta& m) {
+      return PackQueryBucket(m.q, m.bucket);
     };
     // Each source's read position and head key; an exhausted run's head
     // is the largest key, so the scan below never picks it.
@@ -322,55 +332,63 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
     std::vector<uint64_t> head(static_cast<size_t>(W), kExhausted);
     size_t remaining = 0;
     for (int src = 0; src < W; ++src) {
-      const std::vector<BucketDeltaMsg>& run = router.Incoming(src, w);
+      const std::vector<CountDelta>& run = router.Incoming(src, w);
       SHP_DCHECK(std::adjacent_find(run.begin(), run.end(),
-                                    [&](const BucketDeltaMsg& a,
-                                        const BucketDeltaMsg& b) {
+                                    [&](const CountDelta& a,
+                                        const CountDelta& b) {
                                       return key_of(a) >= key_of(b);
                                     }) == run.end())
           << "superstep-1 run from worker " << src << " is not ascending";
       if (!run.empty()) head[static_cast<size_t>(src)] = key_of(run.front());
       remaining += run.size();
+      // Every query is still dirty on a cold round.
+      if (!cold) {
+        for (const CountDelta& m : run) query_dirty_[m.q] = 1;
+      }
     }
+    // One work unit per folded message.
+    const uint64_t work = remaining;
+    std::vector<CountDelta>& stream = s1_stream_[static_cast<size_t>(w)];
+    stream.clear();
+    if (!emit) return work;
     for (; remaining > 0; --remaining) {
       // Smallest head key; strict < keeps the lowest source on ties.
       size_t src = 0;
       for (size_t s = 1; s < head.size(); ++s) {
         if (head[s] < head[src]) src = s;
       }
-      const std::vector<BucketDeltaMsg>& run =
+      const std::vector<CountDelta>& run =
           router.Incoming(static_cast<int>(src), w);
-      const BucketDeltaMsg& m = run[pos[src]++];
+      const CountDelta& m = run[pos[src]++];
       head[src] = pos[src] < run.size() ? key_of(run[pos[src]]) : kExhausted;
-      auto& entries = query_ndata_[m.query];
-      auto it = std::lower_bound(
-          entries.begin(), entries.end(), m.bucket,
-          [](const BucketCount& e, BucketId b) { return e.bucket < b; });
-      const uint32_t old_count =
-          it != entries.end() && it->bucket == m.bucket ? it->count : 0;
-      const int64_t next = static_cast<int64_t>(old_count) + m.delta;
-      SHP_DCHECK(next >= 0);
-      const uint32_t new_count = static_cast<uint32_t>(next);
-      if (old_count != 0 && new_count == 0) {
-        entries.erase(it);
-      } else if (old_count != 0) {
-        it->count = new_count;
-      } else {
-        SHP_DCHECK(m.delta > 0);
-        entries.insert(it, {m.bucket, new_count});
-      }
-      if (emit != nullptr) {
-        emit->push_back({m.query, m.bucket, old_count, new_count});
-      }
-      query_dirty_[m.query] = 1;
-      ++work;
+      stream.push_back(m);
     }
     return work;
   }), &s1);
-  s1.traffic = router.CollectAndClear(sizeof(BucketDeltaMsg));
-  for (const auto& records : s1_records_) {
-    round->stats.num_delta_records += records.size();
+  std::vector<std::span<const CountDelta>> runs;
+  std::vector<size_t> shard_begin;
+  for (int w = 0; w < W; ++w) {
+    shard_begin.push_back(runs.size());
+    if (emit) {
+      runs.emplace_back(s1_stream_[static_cast<size_t>(w)]);
+      s1_record_begin_[static_cast<size_t>(w) + 1] =
+          s1_record_begin_[static_cast<size_t>(w)] +
+          s1_stream_[static_cast<size_t>(w)].size();
+    } else {
+      for (int src = 0; src < W; ++src) {
+        runs.emplace_back(router.Incoming(src, w));
+      }
+    }
   }
+  shard_begin.push_back(runs.size());
+  if (cold) {
+    ndata_.Build(graph_, partition.assignment(), pool);
+  } else {
+    if (emit) s1_records_.resize(s1_record_begin_.back());
+    ndata_.ApplyCountDeltas(runs, shard_begin, pool, s1_records_);
+  }
+  s1.traffic = router.CollectAndClear(sizeof(CountDelta));
+  round->stats.num_delta_records = s1_records_.size();
 
   // Records are emitted exactly when push && sweep_valid_ — superstep 2
   // then patches the accumulators with them. The exchange mode is
@@ -386,12 +404,8 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
     // from the current assignment.
     QueryNeighborData fresh;
     fresh.Build(graph_, partition.assignment(), pool);
-    for (VertexId q = 0; q < graph_.num_queries(); ++q) {
-      const auto span = fresh.Entries(q);
-      SHP_CHECK(span.size() == query_ndata_[q].size() &&
-                std::equal(span.begin(), span.end(), query_ndata_[q].begin()))
-          << "BSP query replica diverged from rebuild for q=" << q;
-    }
+    SHP_CHECK(ndata_.ContentEquals(fresh))
+        << "BSP query replicas diverged from rebuild";
   }
 #endif
 }
@@ -438,8 +452,9 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
     AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
       uint64_t work = 0;
       std::vector<uint8_t> dst_mask(static_cast<size_t>(W));
-      const std::vector<NeighborDelta>& records =
-          s1_records_[static_cast<size_t>(w)];
+      const std::span<const NeighborDelta> records(
+          s1_records_.data() + s1_record_begin_[static_cast<size_t>(w)],
+          s1_records_.data() + s1_record_begin_[static_cast<size_t>(w) + 1]);
       size_t i = 0;
       while (i < records.size()) {
         size_t j = i;
@@ -503,8 +518,9 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
         // Restricted to buckets active in this topology (recursion sends
         // "at most r values" per §3.3): the accumulators a bootstrap seeds
         // keep only their vertices' group windows.
+        const std::span<const BucketCount> entries = ndata_.Entries(q);
         const auto restricted = static_cast<uint32_t>(std::count_if(
-            query_ndata_[q].begin(), query_ndata_[q].end(),
+            entries.begin(), entries.end(),
             [&topo](const BucketCount& e) {
               return topo.group_of_bucket[static_cast<size_t>(e.bucket)] >= 0;
             }));
@@ -540,7 +556,7 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
       // One gather builds every worker's accumulators from the shipment, as
       // the threaded Refiner builds its sweep. Each worker is charged one
       // unit per add into its own vertices: each add raised one support.
-      sweep_.Build(graph_, query_ndata_, gain_.pow_table(), pool,
+      sweep_.Build(graph_, ndata_, gain_.pow_table(), pool,
                    topo.GroupWindows(partition));
       AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
         uint64_t adds = 0;
@@ -563,11 +579,6 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
     // into its vertices. Each patched vertex proposes right after its patch,
     // while cache-hot; ProposeMoves scans only the rest (and charges these
     // scans as its own). A recompute-all round overwrites them.
-    patch_records_.clear();
-    for (const std::vector<NeighborDelta>& records : s1_records_) {
-      patch_records_.insert(patch_records_.end(), records.begin(),
-                            records.end());
-    }
     const auto propose = [&](VertexId v,
                              std::span<const AffinityEntry> entries,
                              uint32_t records) {
@@ -579,7 +590,7 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
       cached_gain_[v] = best.gain;
       folded_[v] = records;
     };
-    sweep_.ApplyDeltas(graph_, patch_records_, gain_.pow_table(), pool,
+    sweep_.ApplyDeltas(graph_, s1_records_, gain_.pow_table(), pool,
                        &patched_, propose);
     AddWork(s2_received_, &s2);
     for (VertexId v : patched_) {
@@ -620,7 +631,7 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
     SHP_CHECK(windows == sweep_.windows())
         << "a vertex left the accumulator window of its group";
     AffinitySweep fresh;
-    fresh.Build(graph_, query_ndata_, gain_.pow_table(), pool,
+    fresh.Build(graph_, ndata_, gain_.pow_table(), pool,
                 std::move(windows));
     SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
         << "patched BSP accumulators diverged from a fresh build";
@@ -634,7 +645,6 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
                               double anchor_penalty, ThreadPool* pool,
                               RoundState* round) {
   const int W = config_.num_workers;
-  const auto replicas = QueryReplicas();
   // Work units of a push scan of v (in a refined bucket): the accumulator
   // entries scanned, plus the sibling candidates under a grouped topology.
   const auto push_work = [&](VertexId v) -> uint64_t {
@@ -664,12 +674,12 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
       if (affinity.size() < static_cast<size_t>(topo.k)) {
         affinity.assign(static_cast<size_t>(topo.k), 0.0);
       }
-      best = gain_.FindBestTarget(graph_, replicas, v, from, 0, topo.k,
+      best = gain_.FindBestTarget(graph_, ndata_, v, from, 0, topo.k,
                                   &affinity,
                                   &pull_touched_[static_cast<size_t>(w)], work);
     } else {
       best = gain_.FindBestTargetGrouped(
-          graph_, replicas, v, from,
+          graph_, ndata_, v, from,
           topo.group_children[static_cast<size_t>(group)], work);
     }
     return FinalizeProposal(best, v, from, anchor, anchor_penalty,
@@ -728,7 +738,7 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
       CheckPushMatchesPull(
           v, propose(w, v, /*use_push=*/false, &scratch_work), cached,
           [&](BucketId to) {
-            return gain_.MoveGain(graph_, replicas, v, from, to);
+            return gain_.MoveGain(graph_, ndata_, v, from, to);
           });
     }
     return 0;
@@ -911,30 +921,16 @@ void BspRefiner::MaybeCheckpoint(uint64_t epoch, const IterationStats& stats,
   }
 }
 
-uint64_t BspRefiner::RecoverKilledWorker(int worker) {
+uint64_t BspRefiner::RecoverKilledWorker(int worker, ThreadPool* pool) {
   // The replacement worker reloads its query shard's adjacency and rebuilds
   // each owned query's neighbor data from the authoritative partition state
   // the queries last saw (known_assignment_ mirrors it by construction —
   // exact integer counts, so the rebuilt replicas are bit-identical to the
-  // lost ones and the Debug replica cross-check still passes).
+  // lost ones, and rebuilding the whole store leaves the others unchanged).
+  ndata_.Build(graph_, known_assignment_, pool);
   uint64_t work = 0;
-  std::vector<BucketId> buckets;
   for (VertexId q : query_shards_[static_cast<size_t>(worker)]) {
-    auto& entries = query_ndata_[q];
-    entries.clear();
-    buckets.clear();
-    for (VertexId v : graph_.QueryNeighbors(q)) {
-      SHP_DCHECK(known_assignment_[v] >= 0);
-      buckets.push_back(known_assignment_[v]);
-      ++work;
-    }
-    std::sort(buckets.begin(), buckets.end());
-    for (size_t i = 0; i < buckets.size();) {
-      size_t j = i;
-      while (j < buckets.size() && buckets[j] == buckets[i]) ++j;
-      entries.push_back({buckets[i], static_cast<uint32_t>(j - i)});
-      i = j;
-    }
+    work += graph_.QueryDegree(q);
   }
   return work;
 }
@@ -1081,9 +1077,8 @@ Status BspRefiner::RestoreLatestCheckpoint(Partition* partition) {
   proposals_valid_ = false;
   hist_valid_ = false;
   std::fill(known_assignment_.begin(), known_assignment_.end(), -1);
-  // The cold full scan re-folds every vertex against before = -1, which only
-  // ever *adds* counts — stale replica content must go first.
-  for (auto& entries : query_ndata_) entries.clear();
+  // The next round is cold: it rebuilds the neighbor data from the restored
+  // assignment.
   std::fill(query_dirty_.begin(), query_dirty_.end(), 1);
   pending_announce_.clear();
   last_movers_.clear();

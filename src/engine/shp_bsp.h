@@ -7,7 +7,10 @@
 //   1. data → query (AnnounceAndFold): current bucket (delta messages; a
 //      vertex that did not move "does not send messages on superstep 1 for
 //      the next iteration"). Queries fold the deltas into their sparse
-//      neighbor data.
+//      neighbor data: one QueryNeighborData store, the threaded Refiner's
+//      too, in which each query owner's inbox is one shard of
+//      ApplyCountDeltas (merged into canonical order when the fold emits
+//      records; a cold round builds the store instead).
 //   2. query → data: two exchange modes, selected by
 //      RefinerOptions::sweep_mode (the same switch that picks the threaded
 //      Refiner's scan direction):
@@ -69,7 +72,8 @@
 // failing links degrade to backoff: while any link is backing off the engine
 // runs full-reship bootstraps instead of delta exchange. A worker killed at
 // an iteration boundary has its query replicas rebuilt from the
-// authoritative partition state and the accumulators re-bootstrapped.
+// authoritative partition state (a Build of the neighbor-data store) and
+// the accumulators re-bootstrapped.
 // Optional per-epoch checkpoints (engine/checkpoint.h) enable rollback-and-
 // replay via RestoreLatestCheckpoint. Every recovery path re-converges to
 // the fault-free trajectory — the replica and proposal cross-checks below
@@ -95,16 +99,6 @@
 #include "objective/neighbor_data.h"
 
 namespace shp {
-
-/// Superstep-1 wire record: one bucket-count delta of one query's neighbor
-/// data, combined per (source worker, query, bucket) before the wire
-/// (Giraph's combiner). Folding these at the query owner is what produces
-/// the NeighborDelta records superstep 2 ships in delta-exchange mode.
-struct BucketDeltaMsg {
-  VertexId query;
-  BucketId bucket;
-  int32_t delta;
-};
 
 class BspRefiner : public RefinerInterface {
  public:
@@ -246,13 +240,6 @@ class BspRefiner : public RefinerInterface {
   /// re-proposal; returns how many it marked.
   uint64_t MarkForRecompute(int w, std::span<const VertexId> vertices);
 
-  /// Pull scans read each query's neighbor data from its replica.
-  auto QueryReplicas() const {
-    return [this](VertexId q) {
-      return std::span<const BucketCount>(query_ndata_[q]);
-    };
-  }
-
   /// Writes the epoch checkpoint when one is due; a write failure degrades
   /// durability (older checkpoints remain), never the run.
   void MaybeCheckpoint(uint64_t epoch, const IterationStats& stats,
@@ -265,9 +252,11 @@ class BspRefiner : public RefinerInterface {
   }
 
   /// Rebuilds the query replicas owned by a killed worker from the
-  /// authoritative partition state its queries last saw. Returns the
-  /// recovery work units charged to that worker.
-  uint64_t RecoverKilledWorker(int worker);
+  /// authoritative partition state its queries last saw (one Build of the
+  /// shared store from known_assignment_, which leaves the other workers'
+  /// replicas as they were). Returns the recovery work units charged to that
+  /// worker: one per adjacency read of its queries.
+  uint64_t RecoverKilledWorker(int worker, ThreadPool* pool);
 
   /// Delivers every remote `router` buffer as an enveloped frame through the
   /// fault injector with bounded same-sequence retransmission, filling
@@ -294,9 +283,11 @@ class BspRefiner : public RefinerInterface {
   std::vector<int32_t> data_owner_;  ///< data vertex -> owning worker
 
   // Distributed state. Each query's neighbor data lives on its owner worker
-  // and is updated only by that worker (single-writer); the flat vectors
-  // below are the simulation's stand-in for that per-worker memory.
-  std::vector<std::vector<BucketCount>> query_ndata_;
+  // and is updated only by that worker (single-writer); ndata_, the same
+  // store the threaded Refiner keeps, and the flat vectors below are the
+  // simulation's stand-in for that per-worker memory: each owner's
+  // superstep-1 fold is one shard of ndata_.ApplyCountDeltas.
+  QueryNeighborData ndata_;
   std::vector<uint8_t> query_dirty_;
   std::vector<BucketId> known_assignment_;  ///< last state sent upstream
   /// Net executed moves of the previous superstep 4, still to be announced
@@ -308,7 +299,7 @@ class BspRefiner : public RefinerInterface {
   /// count deltas (A→B and B→A among one query's pins), in which case no
   /// dirty flag or delta record would ever reach it.
   std::vector<VertexId> last_movers_;
-  bool state_valid_ = false;  ///< known_assignment_/query_ndata_ live
+  bool state_valid_ = false;  ///< known_assignment_/ndata_ live
 
   // Data-worker accumulators (delta-exchange mode), each vertex's the state
   // of its owner, and the vertices patched by the last ApplyDeltas.
@@ -360,10 +351,16 @@ class BspRefiner : public RefinerInterface {
   // iterations, so steady-state supersteps allocate nothing here.
   /// Superstep-1 combiner: flat (key, delta) cells, sorted at the flush.
   MessageCombiner<int32_t> s1_combiner_;
-  /// NeighborDelta records the superstep-1 fold emits, per query owner, in
-  /// the merged (query, bucket) order superstep 2 ships them in.
-  std::vector<std::vector<NeighborDelta>> s1_records_;
-  std::vector<NeighborDelta> patch_records_;  ///< s1_records_, concatenated
+  /// Per query owner: its merged superstep-1 inbox, ascending by (query,
+  /// bucket), ties in ascending source order — its shard of an emitting
+  /// fold.
+  std::vector<std::vector<CountDelta>> s1_stream_;
+  /// NeighborDelta records the superstep-1 fold emits, the query owners' in
+  /// owner order, each owner's in the merged (query, bucket) order superstep
+  /// 2 ships them in: owner w's are [s1_record_begin_[w],
+  /// s1_record_begin_[w + 1]).
+  std::vector<NeighborDelta> s1_records_;
+  std::vector<size_t> s1_record_begin_;
   std::vector<uint64_t> s2_received_;  ///< per data worker: records received
   std::vector<uint32_t> folded_;  ///< per patched_ vertex: records folded
   std::vector<uint8_t> recompute_;  ///< per-vertex mark, zeroed after use

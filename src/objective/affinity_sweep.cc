@@ -310,28 +310,6 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
                               const QueryNeighborData& ndata,
                               const PowTable& pow, ThreadPool* pool,
                               std::vector<BucketWindow> windows) {
-  return Gather(
-      graph, [&ndata](VertexId q) { return ndata.Entries(q); }, pow, pool,
-      std::move(windows));
-}
-
-uint64_t AffinitySweep::Build(
-    const BipartiteGraph& graph,
-    const std::vector<std::vector<BucketCount>>& query_lists,
-    const PowTable& pow, ThreadPool* pool, std::vector<BucketWindow> windows) {
-  return Gather(
-      graph,
-      [&query_lists](VertexId q) {
-        return std::span<const BucketCount>(query_lists[q]);
-      },
-      pow, pool, std::move(windows));
-}
-
-template <typename EntriesOf>
-uint64_t AffinitySweep::Gather(const BipartiteGraph& graph,
-                               const EntriesOf& entries_of,
-                               const PowTable& pow, ThreadPool* pool,
-                               std::vector<BucketWindow> windows) {
   const VertexId n = graph.num_data();
   if (pool == nullptr) pool = &GlobalThreadPool();
   SHP_CHECK(windows.empty() || windows.size() == n);
@@ -379,7 +357,8 @@ uint64_t AffinitySweep::Gather(const BipartiteGraph& graph,
         shard_reads += graph.DataDegree(v);
         for (const VertexId q : graph.DataNeighbors(v)) {
           const std::span<const BucketCount> entries =
-              windowed ? InWindow(entries_of(q), windows_[v]) : entries_of(q);
+              windowed ? InWindow(ndata.Entries(q), windows_[v])
+                       : ndata.Entries(q);
           if (entries.empty()) continue;
           acc.Reserve(entries.back().bucket);
           for (const BucketCount& e : entries) {

@@ -1,6 +1,6 @@
 // Affinity sweep: per-vertex sparse affinity accumulators for the
 // superstep-2 gain scan, maintained by a full vertex-major gather (Build) or
-// by folding in ApplyMoves delta records (steady state).
+// by folding in the neighbor data's delta records (steady state).
 //
 // The pull-based gain scan (GainComputer::FindBestTarget) gathers, for every
 // recomputed vertex v, the entry lists of all its adjacent queries and
@@ -15,8 +15,9 @@
 // Build gathers each vertex over its ascending DataNeighbors(v) into a
 // per-thread dense k-wide scratch reset through a touched-bucket list (the
 // QueryNeighborData::Build idiom). In steady state, ApplyDeltas consumes the
-// (q, bucket, old, new) records that QueryNeighborData::ApplyMoves emits,
-// indexes them per query, and patches only the vertices adjacent to a
+// (q, bucket, old, new) records that QueryNeighborData::ApplyCountDeltas
+// emits (through ApplyMoves in the threaded Refiner, through the
+// superstep-1 fold in the BSP engine), indexes them per query, and patches only the vertices adjacent to a
 // changed query (a blast-radius byte mask, scanned once per call) — no
 // rescan of untouched queries' adjacency. Each vertex applies its dirty
 // queries' records in ascending q, either through the dense scratch (when
@@ -47,8 +48,10 @@
 // windows (the threaded engine's direct k-way refinement) every occupied
 // bucket is kept.
 //
-// The BSP engine (engine/shp_bsp.h) keeps one sweep for all its simulated
-// data workers, each vertex's accumulator the state of its owner, and charges
+// Both engines read each query's neighbor data from the same store, a
+// QueryNeighborData, so there is one Build. The BSP engine
+// (engine/shp_bsp.h) keeps one sweep for all its simulated data workers,
+// each vertex's accumulator the state of its owner, and charges
 // each worker the adds (entry supports) and folded records (the visitor's
 // count) of its own vertices. A vertex in a bucket its recursion level does
 // not refine gets an empty window: no entries, no arena slack.
@@ -151,21 +154,16 @@ class AffinitySweep {
   /// buckets in windows[v], and the sweep stores the windows for
   /// ApplyDeltas. Empty keeps every occupied bucket.
   ///
-  /// Each query's bucket-sorted neighbor data comes from a QueryNeighborData
-  /// arena (the threaded Refiner) or from per-query lists (the BSP engine's
-  /// query replicas); both overloads run the same gather. Returns the
-  /// accumulator adds performed — one per in-window (query, bucket) entry
+  /// Each query's bucket-sorted neighbor data comes from the one
+  /// QueryNeighborData store both engines keep. Returns the accumulator adds
+  /// performed — one per in-window (query, bucket) entry
   /// gathered into a vertex. Each add raises one entry's support by 1, so
   /// this equals Σ_v Σ_e support over the built entries.
   uint64_t Build(const BipartiteGraph& graph, const QueryNeighborData& ndata,
                  const PowTable& pow, ThreadPool* pool = nullptr,
                  std::vector<BucketWindow> windows = {});
-  uint64_t Build(const BipartiteGraph& graph,
-                 const std::vector<std::vector<BucketCount>>& query_lists,
-                 const PowTable& pow, ThreadPool* pool = nullptr,
-                 std::vector<BucketWindow> windows = {});
 
-  /// Steady-state patch: folds ApplyMoves delta records into the affected
+  /// Steady-state patch: folds neighbor-data delta records into the affected
   /// accumulators. Records are grouped per query, each query's kept in
   /// emission order; each worker marks the blast radius of its Σ-degree
   /// vertex range and applies every marked vertex's dirty queries in
@@ -315,13 +313,6 @@ class AffinitySweep {
     std::vector<uint64_t> deg_prefix;  ///< Σ-degree shard-bound scratch
     std::vector<std::vector<VertexId>> patched;  ///< per-shard patched list
   };
-
-  /// The gather behind both Build overloads; `entries_of(q)` returns q's
-  /// bucket-sorted std::span<const BucketCount>.
-  template <typename EntriesOf>
-  uint64_t Gather(const BipartiteGraph& graph, const EntriesOf& entries_of,
-                  const PowTable& pow, ThreadPool* pool,
-                  std::vector<BucketWindow> windows);
 
   /// Arena slack of v: kSlackPad, or none when v's window is empty (no
   /// record ever lands there).

@@ -41,6 +41,98 @@ GainComputer::GainComputer(double p, uint32_t max_query_degree,
   SHP_CHECK_GE(future_splits, 1u);
 }
 
+double GainComputer::MoveGain(const BipartiteGraph& graph,
+                              const QueryNeighborData& ndata, VertexId v,
+                              BucketId from, BucketId to) const {
+  if (from == to) return 0.0;
+  double gain = 0.0;
+  for (VertexId q : graph.DataNeighbors(v)) {
+    const std::span<const BucketCount> list = ndata.Entries(q);
+    const uint32_t n_from = CountIn(list, from);
+    const uint32_t n_to = CountIn(list, to);
+    SHP_DCHECK(n_from >= 1);
+    gain += pow_table_.Pow(n_from - 1) - pow_table_.Pow(n_to);
+  }
+  return p_ * gain;
+}
+
+GainComputer::BestTarget GainComputer::FindBestTarget(
+    const BipartiteGraph& graph, const QueryNeighborData& ndata, VertexId v,
+    BucketId from, BucketId bucket_begin, BucketId bucket_end,
+    std::vector<double>* affinity_scratch,
+    std::vector<BucketId>* touched_scratch, uint64_t* entries_scanned) const {
+  SHP_DCHECK(bucket_begin < bucket_end);
+  SHP_DCHECK(affinity_scratch->size() >= static_cast<size_t>(bucket_end));
+  std::vector<double>& affinity = *affinity_scratch;
+  std::vector<BucketId>& touched = *touched_scratch;
+  touched.clear();
+
+  // Σ_q B^{n_j(q)} = deg(v) − Σ_{q : n_j(q)>0} (1 − B^{n_j(q)}). We
+  // accumulate the sparse second term ("affinity") per candidate bucket; an
+  // untouched bucket has affinity 0. Larger affinity = better target.
+  // `from` always contains v, so every adjacent query holds a `from` entry
+  // and the base term Σ_q B^{n_from(q)−1} is complete.
+  double base = 0.0;
+  double degree = 0.0;
+  for (VertexId q : graph.DataNeighbors(v)) {
+    degree += 1.0;
+    const std::span<const BucketCount> list = ndata.Entries(q);
+    if (entries_scanned != nullptr) *entries_scanned += list.size();
+    for (const BucketCount& entry : list) {
+      if (entry.bucket == from) {
+        base += pow_table_.Pow(entry.count - 1);
+        continue;
+      }
+      if (entry.bucket < bucket_begin || entry.bucket >= bucket_end) continue;
+      const size_t b = static_cast<size_t>(entry.bucket);
+      if (affinity[b] == 0.0) touched.push_back(entry.bucket);
+      affinity[b] += 1.0 - pow_table_.Pow(entry.count);
+    }
+  }
+
+  // Best touched bucket. Ties (within kAffinityTieEpsilon) must resolve to
+  // the lower bucket id on both scan paths, so scan candidates in ascending
+  // bucket order — `touched` is in first-encounter order, which depends on
+  // the adjacency layout, not the bucket ids.
+  std::sort(touched.begin(), touched.end());
+  double best_affinity = 0.0;  // affinity of an empty bucket
+  BucketId best_bucket = -1;
+  for (BucketId b : touched) {
+    if (affinity[static_cast<size_t>(b)] >
+        best_affinity + kAffinityTieEpsilon) {
+      best_affinity = affinity[static_cast<size_t>(b)];
+      best_bucket = b;
+    }
+  }
+  for (BucketId b : touched) affinity[static_cast<size_t>(b)] = 0.0;
+  if (best_bucket == -1) {
+    // All candidates are as good as an empty bucket (the fallback's gain is
+    // the empty-bucket gain).
+    best_bucket = EmptyWindowFallback(from, bucket_begin, bucket_end);
+    if (best_bucket == -1) return BestTarget{-1, 0.0};
+  }
+  const double sum_pow_to = degree - best_affinity;
+  return BestTarget{best_bucket, p_ * (base - sum_pow_to)};
+}
+
+GainComputer::BestTarget GainComputer::FindBestTargetGrouped(
+    const BipartiteGraph& graph, const QueryNeighborData& ndata, VertexId v,
+    BucketId from, std::span<const BucketId> candidates,
+    uint64_t* lookups) const {
+  BestTarget best;
+  bool first = true;
+  for (BucketId candidate : candidates) {
+    if (candidate == from) continue;
+    const double g = MoveGain(graph, ndata, v, from, candidate);
+    if (lookups != nullptr) *lookups += 2 * graph.DataDegree(v);
+    if (first || g > best.gain) {
+      best = {candidate, g};
+      first = false;
+    }
+  }
+  return best;
+}
+
 GainComputer::BestTarget GainComputer::FindBestTargetPush(
     std::span<const AffinityEntry> entries, BucketId from,
     BucketId bucket_begin, BucketId bucket_end, double degree) const {

@@ -26,32 +26,48 @@ struct BuildScratch {
   }
 };
 
-/// Applies (−1 at from, +1 at to) to an owned (overflowed) entry vector.
-void ApplyDeltaToVec(VertexId q, std::vector<BucketCount>* vec, BucketId from,
-                     BucketId to, int64_t* live_delta,
-                     std::vector<NeighborDelta>* emitted) {
-  auto lb = [&](BucketId b) {
-    return std::lower_bound(
-        vec->begin(), vec->end(), b,
-        [](const BucketCount& e, BucketId bucket) { return e.bucket < bucket; });
-  };
-  auto it = lb(from);
-  SHP_CHECK(it != vec->end() && it->bucket == from && it->count > 0)
-      << "move source bucket absent from neighbor data";
-  if (emitted != nullptr) emitted->push_back({q, from, it->count, it->count - 1});
-  if (--it->count == 0) {
-    vec->erase(it);
-    --*live_delta;
+/// Arena capacity to reserve for `slots` laid-out slots (Build, Compact): a
+/// quarter more, so the relocations before the next compaction append in
+/// place instead of reallocating the arena, which would briefly hold the old
+/// and the new copy. Reserved slots take address space, not memory, until a
+/// relocation writes them.
+uint64_t ArenaCapacity(uint64_t slots) { return slots + slots / 4; }
+
+/// Arena or overflow slots for a list of n entries that must grow: geometric-
+/// ish, bounded below by the standard pad so a repeatedly growing list
+/// amortizes its relocations.
+uint32_t GrownCap(uint32_t n) { return n + std::max(kSlackPad, n / 2); }
+
+/// Splices n_b += c.delta into the bucket-sorted list list[0, *size) held in
+/// `cap` slots: updates the entry, erases it at zero, or inserts it. Sets
+/// *old to n_b before the change. Returns false, changing nothing, when an
+/// insert finds the list full.
+bool SpliceCount(BucketCount* list, uint32_t* size, uint32_t cap,
+                 const CountDelta& c, uint32_t* old) {
+  BucketCount* const end = list + *size;
+  BucketCount* it = std::lower_bound(
+      list, end, c.bucket,
+      [](const BucketCount& e, BucketId bucket) { return e.bucket < bucket; });
+  const bool present = it != end && it->bucket == c.bucket;
+  *old = present ? it->count : 0;
+  const int64_t next = static_cast<int64_t>(*old) + c.delta;
+  SHP_CHECK(next >= 0 && c.delta != 0)
+      << "count change " << c.delta << " of bucket " << c.bucket
+      << " invalid for neighbor data count " << *old;
+  if (present) {
+    if (next == 0) {
+      std::copy(it + 1, end, it);
+      --*size;
+    } else {
+      it->count = static_cast<uint32_t>(next);
+    }
+    return true;
   }
-  it = lb(to);
-  if (it != vec->end() && it->bucket == to) {
-    if (emitted != nullptr) emitted->push_back({q, to, it->count, it->count + 1});
-    ++it->count;
-  } else {
-    if (emitted != nullptr) emitted->push_back({q, to, 0, 1});
-    vec->insert(it, {to, 1});
-    ++*live_delta;
-  }
+  if (*size == cap) return false;
+  std::copy_backward(it, end, end + 1);
+  *it = {c.bucket, static_cast<uint32_t>(next)};
+  ++*size;
+  return true;
 }
 
 }  // namespace
@@ -100,7 +116,9 @@ void QueryNeighborData::Build(const BipartiteGraph& graph,
     cursor += loc.cap;
     live_entries_ += loc.size;
   }
-  entries_.assign(cursor, BucketCount{});
+  entries_.clear();
+  entries_.reserve(ArenaCapacity(cursor));
+  entries_.resize(cursor);
 
   // Pass 2: recount and emit sorted run-length entries. Only the (small)
   // touched list is sorted — O(f log f) per query instead of O(deg log deg).
@@ -124,82 +142,93 @@ void QueryNeighborData::Build(const BipartiteGraph& graph,
   });
 }
 
-QueryNeighborData::DeltaResult QueryNeighborData::ApplyDeltaInPlace(
-    VertexId q, BucketId from, BucketId to, int64_t* live_delta,
-    std::vector<NeighborDelta>* emitted) {
-  Loc& loc = loc_[q];
-  BucketCount* base = entries_.data() + loc.begin;
-  uint32_t n = loc.size;
-  auto lb = [&](BucketId b) {
-    return std::lower_bound(
-        base, base + n, b,
-        [](const BucketCount& e, BucketId bucket) { return e.bucket < bucket; });
-  };
-
-  BucketCount* it = lb(from);
-  SHP_CHECK(it != base + n && it->bucket == from && it->count > 0)
-      << "move source bucket absent from neighbor data";
-  if (emitted != nullptr) emitted->push_back({q, from, it->count, it->count - 1});
-  if (--it->count == 0) {
-    std::copy(it + 1, base + n, it);
-    loc.size = --n;
-    --*live_delta;
+void QueryNeighborData::ApplyCountDeltas(
+    std::span<const std::span<const CountDelta>> runs,
+    std::span<const size_t> shard_begin, ThreadPool* pool,
+    std::span<NeighborDelta> emitted) {
+  SHP_CHECK(!shard_begin.empty() && shard_begin.back() == runs.size());
+  if (pool == nullptr) pool = &GlobalThreadPool();
+  const size_t shards = shard_begin.size() - 1;
+  std::vector<ShardOverflow>& overflow = scratch_.overflow;
+  std::vector<int64_t>& live_delta = scratch_.live_delta;
+  std::vector<size_t>& emit_begin = scratch_.emit_begin;
+  overflow.resize(std::max(overflow.size(), shards));
+  live_delta.assign(shards, 0);
+  emit_begin.assign(shards + 1, 0);
+  for (size_t s = 0; s < shards; ++s) {
+    emit_begin[s + 1] = emit_begin[s];
+    for (size_t r = shard_begin[s]; r < shard_begin[s + 1]; ++r) {
+      emit_begin[s + 1] += runs[r].size();
+    }
   }
+  SHP_CHECK(emitted.empty() || emitted.size() == emit_begin[shards]);
 
-  it = lb(to);
-  if (it != base + n && it->bucket == to) {
-    if (emitted != nullptr) emitted->push_back({q, to, it->count, it->count + 1});
-    ++it->count;
-    return DeltaResult::kDone;
-  }
-  if (n == loc.cap) return DeltaResult::kNeedsGrowth;
-  if (emitted != nullptr) emitted->push_back({q, to, 0, 1});
-  std::copy_backward(it, base + n, base + n + 1);
-  *it = {to, 1};
-  loc.size = n + 1;
-  ++*live_delta;
-  return DeltaResult::kDone;
-}
+  // Splice: each shard applies its runs in order to its own queries' lists.
+  // A list that outgrows its slack moves to the shard's overflow store (the
+  // shared arena cannot be grown concurrently) and takes its later changes
+  // there.
+  pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
+    for (size_t s = sbegin; s < send; ++s) {
+      ShardOverflow& ovf = overflow[s];
+      ovf.lists.clear();
+      ovf.index.clear();
+      NeighborDelta* emit =
+          emitted.empty() ? nullptr : emitted.data() + emit_begin[s];
+      int64_t live = 0;
+      for (size_t r = shard_begin[s]; r < shard_begin[s + 1]; ++r) {
+        for (const CountDelta& c : runs[r]) {
+          uint32_t old = 0;
+          bool spliced = false;
+          auto found = ovf.index.empty() ? ovf.index.end()
+                                         : ovf.index.find(c.q);
+          if (found == ovf.index.end()) {
+            Loc& loc = loc_[c.q];
+            const uint32_t before = loc.size;
+            spliced = SpliceCount(entries_.data() + loc.begin, &loc.size,
+                                  loc.cap, c, &old);
+            live += static_cast<int64_t>(loc.size) - before;
+            if (!spliced) {
+              const auto span = Entries(c.q);
+              found = ovf.index.emplace(c.q, ovf.lists.size()).first;
+              ovf.lists.push_back({c.q, loc.size, {span.begin(), span.end()}});
+            }
+          }
+          if (!spliced) {
+            OverflowList& list = ovf.lists[found->second];
+            if (list.size == list.slots.size()) {
+              list.slots.resize(GrownCap(list.size));
+            }
+            const uint32_t before = list.size;
+            SpliceCount(list.slots.data(), &list.size,
+                        static_cast<uint32_t>(list.slots.size()), c, &old);
+            live += static_cast<int64_t>(list.size) - before;
+          }
+          if (emit != nullptr) {
+            *emit++ = {c.q, c.bucket, old, static_cast<uint32_t>(old + c.delta)};
+          }
+        }
+      }
+      live_delta[s] = live;
+    }
+  });
 
-void QueryNeighborData::RelocateAndInsert(VertexId q, BucketId to) {
-  Loc& loc = loc_[q];
-  const uint32_t n = loc.size;
-  // Geometric-ish growth bounded below by the standard pad so a repeatedly
-  // growing list amortizes its relocations.
-  const uint32_t new_cap = n + 1 + std::max(kSlackPad, n / 2);
-  const uint64_t new_begin = entries_.size();
-  entries_.resize(new_begin + new_cap);
-
-  const BucketCount* old = entries_.data() + loc.begin;
-  BucketCount* fresh = entries_.data() + new_begin;
-  const BucketCount* insert_at =
-      std::lower_bound(old, old + n, to,
-                       [](const BucketCount& e, BucketId bucket) {
-                         return e.bucket < bucket;
-                       });
-  BucketCount* out = std::copy(old, insert_at, fresh);
-  *out++ = {to, 1};
-  std::copy(insert_at, old + n, out);
-
-  garbage_ += loc.cap;
-  loc.begin = new_begin;
-  loc.cap = new_cap;
-  loc.size = n + 1;
-  ++live_entries_;
-}
-
-void QueryNeighborData::ApplyMove(const BipartiteGraph& graph, VertexId v,
-                                  BucketId from, BucketId to) {
-  if (from == to) return;
-  int64_t live_delta = 0;
-  for (VertexId q : graph.DataNeighbors(v)) {
-    if (ApplyDeltaInPlace(q, from, to, &live_delta) ==
-        DeltaResult::kNeedsGrowth) {
-      RelocateAndInsert(q, to);  // accounts its own +1
+  // Relocate: append overflowed lists to the arena tail (serial — the arena
+  // may reallocate) and fold the per-shard accounting.
+  int64_t total_delta = 0;
+  for (size_t s = 0; s < shards; ++s) {
+    total_delta += live_delta[s];
+    for (const OverflowList& list : overflow[s].lists) {
+      const uint32_t new_cap = GrownCap(list.size);
+      const uint64_t new_begin = entries_.size();
+      entries_.resize(new_begin + new_cap);
+      std::copy_n(list.slots.begin(), list.size, entries_.begin() + new_begin);
+      Loc& loc = loc_[list.q];
+      garbage_ += loc.cap;
+      loc = {new_begin, list.size, new_cap};
     }
   }
   live_entries_ = static_cast<uint64_t>(
-      static_cast<int64_t>(live_entries_) + live_delta);
+      static_cast<int64_t>(live_entries_) + total_delta);
   MaybeCompact();
 }
 
@@ -216,19 +245,21 @@ void QueryNeighborData::ApplyMoves(const BipartiteGraph& graph,
   const size_t workers = std::max<size_t>(1, pool->num_threads());
   const size_t shards = std::min<size_t>(workers, nq);
   // Over-decompose the query space so the apply pass can be balanced by the
-  // *measured* delta volume instead of uniform id ranges: one hub query
+  // *measured* change volume instead of uniform id ranges: one hub query
   // adjacent to many moved pins otherwise serializes its whole shard.
   const size_t minis = std::min<size_t>(static_cast<size_t>(nq), shards * 8);
   const auto mini_of = [&](VertexId q) {
     return static_cast<size_t>(static_cast<uint64_t>(q) * minis / nq);
   };
 
-  // Scatter: expand each move into per-adjacent-query deltas, binned by the
-  // mini-shard that owns the query. buffers[w * minis + m] keeps worker-
-  // local append-only vectors, so no synchronization is needed. All scratch
-  // lives in the reusable member workspace (cleared, not reallocated, per
-  // call).
-  std::vector<std::vector<DeltaRec>>& buffers = scratch_.buffers;
+  // Scatter: expand each move into per-adjacent-query count changes, binned
+  // by the mini-shard that owns the query. buffers[m * workers + w] keeps
+  // worker-local append-only vectors, so no synchronization is needed, and
+  // the mini-major layout makes each shard one contiguous run range: its
+  // mini-shards ascending, each one's workers in order. The ParallelFor
+  // split is a contiguous ascending move range per worker, so a query's
+  // changes stay in executed-move order for any thread count.
+  std::vector<std::vector<CountDelta>>& buffers = scratch_.buffers;
   buffers.resize(std::max(buffers.size(), workers * minis));
   for (auto& b : buffers) b.clear();
   pool->ParallelFor(moves.size(), [&](size_t begin, size_t end, size_t w) {
@@ -236,148 +267,83 @@ void QueryNeighborData::ApplyMoves(const BipartiteGraph& graph,
       const VertexMove& m = moves[i];
       SHP_DCHECK(m.from != m.to);
       for (VertexId q : graph.DataNeighbors(m.v)) {
-        buffers[w * minis + mini_of(q)].push_back({q, m.from, m.to});
+        std::vector<CountDelta>& buffer = buffers[mini_of(q) * workers + w];
+        buffer.push_back({q, m.from, -1});
+        buffer.push_back({q, m.to, 1});
       }
     }
   });
 
-  // Group contiguous mini-shards into per-worker apply ranges balanced by
-  // their scattered delta counts (= Σ over dirty queries of their adjacent
-  // moved pins — the Σ-deg-of-dirty-queries measure). Boundary g is the
+  // Group contiguous mini-shards into per-worker shards balanced by their
+  // scattered change counts (= Σ over dirty queries of their adjacent moved
+  // pins, twice — the Σ-deg-of-dirty-queries measure). Boundary g is the
   // first mini-shard whose weight prefix reaches g/shards of the total.
   std::vector<uint64_t>& mini_weight = scratch_.mini_weight;
-  std::vector<size_t>& group_begin = scratch_.group_begin;
+  std::vector<std::span<const CountDelta>>& runs = scratch_.runs;
   mini_weight.assign(minis, 0);
+  runs.clear();
   uint64_t total_weight = 0;
-  for (size_t w = 0; w < workers; ++w) {
-    for (size_t m = 0; m < minis; ++m) {
-      mini_weight[m] += buffers[w * minis + m].size();
+  for (size_t m = 0; m < minis; ++m) {
+    for (size_t w = 0; w < workers; ++w) {
+      const std::vector<CountDelta>& buffer = buffers[m * workers + w];
+      mini_weight[m] += buffer.size();
+      runs.emplace_back(buffer);
     }
+    total_weight += mini_weight[m];
   }
-  for (size_t m = 0; m < minis; ++m) total_weight += mini_weight[m];
-  group_begin.assign(shards + 1, minis);
-  group_begin[0] = 0;
+  std::vector<size_t>& shard_begin = scratch_.shard_begin;
+  shard_begin.assign(shards + 1, minis * workers);
+  shard_begin[0] = 0;
   {
     size_t g = 1;
     uint64_t prefix = 0;
     for (size_t m = 0; m < minis && g < shards; ++m) {
       while (g < shards && prefix * shards >= total_weight * g) {
-        group_begin[g++] = m;
+        shard_begin[g++] = m * workers;
       }
       prefix += mini_weight[m];
     }
   }
 
-  // Apply: each shard splices its own queries' entry lists in place. Lists
-  // that outgrow their slack are moved to a shard-local overflow store (the
-  // shared arena cannot be grown concurrently) and merged back below.
-  std::vector<ShardOverflow>& overflow = scratch_.overflow;
-  std::vector<int64_t>& live_delta = scratch_.live_delta;
-  std::vector<std::vector<VertexId>>& touched = scratch_.touched;
-  std::vector<std::vector<NeighborDelta>>& emitted = scratch_.emitted;
-  overflow.resize(std::max(overflow.size(), shards));
-  live_delta.assign(std::max(live_delta.size(), shards), 0);
-  touched.resize(std::max(touched.size(), shards));
-  emitted.resize(std::max(emitted.size(), shards));
-  for (size_t s = 0; s < shards; ++s) {
-    overflow[s].lists.clear();
-    overflow[s].index.clear();
-    touched[s].clear();
-    emitted[s].clear();
+  // One record per scattered change, each written into its own slot.
+  std::span<NeighborDelta> emitted;
+  if (deltas != nullptr) {
+    const size_t first = deltas->size();
+    deltas->resize(first + total_weight);
+    emitted = std::span<NeighborDelta>(*deltas).subspan(first);
   }
-  pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
-    for (size_t s = sbegin; s < send; ++s) {
-      ShardOverflow& ovf = overflow[s];
-      int64_t delta = 0;
-      std::vector<VertexId>& touched_local = touched[s];
-      std::vector<NeighborDelta>* emit_local =
-          deltas != nullptr ? &emitted[s] : nullptr;
-      // Mini-shards drain in ascending order, and within one mini-shard the
-      // per-worker buffers drain in worker order — a query's deltas (its
-      // mini-shard is unique) still apply in executed-move order for any
-      // thread count.
-      for (size_t m = group_begin[s]; m < group_begin[s + 1]; ++m) {
-        for (size_t w = 0; w < workers; ++w) {
-          for (const DeltaRec& rec : buffers[w * minis + m]) {
-            touched_local.push_back(rec.q);
-            if (!ovf.index.empty()) {
-              const auto it = ovf.index.find(rec.q);
-              if (it != ovf.index.end()) {
-                ApplyDeltaToVec(rec.q, &ovf.lists[it->second].second, rec.from,
-                                rec.to, &delta, emit_local);
-                continue;
-              }
-            }
-            if (ApplyDeltaInPlace(rec.q, rec.from, rec.to, &delta, emit_local) ==
-                DeltaResult::kNeedsGrowth) {
-              // Move to overflow with the pending insert applied.
-              const auto span = Entries(rec.q);
-              std::vector<BucketCount> vec;
-              vec.reserve(span.size() + 2);
-              const auto insert_at = std::lower_bound(
-                  span.begin(), span.end(), rec.to,
-                  [](const BucketCount& e, BucketId bucket) {
-                    return e.bucket < bucket;
-                  });
-              vec.insert(vec.end(), span.begin(), insert_at);
-              vec.push_back({rec.to, 1});
-              vec.insert(vec.end(), insert_at, span.end());
-              if (emit_local != nullptr) emit_local->push_back({rec.q, rec.to, 0, 1});
-              ++delta;
-              ovf.index.emplace(rec.q, ovf.lists.size());
-              ovf.lists.emplace_back(rec.q, std::move(vec));
-            }
+  ApplyCountDeltas(runs, shard_begin, pool, emitted);
+  if (touched_queries != nullptr) {
+    // Shards are ascending query ranges, so their sorted, deduplicated
+    // query lists concatenate in ascending order.
+    std::vector<std::vector<VertexId>>& touched = scratch_.touched;
+    touched.resize(std::max(touched.size(), shards));
+    pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
+      for (size_t s = sbegin; s < send; ++s) {
+        std::vector<VertexId>& list = touched[s];
+        list.clear();
+        for (size_t r = shard_begin[s]; r < shard_begin[s + 1]; ++r) {
+          // One (from, −1) change per move × adjacent query.
+          for (const CountDelta& c : runs[r]) {
+            if (c.delta < 0) list.push_back(c.q);
           }
         }
+        std::sort(list.begin(), list.end());
+        list.erase(std::unique(list.begin(), list.end()), list.end());
       }
-      std::sort(touched_local.begin(), touched_local.end());
-      touched_local.erase(
-          std::unique(touched_local.begin(), touched_local.end()),
-          touched_local.end());
-      live_delta[s] = delta;
-    }
-  });
-
-  // Merge: append overflowed lists to the arena tail (serial — the arena may
-  // reallocate) and fold the per-shard accounting.
-  int64_t total_delta = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    total_delta += live_delta[s];
-    for (auto& [q, vec] : overflow[s].lists) {
-      const uint32_t n = static_cast<uint32_t>(vec.size());
-      const uint32_t new_cap = n + std::max(kSlackPad, n / 2);
-      const uint64_t new_begin = entries_.size();
-      entries_.resize(new_begin + new_cap);
-      std::copy(vec.begin(), vec.end(), entries_.begin() + new_begin);
-      Loc& loc = loc_[q];
-      garbage_ += loc.cap;
-      loc.begin = new_begin;
-      loc.cap = new_cap;
-      loc.size = n;
-    }
-  }
-  live_entries_ = static_cast<uint64_t>(
-      static_cast<int64_t>(live_entries_) + total_delta);
-
-  if (touched_queries != nullptr) {
+    });
     for (size_t s = 0; s < shards; ++s) {
       touched_queries->insert(touched_queries->end(), touched[s].begin(),
                               touched[s].end());
     }
   }
-  if (deltas != nullptr) {
-    for (size_t s = 0; s < shards; ++s) {
-      deltas->insert(deltas->end(), emitted[s].begin(), emitted[s].end());
-    }
-  }
-  MaybeCompact();
 }
 
 void QueryNeighborData::Compact() {
   const VertexId nq = num_queries();
   std::vector<BucketCount> fresh;
-  fresh.reserve(live_entries_ +
-                static_cast<uint64_t>(kSlackPad) * nq);
+  fresh.reserve(
+      ArenaCapacity(live_entries_ + static_cast<uint64_t>(kSlackPad) * nq));
   for (VertexId q = 0; q < nq; ++q) {
     const auto span = Entries(q);
     Loc& loc = loc_[q];

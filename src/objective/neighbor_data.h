@@ -7,13 +7,17 @@
 // defeat the scalability analysis for large k.
 //
 // The structure is *incrementally maintained*: a full Build runs once per
-// topology change, and the per-iteration refinement loop folds the executed
-// move list in with ApplyMoves — O(Σ deg(moved) · fanout) instead of the
-// O(|E| log maxdeg) rebuild. To make in-place splicing cheap, each query's
-// entry list owns a small slack capacity inside one flat arena; a list that
-// outgrows its slack is relocated to the arena tail, and the arena is
-// compacted (epoch compaction) once relocation garbage plus slack exceed the
-// live volume.
+// topology change, and every later change is a signed, query-grouped
+// (q, bucket, delta) count change applied by ApplyCountDeltas — the one
+// apply path. The threaded Refiner feeds it through ApplyMoves (each
+// executed move is (from, −1) then (to, +1) per adjacent query), the BSP
+// engine (engine/shp_bsp.h) with each query owner's superstep-1 inbox, so
+// both engines keep their neighbor data in this one store. A
+// change costs O(log fanout) instead of the O(|E| log maxdeg) rebuild. To
+// make in-place splicing cheap, each query's entry list owns a small slack
+// capacity inside one flat arena; a list that outgrows its slack is
+// relocated to the arena tail, and the arena is compacted (epoch
+// compaction) once relocation garbage exceeds half the live volume.
 #pragma once
 
 #include <algorithm>
@@ -59,13 +63,19 @@ struct VertexMove {
   bool operator==(const VertexMove&) const = default;
 };
 
-/// One observed bucket-count transition of a query during ApplyMoves:
-/// n_bucket(q) went from old_count to new_count (new_count = old_count ± 1).
-/// Records for the same (q, bucket) chain — a later record's old_count equals
-/// the previous record's new_count. The emission order preserves each chain:
-/// all of a query's records come from its owning shard, which drains the
-/// per-worker scatter buffers in move-list order (the ParallelFor split is a
-/// contiguous ascending range per worker), so a query's records appear in
+/// One signed change of a query's bucket count: n_bucket(q) += delta.
+struct CountDelta {
+  VertexId q;
+  BucketId bucket;
+  int32_t delta;
+};
+
+/// One observed bucket-count transition of a query during ApplyCountDeltas:
+/// n_bucket(q) went from old_count to new_count (= old_count + delta of the
+/// CountDelta that caused it). Records for the same (q, bucket) chain — a
+/// later record's old_count equals the previous record's new_count. The
+/// emission order preserves each chain: all of a query's changes lie in one
+/// shard, which emits in input order, so ApplyMoves' records appear in
 /// executed-move order for *any* thread count. Consumers that fold records
 /// into derived state (the affinity sweep) may interleave different queries'
 /// records freely but must keep each (q, bucket) chain in emission order —
@@ -113,33 +123,43 @@ class QueryNeighborData {
   /// Total entries = Σ_q fanout(q); proxy for superstep-2 message volume.
   uint64_t TotalEntries() const { return live_entries_; }
 
-  /// Applies a single move (v: from -> to) to all queries adjacent to v,
-  /// splicing each affected entry list in place (relocating to the arena
-  /// tail only when a list outgrows its slack). O(deg(v) · fanout).
-  void ApplyMove(const BipartiteGraph& graph, VertexId v, BucketId from,
-                 BucketId to);
+  /// Applies signed, query-grouped count changes: every query's changes lie
+  /// in one shard, shard s being runs[shard_begin[s] .. shard_begin[s+1])
+  /// in order (`shard_begin` has one more element than there are shards).
+  /// Shards apply in parallel on `pool` (the global pool if null): each
+  /// splices its queries' entry lists in place, moves a list that outgrows
+  /// its slack to a shard-local overflow store, and the overflowed lists are
+  /// then relocated to the arena tail serially. A count may never drop below
+  /// zero. If `emitted` is non-empty, it holds one slot per input change, in
+  /// run order, and each change's NeighborDelta record (old, old + delta)
+  /// lands in its slot: shard s's records, in its input order, follow those
+  /// of the shards before it.
+  void ApplyCountDeltas(std::span<const std::span<const CountDelta>> runs,
+                        std::span<const size_t> shard_begin,
+                        ThreadPool* pool = nullptr,
+                        std::span<NeighborDelta> emitted = {});
 
-  /// Applies a batch of executed moves in parallel: the query space is
-  /// over-decomposed into contiguous mini-shards, per-query bucket-count
-  /// deltas are scattered to their owning mini-shard, and mini-shards are
-  /// then grouped into per-worker apply ranges *weighted by their scattered
-  /// delta counts* (the Σ-deg-of-dirty-queries measure) — uniform ranges let
-  /// one hub query serialize a whole shard. Each worker splices its queries'
-  /// entry lists in place. O(Σ_v deg(v) · fanout) total work over the moved
-  /// vertices —
-  /// independent of |E|. If `touched_queries` is non-null, the ids of all
-  /// queries whose entries changed are appended (each id once, ascending).
-  /// If `deltas` is non-null, every bucket-count transition is appended as a
-  /// NeighborDelta record (two per applied move × adjacent query) — the
-  /// steady-state feed of the affinity sweep.
+  /// Applies a batch of executed moves through ApplyCountDeltas: each move
+  /// becomes (from, −1) then (to, +1) for every adjacent query, scattered to
+  /// the mini-shard owning the query; the query space is over-decomposed
+  /// into contiguous mini-shards, grouped into per-worker shards *weighted
+  /// by their scattered change counts* (the Σ-deg-of-dirty-queries measure)
+  /// — uniform ranges let one hub query serialize a whole shard. O(Σ_v
+  /// deg(v) · log fanout) total work over the moved vertices, independent
+  /// of |E|. If `touched_queries` is non-null, the ids of all queries whose
+  /// entries changed are appended (each id once, ascending). If `deltas` is
+  /// non-null, every bucket-count transition is appended as a NeighborDelta
+  /// record (two per applied move × adjacent query) — the steady-state feed
+  /// of the affinity sweep.
   void ApplyMoves(const BipartiteGraph& graph,
                   std::span<const VertexMove> moves, ThreadPool* pool = nullptr,
                   std::vector<VertexId>* touched_queries = nullptr,
                   std::vector<NeighborDelta>* deltas = nullptr);
 
   /// Repacks the arena in query order with fresh slack, dropping relocation
-  /// garbage. Called automatically by ApplyMove/ApplyMoves when overhead
-  /// exceeds the live volume; public for tests and memory-pressure callers.
+  /// garbage. Called automatically by ApplyCountDeltas once the garbage
+  /// exceeds half the live volume; public for tests and memory-pressure
+  /// callers.
   void Compact();
 
   /// True iff both structures hold the same logical content (identical entry
@@ -160,51 +180,34 @@ class QueryNeighborData {
     uint32_t cap;    ///< arena slots owned by q (≥ size)
   };
 
-  /// One scattered bucket-count delta: query q loses a neighbor in `from`
-  /// and gains one in `to`.
-  struct DeltaRec {
+  /// One query's entry list moved out of the arena during a parallel
+  /// ApplyCountDeltas because it outgrew its slack (the shared arena cannot
+  /// be grown concurrently): `size` live entries in `slots`.
+  struct OverflowList {
     VertexId q;
-    BucketId from;
-    BucketId to;
+    uint32_t size;
+    std::vector<BucketCount> slots;
   };
 
-  /// Shard-local store for entry lists that outgrew their slack during a
-  /// parallel ApplyMoves (the shared arena cannot be grown concurrently).
+  /// Shard-local overflow store: the lists and each one's index by query.
   struct ShardOverflow {
-    std::vector<std::pair<VertexId, std::vector<BucketCount>>> lists;
+    std::vector<OverflowList> lists;
     std::unordered_map<VertexId, size_t> index;
   };
 
-  /// Reusable ApplyMoves scratch: scatter buffers (workers × shards,
-  /// flattened), per-shard overflow/accounting/touched lists. Cleared, not
-  /// reallocated, between calls — ApplyMoves runs once per refinement
-  /// iteration and the buffer count scales with cores².
+  /// Reusable scratch, cleared, not reallocated, between calls: ApplyMoves'
+  /// scatter buffers (mini-shards × workers, flattened mini-major) and run
+  /// list, and the per-shard overflow/accounting/touched lists.
   struct ApplyScratch {
-    std::vector<std::vector<DeltaRec>> buffers;
+    std::vector<std::vector<CountDelta>> buffers;
+    std::vector<std::span<const CountDelta>> runs;
     std::vector<ShardOverflow> overflow;
     std::vector<int64_t> live_delta;
+    std::vector<size_t> emit_begin;  ///< per shard: its first emission slot
     std::vector<std::vector<VertexId>> touched;
-    std::vector<std::vector<NeighborDelta>> emitted;
-    std::vector<uint64_t> mini_weight;  ///< scattered deltas per mini-shard
-    std::vector<size_t> group_begin;    ///< weighted mini-shard → worker map
+    std::vector<uint64_t> mini_weight;  ///< scattered changes per mini-shard
+    std::vector<size_t> shard_begin;    ///< weighted mini-shard → shard map
   };
-
-  /// Outcome of an in-place delta application attempt.
-  enum class DeltaResult { kDone, kNeedsGrowth };
-
-  /// Applies (−1 at `from`, +1 at `to`) to q's entry list, accumulating the
-  /// entry-count change into *live_delta. The decrement always fits; if the
-  /// increment must insert a new bucket and the list is at capacity, returns
-  /// kNeedsGrowth with the decrement applied (and recorded in `emitted` if
-  /// non-null) and the insert still pending — the caller must record the
-  /// pending (to, 0, 1) transition itself after performing the insert.
-  DeltaResult ApplyDeltaInPlace(VertexId q, BucketId from, BucketId to,
-                                int64_t* live_delta,
-                                std::vector<NeighborDelta>* emitted = nullptr);
-
-  /// Serial growth path: relocates q's list to the arena tail with fresh
-  /// slack and performs the pending insert of `to`.
-  void RelocateAndInsert(VertexId q, BucketId to);
 
   void MaybeCompact();
 
@@ -212,7 +215,7 @@ class QueryNeighborData {
   std::vector<Loc> loc_;              ///< per-query list location
   uint64_t live_entries_ = 0;         ///< Σ_q loc_[q].size
   uint64_t garbage_ = 0;              ///< arena slots abandoned by relocation
-  ApplyScratch scratch_;              ///< reusable ApplyMoves workspace
+  ApplyScratch scratch_;              ///< reusable apply workspace
 };
 
 }  // namespace shp

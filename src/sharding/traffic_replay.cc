@@ -38,7 +38,6 @@ ReplayReport ReplayTraffic(const BipartiteGraph& graph,
     fanout_sum += trace.fanout;
     latency_sum += trace.latency;
   }
-  report.scratch_grow_events = scratch.grow_events;
 
   report.mean_latency_by_fanout.assign(max_fanout + 1, 0.0);
   report.p99_latency_by_fanout.assign(max_fanout + 1, 0.0);

@@ -40,9 +40,6 @@ struct ReplayReport {
   /// average_fanout / average_latency is served queries only, i.e.
   /// Σ count_by_fanout == num_requests − empty_queries.
   uint64_t empty_queries = 0;
-  /// Scratch-capacity growths observed during the replay. 0: every request
-  /// is served from the settled server profile, which allocates nothing.
-  uint64_t scratch_grow_events = 0;
   double average_fanout = 0.0;
   double average_latency = 0.0;
 };

@@ -317,32 +317,6 @@ std::vector<BucketWindow> OwnedWindows(VertexId n, BucketId k, int workers,
   return windows;
 }
 
-TEST(AffinitySweep, QueryListBuildMatchesArenaBuild) {
-  // The BSP engine feeds Build its per-query replica lists instead of a
-  // QueryNeighborData arena: the same gather must produce the same floats.
-  const BipartiteGraph g = TestGraph(17);
-  const BucketId k = 8;
-  const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
-  QueryNeighborData ndata;
-  ndata.Build(g, Partition::Random(g.num_data(), k, 3).assignment());
-  std::vector<std::vector<BucketCount>> lists(g.num_queries());
-  for (VertexId q = 0; q < g.num_queries(); ++q) {
-    lists[q].assign(ndata.Entries(q).begin(), ndata.Entries(q).end());
-  }
-  AffinitySweep arena;
-  AffinitySweep replica;
-  const uint64_t arena_adds = arena.Build(g, ndata, pow);
-  EXPECT_EQ(replica.Build(g, lists, pow), arena_adds);
-  EXPECT_GT(arena_adds, 0u);
-  ASSERT_EQ(replica.TotalEntries(), arena.TotalEntries());
-  for (VertexId v = 0; v < g.num_data(); ++v) {
-    const auto a = arena.Entries(v);
-    const auto b = replica.Entries(v);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << "v=" << v;
-  }
-}
-
 TEST(AffinitySweep, BuildReturnsTheSumOfEntrySupports) {
   // Each accumulator add raises one entry's support by 1, so Build's return
   // (the adds) is Σ_v Σ_e support — the identity the BSP engine's per-worker

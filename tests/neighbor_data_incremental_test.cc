@@ -1,14 +1,18 @@
-// Incremental neighbor-data maintenance tests: randomized batched-move
-// equivalence against a fresh Build, arena compaction behavior, executed
+// Incremental neighbor-data maintenance tests: randomized batched-move and
+// signed count-change (BSP-shaped) equivalence against a fresh Build, arena compaction behavior, executed
 // move lists matching the partition delta (all broker strategies), and
 // full-trajectory equivalence of the incremental refiner against the
 // rebuild-everything reference path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/move_broker.h"
 #include "core/move_topology.h"
 #include "core/partition.h"
@@ -67,6 +71,127 @@ std::vector<VertexMove> RandomBatch(std::vector<BucketId>* assignment,
   return moves;
 }
 
+/// One BSP-shaped round of signed count changes: `sources` source workers
+/// each combine their share of `moves` into net nonzero (q, bucket) sums;
+/// shard s owns the queries with q % shards == s and takes its changes
+/// ascending by (q, bucket), ties in ascending source order (the superstep-1
+/// merge), split into two runs at its midpoint.
+struct SignedRound {
+  std::vector<std::vector<CountDelta>> runs;
+  std::vector<size_t> shard_begin;
+};
+
+SignedRound BspShapedChanges(const BipartiteGraph& g,
+                             std::span<const VertexMove> moves, size_t sources,
+                             size_t shards) {
+  // sums[(q, bucket)][source]: ordered keys give the merge order directly.
+  std::map<std::pair<VertexId, BucketId>, std::vector<int32_t>> sums;
+  for (size_t i = 0; i < moves.size(); ++i) {
+    for (VertexId q : g.DataNeighbors(moves[i].v)) {
+      for (const auto& [bucket, delta] :
+           {std::pair{moves[i].from, -1}, std::pair{moves[i].to, 1}}) {
+        auto& by_source = sums[{q, bucket}];
+        by_source.resize(sources, 0);
+        by_source[i % sources] += delta;
+      }
+    }
+  }
+  std::vector<std::vector<CountDelta>> streams(shards);
+  for (const auto& [key, by_source] : sums) {
+    for (const int32_t delta : by_source) {
+      if (delta == 0) continue;  // the combiner drops zero sums
+      streams[key.first % shards].push_back({key.first, key.second, delta});
+    }
+  }
+  SignedRound round;
+  for (const std::vector<CountDelta>& stream : streams) {
+    round.shard_begin.push_back(round.runs.size());
+    const auto mid = stream.begin() + static_cast<ptrdiff_t>(stream.size() / 2);
+    round.runs.emplace_back(stream.begin(), mid);
+    round.runs.emplace_back(mid, stream.end());
+  }
+  round.shard_begin.push_back(round.runs.size());
+  return round;
+}
+
+/// The signed input of the batch-vs-rebuild test: BSP-shaped rounds applied
+/// through ApplyCountDeltas on a pool of `threads`, starting from every
+/// vertex in bucket 0 so early rounds insert far past each list's slack.
+/// Checks content against Build and each change's record against its input.
+void CheckSignedRoundsMatchFreshBuild(const BipartiteGraph& g,
+                                      size_t threads) {
+  SCOPED_TRACE(testing::Message() << "threads=" << threads);
+  ThreadPool pool(threads);
+  const BucketId k = 32;
+  const size_t shards = 5;
+  std::vector<BucketId> assignment(g.num_data(), 0);
+  QueryNeighborData ndata;
+  ndata.Build(g, assignment, &pool);
+  bool saw_wide_delta = false;
+  bool saw_drop_to_zero = false;
+  uint32_t max_fanout_growth = 0;
+  const uint64_t built_slots = ndata.ArenaSlots();
+  for (uint64_t r = 0; r < 12; ++r) {
+    const std::vector<uint32_t> fanout_before = [&] {
+      std::vector<uint32_t> f(g.num_queries());
+      for (VertexId q = 0; q < g.num_queries(); ++q) f[q] = ndata.Fanout(q);
+      return f;
+    }();
+    QueryNeighborData before;
+    before.Build(g, assignment);
+    const std::vector<VertexMove> moves = RandomBatch(
+        &assignment, k, 41, r, r == 0 ? g.num_data() : 60);
+    const SignedRound round = BspShapedChanges(g, moves, 3, shards);
+    const std::vector<std::span<const CountDelta>> runs(round.runs.begin(),
+                                                        round.runs.end());
+    // Every change in run order — shard by shard, each in its input order.
+    std::vector<CountDelta> input;
+    for (const std::vector<CountDelta>& run : round.runs) {
+      input.insert(input.end(), run.begin(), run.end());
+    }
+    std::vector<NeighborDelta> emitted(input.size());
+    ndata.ApplyCountDeltas(runs, round.shard_begin, &pool, emitted);
+
+    QueryNeighborData fresh;
+    fresh.Build(g, assignment);
+    ExpectSameContent(ndata, fresh, "after signed round");
+    for (VertexId q = 0; q < g.num_queries(); ++q) {
+      max_fanout_growth = std::max(max_fanout_growth,
+                                   ndata.Fanout(q) - std::min(ndata.Fanout(q),
+                                                              fanout_before[q]));
+    }
+
+    // One record per change, in its slot, and every (q, bucket) chain
+    // starts at the pre-round count and links up.
+    std::map<std::pair<VertexId, BucketId>, uint32_t> chain;
+    for (size_t i = 0; i < input.size(); ++i) {
+      const CountDelta& c = input[i];
+      const NeighborDelta& d = emitted[i];
+      ASSERT_EQ(d.q, c.q) << "record " << i;
+      ASSERT_EQ(d.bucket, c.bucket) << "record " << i;
+      EXPECT_EQ(static_cast<int64_t>(d.new_count) - d.old_count, c.delta);
+      const auto it =
+          chain.try_emplace({c.q, c.bucket}, before.CountFor(c.q, c.bucket))
+              .first;
+      EXPECT_EQ(d.old_count, it->second)
+          << "broken chain at q=" << c.q << " bucket=" << c.bucket;
+      it->second = d.new_count;
+      saw_wide_delta |= c.delta > 1 || c.delta < -1;
+      saw_drop_to_zero |= d.new_count == 0;
+    }
+    for (const auto& [key, count] : chain) {
+      EXPECT_EQ(count, fresh.CountFor(key.first, key.second));
+    }
+  }
+  EXPECT_TRUE(saw_wide_delta) << "no change with |delta| > 1";
+  EXPECT_TRUE(saw_drop_to_zero) << "no count dropped to zero";
+  // A list that gains more than 2 + max(2, (f + 2) / 2) buckets in one
+  // round outgrows its slack, moves to its shard's overflow store, and grows
+  // there again before it is relocated to the arena tail.
+  EXPECT_GE(max_fanout_growth, 8u) << "no list grew past its overflow slots";
+  EXPECT_GT(ndata.ArenaSlots(), built_slots) << "no list was relocated";
+}
+
 TEST(NeighborDataIncremental, BatchedMovesMatchFreshBuild) {
   const BipartiteGraph g = TestGraph();
   const BucketId k = 8;
@@ -99,6 +224,12 @@ TEST(NeighborDataIncremental, BatchedMovesMatchFreshBuild) {
     expected.erase(std::unique(expected.begin(), expected.end()),
                    expected.end());
     EXPECT_EQ(touched, expected) << "round " << round;
+  }
+
+  // The BSP engine's input: signed, combined, query-grouped changes, several
+  // shards, applied on pools of 1, 3 and 8 threads.
+  for (const size_t threads : {1, 3, 8}) {
+    CheckSignedRoundsMatchFreshBuild(g, threads);
   }
 }
 
@@ -146,7 +277,8 @@ TEST(NeighborDataIncremental, SingleMoveSplicesInPlace) {
     const BucketId from = assignment[v];
     const BucketId to = static_cast<BucketId>((from + 1 + step % (k - 1)) % k);
     if (to == from) continue;
-    incremental.ApplyMove(g, v, from, to);
+    const VertexMove move{v, from, to};
+    incremental.ApplyMoves(g, {&move, 1});
     assignment[v] = to;
   }
   QueryNeighborData fresh;

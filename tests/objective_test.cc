@@ -156,13 +156,14 @@ TEST(NeighborData, MatchesBruteForceCounts) {
   EXPECT_EQ(ndata.TotalEntries(), 5u);  // Σ fanout(q) = 2+2+1
 }
 
-TEST(NeighborData, ApplyMoveKeepsCountsConsistent) {
+TEST(NeighborData, SingleMoveKeepsCountsConsistent) {
   const BipartiteGraph g = Fig1Graph();
   std::vector<BucketId> assignment = kFig1Assignment;
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
 
-  ndata.ApplyMove(g, /*v=*/3, /*from=*/1, /*to=*/0);
+  const VertexMove move{/*v=*/3, /*from=*/1, /*to=*/0};
+  ndata.ApplyMoves(g, {&move, 1});
   assignment[3] = 0;
   QueryNeighborData fresh;
   fresh.Build(g, assignment);
@@ -174,15 +175,17 @@ TEST(NeighborData, ApplyMoveKeepsCountsConsistent) {
   }
 }
 
-TEST(NeighborData, ApplyMoveCreatingAndEmptyingBuckets) {
+TEST(NeighborData, SingleMovesCreatingAndEmptyingBuckets) {
   const BipartiteGraph g = Fig1Graph();
   std::vector<BucketId> assignment = {0, 0, 0, 0, 0, 0};
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
-  ndata.ApplyMove(g, 5, 0, 2);  // bucket 2 appears for q0 and q2
+  const VertexMove there{5, 0, 2};
+  const VertexMove back{5, 2, 0};
+  ndata.ApplyMoves(g, {&there, 1});  // bucket 2 appears for q0 and q2
   EXPECT_EQ(ndata.CountFor(0, 2), 1u);
   EXPECT_EQ(ndata.CountFor(2, 2), 1u);
-  ndata.ApplyMove(g, 5, 2, 0);  // and disappears again
+  ndata.ApplyMoves(g, {&back, 1});  // and disappears again
   EXPECT_EQ(ndata.CountFor(0, 2), 0u);
   EXPECT_EQ(ndata.Fanout(0), 1u);
 }
