@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/partition.h"
+#include "objective/affinity_sweep.h"
 #include "objective/neighbor_data.h"
 
 namespace shp {
@@ -37,31 +38,34 @@ struct MoveTopology {
   /// Hard size cap per bucket id ( (1+ε)·n·leaves(bucket)/k ).
   std::vector<uint64_t> capacity;
 
-  /// Half-open bucket-id window [begin, end) spanning group g's members —
-  /// the slice of a sorted sparse accumulator that the group-restricted
-  /// push scan reads. Both engines store only this window per vertex (a
-  /// windowed AffinitySweep, rebuilt for a new group structure).
-  std::pair<BucketId, BucketId> GroupWindow(int32_t g) const {
+  /// Accumulator window of group g: the half-open bucket-id range spanning
+  /// its members — the slice of a sorted sparse accumulator that the
+  /// group-restricted push scan reads — and its member count r, the arena
+  /// slots a windowed vertex gets. Both engines store only this window per
+  /// vertex (a windowed AffinitySweep, rebuilt for a new group structure).
+  /// In a recursion topology no other group's bucket lies in the range, so
+  /// a vertex never sees more than r occupied buckets there.
+  BucketWindow GroupWindow(int32_t g) const {
     const std::vector<BucketId>& members =
         group_children[static_cast<size_t>(g)];
-    return {members.front(), static_cast<BucketId>(members.back() + 1)};
+    return {members.front(), static_cast<BucketId>(members.back() + 1),
+            static_cast<uint32_t>(members.size())};
   }
 
   /// Accumulator window of a vertex in bucket b: [0, k) under full_k, else
   /// the window of b's group, or empty when b is not being refined.
-  std::pair<BucketId, BucketId> WindowOf(BucketId b) const {
-    if (full_k) return {0, k};
+  BucketWindow WindowOf(BucketId b) const {
+    if (full_k) return {0, k, static_cast<uint32_t>(k)};
     const int32_t g = group_of_bucket[static_cast<size_t>(b)];
-    return g >= 0 ? GroupWindow(g) : std::pair<BucketId, BucketId>{0, 0};
+    return g >= 0 ? GroupWindow(g) : BucketWindow{};
   }
 
   /// Per-vertex windows of both engines' AffinitySweep: none (unwindowed)
   /// under full_k, else WindowOf(v's bucket) for every vertex. Stable while
   /// the topology holds: a vertex only ever moves within its group.
-  std::vector<std::pair<BucketId, BucketId>> GroupWindows(
-      const Partition& partition) const {
+  std::vector<BucketWindow> GroupWindows(const Partition& partition) const {
     if (full_k) return {};
-    std::vector<std::pair<BucketId, BucketId>> windows(partition.num_data());
+    std::vector<BucketWindow> windows(partition.num_data());
     for (VertexId v = 0; v < partition.num_data(); ++v) {
       windows[v] = WindowOf(partition.bucket_of(v));
     }

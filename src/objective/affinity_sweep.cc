@@ -1,8 +1,10 @@
 #include "objective/affinity_sweep.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iterator>
+#include <ranges>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -57,17 +59,6 @@ VertexId DegShardBegin(const std::vector<uint64_t>& prefix, VertexId n,
     }
   }
   return lo;
-}
-
-/// The stretch of a bucket-sorted list with bucket in `window` (two binary
-/// searches).
-template <typename Entry>  // BucketCount or AffinitySweep::PatchOp
-std::span<const Entry> InWindow(std::span<const Entry> list,
-                                BucketWindow window) {
-  const auto cmp = [](const Entry& e, BucketId b) { return e.bucket < b; };
-  const auto lo = std::lower_bound(list.begin(), list.end(), window.first, cmp);
-  const auto hi = std::lower_bound(lo, list.end(), window.second, cmp);
-  return {lo, hi};
 }
 
 /// Per-thread dense k-wide accumulator for one vertex at a time: a slot per
@@ -304,7 +295,93 @@ inline void PrefetchEntries(const AffinityEntry* data, uint32_t size) {
   for (; p < end; p += 64) __builtin_prefetch(p);
 }
 
+/// Folds one record (bucket, support delta, affinity add) into a windowed
+/// vertex's packed bucket-ascending entries data[0, *size): finds or inserts
+/// the bucket's entry among the ≤ r live ones and drops it when its support
+/// reaches 0, so a later insert of the bucket starts again from an exact
+/// 0.0, as a dense slot reset to 0 does. Returns false, changing nothing,
+/// when an insert finds all `cap` slots taken.
+inline bool FoldPacked(AffinityEntry* data, uint32_t* size, uint32_t cap,
+                       BucketId bucket, int32_t sup, double add) {
+  const uint32_t n = *size;
+  uint32_t i = 0;
+  while (i < n && data[i].bucket < bucket) ++i;
+  if (i < n && data[i].bucket == bucket) {
+    AffinityEntry& e = data[i];
+    e.support = static_cast<uint32_t>(static_cast<int64_t>(e.support) + sup);
+    if (e.support != 0) {
+      e.affinity += add;
+    } else {
+      std::copy(data + i + 1, data + n, data + i);
+      *size = n - 1;
+    }
+    return true;
+  }
+  SHP_DCHECK(sup == 1) << "accumulator entry absent for a non-insert delta";
+  if (n == cap) return false;
+  std::copy_backward(data + i, data + n, data + n + 1);
+  double affinity = 0.0;
+  affinity += add;
+  data[i] = {bucket, 1, affinity};
+  *size = n + 1;
+  return true;
+}
+
 }  // namespace
+
+template <typename Queries, typename RunOf>
+uint64_t AffinitySweep::FoldShard(const BipartiteGraph& graph,
+                                  VertexId vbegin, VertexId vend,
+                                  const Queries& queries, const RunOf& run_of,
+                                  std::vector<uint32_t>* folds,
+                                  ShardOverflow* overflow,
+                                  int64_t* live_delta) {
+  uint64_t total = 0;
+  for (const VertexId q : queries) {
+    const auto nbrs = graph.QueryNeighbors(q);
+    const auto first = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
+    // The neighbors' window and location records start streaming in
+    // together instead of one miss at a time.
+    auto last = first;
+    for (; last != nbrs.end() && *last < vend; ++last) {
+      __builtin_prefetch(&windows_[*last]);
+      __builtin_prefetch(&loc_[*last]);
+    }
+    if (first == last) continue;
+    const std::span<const PatchOp> run = run_of(q);
+    for (auto it = first; it != last; ++it) {
+      const uint32_t m = FoldRun(*it, run, overflow, live_delta);
+      total += m;
+      if (folds != nullptr) (*folds)[*it] += m;
+    }
+  }
+  // The buffers of widened accumulators keep only their final entries.
+  for (Overflow& o : *overflow) o.entries.resize(loc_[o.v].size);
+  return total;
+}
+
+uint32_t AffinitySweep::FoldRun(VertexId v, std::span<const PatchOp> run,
+                                ShardOverflow* overflow,
+                                int64_t* live_delta) {
+  const BucketWindow w = windows_[v];
+  if (w.first >= w.second) return 0;
+  Loc loc = loc_[v];  // a local copy: the entry stores cannot alias it
+  const uint32_t before = loc.size;
+  uint32_t m = 0;
+  for (const PatchOp& op : run) {
+    if (op.bucket < w.first || op.bucket >= w.second) continue;
+    if (!FoldPacked(loc.data, &loc.size, loc.cap, op.bucket, op.sup,
+                    op.add)) {
+      Widen(v, &loc, overflow);
+      FoldPacked(loc.data, &loc.size, loc.cap, op.bucket, op.sup, op.add);
+    }
+    ++m;
+  }
+  if (m == 0) return 0;
+  *live_delta += static_cast<int64_t>(loc.size) - before;
+  loc_[v] = loc;
+  return m;
+}
 
 uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
                               const QueryNeighborData& ndata,
@@ -322,6 +399,7 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
   live_entries_ = 0;
   last_build_adjacency_reads_ = 0;
   if (n == 0) return 0;
+  const VertexId nq = graph.num_queries();
 
   const size_t workers = std::max<size_t>(1, pool->num_threads());
   const size_t shards = std::min<size_t>(workers, n);
@@ -329,21 +407,21 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
   // gather cost is proportional to its degree, and power-law hubs make
   // uniform ranges straggle.
   FillDegreePrefix(graph, n, &scratch_.deg_prefix);
+  std::vector<ShardOverflow>& overflow = scratch_.overflow;
+  overflow.resize(std::max(overflow.size(), shards));  // drained after use
 
-  // Vertex-major gather: each vertex walks its ascending DataNeighbors(v),
-  // so every (v, bucket) slot sums its contributions in ascending q — the
-  // same order a query-major scatter delivers them in. Each shard drains its
-  // vertices straight into slots carved from its own blocks, and the sweep
-  // then takes the blocks over, so no entry is staged or copied. A windowed
-  // vertex reads only the in-window stretch of each query's bucket-sorted
-  // list, so its slots see the same adds in the same order as unwindowed.
+  // Every (v, bucket) slot sums its contributions in ascending q, the order
+  // of a serial query-major scatter. Each shard fills its vertices' slots
+  // carved from its own blocks, and the sweep then takes the blocks over,
+  // so no entry is staged or copied.
   std::vector<BlockArena> shard_arenas(shards);
   std::vector<uint64_t> adds(shards, 0);
   std::vector<uint64_t> reads(shards, 0);
-  std::vector<uint64_t> live(shards, 0);
+  std::vector<int64_t> live(shards, 0);
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
     // Per-worker scratch on the worker's own stack: no false sharing.
     DenseAccumulator acc;
+    std::vector<PatchOp> build_ops;  // a query's entries as records 0 → c
     for (size_t s = sbegin; s < send; ++s) {
       const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
       const VertexId vend =
@@ -351,27 +429,52 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
       BlockArena arena;  // local until done: no false sharing
       uint64_t shard_adds = 0;
       uint64_t shard_reads = 0;
-      uint64_t shard_live = 0;
-      for (VertexId v = vbegin; v < vend; ++v) {
-        if (windowed && windows_[v].first >= windows_[v].second) continue;
-        shard_reads += graph.DataDegree(v);
-        for (const VertexId q : graph.DataNeighbors(v)) {
-          const std::span<const BucketCount> entries =
-              windowed ? InWindow(ndata.Entries(q), windows_[v])
-                       : ndata.Entries(q);
-          if (entries.empty()) continue;
-          acc.Reserve(entries.back().bucket);
-          for (const BucketCount& e : entries) {
-            acc.Add(e.bucket, 1.0 - pow.Pow(e.count));
-          }
-          shard_adds += entries.size();
+      int64_t shard_live = 0;
+      if (windowed) {
+        // Record-major fold: each refined vertex gets its r slots up front,
+        // then every query, in ascending q, folds its entries into its
+        // neighbors in [vbegin, vend). An entry of count c is the record
+        // 0 → c, whose add Pow(0) − Pow(c) is 1 − B^c exactly (Pow(0) is
+        // stored as 1.0), so each slot sees the adds of the unwindowed
+        // gather in the same order.
+        for (VertexId v = vbegin; v < vend; ++v) {
+          if (windows_[v].first >= windows_[v].second) continue;
+          const uint32_t cap = CapacityOf(v, 0);
+          loc_[v] = {arena.Carve(cap), 0, cap};
+          shard_reads += graph.DataDegree(v);
         }
-        const uint32_t size = acc.live();
-        const uint32_t cap = size + SlackOf(v);
-        AffinityEntry* data = arena.Carve(cap);
-        acc.Drain(data);
-        loc_[v] = {data, size, cap};
-        shard_live += size;
+        shard_adds = FoldShard(
+            graph, vbegin, vend, std::views::iota(VertexId{0}, nq),
+            [&](VertexId q) {
+              build_ops.clear();
+              for (const BucketCount& e : ndata.Entries(q)) {
+                build_ops.push_back(
+                    {e.bucket, 1, pow.Pow(0) - pow.Pow(e.count)});
+              }
+              return std::span<const PatchOp>(build_ops);
+            },
+            /*folds=*/nullptr, &overflow[s], &shard_live);
+      } else {
+        // Vertex-major gather: each vertex walks its ascending
+        // DataNeighbors(v) and drains straight into its carved slots.
+        for (VertexId v = vbegin; v < vend; ++v) {
+          shard_reads += graph.DataDegree(v);
+          for (const VertexId q : graph.DataNeighbors(v)) {
+            const std::span<const BucketCount> entries = ndata.Entries(q);
+            if (entries.empty()) continue;
+            acc.Reserve(entries.back().bucket);
+            for (const BucketCount& e : entries) {
+              acc.Add(e.bucket, 1.0 - pow.Pow(e.count));
+            }
+            shard_adds += entries.size();
+          }
+          const uint32_t size = acc.live();
+          const uint32_t cap = CapacityOf(v, size);
+          AffinityEntry* data = arena.Carve(cap);
+          acc.Drain(data);
+          loc_[v] = {data, size, cap};
+          shard_live += size;
+        }
       }
       shard_arenas[s] = std::move(arena);
       adds[s] = shard_adds;
@@ -385,14 +488,41 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
     arena_.Append(std::move(shard_arenas[s]));
     total_adds += adds[s];
     last_build_adjacency_reads_ += reads[s];
-    live_entries_ += live[s];
+    live_entries_ += static_cast<uint64_t>(live[s]);
   }
+  RelocateOverflow(shards);
   return total_adds;
 }
 
-uint32_t AffinitySweep::SlackOf(VertexId v) const {
-  return windows_.empty() || windows_[v].first < windows_[v].second ? kSlackPad
-                                                                    : 0;
+uint32_t AffinitySweep::CapacityOf(VertexId v, uint32_t size) const {
+  if (windows_.empty()) return size + kSlackPad;
+  const BucketWindow& w = windows_[v];
+  return w.first < w.second ? std::max(size, w.slots) : 0;
+}
+
+void AffinitySweep::Widen(VertexId v, Loc* loc, ShardOverflow* overflow) {
+  const BucketWindow& w = windows_[v];
+  std::vector<AffinityEntry> wide(static_cast<size_t>(w.second - w.first));
+  SHP_CHECK_GT(wide.size(), loc->size);
+  std::copy(loc->data, loc->data + loc->size, wide.data());
+  const uint32_t abandoned = loc->cap;
+  loc->data = wide.data();
+  loc->cap = static_cast<uint32_t>(wide.size());
+  overflow->push_back({v, abandoned, std::move(wide)});
+}
+
+void AffinitySweep::RelocateOverflow(size_t shards) {
+  for (size_t s = 0; s < shards; ++s) {
+    for (Overflow& o : scratch_.overflow[s]) {
+      const uint32_t sz = static_cast<uint32_t>(o.entries.size());
+      const uint32_t new_cap = sz + std::max(kSlackPad, sz / 2);
+      AffinityEntry* data = arena_.Carve(new_cap);
+      std::copy(o.entries.begin(), o.entries.end(), data);
+      garbage_ += o.abandoned;
+      loc_[o.v] = {data, sz, new_cap};
+    }
+    scratch_.overflow[s].clear();
+  }
 }
 
 AffinityEntry* AffinitySweep::BlockArena::Carve(uint32_t n) {
@@ -451,8 +581,8 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
   // them in emission order — so each (q, bucket) chain keeps its order.
   // query_records[q] ends as q's run of patch ops, and dirty_bits flags the
   // queries that have one (an L1-sized filter for the adjacency walk). The
-  // run layout carries no order: the walk below visits a vertex's queries
-  // in ascending q.
+  // run layout carries no order: both patches below visit queries in
+  // ascending q.
   const VertexId nq = graph.num_queries();
   auto& query_records = scratch_.query_records;
   std::vector<uint64_t>& dirty_bits = scratch_.dirty_bits;
@@ -482,166 +612,184 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
         pow.Pow(rec.old_count) - pow.Pow(rec.new_count)};
     max_bucket = std::max(max_bucket, rec.bucket);
   }
-  if (windowed) {
-    // Bucket-sort each query's run, stably: each (q, bucket) chain keeps its
-    // emission order, and a vertex's window becomes a contiguous stretch.
-    for (const VertexId q : dirty) {
-      const auto [first, last] = query_records[q];
-      std::stable_sort(ops.begin() + first, ops.begin() + last,
-                       [](const PatchOp& a, const PatchOp& b) {
-                         return a.bucket < b.bucket;
-                       });
-    }
-  }
-
   const size_t workers = std::max<size_t>(1, pool->num_threads());
   const size_t shards = std::min<size_t>(workers, n);
   // Σ-degree-weighted ranges: a range's patch cost is the degree mass of
   // its blast-radius vertices, for which the range's degree mass is the
   // stable proxy (uniform ranges straggle on hub-heavy shards).
   FillDegreePrefix(graph, n, &scratch_.deg_prefix);
-  std::vector<uint8_t>& blast = scratch_.blast;
-  blast.resize(n, 0);
   std::vector<ShardOverflow>& overflow = scratch_.overflow;
   std::vector<int64_t>& live_delta = scratch_.live_delta;
   std::vector<std::vector<VertexId>>& shard_patched = scratch_.patched;
+  // The overflow stores are empty: RelocateOverflow drains them.
   overflow.resize(std::max(overflow.size(), shards));
   live_delta.assign(std::max(live_delta.size(), shards), 0);
   shard_patched.resize(std::max(shard_patched.size(), shards));
-  for (size_t s = 0; s < shards; ++s) {
-    overflow[s].clear();
-    shard_patched[s].clear();
-  }
+  for (size_t s = 0; s < shards; ++s) shard_patched[s].clear();
   std::vector<uint64_t> folded(shards, 0);
 
-  // Vertex-major patch. Each shard marks the blast radius inside its own
-  // vertex range, then walks the marked vertices in ascending order; a
-  // vertex applies the records of its dirty queries in ascending q (its
-  // DataNeighbors order), each query's in emission order. A (v, bucket)
-  // slot sees only its own bucket's records, so it receives the same adds
-  // in the same order as a record-major pass in canonical (q, bucket)
-  // order, with each chain in emission order — the order is fixed by the
-  // records alone, not by how ApplyMoves sharded its emission across
-  // threads. Growth beyond the slack goes to a shard-local overflow store
-  // merged serially below. `on_patched` sees each vertex's final entries
-  // right after its patch, in place or in the overflow copy.
-  pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
-    // Per-worker scratch on the worker's own stack: no false sharing.
-    DenseAccumulator acc;
-    acc.Reserve(max_bucket);
-    SparseMerge<PatchOp> merge;
-    std::vector<std::pair<uint32_t, uint32_t>> runs;  // v's dirty-query runs
-    for (size_t s = sbegin; s < send; ++s) {
-      const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
-      const VertexId vend =
-          DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
-      if (vbegin == vend) continue;
-      for (const VertexId q : dirty) {
-        const auto nbrs = graph.QueryNeighbors(q);
-        auto it = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
-        for (; it != nbrs.end() && *it < vend; ++it) blast[*it] = 1;
+  if (windowed) {
+    // Record-major fold. The dirty queries, ascending: one scan of the
+    // dirty bits.
+    dirty.clear();
+    for (size_t word = 0; word < dirty_bits.size(); ++word) {
+      for (uint64_t bits = dirty_bits[word]; bits != 0; bits &= bits - 1) {
+        dirty.push_back(static_cast<VertexId>(64 * word) +
+                        static_cast<VertexId>(std::countr_zero(bits)));
       }
-      ShardOverflow& ovf = overflow[s];
-      int64_t delta = 0;
-      uint64_t shard_folded = 0;
-      // The next marked vertex at or after v with a non-empty window; the
-      // marks of empty-window vertices passed on the way are cleared.
-      const auto next_marked = [&](VertexId v) {
-        for (; v < vend; ++v) {
-          if (blast[v] == 0) continue;
-          if (!windowed || windows_[v].first < windows_[v].second) break;
+    }
+    std::vector<uint32_t>& folds = scratch_.folds;
+    folds.resize(n, 0);
+    // Each shard visits the dirty queries in ascending q and folds each
+    // query's run, in emission order, into its neighbors in the shard's
+    // range, keeping only the records in the neighbor's window. A (v,
+    // bucket) slot therefore receives its records in canonical (q, bucket)
+    // order with each chain in emission order — the windowed reference
+    // order, fixed by the records alone. folds[v] counts v's records; the
+    // shard then visits its patched vertices ascending.
+    pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
+      for (size_t s = sbegin; s < send; ++s) {
+        const VertexId vbegin =
+            DegShardBegin(scratch_.deg_prefix, n, shards, s);
+        const VertexId vend =
+            DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
+        if (vbegin == vend) continue;
+        int64_t delta = 0;
+        folded[s] = FoldShard(
+            graph, vbegin, vend, dirty,
+            [&](VertexId q) {
+              return std::span<const PatchOp>(
+                  ops.data() + query_records[q].first,
+                  ops.data() + query_records[q].second);
+            },
+            &folds, &overflow[s], &delta);
+        live_delta[s] = delta;
+        for (VertexId v = vbegin; v < vend; ++v) {
+          const uint32_t m = folds[v];
+          if (m == 0) continue;
+          folds[v] = 0;
+          if (patched != nullptr) shard_patched[s].push_back(v);
+          if (on_patched) on_patched(v, Entries(v), m);
+        }
+      }
+    });
+  } else {
+    std::vector<uint8_t>& blast = scratch_.blast;
+    blast.resize(n, 0);
+    // Vertex-major patch. Each shard marks the blast radius inside its own
+    // vertex range, then walks the marked vertices in ascending order; a
+    // vertex applies the records of its dirty queries in ascending q (its
+    // DataNeighbors order), each query's in emission order. A (v, bucket)
+    // slot sees only its own bucket's records, so it receives the same adds
+    // in the same order as a record-major pass in canonical (q, bucket)
+    // order, with each chain in emission order — the order is fixed by the
+    // records alone, not by how ApplyMoves sharded its emission across
+    // threads. Growth beyond the slack goes to a shard-local overflow store
+    // merged serially below. `on_patched` sees each vertex's final entries
+    // right after its patch, in place or in the overflow copy.
+    pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
+      // Per-worker scratch on the worker's own stack: no false sharing.
+      DenseAccumulator acc;
+      acc.Reserve(max_bucket);
+      SparseMerge<PatchOp> merge;
+      std::vector<std::pair<uint32_t, uint32_t>> runs;  // v's dirty runs
+      for (size_t s = sbegin; s < send; ++s) {
+        const VertexId vbegin =
+            DegShardBegin(scratch_.deg_prefix, n, shards, s);
+        const VertexId vend =
+            DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
+        if (vbegin == vend) continue;
+        for (const VertexId q : dirty) {
+          const auto nbrs = graph.QueryNeighbors(q);
+          auto it = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
+          for (; it != nbrs.end() && *it < vend; ++it) blast[*it] = 1;
+        }
+        ShardOverflow& ovf = overflow[s];
+        int64_t delta = 0;
+        uint64_t shard_folded = 0;
+        // The next marked vertex at or after v.
+        const auto next_marked = [&](VertexId v) {
+          while (v < vend && blast[v] == 0) ++v;
+          return v;
+        };
+        for (VertexId v = next_marked(vbegin), next; v < vend; v = next) {
           blast[v] = 0;
-        }
-        return v;
-      };
-      for (VertexId v = next_marked(vbegin), next; v < vend; v = next) {
-        blast[v] = 0;
-        // Lookahead: the next vertex's accumulator streams in from memory
-        // while this one is patched.
-        next = next_marked(v + 1);
-        if (next < vend) PrefetchEntries(loc_[next].data, loc_[next].size);
-        runs.clear();
-        uint32_t m = 0;
-        for (const VertexId q : graph.DataNeighbors(v)) {
-          if (((dirty_bits[q / 64] >> (q % 64)) & 1) == 0) continue;
-          auto run = query_records[q];
-          if (windowed) {
-            const auto in = InWindow(
-                std::span<const PatchOp>(ops.data() + run.first,
-                                         ops.data() + run.second),
-                windows_[v]);
-            if (in.empty()) continue;
-            run = {static_cast<uint32_t>(in.data() - ops.data()),
-                   static_cast<uint32_t>(in.data() + in.size() - ops.data())};
+          // Lookahead: the next vertex's accumulator streams in from
+          // memory while this one is patched.
+          next = next_marked(v + 1);
+          if (next < vend) PrefetchEntries(loc_[next].data, loc_[next].size);
+          runs.clear();
+          uint32_t m = 0;
+          for (const VertexId q : graph.DataNeighbors(v)) {
+            if (((dirty_bits[q / 64] >> (q % 64)) & 1) == 0) continue;
+            const auto run = query_records[q];
+            runs.push_back(run);
+            m += run.second - run.first;
           }
-          runs.push_back(run);
-          m += run.second - run.first;
-        }
-        if (m == 0) continue;  // every record fell outside v's window
-        shard_folded += m;
-        if (patched != nullptr) shard_patched[s].push_back(v);
-        Loc& loc = loc_[v];
-        if (4 * static_cast<uint64_t>(m) >= loc.size) {
-          // Dense kernel: load, fold, write back in one merge — O(|acc| +
-          // m), no sort of the ops.
-          const auto entries = Entries(v);
-          if (!entries.empty()) acc.Reserve(entries.back().bucket);
-          acc.Load(entries);
-          for (const auto& [first, last] : runs) {
-            const PatchOp* end = ops.data() + last;
-            for (const PatchOp* op = ops.data() + first; op != end;) {
-              op = acc.FoldChain(op, end);
+          shard_folded += m;
+          if (patched != nullptr) shard_patched[s].push_back(v);
+          Loc& loc = loc_[v];
+          if (4 * static_cast<uint64_t>(m) >= loc.size) {
+            // Dense kernel: load, fold, write back in one merge —
+            // O(|acc| + m), no sort of the ops.
+            const auto entries = Entries(v);
+            if (!entries.empty()) acc.Reserve(entries.back().bucket);
+            acc.Load(entries);
+            for (const auto& [first, last] : runs) {
+              const PatchOp* end = ops.data() + last;
+              for (const PatchOp* op = ops.data() + first; op != end;) {
+                op = acc.FoldChain(op, end);
+              }
             }
+            delta += static_cast<int64_t>(acc.live()) - loc.size;
+            if (acc.live() <= loc.cap) {
+              loc.size = acc.live();
+              acc.Drain(loc.data);
+              if (on_patched) on_patched(v, Entries(v), m);
+            } else {
+              std::vector<AffinityEntry> vec(acc.live());
+              acc.Drain(vec.data());
+              if (on_patched) on_patched(v, vec, m);
+              ovf.push_back({v, loc.cap, std::move(vec)});
+            }
+            continue;
           }
-          delta += static_cast<int64_t>(acc.live()) - loc.size;
-          if (acc.live() <= loc.cap) {
-            loc.size = acc.live();
-            acc.Drain(loc.data);
+          // Sparse kernel: few ops against a wide accumulator — one
+          // streaming merge: ops fold in place up to the first insert or
+          // drop, and the merged rest is written back in place, or to an
+          // owned copy when the result outgrows the slack.
+          merge.Clear();
+          for (const auto& [first, last] : runs) {
+            for (uint32_t i = first; i < last; ++i) merge.Add(&ops[i]);
+          }
+          const int64_t grow = merge.Merge(loc.data, loc.size);
+          delta += grow;
+          const uint32_t size = static_cast<uint32_t>(loc.size + grow);
+          if (size <= loc.cap) {
+            std::copy(merge.tail(), merge.tail() + merge.tail_size(),
+                      loc.data + merge.begin());
+            loc.size = size;
             if (on_patched) on_patched(v, Entries(v), m);
           } else {
-            std::vector<AffinityEntry> vec(acc.live());
-            acc.Drain(vec.data());
+            std::vector<AffinityEntry> vec(size);
+            std::copy(loc.data, loc.data + merge.begin(), vec.data());
+            std::copy(merge.tail(), merge.tail() + merge.tail_size(),
+                      vec.data() + merge.begin());
             if (on_patched) on_patched(v, vec, m);
-            ovf.emplace_back(v, std::move(vec));
+            ovf.push_back({v, loc.cap, std::move(vec)});
           }
-          continue;
         }
-        // Sparse kernel: few ops against a wide accumulator — one streaming
-        // merge: ops fold in place up to the first insert or drop, and the
-        // merged rest is written back in place, or to an owned copy when
-        // the result outgrows the slack.
-        merge.Clear();
-        for (const auto& [first, last] : runs) {
-          for (uint32_t i = first; i < last; ++i) merge.Add(&ops[i]);
-        }
-        const int64_t grow = merge.Merge(loc.data, loc.size);
-        delta += grow;
-        const uint32_t size = static_cast<uint32_t>(loc.size + grow);
-        if (size <= loc.cap) {
-          std::copy(merge.tail(), merge.tail() + merge.tail_size(),
-                    loc.data + merge.begin());
-          loc.size = size;
-          if (on_patched) on_patched(v, Entries(v), m);
-        } else {
-          std::vector<AffinityEntry> vec(size);
-          std::copy(loc.data, loc.data + merge.begin(), vec.data());
-          std::copy(merge.tail(), merge.tail() + merge.tail_size(),
-                    vec.data() + merge.begin());
-          if (on_patched) on_patched(v, vec, m);
-          ovf.emplace_back(v, std::move(vec));
-        }
+        live_delta[s] = delta;
+        folded[s] = shard_folded;
       }
-      live_delta[s] = delta;
-      folded[s] = shard_folded;
-    }
-  });
+    });
+  }
 
   for (const VertexId q : dirty) {
     query_records[q] = {0, 0};
     dirty_bits[q / 64] = 0;
   }
-  // Serial merge: relocate overflowed accumulators to fresh slots in the
-  // tail block (no other accumulator moves) and fold the per-shard
+  // Serial merge: relocate overflowed accumulators and fold the per-shard
   // accounting.
   int64_t total_delta = 0;
   uint64_t total_folded = 0;
@@ -652,16 +800,8 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
     }
     total_delta += live_delta[s];
     total_folded += folded[s];
-    for (auto& [v, vec] : overflow[s]) {
-      const uint32_t sz = static_cast<uint32_t>(vec.size());
-      const uint32_t new_cap = sz + std::max(kSlackPad, sz / 2);
-      AffinityEntry* data = arena_.Carve(new_cap);
-      std::copy(vec.begin(), vec.end(), data);
-      Loc& loc = loc_[v];
-      garbage_ += loc.cap;
-      loc = {data, sz, new_cap};
-    }
   }
+  RelocateOverflow(shards);
   live_entries_ = static_cast<uint64_t>(
       static_cast<int64_t>(live_entries_) + total_delta);
   MaybeCompact();
@@ -672,7 +812,7 @@ void AffinitySweep::Compact() {
   BlockArena fresh;
   for (VertexId v = 0; v < num_vertices(); ++v) {
     Loc& loc = loc_[v];
-    const uint32_t cap = loc.size + SlackOf(v);
+    const uint32_t cap = CapacityOf(v, loc.size);
     AffinityEntry* data = fresh.Carve(cap);
     std::copy(loc.data, loc.data + loc.size, data);
     loc.data = data;

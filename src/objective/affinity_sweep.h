@@ -1,6 +1,6 @@
 // Affinity sweep: per-vertex sparse affinity accumulators for the
-// superstep-2 gain scan, maintained by a full vertex-major gather (Build) or
-// by folding in the neighbor data's delta records (steady state).
+// superstep-2 gain scan, maintained by a full gather (Build) or by folding in
+// the neighbor data's delta records (steady state).
 //
 // The pull-based gain scan (GainComputer::FindBestTarget) gathers, for every
 // recomputed vertex v, the entry lists of all its adjacent queries and
@@ -12,21 +12,22 @@
 //   affinity_v[b] = Σ_{q ∈ N(v), n_b(q) > 0} (1 − B^{n_b(q)})
 //   support_v[b]  = #{q ∈ N(v) : n_b(q) > 0}
 //
-// Build gathers each vertex over its ascending DataNeighbors(v) into a
-// per-thread dense k-wide scratch reset through a touched-bucket list (the
-// QueryNeighborData::Build idiom). In steady state, ApplyDeltas consumes the
-// (q, bucket, old, new) records that QueryNeighborData::ApplyCountDeltas
-// emits (through ApplyMoves in the threaded Refiner, through the
-// superstep-1 fold in the BSP engine), indexes them per query, and patches only the vertices adjacent to a
-// changed query (a blast-radius byte mask, scanned once per call) — no
-// rescan of untouched queries' adjacency. Each vertex applies its dirty
-// queries' records in ascending q, either through the dense scratch (when
-// its op count m satisfies 4·m ≥ |acc_v|) or by one streaming merge of its
-// bucket-ordered ops into the sorted accumulator, while the next marked
-// vertex's accumulator is prefetched. An optional
-// PatchVisitor sees each patched vertex's final entries right after its
-// patch, while they are cache-hot: both refinement engines compute the
-// vertex's push proposal there instead of rescanning it later.
+// Unwindowed (direct k-way), Build gathers each vertex over its ascending
+// DataNeighbors(v) into a per-thread dense k-wide scratch reset through a
+// touched-bucket list (the QueryNeighborData::Build idiom). In steady state,
+// ApplyDeltas consumes the (q, bucket, old, new) records that
+// QueryNeighborData::ApplyCountDeltas emits (through ApplyMoves in the
+// threaded Refiner, through the superstep-1 fold in the BSP engine), indexes
+// them per query, and patches only the vertices adjacent to a changed query
+// (a blast-radius byte mask, scanned once per call) — no rescan of untouched
+// queries' adjacency. Each vertex applies its dirty queries' records in
+// ascending q, either through the dense scratch (when its op count m
+// satisfies 4·m ≥ |acc_v|) or by one streaming merge of its bucket-ordered
+// ops into the sorted accumulator, while the next marked vertex's
+// accumulator is prefetched. An optional PatchVisitor sees each patched
+// vertex's final entries right after its patch, while they are cache-hot:
+// both refinement engines compute the vertex's push proposal there instead
+// of rescanning it later.
 //
 // Bit-identity: every (v, bucket) slot receives its adds in one fixed order —
 // ascending q, then each (q, bucket) chain in emission order — whichever
@@ -39,14 +40,20 @@
 //
 // Per-level windows (SHP-2/r recursion, docs/refinement.md): Build may take
 // one bucket window per vertex — the sibling buckets of its subtree node, the
-// only buckets its recursion level ever reads. A windowed sweep gathers only
-// the in-window part of each query's bucket-sorted entry list, and
-// ApplyDeltas folds a record into v only when its bucket lies in v's window,
-// so a recursion level stores O(r) entries per vertex instead of one per
-// occupied bucket. The surviving slots receive exactly the adds they would
-// unwindowed, in the same order, so they hold the same floats. Without
-// windows (the threaded engine's direct k-way refinement) every occupied
-// bucket is kept.
+// only buckets its recursion level ever reads, and r, the node's child
+// count. A windowed vertex gets exactly r arena slots and keeps its ≤ r live
+// entries packed in bucket order, so a recursion level stores O(r) entries
+// per vertex and never relocates one. Both windowed passes are one
+// record-major fold: each shard visits queries in ascending q (all of them
+// for Build, the dirty ones for ApplyDeltas) and folds each query's
+// in-window records — a Build entry of count n is the record 0 → n — into
+// its neighbors in the shard's vertex range, finding or inserting the
+// bucket among the ≤ r packed entries. The surviving slots receive exactly
+// the adds they would unwindowed, in the same order, so they hold the same
+// floats. A hand-built topology whose window holds more than r occupied
+// buckets moves the vertex to a shard-local overflow buffer and relocates
+// it serially, as the unwindowed patch does. Without windows (the threaded
+// engine's direct k-way refinement) every occupied bucket is kept.
 //
 // Both engines read each query's neighbor data from the same store, a
 // QueryNeighborData, so there is one Build. The BSP engine
@@ -54,7 +61,7 @@
 // each vertex's accumulator the state of its owner, and charges
 // each worker the adds (entry supports) and folded records (the visitor's
 // count) of its own vertices. A vertex in a bucket its recursion level does
-// not refine gets an empty window: no entries, no arena slack.
+// not refine gets an empty window: no entries, no arena slots.
 //
 // The integer support count makes entry lifetime exact: an accumulator entry
 // exists iff some adjacent query occupies the bucket, and dropping the entry
@@ -64,10 +71,10 @@
 // Storage is a block arena. Each vertex's accumulator, with its slack, is a
 // run of slots carved from a fixed-size block; one wider than a block gets a
 // block of its own size. Blocks are never resized or reallocated, so placing
-// an accumulator never moves another one. Build drains every vertex straight
-// into its gather shard's own blocks, and the sweep then takes those blocks
-// over: nothing is staged or copied. An accumulator that outgrows its slack
-// is relocated to fresh slots in the tail block, leaving its old ones as
+// an accumulator never moves another one. Build carves every vertex straight
+// from its shard's own blocks, and the sweep then takes those blocks over:
+// nothing is staged or copied. An accumulator that outgrows its slack is
+// relocated to fresh slots in the tail block, leaving its old ones as
 // garbage, and epoch compaction repacks the live accumulators into fresh
 // blocks. Neither Build nor a relocation therefore holds a second copy of the
 // accumulators. (QueryNeighborData keeps one flat arena with tail regrowth;
@@ -100,9 +107,19 @@ struct AffinityEntry {
   bool operator==(const AffinityEntry&) const = default;
 };
 
-/// Half-open bucket range [first, second) whose accumulator slots a vertex
-/// keeps in a windowed sweep; first == second keeps none.
-using BucketWindow = std::pair<BucketId, BucketId>;
+/// A vertex's accumulator window in a windowed sweep: the half-open bucket
+/// range [first, second) whose slots it keeps (first == second keeps none),
+/// and the arena slots Build gives it — r, the number of buckets in the
+/// range that vertices can occupy (a recursion group's child count,
+/// MoveTopology::WindowOf). A vertex whose window holds more occupied
+/// buckets than `slots` is relocated, not truncated.
+struct BucketWindow {
+  BucketId first = 0;
+  BucketId second = 0;
+  uint32_t slots = 0;
+
+  bool operator==(const BucketWindow&) const = default;
+};
 
 /// Non-owning reference to a callable `f(VertexId v, std::span<const
 /// AffinityEntry> entries, uint32_t records)` that ApplyDeltas runs once per
@@ -144,15 +161,18 @@ class AffinitySweep {
   /// would waste more per shard.
   static constexpr uint32_t kBlockEntries = 4096;
 
-  /// Full vertex-major pass: each vertex sums 1 − B^{n_b(q)} over its
-  /// ascending DataNeighbors(v) into a per-thread dense k-wide scratch.
-  /// Vertices are split into Σ-degree-weighted contiguous ranges, one per
-  /// worker. O(Σ_q deg(q) · fanout(q)); windowed, O(Σ_v Σ_{q ∈ N(v)}
-  /// (log fanout(q) + in-window entries)).
+  /// Full pass. Unwindowed, each vertex sums 1 − B^{n_b(q)} over its
+  /// ascending DataNeighbors(v) into a per-thread dense k-wide scratch,
+  /// O(Σ_q deg(q) · fanout(q)). Windowed, each shard turns every query's
+  /// entries, in ascending q, into records 0 → n and folds the in-window
+  /// ones into the ≤ r packed entries of the query's neighbors in the
+  /// shard's range: O(shards · Σ_q (log deg(q) + fanout(q)) + Σ_q deg(q) ·
+  /// fanout(q) + r · adds). Vertices are split into Σ-degree-weighted
+  /// contiguous ranges, one per worker.
   ///
   /// `windows`, if non-empty, holds one window per vertex: v keeps only the
-  /// buckets in windows[v], and the sweep stores the windows for
-  /// ApplyDeltas. Empty keeps every occupied bucket.
+  /// buckets in windows[v] in windows[v].slots arena slots, and the sweep
+  /// stores the windows for ApplyDeltas. Empty keeps every occupied bucket.
   ///
   /// Each query's bucket-sorted neighbor data comes from the one
   /// QueryNeighborData store both engines keep. Returns the accumulator adds
@@ -165,39 +185,46 @@ class AffinitySweep {
 
   /// Steady-state patch: folds neighbor-data delta records into the affected
   /// accumulators. Records are grouped per query, each query's kept in
-  /// emission order; each worker marks the blast radius of its Σ-degree
-  /// vertex range and applies every marked vertex's dirty queries in
-  /// ascending q — per (v, bucket) slot, the canonical (q, bucket) order
-  /// with chains in emission order. Returns at once when there are no
-  /// records. Otherwise a call costs O(n) for the serial degree prefix and
-  /// the blast-mask scans (n/shards bytes per worker), O(R) to group the
-  /// records, O(shards · Σ_dirty q log deg(q)) to mark, and O(Σ_marked v
-  /// (deg(v) + |acc_v| + m_v log m_v)) to patch: a vertex with m_v ops is
-  /// folded through the dense scratch (4·m_v ≥ |acc_v|) or by one streaming
-  /// merge of its bucket-sorted ops into the accumulator, while the next
-  /// marked vertex's accumulator is prefetched — a patch streams each
-  /// accumulator once, the way the engines' visitor reads it anyway.
-  /// Beyond the two byte-cheap O(n) passes, the cost follows the move blast
+  /// emission order, and every (v, bucket) slot receives them in the
+  /// canonical (q, bucket) order with chains in emission order. Returns at
+  /// once when there are no records. Otherwise a call costs O(n) for the
+  /// serial degree prefix and one per-vertex mask scan (n/shards entries
+  /// per worker) and O(R) to group the records, plus:
+  ///
+  /// - unwindowed: O(shards · Σ_dirty q log deg(q)) to mark the blast
+  ///   radius and O(Σ_marked v (deg(v) + |acc_v| + m_v log m_v)) to patch —
+  ///   a vertex with m_v ops is folded through the dense scratch (4·m_v ≥
+  ///   |acc_v|) or by one streaming merge of its bucket-sorted ops into the
+  ///   accumulator, while the next marked vertex's accumulator is
+  ///   prefetched, so a patch streams each accumulator once, the way the
+  ///   engines' visitor reads it anyway;
+  /// - windowed: O(|Q|/64) to list the dirty queries ascending, then one
+  ///   record-major fold, O(shards · Σ_dirty q log deg(q) + Σ_dirty q
+  ///   deg(q) · R_q · r): each shard walks every dirty query's run once per
+  ///   neighbor in its range, in emission order, and folds the records in
+  ///   that neighbor's window into its ≤ r packed entries.
+  ///
+  /// Beyond the byte-cheap O(n) passes, the cost follows the move blast
   /// radius. `pow` must match Build's.
   ///
   /// A windowed sweep folds a record into v only when the record's bucket
-  /// lies in v's window (each query's records are stably sorted by bucket
-  /// first, so a window is a binary-searched stretch of the run). If
-  /// `patched` is non-null it receives, ascending, the vertices that
-  /// received at least one record — in-window ones, for a windowed sweep.
-  /// Returns the records folded into accumulators, counted once per
-  /// receiving vertex.
+  /// lies in v's window. If `patched` is non-null it receives, ascending,
+  /// the vertices that received at least one record — in-window ones, for a
+  /// windowed sweep. Returns the records folded into accumulators, counted
+  /// once per receiving vertex.
   ///
   /// `on_patched`, if set, runs exactly once for each vertex in that patched
-  /// set (and never for an empty delta batch), right after its accumulator
-  /// is patched and while it is still cache-hot: the engines compute the
-  /// vertex's push proposal there instead of rescanning the accumulator
-  /// later. It receives v's final entries — in place, or the shard-local
-  /// copy of an accumulator that outgrew its slack, before the serial
-  /// relocation, so they equal Entries(v) after the call — and the records
-  /// folded into v, which sum over the calls to the return value. Calls for
-  /// distinct vertices run concurrently on the pool's workers; the callable
-  /// must not read another vertex's sweep state and should not allocate.
+  /// set (and never for an empty delta batch) while its accumulator is
+  /// still cache-hot: unwindowed, right after the vertex's patch; windowed,
+  /// in ascending order over the shard's range once its fold is done. The
+  /// engines compute the vertex's push proposal there instead of rescanning
+  /// the accumulator later. It receives v's final entries — in place, or
+  /// the shard-local copy of an accumulator that outgrew its slack, before
+  /// the serial relocation, so they equal Entries(v) after the call — and
+  /// the records folded into v, which sum over the calls to the return
+  /// value. Calls for distinct vertices run concurrently on the pool's
+  /// workers; the callable must not read another vertex's sweep state and
+  /// should not allocate.
   uint64_t ApplyDeltas(const BipartiteGraph& graph,
                    std::span<const NeighborDelta> deltas, const PowTable& pow,
                    ThreadPool* pool = nullptr,
@@ -230,7 +257,9 @@ class AffinitySweep {
   }
 
   /// Arena slots handed out to accumulators: live entries, slack and
-  /// relocation garbage (≥ TotalEntries()).
+  /// relocation garbage (≥ TotalEntries()). A windowed sweep whose windows
+  /// never hold more than `slots` occupied buckets holds exactly Σ slots
+  /// over its non-empty windows, before and after every ApplyDeltas.
   uint64_t ArenaSlots() const { return arena_.slots(); }
 
   /// Repacks the accumulators in vertex order into fresh blocks with fresh
@@ -284,11 +313,16 @@ class AffinitySweep {
     uint64_t slots_ = 0;
   };
 
-  /// Shard-local store for accumulators that outgrew their slack during a
-  /// parallel ApplyDeltas (relocation carves from the shared tail block, so
-  /// it runs serially afterwards).
-  using ShardOverflow =
-      std::vector<std::pair<VertexId, std::vector<AffinityEntry>>>;
+  /// An accumulator that outgrew its slack during a parallel pass, held in
+  /// a shard-local buffer until the serial relocation (which carves from the
+  /// shared tail block). `entries` holds its final entries; `abandoned` is
+  /// the arena capacity it leaves behind as garbage.
+  struct Overflow {
+    VertexId v;
+    uint32_t abandoned;
+    std::vector<AffinityEntry> entries;
+  };
+  using ShardOverflow = std::vector<Overflow>;
 
   /// One delta record as a patch op: (bucket, support delta, affinity add),
   /// with add = B^old − B^new computed once per record instead of once per
@@ -308,15 +342,46 @@ class AffinitySweep {
     std::vector<VertexId> dirty_queries;  ///< queries with records
     std::vector<PatchOp> ops;             ///< records grouped per query
     std::vector<uint8_t> blast;           ///< per-vertex blast-radius mask
+    std::vector<uint32_t> folds;  ///< per-vertex records folded (windowed)
     std::vector<ShardOverflow> overflow;
     std::vector<int64_t> live_delta;
     std::vector<uint64_t> deg_prefix;  ///< Σ-degree shard-bound scratch
     std::vector<std::vector<VertexId>> patched;  ///< per-shard patched list
   };
 
-  /// Arena slack of v: kSlackPad, or none when v's window is empty (no
-  /// record ever lands there).
-  uint32_t SlackOf(VertexId v) const;
+  /// Arena slots of v's accumulator holding `size` entries at Build or
+  /// Compact: size + kSlackPad unwindowed; windowed, max(size, slots), or
+  /// none for an empty window (no record ever lands there).
+  uint32_t CapacityOf(VertexId v, uint32_t size) const;
+
+  /// The record-major fold of one shard's vertex range [vbegin, vend): for
+  /// each query of `queries`, ascending, FoldRun of its records
+  /// `run_of(q)` into each of its neighbors in the range. Adds each
+  /// neighbor's folded records to (*folds)[v] when `folds` is non-null;
+  /// returns their sum. Leaves each of the shard's `overflow` buffers
+  /// holding exactly its vertex's final entries.
+  template <typename Queries, typename RunOf>
+  uint64_t FoldShard(const BipartiteGraph& graph, VertexId vbegin,
+                     VertexId vend, const Queries& queries,
+                     const RunOf& run_of, std::vector<uint32_t>* folds,
+                     ShardOverflow* overflow, int64_t* live_delta);
+
+  /// Folds the records of `run` whose bucket lies in v's window, in run
+  /// order — one linear pass, so each (q, bucket) chain keeps its order —
+  /// into v's packed entries (FoldPacked). Adds the change in entry count
+  /// to *live_delta and returns the records folded.
+  uint32_t FoldRun(VertexId v, std::span<const PatchOp> run,
+                   ShardOverflow* overflow, int64_t* live_delta);
+
+  /// Called when an insert finds all of windowed vertex v's slots taken:
+  /// moves its entries, described by `loc` (the working copy of loc_[v]),
+  /// to a shard-local buffer with room for every bucket of v's window, so
+  /// no later insert overflows it.
+  void Widen(VertexId v, Loc* loc, ShardOverflow* overflow);
+
+  /// Serially relocates the shards' overflowed accumulators to fresh slots
+  /// in the tail block; no other accumulator moves.
+  void RelocateOverflow(size_t shards);
 
   void MaybeCompact();
 

@@ -2,13 +2,16 @@
 // chains vs before/after CountFor diffs), accumulator build/patch
 // equivalence with a fresh build, block-arena placement (only relocated
 // accumulators move; a moved sweep keeps its entries), bit-exact agreement
-// of the vertex-major Build/ApplyDeltas with serial query-major /
-// record-major references for every thread count (windowed sweeps against
-// the references restricted to each vertex's window; a hub wider than an
-// arena block), the ApplyDeltas patch-visitor contract, pull-vs-push
-// best-target consistency (tie-breaks, restricted windows, empty-window
-// fallback), and the refiner-level pull-vs-push tolerance harness across
-// all three MoveBroker strategies.
+// of Build/ApplyDeltas with serial query-major / record-major references
+// for every thread count (the vertex-major unwindowed path, with a hub
+// wider than an arena block; the windowed record-major fold against the
+// references restricted to each vertex's window, with r = 3/4 windows
+// wider than r, drop/re-insert and insert-then-drop chains, empty windows,
+// exactly r arena slots per refined vertex, and the overflow path of
+// interleaved hand-built groups), the ApplyDeltas patch-visitor contract,
+// pull-vs-push best-target consistency (tie-breaks, restricted windows,
+// empty-window fallback), and the refiner-level pull-vs-push tolerance
+// harness across all three MoveBroker strategies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -311,10 +314,20 @@ std::vector<BucketWindow> OwnedWindows(VertexId n, BucketId k, int workers,
   std::vector<BucketWindow> windows(n, BucketWindow{0, 0});
   for (VertexId v = 0; v < n; ++v) {
     if (static_cast<int>(HashToBounded(55, v, 3, workers)) == worker) {
-      windows[v] = {0, k};
+      windows[v] = {0, k, static_cast<uint32_t>(k)};
     }
   }
   return windows;
+}
+
+/// Σ slots over the non-empty windows: the arena a windowed sweep holds when
+/// no window ever sees more occupied buckets than its slots.
+uint64_t WindowSlots(const std::vector<BucketWindow>& windows) {
+  uint64_t slots = 0;
+  for (const BucketWindow& w : windows) {
+    if (w.first < w.second) slots += w.slots;
+  }
+  return slots;
 }
 
 TEST(AffinitySweep, BuildReturnsTheSumOfEntrySupports) {
@@ -351,7 +364,7 @@ TEST(AffinitySweep, BuildReturnsTheSumOfEntrySupports) {
   for (VertexId v = 0; v < g.num_data(); ++v) {
     if (assignment[v] >= 6) continue;
     const BucketId first = assignment[v] / 4 * 4;
-    windows[v] = {first, first + 4};
+    windows[v] = {first, first + 4, 4};
     windowed_reads += g.DataDegree(v);
   }
   AffinitySweep windowed;
@@ -372,9 +385,11 @@ TEST(AffinitySweep, BuildReturnsTheSumOfEntrySupports) {
 
 TEST(AffinitySweep, EmptyWindowsGetNoArenaSlackAndPatchesRoundTrip) {
   // A vertex with an empty window never receives a record, so it gets no
-  // slack: a sweep whose every window is empty holds no arena slots at all,
+  // arena slots: a sweep whose every window is empty holds none at all,
   // before and after patches and compaction. Next to it, per-worker sweeps
-  // that each receive every record keep matching fresh builds.
+  // that each receive every record keep matching fresh builds, and each
+  // holds exactly its windows' slots: a [0, k) window of k slots can never
+  // overflow, so nothing is relocated and no garbage accrues.
   const BipartiteGraph g = TestGraph(29);
   const BucketId k = 16;
   const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
@@ -391,6 +406,7 @@ TEST(AffinitySweep, EmptyWindowsGetNoArenaSlackAndPatchesRoundTrip) {
   for (int w = 0; w < workers; ++w) {
     sweeps[w].Build(g, ndata, pow, nullptr,
                     OwnedWindows(g.num_data(), k, workers, w));
+    EXPECT_EQ(sweeps[w].ArenaSlots(), WindowSlots(sweeps[w].windows()));
   }
   for (uint64_t round = 0; round < 30; ++round) {
     const std::vector<VertexMove> moves =
@@ -407,6 +423,8 @@ TEST(AffinitySweep, EmptyWindowsGetNoArenaSlackAndPatchesRoundTrip) {
       for (const VertexId v : patched) {
         ASSERT_EQ(static_cast<int>(HashToBounded(55, v, 3, workers)), w);
       }
+      ASSERT_EQ(sweeps[w].ArenaSlots(), WindowSlots(sweeps[w].windows()))
+          << "round " << round << " worker " << w;
       AffinitySweep fresh;
       fresh.Build(g, ndata, pow, nullptr, sweeps[w].windows());
       ASSERT_TRUE(sweeps[w].ApproxEquals(fresh, 1e-9, 1e-9))
@@ -938,7 +956,7 @@ std::vector<BucketWindow> GroupOfFourWindows(
   std::vector<BucketWindow> windows;
   for (const BucketId b : assignment) {
     const BucketId lo = b / 4 * 4;
-    windows.push_back(lo == 28 ? BucketWindow{0, 0} : BucketWindow{lo, lo + 4});
+    windows.push_back(lo == 28 ? BucketWindow{} : BucketWindow{lo, lo + 4, 4});
   }
   return windows;
 }
@@ -1053,6 +1071,281 @@ TEST(AffinitySweepBitExact, WindowedApplyDeltasMatchesRestrictedReference) {
     fresh.Build(g, ndata, pow, &pool, windows);
     EXPECT_TRUE(sweep.ApproxEquals(fresh, 1e-12, 1e-12));
   }
+}
+
+/// Moves up to `batch` distinct vertices of [first_vertex, n) to another
+/// member of their bucket's group (vertices of unrefined buckets stay), as a
+/// recursion level does; mutates `assignment`.
+std::vector<VertexMove> GroupMoves(std::vector<BucketId>* assignment,
+                                   const MoveTopology& topo, uint64_t seed,
+                                   uint64_t round, size_t batch,
+                                   VertexId first_vertex = 0) {
+  std::vector<VertexMove> moves;
+  const VertexId n = static_cast<VertexId>(assignment->size());
+  for (size_t i = 0; i < batch; ++i) {
+    const VertexId v = first_vertex + static_cast<VertexId>(HashToBounded(
+                                          seed, round, i, n - first_vertex));
+    bool duplicate = false;
+    for (const VertexMove& m : moves) duplicate |= m.v == v;
+    const BucketId from = (*assignment)[v];
+    const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
+    if (duplicate || group < 0) continue;
+    const std::vector<BucketId>& members =
+        topo.group_children[static_cast<size_t>(group)];
+    const BucketId to = members[HashToBounded(seed ^ 0x5eed, round, i,
+                                              members.size())];
+    if (to == from) continue;
+    moves.push_back({v, from, to});
+    (*assignment)[v] = to;
+  }
+  return moves;
+}
+
+/// One windowed sweep driven on pools of 1, 3 and 8 threads: Build, then
+/// `rounds` ApplyDeltas calls whose records `round_deltas(round, &assignment,
+/// &ndata, &pool)` produces. Checks each state bit for bit against the
+/// serial references restricted to the windows (query-major Build,
+/// record-major patch in canonical order), the patched list, and the
+/// visitor contract: one call per patched vertex, seeing its final entries
+/// and its in-window record count. `after(round, sweep)` runs after Build
+/// (round −1) and after every ApplyDeltas.
+template <typename RoundDeltas, typename After>
+void CheckWindowedRounds(const BipartiteGraph& g,
+                         const std::vector<BucketId>& start,
+                         const std::vector<BucketWindow>& windows,
+                         int rounds, const RoundDeltas& round_deltas,
+                         const After& after) {
+  const VertexId n = g.num_data();
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  for (const size_t threads : {1, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ThreadPool pool(threads);
+    std::vector<BucketId> assignment = start;
+    QueryNeighborData ndata;
+    ndata.Build(g, assignment, &pool);
+    AffinitySweep sweep;
+    sweep.Build(g, ndata, pow, &pool, windows);
+    Accumulators ref = RestrictToWindows(ReferenceBuild(g, ndata, pow), windows);
+    ASSERT_TRUE(BitIdentical(sweep, ref)) << "Build";
+    after(-1, sweep);
+
+    std::vector<std::atomic<uint32_t>> calls(n);
+    std::vector<std::vector<AffinityEntry>> seen(n);
+    std::vector<uint32_t> records(n, 0);
+    const auto visitor = [&](VertexId v, std::span<const AffinityEntry> entries,
+                             uint32_t folded) {
+      calls[v].fetch_add(1, std::memory_order_relaxed);
+      seen[v].assign(entries.begin(), entries.end());
+      records[v] = folded;
+    };
+    for (int round = 0; round < rounds; ++round) {
+      const std::vector<NeighborDelta> deltas =
+          round_deltas(round, &assignment, &ndata, &pool);
+      std::vector<uint32_t> expected_records(n, 0);
+      for (const NeighborDelta& rec : deltas) {
+        for (const VertexId v : g.QueryNeighbors(rec.q)) {
+          expected_records[v] += rec.bucket >= windows[v].first &&
+                                 rec.bucket < windows[v].second;
+        }
+      }
+      for (VertexId v = 0; v < n; ++v) calls[v].store(0);
+      std::vector<VertexId> patched = {n};  // must be overwritten
+      const uint64_t folded =
+          sweep.ApplyDeltas(g, deltas, pow, &pool, &patched, visitor);
+      const std::vector<VertexId> expected =
+          ReferencePatchWindowed(g, deltas, pow, windows, &ref);
+      ASSERT_TRUE(BitIdentical(sweep, ref)) << "round " << round;
+      ASSERT_EQ(patched, expected) << "round " << round;
+      uint64_t visited_records = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        const bool listed = expected_records[v] > 0;
+        ASSERT_EQ(calls[v].load(), listed ? 1u : 0u)
+            << "round " << round << ", v=" << v;
+        if (!listed) continue;
+        ASSERT_EQ(records[v], expected_records[v])
+            << "round " << round << ", v=" << v;
+        visited_records += records[v];
+        const auto entries = sweep.Entries(v);
+        ASSERT_TRUE(std::equal(seen[v].begin(), seen[v].end(),
+                               entries.begin(), entries.end()))
+            << "round " << round << ", v=" << v;
+      }
+      EXPECT_EQ(visited_records, folded) << "round " << round;
+      after(round, sweep);
+    }
+  }
+}
+
+TEST(AffinitySweepBitExact, WindowedFoldChainsWideWindowsAndEmptyOnes) {
+  // Recursion-level windows wider than their child count: group A splits a
+  // 9-leaf node three ways (children 0, 3, 6: window [0, 7), r = 3), group
+  // B an 8-leaf node four ways (children 8, 10, 12, 14: window [8, 15),
+  // r = 4), and bucket 20 is not refined (empty windows). Vertices move
+  // only within their group, so no window ever holds more than r occupied
+  // buckets: every refined vertex keeps exactly its r slots and nothing is
+  // relocated. Chains the fold must keep in order:
+  //  - round 0: q0 = {0, 1} and q1 = {0, 2}; vertex 1 moves 3 → 6 and
+  //    vertex 2 moves 6 → 3, so vertex 0's bucket-3 entry (support 1, from
+  //    q0) is dropped by q0 and inserted afresh by the higher q1, all in
+  //    one call;
+  //  - every round: for a few queries with no vertex in bucket 10, the run
+  //    opens with (10: 0 → 1) and closes with (10: 1 → 0), an insert-then-
+  //    drop chain around the query's other records.
+  GraphBuilder builder;
+  builder.AddHyperedge(0, {0, 1});
+  builder.AddHyperedge(1, {0, 2});
+  const VertexId n = 203;
+  for (VertexId q = 2; q < 302; ++q) {
+    std::vector<VertexId> members;
+    const uint64_t size = 2 + HashToBounded(71, q, 0, 5);
+    for (uint64_t i = 0; i < size; ++i) {
+      members.push_back(3 + static_cast<VertexId>(
+                                HashToBounded(73, q, i + 1, n - 3)));
+    }
+    builder.AddHyperedge(q, members);
+  }
+  const BipartiteGraph g = builder.Build();
+  ASSERT_EQ(g.num_data(), n);
+  const MoveTopology topo = MoveTopology::Grouped(
+      32, n, 0.05, {{0, 3, 6}, {8, 10, 12, 14}});
+  std::vector<BucketId> start = {0, 3, 6};
+  for (VertexId v = 3; v < n; ++v) {
+    const uint64_t h = HashToBounded(79, v, 0, 10);
+    start.push_back(h < 4   ? BucketId{3} * static_cast<BucketId>(h % 3)
+                    : h < 8 ? 8 + 2 * static_cast<BucketId>(h % 4)
+                            : 20);
+  }
+  const std::vector<BucketWindow> windows =
+      topo.GroupWindows(Partition::FromAssignment(start, 32));
+  ASSERT_EQ(windows[0], (BucketWindow{0, 7, 3}));
+  const uint64_t slots = WindowSlots(windows);
+  uint64_t empty_windows = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (start[v] == 20) {
+      ASSERT_EQ(windows[v], BucketWindow{});
+      ++empty_windows;
+    } else if (start[v] >= 8) {
+      ASSERT_EQ(windows[v], (BucketWindow{8, 15, 4}));
+    }
+  }
+  ASSERT_GT(empty_windows, 0u);
+
+  const size_t batches[] = {30, 1, 12, 3};
+  uint64_t chains = 0;
+  const auto round_deltas = [&](int round, std::vector<BucketId>* assignment,
+                                QueryNeighborData* ndata, ThreadPool* pool) {
+    std::vector<VertexMove> moves;
+    if (round == 0) moves = {{1, 3, 6}, {2, 6, 3}};
+    const std::vector<VertexMove> more =
+        GroupMoves(assignment, topo, 83, static_cast<uint64_t>(round),
+                   batches[round % std::size(batches)], /*first_vertex=*/3);
+    moves.insert(moves.end(), more.begin(), more.end());
+    if (round == 0) {
+      (*assignment)[1] = 6;
+      (*assignment)[2] = 3;
+    }
+    std::vector<NeighborDelta> emitted;
+    ndata->ApplyMoves(g, moves, pool, nullptr, &emitted);
+    // Insert-then-drop chains on bucket 10, which the queries leave empty,
+    // so the neighbor data stays what ApplyMoves left.
+    std::vector<NeighborDelta> opening;
+    std::vector<NeighborDelta> closing;
+    for (VertexId q = 2 + static_cast<VertexId>(7 * round);
+         q < g.num_queries() && opening.size() < 3; ++q) {
+      if (ndata->CountFor(q, 10) != 0) continue;
+      opening.push_back({q, 10, 0, 1});
+      closing.push_back({q, 10, 1, 0});
+    }
+    chains += opening.size();
+    std::vector<NeighborDelta> deltas = opening;
+    deltas.insert(deltas.end(), emitted.begin(), emitted.end());
+    deltas.insert(deltas.end(), closing.begin(), closing.end());
+    if (round == 0) {
+      const auto has = [&](NeighborDelta rec) {
+        return std::find(deltas.begin(), deltas.end(), rec) != deltas.end();
+      };
+      EXPECT_TRUE(has({0, 3, 1, 0}) && has({1, 3, 0, 1}))
+          << "q0 drops bucket 3 and q1 re-inserts it";
+    }
+    return deltas;
+  };
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const auto after = [&](int round, const AffinitySweep& sweep) {
+    EXPECT_EQ(sweep.ArenaSlots(), slots) << "round " << round;
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_LE(sweep.Entries(v).size(), windows[v].slots) << "v=" << v;
+    }
+    if (round == 0) {
+      // Vertex 0's bucket 3 now comes from q1 alone, with a float started
+      // afresh from the re-insert: 0 + (B^0 − B^1).
+      const auto entries = sweep.Entries(0);
+      ASSERT_EQ(entries.size(), 3u);
+      EXPECT_EQ(entries[1], (AffinityEntry{3, 1, 1.0 - pow.Pow(1)}));
+    }
+  };
+  CheckWindowedRounds(g, start, windows, 10, round_deltas, after);
+  EXPECT_GT(chains, 0u);
+}
+
+TEST(AffinitySweepBitExact, InterleavedGroupsTakeTheOverflowPath) {
+  // Hand-built topologies whose groups interleave, so a window holds
+  // buckets of another group and a vertex can see more occupied buckets
+  // than its r slots. Build and later inserts then move it to a
+  // shard-local buffer as wide as its window and relocate its final entries
+  // serially — still bit-exact, with the visitor seeing the buffer's final
+  // entries. {0, 2} / {1, 3}: window [0, 3) holds bucket 1 of the other
+  // group, and vertices that fit their two slots at Build outgrow them
+  // later. {0, 4} / {1, 2, 3}: window [0, 5) of r = 2 can hold three or
+  // four occupied buckets, fewer than its width. Bucket 5 is not refined.
+  const BipartiteGraph g = TestGraph(61);
+  const VertexId n = g.num_data();
+  const std::vector<std::vector<BucketId>> groupings[] = {
+      {{0, 2}, {1, 3}}, {{0, 4}, {1, 2, 3}}};
+  uint64_t grown = 0;
+  uint64_t narrower = 0;
+  for (const auto& groups : groupings) {
+    SCOPED_TRACE(testing::Message() << "groups of " << groups[0].size()
+                                    << " and " << groups[1].size());
+    const MoveTopology topo = MoveTopology::Grouped(8, n, 0.05, groups);
+    const BucketId top = groups[0].back();
+    std::vector<BucketId> start;
+    for (VertexId v = 0; v < n; ++v) {
+      const uint64_t h = HashToBounded(89, v, 0, 2 * top + 1);
+      start.push_back(h == 2 * top ? 5 : static_cast<BucketId>(h % (top + 1)));
+    }
+    const std::vector<BucketWindow> windows =
+        topo.GroupWindows(Partition::FromAssignment(start, 8));
+    const uint64_t slots = WindowSlots(windows);
+    uint64_t wide = 0;
+    uint64_t last_slots = 0;
+    const size_t batches[] = {20, 2, 8};
+    const auto round_deltas = [&](int round,
+                                  std::vector<BucketId>* assignment,
+                                  QueryNeighborData* ndata, ThreadPool* pool) {
+      const std::vector<VertexMove> moves =
+          GroupMoves(assignment, topo, 97, static_cast<uint64_t>(round),
+                     batches[round % std::size(batches)]);
+      std::vector<NeighborDelta> deltas;
+      ndata->ApplyMoves(g, moves, pool, nullptr, &deltas);
+      return deltas;
+    };
+    const auto after = [&](int round, const AffinitySweep& sweep) {
+      if (round < 0) EXPECT_GT(sweep.ArenaSlots(), slots) << "Build relocated";
+      if (round >= 0) grown += sweep.ArenaSlots() > last_slots;
+      last_slots = sweep.ArenaSlots();
+      for (VertexId v = 0; v < n; ++v) {
+        const size_t size = sweep.Entries(v).size();
+        const BucketWindow& w = windows[v];
+        wide += size > w.slots;
+        narrower += size > w.slots &&
+                    size < static_cast<size_t>(w.second - w.first);
+      }
+    };
+    CheckWindowedRounds(g, start, windows, 12, round_deltas, after);
+    EXPECT_GT(wide, 0u) << "no window held more occupied buckets than slots";
+  }
+  EXPECT_GT(grown, 0u) << "no ApplyDeltas relocated an accumulator";
+  EXPECT_GT(narrower, 0u) << "every overflowed vertex filled its window";
 }
 
 TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {

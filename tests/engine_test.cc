@@ -9,12 +9,14 @@
 #include <set>
 #include <span>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/proposal.h"
+#include "core/refiner.h"
 #include "core/recursive.h"
 #include "core/shp_k.h"
 #include "engine/bsp_engine.h"
@@ -696,6 +698,92 @@ TEST(BspRefiner, RecursionDriverBuildsOneRefinerPerLevel) {
   EXPECT_TRUE(Partition::FromAssignment(bsp.assignment, 8).IsBalanced(0.051));
 }
 
+/// Runs an engine and, after every iteration, checks that its windowed
+/// sweep holds exactly the r slots of each refined vertex (Σ slots over the
+/// non-empty windows): under a recursion topology no window sees more than
+/// r occupied buckets, so no accumulator is ever relocated.
+template <typename Engine>
+class WindowSlotsCheck : public RefinerInterface {
+ public:
+  template <typename... Args>
+  explicit WindowSlotsCheck(uint64_t* checks, Args&&... args)
+      : engine_(std::forward<Args>(args)...), checks_(checks) {}
+
+  IterationStats RunIteration(const MoveTopology& topo, Partition* partition,
+                              uint64_t seed, uint64_t iteration,
+                              ThreadPool* pool,
+                              const std::vector<BucketId>* anchor,
+                              double anchor_penalty) override {
+    const IterationStats stats = engine_.RunIteration(
+        topo, partition, seed, iteration, pool, anchor, anchor_penalty);
+    const AffinitySweep* sweep = nullptr;
+    if constexpr (std::is_same_v<Engine, Refiner>) {
+      sweep = &engine_.affinity_sweep();
+    } else {
+      sweep = &engine_.sweep();
+    }
+    EXPECT_FALSE(sweep->windows().empty());
+    uint64_t slots = 0;
+    for (const BucketWindow& w : sweep->windows()) {
+      if (w.first < w.second) slots += w.slots;
+    }
+    EXPECT_EQ(sweep->ArenaSlots(), slots) << "iteration " << iteration;
+    ++*checks_;
+    return stats;
+  }
+
+ private:
+  Engine engine_;
+  uint64_t* checks_;
+};
+
+TEST(BspRefiner, RecursionDriverMatchesThreadedForWiderBranching) {
+  // SHP-r with r = 3 and r = 4, also for k that is not a power of r: k = 6
+  // at r = 3 splits into three 2-leaf children and then bisects each; k = 6
+  // at r = 4 splits into children of 2, 2, 1 and 1 leaves, so its second
+  // level leaves two buckets unrefined (empty windows). The BSP engine at
+  // W ∈ {1, 3} returns the threaded engine's assignment, and neither
+  // engine's windowed sweep ever relocates an accumulator.
+  const BipartiteGraph g = TestGraph();
+  const std::pair<int, BucketId> cases[] = {{3, 6}, {3, 9}, {4, 6}, {4, 16}};
+  for (const auto& [branching, k] : cases) {
+    SCOPED_TRACE(testing::Message() << "r=" << branching << " k=" << k);
+    RecursiveOptions options;
+    options.k = k;
+    options.branching = branching;
+    options.seed = 7;
+    options.iterations_per_level = 4;
+    options.refiner.sweep_mode = RefinerOptions::SweepMode::kPush;
+    uint64_t checks = 0;
+    options.refiner_factory = [&](const BipartiteGraph& graph,
+                                  const RefinerOptions& ropts)
+        -> std::unique_ptr<RefinerInterface> {
+      return std::make_unique<WindowSlotsCheck<Refiner>>(&checks, graph,
+                                                         ropts);
+    };
+    const RecursiveResult threaded = RecursivePartitioner(options).Run(g);
+    EXPECT_GE(threaded.levels_run, 2u);
+    EXPECT_GT(checks, 0u);
+    EXPECT_TRUE(
+        Partition::FromAssignment(threaded.assignment, k).IsBalanced(0.06));
+    for (const int workers : {1, 3}) {
+      SCOPED_TRACE(testing::Message() << "W=" << workers);
+      checks = 0;
+      options.refiner_factory = [&](const BipartiteGraph& graph,
+                                    const RefinerOptions& ropts)
+          -> std::unique_ptr<RefinerInterface> {
+        BspConfig config;
+        config.num_workers = workers;
+        return std::make_unique<WindowSlotsCheck<BspRefiner>>(
+            &checks, graph, ropts, config);
+      };
+      const RecursiveResult bsp = RecursivePartitioner(options).Run(g);
+      EXPECT_GT(checks, 0u);
+      EXPECT_EQ(bsp.assignment, threaded.assignment);
+    }
+  }
+}
+
 TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
   // The data workers' accumulators are one sweep partitioned by owner: each
   // vertex holds exactly the occupied buckets of its group window ([0, k)
@@ -712,7 +800,7 @@ TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
   const auto in_window = [&](const MoveTopology& topo,
                              const std::vector<BucketId>& assignment,
                              VertexId v) {
-    const auto [begin, end] = topo.WindowOf(assignment[v]);
+    const auto [begin, end, slots] = topo.WindowOf(assignment[v]);
     std::vector<BucketId> buckets;
     for (const VertexId q : g.DataNeighbors(v)) {
       for (const VertexId u : g.QueryNeighbors(q)) {

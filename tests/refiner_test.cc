@@ -64,7 +64,7 @@ uint64_t InWindowOccupiedBuckets(const BipartiteGraph& g,
   for (VertexId v = 0; v < g.num_data(); ++v) {
     const int32_t group = topo.group_of_bucket[partition.bucket_of(v)];
     if (group < 0) continue;
-    const auto [lo, hi] = topo.GroupWindow(group);
+    const auto [lo, hi, slots] = topo.GroupWindow(group);
     std::set<BucketId> occupied;
     for (const VertexId q : g.DataNeighbors(v)) {
       for (const VertexId u : g.QueryNeighbors(q)) {
