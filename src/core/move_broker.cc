@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ranges>
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -14,7 +15,10 @@ namespace shp {
 namespace {
 
 /// Superstep-4 draw over vertices [0, n): `fires(v, &draws)` decides v.
-/// Each pool worker draws one contiguous chunk into its own list, and the
+/// Each pool worker draws one contiguous chunk into a list of its own, on
+/// its stack while it draws (the vector headers of adjacent entries of
+/// *lists share cache lines, and each push_back writes one) and stored back
+/// into (*lists)[w] after, keeping its capacity for the next round. The
 /// lists concatenate in worker order, so *movers ends ascending by vertex
 /// id — no n-sized decision array and no serial scan of one.
 template <typename Fires>
@@ -26,12 +30,13 @@ void DrawMovers(ThreadPool* pool, VertexId n, const Fires& fires,
   std::vector<uint64_t> draws_per_worker(num_workers, 0);
   for (auto& list : *lists) list.clear();
   pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-    std::vector<VertexId>& list = (*lists)[w];
+    std::vector<VertexId> list = std::move((*lists)[w]);
     uint64_t draws = 0;
     for (size_t i = begin; i < end; ++i) {
       const VertexId v = static_cast<VertexId>(i);
       if (fires(v, &draws)) list.push_back(v);
     }
+    (*lists)[w] = std::move(list);
     draws_per_worker[w] = draws;
   });
   movers->clear();

@@ -38,36 +38,20 @@ struct MoveTopology {
   /// Hard size cap per bucket id ( (1+ε)·n·leaves(bucket)/k ).
   std::vector<uint64_t> capacity;
 
-  /// Accumulator window of group g: the half-open bucket-id range spanning
-  /// its members — the slice of a sorted sparse accumulator that the
-  /// group-restricted push scan reads — and its member count r, the arena
-  /// slots a windowed vertex gets. Both engines store only this window per
-  /// vertex (a windowed AffinitySweep, rebuilt for a new group structure).
-  /// In a recursion topology no other group's bucket lies in the range, so
-  /// a vertex never sees more than r occupied buckets there.
-  BucketWindow GroupWindow(int32_t g) const {
-    const std::vector<BucketId>& members =
-        group_children[static_cast<size_t>(g)];
-    return {members.front(), static_cast<BucketId>(members.back() + 1),
-            static_cast<uint32_t>(members.size())};
-  }
-
-  /// Accumulator window of a vertex in bucket b: [0, k) under full_k, else
-  /// the window of b's group, or empty when b is not being refined.
-  BucketWindow WindowOf(BucketId b) const {
-    if (full_k) return {0, k, static_cast<uint32_t>(k)};
-    const int32_t g = group_of_bucket[static_cast<size_t>(b)];
-    return g >= 0 ? GroupWindow(g) : BucketWindow{};
-  }
-
-  /// Per-vertex windows of both engines' AffinitySweep: none (unwindowed)
-  /// under full_k, else WindowOf(v's bucket) for every vertex. Stable while
-  /// the topology holds: a vertex only ever moves within its group.
-  std::vector<BucketWindow> GroupWindows(const Partition& partition) const {
+  /// Windows of both engines' AffinitySweep: none (unwindowed) under
+  /// full_k, else one window per group, its children — the only buckets the
+  /// group's vertices ever read, one positional accumulator slot each — and
+  /// each vertex's group (none when its bucket is not being refined). Stable
+  /// while the topology holds: a vertex only ever moves within its group.
+  BucketWindows GroupWindows(const Partition& partition) const {
+    static_assert(BucketWindows::kNone == -1,
+                  "an unrefined bucket's group (-1) is no window");
     if (full_k) return {};
-    std::vector<BucketWindow> windows(partition.num_data());
+    BucketWindows windows{group_children,
+                          std::vector<int32_t>(partition.num_data())};
     for (VertexId v = 0; v < partition.num_data(); ++v) {
-      windows[v] = WindowOf(partition.bucket_of(v));
+      windows.of[v] =
+          group_of_bucket[static_cast<size_t>(partition.bucket_of(v))];
     }
     return windows;
   }
@@ -103,8 +87,9 @@ struct MoveTopology {
     topo.group_children = std::move(groups);
     std::vector<BucketId> members;
     for (size_t g = 0; g < topo.group_children.size(); ++g) {
-      // group_children must be ascending — GroupWindow and the grouped push
-      // scan's candidate merge rely on it — so normalize hand-built input.
+      // group_children must be ascending — the sweep's windows and the
+      // grouped push scan's candidate merge rely on it — so normalize
+      // hand-built input.
       std::sort(topo.group_children[g].begin(), topo.group_children[g].end());
       for (BucketId b : topo.group_children[g]) {
         topo.group_of_bucket[static_cast<size_t>(b)] =

@@ -37,7 +37,7 @@ GainComputer::BestTarget Refiner::ComputeProposal(
     *cacheable = false;
   } else if (push) {
     // One scan of v's accumulator — windowed to its group under recursion,
-    // where it holds exactly the window spanning the sibling buckets.
+    // where it holds one slot per sibling bucket.
     best = PushScan(gain_, topo, from, sweep_.Entries(v), degree);
   } else if (topo.full_k) {
     best = gain_.FindBestTarget(graph_, ndata_, v, from, 0, topo.k,
@@ -279,7 +279,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     // The patched accumulators must match a fresh build over the same
     // windows up to summation order — and those windows must still be the
     // ones the current partition derives.
-    std::vector<BucketWindow> windows = topo.GroupWindows(*partition);
+    BucketWindows windows = topo.GroupWindows(*partition);
     SHP_CHECK(windows == sweep_.windows())
         << "a vertex left the accumulator window of its group";
     AffinitySweep fresh;

@@ -267,7 +267,7 @@ class Refiner : public RefinerInterface {
   std::vector<uint8_t> cache_valid_;  ///< 0: must recompute (e.g. exploration)
   bool proposals_valid_ = false;
   std::vector<VertexId> dirty_list_;  ///< pull: queries changed last round
-  /// Push only: vertices that received an (in-window) delta record in the
+  /// Push only: vertices that received a (member) delta record in the
   /// last ApplyDeltas — their proposals were recomputed there — and last
   /// round's movers.
   std::vector<VertexId> patched_;

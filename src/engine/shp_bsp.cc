@@ -117,8 +117,9 @@ uint64_t BspRefiner::MaxWorkerStateBytes() const {
     uint64_t bytes = 0;
     for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
       bytes += graph_.DataDegree(v) * sizeof(VertexId) + 16;
-      // The delta-exchange state: the accumulator entries of owned vertices.
-      if (has_sweep) bytes += sweep_.Entries(v).size() * sizeof(AffinityEntry);
+      // The delta-exchange state: the live accumulator entries of owned
+      // vertices (a windowed sweep's empty slots are not counted).
+      if (has_sweep) bytes += sweep_.LiveEntries(v) * sizeof(AffinityEntry);
     }
     for (VertexId q : query_shards_[static_cast<size_t>(w)]) {
       bytes += graph_.QueryDegree(q) * sizeof(VertexId) + 16;
@@ -599,7 +600,7 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
   }
   if (!round->recompute_all) {
     // A push proposal reads only v's window and bucket, so it can change
-    // only if v received an in-window record (pull mode never patches, so
+    // only if v received a member record (pull mode never patches, so
     // its patched list stays empty) or moved. Each worker's patched
     // vertices lead its list: ApplyDeltas already proposed for them. Last
     // round's movers recompute unconditionally: a mover's `from` changed
@@ -627,7 +628,7 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
     // The patched accumulators must match a fresh build over the same
     // windows up to float summation order — and those windows must still be
     // the ones the current partition derives.
-    std::vector<BucketWindow> windows = topo.GroupWindows(partition);
+    BucketWindows windows = topo.GroupWindows(partition);
     SHP_CHECK(windows == sweep_.windows())
         << "a vertex left the accumulator window of its group";
     AffinitySweep fresh;
@@ -639,24 +640,25 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
 #endif
 }
 
+uint64_t BspRefiner::PushScanWork(const MoveTopology& topo,
+                                  const Partition& partition,
+                                  VertexId v) const {
+  const uint64_t entries = sweep_.LiveEntries(v);
+  if (topo.full_k) return entries;
+  const int32_t group =
+      topo.group_of_bucket[static_cast<size_t>(partition.bucket_of(v))];
+  return entries + topo.group_children[static_cast<size_t>(group)].size();
+}
+
 void BspRefiner::ProposeMoves(const MoveTopology& topo,
                               const Partition& partition,
                               const std::vector<BucketId>* anchor,
                               double anchor_penalty, ThreadPool* pool,
                               RoundState* round) {
   const int W = config_.num_workers;
-  // Work units of a push scan of v (in a refined bucket): the accumulator
-  // entries scanned, plus the sibling candidates under a grouped topology.
-  const auto push_work = [&](VertexId v) -> uint64_t {
-    const uint64_t entries = sweep_.Entries(v).size();
-    if (topo.full_k) return entries;
-    const int32_t group =
-        topo.group_of_bucket[static_cast<size_t>(partition.bucket_of(v))];
-    return entries + topo.group_children[static_cast<size_t>(group)].size();
-  };
   // Proposal of v from the replicas in either scan direction, finalized
   // (§5(i) anchor, nonpositive filter); adds the scan's work units to *work.
-  // Push work is push_work, pull work the neighbor data entries scanned
+  // Push work is PushScanWork, pull work the neighbor data entries scanned
   // (full-k) or count lookups (grouped).
   const auto propose = [&](int w, VertexId v, bool use_push,
                            uint64_t* work) -> GainComputer::BestTarget {
@@ -667,7 +669,7 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
     GainComputer::BestTarget best;
     if (use_push) {
       // One scan of v's accumulator, which holds its group's window.
-      *work += push_work(v);
+      *work += PushScanWork(topo, partition, v);
       best = PushScan(gain_, topo, from, sweep_.Entries(v), degree);
     } else if (topo.full_k) {
       std::vector<double>& affinity = pull_affinity_[static_cast<size_t>(w)];
@@ -695,7 +697,9 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
     uint64_t work = 0;
     const std::vector<VertexId>& list = lists[static_cast<size_t>(w)];
     const size_t prescanned = prescanned_[static_cast<size_t>(w)];
-    for (size_t i = 0; i < prescanned; ++i) work += push_work(list[i]);
+    for (size_t i = 0; i < prescanned; ++i) {
+      work += PushScanWork(topo, partition, list[i]);
+    }
     for (size_t i = prescanned; i < list.size(); ++i) {
       const VertexId v = list[i];
       const GainComputer::BestTarget best = propose(w, v, round->push, &work);

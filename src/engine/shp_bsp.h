@@ -30,7 +30,7 @@
 //          bootstrap: first round, or a new group structure, from what the
 //          pull path ships) and patched (one ApplyDeltas per round over the
 //          query owners' records) exactly as the threaded Refiner's. The
-//          vertices that received an in-window record (proposed inside
+//          vertices that received a member record (proposed inside
 //          ApplyDeltas) plus last round's movers re-propose. Each worker is
 //          charged the work of its own vertices and inbox. Proposals are
 //          one sequential scan of the vertex's own accumulator
@@ -124,8 +124,15 @@ class BspRefiner : public RefinerInterface {
 
   /// Estimated bytes of distributed state on the most loaded worker right
   /// now: its adjacency shard, its query replicas' neighbor data, and its
-  /// vertices' accumulator entries.
+  /// vertices' live accumulator entries.
   uint64_t MaxWorkerStateBytes() const;
+
+  /// Work units superstep 2 charges v's owner for a push scan of v (in a
+  /// refined bucket): its live accumulator entries — a windowed sweep's
+  /// empty slots are not counted — plus the sibling candidates under a
+  /// grouped topology.
+  uint64_t PushScanWork(const MoveTopology& topo, const Partition& partition,
+                        VertexId v) const;
 
   /// Accumulator bootstrap reships performed so far (delta-exchange mode):
   /// one per group structure the instance runs under, plus one per recovery

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <iterator>
 #include <ranges>
 
@@ -295,103 +296,99 @@ inline void PrefetchEntries(const AffinityEntry* data, uint32_t size) {
   for (; p < end; p += 64) __builtin_prefetch(p);
 }
 
-/// Folds one record (bucket, support delta, affinity add) into a windowed
-/// vertex's packed bucket-ascending entries data[0, *size): finds or inserts
-/// the bucket's entry among the ≤ r live ones and drops it when its support
-/// reaches 0, so a later insert of the bucket starts again from an exact
-/// 0.0, as a dense slot reset to 0 does. Returns false, changing nothing,
-/// when an insert finds all `cap` slots taken.
-inline bool FoldPacked(AffinityEntry* data, uint32_t* size, uint32_t cap,
-                       BucketId bucket, int32_t sup, double add) {
-  const uint32_t n = *size;
-  uint32_t i = 0;
-  while (i < n && data[i].bucket < bucket) ++i;
-  if (i < n && data[i].bucket == bucket) {
-    AffinityEntry& e = data[i];
-    e.support = static_cast<uint32_t>(static_cast<int64_t>(e.support) + sup);
-    if (e.support != 0) {
-      e.affinity += add;
-    } else {
-      std::copy(data + i + 1, data + n, data + i);
-      *size = n - 1;
-    }
-    return true;
-  }
-  SHP_DCHECK(sup == 1) << "accumulator entry absent for a non-insert delta";
-  if (n == cap) return false;
-  std::copy_backward(data + i, data + n, data + n + 1);
-  double affinity = 0.0;
-  affinity += add;
-  data[i] = {bucket, 1, affinity};
-  *size = n + 1;
-  return true;
+/// Folds one record (support delta, affinity add) into a windowed vertex's
+/// positional slot: the support moves by `sup`, and the float adds `add`, or
+/// resets to exactly 0.0 when the support reaches 0 — so the next insert
+/// adds to that 0.0, as a packed entry erased and re-inserted starts again
+/// from 0.0. Returns the change in live entries (−1, 0 or +1).
+inline int FoldSlot(AffinityEntry* e, int32_t sup, double add) {
+  SHP_DCHECK(e->support > 0 || sup == 1)
+      << "accumulator entry absent for a non-insert delta";
+  const int was = e->support != 0 ? 1 : 0;
+  e->support = static_cast<uint32_t>(static_cast<int64_t>(e->support) + sup);
+  const int is = e->support != 0 ? 1 : 0;
+  e->affinity = is != 0 ? e->affinity + add : 0.0;
+  return is - was;
 }
 
 }  // namespace
 
-template <typename Queries, typename RunOf>
+template <typename Queries, typename RunOf, typename OpOf>
 uint64_t AffinitySweep::FoldShard(const BipartiteGraph& graph,
                                   VertexId vbegin, VertexId vend,
                                   const Queries& queries, const RunOf& run_of,
+                                  const OpOf& op_of,
                                   std::vector<uint32_t>* folds,
-                                  ShardOverflow* overflow,
                                   int64_t* live_delta) {
+  // A neighbor of the current query in [vbegin, vend) that has a window:
+  // its positional slots and the records folded into it so far.
+  struct Target {
+    VertexId v;
+    uint32_t size;
+    AffinityEntry* data;
+    uint32_t folded;
+  };
+  std::vector<Target> targets;
+  const size_t table = slot_of_.size();
   uint64_t total = 0;
+  int64_t live = 0;
   for (const VertexId q : queries) {
     const auto nbrs = graph.QueryNeighbors(q);
-    const auto first = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
-    // The neighbors' window and location records start streaming in
-    // together instead of one miss at a time.
-    auto last = first;
-    for (; last != nbrs.end() && *last < vend; ++last) {
-      __builtin_prefetch(&windows_[*last]);
-      __builtin_prefetch(&loc_[*last]);
+    targets.clear();
+    for (auto it = std::lower_bound(nbrs.begin(), nbrs.end(), vbegin);
+         it != nbrs.end() && *it < vend; ++it) {
+      const Loc loc = loc_[*it];
+      if (loc.size == 0) continue;  // no window
+      __builtin_prefetch(loc.data);
+      targets.push_back({*it, loc.size, loc.data, 0});
     }
-    if (first == last) continue;
-    const std::span<const PatchOp> run = run_of(q);
-    for (auto it = first; it != last; ++it) {
-      const uint32_t m = FoldRun(*it, run, overflow, live_delta);
-      total += m;
-      if (folds != nullptr) (*folds)[*it] += m;
+    if (targets.empty()) continue;
+    // Record by record, into every target: a slot's records still arrive
+    // in run order, but consecutive folds go to different vertices instead
+    // of waiting on each other through one slot.
+    for (const auto& rec : run_of(q)) {
+      const auto b = static_cast<size_t>(rec.bucket);
+      if (b >= table || slot_of_[b] == kNoSlot) continue;
+      const uint32_t i = slot_of_[b];
+      const PatchOp op = op_of(rec);
+      for (Target& t : targets) {
+        if (i >= t.size || t.data[i].bucket != rec.bucket) continue;
+        live += FoldSlot(t.data + i, op.sup, op.add);
+        ++t.folded;
+      }
+    }
+    for (const Target& t : targets) {
+      total += t.folded;
+      if (folds != nullptr) (*folds)[t.v] += t.folded;
     }
   }
-  // The buffers of widened accumulators keep only their final entries.
-  for (Overflow& o : *overflow) o.entries.resize(loc_[o.v].size);
+  *live_delta += live;
   return total;
-}
-
-uint32_t AffinitySweep::FoldRun(VertexId v, std::span<const PatchOp> run,
-                                ShardOverflow* overflow,
-                                int64_t* live_delta) {
-  const BucketWindow w = windows_[v];
-  if (w.first >= w.second) return 0;
-  Loc loc = loc_[v];  // a local copy: the entry stores cannot alias it
-  const uint32_t before = loc.size;
-  uint32_t m = 0;
-  for (const PatchOp& op : run) {
-    if (op.bucket < w.first || op.bucket >= w.second) continue;
-    if (!FoldPacked(loc.data, &loc.size, loc.cap, op.bucket, op.sup,
-                    op.add)) {
-      Widen(v, &loc, overflow);
-      FoldPacked(loc.data, &loc.size, loc.cap, op.bucket, op.sup, op.add);
-    }
-    ++m;
-  }
-  if (m == 0) return 0;
-  *live_delta += static_cast<int64_t>(loc.size) - before;
-  loc_[v] = loc;
-  return m;
 }
 
 uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
                               const QueryNeighborData& ndata,
                               const PowTable& pow, ThreadPool* pool,
-                              std::vector<BucketWindow> windows) {
+                              BucketWindows windows) {
   const VertexId n = graph.num_data();
   if (pool == nullptr) pool = &GlobalThreadPool();
-  SHP_CHECK(windows.empty() || windows.size() == n);
+  SHP_CHECK(windows.empty() || windows.of.size() == n);
   windows_ = std::move(windows);
   const bool windowed = !windows_.empty();
+  // The bucket → slot table: each member bucket's position among its
+  // window's members.
+  slot_of_.clear();
+  for (const std::vector<BucketId>& members : windows_.members) {
+    for (size_t i = 0; i < members.size(); ++i) {
+      const auto b = static_cast<size_t>(members[i]);
+      SHP_CHECK(i == 0 || members[i - 1] < members[i])
+          << "window members must ascend";
+      if (b >= slot_of_.size()) slot_of_.resize(b + 1, kNoSlot);
+      SHP_CHECK_EQ(slot_of_[b], kNoSlot)
+          << "bucket " << b << " is a member of two windows";
+      slot_of_[b] = static_cast<uint32_t>(i);
+    }
+  }
   // The previous accumulators go before the new ones are gathered.
   arena_ = BlockArena();
   loc_.assign(n, Loc{});
@@ -407,8 +404,6 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
   // gather cost is proportional to its degree, and power-law hubs make
   // uniform ranges straggle.
   FillDegreePrefix(graph, n, &scratch_.deg_prefix);
-  std::vector<ShardOverflow>& overflow = scratch_.overflow;
-  overflow.resize(std::max(overflow.size(), shards));  // drained after use
 
   // Every (v, bucket) slot sums its contributions in ascending q, the order
   // of a serial query-major scatter. Each shard fills its vertices' slots
@@ -421,7 +416,6 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
   pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
     // Per-worker scratch on the worker's own stack: no false sharing.
     DenseAccumulator acc;
-    std::vector<PatchOp> build_ops;  // a query's entries as records 0 → c
     for (size_t s = sbegin; s < send; ++s) {
       const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
       const VertexId vend =
@@ -431,29 +425,31 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
       uint64_t shard_reads = 0;
       int64_t shard_live = 0;
       if (windowed) {
-        // Record-major fold: each refined vertex gets its r slots up front,
-        // then every query, in ascending q, folds its entries into its
-        // neighbors in [vbegin, vend). An entry of count c is the record
-        // 0 → c, whose add Pow(0) − Pow(c) is 1 − B^c exactly (Pow(0) is
-        // stored as 1.0), so each slot sees the adds of the unwindowed
-        // gather in the same order.
+        // Record-major fold: each vertex with a window gets its r slots up
+        // front, one per member, all empty; then every query, in ascending
+        // q, folds its entries into its neighbors in [vbegin, vend). An
+        // entry of count c is the record 0 → c, whose add Pow(0) − Pow(c)
+        // is 1 − B^c exactly (Pow(0) is stored as 1.0), so each slot sees
+        // the adds of the unwindowed gather in the same order.
         for (VertexId v = vbegin; v < vend; ++v) {
-          if (windows_[v].first >= windows_[v].second) continue;
-          const uint32_t cap = CapacityOf(v, 0);
-          loc_[v] = {arena.Carve(cap), 0, cap};
+          const int32_t w = windows_.of[v];
+          if (w == BucketWindows::kNone) continue;
+          const std::vector<BucketId>& members =
+              windows_.members[static_cast<size_t>(w)];
+          const auto r = static_cast<uint32_t>(members.size());
+          AffinityEntry* data = arena.Carve(r);
+          for (uint32_t i = 0; i < r; ++i) data[i] = {members[i], 0, 0.0};
+          loc_[v] = {data, r, r};
           shard_reads += graph.DataDegree(v);
         }
+        const double pow0 = pow.Pow(0);
         shard_adds = FoldShard(
             graph, vbegin, vend, std::views::iota(VertexId{0}, nq),
-            [&](VertexId q) {
-              build_ops.clear();
-              for (const BucketCount& e : ndata.Entries(q)) {
-                build_ops.push_back(
-                    {e.bucket, 1, pow.Pow(0) - pow.Pow(e.count)});
-              }
-              return std::span<const PatchOp>(build_ops);
+            [&](VertexId q) { return ndata.Entries(q); },
+            [&](const BucketCount& e) {
+              return PatchOp{e.bucket, 1, pow0 - pow.Pow(e.count)};
             },
-            /*folds=*/nullptr, &overflow[s], &shard_live);
+            /*folds=*/nullptr, &shard_live);
       } else {
         // Vertex-major gather: each vertex walks its ascending
         // DataNeighbors(v) and drains straight into its carved slots.
@@ -469,7 +465,7 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
             shard_adds += entries.size();
           }
           const uint32_t size = acc.live();
-          const uint32_t cap = CapacityOf(v, size);
+          const uint32_t cap = CapacityOf(size);
           AffinityEntry* data = arena.Carve(cap);
           acc.Drain(data);
           loc_[v] = {data, size, cap};
@@ -490,25 +486,11 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
     last_build_adjacency_reads_ += reads[s];
     live_entries_ += static_cast<uint64_t>(live[s]);
   }
-  RelocateOverflow(shards);
   return total_adds;
 }
 
-uint32_t AffinitySweep::CapacityOf(VertexId v, uint32_t size) const {
-  if (windows_.empty()) return size + kSlackPad;
-  const BucketWindow& w = windows_[v];
-  return w.first < w.second ? std::max(size, w.slots) : 0;
-}
-
-void AffinitySweep::Widen(VertexId v, Loc* loc, ShardOverflow* overflow) {
-  const BucketWindow& w = windows_[v];
-  std::vector<AffinityEntry> wide(static_cast<size_t>(w.second - w.first));
-  SHP_CHECK_GT(wide.size(), loc->size);
-  std::copy(loc->data, loc->data + loc->size, wide.data());
-  const uint32_t abandoned = loc->cap;
-  loc->data = wide.data();
-  loc->cap = static_cast<uint32_t>(wide.size());
-  overflow->push_back({v, abandoned, std::move(wide)});
+uint32_t AffinitySweep::CapacityOf(uint32_t size) const {
+  return windows_.empty() ? size + kSlackPad : size;
 }
 
 void AffinitySweep::RelocateOverflow(size_t shards) {
@@ -553,6 +535,14 @@ void AffinitySweep::BlockArena::Append(BlockArena&& other) {
     tail_free_ = other.tail_free_;
   }
   other = BlockArena();
+}
+
+uint32_t AffinitySweep::LiveEntries(VertexId v) const {
+  const auto entries = Entries(v);
+  return static_cast<uint32_t>(
+      std::ranges::count_if(entries, [](const AffinityEntry& e) {
+        return e.support > 0;
+      }));
 }
 
 double AffinitySweep::AffinityFor(VertexId v, BucketId b) const {
@@ -642,7 +632,7 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
     folds.resize(n, 0);
     // Each shard visits the dirty queries in ascending q and folds each
     // query's run, in emission order, into its neighbors in the shard's
-    // range, keeping only the records in the neighbor's window. A (v,
+    // range, keeping only the member records of the neighbor's window. A (v,
     // bucket) slot therefore receives its records in canonical (q, bucket)
     // order with each chain in emission order — the windowed reference
     // order, fixed by the records alone. folds[v] counts v's records; the
@@ -662,7 +652,7 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
                   ops.data() + query_records[q].first,
                   ops.data() + query_records[q].second);
             },
-            &folds, &overflow[s], &delta);
+            std::identity{}, &folds, &delta);
         live_delta[s] = delta;
         for (VertexId v = vbegin; v < vend; ++v) {
           const uint32_t m = folds[v];
@@ -789,8 +779,8 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
     query_records[q] = {0, 0};
     dirty_bits[q / 64] = 0;
   }
-  // Serial merge: relocate overflowed accumulators and fold the per-shard
-  // accounting.
+  // Serial merge: relocate overflowed accumulators (unwindowed) and fold the
+  // per-shard accounting.
   int64_t total_delta = 0;
   uint64_t total_folded = 0;
   for (size_t s = 0; s < shards; ++s) {
@@ -812,7 +802,7 @@ void AffinitySweep::Compact() {
   BlockArena fresh;
   for (VertexId v = 0; v < num_vertices(); ++v) {
     Loc& loc = loc_[v];
-    const uint32_t cap = CapacityOf(v, loc.size);
+    const uint32_t cap = CapacityOf(loc.size);
     AffinityEntry* data = fresh.Carve(cap);
     std::copy(loc.data, loc.data + loc.size, data);
     loc.data = data;

@@ -39,21 +39,22 @@
 // tolerance-based (see docs/refinement.md).
 //
 // Per-level windows (SHP-2/r recursion, docs/refinement.md): Build may take
-// one bucket window per vertex — the sibling buckets of its subtree node, the
-// only buckets its recursion level ever reads, and r, the node's child
-// count. A windowed vertex gets exactly r arena slots and keeps its ≤ r live
-// entries packed in bucket order, so a recursion level stores O(r) entries
-// per vertex and never relocates one. Both windowed passes are one
-// record-major fold: each shard visits queries in ascending q (all of them
-// for Build, the dirty ones for ApplyDeltas) and folds each query's
-// in-window records — a Build entry of count n is the record 0 → n — into
-// its neighbors in the shard's vertex range, finding or inserting the
-// bucket among the ≤ r packed entries. The surviving slots receive exactly
-// the adds they would unwindowed, in the same order, so they hold the same
-// floats. A hand-built topology whose window holds more than r occupied
-// buckets moves the vertex to a shard-local overflow buffer and relocates
-// it serially, as the unwindowed patch does. Without windows (the threaded
-// engine's direct k-way refinement) every occupied bucket is kept.
+// one window per vertex — the sibling buckets of its subtree node, the only
+// buckets its recursion level ever reads. A window names its r member
+// buckets, and a windowed vertex's accumulator is r positional slots, one
+// per member in ascending order; an unoccupied member's slot holds support 0
+// and an affinity of exactly 0.0. A record folds by direct index (a
+// bucket → slot table built once per Build): no search, no shifting, no
+// overflow. A record whose bucket is not a member of the vertex's window is
+// skipped. A support that drops to 0 resets the float to 0.0 and the next
+// insert adds to that 0.0, the operations a packed list performs by erasing
+// and re-inserting the entry, so the member slots hold the same floats as
+// the unwindowed gather's entries for those buckets. Both windowed passes
+// are one record-major fold: each shard visits queries in ascending q (all
+// of them for Build, the dirty ones for ApplyDeltas) and folds each query's
+// member records — a Build entry of count n is the record 0 → n — into its
+// neighbors in the shard's vertex range. Without windows (the threaded
+// engine's direct k-way refinement) every occupied bucket is kept, packed.
 //
 // Both engines read each query's neighbor data from the same store, a
 // QueryNeighborData, so there is one Build. The BSP engine
@@ -61,12 +62,12 @@
 // each vertex's accumulator the state of its owner, and charges
 // each worker the adds (entry supports) and folded records (the visitor's
 // count) of its own vertices. A vertex in a bucket its recursion level does
-// not refine gets an empty window: no entries, no arena slots.
+// not refine gets no window: no entries, no arena slots.
 //
 // The integer support count makes entry lifetime exact: an accumulator entry
-// exists iff some adjacent query occupies the bucket, and dropping the entry
-// at support == 0 resets the float to exactly 0, so cancellation drift never
-// fabricates phantom affinity.
+// is live iff some adjacent query occupies the bucket (unwindowed, only live
+// entries are stored), and a support that reaches 0 resets the float to
+// exactly 0, so cancellation drift never fabricates phantom affinity.
 //
 // Storage is a block arena. Each vertex's accumulator, with its slack, is a
 // run of slots carved from a fixed-size block; one wider than a block gets a
@@ -75,10 +76,11 @@
 // from its shard's own blocks, and the sweep then takes those blocks over:
 // nothing is staged or copied. An accumulator that outgrows its slack is
 // relocated to fresh slots in the tail block, leaving its old ones as
-// garbage, and epoch compaction repacks the live accumulators into fresh
-// blocks. Neither Build nor a relocation therefore holds a second copy of the
-// accumulators. (QueryNeighborData keeps one flat arena with tail regrowth;
-// its lists are a few MB even at k=512.)
+// garbage (unwindowed only: r positional slots never grow), and epoch
+// compaction repacks the live accumulators into fresh blocks. Neither Build
+// nor a relocation therefore holds a second copy of the accumulators.
+// (QueryNeighborData keeps one flat arena with tail regrowth; its lists are
+// a few MB even at k=512.)
 #pragma once
 
 #include <algorithm>
@@ -107,18 +109,20 @@ struct AffinityEntry {
   bool operator==(const AffinityEntry&) const = default;
 };
 
-/// A vertex's accumulator window in a windowed sweep: the half-open bucket
-/// range [first, second) whose slots it keeps (first == second keeps none),
-/// and the arena slots Build gives it — r, the number of buckets in the
-/// range that vertices can occupy (a recursion group's child count,
-/// MoveTopology::WindowOf). A vertex whose window holds more occupied
-/// buckets than `slots` is relocated, not truncated.
-struct BucketWindow {
-  BucketId first = 0;
-  BucketId second = 0;
-  uint32_t slots = 0;
+/// The windows of a windowed sweep. Each window names its member buckets,
+/// ascending — a recursion group's children, MoveTopology::group_children —
+/// and no bucket is a member of two windows. Each vertex has one window, or
+/// none (kNone: no slots, no entries).
+struct BucketWindows {
+  static constexpr int32_t kNone = -1;
 
-  bool operator==(const BucketWindow&) const = default;
+  std::vector<std::vector<BucketId>> members;  ///< per window, ascending
+  std::vector<int32_t> of;                     ///< per vertex: window or kNone
+
+  /// No windows: the sweep keeps every occupied bucket.
+  bool empty() const { return of.empty(); }
+
+  bool operator==(const BucketWindows&) const = default;
 };
 
 /// Non-owning reference to a callable `f(VertexId v, std::span<const
@@ -163,25 +167,26 @@ class AffinitySweep {
 
   /// Full pass. Unwindowed, each vertex sums 1 − B^{n_b(q)} over its
   /// ascending DataNeighbors(v) into a per-thread dense k-wide scratch,
-  /// O(Σ_q deg(q) · fanout(q)). Windowed, each shard turns every query's
-  /// entries, in ascending q, into records 0 → n and folds the in-window
-  /// ones into the ≤ r packed entries of the query's neighbors in the
-  /// shard's range: O(shards · Σ_q (log deg(q) + fanout(q)) + Σ_q deg(q) ·
-  /// fanout(q) + r · adds). Vertices are split into Σ-degree-weighted
-  /// contiguous ranges, one per worker.
+  /// O(Σ_q deg(q) · fanout(q)). Windowed, each shard folds every query's
+  /// entries, in ascending q, as records 0 → n straight from the neighbor
+  /// data into the positional slots of the query's neighbors in the shard's
+  /// range — one slot lookup per entry, one membership test per (neighbor,
+  /// entry): O(shards · Σ_q log deg(q) + Σ_q deg(q) · fanout(q)). Vertices
+  /// are split into Σ-degree-weighted contiguous ranges, one per worker.
   ///
-  /// `windows`, if non-empty, holds one window per vertex: v keeps only the
-  /// buckets in windows[v] in windows[v].slots arena slots, and the sweep
-  /// stores the windows for ApplyDeltas. Empty keeps every occupied bucket.
+  /// `windows`, if non-empty, gives each vertex its window: v keeps one
+  /// slot per member bucket of windows.of[v], none without a window, and
+  /// the sweep stores the windows for ApplyDeltas. Empty keeps every
+  /// occupied bucket.
   ///
   /// Each query's bucket-sorted neighbor data comes from the one
   /// QueryNeighborData store both engines keep. Returns the accumulator adds
-  /// performed — one per in-window (query, bucket) entry
-  /// gathered into a vertex. Each add raises one entry's support by 1, so
-  /// this equals Σ_v Σ_e support over the built entries.
+  /// performed — one per (query, member bucket) entry gathered into a
+  /// vertex. Each add raises one entry's support by 1, so this equals
+  /// Σ_v Σ_e support over the built entries.
   uint64_t Build(const BipartiteGraph& graph, const QueryNeighborData& ndata,
                  const PowTable& pow, ThreadPool* pool = nullptr,
-                 std::vector<BucketWindow> windows = {});
+                 BucketWindows windows = {});
 
   /// Steady-state patch: folds neighbor-data delta records into the affected
   /// accumulators. Records are grouped per query, each query's kept in
@@ -200,17 +205,18 @@ class AffinitySweep {
   ///   engines' visitor reads it anyway;
   /// - windowed: O(|Q|/64) to list the dirty queries ascending, then one
   ///   record-major fold, O(shards · Σ_dirty q log deg(q) + Σ_dirty q
-  ///   deg(q) · R_q · r): each shard walks every dirty query's run once per
-  ///   neighbor in its range, in emission order, and folds the records in
-  ///   that neighbor's window into its ≤ r packed entries.
+  ///   deg(q) · R_q): each shard walks every dirty query's run once, in
+  ///   emission order, and folds each record by index into the slot of
+  ///   every neighbor in its range whose window has the record's bucket as
+  ///   a member.
   ///
   /// Beyond the byte-cheap O(n) passes, the cost follows the move blast
   /// radius. `pow` must match Build's.
   ///
   /// A windowed sweep folds a record into v only when the record's bucket
-  /// lies in v's window. If `patched` is non-null it receives, ascending,
-  /// the vertices that received at least one record — in-window ones, for a
-  /// windowed sweep. Returns the records folded into accumulators, counted
+  /// is a member of v's window. If `patched` is non-null it receives,
+  /// ascending, the vertices that received at least one record — member
+  /// ones, for a windowed sweep. Returns the records folded into accumulators, counted
   /// once per receiving vertex.
   ///
   /// `on_patched`, if set, runs exactly once for each vertex in that patched
@@ -219,8 +225,9 @@ class AffinitySweep {
   /// in ascending order over the shard's range once its fold is done. The
   /// engines compute the vertex's push proposal there instead of rescanning
   /// the accumulator later. It receives v's final entries — in place, or
-  /// the shard-local copy of an accumulator that outgrew its slack, before
-  /// the serial relocation, so they equal Entries(v) after the call — and
+  /// (unwindowed) the shard-local copy of an accumulator that outgrew its
+  /// slack, before the serial relocation, so they equal Entries(v) after
+  /// the call — and
   /// the records folded into v, which sum over the calls to the return
   /// value. Calls for distinct vertices run concurrently on the pool's
   /// workers; the callable must not read another vertex's sweep state and
@@ -231,25 +238,30 @@ class AffinitySweep {
                    std::vector<VertexId>* patched = nullptr,
                    PatchVisitor on_patched = {});
 
-  /// Accumulator entries of vertex v, sorted by bucket id ascending.
+  /// Accumulator entries of vertex v, sorted by bucket id ascending: its
+  /// live entries unwindowed; windowed, one slot per member of its window,
+  /// where an unoccupied member has support 0 and affinity 0.0.
   std::span<const AffinityEntry> Entries(VertexId v) const {
     return {loc_[v].data, loc_[v].size};
   }
+
+  /// Entries of v with support > 0 (all of them, unwindowed). O(entries).
+  uint32_t LiveEntries(VertexId v) const;
 
   /// affinity_v[b] (0 if no adjacent query occupies b). O(log entries).
   double AffinityFor(VertexId v, BucketId b) const;
 
   VertexId num_vertices() const { return static_cast<VertexId>(loc_.size()); }
 
-  /// Total live accumulator entries Σ_v |occupied buckets of N(v)| (in
-  /// v's window, for a windowed sweep).
+  /// Total live (support > 0) accumulator entries Σ_v |occupied buckets of
+  /// N(v)| (members of v's window, for a windowed sweep).
   uint64_t TotalEntries() const { return live_entries_; }
 
   /// The per-vertex windows of the last Build (empty when not windowed).
-  const std::vector<BucketWindow>& windows() const { return windows_; }
+  const BucketWindows& windows() const { return windows_; }
 
   /// Adjacency neighbor reads performed by the most recent Build: Σ deg(v)
-  /// over the vertices it gathered (those with a non-empty window), so
+  /// over the vertices it gathered (those with a window), so
   /// graph.num_edges() when every vertex is refined — each pin is read once
   /// (the BSP bootstrap-cost gate of bench/refine_iteration.cc).
   uint64_t last_build_adjacency_reads() const {
@@ -257,9 +269,9 @@ class AffinitySweep {
   }
 
   /// Arena slots handed out to accumulators: live entries, slack and
-  /// relocation garbage (≥ TotalEntries()). A windowed sweep whose windows
-  /// never hold more than `slots` occupied buckets holds exactly Σ slots
-  /// over its non-empty windows, before and after every ApplyDeltas.
+  /// relocation garbage (≥ TotalEntries()). A windowed sweep holds exactly
+  /// Σ_v r_v, the member counts of the vertices' windows, before and after
+  /// every ApplyDeltas.
   uint64_t ArenaSlots() const { return arena_.slots(); }
 
   /// Repacks the accumulators in vertex order into fresh blocks with fresh
@@ -313,7 +325,8 @@ class AffinitySweep {
     uint64_t slots_ = 0;
   };
 
-  /// An accumulator that outgrew its slack during a parallel pass, held in
+  /// An accumulator that outgrew its slack during a parallel pass
+  /// (unwindowed patch), held in
   /// a shard-local buffer until the serial relocation (which carves from the
   /// shared tail block). `entries` holds its final entries; `abandoned` is
   /// the arena capacity it leaves behind as garbage.
@@ -343,41 +356,35 @@ class AffinitySweep {
     std::vector<PatchOp> ops;             ///< records grouped per query
     std::vector<uint8_t> blast;           ///< per-vertex blast-radius mask
     std::vector<uint32_t> folds;  ///< per-vertex records folded (windowed)
-    std::vector<ShardOverflow> overflow;
+    std::vector<ShardOverflow> overflow;  ///< per shard (unwindowed)
     std::vector<int64_t> live_delta;
     std::vector<uint64_t> deg_prefix;  ///< Σ-degree shard-bound scratch
     std::vector<std::vector<VertexId>> patched;  ///< per-shard patched list
   };
 
-  /// Arena slots of v's accumulator holding `size` entries at Build or
-  /// Compact: size + kSlackPad unwindowed; windowed, max(size, slots), or
-  /// none for an empty window (no record ever lands there).
-  uint32_t CapacityOf(VertexId v, uint32_t size) const;
+  /// slot_of_ entry of a bucket that is no window's member.
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
+
+  /// Arena slots of an accumulator holding `size` entries at Compact: size
+  /// + kSlackPad unwindowed; windowed, exactly its size (r positional slots
+  /// never grow).
+  uint32_t CapacityOf(uint32_t size) const;
 
   /// The record-major fold of one shard's vertex range [vbegin, vend): for
-  /// each query of `queries`, ascending, FoldRun of its records
-  /// `run_of(q)` into each of its neighbors in the range. Adds each
-  /// neighbor's folded records to (*folds)[v] when `folds` is non-null;
-  /// returns their sum. Leaves each of the shard's `overflow` buffers
-  /// holding exactly its vertex's final entries.
-  template <typename Queries, typename RunOf>
+  /// each query of `queries`, ascending, folds the records of `run_of(q)`
+  /// whose bucket is a member of a neighbor's window, in run order — so
+  /// each (q, bucket) chain keeps its order — into that neighbor's
+  /// positional slot, for every neighbor in the range. Bucket b's slot is
+  /// i = slot_of_[b], and b is a member of v's window iff i < r_v and v's
+  /// slot i holds b (no bucket is a member of two windows). `op_of(record)`
+  /// gives a member record's PatchOp. Adds each neighbor's folded records to
+  /// (*folds)[v] when `folds` is non-null and returns their sum; adds the
+  /// change in live entries to *live_delta.
+  template <typename Queries, typename RunOf, typename OpOf>
   uint64_t FoldShard(const BipartiteGraph& graph, VertexId vbegin,
                      VertexId vend, const Queries& queries,
-                     const RunOf& run_of, std::vector<uint32_t>* folds,
-                     ShardOverflow* overflow, int64_t* live_delta);
-
-  /// Folds the records of `run` whose bucket lies in v's window, in run
-  /// order — one linear pass, so each (q, bucket) chain keeps its order —
-  /// into v's packed entries (FoldPacked). Adds the change in entry count
-  /// to *live_delta and returns the records folded.
-  uint32_t FoldRun(VertexId v, std::span<const PatchOp> run,
-                   ShardOverflow* overflow, int64_t* live_delta);
-
-  /// Called when an insert finds all of windowed vertex v's slots taken:
-  /// moves its entries, described by `loc` (the working copy of loc_[v]),
-  /// to a shard-local buffer with room for every bucket of v's window, so
-  /// no later insert overflows it.
-  void Widen(VertexId v, Loc* loc, ShardOverflow* overflow);
+                     const RunOf& run_of, const OpOf& op_of,
+                     std::vector<uint32_t>* folds, int64_t* live_delta);
 
   /// Serially relocates the shards' overflowed accumulators to fresh slots
   /// in the tail block; no other accumulator moves.
@@ -387,8 +394,11 @@ class AffinitySweep {
 
   BlockArena arena_;                    ///< accumulators + slack + garbage
   std::vector<Loc> loc_;                ///< per-vertex accumulator location
-  std::vector<BucketWindow> windows_;   ///< per-vertex window, or empty
-  uint64_t live_entries_ = 0;           ///< Σ_v loc_[v].size
+  BucketWindows windows_;               ///< per-vertex window, or empty
+  /// Per bucket, its slot within the window it is a member of (kNoSlot for
+  /// none); windowed sweeps only.
+  std::vector<uint32_t> slot_of_;
+  uint64_t live_entries_ = 0;           ///< entries with support > 0
   uint64_t garbage_ = 0;                ///< arena slots abandoned by relocation
   uint64_t last_build_adjacency_reads_ = 0;  ///< see accessor
   PatchScratch scratch_;

@@ -194,9 +194,10 @@ GainComputer::BestTarget GainComputer::FindBestTargetPushGrouped(
   // The candidate list (sibling buckets, ascending, containing `from`) and
   // the accumulator window spanning it are both bucket-sorted. The common
   // case — recursion groups are contiguous bucket ranges and the sweep is
-  // windowed to exactly that range — means every window entry IS a
+  // windowed to exactly their slots — means every window entry IS a
   // sibling, so the scan collapses to the kernel argmax with the `from`
-  // entry excised. Sparse candidate sets or wider lists (an unwindowed
+  // entry excised (an unoccupied sibling's 0.0 slot never beats the empty
+  // bucket's 0.0). Sparse candidate sets or wider lists (an unwindowed
   // sweep) fall back to the forward merge, which stays exact for arbitrary
   // groups.
   double from_affinity = -1.0;

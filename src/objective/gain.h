@@ -112,9 +112,10 @@ class GainComputer {
   /// Group-restricted push scan for recursion windows: candidates are the
   /// sibling buckets of v's group (ascending, containing `from`), and
   /// `window` is v's accumulator — on a sweep windowed to v's group
-  /// (move_topology.h GroupWindow), exactly the window spanning them, so
-  /// the scan is one kernel argmax; wider lists are merged against the
-  /// candidates. Same tie-break as the full-k scan; the empty-window
+  /// (MoveTopology::GroupWindows), one positional slot per sibling, an
+  /// unoccupied one at affinity 0.0 that never beats an empty bucket — so
+  /// for contiguous siblings the scan is one kernel argmax; other lists are
+  /// merged against the candidates. Same tie-break as the full-k scan; the empty-window
   /// fallback is the lowest sibling ≠ from, matching the grouped pull
   /// path's first-candidate-wins argmax. O(|candidates| + window).
   /// Requires SupportsPush().

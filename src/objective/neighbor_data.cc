@@ -16,14 +16,15 @@ namespace {
 constexpr uint32_t kSlackPad = 2;
 
 /// Per-thread counting-sort scratch for Build: dense per-bucket counts plus
-/// the touched-bucket list used to reset them in O(fanout).
+/// the touched-bucket list used to reset them in O(fanout). Each worker
+/// keeps its own on its stack: the vector headers of adjacent workers'
+/// scratch in one array would share cache lines, and every per-query
+/// touched.clear()/push_back writes one.
 struct BuildScratch {
+  explicit BuildScratch(size_t k) : counts(k, 0) {}
+
   std::vector<uint32_t> counts;
   std::vector<BucketId> touched;
-
-  void EnsureBuckets(size_t k) {
-    if (counts.size() < k) counts.assign(k, 0);
-  }
 };
 
 /// Arena capacity to reserve for `slots` laid-out slots (Build, Compact): a
@@ -88,13 +89,10 @@ void QueryNeighborData::Build(const BipartiteGraph& graph,
   loc_.assign(num_queries, Loc{});
   garbage_ = 0;
 
-  std::vector<BuildScratch> scratch(std::max<size_t>(1, pool->num_threads()));
-
   // Pass 1: fanout per query via counting over a dense k-sized per-thread
   // scratch (reset through the touched list, so each query costs O(deg + f)).
-  pool->ParallelFor(num_queries, [&](size_t begin, size_t end, size_t worker) {
-    BuildScratch& s = scratch[worker];
-    s.EnsureBuckets(k);
+  pool->ParallelFor(num_queries, [&](size_t begin, size_t end, size_t) {
+    BuildScratch s(k);
     for (size_t q = begin; q < end; ++q) {
       s.touched.clear();
       for (VertexId v : graph.QueryNeighbors(static_cast<VertexId>(q))) {
@@ -122,9 +120,8 @@ void QueryNeighborData::Build(const BipartiteGraph& graph,
 
   // Pass 2: recount and emit sorted run-length entries. Only the (small)
   // touched list is sorted — O(f log f) per query instead of O(deg log deg).
-  pool->ParallelFor(num_queries, [&](size_t begin, size_t end, size_t worker) {
-    BuildScratch& s = scratch[worker];
-    s.EnsureBuckets(k);
+  pool->ParallelFor(num_queries, [&](size_t begin, size_t end, size_t) {
+    BuildScratch s(k);
     for (size_t q = begin; q < end; ++q) {
       s.touched.clear();
       for (VertexId v : graph.QueryNeighbors(static_cast<VertexId>(q))) {

@@ -4,14 +4,16 @@
 // accumulators move; a moved sweep keeps its entries), bit-exact agreement
 // of Build/ApplyDeltas with serial query-major / record-major references
 // for every thread count (the vertex-major unwindowed path, with a hub
-// wider than an arena block; the windowed record-major fold against the
-// references restricted to each vertex's window, with r = 3/4 windows
-// wider than r, drop/re-insert and insert-then-drop chains, empty windows,
-// exactly r arena slots per refined vertex, and the overflow path of
-// interleaved hand-built groups), the ApplyDeltas patch-visitor contract,
-// pull-vs-push best-target consistency (tie-breaks, restricted windows,
-// empty-window fallback), and the refiner-level pull-vs-push tolerance
-// harness across all three MoveBroker strategies.
+// wider than an arena block; the windowed record-major fold into r
+// positional slots against the references restricted to each vertex's
+// window members, with r = 3/4 groups spread wider than r, non-uniform
+// members, drop/re-insert and insert-then-drop chains, vertices without a
+// window, exactly r arena slots per refined vertex, and interleaved
+// hand-built groups whose in-range non-member records are skipped), the
+// ApplyDeltas patch-visitor contract, pull-vs-push best-target consistency
+// (tie-breaks, restricted windows, empty-window fallback), and the
+// refiner-level pull-vs-push tolerance harness across all three MoveBroker
+// strategies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -307,35 +309,78 @@ TEST(AffinitySweep, MovedSweepKeepsEntries) {
   }
 }
 
-/// Windows that keep [0, k) for the vertices hashed to `worker` of
-/// `workers` and nothing for the rest: most vertices get an empty window.
-std::vector<BucketWindow> OwnedWindows(VertexId n, BucketId k, int workers,
-                                       int worker) {
-  std::vector<BucketWindow> windows(n, BucketWindow{0, 0});
-  for (VertexId v = 0; v < n; ++v) {
-    if (static_cast<int>(HashToBounded(55, v, 3, workers)) == worker) {
-      windows[v] = {0, k, static_cast<uint32_t>(k)};
+/// Windows over per-vertex bucket ranges: one window per distinct range
+/// [first, second), every bucket of it a member (the ranges must not
+/// overlap); an empty range gives the vertex no window.
+BucketWindows RangeWindows(
+    const std::vector<std::pair<BucketId, BucketId>>& ranges) {
+  BucketWindows windows;
+  std::vector<std::pair<BucketId, BucketId>> seen;
+  for (const auto& [first, second] : ranges) {
+    if (first >= second) {
+      windows.of.push_back(BucketWindows::kNone);
+      continue;
     }
+    const auto it = std::find(seen.begin(), seen.end(),
+                              std::make_pair(first, second));
+    windows.of.push_back(static_cast<int32_t>(it - seen.begin()));
+    if (it != seen.end()) continue;
+    seen.emplace_back(first, second);
+    std::vector<BucketId>& members = windows.members.emplace_back();
+    for (BucketId b = first; b < second; ++b) members.push_back(b);
   }
   return windows;
 }
 
-/// Σ slots over the non-empty windows: the arena a windowed sweep holds when
-/// no window ever sees more occupied buckets than its slots.
-uint64_t WindowSlots(const std::vector<BucketWindow>& windows) {
+/// n vertices, none with a window: a windowed sweep that keeps nothing.
+BucketWindows NoWindows(VertexId n) {
+  return {{}, std::vector<int32_t>(n, BucketWindows::kNone)};
+}
+
+/// Windows that keep [0, k) for the vertices hashed to `worker` of
+/// `workers` and nothing for the rest: most vertices get no window.
+BucketWindows OwnedWindows(VertexId n, BucketId k, int workers, int worker) {
+  std::vector<std::pair<BucketId, BucketId>> ranges(n, {0, 0});
+  for (VertexId v = 0; v < n; ++v) {
+    if (static_cast<int>(HashToBounded(55, v, 3, workers)) == worker) {
+      ranges[v] = {0, k};
+    }
+  }
+  return RangeWindows(ranges);
+}
+
+/// The r member slots of v's window (0 without one).
+size_t WindowSize(const BucketWindows& windows, VertexId v) {
+  const int32_t w = windows.of[v];
+  return w == BucketWindows::kNone
+             ? 0
+             : windows.members[static_cast<size_t>(w)].size();
+}
+
+/// Σ_v r_v: the arena a windowed sweep holds, one slot per member.
+uint64_t WindowSlots(const BucketWindows& windows) {
   uint64_t slots = 0;
-  for (const BucketWindow& w : windows) {
-    if (w.first < w.second) slots += w.slots;
+  for (VertexId v = 0; v < windows.of.size(); ++v) {
+    slots += WindowSize(windows, v);
   }
   return slots;
+}
+
+/// True iff bucket b is a member of v's window.
+bool IsMember(const BucketWindows& windows, VertexId v, BucketId b) {
+  const int32_t w = windows.of[v];
+  if (w == BucketWindows::kNone) return false;
+  const std::vector<BucketId>& members =
+      windows.members[static_cast<size_t>(w)];
+  return std::binary_search(members.begin(), members.end(), b);
 }
 
 TEST(AffinitySweep, BuildReturnsTheSumOfEntrySupports) {
   // Each accumulator add raises one entry's support by 1, so Build's return
   // (the adds) is Σ_v Σ_e support — the identity the BSP engine's per-worker
-  // bootstrap work units rest on — unwindowed, windowed, and with every
-  // window empty. Every vertex with a non-empty window reads its adjacency
-  // once.
+  // bootstrap work units rest on — unwindowed, windowed (the empty member
+  // slots add nothing), and with no window at all. Every vertex with a
+  // window reads its adjacency once.
   const BipartiteGraph g = TestGraph(23);
   const BucketId k = 8;
   const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
@@ -358,15 +403,16 @@ TEST(AffinitySweep, BuildReturnsTheSumOfEntrySupports) {
   EXPECT_EQ(whole_adds, supports(whole));
   EXPECT_EQ(whole.last_build_adjacency_reads(), g.num_edges());
 
-  // Four-bucket windows, empty for the vertices of buckets 6 and 7.
-  std::vector<BucketWindow> windows(g.num_data());
+  // Four-bucket windows, none for the vertices of buckets 6 and 7.
+  std::vector<std::pair<BucketId, BucketId>> ranges(g.num_data(), {0, 0});
   uint64_t windowed_reads = 0;
   for (VertexId v = 0; v < g.num_data(); ++v) {
     if (assignment[v] >= 6) continue;
     const BucketId first = assignment[v] / 4 * 4;
-    windows[v] = {first, first + 4, 4};
+    ranges[v] = {first, first + 4};
     windowed_reads += g.DataDegree(v);
   }
+  const BucketWindows windows = RangeWindows(ranges);
   AffinitySweep windowed;
   const uint64_t windowed_adds = windowed.Build(g, ndata, pow, &pool, windows);
   EXPECT_GT(windowed_adds, 0u);
@@ -375,21 +421,18 @@ TEST(AffinitySweep, BuildReturnsTheSumOfEntrySupports) {
   EXPECT_EQ(windowed.last_build_adjacency_reads(), windowed_reads);
 
   AffinitySweep none;
-  EXPECT_EQ(none.Build(g, ndata, pow, &pool,
-                       std::vector<BucketWindow>(g.num_data(),
-                                                 BucketWindow{0, 0})),
-            0u);
+  EXPECT_EQ(none.Build(g, ndata, pow, &pool, NoWindows(g.num_data())), 0u);
   EXPECT_EQ(supports(none), 0u);
   EXPECT_EQ(none.last_build_adjacency_reads(), 0u);
 }
 
 TEST(AffinitySweep, EmptyWindowsGetNoArenaSlackAndPatchesRoundTrip) {
-  // A vertex with an empty window never receives a record, so it gets no
-  // arena slots: a sweep whose every window is empty holds none at all,
+  // A vertex without a window never receives a record, so it gets no
+  // arena slots: a sweep where no vertex has a window holds none at all,
   // before and after patches and compaction. Next to it, per-worker sweeps
   // that each receive every record keep matching fresh builds, and each
-  // holds exactly its windows' slots: a [0, k) window of k slots can never
-  // overflow, so nothing is relocated and no garbage accrues.
+  // holds exactly its windows' slots: k positional slots for [0, k), so
+  // nothing is relocated and no garbage accrues.
   const BipartiteGraph g = TestGraph(29);
   const BucketId k = 16;
   const PowTable pow(0.7, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
@@ -399,8 +442,7 @@ TEST(AffinitySweep, EmptyWindowsGetNoArenaSlackAndPatchesRoundTrip) {
   const int workers = 4;
 
   AffinitySweep none;
-  none.Build(g, ndata, pow, nullptr,
-             std::vector<BucketWindow>(g.num_data(), BucketWindow{0, 0}));
+  none.Build(g, ndata, pow, nullptr, NoWindows(g.num_data()));
   EXPECT_EQ(none.ArenaSlots(), 0u);
   std::vector<AffinitySweep> sweeps(workers);
   for (int w = 0; w < workers; ++w) {
@@ -538,7 +580,8 @@ void ReferencePatch(const BipartiteGraph& g,
   }
 }
 
-/// Entry-by-entry operator== (bitwise-equal floats), not ApproxEquals.
+/// Entry-by-entry operator== (bitwise-equal floats), not ApproxEquals, and
+/// TotalEntries() equal to the reference's live (support > 0) entries.
 testing::AssertionResult BitIdentical(const AffinitySweep& sweep,
                                       const Accumulators& ref) {
   if (sweep.num_vertices() != ref.size()) {
@@ -547,7 +590,8 @@ testing::AssertionResult BitIdentical(const AffinitySweep& sweep,
   uint64_t total = 0;
   for (VertexId v = 0; v < sweep.num_vertices(); ++v) {
     const auto got = sweep.Entries(v);
-    total += ref[v].size();
+    total += std::ranges::count_if(
+        ref[v], [](const AffinityEntry& e) { return e.support > 0; });
     if (!std::equal(got.begin(), got.end(), ref[v].begin(), ref[v].end())) {
       return testing::AssertionFailure() << "v=" << v;
     }
@@ -950,45 +994,83 @@ TEST(AffinitySweepBitExact, BlockEdgeCasesHubRelocationsAndCompact) {
 
 // Windows of a recursion level with sibling groups of four buckets over
 // k = 32: v keeps its group's four buckets, except that vertices of the last
-// group (buckets 28..31, "not refined") get an empty window.
-std::vector<BucketWindow> GroupOfFourWindows(
-    const std::vector<BucketId>& assignment) {
-  std::vector<BucketWindow> windows;
+// group (buckets 28..31, "not refined") get no window.
+BucketWindows GroupOfFourWindows(const std::vector<BucketId>& assignment) {
+  std::vector<std::pair<BucketId, BucketId>> ranges;
   for (const BucketId b : assignment) {
     const BucketId lo = b / 4 * 4;
-    windows.push_back(lo == 28 ? BucketWindow{} : BucketWindow{lo, lo + 4, 4});
+    ranges.emplace_back(lo, lo == 28 ? lo : lo + 4);
   }
-  return windows;
+  return RangeWindows(ranges);
 }
 
-/// `acc` with every vertex's entries outside its window removed. Filtering a
-/// serial reference keeps each surviving slot's adds and their order.
+/// `acc` with every vertex's entries of buckets outside its window's
+/// members removed. Filtering a serial reference keeps each surviving
+/// slot's adds and their order.
 Accumulators RestrictToWindows(Accumulators acc,
-                               const std::vector<BucketWindow>& windows) {
-  for (size_t v = 0; v < acc.size(); ++v) {
+                               const BucketWindows& windows) {
+  for (VertexId v = 0; v < acc.size(); ++v) {
     std::erase_if(acc[v], [&](const AffinityEntry& e) {
-      return e.bucket < windows[v].first || e.bucket >= windows[v].second;
+      return !IsMember(windows, v, e.bucket);
     });
   }
   return acc;
 }
 
+/// The positional layout of a member-restricted reference: one slot per
+/// member of v's window, ascending, the reference's entry where it has one
+/// and {member, 0, 0.0} elsewhere; nothing without a window. A reference
+/// entry erased at support 0 and re-inserted starts again from 0.0, as a
+/// positional slot reset to 0.0 does.
+Accumulators Positional(const Accumulators& ref,
+                        const BucketWindows& windows) {
+  Accumulators slots(ref.size());
+  for (VertexId v = 0; v < ref.size(); ++v) {
+    const int32_t w = windows.of[v];
+    if (w == BucketWindows::kNone) continue;
+    auto it = ref[v].begin();
+    for (const BucketId b : windows.members[static_cast<size_t>(w)]) {
+      if (it != ref[v].end() && it->bucket == b) {
+        slots[v].push_back(*it++);
+      } else {
+        slots[v].push_back({b, 0, 0.0});
+      }
+    }
+    EXPECT_TRUE(it == ref[v].end()) << "non-member entry at v=" << v;
+  }
+  return slots;
+}
+
+/// BitIdentical against the positional layout of a member-restricted
+/// reference, and every empty slot's float a +0.0 (no drift, no −0.0).
+testing::AssertionResult BitIdenticalSlots(const AffinitySweep& sweep,
+                                           const Accumulators& ref,
+                                           const BucketWindows& windows) {
+  for (VertexId v = 0; v < sweep.num_vertices(); ++v) {
+    for (const AffinityEntry& e : sweep.Entries(v)) {
+      if (e.support == 0 && (e.affinity != 0.0 || std::signbit(e.affinity))) {
+        return testing::AssertionFailure()
+               << "empty slot of bucket " << e.bucket << " at v=" << v
+               << " holds " << e.affinity;
+      }
+    }
+  }
+  return BitIdentical(sweep, Positional(ref, windows));
+}
+
 /// Serial record-major patch in canonical order that folds a record into v
-/// only when its bucket lies in v's window; returns the vertices that
-/// received a record, ascending.
+/// only when its bucket is a member of v's window; returns the vertices
+/// that received a record, ascending.
 std::vector<VertexId> ReferencePatchWindowed(
     const BipartiteGraph& g, const std::vector<NeighborDelta>& deltas,
-    const PowTable& pow, const std::vector<BucketWindow>& windows,
-    Accumulators* acc) {
+    const PowTable& pow, const BucketWindows& windows, Accumulators* acc) {
   std::vector<uint8_t> received(g.num_data(), 0);
   for (const NeighborDelta& rec : CanonicalOrder(deltas)) {
     const double add = pow.Pow(rec.old_count) - pow.Pow(rec.new_count);
     const int32_t sup = static_cast<int32_t>(rec.old_count == 0) -
                         static_cast<int32_t>(rec.new_count == 0);
     for (const VertexId v : g.QueryNeighbors(rec.q)) {
-      if (rec.bucket < windows[v].first || rec.bucket >= windows[v].second) {
-        continue;
-      }
+      if (!IsMember(windows, v, rec.bucket)) continue;
       ReferenceFold(&(*acc)[v], rec.bucket, add, sup);
       received[v] = 1;
     }
@@ -1005,7 +1087,7 @@ TEST(AffinitySweepBitExact, WindowedBuildMatchesRestrictedSerialReference) {
   const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
   const std::vector<BucketId> assignment =
       Partition::Random(g.num_data(), 32, 5).assignment();
-  const std::vector<BucketWindow> windows = GroupOfFourWindows(assignment);
+  const BucketWindows windows = GroupOfFourWindows(assignment);
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
   const Accumulators ref =
@@ -1015,19 +1097,18 @@ TEST(AffinitySweepBitExact, WindowedBuildMatchesRestrictedSerialReference) {
     AffinitySweep sweep;
     sweep.Build(g, ndata, pow, &pool, windows);
     EXPECT_EQ(sweep.windows(), windows);
-    EXPECT_TRUE(BitIdentical(sweep, ref)) << "threads=" << threads;
+    EXPECT_TRUE(BitIdenticalSlots(sweep, ref, windows))
+        << "threads=" << threads;
     for (VertexId v = 0; v < g.num_data(); ++v) {
-      if (windows[v].first == windows[v].second) {
-        EXPECT_TRUE(sweep.Entries(v).empty()) << "empty window, v=" << v;
-      }
+      EXPECT_EQ(sweep.Entries(v).size(), WindowSize(windows, v)) << "v=" << v;
     }
   }
 }
 
 TEST(AffinitySweepBitExact, WindowedApplyDeltasMatchesRestrictedReference) {
   // Moves go to any of the 32 buckets, so most records fall outside the
-  // receiving vertex's four-bucket window (or its empty one) and must be
-  // skipped, while in-window records fold in their canonical order. The
+  // receiving vertex's four member buckets (or it has no window) and must
+  // be skipped, while member records fold in their canonical order. The
   // sweep's windows stay those of its Build.
   const BipartiteGraph g = TestGraph(43);
   const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
@@ -1037,13 +1118,13 @@ TEST(AffinitySweepBitExact, WindowedApplyDeltasMatchesRestrictedReference) {
     ThreadPool pool(threads);
     std::vector<BucketId> assignment =
         Partition::Random(g.num_data(), 32, 9).assignment();
-    const std::vector<BucketWindow> windows = GroupOfFourWindows(assignment);
+    const BucketWindows windows = GroupOfFourWindows(assignment);
     QueryNeighborData ndata;
     ndata.Build(g, assignment, &pool);
     AffinitySweep sweep;
     sweep.Build(g, ndata, pow, &pool, windows);
     Accumulators ref = RestrictToWindows(ReferenceBuild(g, ndata, pow), windows);
-    ASSERT_TRUE(BitIdentical(sweep, ref));
+    ASSERT_TRUE(BitIdenticalSlots(sweep, ref, windows));
 
     uint64_t outside = 0;
     for (uint64_t round = 0; round < 12; ++round) {
@@ -1053,19 +1134,18 @@ TEST(AffinitySweepBitExact, WindowedApplyDeltasMatchesRestrictedReference) {
       ndata.ApplyMoves(g, moves, &pool, nullptr, &deltas);
       for (const NeighborDelta& rec : deltas) {
         for (const VertexId v : g.QueryNeighbors(rec.q)) {
-          outside += rec.bucket < windows[v].first ||
-                     rec.bucket >= windows[v].second;
+          outside += !IsMember(windows, v, rec.bucket);
         }
       }
       std::vector<VertexId> patched = {7};  // must be overwritten
       sweep.ApplyDeltas(g, deltas, pow, &pool, &patched);
       const std::vector<VertexId> expected =
           ReferencePatchWindowed(g, deltas, pow, windows, &ref);
-      ASSERT_TRUE(BitIdentical(sweep, ref)) << "round " << round;
+      ASSERT_TRUE(BitIdenticalSlots(sweep, ref, windows)) << "round " << round;
       EXPECT_EQ(patched, expected) << "round " << round;
     }
     EXPECT_GT(outside, 0u) << "no record fell outside a window";
-    // A fresh windowed Build reads the same in-window counts: equal support
+    // A fresh windowed Build reads the same member counts: equal support
     // everywhere, floats equal up to summation order.
     AffinitySweep fresh;
     fresh.Build(g, ndata, pow, &pool, windows);
@@ -1104,16 +1184,15 @@ std::vector<VertexMove> GroupMoves(std::vector<BucketId>* assignment,
 /// One windowed sweep driven on pools of 1, 3 and 8 threads: Build, then
 /// `rounds` ApplyDeltas calls whose records `round_deltas(round, &assignment,
 /// &ndata, &pool)` produces. Checks each state bit for bit against the
-/// serial references restricted to the windows (query-major Build,
-/// record-major patch in canonical order), the patched list, and the
-/// visitor contract: one call per patched vertex, seeing its final entries
-/// and its in-window record count. `after(round, sweep)` runs after Build
+/// serial references restricted to the window members (query-major Build,
+/// record-major patch in canonical order) in their positional layout, the
+/// patched list, and the visitor contract: one call per patched vertex,
+/// seeing its final entries and its member record count. `after(round, sweep)` runs after Build
 /// (round −1) and after every ApplyDeltas.
 template <typename RoundDeltas, typename After>
 void CheckWindowedRounds(const BipartiteGraph& g,
                          const std::vector<BucketId>& start,
-                         const std::vector<BucketWindow>& windows,
-                         int rounds, const RoundDeltas& round_deltas,
+                         const BucketWindows& windows, int rounds, const RoundDeltas& round_deltas,
                          const After& after) {
   const VertexId n = g.num_data();
   const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
@@ -1126,7 +1205,7 @@ void CheckWindowedRounds(const BipartiteGraph& g,
     AffinitySweep sweep;
     sweep.Build(g, ndata, pow, &pool, windows);
     Accumulators ref = RestrictToWindows(ReferenceBuild(g, ndata, pow), windows);
-    ASSERT_TRUE(BitIdentical(sweep, ref)) << "Build";
+    ASSERT_TRUE(BitIdenticalSlots(sweep, ref, windows)) << "Build";
     after(-1, sweep);
 
     std::vector<std::atomic<uint32_t>> calls(n);
@@ -1144,8 +1223,7 @@ void CheckWindowedRounds(const BipartiteGraph& g,
       std::vector<uint32_t> expected_records(n, 0);
       for (const NeighborDelta& rec : deltas) {
         for (const VertexId v : g.QueryNeighbors(rec.q)) {
-          expected_records[v] += rec.bucket >= windows[v].first &&
-                                 rec.bucket < windows[v].second;
+          expected_records[v] += IsMember(windows, v, rec.bucket);
         }
       }
       for (VertexId v = 0; v < n; ++v) calls[v].store(0);
@@ -1154,7 +1232,7 @@ void CheckWindowedRounds(const BipartiteGraph& g,
           sweep.ApplyDeltas(g, deltas, pow, &pool, &patched, visitor);
       const std::vector<VertexId> expected =
           ReferencePatchWindowed(g, deltas, pow, windows, &ref);
-      ASSERT_TRUE(BitIdentical(sweep, ref)) << "round " << round;
+      ASSERT_TRUE(BitIdenticalSlots(sweep, ref, windows)) << "round " << round;
       ASSERT_EQ(patched, expected) << "round " << round;
       uint64_t visited_records = 0;
       for (VertexId v = 0; v < n; ++v) {
@@ -1177,13 +1255,12 @@ void CheckWindowedRounds(const BipartiteGraph& g,
 }
 
 TEST(AffinitySweepBitExact, WindowedFoldChainsWideWindowsAndEmptyOnes) {
-  // Recursion-level windows wider than their child count: group A splits a
-  // 9-leaf node three ways (children 0, 3, 6: window [0, 7), r = 3), group
-  // B an 8-leaf node four ways (children 8, 10, 12, 14: window [8, 15),
-  // r = 4), and bucket 20 is not refined (empty windows). Vertices move
-  // only within their group, so no window ever holds more than r occupied
-  // buckets: every refined vertex keeps exactly its r slots and nothing is
-  // relocated. Chains the fold must keep in order:
+  // Recursion-level groups whose children are spread over a wider range:
+  // group A splits a 9-leaf node three ways (children 0, 3, 6: r = 3),
+  // group B an 8-leaf node four ways (children 8, 10, 12, 14: r = 4), and
+  // bucket 20 is not refined (no windows). Every refined vertex keeps
+  // exactly its r positional slots and nothing is relocated. Chains the
+  // fold must keep in order:
   //  - round 0: q0 = {0, 1} and q1 = {0, 2}; vertex 1 moves 3 → 6 and
   //    vertex 2 moves 6 → 3, so vertex 0's bucket-3 entry (support 1, from
   //    q0) is dropped by q0 and inserted afresh by the higher q1, all in
@@ -1215,18 +1292,17 @@ TEST(AffinitySweepBitExact, WindowedFoldChainsWideWindowsAndEmptyOnes) {
                     : h < 8 ? 8 + 2 * static_cast<BucketId>(h % 4)
                             : 20);
   }
-  const std::vector<BucketWindow> windows =
+  const BucketWindows windows =
       topo.GroupWindows(Partition::FromAssignment(start, 32));
-  ASSERT_EQ(windows[0], (BucketWindow{0, 7, 3}));
+  ASSERT_EQ(windows.members, topo.group_children);
   const uint64_t slots = WindowSlots(windows);
   uint64_t empty_windows = 0;
   for (VertexId v = 0; v < n; ++v) {
-    if (start[v] == 20) {
-      ASSERT_EQ(windows[v], BucketWindow{});
-      ++empty_windows;
-    } else if (start[v] >= 8) {
-      ASSERT_EQ(windows[v], (BucketWindow{8, 15, 4}));
-    }
+    ASSERT_EQ(windows.of[v], start[v] == 20 ? BucketWindows::kNone
+                             : start[v] >= 8 ? 1
+                                             : 0)
+        << "v=" << v;
+    empty_windows += start[v] == 20;
   }
   ASSERT_GT(empty_windows, 0u);
 
@@ -1273,7 +1349,7 @@ TEST(AffinitySweepBitExact, WindowedFoldChainsWideWindowsAndEmptyOnes) {
   const auto after = [&](int round, const AffinitySweep& sweep) {
     EXPECT_EQ(sweep.ArenaSlots(), slots) << "round " << round;
     for (VertexId v = 0; v < n; ++v) {
-      ASSERT_LE(sweep.Entries(v).size(), windows[v].slots) << "v=" << v;
+      ASSERT_EQ(sweep.Entries(v).size(), WindowSize(windows, v)) << "v=" << v;
     }
     if (round == 0) {
       // Vertex 0's bucket 3 now comes from q1 alone, with a float started
@@ -1287,22 +1363,18 @@ TEST(AffinitySweepBitExact, WindowedFoldChainsWideWindowsAndEmptyOnes) {
   EXPECT_GT(chains, 0u);
 }
 
-TEST(AffinitySweepBitExact, InterleavedGroupsTakeTheOverflowPath) {
-  // Hand-built topologies whose groups interleave, so a window holds
-  // buckets of another group and a vertex can see more occupied buckets
-  // than its r slots. Build and later inserts then move it to a
-  // shard-local buffer as wide as its window and relocate its final entries
-  // serially — still bit-exact, with the visitor seeing the buffer's final
-  // entries. {0, 2} / {1, 3}: window [0, 3) holds bucket 1 of the other
-  // group, and vertices that fit their two slots at Build outgrow them
-  // later. {0, 4} / {1, 2, 3}: window [0, 5) of r = 2 can hold three or
-  // four occupied buckets, fewer than its width. Bucket 5 is not refined.
+TEST(AffinitySweepBitExact, InterleavedGroupsFoldOnlyMemberRecords) {
+  // Hand-built topologies whose groups interleave, so the bucket range of a
+  // group holds buckets of the other group: {0, 2} / {1, 3}, and
+  // {0, 4} / {1, 2, 3}; bucket 5 is not refined. A vertex keeps one slot
+  // per member of its own group, and the records of the other group's
+  // buckets inside its range are skipped: Build and every ApplyDeltas stay
+  // bit-equal to the member-restricted serial references, with exactly
+  // Σ r arena slots (nothing relocated).
   const BipartiteGraph g = TestGraph(61);
   const VertexId n = g.num_data();
   const std::vector<std::vector<BucketId>> groupings[] = {
       {{0, 2}, {1, 3}}, {{0, 4}, {1, 2, 3}}};
-  uint64_t grown = 0;
-  uint64_t narrower = 0;
   for (const auto& groups : groupings) {
     SCOPED_TRACE(testing::Message() << "groups of " << groups[0].size()
                                     << " and " << groups[1].size());
@@ -1310,14 +1382,17 @@ TEST(AffinitySweepBitExact, InterleavedGroupsTakeTheOverflowPath) {
     const BucketId top = groups[0].back();
     std::vector<BucketId> start;
     for (VertexId v = 0; v < n; ++v) {
-      const uint64_t h = HashToBounded(89, v, 0, 2 * top + 1);
-      start.push_back(h == 2 * top ? 5 : static_cast<BucketId>(h % (top + 1)));
+      const auto unrefined = static_cast<uint64_t>(2 * top);
+      const uint64_t h = HashToBounded(89, v, 0, unrefined + 1);
+      start.push_back(h == unrefined ? 5
+                                     : static_cast<BucketId>(h % (top + 1)));
     }
-    const std::vector<BucketWindow> windows =
+    const BucketWindows windows =
         topo.GroupWindows(Partition::FromAssignment(start, 8));
     const uint64_t slots = WindowSlots(windows);
-    uint64_t wide = 0;
-    uint64_t last_slots = 0;
+    // Records of a bucket inside the receiving vertex's group range that
+    // are not its group's: the ones a range window would have kept.
+    uint64_t skipped_in_range = 0;
     const size_t batches[] = {20, 2, 8};
     const auto round_deltas = [&](int round,
                                   std::vector<BucketId>* assignment,
@@ -1327,38 +1402,132 @@ TEST(AffinitySweepBitExact, InterleavedGroupsTakeTheOverflowPath) {
                      batches[round % std::size(batches)]);
       std::vector<NeighborDelta> deltas;
       ndata->ApplyMoves(g, moves, pool, nullptr, &deltas);
+      for (const NeighborDelta& rec : deltas) {
+        for (const VertexId v : g.QueryNeighbors(rec.q)) {
+          const int32_t w = windows.of[v];
+          if (w == BucketWindows::kNone) continue;
+          const std::vector<BucketId>& members =
+              windows.members[static_cast<size_t>(w)];
+          skipped_in_range += rec.bucket > members.front() &&
+                              rec.bucket < members.back() &&
+                              !IsMember(windows, v, rec.bucket);
+        }
+      }
       return deltas;
     };
     const auto after = [&](int round, const AffinitySweep& sweep) {
-      if (round < 0) EXPECT_GT(sweep.ArenaSlots(), slots) << "Build relocated";
-      if (round >= 0) grown += sweep.ArenaSlots() > last_slots;
-      last_slots = sweep.ArenaSlots();
-      for (VertexId v = 0; v < n; ++v) {
-        const size_t size = sweep.Entries(v).size();
-        const BucketWindow& w = windows[v];
-        wide += size > w.slots;
-        narrower += size > w.slots &&
-                    size < static_cast<size_t>(w.second - w.first);
-      }
+      EXPECT_EQ(sweep.ArenaSlots(), slots) << "round " << round;
     };
     CheckWindowedRounds(g, start, windows, 12, round_deltas, after);
-    EXPECT_GT(wide, 0u) << "no window held more occupied buckets than slots";
+    EXPECT_GT(skipped_in_range, 0u) << "no in-range non-member record";
   }
-  EXPECT_GT(grown, 0u) << "no ApplyDeltas relocated an accumulator";
-  EXPECT_GT(narrower, 0u) << "every overflowed vertex filled its window";
+}
+
+TEST(AffinitySweepBitExact, NonUniformMembersAndASlotEmptiedAndReentered) {
+  // k = 6 split four ways, as SHP-r with r = 4 does: children 0, 2, 4, 5
+  // (leaves of 2, 2, 1 and 1), so the members are not evenly spaced and
+  // buckets 1 and 3 lie between them without being members; every vertex
+  // is refined. In round 0, vertex 1 moves 2 → 4 and vertex 2 moves 4 → 2,
+  // so q0 = {0, 1, 2} emits the chain (2: 1 → 0), (2: 0 → 1) and vertex
+  // 0's bucket-2 slot is emptied and re-entered within one call: its float
+  // resets to exactly 0.0 and restarts from 0.0 + (B^0 − B^1). Injected
+  // insert-then-drop chains on the non-members 1 and 3 must be skipped.
+  GraphBuilder builder;
+  builder.AddHyperedge(0, {0, 1, 2});
+  const VertexId n = 157;
+  for (VertexId q = 1; q < 240; ++q) {
+    std::vector<VertexId> members;
+    const uint64_t size = 2 + HashToBounded(101, q, 0, 5);
+    for (uint64_t i = 0; i < size; ++i) {
+      members.push_back(3 + static_cast<VertexId>(
+                                HashToBounded(103, q, i + 1, n - 3)));
+    }
+    builder.AddHyperedge(q, members);
+  }
+  const BipartiteGraph g = builder.Build();
+  ASSERT_EQ(g.num_data(), n);
+  const MoveTopology topo = MoveTopology::Grouped(6, n, 0.05, {{0, 2, 4, 5}});
+  const BucketId children[] = {0, 2, 4, 5};
+  std::vector<BucketId> start = {0, 2, 4};
+  for (VertexId v = 3; v < n; ++v) {
+    start.push_back(children[HashToBounded(107, v, 0, 4)]);
+  }
+  const BucketWindows windows =
+      topo.GroupWindows(Partition::FromAssignment(start, 6));
+  ASSERT_EQ(windows.members,
+            (std::vector<std::vector<BucketId>>{{0, 2, 4, 5}}));
+  const uint64_t slots = WindowSlots(windows);
+  ASSERT_EQ(slots, 4u * n);
+
+  const size_t batches[] = {25, 1, 9, 3};
+  uint64_t non_member_chains = 0;
+  const auto round_deltas = [&](int round, std::vector<BucketId>* assignment,
+                                QueryNeighborData* ndata, ThreadPool* pool) {
+    std::vector<VertexMove> moves;
+    if (round == 0) moves = {{1, 2, 4}, {2, 4, 2}};
+    const std::vector<VertexMove> more =
+        GroupMoves(assignment, topo, 109, static_cast<uint64_t>(round),
+                   batches[round % std::size(batches)], /*first_vertex=*/3);
+    moves.insert(moves.end(), more.begin(), more.end());
+    if (round == 0) {
+      (*assignment)[1] = 4;
+      (*assignment)[2] = 2;
+    }
+    std::vector<NeighborDelta> deltas;
+    ndata->ApplyMoves(g, moves, pool, nullptr, &deltas);
+    if (round == 0) {
+      const auto bucket2 = [](const NeighborDelta& rec) {
+        return rec.q == 0 && rec.bucket == 2;
+      };
+      std::vector<NeighborDelta> chain;
+      std::copy_if(deltas.begin(), deltas.end(), std::back_inserter(chain),
+                   bucket2);
+      EXPECT_EQ(chain, (std::vector<NeighborDelta>{{0, 2, 1, 0}, {0, 2, 0, 1}}))
+          << "q0 empties bucket 2 and re-enters it";
+    }
+    // Insert-then-drop chains on the non-members 1 and 3 around a few
+    // queries' runs; the neighbor data stays what ApplyMoves left.
+    for (VertexId q = 1 + static_cast<VertexId>(5 * round);
+         q < g.num_queries() && q < 4 + static_cast<VertexId>(5 * round);
+         ++q) {
+      const BucketId b = q % 2 == 0 ? 1 : 3;
+      deltas.insert(deltas.begin(), NeighborDelta{q, b, 0, 1});
+      deltas.push_back({q, b, 1, 0});
+      ++non_member_chains;
+    }
+    return deltas;
+  };
+  const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
+  const auto after = [&](int round, const AffinitySweep& sweep) {
+    EXPECT_EQ(sweep.ArenaSlots(), slots) << "round " << round;
+    const auto entries = sweep.Entries(0);
+    ASSERT_EQ(entries.size(), 4u);
+    if (round == -1) {
+      // Only q0 reaches vertex 0: buckets 0, 2 and 4 hold one vertex each.
+      EXPECT_EQ(entries[3], (AffinityEntry{5, 0, 0.0}));
+    }
+    if (round == 0) {
+      EXPECT_EQ(entries[1], (AffinityEntry{2, 1, 0.0 + (pow.Pow(0) -
+                                                        pow.Pow(1))}));
+      EXPECT_EQ(entries[2].bucket, 4);
+      EXPECT_EQ(entries[2].support, 1u);
+    }
+  };
+  CheckWindowedRounds(g, start, windows, 8, round_deltas, after);
+  EXPECT_GT(non_member_chains, 0u);
 }
 
 TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
   // The ApplyDeltas visitor contract the engines' patch-time proposals rely
   // on: one call per patched vertex (exactly the `patched` list), none for
-  // an empty batch or an empty-window vertex, and the entries it sees equal
+  // an empty batch or a vertex without a window, and the entries it sees equal
   // Entries(v) after the call — in place, or the overflow copy of an
   // accumulator relocated past its slack — and the record count it gets is
-  // v's (in-window) records, summing to ApplyDeltas's return. The
+  // v's (member) records, summing to ApplyDeltas's return. The
   // unwindowed sweep starts fully
   // concentrated at k = 512, so inserts relocate accumulators, and the
   // batch sizes cycle through both patch kernels; the windowed one has
-  // four-bucket windows, empty for the vertices of buckets 28..31.
+  // four-bucket windows, none for the vertices of buckets 28..31.
   const BipartiteGraph g = TestGraph(53);
   const VertexId n = g.num_data();
   const PowTable pow(kInexactBase, static_cast<uint32_t>(g.MaxQueryDegree()) + 2);
@@ -1372,9 +1541,8 @@ TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
       std::vector<BucketId> assignment =
           windowed ? Partition::Random(n, k, 9).assignment()
                    : std::vector<BucketId>(n, 0);
-      const std::vector<BucketWindow> windows =
-          windowed ? GroupOfFourWindows(assignment)
-                   : std::vector<BucketWindow>{};
+      const BucketWindows windows =
+          windowed ? GroupOfFourWindows(assignment) : BucketWindows{};
       QueryNeighborData ndata;
       ndata.Build(g, assignment, &pool);
       AffinitySweep sweep;
@@ -1421,13 +1589,12 @@ TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
             if (it == per_query.end()) continue;
             m += it->second.size();
             for (const BucketId b : it->second) {
-              expected_records[v] +=
-                  !windowed || (b >= windows[v].first && b < windows[v].second);
+              expected_records[v] += !windowed || IsMember(windows, v, b);
             }
           }
           if (m == 0) continue;
           if (windowed) {
-            empty_window_in_blast += windows[v].first == windows[v].second;
+            empty_window_in_blast += windows.of[v] == BucketWindows::kNone;
           } else {
             ++*(4 * m >= sweep.Entries(v).size() ? &dense : &sparse);
           }
@@ -1450,8 +1617,8 @@ TEST(AffinitySweep, PatchVisitorSeesEachPatchedVertexOnceWithFinalEntries) {
               << "round " << round << ", v=" << v;
           if (!listed) continue;
           visited_records += records[v];
-          ASSERT_FALSE(windowed && windows[v].first == windows[v].second)
-              << "empty-window vertex " << v << " was visited";
+          ASSERT_FALSE(windowed && windows.of[v] == BucketWindows::kNone)
+              << "vertex " << v << " without a window was visited";
           const auto entries = sweep.Entries(v);
           ASSERT_TRUE(std::equal(seen[v].begin(), seen[v].end(),
                                  entries.begin(), entries.end()))

@@ -699,9 +699,9 @@ TEST(BspRefiner, RecursionDriverBuildsOneRefinerPerLevel) {
 }
 
 /// Runs an engine and, after every iteration, checks that its windowed
-/// sweep holds exactly the r slots of each refined vertex (Σ slots over the
-/// non-empty windows): under a recursion topology no window sees more than
-/// r occupied buckets, so no accumulator is ever relocated.
+/// sweep holds exactly the r positional slots of each refined vertex (Σ r
+/// over the vertices with a window) and nothing else: no accumulator is
+/// ever relocated.
 template <typename Engine>
 class WindowSlotsCheck : public RefinerInterface {
  public:
@@ -722,10 +722,15 @@ class WindowSlotsCheck : public RefinerInterface {
     } else {
       sweep = &engine_.sweep();
     }
-    EXPECT_FALSE(sweep->windows().empty());
+    const BucketWindows& windows = sweep->windows();
+    EXPECT_FALSE(windows.empty());
     uint64_t slots = 0;
-    for (const BucketWindow& w : sweep->windows()) {
-      if (w.first < w.second) slots += w.slots;
+    for (VertexId v = 0; v < windows.of.size(); ++v) {
+      const int32_t w = windows.of[v];
+      if (w == BucketWindows::kNone) continue;
+      const size_t r = windows.members[static_cast<size_t>(w)].size();
+      EXPECT_EQ(sweep->Entries(v).size(), r) << "v=" << v;
+      slots += r;
     }
     EXPECT_EQ(sweep->ArenaSlots(), slots) << "iteration " << iteration;
     ++*checks_;
@@ -786,9 +791,13 @@ TEST(BspRefiner, RecursionDriverMatchesThreadedForWiderBranching) {
 
 TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
   // The data workers' accumulators are one sweep partitioned by owner: each
-  // vertex holds exactly the occupied buckets of its group window ([0, k)
-  // under direct k-way), so each worker's share — the entries of the
-  // vertices it owns — is its owned vertices' in-window state, whatever W.
+  // vertex's live (support > 0) entries are exactly the occupied buckets of
+  // its group ([0, k) under direct k-way), so each worker's share — the live
+  // entries of the vertices it owns — is its owned vertices' in-group
+  // state, whatever W. Under a grouped topology each refined vertex holds
+  // one positional slot per sibling, and the empty ones must not leak into
+  // the accounting: each vertex's push-scan work units are its live entries
+  // plus its siblings, and MaxWorkerStateBytes charges live entries only.
   // The trajectory equals the threaded Refiner's (same gather, same
   // windows).
   const BipartiteGraph g = TestGraph();
@@ -796,15 +805,15 @@ TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
   const MoveTopology full = MoveTopology::FullK(k, g.num_data(), 0.05);
   const MoveTopology grouped = MoveTopology::Grouped(
       k, g.num_data(), 0.05, {{0, 1}, {2, 3}, {4, 5}, {6, 7}});
-  // Occupied buckets of N(v) inside v's window, ascending, by brute force.
-  const auto in_window = [&](const MoveTopology& topo,
-                             const std::vector<BucketId>& assignment,
-                             VertexId v) {
-    const auto [begin, end, slots] = topo.WindowOf(assignment[v]);
+  // Occupied buckets of N(v) in v's group, ascending, by brute force.
+  const auto in_group = [&](const MoveTopology& topo,
+                            const std::vector<BucketId>& assignment,
+                            VertexId v) {
+    const int32_t group = topo.group_of_bucket[assignment[v]];
     std::vector<BucketId> buckets;
     for (const VertexId q : g.DataNeighbors(v)) {
       for (const VertexId u : g.QueryNeighbors(q)) {
-        if (assignment[u] >= begin && assignment[u] < end) {
+        if (topo.group_of_bucket[assignment[u]] == group) {
           buckets.push_back(assignment[u]);
         }
       }
@@ -816,18 +825,21 @@ TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
   RefinerOptions options;
   options.sweep_mode = RefinerOptions::SweepMode::kPush;
   const uint64_t iterations = 4;
+  uint64_t empty_slots = 0;
   for (const MoveTopology* topo : {&full, &grouped}) {
-    // The threaded trajectory, and each iteration's brute-force per-vertex
-    // buckets over the assignment superstep 2 saw (the one before the
-    // round's moves), shared by every W.
+    // The threaded trajectory, the assignment superstep 2 saw in each
+    // iteration (the one before the round's moves), and its brute-force
+    // per-vertex buckets, shared by every W.
     std::vector<std::vector<BucketId>> trajectory;
+    std::vector<std::vector<BucketId>> seen;
     std::vector<std::vector<std::vector<BucketId>>> buckets;
     Refiner threaded(g, options);
     Partition p_threaded = Partition::BalancedRandom(g.num_data(), k, 6);
     for (uint64_t iter = 0; iter < iterations; ++iter) {
+      seen.push_back(p_threaded.assignment());
       auto& per_vertex = buckets.emplace_back(g.num_data());
       for (VertexId v = 0; v < g.num_data(); ++v) {
-        per_vertex[v] = in_window(*topo, p_threaded.assignment(), v);
+        per_vertex[v] = in_group(*topo, p_threaded.assignment(), v);
       }
       threaded.RunIteration(*topo, &p_threaded, 9, iter);
       trajectory.push_back(p_threaded.assignment());
@@ -843,24 +855,62 @@ TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
       for (uint64_t iter = 0; iter < iterations; ++iter) {
         bsp.RunIteration(*topo, &p_bsp, 9, iter);
         ASSERT_EQ(p_bsp.assignment(), trajectory[iter]) << "iteration " << iter;
+        const std::vector<BucketId>& before = seen[iter];
         const AffinitySweep& sweep = bsp.sweep();
         std::vector<uint64_t> expected(static_cast<size_t>(workers), 0);
         std::vector<uint64_t> share(static_cast<size_t>(workers), 0);
+        std::vector<uint64_t> push_expected(static_cast<size_t>(workers), 0);
+        std::vector<uint64_t> push_work(static_cast<size_t>(workers), 0);
+        // Bytes as MaxWorkerStateBytes defines them, from the brute force.
+        std::vector<uint64_t> state(static_cast<size_t>(workers), 0);
         for (VertexId v = 0; v < g.num_data(); ++v) {
           const std::vector<BucketId>& want = buckets[iter][v];
           const auto entries = sweep.Entries(v);
-          ASSERT_TRUE(std::equal(
-              entries.begin(), entries.end(), want.begin(), want.end(),
-              [](const AffinityEntry& e, BucketId b) { return e.bucket == b; }))
-              << "v=" << v << ", iteration " << iter;
+          std::vector<BucketId> live;
+          for (const AffinityEntry& e : entries) {
+            if (e.support > 0) live.push_back(e.bucket);
+          }
+          ASSERT_EQ(live, want) << "v=" << v << ", iteration " << iter;
+          const int32_t group = topo->group_of_bucket[before[v]];
+          if (!topo->full_k) {
+            // One slot per sibling, or none in an unrefined bucket.
+            const size_t r =
+                group < 0 ? 0 : topo->group_children[group].size();
+            ASSERT_EQ(entries.size(), r) << "v=" << v;
+            empty_slots += r - want.size();
+          }
           const auto owner = static_cast<size_t>(sharding.DataWorker(v));
           expected[owner] += want.size();
-          share[owner] += entries.size();
+          share[owner] += sweep.LiveEntries(v);
+          state[owner] += g.DataDegree(v) * sizeof(VertexId) + 16 +
+                          want.size() * sizeof(AffinityEntry);
+          if (group < 0) continue;
+          push_expected[owner] +=
+              want.size() +
+              (topo->full_k ? 0 : topo->group_children[group].size());
+          push_work[owner] += bsp.PushScanWork(*topo, p_bsp, v);
+        }
+        for (VertexId q = 0; q < g.num_queries(); ++q) {
+          std::vector<BucketId> occupied;
+          for (const VertexId u : g.QueryNeighbors(q)) {
+            occupied.push_back(before[u]);
+          }
+          std::sort(occupied.begin(), occupied.end());
+          occupied.erase(std::unique(occupied.begin(), occupied.end()),
+                         occupied.end());
+          state[static_cast<size_t>(sharding.QueryWorker(q))] +=
+              g.QueryDegree(q) * sizeof(VertexId) + 16 +
+              occupied.size() * sizeof(BucketCount);
         }
         EXPECT_EQ(share, expected) << "iteration " << iter;
+        EXPECT_EQ(push_work, push_expected) << "iteration " << iter;
+        EXPECT_EQ(bsp.MaxWorkerStateBytes(),
+                  *std::max_element(state.begin(), state.end()))
+            << "iteration " << iter;
       }
     }
   }
+  EXPECT_GT(empty_slots, 0u) << "no refined vertex had an empty sibling slot";
 }
 
 TEST(BspRefiner, PrescannedProposalsKeepTheThreadedTrajectoryUnderAnAnchor) {

@@ -55,8 +55,8 @@ TEST(Refiner, GroupedBisectionMatchesFullK) {
       << "identical candidate sets and seeds must give identical moves";
 }
 
-// Brute-force Σ_v |{buckets occupied by N(N(v))} ∩ window(v)|, where v's
-// window is its group's GroupWindow (none when v's bucket is not refined).
+// Brute-force Σ_v |{buckets occupied by N(N(v))} ∩ group(v)|, where v's
+// group holds its bucket's siblings (none when v's bucket is not refined).
 uint64_t InWindowOccupiedBuckets(const BipartiteGraph& g,
                                  const MoveTopology& topo,
                                  const Partition& partition) {
@@ -64,12 +64,11 @@ uint64_t InWindowOccupiedBuckets(const BipartiteGraph& g,
   for (VertexId v = 0; v < g.num_data(); ++v) {
     const int32_t group = topo.group_of_bucket[partition.bucket_of(v)];
     if (group < 0) continue;
-    const auto [lo, hi, slots] = topo.GroupWindow(group);
     std::set<BucketId> occupied;
     for (const VertexId q : g.DataNeighbors(v)) {
       for (const VertexId u : g.QueryNeighbors(q)) {
         const BucketId b = partition.bucket_of(u);
-        if (b >= lo && b < hi) occupied.insert(b);
+        if (topo.group_of_bucket[b] == group) occupied.insert(b);
       }
     }
     total += occupied.size();
@@ -78,7 +77,9 @@ uint64_t InWindowOccupiedBuckets(const BipartiteGraph& g,
 }
 
 // A grouped (recursion-level) topology runs push over a windowed sweep:
-// every vertex keeps exactly its group's occupied buckets, grouped push
+// every vertex's live entries are exactly its group's occupied buckets
+// (TotalEntries counts support > 0 only, not the empty sibling slots),
+// grouped push
 // tracks grouped pull, and a new group structure rebuilds the sweep.
 TEST(Refiner, GroupedPushKeepsOnlyWindowEntries) {
   const BipartiteGraph g = SmallGraph(6);
