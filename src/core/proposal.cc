@@ -2,10 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace shp {
+
+namespace {
+
+/// Debug check that v's push proposal honors the tolerance contract against
+/// its pull recompute (see CheckProposals). `pull_gain_to(b)` is the raw
+/// pull-frame gain of moving v to b.
+template <typename PullGainTo>
+void CheckPushMatchesPull(VertexId v, GainComputer::BestTarget pull,
+                          GainComputer::BestTarget push,
+                          const PullGainTo& pull_gain_to) {
+  const double gtol =
+      1e-9 + 1e-6 * std::max(std::fabs(pull.gain), std::fabs(push.gain));
+  if (pull.bucket == push.bucket) {
+    SHP_CHECK(std::fabs(pull.gain - push.gain) <= gtol)
+        << "pull/push gain divergence for v=" << v << ": pull " << pull.gain
+        << " vs push " << push.gain;
+  } else if (pull.bucket >= 0 && push.bucket >= 0) {
+    // Different targets are legal only on a gain tie: evaluate both in the
+    // pull frame and require them equal within the tie tolerance.
+    const double g_pull_choice = pull_gain_to(pull.bucket);
+    const double g_push_choice = pull_gain_to(push.bucket);
+    SHP_CHECK(std::fabs(g_pull_choice - g_push_choice) <= 1e-9)
+        << "pull/push target divergence beyond tie tolerance for v=" << v
+        << ": pull -> " << pull.bucket << " (" << g_pull_choice
+        << ") vs push -> " << push.bucket << " (" << g_push_choice << ")";
+  } else {
+    // One path proposed, the other filtered (propose_nonpositive): only
+    // legal when the surviving gain straddles zero within tolerance.
+    SHP_CHECK(std::fabs(pull.gain) <= gtol && std::fabs(push.gain) <= gtol)
+        << "pull/push proposal presence mismatch for v=" << v;
+  }
+}
+
+}  // namespace
 
 bool ProposalContext::Matches(const MoveTopology& topo,
                               const std::vector<BucketId>* anchor,
@@ -31,6 +68,85 @@ void ProposalContext::Snapshot(const MoveTopology& topo,
   has_anchor_ = anchor != nullptr && anchor_penalty != 0.0;
   anchor_ = has_anchor_ ? *anchor : std::vector<BucketId>{};
   anchor_penalty_ = has_anchor_ ? anchor_penalty : 0.0;
+}
+
+void ExplorationDraw::Draw(const MoveTopology& topo, double probability,
+                           VertexId n, uint64_t seed, uint64_t iteration) {
+  if (!topo.full_k || probability <= 0.0) return;
+  if (target_.size() < n) target_.assign(n, -1);
+  const uint64_t draws =
+      static_cast<uint64_t>(static_cast<double>(n) * probability + 0.5);
+  for (uint64_t i = 0; i < draws; ++i) {
+    const VertexId v = static_cast<VertexId>(
+        HashToBounded(seed ^ 0xe791, iteration * 0x10001 + 1, i, n));
+    if (target_[v] != -1) continue;
+    target_[v] = static_cast<BucketId>(HashToBounded(
+        seed ^ 0x77aa, iteration, v, static_cast<uint64_t>(topo.k)));
+    firing_.push_back(v);
+  }
+}
+
+void ExplorationDraw::EndRound(const BipartiteGraph& graph,
+                               const Partition& partition) {
+  stale_.clear();
+  for (const VertexId v : firing_) {
+    if (Explores(v, partition.bucket_of(v), graph.DataDegree(v))) {
+      stale_.push_back(v);
+    }
+    target_[v] = -1;
+  }
+  firing_.clear();
+}
+
+uint64_t PushScanWork(const AffinitySweep& sweep, const MoveTopology& topo,
+                      BucketId from, VertexId v) {
+  const uint64_t entries = sweep.LiveEntries(v);
+  if (topo.full_k) return entries;
+  const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
+  return entries + topo.group_children[static_cast<size_t>(group)].size();
+}
+
+GainComputer::BestTarget ComputeProposal(const ProposalInputs& in, VertexId v,
+                                         ProposalScratch* scratch,
+                                         uint64_t* work) {
+  const uint32_t deg = in.graph.DataDegree(v);
+  if (deg == 0) return {};  // isolated: nothing to gain
+  const BucketId from = in.partition.bucket_of(v);
+  const int32_t group = in.topo.group_of_bucket[static_cast<size_t>(from)];
+  if (group < 0) return {};  // bucket not refined at this level
+  const double degree = static_cast<double>(deg);
+
+  const bool explore = in.draw.Explores(v, from, deg);
+  if (work != nullptr && (in.push || explore)) {
+    *work += in.push ? PushScanWork(in.sweep, in.topo, from, v)
+                   : 2 * uint64_t{deg};
+  }
+  GainComputer::BestTarget best;
+  if (explore) {
+    // Exploration proposal: random target with its true gain.
+    const BucketId to = in.draw.Target(v);
+    best = {to, in.push
+                    ? in.gain.MoveGainPush(in.sweep, v, from, to, degree)
+                    : in.gain.MoveGain(in.graph, in.ndata, v, from, to)};
+  } else if (in.push) {
+    // One scan of v's accumulator — windowed to its group under recursion,
+    // where it holds one slot per sibling bucket.
+    best = PushScan(in.gain, in.topo, from, in.sweep.Entries(v), degree);
+  } else if (in.topo.full_k) {
+    // FindBestTarget requires a zero-filled scratch and restores it, so
+    // (re)sizing is the only moment the fill is paid.
+    if (scratch->affinity.size() < static_cast<size_t>(in.topo.k)) {
+      scratch->affinity.assign(static_cast<size_t>(in.topo.k), 0.0);
+    }
+    best = in.gain.FindBestTarget(in.graph, in.ndata, v, from, 0, in.topo.k,
+                                  &scratch->affinity, &scratch->touched, work);
+  } else {
+    best = in.gain.FindBestTargetGrouped(
+        in.graph, in.ndata, v, from,
+        in.topo.group_children[static_cast<size_t>(group)], work);
+  }
+  return FinalizeProposal(best, v, from, in.anchor, in.anchor_penalty,
+                          in.propose_nonpositive);
 }
 
 GainComputer::BestTarget FinalizeProposal(GainComputer::BestTarget best,
@@ -73,30 +189,42 @@ GainComputer::BestTarget PatchedProposal(
                           anchor, anchor_penalty, propose_nonpositive);
 }
 
-void CheckPushMatchesPull(
-    VertexId v, GainComputer::BestTarget pull, GainComputer::BestTarget push,
-    const std::function<double(BucketId)>& pull_gain_to) {
-  const double gtol =
-      1e-9 + 1e-6 * std::max(std::fabs(pull.gain), std::fabs(push.gain));
-  if (pull.bucket == push.bucket) {
-    SHP_CHECK(std::fabs(pull.gain - push.gain) <= gtol)
-        << "pull/push gain divergence for v=" << v << ": pull " << pull.gain
-        << " vs push " << push.gain;
-  } else if (pull.bucket >= 0 && push.bucket >= 0) {
-    // Different targets are legal only on a gain tie: evaluate both in the
-    // pull frame and require them equal within the tie tolerance.
-    const double g_pull_choice = pull_gain_to(pull.bucket);
-    const double g_push_choice = pull_gain_to(push.bucket);
-    SHP_CHECK(std::fabs(g_pull_choice - g_push_choice) <= 1e-9)
-        << "pull/push target divergence beyond tie tolerance for v=" << v
-        << ": pull -> " << pull.bucket << " (" << g_pull_choice
-        << ") vs push -> " << push.bucket << " (" << g_push_choice << ")";
-  } else {
-    // One path proposed, the other filtered (propose_nonpositive): only
-    // legal when the surviving gain straddles zero within tolerance.
-    SHP_CHECK(std::fabs(pull.gain) <= gtol && std::fabs(push.gain) <= gtol)
-        << "pull/push proposal presence mismatch for v=" << v;
-  }
+void CheckProposals(const ProposalInputs& in,
+                    const std::vector<BucketId>& targets,
+                    const std::vector<double>& gains, ThreadPool* pool) {
+  ProposalInputs pull = in;
+  pull.push = false;
+  std::vector<ProposalScratch> scratch(
+      std::max<size_t>(1, pool->num_threads()));
+  pool->ParallelFor(in.graph.num_data(), [&](size_t begin, size_t end,
+                                             size_t w) {
+    for (size_t vi = begin; vi < end; ++vi) {
+      const VertexId v = static_cast<VertexId>(vi);
+      const GainComputer::BestTarget cached{targets[v], gains[v]};
+      const GainComputer::BestTarget fresh =
+          ComputeProposal(in, v, &scratch[w]);
+      SHP_CHECK(fresh.bucket == cached.bucket && fresh.gain == cached.gain)
+          << "stale cached proposal for v=" << v << ": cached ("
+          << cached.bucket << ", " << cached.gain << ") vs fresh ("
+          << fresh.bucket << ", " << fresh.gain << ")";
+      if (!in.push) continue;
+      const BucketId from = in.partition.bucket_of(v);
+      CheckPushMatchesPull(v, ComputeProposal(pull, v, &scratch[w]), cached,
+                           [&](BucketId to) {
+                             return in.gain.MoveGain(in.graph, in.ndata, v,
+                                                     from, to);
+                           });
+    }
+  });
+  if (!in.push) return;
+  BucketWindows windows = in.topo.GroupWindows(in.partition);
+  SHP_CHECK(windows == in.sweep.windows())
+      << "a vertex left the accumulator window of its group";
+  AffinitySweep fresh;
+  fresh.Build(in.graph, in.ndata, in.gain.pow_table(), pool,
+              std::move(windows));
+  SHP_CHECK(in.sweep.ApproxEquals(fresh, 1e-9, 1e-9))
+      << "patched affinity accumulators diverged from a fresh build";
 }
 
 }  // namespace shp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -139,18 +140,20 @@ RecursiveResult RecursivePartitioner::Run(const BipartiteGraph& graph,
         members[static_cast<size_t>(current)].push_back(v);
       }
     }
+    std::vector<std::pair<uint64_t, VertexId>> keys;
     for (const auto& [node, children] : splits) {
       auto& list = members[static_cast<size_t>(node.lo)];
       const ChildDist& dist = dist_of[static_cast<size_t>(node.lo)];
-      // Hash-shuffle (deterministic per seed and level).
-      std::sort(list.begin(), list.end(), [&](VertexId a, VertexId b) {
-        const uint64_t ha = HashCombine(options_.seed ^ 0x2ec5,
-                                        level * 0x9e3779b9ULL + a, 0);
-        const uint64_t hb = HashCombine(options_.seed ^ 0x2ec5,
-                                        level * 0x9e3779b9ULL + b, 0);
-        if (ha != hb) return ha < hb;
-        return a < b;
-      });
+      // Hash-shuffle (deterministic per seed and level): sort by (hash, v),
+      // each vertex hashed once.
+      keys.clear();
+      for (const VertexId v : list) {
+        keys.emplace_back(HashCombine(options_.seed ^ 0x2ec5,
+                                      level * 0x9e3779b9ULL + v, 0),
+                          v);
+      }
+      std::sort(keys.begin(), keys.end());
+      for (size_t i = 0; i < keys.size(); ++i) list[i] = keys[i].second;
       // Deal by quota (largest remainder handled by the trailing child).
       size_t cursor = 0;
       for (size_t c = 0; c < dist.child_lo.size(); ++c) {

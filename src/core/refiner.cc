@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "common/thread_pool.h"
 
 namespace shp {
@@ -15,41 +15,6 @@ Refiner::Refiner(const BipartiteGraph& graph, const RefinerOptions& options)
       gain_(options.p, static_cast<uint32_t>(graph.MaxQueryDegree()),
             options.future_splits),
       broker_(options.broker) {}
-
-GainComputer::BestTarget Refiner::ComputeProposal(
-    const MoveTopology& topo, const Partition& partition, VertexId v,
-    BucketId explore_target, bool push, const std::vector<BucketId>* anchor,
-    double anchor_penalty, Workspace* ws, bool* cacheable) const {
-  *cacheable = true;
-  const double degree = static_cast<double>(graph_.DataDegree(v));
-  if (degree == 0.0) return {};  // isolated: nothing to gain
-  const BucketId from = partition.bucket_of(v);
-  const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
-  if (group < 0) return {};  // bucket not refined at this level
-
-  GainComputer::BestTarget best;
-  if (topo.full_k && explore_target >= 0 && explore_target != from) {
-    // Exploration proposal: random target with its true gain. Depends on
-    // the iteration draw, so it must never be served from the cache.
-    best = {explore_target,
-            push ? gain_.MoveGainPush(sweep_, v, from, explore_target, degree)
-                 : gain_.MoveGain(graph_, ndata_, v, from, explore_target)};
-    *cacheable = false;
-  } else if (push) {
-    // One scan of v's accumulator — windowed to its group under recursion,
-    // where it holds one slot per sibling bucket.
-    best = PushScan(gain_, topo, from, sweep_.Entries(v), degree);
-  } else if (topo.full_k) {
-    best = gain_.FindBestTarget(graph_, ndata_, v, from, 0, topo.k,
-                                &ws->affinity, &ws->touched);
-  } else {
-    best = gain_.FindBestTargetGrouped(
-        graph_, ndata_, v, from,
-        topo.group_children[static_cast<size_t>(group)]);
-  }
-  return FinalizeProposal(best, v, from, anchor, anchor_penalty,
-                          options_.propose_nonpositive);
-}
 
 IterationStats Refiner::RunIteration(const MoveTopology& topo,
                                      Partition* partition, uint64_t seed,
@@ -100,72 +65,41 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     ++num_sweep_builds_;
   }
 
-  // Exploration draw: ≈ n·prob firing vertices drawn up front into a
-  // compact list, so the steady-state pass never hashes the other vertices.
-  const bool explore = topo.full_k && options_.exploration_probability > 0.0;
-  firing_list_.clear();
-  if (explore) {
-    if (explore_target_.size() < n) explore_target_.assign(n, -1);
-    const uint64_t draws = static_cast<uint64_t>(
-        static_cast<double>(n) * options_.exploration_probability + 0.5);
-    for (uint64_t i = 0; i < draws; ++i) {
-      // Sampling with replacement over hashed indices; duplicates collapse,
-      // so the firing count is ≤ draws (statistically indistinguishable from
-      // a per-vertex Bernoulli draw at these rates).
-      const VertexId v = static_cast<VertexId>(
-          HashToBounded(seed ^ 0xe791, iteration * 0x10001 + 1, i, n));
-      if (explore_target_[v] != -1) continue;
-      explore_target_[v] = static_cast<BucketId>(HashToBounded(
-          seed ^ 0x77aa, iteration, v, static_cast<uint64_t>(topo.k)));
-      firing_list_.push_back(v);
-    }
-  }
-  const auto explore_target_for = [&](VertexId v) -> BucketId {
-    return explore ? explore_target_[v] : -1;
-  };
-
-  // Superstep 2: move proposals. A full pass recomputes every vertex; the
-  // steady-state pass recomputes only the compact work list. Push: the
-  // vertices that received a delta record last round (their proposals were
-  // computed inside ApplyDeltas and are already current), last round's
-  // movers, last round's explorers (their cached proposal is not reusable),
-  // and this round's firing list. Pull: the vertices adjacent to a query
-  // whose neighbor data changed last round, plus the last two lists.
+  // Superstep 2: move proposals (core/proposal.h). A full pass recomputes
+  // every vertex; the steady-state pass recomputes only the compact work
+  // list. Push: the vertices that received a delta record last round
+  // (their proposals were computed inside ApplyDeltas and are already
+  // current), last round's movers, last round's explorers (their cached
+  // proposal is not reusable), and this round's firing list. Pull: the
+  // vertices adjacent to a query whose neighbor data changed last round,
+  // plus the last two lists.
+  draw_.Draw(topo, options_.exploration_probability, n, seed, iteration);
+  const ProposalInputs in{graph_, gain_, ndata_, sweep_, topo, *partition,
+                          anchor, anchor_penalty,
+                          options_.propose_nonpositive, push, draw_};
   const bool recompute_all = !options_.incremental || !proposals_valid_ ||
                              !context_.Matches(topo, anchor, anchor_penalty);
   const size_t num_workers = std::max<size_t>(1, pool->num_threads());
-  if (workspaces_.size() < num_workers) workspaces_.resize(num_workers);
-  const auto ensure_workspace = [&](Workspace& ws) {
-    if (!push && topo.full_k &&
-        ws.affinity.size() < static_cast<size_t>(topo.k)) {
-      // FindBestTarget requires a zero-filled scratch and restores it, so
-      // (re)sizing is the only moment we pay for a fill.
-      ws.affinity.assign(static_cast<size_t>(topo.k), 0.0);
-    }
-  };
-  const auto recompute_vertex = [&](VertexId v, Workspace& ws) {
-    bool cacheable = true;
-    const GainComputer::BestTarget proposal =
-        ComputeProposal(topo, *partition, v, explore_target_for(v), push,
-                        anchor, anchor_penalty, &ws, &cacheable);
-    targets_[v] = proposal.bucket;
-    gains_[v] = proposal.gain;
-    cache_valid_[v] = cacheable ? 1 : 0;
+  if (scratch_.size() < num_workers) scratch_.resize(num_workers);
+  // Recomputes the proposals of vertex_at(0 .. count - 1).
+  const auto recompute = [&](size_t count, const auto& vertex_at) {
+    pool->ParallelFor(count, [&](size_t begin, size_t end, size_t w) {
+      for (size_t i = begin; i < end; ++i) {
+        const VertexId v = vertex_at(i);
+        const GainComputer::BestTarget proposal =
+            ComputeProposal(in, v, &scratch_[w]);
+        targets_[v] = proposal.bucket;
+        gains_[v] = proposal.gain;
+      }
+    });
   };
 
   if (recompute_all) {
     targets_.assign(n, -1);
     gains_.assign(n, 0.0);
-    cache_valid_.assign(n, 0);
     recompute_.assign(n, 0);
     context_.Snapshot(topo, anchor, anchor_penalty);
-    pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-      Workspace& ws = workspaces_[w];
-      ensure_workspace(ws);
-      for (size_t vi = begin; vi < end; ++vi) {
-        recompute_vertex(static_cast<VertexId>(vi), ws);
-      }
-    });
+    recompute(n, [](size_t i) { return static_cast<VertexId>(i); });
     stats.num_recomputed = n;
   } else {
     // Compact steady-state pass. A push proposal reads only v's
@@ -181,7 +115,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
     // stale and firing lists.
     recompute_list_.clear();
     for (const VertexId v : patched_) {
-      if (explore_target_for(v) >= 0) continue;
+      if (draw_.Target(v) >= 0) continue;
       recompute_[v] = 1;
       recompute_list_.push_back(v);
     }
@@ -207,7 +141,7 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
       }
     }
     for (const std::vector<VertexId>* list :
-         {&movers_, &stale_list_, &firing_list_}) {
+         {&std::as_const(movers_), &draw_.stale(), &draw_.firing()}) {
       for (const VertexId v : *list) {
         if (!recompute_[v]) {
           recompute_[v] = 1;
@@ -215,89 +149,25 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
         }
       }
     }
-    pool->ParallelFor(recompute_list_.size() - prescanned,
-                      [&](size_t begin, size_t end, size_t w) {
-                        Workspace& ws = workspaces_[w];
-                        ensure_workspace(ws);
-                        for (size_t i = begin; i < end; ++i) {
-                          recompute_vertex(recompute_list_[prescanned + i],
-                                           ws);
-                        }
-                      });
+    recompute(recompute_list_.size() - prescanned,
+              [&](size_t i) { return recompute_list_[prescanned + i]; });
     stats.num_recomputed = recompute_list_.size();
   }
 
-  // Next round's stale list: this round's explorers hold uncacheable
-  // proposals.
-  stale_list_.clear();
-  for (const VertexId v : firing_list_) {
-    if (!cache_valid_[v]) stale_list_.push_back(v);
-  }
-
 #ifndef NDEBUG
-  if (!recompute_all) {
-    // Debug cross-check: the cached proposals must be bit-identical to a
-    // full recompute (same code path over logically identical state).
-    pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-      Workspace& ws = workspaces_[w];
-      ensure_workspace(ws);
-      for (size_t vi = begin; vi < end; ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        bool cacheable = true;
-        const GainComputer::BestTarget check =
-            ComputeProposal(topo, *partition, v, explore_target_for(v), push,
-                            anchor, anchor_penalty, &ws, &cacheable);
-        SHP_CHECK(check.bucket == targets_[v] && check.gain == gains_[v])
-            << "stale cached proposal for v=" << v << ": cached ("
-            << targets_[v] << ", " << gains_[v] << ") vs fresh ("
-            << check.bucket << ", " << check.gain << ")";
-      }
-    });
-  }
-  if (push) {
-    // Tolerance-based pull-vs-push equivalence, verified per iteration.
-    std::vector<Workspace> debug_ws(num_workers);
-    pool->ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
-      Workspace& ws = debug_ws[w];
-      if (ws.affinity.size() < static_cast<size_t>(topo.k)) {
-        ws.affinity.assign(static_cast<size_t>(topo.k), 0.0);
-      }
-      for (size_t vi = begin; vi < end; ++vi) {
-        const VertexId v = static_cast<VertexId>(vi);
-        bool cacheable = true;
-        const GainComputer::BestTarget pull = ComputeProposal(
-            topo, *partition, v, explore_target_for(v), /*push=*/false,
-            anchor, anchor_penalty, &ws, &cacheable);
-        const BucketId from = partition->bucket_of(v);
-        CheckPushMatchesPull(v, pull, {targets_[v], gains_[v]},
-                             [&](BucketId to) {
-                               return gain_.MoveGain(graph_, ndata_, v, from,
-                                                     to);
-                             });
-      }
-    });
-    // The patched accumulators must match a fresh build over the same
-    // windows up to summation order — and those windows must still be the
-    // ones the current partition derives.
-    BucketWindows windows = topo.GroupWindows(*partition);
-    SHP_CHECK(windows == sweep_.windows())
-        << "a vertex left the accumulator window of its group";
-    AffinitySweep fresh;
-    fresh.Build(graph_, ndata_, gain_.pow_table(), pool, std::move(windows));
-    SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
-        << "patched affinity accumulators diverged from a fresh build";
-  }
+  CheckProposals(in, targets_, gains_, pool);
 #endif
+  // This round's exploration proposals are next round's stale list.
+  draw_.EndRound(graph_, *partition);
 
   // Clear this round's recompute marks (the compact pass claims exactly the
-  // work list) and the exploration targets — keeps both arrays all-zero/-1
-  // between iterations without an O(n) sweep.
+  // work list) — keeps the array all-zero between iterations without an
+  // O(n) sweep.
   if (!recompute_all && !recompute_list_.empty()) {
     pool->ParallelForEach(recompute_list_.size(), [&](size_t i) {
       recompute_[recompute_list_[i]] = 0;
     });
   }
-  for (const VertexId v : firing_list_) explore_target_[v] = -1;
 
   // Supersteps 3-4: master aggregation, probabilistic moves, repair. A
   // compact pass hands the broker its work list as the changed-proposal
@@ -343,7 +213,6 @@ IterationStats Refiner::RunIteration(const MoveTopology& topo,
             options_.propose_nonpositive);
         targets_[v] = proposal.bucket;
         gains_[v] = proposal.gain;
-        cache_valid_[v] = 1;
       };
       sweep_.ApplyDeltas(graph_, deltas_, gain_.pow_table(), pool, &patched_,
                          propose);

@@ -41,7 +41,10 @@
 // (GainComputer::FindBestTargetPushGrouped) whose accumulators hold only
 // each vertex's group window. A new group structure rebuilds that sweep; the
 // recursion drivers build one refiner per level anyway. The BSP engine keeps
-// the same sweep, partitioned by vertex owner (engine/shp_bsp.h).
+// the same sweep, partitioned by vertex owner (engine/shp_bsp.h), and runs
+// the same superstep-2 proposal stage (core/proposal.h: ComputeProposal, the
+// ExplorationDraw, the Debug CheckProposals), so every RefinerOptions field
+// that changes a result means the same on both engines.
 #pragma once
 
 #include <cstdint>
@@ -78,10 +81,11 @@ struct RefinerOptions {
   /// min(S_ij, S_ji) matching when buckets hold few vertices; a small
   /// exploration rate diversifies the proposal matrix. 0 disables
   /// (Algorithm 1 verbatim); the k-way driver defaults to a small value.
-  /// The ≈ n·exploration_probability explorers are drawn up front into a
-  /// compact firing list (sampling with replacement over hashed indices),
-  /// so the steady-state pass iterates only blast radius ∪ last round's
-  /// explorers ∪ this round's firing list, never the clean vertices.
+  /// Both engines draw the explorers through one ExplorationDraw
+  /// (core/proposal.h): ≈ n·exploration_probability of them, up front, into
+  /// a compact firing list, so the steady-state pass iterates only blast
+  /// radius ∪ last round's explorers ∪ this round's firing list, never the
+  /// clean vertices.
   double exploration_probability = 0.0;
   /// Superstep-2 scan direction. kPush (the default) runs push whenever the
   /// pow base is nonzero (p < 1 or future_splits > 1) and falls back to pull
@@ -233,24 +237,6 @@ class Refiner : public RefinerInterface {
   uint64_t num_sweep_builds() const { return num_sweep_builds_; }
 
  private:
-  /// Reusable per-thread scratch for the k-way pull affinity scan; allocated
-  /// once per (pool, k) shape instead of per chunk per iteration.
-  struct Workspace {
-    std::vector<double> affinity;
-    std::vector<BucketId> touched;
-  };
-
-  /// Computes v's proposal (target -1 = none) from the current neighbor
-  /// data (pull) or the affinity accumulators (push) — the single source of
-  /// truth shared by the full pass, the steady-state pass, and the debug
-  /// cross-checks. `explore_target` ≥ 0 makes this an exploration proposal
-  /// (random target with its true gain); those depend on the iteration
-  /// draw, so *cacheable comes back false.
-  GainComputer::BestTarget ComputeProposal(
-      const MoveTopology& topo, const Partition& partition, VertexId v,
-      BucketId explore_target, bool push, const std::vector<BucketId>* anchor,
-      double anchor_penalty, Workspace* ws, bool* cacheable) const;
-
   const BipartiteGraph& graph_;
   RefinerOptions options_;
   GainComputer gain_;
@@ -264,7 +250,6 @@ class Refiner : public RefinerInterface {
   std::vector<BucketId> shadow_assignment_;  ///< assignment ndata_ reflects
   std::vector<BucketId> targets_;   ///< cached proposal targets
   std::vector<double> gains_;       ///< cached proposal gains
-  std::vector<uint8_t> cache_valid_;  ///< 0: must recompute (e.g. exploration)
   bool proposals_valid_ = false;
   std::vector<VertexId> dirty_list_;  ///< pull: queries changed last round
   /// Push only: vertices that received a (member) delta record in the
@@ -274,17 +259,15 @@ class Refiner : public RefinerInterface {
   std::vector<VertexId> movers_;
   std::vector<NeighborDelta> deltas_;  ///< delta records of last ApplyMoves
   std::vector<uint8_t> recompute_;    ///< per-vertex recompute mark
-  std::vector<VertexId> stale_list_;  ///< last round's explorers (cache inv.)
+  ExplorationDraw draw_;  ///< this round's explorers, last round's stale ones
 
-  // Per-iteration exploration/work-list scratch (reused across iterations).
-  std::vector<BucketId> explore_target_;  ///< preselected draw (-1 = none)
-  std::vector<VertexId> firing_list_;     ///< this round's exploring vertices
+  // Per-iteration work-list scratch (reused across iterations).
   std::vector<VertexId> recompute_list_;  ///< compact steady-state work list
   std::vector<std::vector<VertexId>> collect_;  ///< per-worker claim lists
 
   ProposalContext context_;  ///< context the cached proposals depend on
 
-  std::vector<Workspace> workspaces_;
+  std::vector<ProposalScratch> scratch_;  ///< one per pool worker
   uint64_t num_full_rebuilds_ = 0;
   uint64_t num_sweep_builds_ = 0;
 };

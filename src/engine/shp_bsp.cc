@@ -65,6 +65,15 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
       master_hist_(options.broker.binning),
       log_(log) {
   SHP_CHECK_GT(config.num_workers, 0);
+  // The master is the §3.4 histogram matcher; the plain strategy has no
+  // BSP master here and exact pairing is single-machine by design.
+  constexpr const char* kStrategyNames[] = {
+      "kPlainProbability", "kHistogramMatching", "kExactPairing"};
+  SHP_CHECK(options.broker.strategy ==
+            MoveBrokerOptions::Strategy::kHistogramMatching)
+      << "BspRefiner runs only the histogram-matching master; broker strategy "
+      << kStrategyNames[static_cast<int>(options.broker.strategy)]
+      << " is not supported";
   const size_t W = static_cast<size_t>(config.num_workers);
   data_shards_ = VertexSharding::BuildDataShards(sharding_, graph.num_data());
   query_shards_ =
@@ -88,8 +97,7 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   prescanned_.assign(W, 0);
   mover_lists_.resize(W);
   original_.assign(graph.num_data(), -1);
-  pull_affinity_.resize(W);
-  pull_touched_.resize(W);
+  scratch_.resize(W);
   const size_t links = W * W;
   link_send_seq_.assign(links, 0);
   link_recv_seq_.assign(links, 0);
@@ -194,6 +202,8 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
     context_.Snapshot(topo, anchor, anchor_penalty);
     proposals_valid_ = false;
   }
+  draw_.Draw(topo, options_.exploration_probability, graph_.num_data(), seed,
+             iteration);
   ExchangeNeighborData(topo, *partition, anchor, anchor_penalty,
                        round.stats.degraded_links > 0, pool, &round);
   ProposeMoves(topo, *partition, anchor, anchor_penalty, pool, &round);
@@ -420,10 +430,12 @@ void BspRefiner::MarkDestinations(VertexId q,
 }
 
 uint64_t BspRefiner::MarkForRecompute(int w,
-                                      std::span<const VertexId> vertices) {
+                                      std::span<const VertexId> vertices,
+                                      bool skip_explorers) {
   uint64_t marked = 0;
   for (VertexId v : vertices) {
     if (data_owner_[v] != w || recompute_[v]) continue;
+    if (skip_explorers && draw_.Target(v) >= 0) continue;
     recompute_[v] = 1;
     recompute_lists_[static_cast<size_t>(w)].push_back(v);
     ++marked;
@@ -602,14 +614,19 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
     // A push proposal reads only v's window and bucket, so it can change
     // only if v received a member record (pull mode never patches, so
     // its patched list stays empty) or moved. Each worker's patched
-    // vertices lead its list: ApplyDeltas already proposed for them. Last
-    // round's movers recompute unconditionally: a mover's `from` changed
-    // even when offsetting moves cancelled every adjacent count delta, in
-    // which case no dirty query or record reaches it.
+    // vertices lead its list: ApplyDeltas already proposed for them, except
+    // for this round's explorers. Last round's movers recompute
+    // unconditionally: a mover's `from` changed even when offsetting moves
+    // cancelled every adjacent count delta, in which case no dirty query or
+    // record reaches it. Then the worker's explorers: last round's stale
+    // ones and this round's firing ones (local to the worker, no message).
     AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
-      const uint64_t patched = MarkForRecompute(w, patched_);
+      const uint64_t patched =
+          MarkForRecompute(w, patched_, /*skip_explorers=*/true);
       prescanned_[static_cast<size_t>(w)] = patched;
-      return patched + MarkForRecompute(w, last_movers_);
+      return patched + MarkForRecompute(w, last_movers_) +
+             MarkForRecompute(w, draw_.stale()) +
+             MarkForRecompute(w, draw_.firing());
     }), &s2);
   }
 
@@ -622,32 +639,6 @@ void BspRefiner::ExchangeNeighborData(const MoveTopology& topo,
   });
   s2.label = round->push && !round->bootstrap ? "2:ship-deltas+gains"
                                               : "2:ship-neighbor-data+gains";
-
-#ifndef NDEBUG
-  if (round->push) {
-    // The patched accumulators must match a fresh build over the same
-    // windows up to float summation order — and those windows must still be
-    // the ones the current partition derives.
-    BucketWindows windows = topo.GroupWindows(partition);
-    SHP_CHECK(windows == sweep_.windows())
-        << "a vertex left the accumulator window of its group";
-    AffinitySweep fresh;
-    fresh.Build(graph_, ndata_, gain_.pow_table(), pool,
-                std::move(windows));
-    SHP_CHECK(sweep_.ApproxEquals(fresh, 1e-9, 1e-9))
-        << "patched BSP accumulators diverged from a fresh build";
-  }
-#endif
-}
-
-uint64_t BspRefiner::PushScanWork(const MoveTopology& topo,
-                                  const Partition& partition,
-                                  VertexId v) const {
-  const uint64_t entries = sweep_.LiveEntries(v);
-  if (topo.full_k) return entries;
-  const int32_t group =
-      topo.group_of_bucket[static_cast<size_t>(partition.bucket_of(v))];
-  return entries + topo.group_children[static_cast<size_t>(group)].size();
 }
 
 void BspRefiner::ProposeMoves(const MoveTopology& topo,
@@ -656,37 +647,9 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
                               double anchor_penalty, ThreadPool* pool,
                               RoundState* round) {
   const int W = config_.num_workers;
-  // Proposal of v from the replicas in either scan direction, finalized
-  // (§5(i) anchor, nonpositive filter); adds the scan's work units to *work.
-  // Push work is PushScanWork, pull work the neighbor data entries scanned
-  // (full-k) or count lookups (grouped).
-  const auto propose = [&](int w, VertexId v, bool use_push,
-                           uint64_t* work) -> GainComputer::BestTarget {
-    const BucketId from = partition.bucket_of(v);
-    const int32_t group = topo.group_of_bucket[static_cast<size_t>(from)];
-    if (group < 0 || graph_.DataDegree(v) == 0) return {};
-    const double degree = static_cast<double>(graph_.DataDegree(v));
-    GainComputer::BestTarget best;
-    if (use_push) {
-      // One scan of v's accumulator, which holds its group's window.
-      *work += PushScanWork(topo, partition, v);
-      best = PushScan(gain_, topo, from, sweep_.Entries(v), degree);
-    } else if (topo.full_k) {
-      std::vector<double>& affinity = pull_affinity_[static_cast<size_t>(w)];
-      if (affinity.size() < static_cast<size_t>(topo.k)) {
-        affinity.assign(static_cast<size_t>(topo.k), 0.0);
-      }
-      best = gain_.FindBestTarget(graph_, ndata_, v, from, 0, topo.k,
-                                  &affinity,
-                                  &pull_touched_[static_cast<size_t>(w)], work);
-    } else {
-      best = gain_.FindBestTargetGrouped(
-          graph_, ndata_, v, from,
-          topo.group_children[static_cast<size_t>(group)], work);
-    }
-    return FinalizeProposal(best, v, from, anchor, anchor_penalty,
-                            options_.propose_nonpositive);
-  };
+  const ProposalInputs in{graph_, gain_, ndata_, sweep_, topo, partition,
+                          anchor, anchor_penalty,
+                          options_.propose_nonpositive, round->push, draw_};
 
   // A recompute-all round re-proposes every shard vertex, otherwise only
   // the marked blast radius. Its patched prefix was proposed inside
@@ -698,11 +661,13 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
     const std::vector<VertexId>& list = lists[static_cast<size_t>(w)];
     const size_t prescanned = prescanned_[static_cast<size_t>(w)];
     for (size_t i = 0; i < prescanned; ++i) {
-      work += PushScanWork(topo, partition, list[i]);
+      const VertexId v = list[i];
+      work += PushScanWork(sweep_, topo, partition.bucket_of(v), v);
     }
     for (size_t i = prescanned; i < list.size(); ++i) {
       const VertexId v = list[i];
-      const GainComputer::BestTarget best = propose(w, v, round->push, &work);
+      const GainComputer::BestTarget best =
+          ComputeProposal(in, v, &scratch_[static_cast<size_t>(w)], &work);
       cached_target_[v] = best.bucket;
       cached_gain_[v] = best.gain;
     }
@@ -725,29 +690,10 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
   }
 
 #ifndef NDEBUG
-  // Every cached proposal — recomputed or carried — must equal a fresh
-  // recompute in the active scan direction (cache-staleness guard), and in
-  // push mode must honor the pull tolerance contract.
-  RunPhase(W, pool, [&](int w) -> uint64_t {
-    uint64_t scratch_work = 0;
-    for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-      const GainComputer::BestTarget cached{cached_target_[v],
-                                            cached_gain_[v]};
-      const GainComputer::BestTarget fresh =
-          propose(w, v, round->push, &scratch_work);
-      SHP_CHECK(fresh.bucket == cached.bucket && fresh.gain == cached.gain)
-          << "stale cached BSP proposal for v=" << v;
-      if (!round->push) continue;
-      const BucketId from = partition.bucket_of(v);
-      CheckPushMatchesPull(
-          v, propose(w, v, /*use_push=*/false, &scratch_work), cached,
-          [&](BucketId to) {
-            return gain_.MoveGain(graph_, ndata_, v, from, to);
-          });
-    }
-    return 0;
-  });
+  CheckProposals(in, cached_target_, cached_gain_, pool);
 #endif
+  // This round's exploration proposals are next round's stale list.
+  draw_.EndRound(graph_, partition);
 }
 
 void BspRefiner::UploadHistograms(const Partition& partition,

@@ -38,8 +38,12 @@
 //          under SHP-2/r recursion — shared tie-break and fallback with the
 //          pull scan).
 //      ExchangeNeighborData moves the data and marks the recompute set;
-//      ProposeMoves re-proposes it. In either mode, clean vertices keep
-//      their cached proposal — their gains cannot have changed.
+//      ProposeMoves re-proposes it through the threaded Refiner's own
+//      proposal stage (core/proposal.h). Each worker also re-proposes the
+//      explorers it owns of the round's ExplorationDraw (the threaded draw,
+//      independent of W; no message) and last round's stale ones. In
+//      either mode, clean vertices keep their cached proposal — their gains
+//      cannot have changed.
 //   3. data → master (UploadHistograms): per-worker (bucket-pair, gain-bin)
 //      histograms. The histograms are maintained *incrementally* from the
 //      compact changed-proposal list (this round's recomputed vertices), so
@@ -54,7 +58,9 @@
 //      O(moved) state instead of rescanning n-sized arrays.
 //
 // The implementation plugs into the SHP drivers through RefinerInterface, so
-// SHP-k and SHP-2/r run unmodified on top of it. All message and byte counts
+// SHP-k and SHP-2/r run unmodified on top of it. The master is the §3.4
+// histogram matcher, the only one this engine has: the constructor refuses
+// any other MoveBrokerOptions::strategy. All message and byte counts
 // are exact; engine/cost_model.h converts them into simulated cluster time.
 // docs/distributed.md documents the delta-exchange wire format and the
 // replica-consistency invariants.
@@ -126,13 +132,6 @@ class BspRefiner : public RefinerInterface {
   /// now: its adjacency shard, its query replicas' neighbor data, and its
   /// vertices' live accumulator entries.
   uint64_t MaxWorkerStateBytes() const;
-
-  /// Work units superstep 2 charges v's owner for a push scan of v (in a
-  /// refined bucket): its live accumulator entries — a windowed sweep's
-  /// empty slots are not counted — plus the sibling candidates under a
-  /// grouped topology.
-  uint64_t PushScanWork(const MoveTopology& topo, const Partition& partition,
-                        VertexId v) const;
 
   /// Accumulator bootstrap reships performed so far (delta-exchange mode):
   /// one per group structure the instance runs under, plus one per recovery
@@ -244,8 +243,10 @@ class BspRefiner : public RefinerInterface {
   void MarkDestinations(VertexId q, std::vector<uint8_t>* mask) const;
 
   /// Marks worker w's not-yet-marked vertices among `vertices` for
-  /// re-proposal; returns how many it marked.
-  uint64_t MarkForRecompute(int w, std::span<const VertexId> vertices);
+  /// re-proposal, except this round's explorers when `skip_explorers`;
+  /// returns how many it marked.
+  uint64_t MarkForRecompute(int w, std::span<const VertexId> vertices,
+                            bool skip_explorers = false);
 
   /// Writes the epoch checkpoint when one is due; a write failure degrades
   /// durability (older checkpoints remain), never the run.
@@ -341,6 +342,9 @@ class BspRefiner : public RefinerInterface {
   // Context the cached proposals depend on beyond the replicas. The scan
   // direction is fixed at construction, so it is not part of it.
   ProposalContext context_;
+  /// This round's explorers (each worker proposes for the ones it owns) and
+  /// last round's stale ones — the threaded Refiner's draw, bit for bit.
+  ExplorationDraw draw_;
 
   // Incrementally maintained superstep-3 histograms, one per worker over its
   // shard, plus each vertex's contribution.
@@ -378,8 +382,7 @@ class BspRefiner : public RefinerInterface {
   std::vector<std::vector<VertexId>> mover_lists_;      ///< per data worker
   std::vector<VertexId> movers_;       ///< merged, ascending
   std::vector<BucketId> original_;     ///< pre-move bucket (mover slots only)
-  std::vector<std::vector<double>> pull_affinity_;   ///< per-worker scratch
-  std::vector<std::vector<BucketId>> pull_touched_;  ///< per-worker scratch
+  std::vector<ProposalScratch> scratch_;  ///< per data worker
 
   std::vector<SuperstepStats>* log_;
 };

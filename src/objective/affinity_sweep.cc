@@ -403,7 +403,7 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
   // Shard boundaries weighted by Σ-degree, not vertex count: a vertex's
   // gather cost is proportional to its degree, and power-law hubs make
   // uniform ranges straggle.
-  FillDegreePrefix(graph, n, &scratch_.deg_prefix);
+  FillDegreePrefix(graph, n, &deg_prefix_);
 
   // Every (v, bucket) slot sums its contributions in ascending q, the order
   // of a serial query-major scatter. Each shard fills its vertices' slots
@@ -417,9 +417,9 @@ uint64_t AffinitySweep::Build(const BipartiteGraph& graph,
     // Per-worker scratch on the worker's own stack: no false sharing.
     DenseAccumulator acc;
     for (size_t s = sbegin; s < send; ++s) {
-      const VertexId vbegin = DegShardBegin(scratch_.deg_prefix, n, shards, s);
+      const VertexId vbegin = DegShardBegin(deg_prefix_, n, shards, s);
       const VertexId vend =
-          DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
+          DegShardBegin(deg_prefix_, n, shards, s + 1);
       BlockArena arena;  // local until done: no false sharing
       uint64_t shard_adds = 0;
       uint64_t shard_reads = 0;
@@ -606,8 +606,11 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
   const size_t shards = std::min<size_t>(workers, n);
   // Σ-degree-weighted ranges: a range's patch cost is the degree mass of
   // its blast-radius vertices, for which the range's degree mass is the
-  // stable proxy (uniform ranges straggle on hub-heavy shards).
-  FillDegreePrefix(graph, n, &scratch_.deg_prefix);
+  // stable proxy (uniform ranges straggle on hub-heavy shards). The prefix
+  // is Build's: the graph has not changed since.
+  SHP_DCHECK(deg_prefix_.size() == static_cast<size_t>(n) + 1 &&
+             deg_prefix_.back() == graph.num_edges())
+      << "ApplyDeltas on a different graph than the last Build";
   std::vector<ShardOverflow>& overflow = scratch_.overflow;
   std::vector<int64_t>& live_delta = scratch_.live_delta;
   std::vector<std::vector<VertexId>>& shard_patched = scratch_.patched;
@@ -640,9 +643,9 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
     pool->ParallelFor(shards, [&](size_t sbegin, size_t send, size_t) {
       for (size_t s = sbegin; s < send; ++s) {
         const VertexId vbegin =
-            DegShardBegin(scratch_.deg_prefix, n, shards, s);
+            DegShardBegin(deg_prefix_, n, shards, s);
         const VertexId vend =
-            DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
+            DegShardBegin(deg_prefix_, n, shards, s + 1);
         if (vbegin == vend) continue;
         int64_t delta = 0;
         folded[s] = FoldShard(
@@ -685,9 +688,9 @@ uint64_t AffinitySweep::ApplyDeltas(const BipartiteGraph& graph,
       std::vector<std::pair<uint32_t, uint32_t>> runs;  // v's dirty runs
       for (size_t s = sbegin; s < send; ++s) {
         const VertexId vbegin =
-            DegShardBegin(scratch_.deg_prefix, n, shards, s);
+            DegShardBegin(deg_prefix_, n, shards, s);
         const VertexId vend =
-            DegShardBegin(scratch_.deg_prefix, n, shards, s + 1);
+            DegShardBegin(deg_prefix_, n, shards, s + 1);
         if (vbegin == vend) continue;
         for (const VertexId q : dirty) {
           const auto nbrs = graph.QueryNeighbors(q);

@@ -358,7 +358,6 @@ class AffinitySweep {
     std::vector<uint32_t> folds;  ///< per-vertex records folded (windowed)
     std::vector<ShardOverflow> overflow;  ///< per shard (unwindowed)
     std::vector<int64_t> live_delta;
-    std::vector<uint64_t> deg_prefix;  ///< Σ-degree shard-bound scratch
     std::vector<std::vector<VertexId>> patched;  ///< per-shard patched list
   };
 
@@ -401,6 +400,10 @@ class AffinitySweep {
   uint64_t live_entries_ = 0;           ///< entries with support > 0
   uint64_t garbage_ = 0;                ///< arena slots abandoned by relocation
   uint64_t last_build_adjacency_reads_ = 0;  ///< see accessor
+  /// Data-degree prefix sums (n + 1) of the graph the last Build saw: the
+  /// Σ-degree shard bounds of that Build and of every ApplyDeltas after it
+  /// (the graph does not change between them).
+  std::vector<uint64_t> deg_prefix_;
   PatchScratch scratch_;
 };
 

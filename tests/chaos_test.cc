@@ -47,14 +47,11 @@ struct TwinRun {
 /// before that iteration (the PR 3 self-heal scenario).
 TwinRun RunTwins(const BipartiteGraph& g, int workers,
                  const FaultSchedule& schedule, uint64_t iterations,
-                 MoveBrokerOptions::Strategy strategy =
-                     MoveBrokerOptions::Strategy::kPlainProbability,
                  int64_t mutate_at = -1, const BspConfig& base = {}) {
   const BucketId k = 8;
   const MoveTopology topo = MoveTopology::FullK(k, g.num_data(), 0.05);
   RefinerOptions options;
   options.sweep_mode = RefinerOptions::SweepMode::kPush;
-  options.broker.strategy = strategy;
   // Always patch: epoch 1+ must be delta-exchange epochs so the enveloped
   // wire path (where the faults land) actually runs.
   options.incremental_rebuild_fraction = 1.0;
@@ -207,9 +204,8 @@ TEST(Chaos, RepeatedLinkFailuresDegradeToBackoffThenRecover) {
   BspConfig base;
   base.link_degrade_threshold = 2;
   base.link_backoff_epochs = 2;
-  const TwinRun run = RunTwins(
-      g, /*workers=*/3, schedule, /*iterations=*/10,
-      MoveBrokerOptions::Strategy::kPlainProbability, -1, base);
+  const TwinRun run =
+      RunTwins(g, /*workers=*/3, schedule, /*iterations=*/10, -1, base);
   uint64_t degraded_iterations = 0;
   for (const auto& s : run.stats) {
     if (s.degraded_links > 0) ++degraded_iterations;
@@ -226,12 +222,8 @@ TEST(Chaos, RepeatedLinkFailuresDegradeToBackoffThenRecover) {
 // PR 3's external-mutation self-heal under concurrent wire faults: the
 // recursive driver mutates the partition behind the refiner's back in the
 // same round a buffer is dropped (all attempts). Both recovery mechanisms —
-// the diff-scan resync and the reship fallback — must compose, across all
-// three broker strategies.
-class ChaosSelfHeal
-    : public testing::TestWithParam<MoveBrokerOptions::Strategy> {};
-
-TEST_P(ChaosSelfHeal, ExternalMutationPlusDroppedBufferSameRound) {
+// the diff-scan resync and the reship fallback — must compose.
+TEST(ChaosSelfHeal, ExternalMutationPlusDroppedBufferSameRound) {
   const BipartiteGraph g = TestGraph();
   FaultSchedule schedule;
   for (int attempt = 0; attempt < 3; ++attempt) {
@@ -239,18 +231,12 @@ TEST_P(ChaosSelfHeal, ExternalMutationPlusDroppedBufferSameRound) {
         {FaultKind::kDropBuffer, /*epoch=*/3, -1, -1, attempt, 0});
   }
   const TwinRun run = RunTwins(g, /*workers=*/3, schedule, /*iterations=*/6,
-                               GetParam(), /*mutate_at=*/3);
+                               /*mutate_at=*/3);
   EXPECT_GT(run.counters.faults_detected, 0u);
   EXPECT_GT(run.counters.reship_recoveries, 0u);
   EXPECT_TRUE(run.stats[3].full_rebuild)
       << "the external mutation must trigger the diff-scan self-heal";
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategies, ChaosSelfHeal,
-    testing::Values(MoveBrokerOptions::Strategy::kPlainProbability,
-                    MoveBrokerOptions::Strategy::kHistogramMatching,
-                    MoveBrokerOptions::Strategy::kExactPairing));
 
 TEST(Chaos, FaultFreeScheduleLeavesCountersZero) {
   // An engine with no schedule must never report fault activity — the

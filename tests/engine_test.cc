@@ -186,11 +186,66 @@ TEST(BspRefiner, QualityMatchesThreadedRefiner) {
 
   const double threaded_fanout = AverageFanout(g, threaded.assignment);
   const double bsp_fanout = AverageFanout(g, bsp.assignment);
-  EXPECT_LT(std::abs(bsp_fanout - threaded_fanout) / threaded_fanout, 0.10)
+  EXPECT_NEAR(bsp_fanout, threaded_fanout, 1e-4 * threaded_fanout)
       << "BSP and threaded engines run the same algorithm";
   EXPECT_TRUE(Partition::FromAssignment(bsp.assignment, k).IsBalanced(0.05));
   EXPECT_FALSE(log.empty());
   EXPECT_EQ(log.size() % 4, 0u) << "four supersteps per iteration (Fig. 3)";
+}
+
+// The engine contract under the SHP-k driver's own defaults (exploration
+// 0.05, histogram matching): BSP at W = 1 returns the threaded assignment,
+// and at W ∈ {3, 8} a fanout within rtol 1e-4 of it. Every RefinerOptions
+// field the driver sets must mean the same on both engines.
+TEST(BspRefiner, ShpKDefaultsMatchThreadedEngine) {
+  PowerLawConfig pcfg;
+  pcfg.num_queries = 2000;
+  pcfg.num_data = 1500;
+  pcfg.target_edges = 12000;
+  pcfg.seed = 7;
+  const std::pair<const char*, BipartiteGraph> graphs[] = {
+      {"social", TestGraph()}, {"power-law", GeneratePowerLaw(pcfg)}};
+  for (const auto& [name, g] : graphs) {
+    ShpKOptions options;
+    options.k = 8;
+    options.seed = 5;
+    ASSERT_GT(options.refiner.exploration_probability, 0.0);
+    ASSERT_EQ(options.refiner.broker.strategy,
+              MoveBrokerOptions::Strategy::kHistogramMatching);
+    const ShpResult threaded = ShpKPartitioner(options).Run(g);
+    const double threaded_fanout = AverageFanout(g, threaded.assignment);
+    for (const int workers : {1, 3, 8}) {
+      ShpKOptions bsp_options = options;
+      bsp_options.refiner_factory = [workers](const BipartiteGraph& graph,
+                                              const RefinerOptions& ropts) {
+        BspConfig config;
+        config.num_workers = workers;
+        return std::make_unique<BspRefiner>(graph, ropts, config);
+      };
+      const ShpResult bsp = ShpKPartitioner(bsp_options).Run(g);
+      if (workers == 1) {
+        EXPECT_EQ(bsp.assignment, threaded.assignment) << name;
+      }
+      EXPECT_NEAR(AverageFanout(g, bsp.assignment), threaded_fanout,
+                  1e-4 * threaded_fanout)
+          << name << ", W=" << workers;
+    }
+  }
+}
+
+// The BSP master is the §3.4 histogram matcher: a BSP run must never
+// silently use a different broker strategy from the one it was given.
+TEST(BspRefinerDeathTest, RefusesStrategiesWithoutABspMaster) {
+  const BipartiteGraph g = TestGraph();
+  for (const auto& [strategy, name] :
+       {std::pair{MoveBrokerOptions::Strategy::kPlainProbability,
+                  "kPlainProbability"},
+        std::pair{MoveBrokerOptions::Strategy::kExactPairing,
+                  "kExactPairing"}}) {
+    RefinerOptions options;
+    options.broker.strategy = strategy;
+    EXPECT_DEATH(BspRefiner(g, options, BspConfig{}), name);
+  }
 }
 
 TEST(BspRefiner, DeltaSuperstepOneShrinksAfterFirstIteration) {
@@ -245,23 +300,20 @@ TEST(BspRefiner, Superstep2VolumeBoundedByFanoutTimesEdges) {
 }
 
 // Delta exchange + push sweep (sweep_mode kPush) vs the full-reship pull
-// reference, across all three broker strategies and several cluster widths.
+// reference, across several cluster widths.
 // The two exchanges accumulate floats in different orders, so the
 // trajectories agree to tolerance, not bits (PR 2's contract): the Debug
 // build additionally asserts the per-vertex proposal tolerance and the
 // replica bit-equality inside RunIteration.
-class BspDeltaExchange
-    : public testing::TestWithParam<
-          std::tuple<MoveBrokerOptions::Strategy, int>> {};
+class BspDeltaExchange : public testing::TestWithParam<int> {};
 
 TEST_P(BspDeltaExchange, PushTrajectoryMatchesPullWithinTolerance) {
-  const auto [strategy, workers] = GetParam();
+  const int workers = GetParam();
   const BipartiteGraph g = TestGraph();
   const BucketId k = 8;
   const MoveTopology topo = MoveTopology::FullK(k, g.num_data(), 0.05);
 
   RefinerOptions pull_options;
-  pull_options.broker.strategy = strategy;
   pull_options.sweep_mode = RefinerOptions::SweepMode::kPull;
   // Always patch (no high-churn re-bootstrap) so every steady-state
   // iteration exercises the delta wire + accumulator patch path.
@@ -286,8 +338,7 @@ TEST_P(BspDeltaExchange, PushTrajectoryMatchesPullWithinTolerance) {
     const double f_pull = AveragePFanout(g, p_pull.assignment(), 0.5);
     const double f_push = AveragePFanout(g, p_push.assignment(), 0.5);
     ASSERT_NEAR(f_pull, f_push, 1e-6 * std::max(f_pull, f_push))
-        << "iteration " << iter << " (strategy "
-        << static_cast<int>(strategy) << ", W=" << workers << ")";
+        << "iteration " << iter << " (W=" << workers << ")";
     if (iter > 0) {
       EXPECT_GT(b.num_delta_records, 0u)
           << "steady-state iterations must flow delta records";
@@ -296,13 +347,7 @@ TEST_P(BspDeltaExchange, PushTrajectoryMatchesPullWithinTolerance) {
   ASSERT_EQ(pull_log.size(), push_log.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategiesAndWidths, BspDeltaExchange,
-    testing::Combine(
-        testing::Values(MoveBrokerOptions::Strategy::kPlainProbability,
-                        MoveBrokerOptions::Strategy::kHistogramMatching,
-                        MoveBrokerOptions::Strategy::kExactPairing),
-        testing::Values(1, 3, 8)));
+INSTANTIATE_TEST_SUITE_P(Widths, BspDeltaExchange, testing::Values(1, 3, 8));
 
 TEST(BspRefiner, DeltaExchangeShrinksSteadyStateSuperstep2Traffic) {
   // The point of the delta exchange: steady-state superstep 2 moves
@@ -593,17 +638,15 @@ void RedistributeByQuota(Partition* partition, BucketId parent,
 }
 
 // Grouped delta exchange vs the grouped full-reship pull reference, across
-// all three broker strategies and several cluster widths, over two manually
+// several cluster widths, over two manually
 // driven SHP-2 recursion levels (level advance = quota redistribution, the
 // driver's external mutation). Trajectories agree to the established rtol
 // 1e-4 fanout contract; Debug builds additionally assert the per-vertex
 // proposal tolerance and replica consistency inside RunIteration.
-class BspGroupedDeltaExchange
-    : public testing::TestWithParam<
-          std::tuple<MoveBrokerOptions::Strategy, int>> {};
+class BspGroupedDeltaExchange : public testing::TestWithParam<int> {};
 
 TEST_P(BspGroupedDeltaExchange, TrajectoryMatchesPullAcrossRecursionLevels) {
-  const auto [strategy, workers] = GetParam();
+  const int workers = GetParam();
   const BipartiteGraph g = TestGraph();
   const BucketId k = 8;
   // SHP-2 over k = 8: level 1 splits [0,8) into {0,4}; level 2 splits the
@@ -614,7 +657,6 @@ TEST_P(BspGroupedDeltaExchange, TrajectoryMatchesPullAcrossRecursionLevels) {
       MoveTopology::Grouped(k, g.num_data(), 0.05, {{0, 2}, {4, 6}});
 
   RefinerOptions pull_options;
-  pull_options.broker.strategy = strategy;
   pull_options.sweep_mode = RefinerOptions::SweepMode::kPull;
   pull_options.incremental_rebuild_fraction = 1.0;
   RefinerOptions push_options = pull_options;
@@ -641,8 +683,7 @@ TEST_P(BspGroupedDeltaExchange, TrajectoryMatchesPullAcrossRecursionLevels) {
       const double f_pull = AveragePFanout(g, p_pull.assignment(), 0.5);
       const double f_push = AveragePFanout(g, p_push.assignment(), 0.5);
       ASSERT_NEAR(f_pull, f_push, 1e-4 * std::max(f_pull, f_push))
-          << "iteration " << iter << " (strategy "
-          << static_cast<int>(strategy) << ", W=" << workers << ")";
+          << "iteration " << iter << " (W=" << workers << ")";
     }
   };
   run_level(level1);
@@ -659,13 +700,8 @@ TEST_P(BspGroupedDeltaExchange, TrajectoryMatchesPullAcrossRecursionLevels) {
       << "one bootstrap per recursion level's topology";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllStrategiesAndWidths, BspGroupedDeltaExchange,
-    testing::Combine(
-        testing::Values(MoveBrokerOptions::Strategy::kPlainProbability,
-                        MoveBrokerOptions::Strategy::kHistogramMatching,
-                        MoveBrokerOptions::Strategy::kExactPairing),
-        testing::Values(1, 3, 8)));
+INSTANTIATE_TEST_SUITE_P(Widths, BspGroupedDeltaExchange,
+                         testing::Values(1, 3, 8));
 
 TEST(BspRefiner, RecursionDriverBuildsOneRefinerPerLevel) {
   // The SHP-2/r driver asks its factory for a fresh refiner at every level,
@@ -888,7 +924,8 @@ TEST(BspRefiner, ReplicasHoldOnlyOwnedWindowEntries) {
           push_expected[owner] +=
               want.size() +
               (topo->full_k ? 0 : topo->group_children[group].size());
-          push_work[owner] += bsp.PushScanWork(*topo, p_bsp, v);
+          push_work[owner] +=
+              PushScanWork(bsp.sweep(), *topo, p_bsp.bucket_of(v), v);
         }
         for (VertexId q = 0; q < g.num_queries(); ++q) {
           std::vector<BucketId> occupied;
