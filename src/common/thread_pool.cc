@@ -8,123 +8,122 @@
 namespace shp {
 
 namespace {
-thread_local bool t_inside_pool_worker = false;
+
+thread_local bool t_inside_pool = false;
+
+constexpr std::uint64_t kField = 0xffff;
+constexpr int kCountBit = 16;
+constexpr int kEpochBit = 32;
+// Yields the caller spends on the last helpers' chunks before it blocks.
+constexpr int kTailSpins = 1024;
+
+std::uint64_t NextChunk(std::uint64_t w) { return w & kField; }
+std::uint64_t ChunkCount(std::uint64_t w) { return (w >> kCountBit) & kField; }
+std::uint32_t Epoch(std::uint64_t w) { return std::uint32_t(w >> kEpochBit); }
+
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+ThreadPool::ThreadPool(std::size_t num_threads) : num_threads_(num_threads) {
+  if (num_threads_ == 0) {
+    num_threads_ =
+        std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  threads_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+  SHP_CHECK(num_threads_ <= kField) << "ThreadPool of " << num_threads_;
+  helpers_.reserve(num_threads_ - 1);
+  for (std::size_t i = 1; i < num_threads_; ++i) {
+    helpers_.emplace_back([this] { HelperLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(park_mutex_);
     shutting_down_ = true;
   }
-  task_available_.notify_all();
-  for (auto& t : threads_) t.join();
+  park_cv_.notify_all();
+  for (auto& t : helpers_) t.join();
 }
 
-void ThreadPool::WorkerLoop() {
-  t_inside_pool_worker = true;
+void ThreadPool::HelperLoop() {
+  t_inside_pool = true;
+  std::uint32_t seen = 0;  // epoch of the last job found exhausted
   for (;;) {
-    std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      task_available_.wait(lock,
-                           [this] { return shutting_down_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        if (shutting_down_) return;
-        continue;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
-      ++active_tasks_;
+      std::unique_lock<std::mutex> lock(park_mutex_);
+      park_cv_.wait(lock, [&] {
+        return shutting_down_ ||
+               Epoch(claim_.load(std::memory_order_relaxed)) != seen;
+      });
+      if (shutting_down_) return;
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_tasks_;
-      if (active_tasks_ == 0 && tasks_.empty()) all_done_.notify_all();
+    seen = RunChunks();
+  }
+}
+
+// Claims chunks of the published job by compare-and-swap and runs them until
+// none is left; returns the epoch of the exhausted claim word. A claim that
+// succeeds holds the job fields steady: the caller cannot publish the next
+// job before this chunk is counted in done_.
+std::uint32_t ThreadPool::RunChunks() {
+  std::uint64_t word = claim_.load(std::memory_order_acquire);
+  while (NextChunk(word) < ChunkCount(word)) {
+    if (!claim_.compare_exchange_weak(word, word + 1,
+                                      std::memory_order_acquire)) {
+      continue;
     }
-  }
-}
-
-bool ThreadPool::RunOneTask() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop();
-    ++active_tasks_;
-  }
-  task();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --active_tasks_;
-    if (active_tasks_ == 0 && tasks_.empty()) all_done_.notify_all();
-  }
-  return true;
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    SHP_CHECK(!shutting_down_) << "Submit after shutdown";
-    tasks_.push(std::move(task));
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  // If called from inside a worker (nested parallelism in recursive
-  // bisection), help drain the queue instead of deadlocking on ourselves.
-  if (t_inside_pool_worker) {
-    while (RunOneTask()) {
+    const std::size_t w = NextChunk(word);
+    const std::size_t begin = w * chunk_;
+    (*fn_)(begin, std::min(n_, begin + chunk_), w);
+    // Past this increment the job may be gone: touch only pool members. The
+    // last chunk passes through done_mutex_ before notifying, so a caller
+    // that checked done_ under that mutex is already waiting.
+    if (done_.fetch_add(1, std::memory_order_release) + 1 ==
+        ChunkCount(word)) {
+      { std::lock_guard<std::mutex> lock(done_mutex_); }
+      done_cv_.notify_one();
     }
+    word = claim_.load(std::memory_order_acquire);
   }
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock,
-                 [this] { return tasks_.empty() && active_tasks_ == 0; });
+  return Epoch(word);
 }
 
-void ThreadPool::ParallelFor(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
+void ThreadPool::ParallelFor(std::size_t n, const RangeFn& fn) {
   if (n == 0) return;
-  const std::size_t workers = std::min(n, num_threads());
-  if (workers <= 1 || t_inside_pool_worker) {
+  const std::size_t workers = std::min(n, num_threads_);
+  if (workers <= 1 || t_inside_pool) {
     // Inline execution: nested ParallelFor from a recursive split runs on the
-    // calling worker; chunk boundaries stay identical so RNG streams keyed by
+    // calling thread; chunk boundaries stay identical so RNG streams keyed by
     // vertex id are unaffected.
     fn(0, n, 0);
     return;
   }
-  // The completion state lives on this stack frame, so the last worker must
-  // decrement and notify while holding done_mutex: otherwise the caller can
-  // observe remaining == 0, return and reuse the frame while that worker is
-  // still about to lock the mutex or signal the condition variable.
-  std::size_t remaining = workers;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  const std::size_t chunk = (n + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    Submit([&, begin, end, w] {
-      if (begin < end) fn(begin, end, w);
-      std::lock_guard<std::mutex> lock(done_mutex);
-      if (--remaining == 0) done_cv.notify_all();
-    });
+  std::lock_guard<std::mutex> call(call_mutex_);
+  fn_ = &fn;
+  n_ = n;
+  chunk_ = (n + workers - 1) / workers;
+  const std::uint64_t chunks = (n + chunk_ - 1) / chunk_;
+  done_.store(0, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(park_mutex_);
+    ++epoch_;
+    claim_.store((std::uint64_t{epoch_} << kEpochBit) |
+                     (chunks << kCountBit),
+                 std::memory_order_release);
   }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining == 0; });
+  park_cv_.notify_all();
+  // The caller runs chunks as a pool thread; the flag was clear on entry.
+  t_inside_pool = true;
+  RunChunks();
+  t_inside_pool = false;
+  for (int spin = 0; spin < kTailSpins &&
+                     done_.load(std::memory_order_acquire) != chunks;
+       ++spin) {
+    std::this_thread::yield();
+  }
+  std::unique_lock<std::mutex> lock(done_mutex_);
+  done_cv_.wait(lock, [&] {
+    return done_.load(std::memory_order_acquire) == chunks;
+  });
 }
 
 void ThreadPool::ParallelForEach(std::size_t n,

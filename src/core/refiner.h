@@ -158,6 +158,8 @@ struct IterationStats {
   uint64_t workers_recovered = 0;
   /// Workers stalled (straggling) this iteration.
   uint64_t stalled_workers = 0;
+
+  bool operator==(const IterationStats&) const = default;
 };
 
 /// Interface over refinement iteration engines. The threaded in-memory

@@ -2,10 +2,16 @@
 // thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "common/env.h"
 #include "common/flags.h"
@@ -257,14 +263,6 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, SubmitAndWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 20; ++i) pool.Submit([&] { counter++; });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 20);
-}
-
 TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
@@ -283,12 +281,14 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
 }
 
 TEST(ThreadPool, ParallelForReturnsOnlyAfterLastWorkerLetsGo) {
-  // ParallelFor keeps its completion mutex and condition variable on the
-  // caller's stack. Tiny ranges make the last worker finish right as the
-  // caller wakes; the scribble between calls reuses the returned frame, so
-  // a worker that still touched the completion state after the caller saw
-  // the count reach zero aborts or corrupts memory within a few thousand
-  // rounds.
+  // The caller returns once the pool's done-counter reaches the chunk
+  // count, while `fn` lives on the caller's stack. A helper reads the job
+  // (fn, n, chunk size) only between its claim and its increment of that
+  // counter; after the increment it touches only pool members (the wake-up
+  // of a blocked caller). Tiny ranges make the last helper finish right as
+  // the caller returns, and the scribble between calls reuses the returned
+  // frame, so a helper that touched the job after its increment would run a
+  // dead `fn` or race the next call's job within a few thousand rounds.
   ThreadPool pool(4);
   std::atomic<uint64_t> items{0};
   uint64_t expected = 0;
@@ -308,6 +308,115 @@ TEST(ThreadPool, ZeroItemsIsNoop) {
   bool called = false;
   pool.ParallelFor(0, [&](size_t, size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, CallerRunsAChunk) {
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool single(1);
+  EXPECT_EQ(single.num_threads(), 1u);
+  std::vector<std::tuple<size_t, size_t, size_t, std::thread::id>> calls;
+  single.ParallelFor(7, [&](size_t begin, size_t end, size_t w) {
+    calls.emplace_back(begin, end, w, std::this_thread::get_id());
+  });
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_tuple(size_t{0}, size_t{7}, size_t{0}, caller));
+
+  // Each chunk sleeps, so three helpers cannot take all four chunks before
+  // the caller claims one; a few rounds absorb an unlucky schedule.
+  ThreadPool pool(4);
+  EXPECT_EQ(pool.num_threads(), 4u);
+  bool caller_ran = false;
+  for (int round = 0; round < 20 && !caller_ran; ++round) {
+    std::atomic<bool> on_caller{false};
+    pool.ParallelFor(4, [&](size_t, size_t, size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (std::this_thread::get_id() == caller) on_caller = true;
+    });
+    caller_ran = on_caller.load();
+  }
+  EXPECT_TRUE(caller_ran);
+}
+
+TEST(ThreadPool, ChunksTileTheRangeWithFixedIndices) {
+  for (size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    for (size_t n : {1, 2, 3, 4, 5, 1000}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads << ", n " << n);
+      std::mutex mu;
+      std::vector<std::tuple<size_t, size_t, size_t>> chunks;
+      pool.ParallelFor(n, [&](size_t begin, size_t end, size_t w) {
+        std::lock_guard<std::mutex> lock(mu);
+        chunks.emplace_back(begin, end, w);
+      });
+      std::sort(chunks.begin(), chunks.end());
+      // Chunk w is [w·c, min(n, (w + 1)·c)) with c = ⌈n / min(n, N)⌉; a
+      // chunk that would start at or past n is not run (n = 5 on four
+      // threads runs w = 0, 1, 2 with c = 2).
+      const size_t workers = std::min(n, threads);
+      const size_t c = (n + workers - 1) / workers;
+      ASSERT_EQ(chunks.size(), (n + c - 1) / c);
+      EXPECT_LE(chunks.size(), workers);
+      for (size_t w = 0; w < chunks.size(); ++w) {
+        EXPECT_EQ(chunks[w],
+                  std::make_tuple(w * c, std::min(n, (w + 1) * c), w));
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, NestedCallFromTheCallersChunkRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool pool(4);
+  bool nested_on_caller = false;
+  for (int round = 0; round < 20 && !nested_on_caller; ++round) {
+    pool.ParallelFor(4, [&](size_t, size_t, size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (std::this_thread::get_id() != caller) return;
+      std::vector<std::tuple<size_t, size_t, size_t, std::thread::id>> inner;
+      pool.ParallelFor(100, [&](size_t begin, size_t end, size_t w) {
+        inner.emplace_back(begin, end, w, std::this_thread::get_id());
+      });
+      ASSERT_EQ(inner.size(), 1u);
+      EXPECT_EQ(inner[0],
+                std::make_tuple(size_t{0}, size_t{100}, size_t{0}, caller));
+      nested_on_caller = true;
+    });
+  }
+  EXPECT_TRUE(nested_on_caller);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachSeeExactCoverage) {
+  ThreadPool pool(4);
+  constexpr int kCalls = 10000;
+  std::vector<std::thread> callers;
+  std::vector<int> failures(3, 0);
+  for (int t = 0; t < 3; ++t) {
+    callers.emplace_back([&, t] {
+      std::vector<int> hits(16);
+      for (int call = 0; call < kCalls; ++call) {
+        const size_t n = 1 + static_cast<size_t>((call + t) % 16);
+        std::fill(hits.begin(), hits.end(), 0);
+        pool.ParallelFor(n, [&](size_t begin, size_t end, size_t) {
+          for (size_t i = begin; i < end; ++i) ++hits[i];
+        });
+        for (size_t i = 0; i < hits.size(); ++i) {
+          if (hits[i] != (i < n ? 1 : 0)) ++failures[t];
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(failures, std::vector<int>(3, 0));
+}
+
+TEST(ThreadPool, DestroysCleanlyWithParkedHelpers) {
+  { ThreadPool never_called(4); }
+  ThreadPool pool(4);
+  std::atomic<size_t> items{0};
+  pool.ParallelForEach(64, [&](size_t) { items++; });
+  // Let the helpers find the job exhausted and park before the destructor.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(items.load(), 64u);
 }
 
 }  // namespace

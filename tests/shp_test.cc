@@ -5,11 +5,14 @@
 
 #include <set>
 
+#include "common/thread_pool.h"
+
 #include "core/incremental.h"
 #include "core/multidim.h"
 #include "core/recursive.h"
 #include "core/shp.h"
 #include "graph/gen_planted.h"
+#include "graph/gen_powerlaw.h"
 #include "graph/gen_social.h"
 #include "graph/gen_web.h"
 
@@ -134,6 +137,50 @@ TEST(Shp2, BeatsRandomOnWebGraph) {
       g, Partition::Random(g.num_data(), 16, 77).assignment());
   EXPECT_LT(shp_fanout, random_fanout * 0.6)
       << "web graphs have strong host locality to exploit";
+}
+
+/// Requires identical per-iteration stats, iteration by iteration.
+void ExpectSameHistory(const std::vector<ShpIterationRecord>& expected,
+                       const std::vector<ShpIterationRecord>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].iteration, actual[i].iteration) << "record " << i;
+    EXPECT_TRUE(expected[i].stats == actual[i].stats) << "record " << i;
+  }
+}
+
+TEST(Drivers, ResultsDoNotDependOnPoolSize) {
+  // The threaded engine splits every phase into one chunk per pool thread,
+  // and per-chunk scratch, shard splits and summation orders follow the
+  // chunk index. Whichever thread runs which chunk, and however many
+  // chunks there are, SHP-2 and SHP-k (driver defaults, so exploration on)
+  // must reach the same assignment through the same iterations.
+  PowerLawConfig config;
+  config.num_queries = 1500;
+  config.num_data = 1000;
+  config.target_edges = 9000;
+  config.seed = 11;
+  const BipartiteGraph g = GeneratePowerLaw(config);
+  RecursiveOptions shp2;
+  shp2.k = 8;
+  shp2.iterations_per_level = 8;
+  ShpKOptions shpk;
+  shpk.k = 8;
+  shpk.max_iterations = 10;
+  ThreadPool serial(1);
+  const RecursiveResult shp2_ref = RecursivePartitioner(shp2).Run(g, &serial);
+  const ShpResult shpk_ref = ShpKPartitioner(shpk).Run(g, &serial);
+  ASSERT_GT(shpk_ref.iterations_run, 1u);
+  for (size_t threads : {2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << "pool of " << threads);
+    ThreadPool pool(threads);
+    const RecursiveResult shp2_run = RecursivePartitioner(shp2).Run(g, &pool);
+    EXPECT_EQ(shp2_run.assignment, shp2_ref.assignment);
+    ExpectSameHistory(shp2_ref.history, shp2_run.history);
+    const ShpResult shpk_run = ShpKPartitioner(shpk).Run(g, &pool);
+    EXPECT_EQ(shpk_run.assignment, shpk_ref.assignment);
+    ExpectSameHistory(shpk_ref.history, shpk_run.history);
+  }
 }
 
 // Property sweep: balance and quality hold across k × seed × family.
