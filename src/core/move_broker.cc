@@ -534,6 +534,23 @@ void ComputePairProbabilities(const MoveTopology& topo,
   }
 }
 
+void MoveBroker::SetShardMap(std::vector<int32_t> shard_of, int num_shards) {
+  shard_of_ = std::move(shard_of);
+  custom_shards_ = true;
+  hist_valid_ = false;
+  IndexShards(num_shards);
+}
+
+void MoveBroker::IndexShards(int num_shards) {
+  SHP_CHECK_GT(num_shards, 0);
+  for (VertexId v = 0; v < shard_of_.size(); ++v) {
+    SHP_CHECK(shard_of_[v] >= 0 && shard_of_[v] < num_shards)
+        << "vertex " << v << " maps to shard " << shard_of_[v];
+  }
+  shards_.assign(static_cast<size_t>(num_shards),
+                 PairHistograms(options_.binning));
+}
+
 MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
                                        const std::vector<BucketId>& targets,
                                        const std::vector<double>& gains,
@@ -544,40 +561,76 @@ MoveOutcome MoveBroker::ApplyHistogram(const MoveTopology& topo,
   SHP_CHECK_EQ(targets.size(), n);
   MoveOutcome outcome;
 
-  // Directed gain histograms per ordered bucket pair (the master state;
-  // O(#occupied pairs × bins) memory, k²·bins worst case as in the paper).
-  // Maintained incrementally when the caller hands a changed-proposal list:
-  // only the listed vertices' contributions are re-derived — O(|changed|)
-  // counter updates instead of the O(n) re-accumulation.
+  // Default layout: one contiguous vertex range per pool thread, re-laid
+  // (and re-primed) when the pool size or the vertex count changes.
+  const size_t threads = std::max<size_t>(1, pool->num_threads());
+  if (custom_shards_) {
+    SHP_CHECK_EQ(shard_of_.size(), n);
+  } else if (shards_.size() != threads || shard_of_.size() != n) {
+    shard_of_.resize(n);
+    for (VertexId v = 0; v < n; ++v) {
+      shard_of_[v] = static_cast<int32_t>(uint64_t{v} * threads / n);
+    }
+    IndexShards(static_cast<int>(threads));
+    hist_valid_ = false;
+  }
+
+  // Superstep 3: directed gain histograms per ordered bucket pair, one
+  // instance per shard (O(#occupied pairs × bins) memory each, k²·bins
+  // worst case as in the paper). Given a changed-proposal list, each shard
+  // re-derives only the listed vertices it owns — O(|changed|) counter
+  // updates instead of the O(n) re-accumulation; otherwise it re-primes
+  // over its own vertices. The shards run in parallel: each writes only its
+  // instance and its own vertices' contributions.
   const bool incremental = changed != nullptr && hist_valid_ &&
                            hist_contrib_.size() == static_cast<size_t>(n);
-  const auto update = [&](VertexId v) {
-    hist_.Update(&hist_contrib_[v], partition->bucket_of(v), targets[v],
-                 gains[v]);
-  };
-  if (incremental) {
-    for (const VertexId v : *changed) update(v);
-  } else {
-    hist_.Clear();
-    hist_contrib_.assign(static_cast<size_t>(n), {});
-    for (VertexId v = 0; v < n; ++v) update(v);
-    hist_valid_ = true;
-  }
+  hist_contrib_.resize(n);
+  pool->ParallelForEach(shards_.size(), [&](size_t s) {
+    PairHistograms& hist = shards_[s];
+    const auto update = [&](VertexId v) {
+      if (static_cast<size_t>(shard_of_[v]) != s) return;
+      if (!incremental) hist_contrib_[v] = {};
+      hist.Update(&hist_contrib_[v], partition->bucket_of(v), targets[v],
+                  gains[v]);
+    };
+    if (incremental) {
+      for (const VertexId v : *changed) update(v);
+    } else {
+      hist.Clear();
+      for (VertexId v = 0; v < n; ++v) update(v);
+    }
+  });
+  hist_valid_ = true;
+  // The master's merge, in shard order, into its reused flat instance.
+  hist_.AssignSum(shards_, &slot_maps_);
 #ifndef NDEBUG
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    std::vector<VertexId> members;
+    for (VertexId v = 0; v < n; ++v) {
+      if (static_cast<size_t>(shard_of_[v]) == s) members.push_back(v);
+    }
+    shards_[s].CheckMatchesRebuild(members, *partition, targets, gains,
+                                   &hist_contrib_);
+  }
   hist_.CheckMatchesRebuild(std::views::iota(VertexId{0}, n), *partition,
-                            targets, gains, &hist_contrib_);
+                            targets, gains, nullptr);
 #endif
   outcome.num_proposals = hist_.num_proposals();
   ComputePairProbabilities(topo, hist_, *partition,
                            options_.use_capacity_slack, &table_);
 
-  // Superstep 4: probabilistic simultaneous moves. A vertex's contribution
-  // names its proposal's row and bin, so the draw needs no lookup.
+  // Superstep 4: probabilistic simultaneous moves. A vertex's contribution,
+  // mapped into the master instance, names its proposal's row and bin, so
+  // the draw needs no lookup.
   const ProbabilityDraw draw(table_, options_, seed, iteration);
   const auto fires = [&](VertexId v, uint64_t* draws) {
     const PairHistograms::Contribution c = hist_contrib_[v];
-    return c.slot != PairHistograms::kNoSlot &&
-           draw.Fires(v, c.slot, c.bin, draws);
+    if (c.slot == PairHistograms::kNoSlot) return false;
+    const uint32_t slot =
+        slot_maps_[static_cast<size_t>(shard_of_[v])][c.slot];
+    SHP_DCHECK(hist_.key(slot) ==
+               PackPair(partition->bucket_of(v), targets[v]));
+    return draw.Fires(v, slot, c.bin, draws);
   };
   std::vector<VertexId> moved;
   DrawMovers(pool, n, fires, &mover_lists_, &moved, &outcome.num_draws);

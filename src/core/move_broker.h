@@ -1,6 +1,7 @@
-// The move broker is the "master" of paper Fig. 3 supersteps 3-4: it
-// aggregates per-vertex move proposals, computes per-pair move
-// probabilities, and executes the simultaneous probabilistic moves.
+// The move broker is the "master" of paper Fig. 3 supersteps 3-4, for the
+// threaded Refiner and the BSP engine alike: it aggregates per-vertex move
+// proposals, computes per-pair move probabilities, and executes the
+// simultaneous probabilistic moves.
 //
 // Two strategies:
 //  * kPlainProbability — Algorithm 1 verbatim: only positive-gain proposals
@@ -64,8 +65,9 @@ struct MoveBrokerOptions {
   /// round's drawn movers exceed the budget, the highest-gain movers are
   /// kept (deterministic tie-break on vertex id) and the rest stay put, so
   /// a serving tier migrates at a bounded rate per epoch. Enforced by all
-  /// three strategies and by the BSP master; post-repair executed moves
-  /// never exceed the budget (balance reversions only shrink the set).
+  /// three strategies (the BSP engine runs the histogram one); post-repair
+  /// executed moves never exceed the budget (balance reversions only
+  /// shrink the set).
   uint64_t max_moves_per_round = 0;
 };
 
@@ -96,9 +98,9 @@ inline uint64_t PackPair(BucketId from, BucketId to) {
 /// per (from, to) bucket pair over a set of proposals. The caller keeps one
 /// Contribution per vertex — where its proposal currently counts — so a
 /// changed proposal costs two counter updates instead of a term in an O(n)
-/// re-accumulation. The threaded MoveBroker holds one instance over all
-/// vertices; the BSP engine holds one per worker over its shard, and its
-/// master one more, the sum of those.
+/// re-accumulation. The MoveBroker holds one instance per vertex shard
+/// (the BSP engine's data workers are its shards), updated in parallel,
+/// and one more for the master, the sum of those.
 ///
 /// Flat storage, reused across rounds: each live pair owns a slot — a row
 /// of per-bin counts, an occupied-bin bitmask and a live total — found
@@ -107,8 +109,7 @@ inline uint64_t PackPair(BucketId from, BucketId to) {
 /// dropped as soon as its last proposal leaves, and its slot goes to a free
 /// list for the next new pair, so only live pairs are indexed and a steady
 /// state allocates nothing. The superstep-4 probability table keeps one row
-/// per slot. Cache-line aligned: BSP workers update their own instances
-/// concurrently.
+/// per slot. Cache-line aligned: the shards are updated concurrently.
 class alignas(64) PairHistograms {
  public:
   static constexpr uint64_t kNoPair = ~0ull;
@@ -132,7 +133,7 @@ class alignas(64) PairHistograms {
   /// Idempotent, so duplicate updates of one vertex are harmless.
   void Update(Contribution* c, BucketId from, BucketId target, double gain);
 
-  /// Makes this instance the sum of `parts` (the BSP master merge). Pairs
+  /// Makes this instance the sum of `parts` (the master merge). Pairs
   /// this instance already holds keep their slots; (*slot_maps)[w][s] is
   /// the slot here of parts[w]'s slot s (kNoSlot for a free one).
   void AssignSum(std::span<const PairHistograms> parts,
@@ -253,10 +254,9 @@ class PairProbabilityTable {
   std::vector<double> slack_;
 };
 
-/// Superstep-4 probabilistic draw against a matched probability table,
-/// shared by the threaded histogram broker and the BSP master. The draw for
-/// vertex v is a pure hash of (seed, iteration, v), so the outcome does not
-/// depend on thread scheduling or on which worker owns v.
+/// Superstep-4 probabilistic draw against a matched probability table. The
+/// draw for vertex v is a pure hash of (seed, iteration, v), so the outcome
+/// does not depend on thread scheduling or on which shard owns v.
 class ProbabilityDraw {
  public:
   /// `table` must outlive the draw.
@@ -266,11 +266,10 @@ class ProbabilityDraw {
 
   /// True iff v's proposal moves this round; `slot` and `bin` say where it
   /// counts in the table's histograms (its Contribution, mapped into the
-  /// master instance on the BSP engine). Every evaluated draw increments
-  /// *draws. Draw floor: a proposal on a pair whose probability row is all
-  /// zero can never fire, so its draw is skipped — the trajectory is that
-  /// of drawing everything, while a converged instance stops paying for
-  /// dead pairs.
+  /// master instance). Every evaluated draw increments *draws. Draw floor: a
+  /// proposal on a pair whose probability row is all zero can never fire,
+  /// so its draw is skipped — the trajectory is that of drawing everything,
+  /// while a converged instance stops paying for dead pairs.
   bool Fires(VertexId v, uint32_t slot, int bin, uint64_t* draws) const {
     if (!table_.live(slot)) {
       // HashToUnitDouble lies in [0, 1), so a probability-0 draw never
@@ -299,19 +298,40 @@ class ProbabilityDraw {
 /// spends spare capacity on unmatched positive bins (§3.4 imbalanced swaps),
 /// in ascending pair-key order. Reads `histograms` in place and writes
 /// *table's rows aligned with its slots; `histograms` must outlive the
-/// table's use. Shared between the threaded MoveBroker and the BSP master.
+/// table's use.
 void ComputePairProbabilities(const MoveTopology& topo,
                               const PairHistograms& histograms,
                               const Partition& partition,
                               bool use_capacity_slack,
                               PairProbabilityTable* table);
 
+/// The master of supersteps 3-4, for both engines. Under histogram matching
+/// the superstep-3 histograms are kept per vertex shard: each round updates
+/// every shard's changed proposals in parallel, merges the shards in shard
+/// order into the master instance, matches it and draws through its slots.
+/// The matching reads pair counts in ascending pair-key order and each draw
+/// hashes (seed, iteration, v), so the master's sums alone — not the shard
+/// layout or its slot numbering — fix every probability and every draw.
 class MoveBroker {
  public:
   explicit MoveBroker(MoveBrokerOptions options)
       : options_(options), hist_(options.binning) {}
 
   const MoveBrokerOptions& options() const { return options_; }
+
+  /// Shards the superstep-3 histograms by `shard_of` (vertex → shard in
+  /// [0, num_shards); the BSP engine passes its data-worker map) instead of
+  /// the default, one contiguous vertex range per pool thread. The next
+  /// Apply re-primes.
+  void SetShardMap(std::vector<int32_t> shard_of, int num_shards);
+
+  /// Histograms of shard s as of the last histogram-matching Apply.
+  const PairHistograms& shard(int s) const {
+    return shards_[static_cast<size_t>(s)];
+  }
+
+  /// Probability table of the last histogram-matching Apply.
+  const PairProbabilityTable& table() const { return table_; }
 
   /// Adjusts the per-round move budget between rounds (the serving loop
   /// passes its remaining epoch budget before every iteration). 0 =
@@ -341,8 +361,8 @@ class MoveBroker {
                     const std::vector<VertexId>* changed = nullptr);
 
   /// Superstep-4 execution of the drawn movers (ascending by vertex id),
-  /// shared by the drawing strategies and the BSP master: trims them to the
-  /// per-round `budget` (TrimToBudget), moves each v to targets[v], reverts
+  /// shared by the drawing strategies: trims them to the per-round
+  /// `budget` (TrimToBudget), moves each v to targets[v], reverts
   /// surplus moves of over-capacity buckets, and emits the net executed
   /// moves into outcome->moves. `original` is per-vertex scratch (grown to
   /// the vertex count; only mover slots are written).
@@ -393,14 +413,24 @@ class MoveBroker {
                               const Partition& partition,
                               MoveOutcome* outcome);
 
+  /// Checks shard_of_ against `num_shards` and lays out as many empty
+  /// shards.
+  void IndexShards(int num_shards);
+
   MoveBrokerOptions options_;
 
-  // kHistogramMatching master state kept across rounds (see Apply's
-  // `changed` list), with one contribution per vertex, and the probability
-  // table reused from round to round.
-  PairHistograms hist_;
+  // kHistogramMatching state kept across rounds (see Apply's `changed`
+  // list): one histogram instance per vertex shard, each vertex's
+  // contribution (a slot of its shard's instance), the master's merge of
+  // the shards, where slot_maps_[s][slot] is the master slot of shard s's
+  // slot, and the probability table reused from round to round.
+  std::vector<int32_t> shard_of_;  ///< per vertex
+  bool custom_shards_ = false;  ///< shard_of_ came from SetShardMap
+  std::vector<PairHistograms> shards_;
   std::vector<PairHistograms::Contribution> hist_contrib_;
   bool hist_valid_ = false;
+  PairHistograms hist_;
+  std::vector<std::vector<uint32_t>> slot_maps_;
   PairProbabilityTable table_;
 
   std::vector<std::vector<VertexId>> mover_lists_;  ///< per pool worker
@@ -416,6 +446,7 @@ void PairHistograms::CheckMatchesRebuild(
   // on a pair without a slot is itself the divergence.
   std::vector<uint32_t> fresh(counts_.size(), 0);
   uint64_t proposals = 0;
+  uint64_t cells = 0;  // nonzero fresh bins
   for (const VertexId v : vertices) {
     const BucketId from = partition.bucket_of(v);
     const uint32_t slot =
@@ -430,30 +461,40 @@ void PairHistograms::CheckMatchesRebuild(
     ++proposals;
     SHP_CHECK(slot != kNoSlot)
         << "incremental histograms lost pair " << from << "->" << targets[v];
-    ++fresh[static_cast<size_t>(slot) * bins_ + static_cast<size_t>(bin)];
+    cells += fresh[static_cast<size_t>(slot) * bins_ +
+                   static_cast<size_t>(bin)]++ == 0;
   }
   SHP_CHECK_EQ(proposals, num_proposals_);
+  if (!std::equal(counts_.begin(), counts_.end(), fresh.begin())) {
+    const size_t at = static_cast<size_t>(
+        std::mismatch(counts_.begin(), counts_.end(), fresh.begin()).first -
+        counts_.begin());
+    const uint64_t key = slot_key_[at / static_cast<size_t>(bins_)];
+    SHP_CHECK(false)
+        << "incremental histogram diverged from full accumulation (pair "
+        << (key >> 32) << "->" << (key & 0xffffffffULL) << ")";
+  }
+  // The counts match. Every occupied bit must sit on a nonzero count, and
+  // the bits must be as many as the nonzero bins, so they mark exactly
+  // those; each slot's total and liveness then follow from its bits.
+  uint64_t bits = 0;
   uint64_t live = 0;
   for (uint32_t slot = 0; slot < num_slots(); ++slot) {
-    const size_t base = static_cast<size_t>(slot) * bins_;
+    const GainRow r = row(slot);
     uint64_t total = 0;
-    for (int bin = 0; bin < bins_; ++bin) {
-      const uint32_t c = counts_[base + static_cast<size_t>(bin)];
-      const bool bit = (occupied_[static_cast<size_t>(slot) * words_ +
-                                  static_cast<size_t>(bin / 64)] >>
-                        (bin % 64)) & 1;
-      SHP_CHECK(c == fresh[base + static_cast<size_t>(bin)] &&
-                bit == (c > 0))
-          << "incremental histogram diverged from full accumulation (pair "
-          << (slot_key_[slot] >> 32) << "->"
-          << (slot_key_[slot] & 0xffffffffULL) << ")";
-      total += c;
+    for (int bin = PrevOccupiedBin(r.occupied, bins_ - 1); bin >= 0;
+         bin = PrevOccupiedBin(r.occupied, bin - 1)) {
+      SHP_CHECK(r.counts[bin] > 0)
+          << "occupied bit on an empty bin (slot " << slot << ")";
+      total += r.counts[bin];
+      ++bits;
     }
     SHP_CHECK_EQ(total, totals_[slot]);
     SHP_CHECK((total > 0) == (slot_key_[slot] != kNoPair))
         << "slot " << slot << " is live without proposals, or the reverse";
     live += total > 0;
   }
+  SHP_CHECK_EQ(bits, cells) << "a nonzero bin lacks its occupied bit";
   SHP_CHECK_EQ(live, num_pairs_);
 }
 

@@ -207,7 +207,6 @@ class Refiner : public RefinerInterface {
                               double anchor_penalty = 0.0) override;
 
   void SetMoveBudget(uint64_t max_moves) override {
-    options_.broker.max_moves_per_round = max_moves;
     broker_.set_max_moves_per_round(max_moves);
   }
 

@@ -1,24 +1,6 @@
 #include "engine/cost_model.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
-
 namespace shp {
-
-double CostModel::SuperstepSeconds(
-    const SuperstepStats& stats,
-    const std::vector<uint64_t>& per_worker_bytes) const {
-  SHP_CHECK_EQ(per_worker_bytes.size(), stats.work_units.size());
-  double worst = 0.0;
-  for (size_t w = 0; w < stats.work_units.size(); ++w) {
-    const double ns =
-        static_cast<double>(stats.work_units[w]) * config_.ns_per_work_unit +
-        static_cast<double>(per_worker_bytes[w]) * config_.ns_per_remote_byte;
-    worst = std::max(worst, ns);
-  }
-  return (worst + config_.barrier_ns) * 1e-9;
-}
 
 double CostModel::SuperstepSecondsEven(const SuperstepStats& stats,
                                        int num_workers) const {

@@ -3,18 +3,19 @@
 //
 // The engine runs on one host, so host wall time says nothing about a
 // 4/8/16-machine Giraph cluster. Instead every superstep reports abstract
-// work units and exact remote bytes, and the model charges
+// work units per worker and its exact total remote bytes, and the model
+// charges
 //
-//   machine_time(s) = max_w [ work_w · ns_per_unit
-//                             + (out_bytes_w + in_bytes_w) · ns_per_byte ]
-//                     + barrier_ns
+//   time(s) = max_w work_w · ns_per_unit
+//             + 2 · (remote_bytes / W) · ns_per_byte + barrier_ns
 //
-// i.e., compute and communication overlap across workers but the slowest
-// worker gates the superstep — the standard BSP h-relation cost. Constants
-// default to commodity-cluster magnitudes (≈1 GB/s effective per-machine
-// network, ~5 ns/unit compute, 1 ms barrier) and are configurable; the
-// paper-shape claims (linear in |E|, log k levels, sublinear machine
-// scaling) are invariant to the constants.
+// i.e., the slowest worker's compute gates the superstep, and the remote
+// bytes are spread evenly over the W workers, each byte paid once on the
+// send side and once on the receive side. Constants default to
+// commodity-cluster magnitudes (≈1 GB/s effective per-machine network,
+// ~5 ns/unit compute, 1 ms barrier) and are configurable; the paper-shape
+// claims (linear in |E|, log k levels, sublinear machine scaling) are
+// invariant to the constants.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +40,8 @@ class CostModel {
  public:
   explicit CostModel(const CostModelConfig& config) : config_(config) {}
 
-  /// Simulated wall-clock duration of one superstep. per_worker_bytes holds
-  /// out+in remote bytes per worker for this superstep.
-  double SuperstepSeconds(const SuperstepStats& stats,
-                          const std::vector<uint64_t>& per_worker_bytes) const;
-
-  /// Simple variant: assumes remote bytes are spread evenly over workers
-  /// (used when only the aggregate is tracked).
+  /// Simulated wall-clock duration of one superstep, its remote bytes
+  /// spread evenly over `num_workers`.
   double SuperstepSecondsEven(const SuperstepStats& stats,
                               int num_workers) const;
 

@@ -126,8 +126,6 @@ class MessageRouter {
   explicit MessageRouter(int num_workers) : num_workers_(num_workers) {
     SHP_CHECK_GT(num_workers, 0);
     buffers_.resize(static_cast<size_t>(num_workers) * num_workers);
-    out_bytes_.assign(static_cast<size_t>(num_workers), 0);
-    in_bytes_.assign(static_cast<size_t>(num_workers), 0);
   }
 
   int num_workers() const { return num_workers_; }
@@ -177,23 +175,11 @@ class MessageRouter {
           continue;
         }
         stats.remote_messages += buffer.size();
-        const uint64_t bytes = bytes_of(src, dst, buffer);
-        stats.remote_bytes += bytes;
-        out_bytes_[static_cast<size_t>(src)] += bytes;
-        in_bytes_[static_cast<size_t>(dst)] += bytes;
+        stats.remote_bytes += bytes_of(src, dst, buffer);
       }
     }
     for (auto& buffer : buffers_) buffer.clear();
     return stats;
-  }
-
-  /// Per-worker remote byte counters accumulated across supersteps (used by
-  /// the cost model's max-over-workers term); reset with ResetByteCounters.
-  const std::vector<uint64_t>& out_bytes() const { return out_bytes_; }
-  const std::vector<uint64_t>& in_bytes() const { return in_bytes_; }
-  void ResetByteCounters() {
-    std::fill(out_bytes_.begin(), out_bytes_.end(), 0);
-    std::fill(in_bytes_.begin(), in_bytes_.end(), 0);
   }
 
  private:
@@ -205,8 +191,6 @@ class MessageRouter {
 
   int num_workers_;
   std::vector<std::vector<Message>> buffers_;
-  std::vector<uint64_t> out_bytes_;
-  std::vector<uint64_t> in_bytes_;
 };
 
 /// Giraph-style message combiner: during a superstep's send phase each source

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <ranges>
 #include <span>
 #include <type_traits>
 
@@ -62,7 +61,7 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
       gain_(options.p, static_cast<uint32_t>(graph.MaxQueryDegree()),
             options.future_splits),
       sharding_(config.num_workers, config.shard_seed),
-      master_hist_(options.broker.binning),
+      broker_(options.broker),
       log_(log) {
   SHP_CHECK_GT(config.num_workers, 0);
   // The master is the §3.4 histogram matcher; the plain strategy has no
@@ -82,12 +81,11 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   for (VertexId v = 0; v < graph.num_data(); ++v) {
     data_owner_[v] = sharding_.DataWorker(v);
   }
+  broker_.SetShardMap(data_owner_, config.num_workers);
   query_dirty_.assign(graph.num_queries(), 1);
   known_assignment_.assign(graph.num_data(), -1);
   cached_target_.assign(graph.num_data(), -1);
   cached_gain_.assign(graph.num_data(), 0.0);
-  worker_hist_.assign(W, PairHistograms(options.broker.binning));
-  hist_contrib_.assign(graph.num_data(), {});
   s1_stream_.resize(W);
   s1_record_begin_.assign(W + 1, 0);
   s2_received_.assign(W, 0);
@@ -95,8 +93,6 @@ BspRefiner::BspRefiner(const BipartiteGraph& graph,
   recompute_.assign(graph.num_data(), 0);
   recompute_lists_.resize(W);
   prescanned_.assign(W, 0);
-  mover_lists_.resize(W);
-  original_.assign(graph.num_data(), -1);
   scratch_.resize(W);
   const size_t links = W * W;
   link_send_seq_.assign(links, 0);
@@ -182,7 +178,6 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
           RecoverKilledWorker(w, pool);
       sweep_valid_ = false;
       proposals_valid_ = false;
-      hist_valid_ = false;
       ++round.stats.workers_recovered;
       ++counters_.workers_recovered;
     }
@@ -207,8 +202,19 @@ IterationStats BspRefiner::RunIteration(const MoveTopology& topo,
   ExchangeNeighborData(topo, *partition, anchor, anchor_penalty,
                        round.stats.degraded_links > 0, pool, &round);
   ProposeMoves(topo, *partition, anchor, anchor_penalty, pool, &round);
-  UploadHistograms(*partition, pool, &round);
-  DrawAndExecute(topo, seed, iteration, partition, pool, &round);
+  // Supersteps 3-4 on the threaded engine's master. A compact round hands it
+  // the workers' recompute lists as the changed-proposal list: they hold
+  // every vertex whose (bucket, target, gain) may differ from last round,
+  // last round's movers included. A recompute-all round re-primes it.
+  changed_.clear();
+  for (const auto& list : recompute_lists_) {
+    changed_.insert(changed_.end(), list.begin(), list.end());
+  }
+  MoveOutcome outcome =
+      broker_.Apply(topo, cached_target_, cached_gain_, seed, iteration,
+                    partition, pool, round.recompute_all ? nullptr : &changed_);
+  UploadHistograms(&round);
+  DrawAndExecute(std::move(outcome), &round);
 
   if (log_ != nullptr) {
     for (SuperstepStats* s : supersteps) log_->push_back(std::move(*s));
@@ -299,7 +305,6 @@ void BspRefiner::AnnounceAndFold(const MoveTopology& topo,
       sweep_valid_ = false;
     }
     proposals_valid_ = false;
-    hist_valid_ = false;
   }
   pending_announce_.clear();
   round->stats.full_rebuild = round->full_scan;
@@ -696,121 +701,46 @@ void BspRefiner::ProposeMoves(const MoveTopology& topo,
   draw_.EndRound(graph_, partition);
 }
 
-void BspRefiner::UploadHistograms(const Partition& partition,
-                                  ThreadPool* pool, RoundState* round) {
-  const int W = config_.num_workers;
-  // data -> master: per-worker (bucket-pair, gain-bin) histograms,
-  // maintained incrementally from the compact changed-proposal list. Each
-  // worker still uploads its full live histogram — the master's matching
-  // needs every pair's totals — so bytes stay O(active pairs × bins); only
-  // the accumulation work shrinks to the blast radius.
-  const auto hist_update = [&](int w, VertexId v) {
-    worker_hist_[static_cast<size_t>(w)].Update(
-        &hist_contrib_[v], partition.bucket_of(v), cached_target_[v],
-        cached_gain_[v]);
-  };
-  if (round->recompute_all || !hist_valid_) {
-    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      worker_hist_[static_cast<size_t>(w)].Clear();
-      for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-        hist_contrib_[v] = {};
-        hist_update(w, v);
-        ++work;
-      }
-      return work;
-    }), &round->s3);
-    hist_valid_ = true;
-  } else {
-    AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
-      uint64_t work = 0;
-      for (VertexId v : recompute_lists_[static_cast<size_t>(w)]) {
-        hist_update(w, v);
-        work += 2;
-      }
-      return work;
-    }), &round->s3);
+void BspRefiner::UploadHistograms(RoundState* round) {
+  // data -> master: each worker's (bucket-pair, gain-bin) histograms are its
+  // broker shard, patched from its changed proposals (two counter updates
+  // each) or, on a recompute-all round, rebuilt over its shard (one per
+  // vertex). Each worker still uploads its full live histogram — the
+  // master's matching needs every pair's totals — so bytes stay O(active
+  // pairs × bins); only the accumulation work shrinks to the blast radius.
+  const uint64_t bins =
+      static_cast<uint64_t>(options_.broker.binning.num_bins());
+  for (int w = 0; w < config_.num_workers; ++w) {
+    const size_t i = static_cast<size_t>(w);
+    round->s3.work_units[i] = round->recompute_all
+                                  ? data_shards_[i].size()
+                                  : 2 * recompute_lists_[i].size();
+    round->s3.traffic.remote_messages += broker_.shard(w).num_pairs() * bins;
   }
-  // The histograms were this round's last consumer of the recompute marks:
-  // clear them through the compact lists — the mark array stays all-zero
-  // between iterations without an O(n) sweep.
+  // The broker took the recompute lists; the marks have no consumer left
+  // this round: clear them through the compact lists — the mark array stays
+  // all-zero between iterations without an O(n) sweep.
   for (const auto& list : recompute_lists_) {
     for (VertexId v : list) recompute_[v] = 0;
   }
-
-#ifndef NDEBUG
-  for (int w = 0; w < W; ++w) {
-    worker_hist_[static_cast<size_t>(w)].CheckMatchesRebuild(
-        data_shards_[static_cast<size_t>(w)], partition, cached_target_,
-        cached_gain_, &hist_contrib_);
-  }
-#endif
-
-  // Master merge (the master is a distinct machine; every worker's
-  // histogram entries cross the wire) into its reused flat instance.
-  uint64_t remote_entries = 0;
-  for (const PairHistograms& hist : worker_hist_) {
-    remote_entries += hist.num_pairs() *
-                      static_cast<uint64_t>(options_.broker.binning.num_bins());
-    round->stats.num_proposals += hist.num_proposals();
-  }
-  master_hist_.AssignSum(worker_hist_, &master_slots_);
-#ifndef NDEBUG
-  master_hist_.CheckMatchesRebuild(
-      std::views::iota(VertexId{0}, graph_.num_data()), partition,
-      cached_target_, cached_gain_, nullptr);
-#endif
   round->s3.label = "3:propose-to-master";
-  round->s3.traffic.remote_messages = remote_entries;
-  round->s3.traffic.remote_bytes = remote_entries * sizeof(uint64_t);
+  round->s3.traffic.remote_bytes =
+      round->s3.traffic.remote_messages * sizeof(uint64_t);
 }
 
-void BspRefiner::DrawAndExecute(const MoveTopology& topo, uint64_t seed,
-                                uint64_t iteration, Partition* partition,
-                                ThreadPool* pool, RoundState* round) {
+void BspRefiner::DrawAndExecute(MoveOutcome outcome, RoundState* round) {
   const int W = config_.num_workers;
-  // master -> data: probabilities; vertices draw and move; master repairs.
-  // Active proposals draw unless their pair row is all zero (the draw
-  // floor of ProbabilityDraw — skipping a probability-0 draw cannot change
-  // the trajectory), and the drawn movers land in compact per-worker lists,
-  // so execution, repair, and next round's superstep 1 touch O(moved) state.
-  // A vertex's contribution, mapped into the master instance, names its
-  // proposal's probability row and bin, so the draw needs no lookup.
-  ComputePairProbabilities(topo, master_hist_, *partition,
-                           options_.broker.use_capacity_slack, &table_);
-  const ProbabilityDraw draw(table_, options_.broker, seed, iteration);
-  std::vector<uint64_t> draws(static_cast<size_t>(W), 0);
-  for (auto& movers : mover_lists_) movers.clear();
-  AddWork(RunPhase(W, pool, [&](int w) -> uint64_t {
-    uint64_t work = 0;
-    std::vector<VertexId>& movers = mover_lists_[static_cast<size_t>(w)];
-    const std::vector<uint32_t>& to_master =
-        master_slots_[static_cast<size_t>(w)];
-    for (VertexId v : data_shards_[static_cast<size_t>(w)]) {
-      const PairHistograms::Contribution c = hist_contrib_[v];
-      if (c.slot == PairHistograms::kNoSlot) continue;
-      ++work;
-      const uint32_t slot = to_master[c.slot];
-      SHP_DCHECK(master_hist_.key(slot) ==
-                 PackPair(partition->bucket_of(v), cached_target_[v]));
-      if (draw.Fires(v, slot, c.bin, &draws[static_cast<size_t>(w)])) {
-        movers.push_back(v);
-      }
-    }
-    return work;
-  }), &round->s4);
-  IterationStats& stats = round->stats;
-  stats.num_draws = std::accumulate(draws.begin(), draws.end(), uint64_t{0});
-
-  MoveOutcome outcome;
-  movers_.clear();
-  for (const auto& movers : mover_lists_) {
-    movers_.insert(movers_.end(), movers.begin(), movers.end());
+  // master -> data: probabilities; each worker draws for its proposals
+  // (unless their pair row is all zero, the broker's draw floor) and the
+  // master repairs balance. The drawn movers come back ascending, so
+  // execution, repair, and next round's superstep 1 touch O(moved) state.
+  for (int w = 0; w < W; ++w) {
+    round->s4.work_units[static_cast<size_t>(w)] =
+        broker_.shard(w).num_proposals();
   }
-  std::sort(movers_.begin(), movers_.end());
-  MoveBroker::ExecuteMoves(topo, options_.broker.max_moves_per_round,
-                           cached_target_, cached_gain_, &movers_, &original_,
-                           partition, &outcome);
+  IterationStats& stats = round->stats;
+  stats.num_proposals = outcome.num_proposals;
+  stats.num_draws = outcome.num_draws;
   pending_announce_ = std::move(outcome.moves);
   last_movers_.clear();
   for (const VertexMove& m : pending_announce_) last_movers_.push_back(m.v);
@@ -829,13 +759,12 @@ void BspRefiner::DrawAndExecute(const MoveTopology& topo, uint64_t seed,
   // Broadcast: the probability table goes to every worker, one row (key +
   // a float per bin) per message.
   round->s4.label = "4:probabilities+moves";
+  const uint64_t rows = broker_.table().num_rows();
   const uint64_t row_bytes =
       sizeof(uint64_t) +
       static_cast<uint64_t>(options_.broker.binning.num_bins()) * sizeof(float);
-  round->s4.traffic.remote_messages =
-      table_.num_rows() * static_cast<uint64_t>(W);
-  round->s4.traffic.remote_bytes =
-      table_.num_rows() * row_bytes * static_cast<uint64_t>(W);
+  round->s4.traffic.remote_messages = rows * static_cast<uint64_t>(W);
+  round->s4.traffic.remote_bytes = rows * row_bytes * static_cast<uint64_t>(W);
 
   stats.num_moved = outcome.num_moved;
   stats.num_reverted = outcome.num_reverted;
@@ -1025,15 +954,12 @@ Status BspRefiner::RestoreLatestCheckpoint(Partition* partition) {
   state_valid_ = false;
   sweep_valid_ = false;
   proposals_valid_ = false;
-  hist_valid_ = false;
   std::fill(known_assignment_.begin(), known_assignment_.end(), -1);
   // The next round is cold: it rebuilds the neighbor data from the restored
   // assignment.
   std::fill(query_dirty_.begin(), query_dirty_.end(), 1);
   pending_announce_.clear();
   last_movers_.clear();
-  std::fill(hist_contrib_.begin(), hist_contrib_.end(),
-            PairHistograms::Contribution{});
   epoch_ = restored_epoch + 1;
   std::fill(link_send_seq_.begin(), link_send_seq_.end(), 0);
   std::fill(link_recv_seq_.begin(), link_recv_seq_.end(), 0);

@@ -45,17 +45,22 @@
 //      either mode, clean vertices keep their cached proposal — their gains
 //      cannot have changed.
 //   3. data → master (UploadHistograms): per-worker (bucket-pair, gain-bin)
-//      histograms. The histograms are maintained *incrementally* from the
-//      compact changed-proposal list (this round's recomputed vertices), so
-//      the accumulation work is O(blast radius), not O(n); each worker
-//      still ships its full live histogram (that is what the master's
-//      matching needs) — bytes are O(active pairs × bins), independent of n.
+//      histograms. The master is the threaded engine's MoveBroker: its
+//      histograms are kept per vertex shard, and data_owner_ is its shard
+//      map, so each worker's histogram is one broker shard. The shards are
+//      maintained *incrementally* from the compact changed-proposal list
+//      (this round's recomputed vertices), each worker updating its own in
+//      parallel, so the accumulation work is O(blast radius), not O(n);
+//      each worker still ships its full live histogram (that is what the
+//      master's matching needs) — bytes are O(active pairs × bins),
+//      independent of n. The master merges the shards in shard order.
 //   4. master → data (DrawAndExecute): per-pair-and-bin move probabilities;
 //      vertices draw and move (proposals whose probability row is all zero
 //      skip the draw — the trajectory-preserving draw floor); the drawn
-//      movers are collected into compact per-worker lists, so move
-//      execution, balance repair, and the next superstep 1 all touch
-//      O(moved) state instead of rescanning n-sized arrays.
+//      movers come back ascending, so move execution, balance repair, and
+//      the next superstep 1 all touch O(moved) state instead of rescanning
+//      n-sized arrays. The broker runs supersteps 3-4 in one call; the two
+//      methods keep their accounting, read from the broker's shards.
 //
 // The implementation plugs into the SHP drivers through RefinerInterface, so
 // SHP-k and SHP-2/r run unmodified on top of it. The master is the §3.4
@@ -122,10 +127,10 @@ class BspRefiner : public RefinerInterface {
 
   /// Per-round executed-move cap (0 = unlimited): the master trims the
   /// drawn superstep-4 movers to the budget, highest gain first, before
-  /// execution — same contract as the threaded broker's
-  /// max_moves_per_round (the serving loop's epoch budget hook).
+  /// execution — MoveBroker::set_max_moves_per_round (the serving loop's
+  /// epoch budget hook).
   void SetMoveBudget(uint64_t max_moves) override {
-    options_.broker.max_moves_per_round = max_moves;
+    broker_.set_max_moves_per_round(max_moves);
   }
 
   /// Estimated bytes of distributed state on the most loaded worker right
@@ -221,16 +226,14 @@ class BspRefiner : public RefinerInterface {
                     const std::vector<BucketId>* anchor, double anchor_penalty,
                     ThreadPool* pool, RoundState* round);
 
-  /// Superstep 3: updates each worker's pair histograms from its changed
-  /// proposals and merges all of them into the master's (master_hist_).
-  void UploadHistograms(const Partition& partition, ThreadPool* pool,
-                        RoundState* round);
+  /// Superstep 3, after broker_.Apply: charges each worker the update of
+  /// its histogram shard and its upload, and clears the recompute marks.
+  void UploadHistograms(RoundState* round);
 
-  /// Superstep 4: the master's probabilities go out, proposals draw, and
-  /// the drawn movers execute with balance repair.
-  void DrawAndExecute(const MoveTopology& topo, uint64_t seed,
-                      uint64_t iteration, Partition* partition,
-                      ThreadPool* pool, RoundState* round);
+  /// Superstep 4, after broker_.Apply: charges each worker its draws and
+  /// the probability broadcast, and hands the executed moves to the next
+  /// superstep 1.
+  void DrawAndExecute(MoveOutcome outcome, RoundState* round);
 
   // ---- bodies shared by several superstep paths ----
 
@@ -346,17 +349,11 @@ class BspRefiner : public RefinerInterface {
   /// last round's stale ones — the threaded Refiner's draw, bit for bit.
   ExplorationDraw draw_;
 
-  // Incrementally maintained superstep-3 histograms, one per worker over its
-  // shard, plus each vertex's contribution.
-  std::vector<PairHistograms> worker_hist_;
-  std::vector<PairHistograms::Contribution> hist_contrib_;
-  bool hist_valid_ = false;
-  // The master's merge of the worker histograms, reused across rounds;
-  // master_slots_[w][s] is the master slot of worker w's slot s, so a
-  // vertex's contribution names its row of the master's probability table.
-  PairHistograms master_hist_;
-  std::vector<std::vector<uint32_t>> master_slots_;
-  PairProbabilityTable table_;
+  /// Supersteps 3-4: the master, sharded by data_owner_ (shard w is worker
+  /// w's histogram), and its changed-proposal list, the workers' recompute
+  /// lists concatenated.
+  MoveBroker broker_;
+  std::vector<VertexId> changed_;
 
   // Reusable per-iteration scratch: each keeps its capacity across
   // iterations, so steady-state supersteps allocate nothing here.
@@ -379,9 +376,6 @@ class BspRefiner : public RefinerInterface {
   /// Per data worker: leading recompute_lists_ entries already proposed
   /// inside ApplyDeltas this round (0 on a recompute-all round).
   std::vector<size_t> prescanned_;
-  std::vector<std::vector<VertexId>> mover_lists_;      ///< per data worker
-  std::vector<VertexId> movers_;       ///< merged, ascending
-  std::vector<BucketId> original_;     ///< pre-move bucket (mover slots only)
   std::vector<ProposalScratch> scratch_;  ///< per data worker
 
   std::vector<SuperstepStats>* log_;

@@ -190,60 +190,26 @@ GainComputer::BestTarget GainComputer::FindBestTargetPushGrouped(
       << "grouped candidates must ascend (MoveTopology group_children "
          "invariant)";
   SHP_DCHECK(SupportsPush());
+  SHP_DCHECK(window.size() == candidates.size())
+      << "grouped push scan needs a positional window (one slot per sibling)";
 
-  // The candidate list (sibling buckets, ascending, containing `from`) and
-  // the accumulator window spanning it are both bucket-sorted. The common
-  // case — recursion groups are contiguous bucket ranges and the sweep is
-  // windowed to exactly their slots — means every window entry IS a
-  // sibling, so the scan collapses to the kernel argmax with the `from`
-  // entry excised (an unoccupied sibling's 0.0 slot never beats the empty
-  // bucket's 0.0). Sparse candidate sets or wider lists (an unwindowed
-  // sweep) fall back to the forward merge, which stays exact for arbitrary
-  // groups.
+  // The window is positional (AffinitySweep windowed by
+  // MoveTopology::GroupWindows): slot i holds candidates[i], an unoccupied
+  // sibling at affinity 0.0, which never beats an empty bucket's 0.0. So
+  // the argmax is one scan over the slots with the `from` slot excised.
   double from_affinity = -1.0;
   double best_affinity = 0.0;  // affinity of an empty sibling
   BucketId best_bucket = -1;
-  const bool contiguous =
-      static_cast<size_t>(candidates.back() - candidates.front()) + 1 ==
-      candidates.size();
-  if (contiguous && !window.empty() &&
-      window.front().bucket >= candidates.front() &&
-      window.back().bucket <= candidates.back()) {
-    const AffinityEntry* wdata = window.data();
-    const AffinityEntry* wend = wdata + window.size();
-    const AffinityEntry* from_it =
-        std::lower_bound(wdata, wend, from, kBucketLess);
-    if (from_it != wend && from_it->bucket == from) {
-      from_affinity = from_it->affinity;
-    } else {
-      from_it = wend;  // nothing to excise — from is not in the window
-    }
-    AffinityScanBest best;  // {0.0, -1}: affinity of an empty sibling
-    ScanSkippingFrom(ActiveAffinityScan(), wdata, wend, from_it, &best);
-#ifndef NDEBUG
-    {
-      AffinityScanBest ref;
-      ScanSkippingFrom(&ScanAffinityRunScalar, wdata, wend, from_it, &ref);
-      SHP_DCHECK(ref.affinity == best.affinity && ref.bucket == best.bucket)
-          << "SIMD grouped scan diverged from scalar (from=" << from << ")";
-    }
-#endif
-    best_affinity = best.affinity;
-    best_bucket = best.bucket;
-  } else {
-    size_t c = 0;
-    for (const AffinityEntry& entry : window) {
-      while (c < candidates.size() && candidates[c] < entry.bucket) ++c;
-      if (c == candidates.size()) break;
-      if (candidates[c] != entry.bucket) continue;
-      if (entry.bucket == from) {
-        from_affinity = entry.affinity;
-        continue;
-      }
-      if (entry.affinity > best_affinity + kAffinityTieEpsilon) {
-        best_affinity = entry.affinity;
-        best_bucket = entry.bucket;
-      }
+  for (size_t i = 0; i < window.size(); ++i) {
+    const AffinityEntry& entry = window[i];
+    SHP_DCHECK(entry.bucket == candidates[i])
+        << "window slot " << i << " holds bucket " << entry.bucket
+        << ", not sibling " << candidates[i];
+    if (entry.bucket == from) {
+      from_affinity = entry.affinity;
+    } else if (entry.affinity > best_affinity + kAffinityTieEpsilon) {
+      best_affinity = entry.affinity;
+      best_bucket = entry.bucket;
     }
   }
   SHP_DCHECK(from_affinity >= 0.0)

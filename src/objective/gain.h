@@ -111,13 +111,12 @@ class GainComputer {
 
   /// Group-restricted push scan for recursion windows: candidates are the
   /// sibling buckets of v's group (ascending, containing `from`), and
-  /// `window` is v's accumulator — on a sweep windowed to v's group
-  /// (MoveTopology::GroupWindows), one positional slot per sibling, an
-  /// unoccupied one at affinity 0.0 that never beats an empty bucket — so
-  /// for contiguous siblings the scan is one kernel argmax; other lists are
-  /// merged against the candidates. Same tie-break as the full-k scan; the empty-window
-  /// fallback is the lowest sibling ≠ from, matching the grouped pull
-  /// path's first-candidate-wins argmax. O(|candidates| + window).
+  /// `window` is v's accumulator on a sweep windowed to v's group
+  /// (MoveTopology::GroupWindows): slot i holds candidates[i], an
+  /// unoccupied one at affinity 0.0 that never beats an empty bucket. One
+  /// scalar scan over the slots, with the full-k scan's tie-break; the
+  /// empty-window fallback is the lowest sibling ≠ from, matching the
+  /// grouped pull path's first-candidate-wins argmax. O(|candidates|).
   /// Requires SupportsPush().
   BestTarget FindBestTargetPushGrouped(std::span<const AffinityEntry> window,
                                        BucketId from,

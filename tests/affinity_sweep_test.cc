@@ -1762,12 +1762,27 @@ TEST(PullPushTargets, EmptyWindowFallbackIsSharedAndChecksFrom) {
 }
 
 // ----------------------------------------------- group-restricted push scan
+/// One window, `siblings`, for every vertex whose bucket is a sibling; no
+/// window for the rest — a recursion group's positional r-slot layout.
+BucketWindows SiblingWindows(const std::vector<BucketId>& assignment,
+                             const std::vector<BucketId>& siblings) {
+  BucketWindows windows;
+  windows.members = {siblings};
+  for (const BucketId b : assignment) {
+    windows.of.push_back(
+        std::find(siblings.begin(), siblings.end(), b) != siblings.end()
+            ? 0
+            : BucketWindows::kNone);
+  }
+  return windows;
+}
+
 TEST(PullPushTargets, GroupedScanMatchesDirectSiblingEvaluation) {
-  // The recursion scan: sparse sibling candidate sets (non-contiguous
-  // bucket ids) against one unwindowed sweep, so every scan takes the
-  // candidate-merge path. Reference =
-  // direct per-sibling MoveGain argmax with first-candidate-wins ties —
-  // exactly the grouped pull path of both engines.
+  // The recursion scan: sibling candidate sets, sparse ones (non-contiguous
+  // bucket ids) included, each on a sweep windowed to that set, so every
+  // scan reads one positional slot per sibling. Reference = direct
+  // per-sibling MoveGain argmax with first-candidate-wins ties — exactly
+  // the grouped pull path of both engines.
   for (const double p : {0.1, 0.5, 0.9}) {
     const BipartiteGraph g = TestGraph(7);
     const BucketId k = 8;
@@ -1775,12 +1790,13 @@ TEST(PullPushTargets, GroupedScanMatchesDirectSiblingEvaluation) {
     QueryNeighborData ndata;
     ndata.Build(g, assignment);
     const GainComputer gain(p, static_cast<uint32_t>(g.MaxQueryDegree()));
-    AffinitySweep sweep;
-    sweep.Build(g, ndata, gain.pow_table());
 
     const std::vector<std::vector<BucketId>> sibling_sets = {
         {0, 4}, {2, 3}, {1, 3, 5, 7}, {0, 2, 4, 6}};
     for (const auto& siblings : sibling_sets) {
+      AffinitySweep sweep;
+      sweep.Build(g, ndata, gain.pow_table(), nullptr,
+                  SiblingWindows(assignment, siblings));
       for (VertexId v = 0; v < g.num_data(); ++v) {
         if (g.DataDegree(v) == 0) continue;
         const BucketId from = assignment[v];
@@ -1828,23 +1844,24 @@ TEST(PullPushTargets, GroupedFallbackPicksLowestSiblingNotFrom) {
   QueryNeighborData ndata;
   ndata.Build(g, assignment);
   const GainComputer gain(0.5, static_cast<uint32_t>(g.MaxQueryDegree()));
-  AffinitySweep sweep;
-  sweep.Build(g, ndata, gain.pow_table());
+  // Vertex 0's positional window over `siblings`.
+  const auto scan = [&](const std::vector<BucketId>& siblings) {
+    AffinitySweep sweep;
+    sweep.Build(g, ndata, gain.pow_table(), nullptr,
+                SiblingWindows(assignment, siblings));
+    EXPECT_EQ(sweep.Entries(0).size(), siblings.size());
+    return gain.FindBestTargetPushGrouped(
+        sweep.Entries(0), 0, std::span<const BucketId>(siblings), 2.0);
+  };
 
-  // Siblings {0, 4, 6} from bucket 0: 4 and 6 are both empty — the grouped
-  // pull argmax takes the first candidate ≠ from (= 4), so must the push
-  // fallback; the gain is the empty-bucket gain.
-  const std::vector<BucketId> siblings = {0, 4, 6};
-  const auto push = gain.FindBestTargetPushGrouped(
-      sweep.Entries(0), 0, std::span<const BucketId>(siblings), 2.0);
+  // Siblings {0, 4, 6} from bucket 0: 4 and 6 are both empty slots — the
+  // grouped pull argmax takes the first candidate ≠ from (= 4), so must the
+  // push fallback; the gain is the empty-bucket gain.
+  const auto push = scan({0, 4, 6});
   EXPECT_EQ(push.bucket, 4);
   EXPECT_NEAR(push.gain, gain.MoveGain(g, ndata, 0, 0, 4), 1e-12);
   // A one-member "group" (from only) has no target.
-  const std::vector<BucketId> lone = {0};
-  EXPECT_EQ(gain.FindBestTargetPushGrouped(
-                sweep.Entries(0), 0, std::span<const BucketId>(lone), 2.0)
-                .bucket,
-            -1);
+  EXPECT_EQ(scan({0}).bucket, -1);
 }
 
 // -------------------------------------- refiner-level tolerance equivalence

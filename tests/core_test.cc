@@ -5,10 +5,12 @@
 
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <random>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/thread_pool.h"
 #include "core/gain_histogram.h"
 #include "core/move_broker.h"
 #include "core/move_topology.h"
@@ -384,62 +386,144 @@ TEST(MoveBroker, DrawFloorKeepsLiveRowsDrawing) {
   }
 }
 
+/// Two round outcomes are the same: every field, gains bit for bit.
+void ExpectSameOutcome(const MoveOutcome& got, const MoveOutcome& want) {
+  ASSERT_EQ(got.moves, want.moves);
+  EXPECT_EQ(got.num_proposals, want.num_proposals);
+  EXPECT_EQ(got.num_moved, want.num_moved);
+  EXPECT_EQ(got.num_reverted, want.num_reverted);
+  EXPECT_EQ(got.num_draws, want.num_draws);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.gain_moved),
+            std::bit_cast<uint64_t>(want.gain_moved));
+}
+
+/// Mutates ~10% of the proposals of a k-way instance (retargets, gain
+/// updates, withdrawals) and lists them in *changed, with one duplicate.
+void MutateProposals(const Partition& partition, std::mt19937_64* rng,
+                     std::vector<BucketId>* targets,
+                     std::vector<double>* gains,
+                     std::vector<VertexId>* changed) {
+  const VertexId n = partition.num_data();
+  const BucketId k = partition.k();
+  std::uniform_real_distribution<double> gain_dist(-1.0, 2.0);
+  for (VertexId i = 0; i < n / 10; ++i) {
+    const VertexId v = static_cast<VertexId>((*rng)() % n);
+    const BucketId t = static_cast<BucketId>((*rng)() % k);
+    (*targets)[v] = ((*rng)() % 5 == 0 || t == partition.bucket_of(v))
+                        ? BucketId{-1}
+                        : t;
+    (*gains)[v] = gain_dist(*rng);
+    changed->push_back(v);
+  }
+  // Duplicates must be idempotent.
+  changed->push_back(changed->front());
+}
+
+/// Movers changed buckets and spent their proposals: withdraws them and
+/// lists them as the next round's changed proposals.
+void SpendMoves(const MoveOutcome& outcome, std::vector<BucketId>* targets,
+                std::vector<double>* gains, std::vector<VertexId>* changed) {
+  changed->clear();
+  for (const VertexMove& m : outcome.moves) {
+    (*targets)[m.v] = -1;
+    (*gains)[m.v] = 0.0;
+    changed->push_back(m.v);
+  }
+}
+
 TEST(MoveBroker, ChangedListIncrementalMatchesFullRebuild) {
   // Histogram matching with a changed-proposal list must walk the exact same
   // move trajectory as a from-scratch broker: the incremental broker patches
   // its persistent per-pair histograms in O(|changed|), the reference
   // re-accumulates everything each round. The changed list follows the
   // refiner contract — every vertex whose (current bucket, target, gain)
-  // differs from the previous Apply is listed, duplicates allowed.
+  // differs from the previous Apply is listed, duplicates allowed. The
+  // histograms are sharded by pool thread, and the trajectory must not
+  // depend on the pool size.
   const VertexId n = 600;
   const BucketId k = 4;
   std::vector<BucketId> assignment(n);
   for (VertexId v = 0; v < n; ++v) assignment[v] = static_cast<BucketId>(v % k);
   const MoveTopology topo = MoveTopology::FullK(k, n, 0.05);
-  Partition inc_part = Partition::FromAssignment(assignment, k);
-  Partition ref_part = inc_part;
+  const MoveBrokerOptions options;  // kHistogramMatching default
+  ThreadPool serial(1);
+  std::vector<MoveOutcome> pool1;
+  for (const size_t threads : {1, 2, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << "pool " << threads);
+    ThreadPool pool(threads);
+    Partition inc_part = Partition::FromAssignment(assignment, k);
+    Partition ref_part = inc_part;
+    std::vector<BucketId> targets(n, -1);
+    std::vector<double> gains(n, 0.0);
+    MoveBroker incremental(options);
+    std::mt19937_64 rng(71);
+    std::vector<VertexId> changed;
+    for (uint64_t round = 0; round < 12; ++round) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      MutateProposals(inc_part, &rng, &targets, &gains, &changed);
+      // The first round has no primed state: the broker must fall back to
+      // a full rebuild on its own and prime the incremental path.
+      const MoveOutcome inc = incremental.Apply(
+          topo, targets, gains, 9, round, &inc_part, &pool, &changed);
+      MoveBroker fresh(options);
+      const MoveOutcome ref = fresh.Apply(topo, targets, gains, 9, round,
+                                          &ref_part, &serial, nullptr);
+      ExpectSameOutcome(inc, ref);
+      if (threads == 1) {
+        pool1.push_back(inc);
+      } else {
+        ExpectSameOutcome(inc, pool1[round]);
+      }
+      SpendMoves(inc, &targets, &gains, &changed);
+    }
+  }
+}
 
+TEST(MoveBroker, ShardLayoutChangesReprimeTheBroker) {
+  // One broker sees pool 4, then pool 2, then an explicit hashed vertex →
+  // shard map (the BSP engine's layout), always with a changed list: each
+  // layout change must re-prime the shards, and every round must match a
+  // fresh broker's from-scratch round.
+  const VertexId n = 900;
+  const BucketId k = 6;
+  const MoveTopology topo = MoveTopology::FullK(k, n, 0.05);
+  Partition inc_part = Partition::BalancedRandom(n, k, 5);
+  Partition ref_part = inc_part;
   std::vector<BucketId> targets(n, -1);
   std::vector<double> gains(n, 0.0);
-  MoveBrokerOptions options;  // kHistogramMatching default
-  MoveBroker incremental(options);
-
-  std::mt19937_64 rng(71);
-  std::uniform_real_distribution<double> gain_dist(-1.0, 2.0);
+  const MoveBrokerOptions options;
+  MoveBroker broker(options);
+  ThreadPool four(4);
+  ThreadPool two(2);
+  ThreadPool serial(1);
+  std::vector<int32_t> owner(n);
+  for (VertexId v = 0; v < n; ++v) {
+    owner[v] = static_cast<int32_t>(HashToBounded(55, v, 3, 5));
+  }
+  std::mt19937_64 rng(13);
   std::vector<VertexId> changed;
   for (uint64_t round = 0; round < 12; ++round) {
-    // Mutate ~10% of the proposals (retargets, gain updates, withdrawals).
-    for (int i = 0; i < 60; ++i) {
-      const VertexId v = static_cast<VertexId>(rng() % n);
-      const BucketId t = static_cast<BucketId>(rng() % k);
-      targets[v] =
-          (rng() % 5 == 0 || t == inc_part.bucket_of(v)) ? BucketId{-1} : t;
-      gains[v] = gain_dist(rng);
-      changed.push_back(v);
-    }
-    // Duplicates must be idempotent.
-    changed.push_back(changed.front());
-    // The first round has no primed state: the broker must fall back to a
-    // full rebuild on its own and prime the incremental path.
-    const MoveOutcome inc = incremental.Apply(topo, targets, gains, 9, round,
-                                              &inc_part, nullptr, &changed);
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    ThreadPool* pool = round < 4 ? &four : &two;
+    if (round == 8) broker.SetShardMap(owner, 5);
+    MutateProposals(inc_part, &rng, &targets, &gains, &changed);
+    const MoveOutcome got = broker.Apply(topo, targets, gains, 9, round,
+                                         &inc_part, pool, &changed);
     MoveBroker fresh(options);
-    const MoveOutcome ref = fresh.Apply(topo, targets, gains, 9, round,
-                                        &ref_part, nullptr, nullptr);
-    ASSERT_EQ(inc.moves, ref.moves) << "round " << round;
-    EXPECT_EQ(inc.num_proposals, ref.num_proposals) << "round " << round;
-    EXPECT_EQ(inc.num_moved, ref.num_moved) << "round " << round;
-    EXPECT_EQ(inc.num_reverted, ref.num_reverted) << "round " << round;
-    EXPECT_DOUBLE_EQ(inc.gain_moved, ref.gain_moved) << "round " << round;
-
-    // Movers changed buckets (and their proposals are spent): list them for
-    // the next round, withdrawing the satisfied proposals.
-    changed.clear();
-    for (const VertexMove& m : inc.moves) {
-      targets[m.v] = -1;
-      gains[m.v] = 0.0;
-      changed.push_back(m.v);
+    const MoveOutcome want = fresh.Apply(topo, targets, gains, 9, round,
+                                         &ref_part, &serial, nullptr);
+    ExpectSameOutcome(got, want);
+    if (round >= 8) {
+      // The hashed map, not the pool, now lays the shards out.
+      for (int s = 0; s < 5; ++s) {
+        uint64_t proposals = 0;
+        for (VertexId v = 0; v < n; ++v) {
+          proposals += owner[v] == s && targets[v] >= 0;
+        }
+        EXPECT_EQ(broker.shard(s).num_proposals(), proposals) << "shard " << s;
+      }
     }
+    SpendMoves(got, &targets, &gains, &changed);
   }
 }
 
@@ -614,13 +698,20 @@ TEST(MoveBroker, FlatBrokerMatchesMapReference) {
   // their `from` half (a hash of the low key bits would pile them onto one
   // probe run), and k = 4096 grows the pair index far past its initial
   // size. Both the probability rows and the round outcomes must match the
-  // map-based reference exactly.
+  // map-based reference exactly. Brokers on pools of 1, 2, 3 and 8 threads
+  // (as many histogram shards) run in lockstep, each on its own copy of the
+  // partition, and must reproduce the pool-1 broker's outcomes.
   const double min_gain = 1e-8;
   const double growth = 2.0;
   const int levels = 40;
   const MapBrokerReference reference(min_gain, growth, levels);
   MoveBrokerOptions options;
   options.binning = GainBinning(min_gain, growth, levels);
+  ThreadPool pool1(1);
+  std::vector<std::unique_ptr<ThreadPool>> wider;
+  for (const size_t threads : {2, 3, 8}) {
+    wider.push_back(std::make_unique<ThreadPool>(threads));
+  }
   for (const BucketId k : {2, 32, 512, 4096}) {
     SCOPED_TRACE(testing::Message() << "k=" << k);
     const VertexId n = std::max<VertexId>(6000, 3 * static_cast<VertexId>(k));
@@ -628,6 +719,8 @@ TEST(MoveBroker, FlatBrokerMatchesMapReference) {
     Partition partition = Partition::BalancedRandom(n, k, 3);
     Partition ref_partition = partition;
     MoveBroker broker(options);
+    std::vector<MoveBroker> wider_brokers(wider.size(), MoveBroker(options));
+    std::vector<Partition> wider_partitions(wider.size(), partition);
     PairHistograms hist(options.binning);
     std::vector<PairHistograms::Contribution> contrib(n);
     PairProbabilityTable table;
@@ -672,9 +765,9 @@ TEST(MoveBroker, FlatBrokerMatchesMapReference) {
       }
       const bool reprime = round == 5;
 
-      // The rows ComputePairProbabilities writes, against the reference
-      // table (which also holds the all-zero rows of directions nobody
-      // proposes).
+      // The rows ComputePairProbabilities writes, against the table of the
+      // reference round (which also holds the all-zero rows of directions
+      // nobody proposes).
       if (reprime) {
         hist.Clear();
         contrib.assign(n, {});
@@ -689,8 +782,10 @@ TEST(MoveBroker, FlatBrokerMatchesMapReference) {
         }
       }
       ComputePairProbabilities(topo, hist, partition, true, &table);
-      const MapBrokerReference::Table want_table = reference.Compute(
-          topo, reference.Accumulate(partition, targets, gains), partition);
+      MapBrokerReference::Table want_table;
+      const MoveOutcome want =
+          reference.Apply(topo, options, targets, gains, 9, round,
+                          &ref_partition, &want_table);
       EXPECT_EQ(table.num_rows(), want_table.size());
       for (const auto& [key, probs] : want_table) {
         const uint32_t slot = hist.Find(key);
@@ -699,10 +794,14 @@ TEST(MoveBroker, FlatBrokerMatchesMapReference) {
           const double got = slot == PairHistograms::kNoSlot
                                  ? 0.0
                                  : table.Probability(slot, bin);
-          ASSERT_EQ(std::bit_cast<uint64_t>(got),
-                    std::bit_cast<uint64_t>(probs[static_cast<size_t>(bin)]))
-              << "pair " << (key >> 32) << "->" << (key & 0xffffffffULL)
-              << " bin " << bin;
+          // A plain compare first: a gtest assertion per bin would cost
+          // more than the whole broker round.
+          if (std::bit_cast<uint64_t>(got) !=
+              std::bit_cast<uint64_t>(probs[static_cast<size_t>(bin)])) {
+            FAIL() << "pair " << (key >> 32) << "->" << (key & 0xffffffffULL)
+                   << " bin " << bin << ": " << got << " vs "
+                   << probs[static_cast<size_t>(bin)];
+          }
           live |= probs[static_cast<size_t>(bin)] > 0.0;
         }
         if (slot != PairHistograms::kNoSlot) {
@@ -712,19 +811,23 @@ TEST(MoveBroker, FlatBrokerMatchesMapReference) {
         }
       }
 
-      const MoveOutcome got =
-          broker.Apply(topo, targets, gains, 9, round, &partition, nullptr,
-                       reprime ? nullptr : &changed);
-      MapBrokerReference::Table unused;
-      const MoveOutcome want =
-          reference.Apply(topo, options, targets, gains, 9, round,
-                          &ref_partition, &unused);
+      const std::vector<VertexId>* list = reprime ? nullptr : &changed;
+      const MoveOutcome got = broker.Apply(topo, targets, gains, 9, round,
+                                           &partition, &pool1, list);
       ASSERT_EQ(got.moves, want.moves);
       EXPECT_EQ(got.num_draws, want.num_draws);
       EXPECT_EQ(got.num_proposals, want.num_proposals);
       EXPECT_EQ(got.num_reverted, want.num_reverted);
       EXPECT_EQ(got.num_moved, want.num_moved);
       moved += got.num_moved;
+      for (size_t i = 0; i < wider.size(); ++i) {
+        SCOPED_TRACE(testing::Message()
+                     << "pool " << wider[i]->num_threads());
+        ExpectSameOutcome(
+            wider_brokers[i].Apply(topo, targets, gains, 9, round,
+                                   &wider_partitions[i], wider[i].get(), list),
+            got);
+      }
 
       // Movers spent their proposals and changed bucket: list them.
       changed.clear();

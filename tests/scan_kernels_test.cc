@@ -153,20 +153,22 @@ TEST(ScanKernels, ChainedSplitScansEqualOneUnbrokenScan) {
 }
 
 TEST(ScanKernels, EmptyScanWindowFallsBackToLowestSibling) {
-  // When the accumulator window holds only the excised `from` entry, the
-  // kernel scans an empty range and leaves its {0.0, -1} start state — the
-  // grouped push scan must then fall back to the lowest sibling != from, and
-  // report -1 when no sibling exists.
+  // When every sibling slot but the excised `from` one is empty (support 0,
+  // affinity 0.0), no slot beats an empty bucket — the grouped push scan
+  // must then fall back to the lowest sibling != from, and report -1 when
+  // no sibling exists.
   GainComputer gc(/*p=*/0.5, /*max_query_degree=*/8);
   ASSERT_TRUE(gc.SupportsPush());
-  const std::vector<AffinityEntry> window = {{5, 2, 0.75}};
+  const std::vector<AffinityEntry> window = {
+      {4, 0, 0.0}, {5, 2, 0.75}, {6, 0, 0.0}};
   const std::vector<BucketId> siblings = {4, 5, 6};
   const auto best = gc.FindBestTargetPushGrouped(
       window, /*from=*/5, siblings, /*degree=*/3.0);
   EXPECT_EQ(best.bucket, 4);
+  const std::vector<AffinityEntry> from_only_window = {{5, 2, 0.75}};
   const std::vector<BucketId> only_from = {5};
   const auto none = gc.FindBestTargetPushGrouped(
-      window, /*from=*/5, only_from, /*degree=*/3.0);
+      from_only_window, /*from=*/5, only_from, /*degree=*/3.0);
   EXPECT_EQ(none.bucket, -1);
   EXPECT_EQ(none.gain, 0.0);
 }
